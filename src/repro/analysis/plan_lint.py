@@ -223,9 +223,7 @@ def assert_no_regression(before, after, where="optimizer"):
     "a join whose every key pair is constant on both sides relates nothing",
 )
 def _rule_cartesian_product(facts):
-    for node in facts.nodes():
-        if not isinstance(node, L.Join):
-            continue
+    for node in facts.nodes_of(L.Join):
         left_constants = facts.constants_of(node.left)
         right_constants = facts.constants_of(node.right)
         linking = [
@@ -296,9 +294,7 @@ def _fold_intervals(predicates):
 
 def _conjunction_roots(facts):
     """Maximal Select chains: (top node, gathered predicates)."""
-    for node in facts.nodes():
-        if not isinstance(node, L.Select):
-            continue
+    for node in facts.nodes_of(L.Select):
         if isinstance(facts.parent(node), L.Select):
             continue  # covered by the chain's top Select
         predicates = []
@@ -349,21 +345,20 @@ def _rule_unsatisfiable_filter(facts):
                 )
 
     # Having predicates: a count(*) bound below 0 can never fail/hold.
-    for node in facts.nodes():
-        if isinstance(node, L.Having):
-            p = node.predicate
-            if p.value is not None and p.value < 0 and p.op in ("<", "<="):
-                yield Diagnostic(
-                    rule="unsatisfiable-filter",
-                    severity=WARNING,
-                    path=facts.path(node),
-                    node=repr(node),
-                    message=(
-                        f"HAVING {p.column} {p.op} {p.value} can never hold "
-                        "(counts are non-negative)"
-                    ),
-                    hint="fix the HAVING bound",
-                )
+    for node in facts.nodes_of(L.Having):
+        p = node.predicate
+        if p.value is not None and p.value < 0 and p.op in ("<", "<="):
+            yield Diagnostic(
+                rule="unsatisfiable-filter",
+                severity=WARNING,
+                path=facts.path(node),
+                node=repr(node),
+                message=(
+                    f"HAVING {p.column} {p.op} {p.value} can never hold "
+                    "(counts are non-negative)"
+                ),
+                hint="fix the HAVING bound",
+            )
 
 
 @plan_rule(
@@ -371,36 +366,35 @@ def _rule_unsatisfiable_filter(facts):
     "a scan or extend output no operator consumes (pushdown opportunity)",
 )
 def _rule_dead_column(facts):
-    for node in facts.nodes():
-        if isinstance(node, L.Scan):
-            consumed = facts.consumed_of(node)
-            for column in node.output_columns():
-                if column not in consumed:
-                    yield Diagnostic(
-                        rule="dead-column",
-                        severity=INFO,
-                        path=facts.path(node),
-                        node=repr(node),
-                        message=(
-                            f"scan column {column} is never consumed "
-                            "downstream; engines prune it, but narrowing "
-                            "the scan would make the plan self-documenting"
-                        ),
-                        hint=f"drop {column} from the Scan column list",
-                    )
-        elif isinstance(node, L.Extend):
-            if node.column not in facts.consumed_of(node):
+    for node in facts.nodes_of(L.Scan):
+        consumed = facts.consumed_of(node)
+        for column in facts.columns_of(node):
+            if column not in consumed:
                 yield Diagnostic(
                     rule="dead-column",
                     severity=INFO,
                     path=facts.path(node),
                     node=repr(node),
                     message=(
-                        f"extended column {node.column} is never consumed "
-                        "downstream"
+                        f"scan column {column} is never consumed "
+                        "downstream; engines prune it, but narrowing "
+                        "the scan would make the plan self-documenting"
                     ),
-                    hint="drop the Extend node",
+                    hint=f"drop {column} from the Scan column list",
                 )
+    for node in facts.nodes_of(L.Extend):
+        if node.column not in facts.consumed_of(node):
+            yield Diagnostic(
+                rule="dead-column",
+                severity=INFO,
+                path=facts.path(node),
+                node=repr(node),
+                message=(
+                    f"extended column {node.column} is never consumed "
+                    "downstream"
+                ),
+                hint="drop the Extend node",
+            )
 
 
 @plan_rule(
@@ -409,7 +403,7 @@ def _rule_dead_column(facts):
 )
 def _rule_domain_mismatch(facts):
     known = ENTITY_DOMAINS | {COUNT, "property"}
-    for node in facts.nodes():
+    for node in facts.nodes_of(L.Join, L.Union):
         if isinstance(node, L.Join):
             for l, r in node.on:
                 dl = facts.domain(node.left, l)
@@ -438,15 +432,10 @@ def _rule_domain_mismatch(facts):
                     hint="join columns of the same domain (subject/object "
                          "are interchangeable entity domains)",
                 )
-        elif isinstance(node, L.Union):
-            names = node.output_columns()
-            for position, name in enumerate(names):
-                seen = {}
-                for i, branch in enumerate(node.inputs):
-                    branch_name = branch.output_columns()[position]
-                    d = facts.domains[id(branch)].get(branch_name, UNKNOWN)
-                    if d != UNKNOWN:
-                        seen.setdefault(d, i)
+        else:
+            for name, seen in zip(
+                facts.columns_of(node), facts.input_domains_of(node)
+            ):
                 domains = set(seen)
                 if len(domains) > 1 and not domains <= ENTITY_DOMAINS \
                         and domains <= known:
@@ -472,39 +461,40 @@ def _rule_domain_mismatch(facts):
 )
 def _rule_duplicate_columns(facts):
     for node in facts.nodes():
-        names = node.output_columns()
+        names = facts.columns_of(node)
+        if len(set(names)) == len(names):
+            continue
         duplicated = sorted(
             {name for name in names if names.count(name) > 1}
         )
-        if duplicated:
-            yield Diagnostic(
-                rule="duplicate-columns",
-                severity=ERROR,
-                path=facts.path(node),
-                node=repr(node),
-                message=(
-                    f"output columns {duplicated} appear more than once; "
-                    "downstream references are ambiguous"
-                ),
-                hint="rename via Project or use distinct scan aliases",
-            )
-        if isinstance(node, L.Union):
-            first = node.inputs[0].output_columns()
-            for i, branch in enumerate(node.inputs[1:], start=1):
-                branch_names = branch.output_columns()
-                if branch_names != first:
-                    yield Diagnostic(
-                        rule="duplicate-columns",
-                        severity=INFO,
-                        path=facts.path(node),
-                        node=repr(node),
-                        message=(
-                            f"Union input {i} columns {branch_names} are "
-                            f"shadowed by input 0's names {first} "
-                            "(positional, SQL semantics)"
-                        ),
-                        hint="project branches onto one shared name set",
-                    )
+        yield Diagnostic(
+            rule="duplicate-columns",
+            severity=ERROR,
+            path=facts.path(node),
+            node=repr(node),
+            message=(
+                f"output columns {duplicated} appear more than once; "
+                "downstream references are ambiguous"
+            ),
+            hint="rename via Project or use distinct scan aliases",
+        )
+    for node in facts.nodes_of(L.Union):
+        first = facts.columns_of(node.inputs[0])
+        for i, branch in enumerate(node.inputs[1:], start=1):
+            branch_names = facts.columns_of(branch)
+            if branch_names != first:
+                yield Diagnostic(
+                    rule="duplicate-columns",
+                    severity=INFO,
+                    path=facts.path(node),
+                    node=repr(node),
+                    message=(
+                        f"Union input {i} columns {branch_names} are "
+                        f"shadowed by input 0's names {first} "
+                        "(positional, SQL semantics)"
+                    ),
+                    hint="project branches onto one shared name set",
+                )
 
 
 @plan_rule(
@@ -512,12 +502,12 @@ def _rule_duplicate_columns(facts):
     "a constant selection left above a join the optimizer should push down",
 )
 def _rule_pushdown_select(facts):
-    for node in facts.nodes():
-        if not (isinstance(node, L.Select) and isinstance(node.child, L.Join)):
+    for node in facts.nodes_of(L.Select):
+        if not isinstance(node.child, L.Join):
             continue
         join = node.child
-        left_cols = set(join.left.output_columns())
-        right_cols = set(join.right.output_columns())
+        left_cols = set(facts.columns_of(join.left))
+        right_cols = set(facts.columns_of(join.right))
         for p in node.predicates:
             if not isinstance(p, Comparison):
                 continue  # column-column leftovers of cyclic joins belong here
@@ -586,9 +576,7 @@ def _rule_wrong_engine_operator(physical, facts):
     "a query constant that did not resolve in the dictionary",
 )
 def _rule_missing_constant(facts):
-    for node in facts.nodes():
-        if not isinstance(node, L.Select):
-            continue
+    for node in facts.nodes_of(L.Select):
         for p in node.predicates:
             if isinstance(p, Comparison) and p.value is None:
                 if p.op == "!=":

@@ -35,7 +35,12 @@ from repro.exec.common import (
     sort_cost,
 )
 from repro.exec.morsel import effective_dop, split_morsels
-from repro.exec.registry import EngineOperatorSet, Lowered, match_type
+from repro.exec.registry import (
+    EngineOperatorSet,
+    Lowered,
+    match_type,
+    matches,
+)
 from repro.exec.runtime import Intermediate
 from repro.observe.trace import wall_now
 from repro.plan import logical as L
@@ -348,6 +353,7 @@ def _guard_compressed_group(engine, node):
     return _base_column(scan, node.keys[0]) == lead
 
 
+@matches(L.GroupBy)
 def _match_compressed_group(node):
     return Lowered(fused=(node.child,))
 
@@ -402,6 +408,7 @@ def _guard_compressed_join(engine, node):
     return _base_column(scan, rcol) == lead
 
 
+@matches(L.Join)
 def _match_compressed_join(node):
     return Lowered(children=(node.left,), fused=(node.right,))
 
@@ -484,6 +491,7 @@ def compressed_join(rt, pnode, needed):
 # dense-range shaped (logical compression mode stays eligible because
 # ``physical_encoding`` returns None there).
 
+@matches(L.Select)
 def _match_fused_scan(node):
     if isinstance(node, L.Select) and isinstance(node.child, L.Scan):
         return Lowered(fused=(node.child,))
@@ -798,6 +806,7 @@ def _guard_parallel_union(engine, node):
     return True
 
 
+@matches(L.Union)
 def _match_parallel_union(node):
     return Lowered(fused=tuple(node.children()))
 

@@ -85,18 +85,20 @@ def _pattern_relation(catalog, index, pattern):
             node = Scan(table, ["subj", "obj"], alias=alias)
             return Select(node, [Comparison(f"{alias}.subj", "=", None)])
         node = Scan(table, ["subj", "obj"], alias=alias)
-        predicates = _so_predicates(catalog, alias, s, o)
+        predicates = _so_predicates(alias, _so_constants(catalog, s, o))
         return Select(node, predicates) if predicates else node
 
     # Property variable: union over every property table, tagged with the
-    # property oid (the paper's "sizable SQL clause").
+    # property oid (the paper's "sizable SQL clause").  The pattern's
+    # constants are the same in every branch: encode them once.
+    constants = _so_constants(catalog, s, o)
     branches = []
     for i, prop in enumerate(catalog.properties_for("all")):
         branch_alias = f"{alias}_{i}"
         node = Scan(
             catalog.property_table(prop), ["subj", "obj"], alias=branch_alias
         )
-        predicates = _so_predicates(catalog, branch_alias, s, o)
+        predicates = _so_predicates(branch_alias, constants)
         if predicates:
             node = Select(node, predicates)
         node = Extend(node, f"{branch_alias}.prop", catalog.encode(prop))
@@ -113,13 +115,21 @@ def _pattern_relation(catalog, index, pattern):
     return Union(branches, distinct=False)
 
 
-def _so_predicates(catalog, alias, s, o):
-    predicates = []
-    if not is_variable(s):
-        predicates.append(Comparison(f"{alias}.subj", "=", catalog.encode(s)))
-    if not is_variable(o):
-        predicates.append(Comparison(f"{alias}.obj", "=", catalog.encode(o)))
-    return predicates
+def _so_constants(catalog, s, o):
+    """``(component, oid)`` for each constant among a pattern's subject
+    and object."""
+    return [
+        (component, catalog.encode(term))
+        for component, term in (("subj", s), ("obj", o))
+        if not is_variable(term)
+    ]
+
+
+def _so_predicates(alias, constants):
+    return [
+        Comparison(f"{alias}.{component}", "=", oid)
+        for component, oid in constants
+    ]
 
 
 def _variable_columns(patterns):

@@ -18,6 +18,7 @@ from repro.exec.registry import (
     engine_ops,
     lower_plan,
     match_type,
+    matches,
     registered_engines,
 )
 from repro.exec.runtime import (
@@ -38,6 +39,7 @@ __all__ = [
     "engine_ops",
     "lower_plan",
     "match_type",
+    "matches",
     "registered_engines",
     "Intermediate",
     "Runtime",

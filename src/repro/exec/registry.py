@@ -9,6 +9,14 @@ match wins, so engines register their fused/fast operators before the
 generic ones — and emits the :class:`~repro.exec.physical.PhysicalPlan`
 tree the shared :class:`~repro.exec.runtime.Runtime` drives.
 
+A match function declares the logical node types it can accept as
+``match.node_types`` (:func:`match_type` and :func:`matches` set it), and
+lowering only offers a node to the operators that declared its type: a
+700-node vertically-partitioned plan is not tried against every one of
+the engine's rules per node.  A match function that declares nothing is
+offered every node, so registrations written before the declaration
+existed keep working.
+
 Engines under this package's management:
 
 * ``column-store`` — vector paradigm (:mod:`repro.colstore.operators`),
@@ -120,10 +128,22 @@ class EngineOperatorSet:
         return [rule.name for rule in self.rules]
 
 
+def matches(*node_types):
+    """Decorator declaring that a match function (and its operator's
+    guard) can only accept instances of *node_types*."""
+
+    def declare(match):
+        match.node_types = node_types
+        return match
+
+    return declare
+
+
 def match_type(*node_types):
     """A match function accepting the given logical node types, lowering
     every logical child."""
 
+    @matches(*node_types)
     def match(node):
         if isinstance(node, node_types):
             return Lowered(children=node.children())
@@ -159,6 +179,11 @@ def registered_engines():
     return sorted(_REGISTRY)
 
 
+def _declares(opdef, node_type):
+    node_types = getattr(opdef.match, "node_types", None)
+    return node_types is None or issubclass(node_type, node_types)
+
+
 def lower_plan(plan, engine, instance=None):
     """Lower a logical plan to a physical tree for *engine*.
 
@@ -171,13 +196,19 @@ def lower_plan(plan, engine, instance=None):
     ``guard`` are considered only when their guard accepts it (without an
     instance, guarded operators never match).
     """
-    ops = engine_ops(engine)
+    rules = engine_ops(engine).rules
+    if instance is None:
+        rules = [opdef for opdef in rules if opdef.guard is None]
+    by_type = {}  # node type -> the rules that may accept it, in order
 
     def lower(node):
-        for opdef in ops.rules:
-            if opdef.guard is not None and (
-                instance is None or not opdef.guard(instance, node)
-            ):
+        candidates = by_type.get(type(node))
+        if candidates is None:
+            candidates = by_type[type(node)] = [
+                opdef for opdef in rules if _declares(opdef, type(node))
+            ]
+        for opdef in candidates:
+            if opdef.guard is not None and not opdef.guard(instance, node):
                 continue
             lowered = opdef.match(node)
             if lowered is None:

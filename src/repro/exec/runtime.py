@@ -190,18 +190,8 @@ class Runtime:
         stream = self.build_child(physical)
         out_names = physical.logical.output_columns()
         rows = list(stream)
-        oid = set(out_names) - self._count_columns(physical.logical)
+        oid = set(out_names) - L.count_columns(physical.logical)
         return Relation.from_rows(out_names, rows, oid_columns=oid)
-
-    @staticmethod
-    def _count_columns(plan):
-        """Names of aggregate-count columns anywhere in the plan (these
-        hold plain integers, not dictionary oids)."""
-        counts = set()
-        for node in L.walk(plan):
-            if isinstance(node, L.GroupBy):
-                counts.add(node.count_column)
-        return counts
 
     # ------------------------------------------------------------------
     # vector paradigm

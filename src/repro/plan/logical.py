@@ -380,11 +380,38 @@ class Limit(LogicalPlan):
 
 def walk(plan):
     """Yield every node of the plan tree, pre-order."""
-    yield plan
-    for child in plan.children():
-        yield from walk(child)
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
+def _once_per_plan(collect):
+    """Memoise *collect(plan)* on the node it is asked of.
+
+    Sound because a sealed tree can never change, and worth it because an
+    engine asks on every run and a cached plan is run many times.  Only
+    the node asked — a plan's root — is written to: the plan caches keep
+    hundreds of 700-node ad-hoc plans alive, and a memo on every node
+    showed as a tenth more resident memory.
+    """
+    name = f"_{collect.__name__}"
+
+    @functools.wraps(collect)
+    def memoised(plan):
+        try:
+            return getattr(plan, name)
+        except AttributeError:
+            value = collect(plan)
+            if getattr(plan, "_sealed", False):
+                object.__setattr__(plan, name, value)
+            return value
+
+    return memoised
+
+
+@_once_per_plan
 def count_operators(plan):
     """Number of operators in the plan.
 
@@ -394,3 +421,12 @@ def count_operators(plan):
     per-operator cost proportional to this count.
     """
     return sum(1 for _ in walk(plan))
+
+
+@_once_per_plan
+def count_columns(plan):
+    """Names of the ``count(*)`` columns produced anywhere in the plan
+    (they hold plain integers, not dictionary oids)."""
+    return frozenset(
+        node.count_column for node in walk(plan) if isinstance(node, GroupBy)
+    )

@@ -23,7 +23,12 @@ from repro.exec.common import (
     sort_cost,
     update_accumulator,
 )
-from repro.exec.registry import EngineOperatorSet, Lowered, match_type
+from repro.exec.registry import (
+    EngineOperatorSet,
+    Lowered,
+    match_type,
+    matches,
+)
 from repro.exec.runtime import Stream
 from repro.plan import logical as L
 from repro.plan.predicates import is_column_comparison
@@ -186,6 +191,7 @@ def _index_scan(rt, table, scan, index, prefix, residual, cross_preds=()):
     return Stream(out_columns, generate())
 
 
+@matches(L.Select, L.Scan)
 def _match_access_path(node):
     if isinstance(node, L.Select) and isinstance(node.child, L.Scan):
         return Lowered(fused=(node.child,))

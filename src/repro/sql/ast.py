@@ -170,10 +170,17 @@ class UnionStmt:
     all: bool = False
 
     def sql(self):
-        keyword = "UNION ALL" if self.all else "UNION"
-        return f"\n{keyword}\n".join(
-            f"({s.sql()})" for s in self.selects
-        )
+        # Rendered once per (frozen) statement: the generator puts one
+        # 222-branch union into every query it rewrites.
+        try:
+            return self.__dict__["_sql"]
+        except KeyError:
+            keyword = "UNION ALL" if self.all else "UNION"
+            text = f"\n{keyword}\n".join(
+                f"({s.sql()})" for s in self.selects
+            )
+            object.__setattr__(self, "_sql", text)
+            return text
 
 
 def _indent(text, prefix="  "):

@@ -165,21 +165,31 @@ class _Rewriter:
         ]
 
     def _union_subquery(self):
-        """``(SELECT subj, '<p>' AS prop, obj FROM vp_p) UNION ALL ...``"""
-        branches = []
-        for prop in self.properties:
-            branches.append(
-                ast.SelectStmt(
-                    items=(
-                        ast.SelectItem(ast.ColumnRef(None, "subj")),
-                        ast.SelectItem(ast.StringLit(prop), "prop"),
-                        ast.SelectItem(ast.ColumnRef(None, "obj")),
-                    ),
-                    from_items=(
-                        ast.FromTable(self._property_table(prop)),
-                    ),
-                )
+        """``(SELECT subj, '<p>' AS prop, obj FROM vp_p) UNION ALL ...``
+
+        The same for every query over one catalog and property list, so
+        the last one built is kept on the catalog (ASTs are immutable, and
+        a :class:`~repro.sql.ast.UnionStmt` renders its SQL once).
+        """
+        tables = tuple(self._property_table(p) for p in self.properties)
+        inputs = (tuple(self.properties), tables)
+        kept = self.catalog.derived.get("sql.union_subquery")
+        if kept is not None and kept[0] == inputs:
+            return kept[1]
+        branches = [
+            ast.SelectStmt(
+                items=(
+                    ast.SelectItem(ast.ColumnRef(None, "subj")),
+                    ast.SelectItem(ast.StringLit(prop), "prop"),
+                    ast.SelectItem(ast.ColumnRef(None, "obj")),
+                ),
+                from_items=(ast.FromTable(table),),
             )
+            for prop, table in zip(self.properties, tables)
+        ]
         if len(branches) == 1:
-            return branches[0]
-        return ast.UnionStmt(tuple(branches), all=True)
+            subquery = branches[0]
+        else:
+            subquery = ast.UnionStmt(tuple(branches), all=True)
+        self.catalog.derived["sql.union_subquery"] = (inputs, subquery)
+        return subquery

@@ -60,18 +60,23 @@ def tokenize(text):
             i = length if end < 0 else end
             continue
         if ch == "'":
-            end = i + 1
-            while end < length and text[end] != "'":
-                end += 1
-            if end >= length:
+            end = text.find("'", i + 1)
+            if end < 0:
                 raise SQLError("unterminated string literal", line, column)
             tokens.append(Token("STRING", text[i + 1 : end], line, column))
-            column += end - i + 1
+            newlines = text.count("\n", i, end)
+            if newlines:
+                line += newlines
+                column = end - text.rfind("\n", i, end) + 1
+            else:
+                column += end - i + 1
             i = end + 1
             continue
-        if ch.isdigit():
+        # Not isdigit(): that also accepts superscripts and the like, which
+        # int() rejects.
+        if ch.isdecimal():
             end = i
-            while end < length and text[end].isdigit():
+            while end < length and text[end].isdecimal():
                 end += 1
             tokens.append(Token("NUMBER", int(text[i:end]), line, column))
             column += end - i

@@ -5,6 +5,10 @@ from repro.sql import ast
 from repro.sql.lexer import tokenize
 
 
+_COMPARISON_OPERATORS = {"EQ": "=", "NE": "!=", "GT": ">", "LT": "<",
+                         "GE": ">=", "LE": "<="}
+
+
 def parse_sql(text):
     """Parse SQL text into a :class:`SelectStmt` or :class:`UnionStmt`."""
     parser = _Parser(tokenize(text))
@@ -23,8 +27,11 @@ class _Parser:
     # token plumbing
     # ------------------------------------------------------------------
 
-    def peek(self, offset=0):
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    # The token list ends with an EOF token that is never consumed, so
+    # ``tokens[pos]`` always exists: no bounds check per token.
+
+    def peek(self):
+        return self.tokens[self.pos]
 
     def advance(self):
         token = self.tokens[self.pos]
@@ -33,19 +40,24 @@ class _Parser:
         return token
 
     def accept(self, kind):
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
+        token = self.tokens[self.pos]
+        if token.kind != kind:
+            return None
+        if kind != "EOF":
+            self.pos += 1
+        return token
 
     def expect(self, kind):
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != kind:
             raise SQLError(
                 f"expected {kind}, found {token.kind} ({token.value!r})",
                 token.line,
                 token.column,
             )
-        return self.advance()
+        if kind != "EOF":
+            self.pos += 1
+        return token
 
     # ------------------------------------------------------------------
     # grammar
@@ -194,9 +206,7 @@ class _Parser:
     def parse_condition(self):
         left = self.parse_expr()
         token = self.peek()
-        operators = {"EQ": "=", "NE": "!=", "GT": ">", "LT": "<",
-                     "GE": ">=", "LE": "<="}
-        if token.kind not in operators:
+        if token.kind not in _COMPARISON_OPERATORS:
             raise SQLError(
                 f"expected comparison operator, found {token.kind}",
                 token.line,
@@ -204,4 +214,4 @@ class _Parser:
             )
         self.advance()
         right = self.parse_expr()
-        return ast.Condition(left, operators[token.kind], right)
+        return ast.Condition(left, _COMPARISON_OPERATORS[token.kind], right)

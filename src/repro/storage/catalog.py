@@ -53,6 +53,13 @@ class StoreCatalog:
     properties_table: str = None
     property_tables: dict = field(default_factory=dict)
     compression: str = None
+    #: Values other layers derive from this catalog and keep for the next
+    #: query (the SQL generator's union-over-all-properties subquery), each
+    #: stored with the inputs it was derived from.  A maintenance insert
+    #: returns a new catalog (``dataclasses.replace``), whose memo is empty.
+    derived: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def is_triple_store(self):
         return self.scheme == "triple"

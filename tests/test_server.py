@@ -258,6 +258,38 @@ class TestQueryServer:
             exposition = response.read().decode("utf-8")
         assert "server_latency_ms" in exposition
 
+    @pytest.mark.parametrize("method, path, body", [
+        ("POST", "/v1/query", {"query": "q1"}),
+        ("GET", "/metrics", None),
+    ])
+    def test_kept_alive_client_is_not_held_by_delayed_ack(
+            self, server, method, path, body):
+        """A response written as headers, then body, makes a plain
+        kept-alive client (no TCP_QUICKACK / TCP_NODELAY) wait ~40 ms per
+        request for the delayed-ACK timer; one write does not."""
+        import http.client
+        import statistics
+        import time
+        from urllib.parse import urlsplit
+
+        address = urlsplit(server.address)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=30
+        )
+        payload = None if body is None else json.dumps(body)
+        took = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request(method, path, body=payload)
+                response = connection.getresponse()
+                response.read()
+                took.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(took) < 0.010, sorted(took)
+
     def test_stats_expose_race_report_when_enabled(self, server):
         from repro.observe.race import (
             enable_race_check,

@@ -60,6 +60,30 @@ class TestLexer:
         tokens = tokenize("SELECT x\nFROM t")
         assert tokens[2].line == 2  # FROM
 
+    def test_non_ascii_digit_is_a_positioned_sql_error(self):
+        # str.isdigit() accepts a superscript two; int() does not.
+        with pytest.raises(SQLError) as err:
+            tokenize("SELECT x,\n  ²")
+        assert (err.value.line, err.value.column) == (2, 3)
+        # Decimal digits of other scripts are numbers to int() too.
+        assert tokenize("٣9")[0].value == 39
+
+    def test_newline_inside_string_advances_the_line(self):
+        tokens = tokenize("SELECT 'a\nb' FROM t")
+        literal, keyword = tokens[1], tokens[2]
+        assert (literal.value, literal.line, literal.column) == ("a\nb", 1, 8)
+        assert (keyword.kind, keyword.line, keyword.column) == ("FROM", 2, 4)
+        with pytest.raises(SQLError) as err:
+            tokenize("SELECT 'a\nb' FROM ?")
+        assert (err.value.line, err.value.column) == (2, 9)
+
+    def test_positions_survive_blanks_comments_and_crlf(self):
+        tokens = tokenize("SELECT\t x -- note\r\n  , y")
+        assert [(t.kind, t.line, t.column) for t in tokens] == [
+            ("SELECT", 1, 1), ("IDENT", 1, 9), ("COMMA", 2, 3),
+            ("IDENT", 2, 5), ("EOF", 2, 6),
+        ]
+
 
 class TestParser:
     def test_minimal_select(self):
