@@ -12,7 +12,6 @@ magnitude slower at both cardinalities on this dataset.
 from repro.bench.reporting import format_table
 from repro.plan import Comparison, GroupBy, Join, Project, Scan, Select
 from repro.rowstore import RowStoreEngine
-from repro.rowstore.executor import RowExecutor
 from repro.storage import build_triple_store
 
 

@@ -6,8 +6,12 @@ diagnostic list, a digest of every ``PlanFacts`` answer, and the physical
 operator-name tree under each engine configuration (see
 ``tests/test_frontend_goldens.py``, which owns the case list).  The
 committed file was captured from the commit before the front end became
-single-pass; re-run only when a rule, guard or operator changes on
-purpose (and say so in the commit that regenerates the file).
+single-pass, and regenerated once since: when the ``parallel-*``
+operators were deleted the worker count stopped being an engine
+configuration (diagnostics and facts came out unchanged; the lowering
+trees lost only those names).  Re-run only when a rule, guard or
+operator changes on purpose (and say so in the commit that regenerates
+the file).
 
 Usage::
 

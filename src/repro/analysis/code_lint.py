@@ -25,12 +25,6 @@ guarantees the reproduction depends on:
   construction (documented in :mod:`repro.plan.logical`); assigning to a
   plan-node field outside an ``__init__`` breaks plan sharing between the
   optimizer, the profiler and the engines.
-* ``engine-internal-import`` — the per-engine executor modules
-  (``repro.colstore.executor``, ``repro.rowstore.executor``) are
-  compatibility shims over the unified runtime; new code must import
-  execution machinery from :mod:`repro.exec` (or go through the
-  :mod:`repro.api` facade), so cancellation, lowering-cache and stats
-  behaviour stays in one place.
 
 Run as ``repro lint``; existing violations are *ratcheted* via a
 checked-in baseline (:mod:`repro.analysis.baseline`), never ignored.
@@ -52,8 +46,6 @@ CODE_RULES = {
         "join kernels must thread the assume_sorted hint explicitly",
     "plan-mutation":
         "LogicalPlan nodes are immutable after construction",
-    "engine-internal-import":
-        "engine executor shims are imported only via repro.exec/repro.api",
 }
 
 #: Package-relative path prefixes whose costs are simulated.
@@ -71,23 +63,6 @@ REPORT_PREFIXES = (
     "repro/api/", "repro/server/",
 )
 REPORT_FILES = ("repro/verify.py", "repro/cli.py")
-
-#: Engine executor modules that are compatibility shims over the unified
-#: runtime (:mod:`repro.exec`); importing them anywhere else forks the
-#: execution path.
-ENGINE_INTERNAL_MODULES = (
-    "repro.colstore.executor",
-    "repro.rowstore.executor",
-)
-#: Where those imports remain legitimate: the unified runtime itself, the
-#: public facade, and the shim modules' own packages re-exporting them.
-ENGINE_INTERNAL_ALLOWED_PREFIXES = ("repro/exec/", "repro/api/")
-ENGINE_INTERNAL_ALLOWED_FILES = (
-    "repro/colstore/__init__.py",
-    "repro/colstore/executor.py",
-    "repro/rowstore/__init__.py",
-    "repro/rowstore/executor.py",
-)
 
 _WALL_CLOCK_FUNCS = frozenset({
     "time", "time_ns", "perf_counter", "perf_counter_ns",
@@ -189,7 +164,6 @@ class _Checker(ast.NodeVisitor):
                 self.member_aliases[alias.asname or "numpy"] = (
                     "numpy", "random"
                 )
-            self._check_engine_internal(node, alias.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
@@ -199,27 +173,7 @@ class _Checker(ast.NodeVisitor):
                 self.member_aliases[alias.asname or alias.name] = (
                     node.module, alias.name
                 )
-        if node.module:
-            self._check_engine_internal(node, node.module)
-            for alias in node.names:
-                self._check_engine_internal(
-                    node, f"{node.module}.{alias.name}"
-                )
         self.generic_visit(node)
-
-    def _check_engine_internal(self, node, module_name):
-        if module_name not in ENGINE_INTERNAL_MODULES:
-            return
-        if self.relpath.startswith(ENGINE_INTERNAL_ALLOWED_PREFIXES):
-            return
-        if self.relpath in ENGINE_INTERNAL_ALLOWED_FILES:
-            return
-        self._emit(
-            "engine-internal-import", "error", node, module_name,
-            f"import of {module_name} (a compatibility shim) outside "
-            "repro.exec/repro.api: import execution machinery from "
-            "repro.exec, or query through the repro.api facade",
-        )
 
     # -- scope tracking -------------------------------------------------
 

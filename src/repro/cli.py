@@ -154,7 +154,7 @@ def build_parser():
     profile.add_argument(
         "--workers", type=int, default=None,
         help="intra-query degree of parallelism (sets REPRO_WORKERS; "
-             "per-morsel child spans appear under parallel operators)",
+             "per-morsel child spans appear under the scan and union spans)",
     )
     profile.add_argument(
         "--json", action="store_true",

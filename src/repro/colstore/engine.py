@@ -79,12 +79,13 @@ class ColumnStoreEngine:
     def install_parallelism(self, workers):
         """Configure the engine's degree of parallelism.
 
-        ``workers <= 1`` removes the parallel context: the guarded
-        ``parallel-*`` operators stop binding and plans lower exactly as
-        on a serial engine.  Higher values attach the process-wide
-        work-stealing pool (``workers - 1`` helper threads; the query
-        thread is lane 0).  Either way the lowered-plan cache is dropped,
-        since the change alters which guarded operators match.
+        ``workers <= 1`` removes the parallel context: every scan and
+        union runs its one range on the query thread.  Higher values
+        attach the process-wide work-stealing pool (``workers - 1``
+        helper threads; the query thread is lane 0) and the kernel splits
+        its ranges into morsels.  Lowering never looks at this setting —
+        the same physical plan runs either way — so cached lowered plans
+        stay valid across the change.
         """
         workers = max(1, min(int(workers), MAX_WORKERS))
         if workers <= 1:
@@ -93,7 +94,6 @@ class ColumnStoreEngine:
             self._parallel = ParallelContext(
                 workers, shared_pool(workers - 1), morsel_rows_from_env()
             )
-        self._executor.invalidate_lowered()
         return self._parallel
 
     def parallelism(self):

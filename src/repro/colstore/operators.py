@@ -25,6 +25,10 @@ legacy executor's dispatch.
 """
 
 import math
+from collections import namedtuple
+from functools import partial
+from itertools import groupby
+
 import numpy as np
 
 from repro.colstore import vectorops as V
@@ -75,41 +79,26 @@ def _binary_search(rt, table, column, value, lo, hi):
     )
     segment = table.segment(column)
     encoding = table.physical_encoding(column)
-    if encoding is not None:
-        rt.pool.read_pages(
-            segment, _probe_pages_compressed(segment, encoding, lo, hi)
-        )
-    else:
-        rt.pool.read_pages(segment, _probe_pages(segment, lo, hi))
+    rt.pool.read_pages(segment, _probe_pages(segment, encoding, lo, hi))
     new_lo = int(np.searchsorted(array[lo:hi], value, side="left")) + lo
     new_hi = int(np.searchsorted(array[lo:hi], value, side="right")) + lo
     return new_lo, new_hi
 
 
-def _probe_pages(segment, lo, hi):
-    """Deterministic bisection probe pages within the row range."""
+def _probe_pages(segment, encoding, lo, hi):
+    """Deterministic bisection probe pages within the row range (mapped
+    through the compressed byte layout when *encoding* is not None)."""
     pages = set()
     a, b = lo, hi
     for _ in range(64):
         if a >= b:
             break
         mid = (a + b) // 2
-        pages.add(mid * VALUE_BYTES // segment.page_size)
-        b = mid  # descend left; the exact path doesn't matter for cost
-        if b - a <= segment.page_size // VALUE_BYTES:
-            break
-    return sorted(pages)
-
-
-def _probe_pages_compressed(segment, encoding, lo, hi):
-    """Bisection probe pages mapped through the compressed byte layout."""
-    pages = set()
-    a, b = lo, hi
-    for _ in range(64):
-        if a >= b:
-            break
-        mid = (a + b) // 2
-        pages.add(encoding.probe_byte(mid) // segment.page_size)
+        byte = (
+            mid * VALUE_BYTES if encoding is None
+            else encoding.probe_byte(mid)
+        )
+        pages.add(byte // segment.page_size)
         b = mid  # descend left; the exact path doesn't matter for cost
         if b - a <= segment.page_size // VALUE_BYTES:
             break
@@ -151,13 +140,15 @@ def _note_runs_skipped(rt, segment, n):
 
 
 def _fetch_cost(rt, table, column, lo, hi, positions):
-    """Charge exactly the I/O a :func:`_fetch` of the same rows would.
+    """Charge the I/O of reading *column* for the candidate rows: the
+    dense range ``[lo, hi)`` when *positions* is None, else the pages the
+    positions touch.  The column's physical encoding decides which bytes
+    those are (compressed byte ranges / run pages instead of raw ones).
 
-    Split out so the morsel coordinator can replay the serial charge
-    sequence over worker-produced positions: buffer-pool request counts
-    depend on global access order (sequential coalescing, run chunking,
-    the scattered-read penalty), so cost accounting must stay a single
-    serial stream even when the data work ran on many lanes.
+    This is the kernel's only I/O accounting path.  Buffer-pool request
+    counts depend on global access order (sequential coalescing, run
+    chunking, the scattered-read penalty), so it is always called from
+    the coordinator's serial cost replay — never from a data-plane task.
     """
     segment = table.segment(column)
     encoding = table.physical_encoding(column)
@@ -179,23 +170,6 @@ def _fetch_cost(rt, table, column, lo, hi, positions):
     else:
         pages = np.unique(positions * VALUE_BYTES // segment.page_size)
         rt.pool.read_pages(segment, pages, scattered=True)
-
-
-def _fetch(rt, table, column, lo, hi, positions):
-    """Read column values for the candidate rows, charging I/O."""
-    _fetch_cost(rt, table, column, lo, hi, positions)
-    array = table.array(column)
-    if positions is None:
-        return array[lo:hi]
-    if len(positions) == 0:
-        return np.empty(0, dtype=np.int64)
-    return array[positions]
-
-
-def _scan_sortedness(scan, table, positions):
-    # A dense range of a sorted table stays sorted; positional filtering
-    # preserves order too (masks keep row order).
-    return tuple(scan.qualified(c) for c in table.sort_order)
 
 
 def _needed_base_columns(scan, needed):
@@ -233,73 +207,206 @@ def _sorted_prefix(rt, table, by_base):
     return lo, hi, consumed
 
 
+# ---------------------------------------------------------------------------
+# the kernel: data-plane tasks per range, one dispatch, one cost replay
+# ---------------------------------------------------------------------------
+#
+# Every base-table access runs in two halves.  A *data-plane task* does the
+# numpy work for one range (predicate masks stage by stage, then gathers)
+# and never touches the clock or the buffer pool.  The coordinator's *cost
+# replay* then charges the clock and the pool in the serial order over the
+# index-ordered task results.  Serial execution is the one-range case, run
+# on the calling thread; a morsel run hands the same tasks to the pool.
+# Rows and simulated-cost documents are therefore bit-identical at any
+# worker count, and a column's encoding — consulted only by the replay and
+# by the RLE run-level mask — composes with morsels by construction.
+
+def _morsel_rows(rt):
+    """Rows per range for the running query, or None when it runs on one
+    lane (serial engine, or admission clamped the query's dop to 1)."""
+    context = rt.engine.parallelism()
+    if context is None or effective_dop(rt, context) <= 1:
+        return None
+    return context.morsel_rows
+
+
+def _run_ranges(rt, work, ranges, range_rows, replay):
+    """Run ``work(*args)`` for every args tuple in *ranges*, then *replay*
+    over the results in range order; returns what *replay* returns.
+
+    The one place that decides inline vs pool: a single range runs on the
+    calling thread with no pool traffic; several go to the work-stealing
+    pool as one batch, and the replay's clock delta is folded into
+    per-morsel child spans weighted by *range_rows*.
+    """
+    if len(ranges) == 1:
+        return replay([work(*ranges[0])])
+    context = rt.engine.parallelism()
+    observe = rt.engine.observe
+    snap = rt.clock.profile_snapshot() if observe.enabled else None
+    wall0 = wall_now()
+    results, steals = context.pool.run_batch(
+        [partial(work, *args) for args in ranges],
+        effective_dop(rt, context), cancel_token=rt.cancel_token,
+    )
+    result = replay(results)
+    if observe.enabled:
+        _morsel_span_attribution(rt, snap, wall0, range_rows, steals)
+    return result
+
+
+def _merge(parts):
+    """Range-ordered concatenation (a single part is returned as is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _morsel_span_attribution(rt, snap, wall0, task_rows, steals):
+    """Fold the parallel section's clock delta into per-morsel child
+    spans, apportioned by morsel row count (the last morsel takes the
+    exact remainder, so the shares telescope back to the delta and the
+    span-sum invariant holds to the bit)."""
+    observe = rt.engine.observe
+    tracer = observe.tracer
+    now = rt.clock.profile_snapshot()
+    wall = wall_now() - wall0
+    delta = [now[i] - snap[i] for i in range(6)]
+    total = sum(task_rows)
+    remaining = list(delta)
+    wall_remaining = wall
+    last = len(task_rows) - 1
+    for index, rows in enumerate(task_rows):
+        if index == last:
+            share, wall_share = remaining, wall_remaining
+        else:
+            frac = (rows / total) if total else 0.0
+            share = [delta[i] * frac for i in range(6)]
+            wall_share = wall * frac
+            remaining = [remaining[i] - share[i] for i in range(6)]
+            wall_remaining -= wall_share
+        child = tracer.transfer_to_child(
+            f"morsel[{index}]", share, wall_share
+        )
+        if child is not None:
+            child.rows = rows
+    tracer.current_add(morsels=len(task_rows), steals=int(steals))
+    metrics = observe.metrics
+    metrics.counter("parallel.batches").inc(1)
+    metrics.counter("parallel.morsels").inc(len(task_rows))
+    metrics.counter("parallel.steals").inc(int(steals))
+
+
+def _charge_gathers(rt, table, base_cols, lo, hi, positions, count):
+    """Charge reading *base_cols* for *count* candidate rows — the charge
+    sequence of a scan's output columns and of a canonical union branch
+    (a whole-table scan with no predicates)."""
+    if count == 0:
+        return
+    for base_col in base_cols:
+        _fetch_cost(rt, table, base_col, lo, hi, positions)
+        rt.clock.charge_cpu(rt.costs.scan_tuple * count)
+
+
+def _rle_encoding(table, column):
+    encoding = table.physical_encoding(column)
+    if encoding is not None and encoding.codec == "rle":
+        return encoding
+    return None
+
+
+def _scan_range(table, residual, base_needed, lo, hi):
+    """Data plane for rows ``[lo, hi)``: evaluate the residual predicates
+    stage by stage and gather the needed columns.  Returns
+    ``(stage_positions, gathers)`` — masks are row-local, so the
+    range-ordered concatenation of each stage equals the whole-range
+    stage arrays exactly.
+
+    On the dense first stage a physically RLE-encoded column is evaluated
+    once per run instead of once per row; the mask is identical by the
+    run-length identity (every row of a run shares the run's value).
+    """
+    stages = []
+    local = None  # None means the dense range [lo, hi)
+    for base_col, pred in residual:
+        if local is None:
+            encoding = _rle_encoding(table, base_col)
+            if encoding is not None:
+                run_values, run_counts = encoding.runs_overlapping(lo, hi)
+                mask = np.repeat(pred.mask(run_values), run_counts)
+            else:
+                mask = pred.mask(table.array(base_col)[lo:hi])
+            local = lo + np.nonzero(mask)[0]
+        elif len(local):
+            local = local[pred.mask(table.array(base_col)[local])]
+        stages.append(local)
+    if local is None:
+        gathers = [table.array(c)[lo:hi] for c in base_needed]
+    else:
+        gathers = [table.array(c)[local] for c in base_needed]
+    return stages, gathers
+
+
 def _scan_select(rt, scan, predicates, needed):
-    """Scan with fused selection: binary-searchable sorted prefix, then
-    column-at-a-time residual predicates over the candidates."""
+    """Scan with fused selection: binary-searchable sorted prefix on the
+    coordinator (it narrows the range the morsels split), then
+    column-at-a-time residual predicates and gathers per range."""
     table = rt.engine.table(scan.table)
     base_needed = _needed_base_columns(scan, needed)
     by_base = _group_predicates(scan, predicates)
     lo, hi, consumed = _sorted_prefix(rt, table, by_base)
-    return _scan_select_body(
-        rt, scan, table, by_base, consumed, base_needed, lo, hi
-    )
+    residual = [
+        (base_col, pred)
+        for base_col, preds in by_base.items()
+        for pred in preds
+        if id(pred) not in consumed
+    ]
 
-
-def _scan_select_body(rt, scan, table, by_base, consumed, base_needed,
-                      lo, hi):
-    """Residual predicates + needed-column gathers over ``[lo, hi)`` —
-    the serial tail shared by the morsel dispatcher's fallback path."""
-    positions = None  # None means the dense range [lo, hi)
-    count = hi - lo
-    # Remaining predicates: evaluate column-at-a-time over candidates.
-    # On a dense range whose column carries a physical RLE codec, the
-    # predicate runs once per run instead of once per row — the mask is
-    # identical by the run-length identity (every row of a run shares the
-    # run's value), only the CPU charge shrinks.
-    for base_col, preds in by_base.items():
-        for pred in preds:
-            if id(pred) in consumed or count == 0:
-                continue
+    def replay(results):
+        # The serial charge sequence over the merged positions: a stage
+        # (and every gather) is skipped once no candidate is left.
+        positions = None  # None means the dense range [lo, hi)
+        count = hi - lo
+        for stage, (base_col, _pred) in enumerate(residual):
+            if count == 0:
+                break
             encoding = (
-                table.physical_encoding(base_col)
-                if positions is None else None
+                _rle_encoding(table, base_col) if positions is None else None
             )
-            if encoding is not None and encoding.codec == "rle":
+            if encoding is not None:
                 segment = table.segment(base_col)
-                run_values, run_counts = encoding.runs_overlapping(lo, hi)
                 _read_compressed(rt, segment, encoding, lo, hi)
-                n_runs = len(run_values)
-                rt.clock.charge_cpu(rt.costs.select_tuple * max(n_runs, 1))
+                n_runs = (
+                    encoding.run_index(hi - 1) - encoding.run_index(lo) + 1
+                )
+                rt.clock.charge_cpu(rt.costs.select_tuple * n_runs)
                 _note_runs_skipped(rt, segment, count - n_runs)
-                mask = np.repeat(pred.mask(run_values), run_counts)
             else:
-                values = _fetch(rt, table, base_col, lo, hi, positions)
-                rt.clock.charge_cpu(rt.costs.select_tuple * max(count, 1))
-                mask = pred.mask(values)
-            if positions is None:
-                positions = lo + np.nonzero(mask)[0]
-            else:
-                positions = positions[mask]
+                _fetch_cost(rt, table, base_col, lo, hi, positions)
+                rt.clock.charge_cpu(rt.costs.select_tuple * count)
+            positions = _merge([r[0][stage] for r in results])
             count = len(positions)
+        _charge_gathers(rt, table, base_needed, lo, hi, positions, count)
+        columns = {
+            scan.qualified(base_col): _merge([r[1][i] for r in results])
+            for i, base_col in enumerate(base_needed)
+        }
+        if not columns:
+            # Parent only needs the row count (e.g. a bare count(*)).
+            columns["__rowid__"] = np.arange(count, dtype=np.int64)
+        relation = Relation(columns, oid_columns=set(columns) - {"__rowid__"})
+        # A dense range of a sorted table stays sorted; positional
+        # filtering preserves order too (masks keep row order).
+        sorted_by = tuple(scan.qualified(c) for c in table.sort_order)
+        return Intermediate(relation, sorted_by)
 
-    columns = {}
-    for base_col in base_needed:
-        if count == 0:
-            columns[scan.qualified(base_col)] = np.empty(0, dtype=np.int64)
-            continue
-        values = _fetch(rt, table, base_col, lo, hi, positions)
-        rt.clock.charge_cpu(rt.costs.scan_tuple * count)
-        columns[scan.qualified(base_col)] = values
-    return _finish_scan(scan, table, columns, count, positions)
-
-
-def _finish_scan(scan, table, columns, count, positions):
-    if not columns:
-        # Parent only needs the row count (e.g. a bare count(*)).
-        columns["__rowid__"] = np.arange(count, dtype=np.int64)
-    relation = Relation(columns, oid_columns=set(columns) - {"__rowid__"})
-    sorted_by = _scan_sortedness(scan, table, positions)
-    return Intermediate(relation, sorted_by)
+    rows = _morsel_rows(rt)
+    bounds = split_morsels(lo, hi, rows) if rows is not None else ()
+    if len(bounds) <= 1:
+        bounds = ((lo, hi),)
+    return _run_ranges(
+        rt, _scan_range,
+        [(table, residual, base_needed, mlo, mhi) for mlo, mhi in bounds],
+        [mhi - mlo for mlo, mhi in bounds], replay,
+    )
 
 
 def _apply_cross(rt, intermediate, cross):
@@ -461,14 +568,12 @@ def compressed_join(rt, pnode, needed):
         if qualified not in needed and qualified != rcol:
             continue
         base = _base_column(scan, qualified)
-        if base == lead:
-            # The key column's bytes were already read as runs; the
-            # matched values materialize from the in-memory array.
-            values = table.array(base)[right_pos]
-        else:
-            values = _fetch(rt, table, base, 0, table.n_rows, right_pos)
+        if base != lead:
+            # The key column's bytes were already read as runs; only the
+            # other columns pay a positional fetch for the matches.
+            _fetch_cost(rt, table, base, 0, table.n_rows, right_pos)
         rt.clock.charge_cpu(rt.costs.scan_tuple * max(n_out, 1))
-        columns[qualified] = values
+        columns[qualified] = table.array(base)[right_pos]
     scan_outputs = set(scan.output_columns())
     oid = (lrel.oid_columns | scan_outputs) & set(columns)
     # join_runs keeps left order, so left sortedness survives.
@@ -476,426 +581,14 @@ def compressed_join(rt, pnode, needed):
 
 
 # ---------------------------------------------------------------------------
-# morsel-driven parallel access paths
+# access paths
 # ---------------------------------------------------------------------------
-#
-# Guarded like the compressed kernels: they bind only when the live engine
-# has a ParallelContext installed (``install_parallelism``), so a serial
-# engine lowers exactly as before.  Workers perform pure data-plane numpy
-# work (predicate masks, position narrowing, column gathers) and NEVER
-# touch the clock or buffer pool; the coordinator replays the cost charges
-# in the exact serial order over the merged positions, which makes rows
-# AND simulated-cost documents bit-identical to serial execution at any
-# worker count.  Tables with physical compression are excluded — the RLE
-# run-level residual path and compressed byte-range fetches are inherently
-# dense-range shaped (logical compression mode stays eligible because
-# ``physical_encoding`` returns None there).
 
 @matches(L.Select)
 def _match_fused_scan(node):
     if isinstance(node, L.Select) and isinstance(node.child, L.Scan):
         return Lowered(fused=(node.child,))
     return None
-
-
-def _parallel_context(engine):
-    getter = getattr(engine, "parallelism", None)
-    return getter() if getter is not None else None
-
-
-def _parallel_table_ok(engine, table_name):
-    if not engine.has_table(table_name):
-        return False
-    table = engine.table(table_name)
-    return table.compress is None or table.compress.cost_mode != "physical"
-
-
-def _guard_parallel_fused(engine, node):
-    if _parallel_context(engine) is None:
-        return False
-    if not (isinstance(node, L.Select) and isinstance(node.child, L.Scan)):
-        return False
-    return _parallel_table_ok(engine, node.child.table)
-
-
-def _guard_parallel_scan(engine, node):
-    if _parallel_context(engine) is None:
-        return False
-    return isinstance(node, L.Scan) and _parallel_table_ok(engine, node.table)
-
-
-def _make_morsel_scan_task(table, residual, base_needed, mlo, mhi):
-    """Data-plane work for one morsel ``[mlo, mhi)``: evaluate the
-    residual predicates stage by stage and gather the needed columns.
-    Returns ``(stage_positions, gathers)`` — masks are row-local, so the
-    morsel-index-ordered concatenation of each stage equals the serial
-    stage arrays exactly."""
-
-    def task():
-        stages = []
-        local = None
-        for base_col, pred in residual:
-            array = table.array(base_col)
-            if local is None:
-                mask = pred.mask(array[mlo:mhi])
-                local = mlo + np.nonzero(mask)[0]
-            elif len(local):
-                local = local[pred.mask(array[local])]
-            stages.append(local)
-        gathers = {}
-        for base_col in base_needed:
-            array = table.array(base_col)
-            if local is None:
-                gathers[base_col] = array[mlo:mhi]
-            else:
-                gathers[base_col] = array[local]
-        return stages, gathers
-
-    return task
-
-
-def _morsel_span_attribution(rt, snap, wall0, task_rows, steals):
-    """Fold the parallel section's clock delta into per-morsel child
-    spans, apportioned by morsel row count (the last morsel takes the
-    exact remainder, so the shares telescope back to the delta and the
-    span-sum invariant holds to the bit)."""
-    observe = rt.engine.observe
-    tracer = observe.tracer
-    now = rt.clock.profile_snapshot()
-    wall = wall_now() - wall0
-    delta = [now[i] - snap[i] for i in range(6)]
-    total = sum(task_rows)
-    remaining = list(delta)
-    wall_remaining = wall
-    last = len(task_rows) - 1
-    for index, rows in enumerate(task_rows):
-        if index == last:
-            share, wall_share = remaining, wall_remaining
-        else:
-            frac = (rows / total) if total else 0.0
-            share = [delta[i] * frac for i in range(6)]
-            wall_share = wall * frac
-            remaining = [remaining[i] - share[i] for i in range(6)]
-            wall_remaining -= wall_share
-        child = tracer.transfer_to_child(
-            f"morsel[{index}]", share, wall_share
-        )
-        if child is not None:
-            child.rows = rows
-    tracer.current_add(morsels=len(task_rows), steals=int(steals))
-    metrics = observe.metrics
-    metrics.counter("parallel.batches").inc(1)
-    metrics.counter("parallel.morsels").inc(len(task_rows))
-    metrics.counter("parallel.steals").inc(int(steals))
-
-
-def _parallel_scan_select(rt, scan, predicates, needed):
-    """Morsel-parallel scan with fused selection.
-
-    The sorted-prefix binary search stays on the coordinator (it narrows
-    the range the morsels split).  Workers produce per-morsel stage
-    positions and gathers; the coordinator merges them by morsel index
-    and replays the residual/gather charges in serial order.
-    """
-    table = rt.engine.table(scan.table)
-    context = _parallel_context(rt.engine)
-    base_needed = _needed_base_columns(scan, needed)
-    by_base = _group_predicates(scan, predicates)
-    lo, hi, consumed = _sorted_prefix(rt, table, by_base)
-    dop = effective_dop(rt, context)
-    morsels = split_morsels(lo, hi, context.morsel_rows)
-    if dop <= 1 or len(morsels) <= 1:
-        # Nothing to parallelize (admission clamped the query to one
-        # lane, or the range fits one morsel): run the serial body.
-        return _scan_select_body(
-            rt, scan, table, by_base, consumed, base_needed, lo, hi
-        )
-    residual = [
-        (base_col, pred)
-        for base_col, preds in by_base.items()
-        for pred in preds
-        if id(pred) not in consumed
-    ]
-    tasks = [
-        _make_morsel_scan_task(table, residual, base_needed, mlo, mhi)
-        for mlo, mhi in morsels
-    ]
-    observe = rt.engine.observe
-    snap = rt.clock.profile_snapshot() if observe.enabled else None
-    wall0 = wall_now()
-    results, steals = context.pool.run_batch(
-        tasks, dop, cancel_token=rt.cancel_token
-    )
-
-    # Coordinator cost replay — the exact serial charge sequence over the
-    # merged positions (count==0 short-circuits match the serial loop).
-    positions = None
-    count = hi - lo
-    for stage, (base_col, _pred) in enumerate(residual):
-        if count == 0:
-            continue
-        _fetch_cost(rt, table, base_col, lo, hi, positions)
-        rt.clock.charge_cpu(rt.costs.select_tuple * max(count, 1))
-        positions = np.concatenate([r[0][stage] for r in results])
-        count = len(positions)
-    columns = {}
-    for base_col in base_needed:
-        qualified = scan.qualified(base_col)
-        if count == 0:
-            columns[qualified] = np.empty(0, dtype=np.int64)
-            continue
-        _fetch_cost(rt, table, base_col, lo, hi, positions)
-        rt.clock.charge_cpu(rt.costs.scan_tuple * count)
-        columns[qualified] = np.concatenate(
-            [r[1][base_col] for r in results]
-        )
-    if observe.enabled:
-        _morsel_span_attribution(
-            rt, snap, wall0, [mhi - mlo for mlo, mhi in morsels], steals
-        )
-    return _finish_scan(scan, table, columns, count, positions)
-
-
-@COLUMN_OPS.operator(
-    "parallel-scan+select", _match_fused_scan,
-    "morsel-parallel scan+select: workers evaluate residual masks and "
-    "gathers per row range; the coordinator merges by morsel index and "
-    "replays the serial cost sequence",
-    guard=_guard_parallel_fused,
-)
-def parallel_scan_select(rt, pnode, needed):
-    node = pnode.logical
-    scan = node.child
-    simple = [p for p in node.predicates if not is_column_comparison(p)]
-    cross = [p for p in node.predicates if is_column_comparison(p)]
-    if not cross:
-        return rt.traced_block(
-            scan, lambda: _parallel_scan_select(rt, scan, simple, needed)
-        )
-    inner_needed = set(needed) | {c for p in cross for c in p.columns()}
-    result = rt.traced_block(
-        scan, lambda: _parallel_scan_select(rt, scan, simple, inner_needed)
-    )
-    return _apply_cross(rt, result, cross)
-
-
-@COLUMN_OPS.operator(
-    "parallel-scan", match_type(L.Scan),
-    "morsel-parallel full-column scan (dense per-range gathers merged "
-    "by morsel index)",
-    guard=_guard_parallel_scan,
-)
-def parallel_scan(rt, pnode, needed):
-    return _parallel_scan_select(rt, pnode.logical, [], needed)
-
-
-class _UnionBranchInfo:
-    """Static per-branch facts the parallel union needs: the table, its
-    row count, the columns to fetch (cost replay), the columns to gather
-    (data plane), and the kept output mapping."""
-
-    __slots__ = ("table", "count", "fetch_cols", "gather_cols",
-                 "extend_out", "extend_value", "part_mapping")
-
-    def __init__(self, table, count, fetch_cols, gather_cols, extend_out,
-                 extend_value, part_mapping):
-        self.table = table
-        self.count = count
-        self.fetch_cols = fetch_cols
-        self.gather_cols = gather_cols
-        self.extend_out = extend_out
-        self.extend_value = extend_value
-        self.part_mapping = part_mapping
-
-
-def _union_branch_info(rt, child, out_names, keep):
-    """Resolve one canonical ``Project(Extend?(Scan))`` union branch into
-    a :class:`_UnionBranchInfo`, reproducing the fast path's needed-column
-    propagation (including extend's first-column quirk) exactly."""
-    mapping = child.mapping
-    inner = child.child
-    extend_node = None
-    if type(inner) is L.Extend:
-        extend_node = inner
-        inner = inner.child
-    scan_node = inner
-
-    child_needed = {mapping[i][1] for i in keep}
-    if extend_node is not None:
-        scan_needed = child_needed - {extend_node.column}
-        if not scan_needed:
-            scan_needed = {scan_node.output_columns()[0]}
-    else:
-        scan_needed = child_needed
-
-    table = rt.engine.table(scan_node.table)
-    fetch_cols = [
-        (qualified, _base_column(scan_node, qualified))
-        for qualified in scan_node.output_columns()
-        if qualified in scan_needed
-    ]
-    extend_out = None
-    extend_value = 0
-    if extend_node is not None and extend_node.column in child_needed:
-        extend_out = extend_node.column
-        extend_value = extend_fill_value(extend_node.value)
-    gather_cols = [
-        (qualified, base_col)
-        for qualified, base_col in fetch_cols
-        if any(mapping[i][1] == qualified for i in keep)
-    ]
-    part_mapping = [(out_names[i], mapping[i][1]) for i in keep]
-    return _UnionBranchInfo(
-        table, table.n_rows, fetch_cols, gather_cols, extend_out,
-        extend_value, part_mapping,
-    )
-
-
-def _make_union_group_task(group, out_keys):
-    """Data-plane work for one branch group: per-branch kept arrays
-    (dense slices + constant extend fills), concatenated per output in
-    branch order within the group."""
-
-    def task():
-        parts = []
-        for info in group:
-            fetched = {}
-            for qualified, base_col in info.gather_cols:
-                if info.count == 0:
-                    fetched[qualified] = np.empty(0, dtype=np.int64)
-                else:
-                    fetched[qualified] = info.table.array(base_col)
-            if info.extend_out is not None:
-                fetched[info.extend_out] = np.full(
-                    info.count, info.extend_value, dtype=np.int64
-                )
-            parts.append(
-                {out: fetched[inner] for out, inner in info.part_mapping}
-            )
-        return {
-            out: np.concatenate([part[out] for part in parts])
-            for out in out_keys
-        }
-
-    return task
-
-
-def _guard_parallel_union(engine, node):
-    if _parallel_context(engine) is None:
-        return False
-    if not isinstance(node, L.Union):
-        return False
-    branches = list(node.children())
-    if len(branches) < 2:
-        return False
-    for child in branches:
-        if type(child) is not L.Project:
-            return False
-        inner = child.child
-        extended = set()
-        if type(inner) is L.Extend:
-            extended = {inner.column}
-            inner = inner.child
-        if type(inner) is not L.Scan:
-            return False
-        if not _parallel_table_ok(engine, inner.table):
-            return False
-        legal = set(inner.output_columns()) | extended
-        if any(source not in legal for _, source in child.mapping):
-            return False
-    return True
-
-
-@matches(L.Union)
-def _match_parallel_union(node):
-    return Lowered(fused=tuple(node.children()))
-
-
-@COLUMN_OPS.operator(
-    "parallel-union", _match_parallel_union,
-    "morsel-parallel union of canonical Project(Extend?(Scan)) branches: "
-    "branch groups gather on workers, the coordinator replays per-branch "
-    "charges in branch order",
-    guard=_guard_parallel_union,
-)
-def parallel_union(rt, pnode, needed):
-    node = pnode.logical
-    context = _parallel_context(rt.engine)
-    out_names = node.output_columns()
-    keep = [i for i, name in enumerate(out_names) if name in needed]
-    if not keep:
-        keep = [0]
-    branches = list(node.children())
-    infos = [
-        _union_branch_info(rt, child, out_names, keep) for child in branches
-    ]
-    total_in = sum(info.count for info in infos)
-
-    # Group branches into morsel-sized chunks (deterministic: depends
-    # only on branch order and static table sizes, never on workers).
-    groups = []
-    current, rows = [], 0
-    for info in infos:
-        current.append(info)
-        rows += info.count
-        if rows >= context.morsel_rows:
-            groups.append(current)
-            current, rows = [], 0
-    if current:
-        groups.append(current)
-
-    dop = effective_dop(rt, context)
-    out_keys = [out_names[i] for i in keep]
-    oid = set(out_keys)  # scans and extends only produce oid columns
-
-    if dop <= 1 or len(groups) <= 1:
-        # Serial fallback: the fast path charges in branch order.
-        parts = []
-        for child in branches:
-            part, _n_rows, _part_oid = _union_branch_fast(
-                rt, child, out_names, keep
-            )
-            parts.append(part)
-        columns = {
-            out: np.concatenate([part[out] for part in parts])
-            for out in out_keys
-        }
-    else:
-        tasks = [_make_union_group_task(group, out_keys) for group in groups]
-        observe = rt.engine.observe
-        snap = rt.clock.profile_snapshot() if observe.enabled else None
-        wall0 = wall_now()
-        results, steals = context.pool.run_batch(
-            tasks, dop, cancel_token=rt.cancel_token
-        )
-        # Replay the per-branch fetch charges in branch order.
-        for info in infos:
-            if info.count == 0:
-                continue
-            for _qualified, base_col in info.fetch_cols:
-                _fetch_cost(rt, info.table, base_col, 0, info.count, None)
-                rt.clock.charge_cpu(rt.costs.scan_tuple * info.count)
-        if observe.enabled:
-            _morsel_span_attribution(
-                rt, snap, wall0,
-                [sum(info.count for info in group) for group in groups],
-                steals,
-            )
-        columns = {
-            out: np.concatenate([block[out] for block in results])
-            for out in out_keys
-        }
-
-    rt.clock.charge_cpu(rt.costs.union_tuple * max(total_in, 1))
-    rel = Relation(columns, oid)
-    if node.distinct:
-        rt.clock.charge_cpu(rt.costs.group_tuple * max(rel.n_rows, 1))
-        idx = V.distinct_rows([rel.column(n) for n in rel.columns])
-        rel = Relation(
-            {n: a[idx] for n, a in rel.columns.items()}, rel.oid_columns
-        )
-        return Intermediate(rel, tuple(rel.columns))
-    return Intermediate(rel, ())
 
 
 @COLUMN_OPS.operator(
@@ -1116,17 +809,17 @@ def having(rt, pnode, needed):
 # union / distinct / extend
 # ---------------------------------------------------------------------------
 
-def _union_branch_fast(rt, child, out_names, keep):
-    """Evaluate a canonical union branch without generic dispatch.
+#: A resolved canonical union branch: *fetch_cols* are the base columns
+#: it reads, in scan column order (the charge order); *sources* names, per
+#: kept union output, the base column that feeds it — ``None`` for the
+#: extend constant *fill*.
+_Branch = namedtuple("_Branch", "table fetch_cols sources fill")
 
-    The vertically-partitioned plans union hundreds of
-    ``Project(Extend?(Scan))`` branches (one per property table); the
-    generic operator machinery costs more wall-clock than the arrays.
-    This fused path performs the *same* buffer reads and clock charges
-    in the same order as the generic operators — simulated timings are
-    identical — and returns ``(columns, n_rows, oid_columns)``, or
-    ``None`` for any other branch shape.
-    """
+
+def _canonical_branch(rt, child, keep):
+    """Resolve a canonical ``Project(Extend?(Scan))`` union branch (one
+    per property table in the vertically-partitioned plans) to a
+    :class:`_Branch`, or ``None`` for any other branch shape."""
     if type(child) is not L.Project:
         return None
     mapping = child.mapping
@@ -1142,44 +835,75 @@ def _union_branch_fast(rt, child, out_names, keep):
     # Reproduce the operators' "needed columns" propagation exactly —
     # including extend's quirk of requesting the scan's first column
     # when nothing below the extended column is needed.
-    child_needed = {mapping[i][1] for i in keep}
+    child_needed = [mapping[i][1] for i in keep]
+    scan_needed = set(child_needed)
+    extend_col, fill = None, 0
     if extend_node is not None:
-        scan_needed = child_needed - {extend_node.column}
+        if extend_node.column in scan_needed:
+            extend_col = extend_node.column
+            fill = extend_fill_value(extend_node.value)
+            scan_needed.discard(extend_col)
         if not scan_needed:
             scan_needed = {scan_node.output_columns()[0]}
-    else:
-        scan_needed = child_needed
+    fetch_cols = _needed_base_columns(scan_node, scan_needed)
+    sources = [
+        None if source == extend_col else _base_column(scan_node, source)
+        for source in child_needed
+    ]
+    return _Branch(rt.engine.table(scan_node.table), fetch_cols, sources, fill)
 
-    table = rt.engine.table(scan_node.table)
-    count = table.n_rows
-    # Fetch in scan column order (the generic scan's charge order).
-    fetched = {}
-    for qualified in scan_node.output_columns():
-        if qualified not in scan_needed:
-            continue
-        if count == 0:
-            fetched[qualified] = np.empty(0, dtype=np.int64)
-            continue
-        base_col = _base_column(scan_node, qualified)
-        fetched[qualified] = _fetch(rt, table, base_col, 0, count, None)
-        rt.clock.charge_cpu(rt.costs.scan_tuple * count)
-    if extend_node is not None and extend_node.column in child_needed:
-        value = extend_fill_value(extend_node.value)
-        fetched[extend_node.column] = np.full(count, value, dtype=np.int64)
 
-    part = {}
-    part_oid = set()
-    for i in keep:
-        out = out_names[i]
-        part[out] = fetched[mapping[i][1]]
-        part_oid.add(out)  # scans and extends only produce oid columns
-    return part, count, part_oid
+def _union_range(branches, n_out):
+    """Data plane for a run of canonical branches: per kept output, the
+    branch vectors (whole columns + constant extend fills) concatenated
+    in branch order."""
+    outputs = [[] for _ in range(n_out)]
+    for table, _fetch_cols, sources, fill in branches:
+        for parts, base_col in zip(outputs, sources):
+            if base_col is None:
+                parts.append(np.full(table.n_rows, fill, dtype=np.int64))
+            else:
+                parts.append(table.array(base_col))
+    return [_merge(parts) for parts in outputs]
+
+
+def _canonical_branches(rt, branches, n_out):
+    """Evaluate consecutive canonical branches without generic dispatch
+    (the operator machinery costs more wall-clock than 222 small arrays):
+    gathered in morsel-sized groups, charged in branch order with the
+    buffer reads and clock charges the generic operators would make.
+    Returns the per-group output blocks."""
+
+    def replay(blocks):
+        for table, fetch_cols, _sources, _fill in branches:
+            _charge_gathers(
+                rt, table, fetch_cols, 0, table.n_rows, None, table.n_rows
+            )
+        return blocks
+
+    groups = [branches]
+    rows = _morsel_rows(rt)
+    if rows is not None:
+        # Deterministic grouping: depends only on branch order and static
+        # table sizes, never on the worker count.
+        groups, filled = [[]], 0
+        for branch in branches:
+            if filled >= rows:
+                groups.append([])
+                filled = 0
+            groups[-1].append(branch)
+            filled += branch.table.n_rows
+    return _run_ranges(
+        rt, _union_range, [(group, n_out) for group in groups],
+        [sum(b.table.n_rows for b in group) for group in groups], replay,
+    )
 
 
 @COLUMN_OPS.operator(
     "vector-union", match_type(L.Union),
-    "concatenate branch vectors (canonical Project(Extend?(Scan)) "
-    "branches run a fused fast path with identical charges)",
+    "concatenate branch vectors (consecutive canonical "
+    "Project(Extend?(Scan)) branches are gathered per range and charged "
+    "in branch order, identically to the generic operators)",
 )
 def vector_union(rt, pnode, needed):
     node = pnode.logical
@@ -1187,33 +911,37 @@ def vector_union(rt, pnode, needed):
     keep = [i for i, name in enumerate(out_names) if name in needed]
     if not keep:
         keep = [0]
-    parts = []
+    out_keys = [out_names[i] for i in keep]
+    blocks = []  # per-output vector lists, in branch order
     oid = set()
     total_in = 0
-    for child_pnode in pnode.children:
-        child = child_pnode.logical
-        fast = _union_branch_fast(rt, child, out_names, keep)
-        if fast is not None:
-            part, n_rows, part_oid = fast
-            total_in += n_rows
-            oid |= part_oid
-            parts.append(part)
+    resolved = [
+        (_canonical_branch(rt, child.logical, keep), child)
+        for child in pnode.children
+    ]
+    # Each run of consecutive canonical branches is one kernel call; a
+    # branch of any other shape ends the run and goes through the generic
+    # dispatch, so charges stay in branch order.
+    for canonical, run in groupby(resolved, lambda pair: pair[0] is not None):
+        if canonical:
+            branches = [branch for branch, _ in run]
+            blocks.extend(_canonical_branches(rt, branches, len(keep)))
+            total_in += sum(b.table.n_rows for b in branches)
+            oid.update(out_keys)  # scans and extends only produce oids
             continue
-        child_names = child.output_columns()
-        child_needed = {child_names[i] for i in keep}
-        result = rt.run_child(child_pnode, child_needed)
-        rel = result.relation
-        total_in += rel.n_rows
-        part = {}
-        for i in keep:
-            src = child_names[i]
-            part[out_names[i]] = rel.column(src)
-            if src in rel.oid_columns:
-                oid.add(out_names[i])
-        parts.append(part)
+        for _, child_pnode in run:
+            child_names = child_pnode.logical.output_columns()
+            child_needed = {child_names[i] for i in keep}
+            rel = rt.run_child(child_pnode, child_needed).relation
+            total_in += rel.n_rows
+            blocks.append([rel.column(child_names[i]) for i in keep])
+            oid.update(
+                out_names[i] for i in keep
+                if child_names[i] in rel.oid_columns
+            )
     columns = {
-        out_names[i]: np.concatenate([p[out_names[i]] for p in parts])
-        for i in keep
+        out: _merge([block[k] for block in blocks])
+        for k, out in enumerate(out_keys)
     }
     rt.clock.charge_cpu(rt.costs.union_tuple * max(total_in, 1))
     rel = Relation(columns, oid)

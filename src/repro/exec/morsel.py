@@ -1,14 +1,14 @@
 """Morsel-driven parallel dispatch for the unified execution layer.
 
 A *morsel* is a contiguous row range of a base-table segment — small
-enough to load-balance, large enough to amortize dispatch.  Eligible
-pipeline fragments (see the guarded ``parallel-*`` operators in
-:mod:`repro.colstore.operators`) split their input into morsels, run the
-pure data-plane work (predicate masks, position narrowing, column
-gathers) on a shared work-stealing :class:`WorkerPool`, and merge the
-per-morsel results **by morsel index** — never by completion order — so
-the merged arrays are bit-identical to what the serial operator would
-have produced.
+enough to load-balance, large enough to amortize dispatch.  The column
+store's scan/union kernel (``_run_ranges`` in
+:mod:`repro.colstore.operators`) splits its input into morsels whenever
+the query is admitted at more than one lane, runs the pure data-plane
+work (predicate masks, position narrowing, column gathers) on a shared
+work-stealing :class:`WorkerPool`, and merges the per-morsel results **by
+morsel index** — never by completion order — so the merged arrays are
+bit-identical to the one-range (serial) run of the same kernel.
 
 Cost accounting never runs on a worker.  Workers touch numpy arrays
 only; the coordinator replays every buffer-pool read and clock charge in
@@ -106,9 +106,9 @@ def split_morsels(lo, hi, rows):
 class ParallelContext:
     """Engine-side handle installed by ``install_parallelism``: the
     configured degree of parallelism, the shared pool, and the morsel
-    size.  Lowering guards only test for the handle's *presence* — the
-    effective per-query dop is a runtime clamp (``Runtime.dop_override``)
-    so cached lowered plans never go stale."""
+    size.  Lowering never consults it; the effective per-query dop is a
+    runtime clamp (``Runtime.dop_override``) read by the kernel's dispatch
+    point, so cached lowered plans never go stale."""
 
     __slots__ = ("dop", "pool", "morsel_rows")
 

@@ -117,7 +117,7 @@ class Runtime:
     #: Per-query degree-of-parallelism clamp.  The session layer installs
     #: the admitted dop here (under its execution lock) before running a
     #: plan; ``effective_dop`` can only lower the engine's configured
-    #: parallelism, never raise it, so cached lowered plans stay valid.
+    #: parallelism, never raise it.
     dop_override = None
 
     def __init__(self, engine):
@@ -168,12 +168,6 @@ class Runtime:
             "evictions": self.lower_evictions,
             "size": len(self._lowered),
         }
-
-    def invalidate_lowered(self):
-        """Drop every cached physical tree.  Engines call this when a
-        configuration change (e.g. installing or removing parallelism)
-        alters which guarded operators would bind at lowering time."""
-        self._lowered.clear()
 
     # ------------------------------------------------------------------
     # entry point

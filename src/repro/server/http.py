@@ -9,11 +9,12 @@ pool, exactly like sessions of a real database server.
 Wire protocol (JSON over HTTP):
 
 ``POST /v1/query``
-    Body ``{"query": "...", "timeout": seconds?, "lint": mode?,
-    "session": id?}``.  200 with the
+    Body ``{"query": "...", "timeout": seconds?, "workers": n?,
+    "lint": mode?, "session": id?}``.  200 with the
     :meth:`repro.api.Result.to_dict` document plus wall-clock
     ``queue_ms`` / ``exec_ms``; 408 on deadline expiry; 429 when the
-    admission queue is full; 400 on parse/plan errors.
+    admission queue is full; 400 on parse/plan errors and on a
+    ``timeout`` (finite, > 0) or ``workers`` (integer >= 1) out of range.
 ``POST /v1/sessions`` / ``DELETE /v1/sessions/<id>``
     Explicit session lifecycle (optional — anonymous queries run on a
     per-worker session).  Sessions carry defaults: body may set
@@ -189,6 +190,8 @@ class QueryServer:
             return 429, {"error": str(exc)}
         except SessionClosed as exc:
             return 503, {"error": str(exc)}
+        except ReproError as exc:  # a timeout/workers value out of range
+            return 400, {"error": str(exc), "error_type": type(exc).__name__}
         request.done.wait()
         if request.error is not None:
             return self._error_response(request)

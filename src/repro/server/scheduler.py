@@ -25,6 +25,7 @@ mutated only under an internal lock, and exportable as JSON or Prometheus
 text via the existing :mod:`repro.observe` exporters.
 """
 
+import math
 import queue
 import threading
 import time
@@ -40,6 +41,11 @@ from repro.observe.log import get_logger
 from repro.observe.metrics import MetricsRegistry
 
 log = get_logger("server.scheduler")
+
+
+def _is_number(value, types=(int, float)):
+    """A JSON number of one of *types* (``true``/``false`` are not)."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -111,17 +117,27 @@ class SessionScheduler:
     def submit(self, text, **kwargs):
         """Enqueue a query; returns a :class:`_Request` handle.
 
-        Raises :class:`ServerOverloaded` when the admission queue is full
-        and :class:`SessionClosed` after :meth:`shutdown`.
+        Raises :class:`ServerOverloaded` when the admission queue is full,
+        :class:`SessionClosed` after :meth:`shutdown`, and a plain
+        :class:`ReproError` for a *timeout* or *workers* value that is not
+        a number in range (both arrive straight from request bodies).
         """
         if not self._accepting:
             raise SessionClosed("server is shutting down")
         timeout = kwargs.pop("timeout", None)
         if timeout is None:
             timeout = self.config.default_timeout
+        elif not (_is_number(timeout) and 0 < timeout < math.inf):
+            raise ReproError(
+                f"'timeout' must be a finite number of seconds > 0, "
+                f"got {timeout!r}"
+            )
         workers = kwargs.get("workers")
         if workers is not None:
-            workers = max(1, int(workers))
+            if not (_is_number(workers, int) and workers >= 1):
+                raise ReproError(
+                    f"'workers' must be an integer >= 1, got {workers!r}"
+                )
             if self.config.max_dop is not None:
                 workers = min(workers, int(self.config.max_dop))
             kwargs["workers"] = workers

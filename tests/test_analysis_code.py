@@ -269,55 +269,6 @@ class TestPlanMutation:
 # fingerprints + baseline ratchet
 # ---------------------------------------------------------------------------
 
-class TestEngineInternalImport:
-    def test_from_import_outside_exec(self):
-        assert "engine-internal-import" in fired(
-            "from repro.colstore.executor import ColumnExecutor\n",
-            "repro/sql/planner.py",
-        )
-
-    def test_plain_import_outside_exec(self):
-        assert "engine-internal-import" in fired(
-            "import repro.rowstore.executor\n",
-            "repro/core/store.py",
-        )
-
-    def test_package_member_import(self):
-        # `from repro.colstore import executor` names the same module.
-        assert "engine-internal-import" in fired(
-            "from repro.colstore import executor\n",
-            "repro/bench/runner.py",
-        )
-
-    def test_allowed_in_exec_and_api(self):
-        for relpath in (
-            "repro/exec/parity.py",
-            "repro/api/__init__.py",
-            "repro/colstore/__init__.py",
-            "repro/colstore/executor.py",
-        ):
-            assert "engine-internal-import" not in fired(
-                "from repro.colstore.executor import ColumnExecutor\n",
-                relpath,
-            ), relpath
-
-    def test_other_engine_modules_are_fine(self):
-        assert "engine-internal-import" not in fired(
-            "from repro.colstore.engine import ColumnStoreEngine\n",
-            "repro/core/store.py",
-        )
-
-    def test_rule_is_catalogued(self):
-        assert "engine-internal-import" in CODE_RULES
-
-    def test_package_tree_is_clean_of_new_imports(self):
-        violations = [
-            v for v in lint_package()
-            if v.rule == "engine-internal-import"
-        ]
-        assert violations == []
-
-
 class TestBaseline:
     SOURCE = """
     import time
@@ -389,7 +340,6 @@ class TestEntryPoints:
         assert set(CODE_RULES) == {
             "wall-clock-in-engine", "unseeded-random-in-engine",
             "set-iteration-in-report", "join-sort-hint", "plan-mutation",
-            "engine-internal-import",
         }
 
     def test_lint_paths_keys_relative_to_argument_parent(self, tmp_path):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.colstore import ColumnStoreEngine
-from repro.colstore.executor import ColumnExecutor
 from repro.plan import (
     Comparison,
     Distinct,

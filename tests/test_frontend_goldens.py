@@ -1,7 +1,9 @@
 """Lint/lowering equivalence goldens (the front end's contract).
 
 ``tests/data/lint_goldens.json`` was captured (``scripts/capture_lint_goldens.py``)
-from the commit *before* the front end became single-pass: for every case
+from the commit *before* the front end became single-pass (and its
+lowering trees re-captured when the ``parallel-*`` operators were
+deleted — nothing else moved): for every case
 — the 12 named queries on a vertical and a triple catalog, one
 deliberately bad plan per lint rule, and the four ad-hoc text shapes
 perfbench's ``adhoc_frontend`` sends — it holds the full diagnostic list
@@ -166,7 +168,8 @@ def operator_tree(pnode):
 
 class Deployment:
     """One scheme deployed on every engine configuration lowering can
-    tell apart."""
+    tell apart (the worker count is not one: see
+    ``test_lowering_cannot_see_the_worker_count``)."""
 
     def __init__(self, dataset, build):
         self.engines = {}
@@ -190,17 +193,10 @@ class Deployment:
                 operator_tree(lower_plan(plan, "row-store")),
         }
         for label, engine in self.engines.items():
-            if label == "row":
-                trees["row-store/instance"] = operator_tree(
-                    lower_plan(plan, engine.kind, instance=engine)
-                )
-                continue
-            for workers in (1, 4):
-                engine.install_parallelism(workers)
-                trees[f"{label}/workers={workers}"] = operator_tree(
-                    lower_plan(plan, engine.kind, instance=engine)
-                )
-            engine.install_parallelism(1)
+            label = "row-store" if label == "row" else label
+            trees[f"{label}/instance"] = operator_tree(
+                lower_plan(plan, engine.kind, instance=engine)
+            )
         return trees
 
 
@@ -315,13 +311,32 @@ def test_front_end_reproduces_goldens(goldens, current, section):
 
 def test_guarded_operators_bind_in_the_goldens(goldens):
     """The goldens would prove nothing about guards if none ever bound."""
-    lowering = goldens["cases"]["vertical/adhoc/sql_describe"]["lowering"]
-    assert "parallel-union" in lowering["column/workers=4"]
-    assert "parallel-union" not in lowering["column/workers=1"]
-    assert "parallel-" not in lowering["column+physical/workers=4"]
     for operator in COMPRESSED_KERNEL_SQL:
         lowering = goldens["cases"][f"guard/{operator}"]["lowering"]
-        assert operator in lowering["column+physical/workers=1"]
-        assert operator in lowering["column+physical/workers=4"]
-        assert operator not in lowering["column/workers=1"]
+        assert operator in lowering["column+physical/instance"]
+        assert operator not in lowering["column/instance"]
         assert operator not in lowering["column-store/no-instance"]
+
+
+def test_lowering_cannot_see_the_worker_count():
+    """Parallelism is a property of the run, not of the plan: no operator
+    is named for it and the same tree lowers whatever is installed."""
+    assert not [
+        name for name in engine_ops("column-store").operator_names()
+        if name.startswith("parallel-")
+    ]
+    dataset = generate_barton(**DATASET)
+    engine = ColumnStoreEngine(workers=1)
+    catalog = build_vertical_store(
+        engine, dataset.triples, dataset.interesting_properties
+    )
+    plan = plan_sql(
+        generate_vertical_sql(ADHOC_TEXTS["sql_describe"], catalog), catalog,
+        lint="off",
+    )
+    serial = operator_tree(lower_plan(plan, engine.kind, instance=engine))
+    engine.install_parallelism(4)
+    assert engine.workers == 4
+    assert operator_tree(
+        lower_plan(plan, engine.kind, instance=engine)
+    ) == serial

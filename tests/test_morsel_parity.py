@@ -9,9 +9,11 @@ the worker pool genuinely engages (the default 4096-row morsels would
 let the test dataset fall back to the serial path).
 """
 
+import numpy as np
 import pytest
 
 import repro.api as api
+from repro.colstore import ColumnStoreEngine
 from repro.data import generate_barton
 from repro.exec.morsel import morsel_stats, reset_morsel_stats
 from repro.exec.parity import (
@@ -19,6 +21,8 @@ from repro.exec.parity import (
     parity_sweep,
     timing_document,
 )
+from repro.plan import Comparison, Extend, GroupBy, Project, Scan, Select, Union
+from repro.storage import build_vertical_store
 
 #: Small enough that every base-table scan splits into several morsels
 #: on the 4000-triple parity dataset.
@@ -27,11 +31,22 @@ SMALL_MORSELS = "256"
 SCALE = dict(n_triples=5_000, n_properties=40, seed=11)
 
 
+def _engine_options(compression, **options):
+    if compression is not None:
+        options["compression"] = compression
+    return options
+
+
 @pytest.fixture(scope="module")
-def baseline():
-    """The serial sweep: every engine x scheme cell, all benchmark
-    queries, cold and hot protocols."""
-    return parity_sweep()
+def baselines():
+    """The serial sweeps by compression mode: every engine x scheme cell,
+    all benchmark queries, cold and hot protocols."""
+    return {
+        compression: parity_sweep(
+            column_engine_options=_engine_options(compression)
+        )
+        for compression in (None, "physical")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -47,28 +62,130 @@ def _connect(dataset, workers):
     )
 
 
+def _mixed_union(catalog):
+    """canonical, canonical, non-canonical (a Select under the Project),
+    canonical with an Extend — so the canonical runs on either side of the
+    generic branch must be charged around it, in branch order."""
+    tables = [
+        catalog.property_tables[name] for name in catalog.all_properties[:4]
+    ]
+    scans = [
+        Scan(table, ["subj", "obj"], alias=f"T{i}")
+        for i, table in enumerate(tables)
+    ]
+    return Union(
+        [
+            Project(scans[0], [("s", "T0.subj"), ("o", "T0.obj")]),
+            Project(scans[1], [("s", "T1.subj"), ("o", "T1.obj")]),
+            Project(
+                Select(scans[2], [Comparison("T2.obj", ">", 0)]),
+                [("s", "T2.subj"), ("o", "T2.obj")],
+            ),
+            Project(
+                Extend(scans[3], "T3.tag", 7),
+                [("s", "T3.subj"), ("o", "T3.tag")],
+            ),
+        ],
+        distinct=False,
+    )
+
+
+def _first_table_scan(catalog, alias="A"):
+    return Scan(
+        catalog.property_tables[catalog.all_properties[0]], ["subj", "obj"],
+        alias=alias,
+    )
+
+
+#: Plan shapes the named queries do not reach.
+PLAN_SHAPES = {
+    "mixed-union": _mixed_union,
+    # A sorted-prefix search that finds nothing: lo == hi, no range.
+    "empty-prefix": lambda catalog: Select(
+        _first_table_scan(catalog), [Comparison("A.subj", "=", -5)]
+    ),
+    "count-star": lambda catalog: GroupBy(_first_table_scan(catalog), keys=[]),
+}
+
+
 class TestSweepParity:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers, compression", [
+        pytest.param(
+            workers, compression,
+            id=str(workers) if compression is None
+            else f"{compression}-{workers}",
+        )
+        for compression in (None, "physical")
+        for workers in (1, 2, 4)
+    ])
     def test_byte_identical_at_any_worker_count(
-        self, baseline, workers, monkeypatch
+        self, baselines, workers, compression, monkeypatch
     ):
         monkeypatch.setenv("REPRO_MORSEL_ROWS", SMALL_MORSELS)
         reset_morsel_stats()
-        sweep = parity_sweep(column_engine_options={"workers": workers})
-        assert compare_parity(baseline, sweep) == []
+        sweep = parity_sweep(
+            column_engine_options=_engine_options(compression, workers=workers)
+        )
+        assert compare_parity(baselines[compression], sweep) == []
         if workers > 1:
-            # The guard must have lowered parallel operators AND the
-            # pool must have run real batches — a parity pass with zero
-            # batches would prove nothing.
+            # The kernel must have split its ranges AND the pool must
+            # have run real batches — a parity pass with zero batches
+            # would prove nothing.
             assert morsel_stats()["batches"] > 0
 
-    def test_morsel_size_does_not_change_costs(self, baseline, monkeypatch):
+    def test_morsel_size_does_not_change_costs(self, baselines, monkeypatch):
         # Morsel boundaries partition the coordinator's replay inputs,
         # never its charge sequence: any morsel size reproduces the
         # serial document.
         monkeypatch.setenv("REPRO_MORSEL_ROWS", "97")
         sweep = parity_sweep(column_engine_options={"workers": 3})
-        assert compare_parity(baseline, sweep) == []
+        assert compare_parity(baselines[None], sweep) == []
+
+    @pytest.mark.parametrize("compression", [None, "physical"])
+    @pytest.mark.parametrize("shape", sorted(PLAN_SHAPES))
+    def test_plan_shapes_beyond_the_named_queries(
+        self, dataset, shape, compression, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_MORSEL_ROWS", "64")
+        runs = {}
+        for workers in (1, 4):
+            engine = ColumnStoreEngine(
+                **_engine_options(compression, workers=workers)
+            )
+            catalog = build_vertical_store(
+                engine, dataset.triples, dataset.interesting_properties
+            )
+            plan = PLAN_SHAPES[shape](catalog)
+            reset_morsel_stats()
+            relation, timing = engine.run(plan)
+            runs[workers] = (
+                {name: relation.column(name).tolist()
+                 for name in relation.columns},
+                timing_document(timing),
+                morsel_stats()["batches"],
+            )
+            if shape == "mixed-union":
+                # Output blocks keep branch order around the generic one.
+                parts = [
+                    engine.table(catalog.property_tables[name])
+                    for name in catalog.all_properties[:4]
+                ]
+                assert relation.column("s").tolist() == np.concatenate(
+                    [table.array("subj") for table in parts]
+                ).tolist()
+            if shape == "count-star":
+                # The same scan asked for no column at all (the
+                # ``__rowid__`` path): one row id per table row.
+                table = engine.table(plan.child.table)
+                rowids = engine.executor().run_child(
+                    engine.lower(plan.child), set()
+                ).relation
+                assert rowids.column("__rowid__").tolist() == list(
+                    range(table.n_rows)
+                )
+        assert runs[4][:2] == runs[1][:2]
+        assert runs[1][2] == 0
+        assert (runs[4][2] > 0) == (shape != "empty-prefix")
 
 
 class TestPerQueryWorkers:

@@ -231,6 +231,40 @@ class TestQueryServer:
         assert status == 400
         assert "error" in document
 
+        # Values the scheduler cannot admit.  One kept-alive connection: a
+        # handler thread that died on a bad body would drop it instead of
+        # answering the request that follows.
+        import http.client
+        from urllib.parse import urlsplit
+
+        address = urlsplit(server.address)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=30
+        )
+
+        def post(body):
+            connection.request("POST", "/v1/query", body=json.dumps(body))
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+
+        try:
+            for field, value in [
+                ("workers", "abc"), ("workers", [2]), ("workers", 2.5),
+                ("workers", 0), ("workers", True),
+                ("timeout", "soon"), ("timeout", [1]), ("timeout", 0),
+                ("timeout", -1),
+            ]:
+                status, document = post({"query": "q1", field: value})
+                assert status == 400, (field, value, document)
+                assert field in document["error"]
+                assert document["error_type"] == "ReproError"
+                status, document = post(
+                    {"query": "q1", "workers": 2, "timeout": 30.5}
+                )
+                assert status == 200, (field, value, document)
+        finally:
+            connection.close()
+
     def test_unknown_route_404(self, server):
         try:
             urllib.request.urlopen(server.address + "/nope", timeout=10)
