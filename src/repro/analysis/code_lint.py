@@ -20,7 +20,7 @@ guarantees the reproduction depends on:
   the rule only fires when the set itself is the iterable.
 * ``join-sort-hint`` — every call of the ``join_indices`` kernel must
   thread the ``assume_sorted`` sort-order hint explicitly; forgetting it
-  silently degrades merge joins to re-sorting hash joins.
+  makes the kernel re-check sortedness the plan had already proven.
 * ``plan-mutation`` — ``LogicalPlan`` nodes are immutable after
   construction (documented in :mod:`repro.plan.logical`); assigning to a
   plan-node field outside an ``__init__`` breaks plan sharing between the

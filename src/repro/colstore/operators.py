@@ -709,7 +709,7 @@ def vector_join(rt, pnode, needed):
         lcodes, rcodes = lkeys[0], rkeys[0]
         # The plan's sort-order metadata proves the right side sorted on
         # the join key (e.g. an SO-sorted vertical table joined on
-        # subject), so join_indices can skip its argsort.
+        # subject), so join_indices can skip its sortedness check.
         (_, rcol), = node.on
         right_sorted = (
             len(right.sorted_by) > 0 and right.sorted_by[0] == rcol

@@ -14,6 +14,11 @@ def _is_sorted(array):
     return array.size < 2 or bool(np.all(array[1:] >= array[:-1]))
 
 
+def _is_dense(value_range, n):
+    """Is a counting table over *value_range* slots worth it for *n* keys?"""
+    return value_range <= 4 * n + 65536
+
+
 def _dense_codes(array):
     """Rank codes via a counting LUT when the value range is dense.
 
@@ -23,10 +28,9 @@ def _dense_codes(array):
     ``None`` when the value range is too sparse for the LUT to pay off —
     dictionary OIDs are dense, so benchmark-shaped inputs qualify.
     """
-    n = array.size
     amin = int(array.min())
     value_range = int(array.max()) - amin + 1
-    if value_range > 4 * n + 65536:
+    if not _is_dense(value_range, array.size):
         return None
     rel = array - amin
     present = np.zeros(value_range, dtype=bool)
@@ -36,18 +40,61 @@ def _dense_codes(array):
     return lut[rel], int(lut[-1]) + 1
 
 
-def _stable_argsort(keys):
-    """``np.argsort(keys, kind="stable")``, via int16 radix sort when the
-    key range is dense and narrow enough.
+def _stable_argsort(codes, n_codes):
+    """``np.argsort(codes, kind="stable")`` for codes in ``0 .. n_codes-1``.
 
-    A stable argsort of rank codes equals a stable argsort of the values
-    themselves (codes are order-isomorphic), and numpy's stable sort on
-    16-bit integers is a radix sort — O(n) instead of a comparison sort.
+    numpy's stable sort of 16-bit integers is a radix sort, so an LSD pass
+    per 16-bit digit (one up to 65,536 codes, two up to 2**32) orders the
+    codes in O(n) — never by comparison sort.
     """
-    dense = _dense_codes(keys)
-    if dense is not None and dense[1] <= np.iinfo(np.int16).max:
-        return np.argsort(dense[0].astype(np.int16), kind="stable")
-    return np.argsort(keys, kind="stable")
+    order = np.argsort(codes.astype(np.uint16), kind="stable")  # low digit
+    shift = 16
+    while (n_codes - 1) >> shift:
+        digit = (codes >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def _dense_domain(left, right):
+    """Both key arrays as addresses into one counting table.
+
+    Returns ``(left, right, span)`` with every key in ``0 .. span-1`` and
+    equality and order between keys kept.  Dictionary OIDs are ``0 .. n-1``
+    and address the table as they are; negative keys (``MISSING_VALUE``)
+    shift the domain, and keys too sparse for a table are rank-compressed
+    first.  The span is taken in Python ints: keys near the int64 limits
+    must not meet an array subtraction.
+    """
+    lo = min(int(left.min()), int(right.min()), 0)
+    span = max(int(left.max()), int(right.max())) - lo + 1
+    if not _is_dense(span, left.size + right.size):
+        left, right = factorize_rows_shared([left], [right])
+        return left, right, int(max(left.max(), right.max())) + 1
+    if lo:
+        left, right = left - lo, right - lo
+    return left, right, span
+
+
+def _probe(left, starts, counts):
+    """Expand a probe into join pairs — the tail both join kernels share.
+
+    ``starts`` / ``counts`` give, per key of the dense domain, the first
+    position and the number of its right-side rows; every left key looks
+    its run up by direct indexing.  Returns ``(left_idx, positions)``,
+    left-major with positions ascending within a left row.
+    """
+    counts = counts[left]  # per left row from here on
+    total = int(counts.sum())
+    left_idx = np.repeat(np.arange(len(left), dtype=np.int64), counts)
+    # Output row k of a left row whose pairs start at output row f lies at
+    # position start + (k - f): repeat (start - f) per pair, add k.
+    offset = starts[left]
+    offset -= np.cumsum(counts)
+    offset += counts
+    positions = np.repeat(offset, counts)
+    positions += np.arange(total, dtype=np.int64)
+    return left_idx, positions
 
 
 def join_indices(left_keys, right_keys, assume_sorted=False):
@@ -57,43 +104,39 @@ def join_indices(left_keys, right_keys, assume_sorted=False):
     ``left_keys[left_idx] == right_keys[right_idx]`` enumerates every
     matching pair.  ``left_idx`` is non-decreasing, so the join output
     preserves the left input's ordering (the property the executor relies on
-    for sortedness propagation).
+    for sortedness propagation); right indices ascend within a left row.
 
-    With ``assume_sorted=True`` the right input is taken to be already
-    sorted ascending and the ``np.argsort`` is skipped — the executor passes
-    this when the plan's sort-order metadata proves the right side sorted
-    (e.g. the SO-sorted vertical tables joined on subject).
+    A counting join: per-key counts (``np.bincount``) and first positions
+    (a reverse scatter) of the key-ordered right side are the whole lookup
+    structure, O(rows) to build.  With ``assume_sorted=True`` the right
+    input is taken to be already sorted ascending — the executor passes
+    this when the plan's sort-order metadata proves it (e.g. the SO-sorted
+    vertical tables joined on subject) — which saves the O(n) check.  An
+    unsorted right side is first cut down to the rows whose key occurs on
+    the left (a semi-join bitmap), and only those survivors are put in key
+    order.
     """
-    left_keys = np.asarray(left_keys, dtype=np.int64)
-    right_keys = np.asarray(right_keys, dtype=np.int64)
-    if len(left_keys) == 0 or len(right_keys) == 0:
+    left = np.asarray(left_keys, dtype=np.int64)
+    right = np.asarray(right_keys, dtype=np.int64)
+    if left.size == 0 or right.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-
-    if assume_sorted or _is_sorted(right_keys):
-        # Already sorted (proven by plan metadata, or detected at run time —
-        # a stable argsort of a sorted array is the identity permutation, so
-        # skipping it cannot change the output).
-        order = None
-        sorted_right = right_keys
-    else:
-        order = _stable_argsort(right_keys)
-        sorted_right = right_keys[order]
-    lo = np.searchsorted(sorted_right, left_keys, side="left")
-    hi = np.searchsorted(sorted_right, left_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-
-    left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
-    # For each output row, its offset within the matching right-side run.
-    run_starts = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(total, dtype=np.int64) - run_starts
-    sorted_positions = np.repeat(lo, counts) + within
-    right_idx = sorted_positions if order is None else order[sorted_positions]
-    return left_idx, right_idx
+    right_sorted = assume_sorted or _is_sorted(right)
+    left, right, span = _dense_domain(left, right)
+    order = None
+    if not right_sorted:
+        present = np.zeros(span, dtype=bool)
+        present[left] = True
+        order = np.flatnonzero(present[right])
+        right = right[order]
+        # Survivors are in row order, so a stable sort of them is the
+        # stable sort of the whole side restricted to them.
+        by_key = _stable_argsort(right, span)
+        order, right = order[by_key], right[by_key]
+    starts = _first_positions(right, span)
+    counts = np.bincount(right, minlength=span)
+    left_idx, positions = _probe(left, starts, counts)
+    return left_idx, positions if order is None else order[positions]
 
 
 def join_runs(left_keys, run_values, run_starts, run_lengths):
@@ -103,32 +146,24 @@ def join_runs(left_keys, run_values, run_starts, run_lengths):
     row ``s`` with length ``c`` stands for ``c`` rows ``s .. s+c-1`` all
     equal to ``v``.  ``run_values`` must be sorted ascending with distinct
     values (maximal runs of a sorted column — the shape the lowering guard
-    checks), so one ``searchsorted`` replaces the whole probe phase.
+    checks), so the runs are the counting join's lookup as they stand.
 
     Returns ``(left_idx, right_pos)`` — ``left_idx`` indexes the left
     input, ``right_pos`` holds *row positions* in the encoded column —
     enumerating exactly the pairs :func:`join_indices` would, in the same
     order (left order preserved, right positions ascending per match).
     """
-    left_keys = np.asarray(left_keys, dtype=np.int64)
-    n_runs = len(run_values)
-    if len(left_keys) == 0 or n_runs == 0:
+    left = np.asarray(left_keys, dtype=np.int64)
+    runs = np.asarray(run_values, dtype=np.int64)
+    if left.size == 0 or runs.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    idx = np.searchsorted(run_values, left_keys)
-    idx = np.minimum(idx, n_runs - 1)
-    matched = np.flatnonzero(run_values[idx] == left_keys)
-    if len(matched) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    runs = idx[matched]
-    counts = run_lengths[runs]
-    total = int(counts.sum())
-    left_idx = np.repeat(matched, counts)
-    group_starts = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(total, dtype=np.int64) - group_starts
-    right_pos = np.repeat(run_starts[runs], counts) + within
-    return left_idx, right_pos
+    left, runs, span = _dense_domain(left, runs)
+    starts = np.zeros(span, dtype=np.int64)
+    starts[runs] = run_starts
+    counts = np.zeros(span, dtype=np.int64)
+    counts[runs] = run_lengths
+    return _probe(left, starts, counts)
 
 
 def factorize_rows(arrays):
@@ -196,6 +231,7 @@ def _first_positions(codes, n_codes):
 
     Equivalent to ``np.unique(codes, return_index=True)[1]`` — factorized
     codes are dense, so a reverse scatter replaces the O(n log n) sort.
+    The slot of a code below *n_codes* that never occurs is left undefined.
     """
     first = np.empty(n_codes, dtype=np.int64)
     first[codes[::-1]] = np.arange(len(codes) - 1, -1, -1, dtype=np.int64)

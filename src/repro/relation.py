@@ -63,7 +63,7 @@ class Relation:
         for name in names:
             values = self.column(name).tolist()
             if name in self.oid_columns:
-                decoded_columns.append([dictionary.decode(v) for v in values])
+                decoded_columns.append(dictionary.decode_many(values))
             else:
                 decoded_columns.append(values)
         return list(zip(*decoded_columns)) if self.n_rows else []

@@ -134,6 +134,23 @@ class TestBench:
             main(["--version"])
         assert excinfo.value.code == 0
 
+    def test_packaged_version_is_the_module_version(self, capsys):
+        """One version: ``repro.__version__``.  The package metadata reads
+        it and carries no copy of its own that could drift."""
+        import pathlib
+        import re
+
+        import repro
+
+        text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+        project = text.split("[project]\n")[1].split("\n[")[0]
+        assert not re.search(r"^version\s*=", project, re.MULTILINE)
+        assert 'dynamic = ["version"]' in project
+        assert 'version = {attr = "repro.__version__"}' in text
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.strip() == f"repro {repro.__version__}"
+
 
 class TestVerify:
     def test_verify_reports_agreement(self, capsys):

@@ -172,6 +172,19 @@ class TestRelation:
         r = Relation({"val": [0, 1], "n": [10, 20]}, oid_columns={"val"})
         assert r.decoded_tuples(d) == [("<x>", 10), ("<y>", 20)]
 
+    @pytest.mark.parametrize("bad_oid", [-1, 2])
+    def test_decoded_tuples_rejects_unknown_oids(self, bad_oid):
+        """MISSING_VALUE (-1) must not wrap to the dictionary's last
+        string, for the live and the frozen dictionary alike."""
+        from repro.dictionary import Dictionary
+        from repro.errors import DictionaryError
+
+        d = Dictionary(["<x>", "<y>"])
+        r = Relation({"val": [0, bad_oid]}, oid_columns={"val"})
+        for dictionary in (d, d.freeze()):
+            with pytest.raises(DictionaryError, match="oid out of range"):
+                r.decoded_tuples(dictionary)
+
     def test_sorted_tuples_with_order(self):
         r = Relation({"a": [2, 1], "b": [5, 6]})
         assert r.sorted_tuples(order=["b", "a"]) == [(5, 2), (6, 1)]
