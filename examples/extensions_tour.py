@@ -38,13 +38,13 @@ CATALOG = """
 def sparql_demo():
     print("=== SPARQL ===")
     store = RDFStore.from_ntriples(CATALOG, scheme="vertical")
-    bindings = store.sparql("""
+    bindings = store.connection().session().query("""
         SELECT ?book ?pages WHERE {
             ?book <type> <Text> .
             ?book <pages> ?pages .
             FILTER(?book != <book/2>)
         } LIMIT 5
-    """)
+    """).bindings()
     for b in bindings:
         print(f"  {b['book']}: {b['pages']} pages")
 
@@ -52,7 +52,7 @@ def sparql_demo():
 def order_by_demo():
     print("\n=== SQL ORDER BY / LIMIT ===")
     store = RDFStore.from_ntriples(CATALOG, scheme="triple")
-    rows = store.sql(
+    rows = store.connection().session().query(
         "SELECT A.subj, A.obj FROM triples AS A "
         "WHERE A.prop = '<pages>' ORDER BY A.obj DESC LIMIT 2"
     )

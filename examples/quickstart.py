@@ -37,9 +37,11 @@ def main():
         print(f"  {s}")
 
     # 2. A basic graph pattern: French-language texts with their titles
-    #    (join pattern A — two patterns sharing their subject).
+    #    (join pattern A — two patterns sharing their subject).  Queries
+    #    run through a session of the store's connection.
+    session = store.connection().session()
     print("\nFrench texts:")
-    for binding in store.solve(
+    for binding in session.solve(
         [
             (Var("book"), "<type>", "<Text>"),
             (Var("book"), "<language>", "<language/iso639-2b/fre>"),
@@ -50,7 +52,7 @@ def main():
 
     # 3. An object-subject join (pattern C): what do collections record?
     print("\nRecorded resources and their types:")
-    for binding in store.solve(
+    for binding in session.solve(
         [
             (Var("c"), "<records>", Var("r")),
             (Var("r"), "<type>", Var("t")),
@@ -64,7 +66,7 @@ def main():
     )
     print("\nType histogram via SQL on the triple store:")
     for obj, count in sorted(
-        triple_store.sql(
+        triple_store.connection().session().query(
             "SELECT A.obj, count(*) FROM triples AS A "
             "WHERE A.prop = '<type>' GROUP BY A.obj"
         )

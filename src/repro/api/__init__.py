@@ -1,8 +1,8 @@
 """repro.api — the stable public query interface.
 
-One documented entry point wraps everything the library grew organically
-(:class:`~repro.core.store.RDFStore` methods, :func:`repro.exec.run_plan`,
-the SQL/SPARQL front-end helpers)::
+The one query surface: :class:`~repro.core.store.RDFStore` deploys a
+store (engine × scheme × clustering), and every SQL, SPARQL, benchmark or
+graph-pattern query runs through a session opened here::
 
     import repro.api as api
 
@@ -33,14 +33,9 @@ timer that sets a :class:`~repro.exec.cancel.CancellationToken`; the
 unified runtime polls it at operator boundaries and the query unwinds
 with :class:`~repro.errors.QueryTimeout`, leaving the shared buffer pool
 consistent.
-
-The legacy surfaces remain as thin deprecation shims:
-``RDFStore.sql`` / ``RDFStore.sparql`` / ``RDFStore.solve`` delegate to
-an internal :class:`Connection` and stay result- and cost-identical.
 """
 
 import threading
-from collections import OrderedDict
 
 from repro.core.store import RDFStore
 from repro.errors import (
@@ -51,6 +46,7 @@ from repro.errors import (
     SessionClosed,
 )
 from repro.exec.cancel import CancellationToken
+from repro.lru import LruCache
 from repro.queries import ALL_QUERY_NAMES, build_query
 
 __all__ = [
@@ -70,60 +66,6 @@ __all__ = [
 #: across repeated executions is sound and keeps the runtime's
 #: identity-keyed lowering cache hot.
 PLAN_CACHE_SIZE = 256
-
-
-class _LruCache:
-    """Least-recently-used map with hit/miss/eviction counters.
-
-    Backs the per-connection prepared-plan cache.  A ``get`` refreshes
-    recency; ``put`` is insert-if-absent (first build wins under races)
-    and evicts the least recently *used* entry when full — unlike the
-    FIFO this replaces, a hot plan is never evicted by a stream of
-    one-off queries.  Callers provide their own locking.
-    """
-
-    __slots__ = ("capacity", "_entries", "hits", "misses", "evictions")
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self._entries = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, key):
-        """The cached entry (refreshed as most-recent), or ``None``."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key, entry):
-        """Insert *entry* unless *key* is already present; returns the
-        canonical (cached) entry either way."""
-        existing = self._entries.get(key)
-        if existing is not None:
-            return existing
-        while len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        self._entries[key] = entry
-        return entry
-
-    def stats(self):
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 #: Valid buffer-pool protocols for :meth:`Session.query`.
 _MODES = (None, "current", "cold", "hot")
@@ -409,7 +351,7 @@ class Connection:
         self._exec_lock = threading.RLock()
         self._plan_lock = threading.Lock()
         # cache key -> (kind, plan, columns)
-        self._plans = _LruCache(PLAN_CACHE_SIZE)
+        self._plans = LruCache(PLAN_CACHE_SIZE)
         self._closed = False
         self._session_counter = 0
 
@@ -525,19 +467,12 @@ class Connection:
         server's admission path sets it from the request).
         """
         engine = self.store.engine
-        runtime = engine.executor() if hasattr(engine, "executor") else None
+        runtime = engine.executor()
         token = timer = None
-        if workers is not None and runtime is None:
-            workers = None  # engines without a runtime are always serial
         if timeout is not None:
             if timeout <= 0:
                 raise QueryTimeout(
                     f"query exceeded timeout of {timeout}s (never started)"
-                )
-            if runtime is None:
-                raise ReproError(
-                    f"engine {engine.kind!r} does not support cooperative "
-                    "timeouts (no unified runtime)"
                 )
             token = CancellationToken().bind()
             timer = threading.Timer(

@@ -16,6 +16,7 @@ The conventions follow the paper's Section 2.3:
 from repro.bench.metrics import geometric_mean, TimingCell, summarize
 from repro.bench.runner import BenchmarkRunner, RunResult
 from repro.bench.reporting import format_table, format_series
+from repro.bench.scheduler import Cell, map_cells, run_cells
 
 __all__ = [
     "geometric_mean",
@@ -25,4 +26,7 @@ __all__ = [
     "RunResult",
     "format_table",
     "format_series",
+    "Cell",
+    "map_cells",
+    "run_cells",
 ]

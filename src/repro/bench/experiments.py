@@ -18,6 +18,7 @@ from repro.data.barton import WELL_KNOWN_PROPERTIES
 from repro.data.stats import frequency_table
 from repro.engine import MACHINES, MACHINE_B
 from repro.errors import BenchmarkError
+from repro.observe import counters as process_counters
 from repro.queries import ALL_QUERY_NAMES, coverage_table
 from repro.queries.definitions import BASE_QUERY_NAMES
 
@@ -749,8 +750,6 @@ def experiment_scaling(dataset, queries=("q2", "q3", "q4", "q6"),
     """
     import time
 
-    from repro.exec.morsel import morsel_stats, reset_morsel_stats
-
     worker_counts = sorted({int(w) for w in worker_counts})
     if not worker_counts:
         raise BenchmarkError("scaling sweep needs at least one worker count")
@@ -759,7 +758,7 @@ def experiment_scaling(dataset, queries=("q2", "q3", "q4", "q6"),
     wall_ms = {}
     counters = {}
     for workers in worker_counts:
-        reset_morsel_stats()
+        process_counters.reset("parallel")
         vert = deploy(
             dataset, "MonetDB", "vert", machine=machine, workers=workers
         )
@@ -790,7 +789,7 @@ def experiment_scaling(dataset, queries=("q2", "q3", "q4", "q6"),
                         f"vs {baseline[key]}s"
                     )
         wall_ms[str(workers)] = wall
-        counters[str(workers)] = morsel_stats()
+        counters[str(workers)] = process_counters.snapshot("parallel")
     return ExperimentResult(
         name="scaling",
         title="Scaling sweep: morsel-driven parallelism (MonetDB, "

@@ -29,15 +29,13 @@ variable (see ``docs/benchmarking.md``); ``repro bench --jobs N`` overrides
 it per invocation.
 """
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.errors import BenchmarkError
+from repro.observe import counters
 from repro.observe.log import get_logger
-from repro.observe.race import guard_lock, shared_state
 
 log = get_logger("bench.scheduler")
 
@@ -53,29 +51,11 @@ JOBS_ENV = "REPRO_BENCH_JOBS"
 REPEATS_ENV = "REPRO_BENCH_REPEATS"
 
 #: Process-wide always-on scheduler accounting (cells executed, repeats
-#: performed, total wall-clock).  In-process for serial runs; parallel
+#: performed, total wall-clock): the ``scheduler`` group of
+#: :mod:`repro.observe.counters`.  In-process for serial runs; parallel
 #: workers accumulate their own copies, so the perf observatory records
-#: runs serially.  Lock-guarded: cells may also run on the query server's
-#: thread pool, where plain float/int ``+=`` loses updates.
-_SCHEDULER_STATS_LOCK = guard_lock("bench.scheduler.SCHEDULER_STATS")
-SCHEDULER_STATS = shared_state(  # guarded-by: _SCHEDULER_STATS_LOCK
-    "bench.scheduler.SCHEDULER_STATS",
-    {"cells": 0, "repeats": 0, "wall_ms": 0.0},
-    _SCHEDULER_STATS_LOCK,
-)
-
-
-def scheduler_stats():
-    """Snapshot of the process-wide scheduler counters (a fresh dict)."""
-    with _SCHEDULER_STATS_LOCK:
-        return dict(SCHEDULER_STATS)
-
-
-def reset_scheduler_stats():
-    with _SCHEDULER_STATS_LOCK:
-        SCHEDULER_STATS["cells"] = 0
-        SCHEDULER_STATS["repeats"] = 0
-        SCHEDULER_STATS["wall_ms"] = 0.0
+#: runs serially.
+_COUNTERS = counters.declare("scheduler", cells=0, repeats=0, wall_ms=0.0)
 
 
 def default_repeats():
@@ -152,6 +132,7 @@ def _run_cell(cell, dataset, repeats=None):
         repeats = default_repeats()
     value = None
     wall_ms = None
+    total_ms = 0.0
     for attempt in range(repeats):
         start = time.perf_counter()
         result = cell.fn(dataset, *cell.args)
@@ -160,11 +141,8 @@ def _run_cell(cell, dataset, repeats=None):
             value = result
         if wall_ms is None or elapsed_ms < wall_ms:
             wall_ms = elapsed_ms
-        with _SCHEDULER_STATS_LOCK:
-            SCHEDULER_STATS["repeats"] += 1
-            SCHEDULER_STATS["wall_ms"] += elapsed_ms
-    with _SCHEDULER_STATS_LOCK:
-        SCHEDULER_STATS["cells"] += 1
+        total_ms += elapsed_ms
+    _COUNTERS.add(1, repeats, total_ms)
     return CellOutcome(cell.label, value, wall_ms)
 
 
@@ -185,6 +163,12 @@ def run_cells(cells, dataset=None, jobs=None):
     jobs = max(1, int(jobs))
     if jobs == 1 or len(cells) <= 1:
         return [_run_cell(cell, dataset) for cell in cells]
+
+    # Imported here: the package loads this module (its counter group must
+    # exist in every process), and only a parallel sweep needs the ~3 MB
+    # of process-pool machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     if "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")

@@ -6,10 +6,11 @@ query builders, SQL front-end — behind one object::
     from repro.core import RDFStore
 
     store = RDFStore.from_triples(triples, engine="column", scheme="vertical")
-    rows = store.sql("SELECT A.obj, count(*) FROM triples AS A "
-                     "WHERE A.prop = '<type>' GROUP BY A.obj")
-    bindings = store.solve([(Var("s"), "<type>", "<Text>"),
-                            (Var("s"), "<language>", Var("lang"))])
+    session = store.connection().session()
+    rows = session.query("SELECT A.obj, count(*) FROM triples AS A "
+                         "WHERE A.prop = '<type>' GROUP BY A.obj").rows
+    bindings = session.solve([(Var("s"), "<type>", "<Text>"),
+                              (Var("s"), "<language>", Var("lang"))])
 """
 
 from repro.core.store import RDFStore, Var

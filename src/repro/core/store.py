@@ -1,17 +1,12 @@
 """The RDFStore facade.
 
-Construction and deployment (engine × scheme × clustering) live here; the
-*query* entry points (:meth:`RDFStore.sql`, :meth:`RDFStore.sparql`,
-:meth:`RDFStore.solve`) are thin deprecation shims over the stable public
-API in :mod:`repro.api` — new code should use
-``repro.api.connect(...).session().query(...)``, which adds sessions,
-timeouts, result objects carrying simulated costs, and a prepared-plan
-cache.  The shims delegate to an internal
-:class:`~repro.api.Connection`, so results and simulated costs are
-identical to the new surface by construction.
+Construction and deployment (engine × scheme × clustering) live here.
+Queries run through the stable public API in :mod:`repro.api`:
+``store.connection().session().query(...)`` (SQL, SPARQL or a benchmark
+query name) and ``.solve(...)`` (basic graph patterns), which carry
+sessions, timeouts, result objects with simulated costs, and the
+prepared-plan cache.
 """
-
-import warnings
 
 from repro.bench.runner import BenchmarkRunner
 from repro.colstore import ColumnStoreEngine
@@ -119,7 +114,7 @@ class RDFStore:
         return cls(parse_ntriples_file(path), **options)
 
     # ------------------------------------------------------------------
-    # querying — deprecation shims over repro.api
+    # querying
     # ------------------------------------------------------------------
 
     def connection(self):
@@ -134,62 +129,6 @@ class RDFStore:
             self._api_connection = Connection(self)
         return self._api_connection
 
-    @staticmethod
-    def _deprecated(old, new):
-        warnings.warn(
-            f"{old} is deprecated; use {new} (see docs/api.md)",
-            DeprecationWarning, stacklevel=3,
-        )
-
-    def sql(self, sql_text, optimize=False):
-        """Run SQL against the store; returns decoded row tuples.
-
-        .. deprecated:: 1.1
-           Thin shim over :meth:`repro.api.Session.query`; use
-           ``store.connection().session().query(sql)`` (or
-           :func:`repro.api.connect`) to also get simulated costs,
-           timeouts and profiles on the result.
-
-        Against a vertical store, write SQL in triple-store terms and pass
-        it through :func:`repro.sql.generate_vertical_sql` first, or query
-        the per-property tables (``vp_<oid>``) directly.
-
-        With ``optimize=True`` the cost-based join-order optimizer rewrites
-        the join trees before execution (an extension; the benchmark tables
-        always run the paper-shaped plans).
-        """
-        self._deprecated("RDFStore.sql()", "repro.api Session.query()")
-        return self.connection().session().query(
-            sql_text, optimize=optimize
-        ).rows
-
-    def solve(self, patterns, projection=None):
-        """Evaluate a basic graph pattern; returns a list of binding dicts.
-
-        .. deprecated:: 1.1
-           Thin shim over :meth:`repro.api.Session.solve`.
-
-        Patterns are ``(s, p, o)`` triples of constants and :class:`Var`
-        terms, e.g.::
-
-            store.solve([(Var("s"), "<type>", "<Text>"),
-                         (Var("s"), "<language>", Var("lang"))])
-        """
-        return self.connection().session().solve(patterns, projection)
-
-    def sparql(self, text):
-        """Run a SPARQL SELECT over the store; returns binding dicts.
-
-        .. deprecated:: 1.1
-           Thin shim over :meth:`repro.api.Session.query`; use
-           ``store.connection().session().query(sparql).bindings()``.
-
-        Supports the basic-graph-pattern fragment: ``SELECT [DISTINCT]
-        ?vars|* WHERE { patterns . FILTER(...) } [LIMIT n]``.
-        """
-        self._deprecated("RDFStore.sparql()", "repro.api Session.query()")
-        return self.connection().session().query(text).bindings()
-
     def match(self, s=None, p=None, o=None):
         """All triples matching the given constants (None = wildcard)."""
         pattern = (
@@ -197,7 +136,7 @@ class RDFStore:
             p if p is not None else Var("p"),
             o if o is not None else Var("o"),
         )
-        bindings = self.solve([pattern])
+        bindings = self.connection().session().solve([pattern])
         result = []
         for binding in bindings:
             result.append(
@@ -267,7 +206,7 @@ class RDFStore:
         """
         from repro.observe.profiler import profile_plan
 
-        plan = self._plan_for(query, scope=scope)
+        plan = self.connection()._plan_for(query, scope=scope)[1]
         return profile_plan(self.engine, plan, mode=mode, query=query)
 
     def analyze(self, query, scope=None, physical=False):
@@ -284,21 +223,10 @@ class RDFStore:
         """
         from repro.analysis import lint_physical_plan, lint_plan
 
-        plan = self._plan_for(query, scope=scope)
+        plan = self.connection()._plan_for(query, scope=scope)[1]
         if physical:
             return list(lint_physical_plan(self.engine.lower(plan)))
         return list(lint_plan(plan))
-
-    def _plan_for(self, query, scope=None):
-        if query in ALL_QUERY_NAMES:
-            return build_query(self.catalog, query, scope=scope)
-        if "{" in query:
-            from repro.sparql import parse_sparql
-            from repro.sparql.executor import sparql_plan
-
-            plan, _names = sparql_plan(self.catalog, parse_sparql(query))
-            return plan
-        return plan_sql(query, self.catalog)
 
     def statistics(self):
         """Table-1-style statistics of the loaded data

@@ -15,7 +15,7 @@ with large requests run at the disk's sustained bandwidth.
 from collections import OrderedDict
 
 from repro.errors import BufferPoolError
-from repro.observe.race import guard_lock, shared_state
+from repro.observe import counters
 from repro.observe.trace import NULL_OBSERVATION
 
 #: Effective-bandwidth divisor for scattered (index-order) page reads: the
@@ -27,38 +27,13 @@ from repro.observe.trace import NULL_OBSERVATION
 SCATTERED_BANDWIDTH_PENALTY = 4.0
 
 #: Process-wide always-on accounting, aggregated across every pool this
-#: process creates (benchmark cells deploy engines internally, so
-#: per-instance counters are unreachable after a run; the perf observatory
-#: reads this aggregate instead).  Guarded by a lock: the query server's
-#: thread pool drives pools concurrently, and plain ``dict[k] += n`` is a
-#: read-modify-write that silently loses updates under interleaving.  Each
-#: ``read()`` takes the lock once, batching its deltas — negligible next
-#: to the page walk the read performs.
-_GLOBAL_STATS_LOCK = guard_lock("engine.buffer.GLOBAL_STATS")
-GLOBAL_STATS = shared_state(  # guarded-by: _GLOBAL_STATS_LOCK
-    "engine.buffer.GLOBAL_STATS",
-    {
-        "page_hits": 0,
-        "page_misses": 0,
-        "evictions": 0,
-        "disk_requests": 0,
-        "bytes_transferred": 0,
-        "account_calls": 0,
-    },
-    _GLOBAL_STATS_LOCK,
+#: process creates (the ``buffer_pool`` group of
+#: :mod:`repro.observe.counters`).  Each ``read()`` flushes its deltas in
+#: one ``add`` — negligible next to the page walk the read performs.
+_COUNTERS = counters.declare(
+    "buffer_pool", page_hits=0, page_misses=0, evictions=0,
+    disk_requests=0, bytes_transferred=0, account_calls=0,
 )
-
-
-def global_stats():
-    """Snapshot of the process-wide buffer-pool counters (a fresh dict)."""
-    with _GLOBAL_STATS_LOCK:
-        return dict(GLOBAL_STATS)
-
-
-def reset_global_stats():
-    with _GLOBAL_STATS_LOCK:
-        for key in GLOBAL_STATS:
-            GLOBAL_STATS[key] = 0
 
 
 def hit_ratio(stats):
@@ -101,9 +76,9 @@ class BufferPool:
         # Last page transferred from disk: a read continuing at the very
         # next page is sequential (readahead) and pays no new seek.
         self._last_disk_page = None
-        # Evictions since the last _account() flush to GLOBAL_STATS: the
-        # process-wide counters take their lock once per read, not once
-        # per evicted page.
+        # Evictions since the last _account() flush: the process-wide
+        # counters take their lock once per read, not once per evicted
+        # page.
         self._unflushed_evictions = 0
 
     # ------------------------------------------------------------------
@@ -240,13 +215,7 @@ class BufferPool:
         self.bytes_transferred += transferred
         evictions = self._unflushed_evictions
         self._unflushed_evictions = 0
-        with _GLOBAL_STATS_LOCK:
-            GLOBAL_STATS["page_hits"] += hits
-            GLOBAL_STATS["page_misses"] += misses
-            GLOBAL_STATS["evictions"] += evictions
-            GLOBAL_STATS["disk_requests"] += n_requests
-            GLOBAL_STATS["bytes_transferred"] += transferred
-            GLOBAL_STATS["account_calls"] += 1
+        _COUNTERS.add(hits, misses, evictions, n_requests, transferred, 1)
         if transferred:
             self.disk.record_read(
                 segment.name, transferred, n_requests,

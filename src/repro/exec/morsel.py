@@ -30,6 +30,7 @@ import collections
 import os
 import threading
 
+from repro.observe import counters
 from repro.observe.race import guard_lock, shared_state
 
 #: Environment switch for the default engine degree of parallelism.
@@ -47,28 +48,12 @@ DEFAULT_MORSEL_ROWS = 4096
 #: not free; beyond this the simulated engine gains nothing).
 MAX_WORKERS = 16
 
-_MORSEL_STATS_LOCK = guard_lock("exec.morsel.stats")
-#: Process-wide morsel dispatch counters (informational — steal counts
-#: depend on thread scheduling and are deliberately not byte-gated).
-MORSEL_STATS = shared_state(  # guarded-by: _MORSEL_STATS_LOCK
-    "exec.morsel.stats",
-    {"batches": 0, "inline_batches": 0, "morsels": 0, "steals": 0},
-    _MORSEL_STATS_LOCK,
+#: Process-wide morsel dispatch counters: the ``parallel`` group of
+#: :mod:`repro.observe.counters` (informational — steal counts depend on
+#: thread scheduling and are deliberately not byte-gated).
+_COUNTERS = counters.declare(
+    "parallel", batches=0, inline_batches=0, morsels=0, steals=0
 )
-
-
-def morsel_stats():
-    """A plain-dict snapshot of the process-wide dispatch counters."""
-    with _MORSEL_STATS_LOCK:
-        return dict(MORSEL_STATS)
-
-
-def reset_morsel_stats():
-    """Zero the dispatch counters (test isolation, ``repro perf``)."""
-    with _MORSEL_STATS_LOCK:
-        MORSEL_STATS.update(
-            {"batches": 0, "inline_batches": 0, "morsels": 0, "steals": 0}
-        )
 
 
 def workers_from_env(default=1):
@@ -299,11 +284,7 @@ class WorkerPool:
 
 
 def _note_batch(n_tasks, steals, inline):
-    with _MORSEL_STATS_LOCK:
-        key = "inline_batches" if inline else "batches"
-        MORSEL_STATS[key] += 1
-        MORSEL_STATS["morsels"] += n_tasks
-        MORSEL_STATS["steals"] += steals
+    _COUNTERS.add(0 if inline else 1, 1 if inline else 0, n_tasks, steals)
 
 
 _POOL_LOCK = guard_lock("exec.morsel.pool")

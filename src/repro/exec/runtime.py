@@ -24,11 +24,10 @@ physical children, which keeps recursion — and therefore tracing — in one
 place.
 """
 
-from collections import OrderedDict
-
 from repro.errors import EngineError
 from repro.exec.registry import engine_ops, lower_plan
-from repro.observe.race import guard_lock, shared_state
+from repro.lru import LruCache
+from repro.observe import counters
 from repro.plan import logical as L
 from repro.relation import Relation
 
@@ -37,34 +36,10 @@ from repro.relation import Relation
 LOWER_CACHE_SIZE = 64
 
 #: Process-wide always-on lowering-cache accounting, aggregated over every
-#: Runtime this process creates (the perf observatory records it per run).
-#: Guarded by a lock: the query server drives runtimes from a thread pool,
-#: and plain ``dict[k] += 1`` is a read-modify-write that loses updates
-#: under interleaving.  One uncontended lock per lower() call — one per
-#: plan execution — is noise next to the execution itself.
-_LOWERING_STATS_LOCK = guard_lock("exec.runtime.LOWERING_STATS")
-LOWERING_STATS = shared_state(  # guarded-by: _LOWERING_STATS_LOCK
-    "exec.runtime.LOWERING_STATS",
-    {"hits": 0, "misses": 0, "evictions": 0},
-    _LOWERING_STATS_LOCK,
-)
-
-
-def global_lowering_cache_stats():
-    """Snapshot of the process-wide lowering-cache counters.
-
-    Named distinctly from :meth:`Runtime.lowering_cache_stats` (the
-    per-runtime view) so ``from repro.exec.runtime import ...`` is never
-    ambiguous about which scope it returns.
-    """
-    with _LOWERING_STATS_LOCK:
-        return dict(LOWERING_STATS)
-
-
-def reset_lowering_cache_stats():
-    with _LOWERING_STATS_LOCK:
-        for key in LOWERING_STATS:
-            LOWERING_STATS[key] = 0
+#: Runtime this process creates (the ``lowering_cache`` group of
+#: :mod:`repro.observe.counters`; :meth:`Runtime.lowering_cache_stats` is
+#: the per-runtime view).
+_COUNTERS = counters.declare("lowering_cache", hits=0, misses=0, evictions=0)
 
 
 class Intermediate:
@@ -126,13 +101,9 @@ class Runtime:
         self.clock = engine.clock
         self.pool = engine.pool
         self.ops = engine_ops(engine.kind)
-        # id(plan) -> (plan, PhysicalPlan), most recently used last.
-        self._lowered = OrderedDict()
-        # Always-on per-runtime cache accounting (plain ints; mutated only
-        # under the owning session/connection's execution lock).
-        self.lower_hits = 0
-        self.lower_misses = 0
-        self.lower_evictions = 0
+        # id(plan) -> (plan, PhysicalPlan); touched only under the owning
+        # session/connection's execution lock.
+        self._lowered = LruCache(LOWER_CACHE_SIZE)
 
     # ------------------------------------------------------------------
     # lowering
@@ -140,34 +111,20 @@ class Runtime:
 
     def lower(self, plan):
         """Physical tree for *plan* (cached by plan identity, LRU)."""
-        cached = self._lowered.get(id(plan))
+        cache = self._lowered
+        cached = cache.get(id(plan))
         if cached is not None:
-            self._lowered.move_to_end(id(plan))
-            self.lower_hits += 1
-            with _LOWERING_STATS_LOCK:
-                LOWERING_STATS["hits"] += 1
+            _COUNTERS.add(1, 0, 0)
             return cached[1]
-        self.lower_misses += 1
         physical = lower_plan(plan, self.engine.kind, instance=self.engine)
-        evicted = 0
-        if len(self._lowered) >= LOWER_CACHE_SIZE:
-            self._lowered.popitem(last=False)
-            evicted = 1
-            self.lower_evictions += 1
-        self._lowered[id(plan)] = (plan, physical)
-        with _LOWERING_STATS_LOCK:
-            LOWERING_STATS["misses"] += 1
-            LOWERING_STATS["evictions"] += evicted
+        evictions = cache.evictions
+        cache.put(id(plan), (plan, physical))
+        _COUNTERS.add(0, 1, cache.evictions - evictions)
         return physical
 
     def lowering_cache_stats(self):
         """This runtime's lowering-cache counters (a fresh dict)."""
-        return {
-            "hits": self.lower_hits,
-            "misses": self.lower_misses,
-            "evictions": self.lower_evictions,
-            "size": len(self._lowered),
-        }
+        return self._lowered.stats()
 
     # ------------------------------------------------------------------
     # entry point

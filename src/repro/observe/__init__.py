@@ -14,6 +14,9 @@ Three layers, all zero-dependency and inert by default:
 
 The performance observatory builds on those layers:
 
+* :mod:`repro.observe.counters` — the process-wide always-on counter
+  table (declare / add / snapshot / reset) behind the ledger, the query
+  server's ``/v1/stats`` and ``/metrics``,
 * :mod:`repro.observe.history` — the run-history ledger: every benchmark
   or profile run recorded as a :class:`~repro.observe.history.RunRecord`
   (JSONL under ``.repro/perf/`` plus ``BENCH_<name>.json`` snapshots),

@@ -199,9 +199,11 @@ def metrics_to_prometheus(registry, prefix="repro"):
     Counters and gauges become one sample per labeled series; histograms
     become summaries (``quantile`` series plus ``_sum``/``_count``).
     Instrument names are sanitized (dots to underscores); label values are
-    quoted and escaped per the format.
+    quoted and escaped per the format.  *registry* may also be an already
+    exported ``to_dict()`` document (the query server passes the snapshot
+    it took under its stats lock).
     """
-    exported = registry.to_dict()
+    exported = registry if isinstance(registry, dict) else registry.to_dict()
     lines = []
     types = (
         ("counters", "counter", ""),

@@ -25,6 +25,7 @@ import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from repro.observe import counters
 from repro.observe.log import get_logger
 from repro.observe.trace import CPU, IO, REQUESTS, SEEK, TRANSFER
 
@@ -72,45 +73,30 @@ def config_fingerprint(parameters):
 
 
 def collect_counters():
-    """The always-on process-wide counters, one group per subsystem."""
+    """The always-on process-wide counters, one group per subsystem: the
+    counter table plus the two derived ratios and the artifact cache's
+    instance counters.  (Loading :mod:`repro.bench` for the cache read
+    imports every module that declares a group, so the document has the
+    same groups in every process.)"""
     from repro.bench.artifacts import cache_stats
-    from repro.bench.scheduler import scheduler_stats
-    from repro.engine.buffer import global_stats, hit_ratio
-    from repro.exec.morsel import morsel_stats
-    from repro.exec.runtime import global_lowering_cache_stats
-    from repro.storage.compress import compress_stats
+    from repro.engine.buffer import hit_ratio
 
-    buffer_pool = global_stats()
+    document = counters.snapshot()
+    buffer_pool = document["buffer_pool"]
     buffer_pool["hit_ratio"] = hit_ratio(buffer_pool)
-    compression = compress_stats()
+    compression = document["compression"]
     compression["compression_ratio"] = (
         compression["logical_bytes"] / compression["compressed_bytes"]
         if compression["compressed_bytes"] else 1.0
     )
-    return {
-        "buffer_pool": buffer_pool,
-        "artifact_cache": cache_stats(),
-        "lowering_cache": global_lowering_cache_stats(),
-        "scheduler": scheduler_stats(),
-        "compression": compression,
-        "parallel": morsel_stats(),
-    }
+    document["artifact_cache"] = cache_stats()
+    return document
 
 
 def reset_counters():
     """Zero every process-wide counter group so a recorded run's counters
     cover exactly that run."""
-    from repro.bench.scheduler import reset_scheduler_stats
-    from repro.engine.buffer import reset_global_stats
-    from repro.exec.morsel import reset_morsel_stats
-    from repro.exec.runtime import reset_lowering_cache_stats
-    from repro.storage.compress import reset_compress_stats
-
-    reset_global_stats()
-    reset_lowering_cache_stats()
-    reset_scheduler_stats()
-    reset_compress_stats()
-    reset_morsel_stats()
+    counters.reset()
 
 
 def strip_meta(document):

@@ -2,7 +2,7 @@
 
 The benchmark plans are hand-ordered the way the paper's SQL implies, and
 the calibrated Tables 6/7 run them as-is.  This optimizer exists as an
-opt-in extension (``RDFStore.sql(..., optimize=True)`` or
+opt-in extension (``Session.query(..., optimize=True)`` or
 :func:`optimize_joins` directly): it flattens each join tree, estimates
 cardinalities with System-R-style statistics, and rebuilds a left-deep
 join order greedily — start from the smallest relation, repeatedly join

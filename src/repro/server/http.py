@@ -22,7 +22,8 @@ Wire protocol (JSON over HTTP):
 ``GET /v1/stats``
     Scheduler + store counters as JSON.
 ``GET /metrics``
-    The scheduler registry in Prometheus text exposition format.
+    The scheduler registry and the process-wide counters
+    (:mod:`repro.observe.counters`) in Prometheus text exposition format.
 ``GET /healthz``
     Liveness.
 
@@ -41,7 +42,9 @@ from repro.errors import (
     ServerOverloaded,
     SessionClosed,
 )
+from repro.observe import counters
 from repro.observe.export import metrics_to_prometheus
+from repro.observe.history import collect_counters
 from repro.observe.log import get_logger
 from repro.server.scheduler import SchedulerConfig, SessionScheduler
 
@@ -233,8 +236,6 @@ class QueryServer:
             "buffer_hit_ratio": store.engine.pool.hit_ratio(),
         }
         document["plan_cache"] = self.connection.plan_cache_stats()
-        from repro.exec.morsel import morsel_stats
-
         engine = store.engine
         context = (
             engine.parallelism() if hasattr(engine, "parallelism") else None
@@ -244,7 +245,7 @@ class QueryServer:
             "pool_helpers": 0 if context is None else context.pool.helpers,
             "morsel_rows": None if context is None else context.morsel_rows,
             "max_dop": self.scheduler.config.max_dop,
-            **morsel_stats(),
+            **counters.snapshot("parallel"),
         }
         with self._session_lock:
             document["sessions"] = {"open": len(self._sessions)}
@@ -253,6 +254,21 @@ class QueryServer:
         if race_check_enabled():
             document["race"] = race_report()
         return document
+
+    def metrics_text(self):
+        """The ``/metrics`` body: the scheduler registry and the process
+        counters in one document.  The registry half is the snapshot
+        :meth:`SessionScheduler.stats` takes under its lock — worker
+        threads insert first-seen labelled series while we render."""
+        self.scheduler.publish_plan_cache(self.connection.plan_cache_stats())
+        exported = self.scheduler.stats()
+        for group, values in collect_counters().items():
+            for name, value in values.items():
+                if value is None:  # a ratio with no observations yet
+                    continue
+                section = "gauges" if name.endswith("_ratio") else "counters"
+                exported[section][f"{group}.{name}"] = value
+        return metrics_to_prometheus(exported)
 
 
 def _make_handler(server):
@@ -307,12 +323,7 @@ def _make_handler(server):
             elif self.path == "/v1/stats":
                 self._send_json(200, self.query_server.stats_document())
             elif self.path == "/metrics":
-                self.query_server.scheduler.publish_plan_cache(
-                    self.query_server.connection.plan_cache_stats()
-                )
-                text = metrics_to_prometheus(
-                    self.query_server.scheduler.registry
-                )
+                text = self.query_server.metrics_text()
                 self._send(
                     200, "text/plain; version=0.0.4", text.encode("utf-8")
                 )

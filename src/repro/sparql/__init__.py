@@ -12,13 +12,13 @@ it onto any store through the BGP translator:
 
 Example::
 
-    store.sparql('''
+    store.connection().session().query('''
         SELECT ?book ?lang WHERE {
             ?book <type> <Text> .
             ?book <language> ?lang .
             FILTER(?lang != <language/iso639-2b/eng>)
         }
-    ''')
+    ''').bindings()
 """
 
 from repro.sparql.parser import parse_sparql, SparqlQuery

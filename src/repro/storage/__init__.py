@@ -18,12 +18,7 @@ created; the query builders in :mod:`repro.queries` consume the catalog.
 """
 
 from repro.storage.catalog import StoreCatalog, CLUSTERINGS
-from repro.storage.compress import (
-    CompressionConfig,
-    choose_codec,
-    compress_stats,
-    reset_compress_stats,
-)
+from repro.storage.compress import CompressionConfig, choose_codec
 from repro.storage.payload import build_store_from_payload
 from repro.storage.triple_store import (
     build_triple_store,
@@ -41,8 +36,6 @@ __all__ = [
     "CLUSTERINGS",
     "CompressionConfig",
     "choose_codec",
-    "compress_stats",
-    "reset_compress_stats",
     "build_store_from_payload",
     "build_triple_store",
     "build_vertical_store",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StorageError
-from repro.observe.race import guard_lock, shared_state
+from repro.observe import counters
 
 #: Uncompressed storage: one int64 per value.
 VALUE_BYTES = 8
@@ -121,64 +121,34 @@ class CompressionConfig:
 
 
 # ---------------------------------------------------------------------------
-# process-wide counters (perf-observatory style: plain ints under a lock)
+# process-wide counters: the ``compression`` group of repro.observe.counters
 # ---------------------------------------------------------------------------
 
-_COMPRESS_STATS_LOCK = guard_lock("storage.compress.COMPRESS_STATS")
-COMPRESS_STATS = shared_state(  # guarded-by: _COMPRESS_STATS_LOCK
-    "storage.compress.COMPRESS_STATS",
-    {
-        "columns_compressed": 0,
-        "columns_raw": 0,
-        "logical_bytes": 0,
-        "compressed_bytes": 0,
-        "bytes_scanned": 0,
-        "logical_bytes_scanned": 0,
-        "runs_skipped": 0,
-        "compressed_reads": 0,
-    },
-    _COMPRESS_STATS_LOCK,
+_COUNTERS = counters.declare(
+    "compression", columns_compressed=0, columns_raw=0, logical_bytes=0,
+    compressed_bytes=0, bytes_scanned=0, logical_bytes_scanned=0,
+    runs_skipped=0, compressed_reads=0,
 )
-
-
-def compress_stats():
-    """Snapshot of the process-wide compression counters."""
-    with _COMPRESS_STATS_LOCK:
-        return dict(COMPRESS_STATS)
-
-
-def reset_compress_stats():
-    with _COMPRESS_STATS_LOCK:
-        for key in COMPRESS_STATS:
-            COMPRESS_STATS[key] = 0
 
 
 def note_column(encoding, n_values):
     """Account one encoded (or raw-kept) column at table-build time."""
     logical = n_values * VALUE_BYTES
-    with _COMPRESS_STATS_LOCK:
-        COMPRESS_STATS["logical_bytes"] += logical
-        if encoding is None:
-            COMPRESS_STATS["columns_raw"] += 1
-            COMPRESS_STATS["compressed_bytes"] += logical
-        else:
-            COMPRESS_STATS["columns_compressed"] += 1
-            COMPRESS_STATS["compressed_bytes"] += encoding.nbytes
+    if encoding is None:
+        _COUNTERS.add(0, 1, logical, logical, 0, 0, 0, 0)
+    else:
+        _COUNTERS.add(1, 0, logical, encoding.nbytes, 0, 0, 0, 0)
 
 
 def note_scan(compressed_bytes, logical_bytes):
     """Account one compressed read (operators call this per fetch)."""
-    with _COMPRESS_STATS_LOCK:
-        COMPRESS_STATS["bytes_scanned"] += int(compressed_bytes)
-        COMPRESS_STATS["logical_bytes_scanned"] += int(logical_bytes)
-        COMPRESS_STATS["compressed_reads"] += 1
+    _COUNTERS.add(0, 0, 0, 0, int(compressed_bytes), int(logical_bytes), 0, 1)
 
 
 def note_runs_skipped(n):
     """Account rows whose per-row work collapsed into per-run work."""
     if n:
-        with _COMPRESS_STATS_LOCK:
-            COMPRESS_STATS["runs_skipped"] += int(n)
+        _COUNTERS.add(0, 0, 0, 0, 0, 0, int(n), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ from repro.errors import PlanError
 from repro.plan import GroupBy, Scan
 from repro.rowstore import RowStoreEngine
 
+
+def sql(store, text):
+    return store.connection().session().query(text).rows
+
 NT = """
 <a> <score> "1" .
 <b> <score> "5" .
@@ -125,7 +129,8 @@ class TestSQL:
 
     def test_min_max_with_group(self):
         store = RDFStore.from_ntriples(NT, scheme="triple")
-        rows = store.sql(
+        rows = sql(
+            store,
             "SELECT A.prop, count(*), min(A.obj), max(A.obj) "
             "FROM triples AS A GROUP BY A.prop ORDER BY A.prop"
         )
@@ -136,7 +141,8 @@ class TestSQL:
 
     def test_global_aggregate(self):
         store = RDFStore.from_ntriples(NT, scheme="triple")
-        rows = store.sql(
+        rows = sql(
+            store,
             "SELECT min(A.obj) FROM triples AS A "
             "WHERE A.prop = '<score>'"
         )
@@ -144,7 +150,8 @@ class TestSQL:
 
     def test_aggregate_alias(self):
         store = RDFStore.from_ntriples(NT, scheme="triple")
-        rows = store.sql(
+        rows = sql(
+            store,
             "SELECT max(A.obj) AS top FROM triples AS A "
             "WHERE A.prop = '<score>'"
         )
@@ -163,7 +170,8 @@ class TestSQL:
     def test_decoded_as_strings(self):
         """min/max outputs are oid columns: they decode to strings."""
         store = RDFStore.from_ntriples(NT, scheme="triple")
-        rows = store.sql(
+        rows = sql(
+            store,
             "SELECT min(A.subj) FROM triples AS A WHERE A.prop = '<type>'"
         )
         assert rows == [("<a>",)]

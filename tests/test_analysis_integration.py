@@ -93,11 +93,11 @@ def test_optimizer_keeps_plans_lint_clean(dataset):
     store = RDFStore.from_triples(
         dataset.triples[:2000], engine="column", scheme="triple"
     )
-    rows = store.sql(
+    rows = store.connection().session().query(
         "SELECT A.subj, B.obj FROM triples AS A, triples AS B "
         "WHERE A.obj = B.subj AND A.prop = '<type>'",
         optimize=True,
-    )
+    ).rows
     assert isinstance(rows, list)
 
 

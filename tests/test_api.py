@@ -21,6 +21,7 @@ from repro.errors import (
     ReproError,
     SessionClosed,
 )
+from repro.lru import LruCache
 
 SCALE = dict(n_triples=4_000, n_properties=40, seed=11)
 
@@ -220,9 +221,7 @@ class TestPlanCache:
     def test_lru_evicts_least_recently_used(self):
         """The raw cache structure: touching an old entry saves it from
         eviction (the FIFO this replaced would have dropped it)."""
-        from repro.api import _LruCache
-
-        cache = _LruCache(3)
+        cache = LruCache(3)
         for key in ("a", "b", "c"):
             assert cache.get(key) is None
             cache.put(key, key.upper())
@@ -235,9 +234,7 @@ class TestPlanCache:
         assert len(cache) == 3
 
     def test_put_is_insert_if_absent(self):
-        from repro.api import _LruCache
-
-        cache = _LruCache(2)
+        cache = LruCache(2)
         first = object()
         assert cache.put("k", first) is first
         assert cache.put("k", object()) is first  # first build wins
@@ -248,7 +245,7 @@ class TestPlanCache:
         rolls the cache over while a hot entry survives."""
         monkeypatch.setattr(api, "PLAN_CACHE_SIZE", 4)
         conn = fresh_connection(dataset)
-        conn._plans = api._LruCache(4)
+        conn._plans = LruCache(4)
         conn._plan_for("q1")
         for name in ("q2", "q3", "q4"):
             conn._plan_for(name)
@@ -338,39 +335,10 @@ class TestTimeouts:
 
 
 # ---------------------------------------------------------------------------
-# shim parity: the deprecated RDFStore surface delegates to repro.api
+# parity with RDFStore.benchmark_query, the benchmark harness's entry point
 # ---------------------------------------------------------------------------
 
 class TestShimParity:
-    def test_sql_shim_warns_and_matches(self, dataset):
-        store = RDFStore(
-            dataset.triples, scheme="triple",
-            interesting_properties=dataset.interesting_properties,
-        )
-        sql = "SELECT A.subj, A.obj FROM triples AS A WHERE A.prop = '<type>'"
-        with pytest.warns(DeprecationWarning, match="RDFStore.sql"):
-            shim_rows = store.sql(sql)
-        api_rows = store.connection().session().query(sql).rows
-        assert shim_rows == api_rows
-
-    def test_sparql_shim_warns_and_matches(self, dataset):
-        store = RDFStore(
-            dataset.triples,
-            interesting_properties=dataset.interesting_properties,
-        )
-        with pytest.warns(DeprecationWarning, match="RDFStore.sparql"):
-            shim = store.sparql(SPARQL)
-        assert shim == store.connection().session().query(SPARQL).bindings()
-
-    def test_solve_shim_matches(self, dataset):
-        store = RDFStore(
-            dataset.triples,
-            interesting_properties=dataset.interesting_properties,
-        )
-        patterns = [(Var("s"), "<type>", Var("c"))]
-        assert store.solve(patterns) == \
-            store.connection().session().solve(patterns)
-
     def test_benchmark_costs_match_on_exec_parity_cells(self, dataset):
         """Session.query(mode=...) reproduces RDFStore.benchmark_query's
         simulated timings bit-for-bit on the goldens' engine x scheme

@@ -103,7 +103,7 @@ def test_bgp_matches_reference(raw_triples, bgp, scheme):
     variables = sorted(
         {t.name for pattern in bgp for t in pattern if isinstance(t, Var)}
     )
-    got = store.solve(bgp, projection=variables)
+    got = store.connection().session().solve(bgp, projection=variables)
 
     def canon(bindings):
         return sorted(

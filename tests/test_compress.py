@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import StorageError
+from repro.observe import counters
 from repro.storage.compress import (
     CODEC_ORDER,
     DELTA_BLOCK,
@@ -24,11 +25,9 @@ from repro.storage.compress import (
     RleColumn,
     choose_codec,
     column_stats,
-    compress_stats,
     note_column,
     note_runs_skipped,
     note_scan,
-    reset_compress_stats,
 )
 
 CODEC_CLASSES = (RleColumn, DeltaColumn, DictColumn)
@@ -242,7 +241,7 @@ class TestConfig:
 
 class TestCounters:
     def test_note_column_and_scan_arithmetic(self):
-        reset_compress_stats()
+        counters.reset("compression")
         try:
             values = np.repeat(np.arange(4, dtype=np.int64), 100)
             encoding = choose_codec(values)
@@ -251,7 +250,7 @@ class TestCounters:
             note_scan(64, 512)
             note_runs_skipped(96)
             note_runs_skipped(0)   # no-op
-            stats = compress_stats()
+            stats = counters.snapshot("compression")
             assert stats["columns_compressed"] == 1
             assert stats["columns_raw"] == 1
             assert stats["logical_bytes"] == 400 * 8 + 10 * 8
@@ -261,5 +260,5 @@ class TestCounters:
             assert stats["runs_skipped"] == 96
             assert stats["compressed_reads"] == 1
         finally:
-            reset_compress_stats()
-        assert compress_stats()["logical_bytes"] == 0
+            counters.reset("compression")
+        assert counters.snapshot("compression")["logical_bytes"] == 0

@@ -272,6 +272,5 @@ def test_shipped_package_graph_is_acyclic():
 def test_shipped_package_graph_knows_the_annotated_locks():
     document = lock_graph_document()
     lock_names = set(document["locks"])
-    assert "repro.engine.buffer._GLOBAL_STATS_LOCK" in lock_names
-    assert "repro.storage.compress._COMPRESS_STATS_LOCK" in lock_names
+    assert "repro.observe.counters._LOCK" in lock_names
     assert document["cycles"] == []

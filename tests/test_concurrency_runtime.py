@@ -2,7 +2,7 @@
 cross-check (repro.analysis.concurrency.determinism).
 
 The injected-violation tests are the fail-loud proof: an unguarded write
-to an annotated structure — including the real ``GLOBAL_STATS`` — is
+to an annotated structure — including the real counter table — is
 recorded with its structure, op, thread, and missing lock.
 """
 
@@ -114,18 +114,17 @@ class TestWriteBarrier:
     def test_injected_unguarded_write_on_global_stats(self, race_check):
         # The acceptance-criteria injection: mutate the real annotated
         # structure without its lock and the report names it.
-        from repro.engine.buffer import GLOBAL_STATS, _GLOBAL_STATS_LOCK
+        from repro.observe.counters import _LOCK, _TABLE
 
-        with _GLOBAL_STATS_LOCK:
-            GLOBAL_STATS["page_hits"] += 0  # guarded: no violation
-        GLOBAL_STATS["page_hits"] += 0  # unguarded: flagged
+        row = _TABLE["buffer_pool"]
+        with _LOCK:
+            _TABLE["buffer_pool"] = row  # guarded: no violation
+        _TABLE["buffer_pool"] = row  # unguarded: flagged
         report = race_report()
-        entry = report["structures"]["engine.buffer.GLOBAL_STATS"]
+        entry = report["structures"]["observe.counters"]
         assert entry["mutations"] == 2
         assert entry["unguarded"] == 1
-        assert report["violations"][0]["structure"] == (
-            "engine.buffer.GLOBAL_STATS"
-        )
+        assert report["violations"][0]["structure"] == "observe.counters"
 
 
 class TestInstrumentedLock:
@@ -196,7 +195,7 @@ class TestDeterminismHarness:
         assert race["violation_count"] == 0
         # The workload exercised the annotated buffer-pool counters from
         # more than one thread — the barrier was genuinely recording.
-        assert race["structures"]["engine.buffer.GLOBAL_STATS"]["threads"] > 1
+        assert race["structures"]["observe.counters"]["threads"] > 1
 
     def test_harness_restores_the_barrier_state(self):
         was_enabled = race_check_enabled()

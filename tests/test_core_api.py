@@ -6,6 +6,14 @@ from repro import RDFStore, Triple, Var, generate_barton
 from repro.core.bgp import bgp_plan
 from repro.errors import PlanError, StorageError
 
+
+def sql(store, text):
+    return store.connection().session().query(text).rows
+
+
+def solve(store, patterns, projection=None):
+    return store.connection().session().solve(patterns, projection)
+
 SMALL_NT = """
 <e1> <type> <Text> .
 <e1> <language> <fre> .
@@ -78,7 +86,8 @@ class TestMatch:
 
 class TestSolve:
     def test_subject_subject_join(self, store):
-        bindings = store.solve(
+        bindings = solve(
+            store,
             [
                 (Var("s"), "<type>", "<Text>"),
                 (Var("s"), "<language>", Var("lang")),
@@ -87,7 +96,8 @@ class TestSolve:
         assert bindings == [{"s": "<e1>", "lang": "<fre>"}]
 
     def test_object_subject_join(self, store):
-        bindings = store.solve(
+        bindings = solve(
+            store,
             [
                 (Var("a"), "<records>", Var("b")),
                 (Var("b"), "<type>", Var("t")),
@@ -96,13 +106,14 @@ class TestSolve:
         assert bindings == [{"a": "<e3>", "b": "<e1>", "t": "<Text>"}]
 
     def test_property_variable(self, store):
-        bindings = store.solve([("<e1>", Var("p"), Var("o"))])
+        bindings = solve(store, [("<e1>", Var("p"), Var("o"))])
         assert sorted(
             (b["p"], b["o"]) for b in bindings
         ) == [("<language>", "<fre>"), ("<type>", "<Text>")]
 
     def test_projection_subset(self, store):
-        bindings = store.solve(
+        bindings = solve(
+            store,
             [
                 (Var("s"), "<type>", "<Text>"),
                 (Var("s"), "<language>", Var("lang")),
@@ -122,12 +133,13 @@ class TestSolve:
         expected = sorted(
             (b["s"], b["t"]) for b in graph.solve(patterns)
         )
-        got = sorted((b["s"], b["t"]) for b in store.solve(patterns))
+        got = sorted((b["s"], b["t"]) for b in solve(store, patterns))
         assert got == expected
 
     def test_unconnected_bgp_rejected(self, store):
         with pytest.raises(PlanError):
-            store.solve(
+            solve(
+                store,
                 [
                     (Var("a"), "<type>", "<Text>"),
                     (Var("b"), "<language>", "<fre>"),
@@ -137,11 +149,12 @@ class TestSolve:
     def test_repeated_variable_within_pattern(self, store):
         """(?x, <records>, ?x) — self-referential pattern, realized via a
         post-scan column-column filter (none in the test data)."""
-        assert store.solve([(Var("x"), "<records>", Var("x"))]) == []
+        assert solve(store, [(Var("x"), "<records>", Var("x"))]) == []
 
     def test_cyclic_bgp(self, store):
         """A cyclic BGP: e3 records e1, both share <type> structure."""
-        bindings = store.solve(
+        bindings = solve(
+            store,
             [
                 (Var("a"), "<records>", Var("b")),
                 (Var("a"), "<type>", Var("t")),
@@ -154,17 +167,18 @@ class TestSolve:
 
     def test_empty_bgp_rejected(self, store):
         with pytest.raises(PlanError):
-            store.solve([])
+            solve(store, [])
 
     def test_unknown_projection_rejected(self, store):
         with pytest.raises(PlanError):
-            store.solve([(Var("s"), "<type>", Var("o"))], projection=["zz"])
+            solve(store, [(Var("s"), "<type>", Var("o"))], projection=["zz"])
 
 
 class TestSQL:
     def test_sql_on_triple_store(self):
         store = RDFStore.from_ntriples(SMALL_NT, scheme="triple")
-        rows = store.sql(
+        rows = sql(
+            store,
             "SELECT A.obj, count(*) FROM triples AS A "
             "WHERE A.prop = '<type>' GROUP BY A.obj"
         )
@@ -173,7 +187,7 @@ class TestSQL:
     def test_sql_on_vertical_store_property_table(self):
         store = RDFStore.from_ntriples(SMALL_NT, scheme="vertical")
         table = store.catalog.property_table("<type>")
-        rows = store.sql(f"SELECT obj, count(*) FROM {table} GROUP BY obj")
+        rows = sql(store, f"SELECT obj, count(*) FROM {table} GROUP BY obj")
         assert sorted(rows) == [("<Date>", 1), ("<Text>", 2)]
 
     def test_explain_renders_plan(self, store):

@@ -1,0 +1,291 @@
+"""The process-wide counter table (:mod:`repro.observe.counters`).
+
+Coverage: one key set reaches the ledger, ``/metrics`` and the docs.
+Exactness: the table moves by exactly what the per-instance views move.
+Concurrency: no lost update, and the write barrier audits every write.
+"""
+
+import json
+import pathlib
+import re
+import subprocess
+import sys
+import threading
+import urllib.request
+
+import pytest
+
+import repro.api as api
+from repro.data import generate_barton
+from repro.exec import morsel
+from repro.observe import counters
+from repro.observe.history import collect_counters
+from repro.observe.race import (
+    enable_race_check,
+    race_check_enabled,
+    race_report,
+    reset_race_state,
+)
+from repro.server import serve
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: ``collect_counters()`` at the commit before the table existed: six
+#: groups, 29 leaves.  The ledger's ``counters`` document is read by
+#: ``repro perf compare`` against committed baselines, so this set only
+#: ever grows, and only together with docs/observability.md.
+LEDGER_KEYS = {
+    "buffer_pool.page_hits", "buffer_pool.page_misses",
+    "buffer_pool.evictions", "buffer_pool.disk_requests",
+    "buffer_pool.bytes_transferred", "buffer_pool.account_calls",
+    "buffer_pool.hit_ratio",
+    "artifact_cache.hits", "artifact_cache.misses", "artifact_cache.corrupt",
+    "lowering_cache.hits", "lowering_cache.misses",
+    "lowering_cache.evictions",
+    "scheduler.cells", "scheduler.repeats", "scheduler.wall_ms",
+    "compression.columns_compressed", "compression.columns_raw",
+    "compression.logical_bytes", "compression.compressed_bytes",
+    "compression.bytes_scanned", "compression.logical_bytes_scanned",
+    "compression.runs_skipped", "compression.compressed_reads",
+    "compression.compression_ratio",
+    "parallel.batches", "parallel.inline_batches", "parallel.morsels",
+    "parallel.steals",
+}
+
+
+def flat_keys(document):
+    return {
+        f"{group}.{name}"
+        for group, values in document.items() for name in values
+    }
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generate_barton(n_triples=3_000, n_properties=30, seed=7)
+
+
+@pytest.fixture()
+def connection(dataset):
+    return api.connect(
+        triples=dataset.triples,
+        interesting_properties=dataset.interesting_properties,
+    )
+
+
+@pytest.fixture()
+def race_check():
+    was_enabled = race_check_enabled()
+    enable_race_check(True)
+    reset_race_state()
+    yield
+    reset_race_state()
+    enable_race_check(was_enabled)
+
+
+class TestCoverage:
+    def test_key_set_is_pinned(self):
+        assert flat_keys(collect_counters()) == LEDGER_KEYS
+
+    def test_a_fresh_process_reports_every_group(self):
+        # Groups are declared when their owner is imported; the ledger
+        # must not depend on what else the process happened to load.
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import json; "
+             "from repro.observe.history import collect_counters; "
+             "print(json.dumps(collect_counters()))"],
+            capture_output=True, text=True, timeout=120, cwd=ROOT,
+            env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert flat_keys(json.loads(completed.stdout)) == LEDGER_KEYS
+
+    @pytest.mark.parametrize("baseline", [
+        "BENCH_fig6_smoke_baseline.json",
+        "BENCH_compress_smoke_baseline.json",
+    ])
+    def test_ci_baselines_compare_key_for_key(self, baseline):
+        document = json.loads((ROOT / "ci" / baseline).read_text())
+        recorded = flat_keys(document["counters"])
+        assert recorded and recorded <= LEDGER_KEYS
+
+    def test_every_counter_is_documented(self):
+        text = (ROOT / "docs" / "observability.md").read_text()
+        section = text.split("### Always-on counters")[1].split("\n## ")[0]
+        rows = set(re.findall(
+            r"^\| `([a-z_]+\.[a-z_]+)` \|", section, flags=re.MULTILINE
+        ))
+        assert rows == LEDGER_KEYS
+
+    def test_every_counter_is_a_metrics_series(self, connection):
+        with serve(connection, port=0, workers=2, background=True) as server:
+            request = urllib.request.Request(
+                server.address + "/v1/query",
+                data=json.dumps({"query": "q1"}).encode("utf-8"),
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                assert response.status == 200
+            with urllib.request.urlopen(
+                server.address + "/metrics", timeout=10
+            ) as response:
+                exposition = response.read().decode("utf-8")
+        series = {
+            line.split(" ")[0]: line.split(" ")[1]
+            for line in exposition.splitlines() if not line.startswith("#")
+        }
+        for key in LEDGER_KEYS:  # q1 ran, so no ratio is None any more
+            assert "repro_" + key.replace(".", "_") in series, key
+        assert float(series["repro_buffer_pool_page_misses"]) > 0
+        assert "# TYPE repro_buffer_pool_page_hits counter" in exposition
+        assert "# TYPE repro_buffer_pool_hit_ratio gauge" in exposition
+        # ... beside the scheduler's own series, not instead of them.
+        assert 'repro_server_queries{outcome="completed"}' in series
+        assert "repro_server_plan_cache_hits" in series
+
+    def test_metrics_renders_the_registry_under_the_stats_lock(
+        self, connection, monkeypatch
+    ):
+        """Worker threads insert first-seen labelled series while
+        ``/metrics`` iterates the registry: the dump must be taken under
+        the scheduler's stats lock, as ``/v1/stats`` always did."""
+        with serve(connection, port=0, workers=2, background=True) as server:
+            scheduler = server.scheduler
+            dump = scheduler.registry.to_dict
+            held = []
+
+            def audited_dump():
+                held.append(scheduler._stats_lock.locked())
+                return dump()
+
+            monkeypatch.setattr(scheduler.registry, "to_dict", audited_dump)
+            with urllib.request.urlopen(
+                server.address + "/metrics", timeout=10
+            ) as response:
+                assert response.status == 200
+        assert held and all(held)
+
+
+class TestExactness:
+    def test_table_moves_with_the_instance_views(self, connection):
+        pool = connection.store.engine.pool
+        runtime = connection.store.engine.executor()
+
+        def views():
+            return (
+                counters.snapshot("buffer_pool"), pool.stats(),
+                counters.snapshot("lowering_cache"),
+                runtime.lowering_cache_stats(),
+            )
+
+        before = views()
+        session = connection.session()
+        for text, mode in (
+            ("q1", "cold"), ("q2", None), ("q1", None), ("q5", "hot"),
+            ("SELECT ?s WHERE { ?s <type> <Text> }", None), ("q2", "cold"),
+        ):
+            session.query(text, mode=mode)
+        after = views()
+
+        table_pool, view_pool, table_lower, view_lower = (
+            {key: new[key] - old[key] for key in new if key in old}
+            for old, new in zip(before, after)
+        )
+        assert view_pool["page_misses"] > 0 and view_pool["page_hits"] > 0
+        for key, delta in view_pool.items():
+            assert table_pool[key] == delta, key
+        assert table_pool["account_calls"] > 0
+        assert view_lower["hits"] > 0 and view_lower["misses"] > 0
+        for key in ("hits", "misses", "evictions"):
+            assert table_lower[key] == view_lower[key], key
+
+
+class TestTable:
+    def test_snapshot_is_a_copy_and_reset_takes_one_group(self):
+        counters.reset()
+        handle = morsel._COUNTERS
+        handle.add(1, 0, 5, 2)
+        counters.snapshot("parallel")["morsels"] = 99      # a fresh dict
+        counters.snapshot()["parallel"]["morsels"] = 99
+        assert counters.snapshot("parallel") == {
+            "batches": 1, "inline_batches": 0, "morsels": 5, "steals": 2,
+        }
+        counters.reset("scheduler")
+        assert counters.snapshot("parallel")["morsels"] == 5
+        counters.reset("parallel")
+        assert counters.snapshot("parallel")["morsels"] == 0
+        wall_ms = counters.snapshot("scheduler")["wall_ms"]
+        assert wall_ms == 0.0 and isinstance(wall_ms, float)
+
+    def test_wrong_number_of_deltas_is_refused(self):
+        before = counters.snapshot("parallel")
+        with pytest.raises(TypeError, match="takes 4 deltas"):
+            morsel._COUNTERS.add(1, 2, 3)
+        assert counters.snapshot("parallel") == before
+
+    def test_a_group_is_declared_once(self):
+        with pytest.raises(ValueError, match="already declared"):
+            counters.declare("parallel", batches=0)
+        with pytest.raises(KeyError):
+            counters.snapshot("no_such_group")
+
+
+class TestConcurrency:
+    THREADS = 8
+    ADDS = 10_000
+
+    def _hammer(self):
+        handle = morsel._COUNTERS
+        start = threading.Barrier(self.THREADS)
+
+        def work():
+            start.wait()
+            for _ in range(self.ADDS):
+                handle.add(1, 0, 2, 3)
+
+        threads = [
+            threading.Thread(target=work) for _ in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave inside the adds
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_concurrent_adds_lose_nothing(self):
+        before = counters.snapshot("parallel")
+        self._hammer()
+        after = counters.snapshot("parallel")
+        total = self.THREADS * self.ADDS
+        assert {k: after[k] - before[k] for k in after} == {
+            "batches": total, "inline_batches": 0,
+            "morsels": 2 * total, "steals": 3 * total,
+        }
+
+    def test_write_barrier_audits_every_add(self, race_check):
+        self._hammer()
+        report = race_report()
+        entry = report["structures"]["observe.counters"]
+        assert entry["threads"] == self.THREADS
+        assert entry["mutations"] == self.THREADS * self.ADDS
+        assert entry["unguarded"] == 0
+        assert report["violation_count"] == 0
+
+    def test_write_outside_the_lock_is_flagged(self, race_check):
+        counters.reset("parallel")  # through the API: guarded
+        assert race_report()["violation_count"] == 0
+        counters._TABLE["parallel"] = (0, 0, 0, 0)  # behind its back
+        report = race_report()
+        assert report["structures"]["observe.counters"]["unguarded"] == 1
+        assert report["violations"][0] == {
+            "structure": "observe.counters",
+            "op": "__setitem__",
+            "thread": threading.get_ident(),
+            "lock": "observe.counters",
+        }

@@ -15,12 +15,12 @@ import pytest
 import repro.api as api
 from repro.colstore import ColumnStoreEngine
 from repro.data import generate_barton
-from repro.exec.morsel import morsel_stats, reset_morsel_stats
 from repro.exec.parity import (
     compare_parity,
     parity_sweep,
     timing_document,
 )
+from repro.observe import counters
 from repro.plan import Comparison, Extend, GroupBy, Project, Scan, Select, Union
 from repro.storage import build_vertical_store
 
@@ -122,7 +122,7 @@ class TestSweepParity:
         self, baselines, workers, compression, monkeypatch
     ):
         monkeypatch.setenv("REPRO_MORSEL_ROWS", SMALL_MORSELS)
-        reset_morsel_stats()
+        counters.reset("parallel")
         sweep = parity_sweep(
             column_engine_options=_engine_options(compression, workers=workers)
         )
@@ -131,7 +131,7 @@ class TestSweepParity:
             # The kernel must have split its ranges AND the pool must
             # have run real batches — a parity pass with zero batches
             # would prove nothing.
-            assert morsel_stats()["batches"] > 0
+            assert counters.snapshot("parallel")["batches"] > 0
 
     def test_morsel_size_does_not_change_costs(self, baselines, monkeypatch):
         # Morsel boundaries partition the coordinator's replay inputs,
@@ -156,13 +156,13 @@ class TestSweepParity:
                 engine, dataset.triples, dataset.interesting_properties
             )
             plan = PLAN_SHAPES[shape](catalog)
-            reset_morsel_stats()
+            counters.reset("parallel")
             relation, timing = engine.run(plan)
             runs[workers] = (
                 {name: relation.column(name).tolist()
                  for name in relation.columns},
                 timing_document(timing),
-                morsel_stats()["batches"],
+                counters.snapshot("parallel")["batches"],
             )
             if shape == "mixed-union":
                 # Output blocks keep branch order around the generic one.

@@ -21,12 +21,11 @@ from repro.exec.morsel import (
     WorkerPool,
     effective_dop,
     morsel_rows_from_env,
-    morsel_stats,
-    reset_morsel_stats,
     shared_pool,
     split_morsels,
     workers_from_env,
 )
+from repro.observe import counters
 
 
 @pytest.fixture
@@ -151,19 +150,19 @@ class TestRunBatch:
             pool.run_batch(tasks, 4, cancel_token=token)
 
     def test_single_lane_runs_inline(self, pool):
-        reset_morsel_stats()
+        counters.reset("parallel")
         results, steals = pool.run_batch([lambda: 7, lambda: 8], 1)
         assert (results, steals) == ([7, 8], 0)
-        stats = morsel_stats()
+        stats = counters.snapshot("parallel")
         assert stats["inline_batches"] == 1
         assert stats["batches"] == 0
         assert stats["morsels"] == 2
 
     def test_single_task_runs_inline(self, pool):
-        reset_morsel_stats()
+        counters.reset("parallel")
         results, _steals = pool.run_batch([lambda: 42], 4)
         assert results == [42]
-        assert morsel_stats()["inline_batches"] == 1
+        assert counters.snapshot("parallel")["inline_batches"] == 1
 
     def test_inline_honours_cancellation(self, pool):
         token = CancellationToken()
@@ -172,10 +171,10 @@ class TestRunBatch:
             pool.run_batch([lambda: 1], 1, cancel_token=token)
 
     def test_counters_accumulate(self, pool):
-        reset_morsel_stats()
+        counters.reset("parallel")
         pool.run_batch([lambda i=i: i for i in range(10)], 4)
         pool.run_batch([lambda i=i: i for i in range(6)], 2)
-        stats = morsel_stats()
+        stats = counters.snapshot("parallel")
         assert stats["batches"] == 2
         assert stats["morsels"] == 16
 

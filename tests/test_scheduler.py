@@ -11,6 +11,7 @@ from repro.bench.scheduler import (
     run_cells,
     scheduler_meta,
 )
+from repro.observe import counters
 
 
 def _square(dataset, x):
@@ -163,14 +164,14 @@ class TestRepeats:
 
     def test_stats_accumulate(self, monkeypatch):
         monkeypatch.delenv(scheduler.REPEATS_ENV, raising=False)
-        scheduler.reset_scheduler_stats()
+        counters.reset("scheduler")
         run_cells([Cell(fn=_square, args=(2,))] * 3, dataset="d", jobs=1)
-        stats = scheduler.scheduler_stats()
+        stats = counters.snapshot("scheduler")
         assert stats["cells"] == 3
         assert stats["repeats"] == 3
         assert stats["wall_ms"] >= 0
-        scheduler.reset_scheduler_stats()
-        assert scheduler.scheduler_stats()["cells"] == 0
+        counters.reset("scheduler")
+        assert counters.snapshot("scheduler")["cells"] == 0
 
 
 class TestExperimentParity:

@@ -345,7 +345,7 @@ class TestQueryServer:
             enable_race_check(was_enabled)
         assert stats["race"]["enabled"] is True
         assert stats["race"]["violation_count"] == 0
-        assert "engine.buffer.GLOBAL_STATS" in stats["race"]["structures"]
+        assert "observe.counters" in stats["race"]["structures"]
 
     def test_stats_omit_race_report_when_disabled(self, server):
         from repro.observe.race import race_check_enabled

@@ -11,6 +11,10 @@ from repro.sql import parse_sql, plan_sql
 from repro import RDFStore
 
 
+def sql(store, text):
+    return store.connection().session().query(text).rows
+
+
 def engines():
     data = {
         "subj": np.array([3, 1, 2, 1, 3]),
@@ -139,7 +143,8 @@ class TestSQLOrderLimit:
 
     def test_end_to_end_order_and_limit(self):
         store = RDFStore.from_ntriples(self.NT, scheme="triple")
-        rows = store.sql(
+        rows = sql(
+            store,
             "SELECT A.subj, A.obj FROM triples AS A "
             "WHERE A.prop = '<score>' ORDER BY A.obj ASC LIMIT 2"
         )
@@ -147,7 +152,8 @@ class TestSQLOrderLimit:
 
     def test_order_by_output_alias(self):
         store = RDFStore.from_ntriples(self.NT, scheme="triple")
-        rows = store.sql(
+        rows = sql(
+            store,
             "SELECT A.obj AS score FROM triples AS A "
             "WHERE A.prop = '<score>' ORDER BY score DESC"
         )
@@ -155,7 +161,8 @@ class TestSQLOrderLimit:
 
     def test_order_by_count_end_to_end(self):
         store = RDFStore.from_ntriples(self.NT, scheme="triple")
-        rows = store.sql(
+        rows = sql(
+            store,
             "SELECT A.obj, count(*) FROM triples AS A "
             "WHERE A.prop = '<type>' GROUP BY A.obj "
             "ORDER BY count(*) DESC LIMIT 1"
@@ -165,6 +172,7 @@ class TestSQLOrderLimit:
     def test_order_by_unknown_column_rejected(self):
         store = RDFStore.from_ntriples(self.NT, scheme="triple")
         with pytest.raises(SQLError):
-            store.sql(
+            sql(
+                store,
                 "SELECT A.subj FROM triples AS A ORDER BY A.nothere"
             )

@@ -8,6 +8,10 @@ from repro.model.triple import Variable
 from repro.sparql import parse_sparql
 from repro.sparql.parser import Filter
 
+
+def sparql(store, text):
+    return store.connection().session().query(text).bindings()
+
 DATA = """
 <e1> <type> <Text> .
 <e1> <language> <fre> .
@@ -90,11 +94,12 @@ class TestParser:
 
 class TestExecution:
     def test_single_pattern(self, store):
-        got = store.sparql("SELECT ?s WHERE { ?s <type> <Text> }")
+        got = sparql(store, "SELECT ?s WHERE { ?s <type> <Text> }")
         assert sorted(b["s"] for b in got) == ["<e1>", "<e2>"]
 
     def test_join(self, store):
-        got = store.sparql(
+        got = sparql(
+            store,
             "SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <language> ?l }"
         )
         assert sorted((b["s"], b["l"]) for b in got) == [
@@ -102,7 +107,8 @@ class TestExecution:
         ]
 
     def test_filter(self, store):
-        got = store.sparql(
+        got = sparql(
+            store,
             "SELECT ?s WHERE { ?s <type> <Text> . ?s <language> ?l . "
             "FILTER(?l != <eng>) }"
         )
@@ -110,42 +116,45 @@ class TestExecution:
 
     def test_filter_on_nonprojected_variable(self, store):
         """The filtered variable need not be selected."""
-        got = store.sparql(
+        got = sparql(
+            store,
             "SELECT ?s WHERE { ?s <language> ?l . FILTER(?l = <fre>) }"
         )
         assert [b["s"] for b in got] == ["<e1>"]
 
     def test_select_star_returns_all_variables(self, store):
-        got = store.sparql("SELECT * WHERE { ?a <records> ?b }")
+        got = sparql(store, "SELECT * WHERE { ?a <records> ?b }")
         assert got == [{"a": "<e4>", "b": "<e1>"}]
 
     def test_distinct(self, store):
-        got = store.sparql("SELECT DISTINCT ?t WHERE { ?s <type> ?t }")
+        got = sparql(store, "SELECT DISTINCT ?t WHERE { ?s <type> ?t }")
         assert sorted(b["t"] for b in got) == ["<Date>", "<Text>"]
 
     def test_limit(self, store):
-        got = store.sparql("SELECT ?s WHERE { ?s <type> ?t } LIMIT 2")
+        got = sparql(store, "SELECT ?s WHERE { ?s <type> ?t } LIMIT 2")
         assert len(got) == 2
 
     def test_property_variable(self, store):
-        got = store.sparql("SELECT ?p WHERE { <e1> ?p ?o }")
+        got = sparql(store, "SELECT ?p WHERE { <e1> ?p ?o }")
         assert sorted(b["p"] for b in got) == ["<language>", "<type>"]
 
     def test_filter_unknown_variable_rejected(self, store):
         with pytest.raises(PlanError):
-            store.sparql(
+            sparql(
+                store,
                 "SELECT ?s WHERE { ?s <type> ?t . FILTER(?zz = <x>) }"
             )
 
     def test_agrees_with_solve(self, store):
-        sparql = store.sparql(
+        queried = sparql(
+            store,
             "SELECT ?s ?t WHERE { ?s <type> ?t }"
         )
-        solve = store.solve(
+        solved = store.connection().session().solve(
             [(Var("s"), "<type>", Var("t"))], projection=["s", "t"]
         )
         key = lambda b: sorted(b.items())
-        assert sorted(sparql, key=key) == sorted(solve, key=key)
+        assert sorted(queried, key=key) == sorted(solved, key=key)
 
     def test_missing_constant_gives_empty(self, store):
-        assert store.sparql("SELECT ?s WHERE { ?s <ghost> ?o }") == []
+        assert sparql(store, "SELECT ?s WHERE { ?s <ghost> ?o }") == []
