@@ -31,10 +31,8 @@ def run_buffer_ablation(dataset):
             engine, dataset.triples, dataset.interesting_properties
         )
         plan = build_query(catalog, "q2")
-        engine.make_cold()
-        _, cold = engine.run(plan)
-        engine.run(plan)  # warm-up
-        _, hot = engine.run(plan)
+        _, cold = engine.run(plan, mode="cold")
+        _, hot = engine.run(plan, mode="hot")
         measurements[fraction] = (cold, hot)
         rows.append(
             [

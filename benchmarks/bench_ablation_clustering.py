@@ -11,7 +11,7 @@ q8's object join; subject-leading orders trail on the property-bound
 queries.
 """
 
-from repro.bench import BenchmarkRunner, TimingCell, format_table, summarize
+from repro.bench import TimingCell, format_table, summarize
 from repro.bench.systems import data_scale
 from repro.colstore import ColumnStoreEngine
 from repro.engine import COLUMN_STORE_COSTS, MACHINE_B
@@ -33,14 +33,13 @@ def run_clustering_ablation(dataset):
             engine, dataset.triples, dataset.interesting_properties,
             clustering=clustering,
         )
-        runner = BenchmarkRunner(engine)
         cells = {}
         for query in ALL_QUERY_NAMES:
             plan = build_query(catalog, query)
-            result = runner.run_cold(query, lambda: engine.run(plan))
+            _, timing = engine.run(plan, mode="cold")
             cells[query] = TimingCell(
-                result.timing.real_seconds / scale,
-                result.timing.user_seconds / scale,
+                timing.real_seconds / scale,
+                timing.user_seconds / scale,
             )
         summary = summarize(cells)
         summaries[clustering] = (cells, summary)

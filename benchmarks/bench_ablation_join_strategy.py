@@ -50,8 +50,7 @@ def run_join_ablation(dataset):
             )
             engine._executor.join_strategy = strategy
             plan = _q2_like_plan(catalog, prop, obj)
-            engine.make_cold()
-            _, timing = engine.run(plan)
+            _, timing = engine.run(plan, mode="cold")
             outcomes[(label, forced)] = timing
             rows.append(
                 [

@@ -18,7 +18,7 @@ vertical partitioning exactly insofar as it implies that queries cannot be
 restricted to a small interesting subset.
 """
 
-from repro.bench import BenchmarkRunner, format_table
+from repro.bench import format_table
 from repro.bench.systems import data_scale
 from repro.colstore import ColumnStoreEngine
 from repro.data import generate_barton
@@ -48,10 +48,9 @@ def run_skew_ablation(n_triples, seed, head_masses=(0.99, 0.8, 0.6)):
                 costs=COLUMN_STORE_COSTS.scaled(scale),
             )
             catalog = build(engine, dataset)
-            runner = BenchmarkRunner(engine)
             plan = build_query(catalog, "q2*")
-            result = runner.run_cold("q2*", lambda: engine.run(plan))
-            times[label] = result.timing.real_seconds / scale
+            _, timing = engine.run(plan, mode="cold")
+            times[label] = timing.real_seconds / scale
         ratio = times["vert"] / times["triple"]
         ratios[head_mass] = ratio
         rows.append(

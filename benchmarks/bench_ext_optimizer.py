@@ -8,7 +8,7 @@ orders were already close to optimal for this workload, so the
 reproduction's timings are not an artifact of bad manual join orders.
 """
 
-from repro.bench import BenchmarkRunner, format_table
+from repro.bench import format_table
 from repro.bench.systems import data_scale
 from repro.colstore import ColumnStoreEngine
 from repro.engine import COLUMN_STORE_COSTS, MACHINE_B
@@ -30,7 +30,6 @@ def run_optimizer_comparison(dataset):
         clustering="PSO",
     )
     provider = engine_stats_provider(engine)
-    runner = BenchmarkRunner(engine)
 
     rows = []
     outcomes = {}
@@ -38,16 +37,16 @@ def run_optimizer_comparison(dataset):
         plan = build_query(catalog, query)
         optimized = optimize_joins(plan, provider)
 
-        manual = runner.run_hot(query, lambda: engine.run(plan))
-        auto = runner.run_hot(query, lambda: engine.run(optimized))
+        _, manual = engine.run(plan, mode="hot")
+        _, auto = engine.run(optimized, mode="hot")
 
         same = engine.execute(plan).sorted_tuples(
             order=plan.output_columns()
         ) == engine.execute(optimized).sorted_tuples(
             order=optimized.output_columns()
         )
-        manual_s = manual.timing.real_seconds / scale
-        auto_s = auto.timing.real_seconds / scale
+        manual_s = manual.real_seconds / scale
+        auto_s = auto.real_seconds / scale
         outcomes[query] = (manual_s, auto_s, same)
         rows.append(
             [query, round(manual_s, 3), round(auto_s, 3),

@@ -12,7 +12,7 @@ vertical partitioning on unbound-property queries, with the extra burden of
 the leftover-table branches.
 """
 
-from repro.bench import BenchmarkRunner, TimingCell, format_table, summarize
+from repro.bench import TimingCell, format_table, summarize
 from repro.bench.systems import data_scale
 from repro.colstore import ColumnStoreEngine
 from repro.engine import COLUMN_STORE_COSTS, MACHINE_B
@@ -46,14 +46,13 @@ def run_three_way(dataset):
             costs=COLUMN_STORE_COSTS.scaled(scale),
         )
         catalog = build(engine, dataset)
-        runner = BenchmarkRunner(engine)
         cells = {}
         for query in ALL_QUERY_NAMES:
             plan = build_query(catalog, query)
-            result = runner.run_cold(query, lambda: engine.run(plan))
+            _, timing = engine.run(plan, mode="cold")
             cells[query] = TimingCell(
-                result.timing.real_seconds / scale,
-                result.timing.user_seconds / scale,
+                timing.real_seconds / scale,
+                timing.user_seconds / scale,
             )
         summary = summarize(cells)
         summaries[label] = (cells, summary)

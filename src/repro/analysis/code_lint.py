@@ -386,42 +386,51 @@ def lint_source(source, relpath):
     )
 
 
-def lint_paths(paths):
-    """Check files and directory trees.
+def walk_sources(paths=None):
+    """Yield ``(relpath, source)`` for every module under *paths* — the
+    one source walker behind every AST head (this linter, the guarded-by
+    checker, the lock-order analyzer).
 
-    Directory arguments are walked for ``*.py``; each file's
-    package-relative path is computed against the *parent* of the argument
-    (so passing ``.../src/repro`` keys files as ``repro/...``).  Returns
-    violations sorted by path, line, rule.
+    Directory arguments are walked for ``*.py`` in sorted order; each
+    file's package-relative path is computed against the *parent* of the
+    argument (so passing ``.../src/repro`` keys files as ``repro/...``).
+    ``None`` walks the installed :mod:`repro` package source tree.
     """
-    violations = []
+    if paths is None:
+        import repro
+
+        paths = [os.path.dirname(os.path.abspath(repro.__file__))]
     for argument in paths:
         argument = os.path.abspath(argument)
         base = os.path.dirname(argument)
-        if os.path.isdir(argument):
-            for dirpath, dirnames, filenames in os.walk(argument):
-                dirnames.sort()
-                for filename in sorted(filenames):
-                    if not filename.endswith(".py"):
-                        continue
-                    full = os.path.join(dirpath, filename)
-                    violations.extend(_lint_file(full, base))
-        else:
-            violations.extend(_lint_file(argument, base))
+        for full_path in _python_files(argument):
+            relpath = os.path.relpath(full_path, base).replace(os.sep, "/")
+            with open(full_path, encoding="utf-8") as handle:
+                yield relpath, handle.read()
+
+
+def _python_files(argument):
+    if not os.path.isdir(argument):
+        yield argument
+        return
+    for dirpath, dirnames, filenames in os.walk(argument):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                yield os.path.join(dirpath, filename)
+
+
+def lint_paths(paths):
+    """Check files and directory trees (see :func:`walk_sources` for path
+    keying).  Returns violations sorted by path, line, rule."""
+    violations = []
+    for relpath, source in walk_sources(paths):
+        violations.extend(lint_source(source, relpath))
     return sorted(
         violations, key=lambda v: (v.path, v.line, v.rule, v.symbol)
     )
 
 
-def _lint_file(full_path, base):
-    relpath = os.path.relpath(full_path, base).replace(os.sep, "/")
-    with open(full_path, encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, relpath)
-
-
 def lint_package():
     """Check the installed :mod:`repro` package source tree."""
-    import repro
-
-    return lint_paths([os.path.dirname(os.path.abspath(repro.__file__))])
+    return lint_paths(None)

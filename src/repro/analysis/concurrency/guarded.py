@@ -41,7 +41,7 @@ import ast
 import os
 import re
 
-from repro.analysis.code_lint import Violation
+from repro.analysis.code_lint import Violation, walk_sources
 
 #: rule id -> one-line description (the catalog).
 CONCURRENCY_RULES = {
@@ -431,36 +431,15 @@ def check_source(source, relpath):
 
 def check_paths(paths):
     """Guarded-by check of files and directory trees (see
-    :func:`repro.analysis.code_lint.lint_paths` for path keying)."""
+    :func:`repro.analysis.code_lint.walk_sources` for path keying)."""
     violations = []
-    for argument in paths:
-        argument = os.path.abspath(argument)
-        base = os.path.dirname(argument)
-        if os.path.isdir(argument):
-            for dirpath, dirnames, filenames in os.walk(argument):
-                dirnames.sort()
-                for filename in sorted(filenames):
-                    if not filename.endswith(".py"):
-                        continue
-                    violations.extend(
-                        _check_file(os.path.join(dirpath, filename), base)
-                    )
-        else:
-            violations.extend(_check_file(argument, base))
+    for relpath, source in walk_sources(paths):
+        violations.extend(check_source(source, relpath))
     return sorted(
         violations, key=lambda v: (v.path, v.line, v.rule, v.symbol)
     )
 
 
-def _check_file(full_path, base):
-    relpath = os.path.relpath(full_path, base).replace(os.sep, "/")
-    with open(full_path, encoding="utf-8") as handle:
-        source = handle.read()
-    return check_source(source, relpath)
-
-
 def check_package():
     """Guarded-by check of the installed :mod:`repro` package tree."""
-    import repro
-
-    return check_paths([os.path.dirname(os.path.abspath(repro.__file__))])
+    return check_paths(None)

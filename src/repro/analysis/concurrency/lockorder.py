@@ -22,7 +22,7 @@ codebase never nests same-class instances, so no false cycles arise.
 import ast
 import os
 
-from repro.analysis.code_lint import Violation
+from repro.analysis.code_lint import Violation, walk_sources
 
 #: rule id -> one-line description (merged into the concurrency catalog).
 LOCKORDER_RULES = {
@@ -376,31 +376,6 @@ class _Resolver:
         return None
 
 
-def _scan_paths(paths):
-    scans = []
-    for argument in paths:
-        argument = os.path.abspath(argument)
-        base = os.path.dirname(argument)
-        if os.path.isdir(argument):
-            for dirpath, dirnames, filenames in os.walk(argument):
-                dirnames.sort()
-                for filename in sorted(filenames):
-                    if not filename.endswith(".py"):
-                        continue
-                    full = os.path.join(dirpath, filename)
-                    scans.append(_scan_file(full, base))
-        else:
-            scans.append(_scan_file(argument, base))
-    return scans
-
-
-def _scan_file(full_path, base):
-    relpath = os.path.relpath(full_path, base).replace(os.sep, "/")
-    with open(full_path, encoding="utf-8") as handle:
-        source = handle.read()
-    return _scan_source(source, relpath)
-
-
 def _scan_source(source, relpath):
     scan = _ModuleScan(relpath)
     scan.visit(ast.parse(source, filename=relpath))
@@ -489,8 +464,12 @@ def _build_graph(scans):
 
 
 def build_lock_graph(paths):
-    """The resolved :class:`LockGraph` of files / directory trees."""
-    return _build_graph(_scan_paths(paths))
+    """The resolved :class:`LockGraph` of files / directory trees (see
+    :func:`repro.analysis.code_lint.walk_sources` for path keying)."""
+    return _build_graph([
+        _scan_source(source, relpath)
+        for relpath, source in walk_sources(paths)
+    ])
 
 
 def _cycle_violations(graph):
@@ -534,17 +513,10 @@ def lockorder_paths(paths):
 
 def lockorder_package():
     """Lock-order check of the installed :mod:`repro` package tree."""
-    import repro
-
-    return lockorder_paths(
-        [os.path.dirname(os.path.abspath(repro.__file__))]
-    )
+    return lockorder_paths(None)
 
 
 def lock_graph_document(paths=None):
-    """JSON document of the lock graph (``repro analyze --json``)."""
-    if paths is None:
-        import repro
-
-        paths = [os.path.dirname(os.path.abspath(repro.__file__))]
+    """JSON document of the lock graph (``repro analyze --json``);
+    ``None`` covers the installed :mod:`repro` package tree."""
     return build_lock_graph(paths).to_document()

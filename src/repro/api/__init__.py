@@ -67,8 +67,25 @@ __all__ = [
 #: identity-keyed lowering cache hot.
 PLAN_CACHE_SIZE = 256
 
-#: Valid buffer-pool protocols for :meth:`Session.query`.
-_MODES = (None, "current", "cold", "hot")
+
+def _normalise_scope(scope):
+    """*scope* as a hashable plan-cache key component.
+
+    ``None`` / ``"interesting"`` / ``"all"`` pass through; an explicit
+    property-name list (what a JSON array decodes to) or tuple becomes a
+    tuple of strings.  Anything else is a typed error — over HTTP a clean
+    400, not a ``TypeError`` from the cache's dict.
+    """
+    if scope is None or scope in ("interesting", "all"):
+        return scope
+    if isinstance(scope, (list, tuple)) and all(
+        isinstance(name, str) for name in scope
+    ):
+        return tuple(scope)
+    raise ReproError(
+        f"scope must be 'interesting', 'all' or a list of property "
+        f"names, got {scope!r}"
+    )
 
 
 def classify_query(text):
@@ -149,15 +166,7 @@ class Result:
 
     def cost_dict(self):
         """The simulated cost as a plain JSON-ready dict."""
-        t = self.cost
-        return {
-            "real_seconds": t.real_seconds,
-            "user_seconds": t.user_seconds,
-            "seek_seconds": t.seek_seconds,
-            "transfer_seconds": t.transfer_seconds,
-            "bytes_read": t.bytes_read,
-            "io_requests": t.io_requests,
-        }
+        return self.cost.to_dict()
 
     def to_dict(self):
         """JSON-ready document (the server's wire format for one query)."""
@@ -233,15 +242,18 @@ class Session:
             uses the session default (which defaults to the global
             ``REPRO_LINT`` behaviour of the front-ends).
         mode:
-            Buffer-pool protocol: ``None``/``"current"`` runs against the
-            pool as it stands (server semantics), ``"cold"`` clears the
-            pool first, ``"hot"`` performs one unobserved warm-up run
-            (the paper's protocols).
+            Buffer-pool protocol, handed to the engine's
+            :meth:`~repro.exec.host.EngineHost.run`: ``None``/``"current"``
+            runs against the pool as it stands (server semantics),
+            ``"cold"`` clears the pool first, ``"hot"`` performs one
+            unobserved warm-up run (the paper's protocols); anything else
+            raises :class:`~repro.errors.BenchmarkError`.
         optimize:
             Run the cost-based join-order optimizer over SQL plans.
         scope:
             Benchmark-query property scope override (as in
-            :func:`repro.queries.build_query`).
+            :func:`repro.queries.build_query`): ``"interesting"``,
+            ``"all"``, or an explicit list/tuple of property names.
         profile:
             Capture the full EXPLAIN ANALYZE profile; available on
             ``result.profile``.  Simulated costs are unaffected.
@@ -252,10 +264,6 @@ class Session:
             Results and simulated costs are identical at any value.
         """
         self._check_open()
-        if mode not in _MODES:
-            raise ReproError(
-                f"unknown mode {mode!r}; expected one of {_MODES}"
-            )
         effective_timeout = (
             timeout if timeout is not None else self.default_timeout
         )
@@ -319,16 +327,9 @@ class Session:
     def explain(self, text, physical=False, scope=None):
         """Render the logical (and optionally physical) plan for *text*."""
         self._check_open()
-        from repro.plan.render import render_physical_plan, render_plan
-
         connection = self.connection
         _kind, plan, _columns = connection._plan_for(text, scope=scope)
-        rendered = render_plan(plan)
-        if physical:
-            with connection._exec_lock:
-                lowered = connection.store.engine.lower(plan)
-            rendered += "\n\nphysical plan:\n" + render_physical_plan(lowered)
-        return rendered
+        return connection._explain(plan, physical)
 
 
 class Connection:
@@ -414,6 +415,7 @@ class Connection:
         prepared-plan cache.  Plans are immutable, so cached plan objects
         are shared across sessions and executions."""
         kind = classify_query(text)
+        scope = _normalise_scope(scope)
         key = (kind, text, bool(optimize), scope)
         with self._plan_lock:
             cached = self._plans.get(key)
@@ -457,6 +459,24 @@ class Connection:
 
     # -- execution ------------------------------------------------------
 
+    def _lower(self, plan):
+        """Physical plan for *plan*.  Lowering goes through the runtime's
+        lowering cache, which only the holder of the execution lock may
+        touch."""
+        with self._exec_lock:
+            return self.store.engine.lower(plan)
+
+    def _explain(self, plan, physical=False):
+        """Render *plan*, and with *physical* its lowered operator tree."""
+        from repro.plan.render import render_physical_plan, render_plan
+
+        rendered = render_plan(plan)
+        if physical:
+            rendered += "\n\nphysical plan:\n" + render_physical_plan(
+                self._lower(plan)
+            )
+        return rendered
+
     def _execute(self, plan, timeout=None, mode=None, profile=False,
                  query="", workers=None):
         """Run *plan* under the execution lock with optional cooperative
@@ -499,11 +519,7 @@ class Connection:
                         query_profile.relation, query_profile.timing,
                         query_profile,
                     )
-                if mode == "cold":
-                    engine.make_cold()
-                elif mode == "hot":
-                    engine.run(plan)  # unobserved warm-up
-                relation, timing = engine.run(plan)
+                relation, timing = engine.run(plan, mode=mode)
                 return relation, timing, None
             except QueryCancelled as exc:
                 if token is not None and token.is_set():

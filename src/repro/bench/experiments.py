@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 from repro.bench.metrics import INITIAL_QUERIES, TimingCell, summarize
 from repro.bench.reporting import format_series, format_table
-from repro.bench.runner import BenchmarkRunner
 from repro.bench.systems import SYSTEM_GRID, Deployment, deploy, deploy_grid
 from repro.data import compute_statistics, cumulative_distribution
 from repro.data.barton import WELL_KNOWN_PROPERTIES
@@ -192,15 +191,14 @@ def _table4_cell(dataset, machine_name):
     deployment = deploy(
         dataset, "C-Store", "vert", machine=MACHINES[machine_name]
     )
-    runner = BenchmarkRunner(deployment.engine)
     measured = {}
     for mode in ("cold", "hot"):
         cells = {}
         for query in INITIAL_QUERIES:
-            result = runner.run(query, deployment.executor(query), mode)
+            _, timing = deployment.run(query, mode)
             cells[query] = TimingCell(
-                deployment.scaled_seconds(result.timing.real_seconds),
-                deployment.scaled_seconds(result.timing.user_seconds),
+                deployment.scaled_seconds(timing.real_seconds),
+                deployment.scaled_seconds(timing.user_seconds),
             )
         measured[mode] = cells
     return measured
@@ -240,12 +238,11 @@ def experiment_table5(dataset, machine="A"):
     deployment = deploy(
         dataset, "C-Store", "vert", machine=MACHINES[machine]
     )
-    runner = BenchmarkRunner(deployment.engine)
     rows = []
     for query in INITIAL_QUERIES:
-        result = runner.run_cold(query, deployment.executor(query))
-        scaled_mb = result.timing.bytes_read / deployment.scale / (1024 * 1024)
-        rows.append([query, round(scaled_mb, 1), result.n_rows])
+        relation, timing = deployment.run(query, "cold")
+        scaled_mb = timing.bytes_read / deployment.scale / (1024 * 1024)
+        rows.append([query, round(scaled_mb, 1), relation.n_rows])
     return ExperimentResult(
         name="table5",
         title="Table 5: Data relevant to a query "
@@ -262,8 +259,7 @@ def _figure5_cell(dataset, query, machine_name):
     deployment = deploy(
         dataset, "C-Store", "vert", machine=MACHINES[machine_name]
     )
-    runner = BenchmarkRunner(deployment.engine)
-    runner.run_cold(query, deployment.executor(query))
+    deployment.run(query, "cold")
     return [
         (deployment.scaled_seconds(t), b / deployment.scale)
         for t, b in deployment.engine.io_history()
@@ -321,15 +317,14 @@ def experiment_figure5(dataset, queries=("q3", "q5"), machines=("A", "B"),
 def _table67_cell(dataset, config, mode, machine):
     """One Tables 6/7 system configuration: label + every query's cell."""
     deployment = deploy(dataset, *config, machine=machine)
-    runner = BenchmarkRunner(deployment.engine)
     cells = {}
     for query in ALL_QUERY_NAMES:
         if not deployment.supports(query):
             continue
-        result = runner.run(query, deployment.executor(query), mode)
+        _, timing = deployment.run(query, mode)
         cells[query] = TimingCell(
-            deployment.scaled_seconds(result.timing.real_seconds),
-            deployment.scaled_seconds(result.timing.user_seconds),
+            deployment.scaled_seconds(timing.real_seconds),
+            deployment.scaled_seconds(timing.user_seconds),
         )
     return deployment.label(), cells
 
@@ -456,14 +451,12 @@ def _figure6_cell(dataset, k, queries, property_counts, machine, mode):
     out = {}
     for query in queries:
         plan = build_query(catalog_k, query, scope=scope)
-        runner = BenchmarkRunner(triple.engine)
-        result = runner.run(query, lambda: triple.engine.run(plan), mode)
-        triple_s = round(triple.scaled_seconds(result.timing.real_seconds), 2)
-        triple_bytes = int(result.timing.bytes_read)
-        runner = BenchmarkRunner(vert.engine)
-        result = runner.run(query, vert.executor(query, scope=names), mode)
-        vert_s = round(vert.scaled_seconds(result.timing.real_seconds), 2)
-        vert_bytes = int(result.timing.bytes_read)
+        _, timing = triple.engine.run(plan, mode=mode)
+        triple_s = round(triple.scaled_seconds(timing.real_seconds), 2)
+        triple_bytes = int(timing.bytes_read)
+        _, timing = vert.run(query, mode, scope=names)
+        vert_s = round(vert.scaled_seconds(timing.real_seconds), 2)
+        vert_bytes = int(timing.bytes_read)
         out[query] = (triple_s, vert_s, triple_bytes, vert_bytes)
     storage = {
         "triple": _deployment_storage(triple),
@@ -584,12 +577,11 @@ def _figure7_cell(dataset, target, base_count, queries, machine, mode, seed):
     scanned = {}
     for query in queries:
         for deployment, label in ((vert, "vert"), (triple, "triple")):
-            runner = BenchmarkRunner(deployment.engine)
-            result = runner.run(query, deployment.executor(query), mode)
+            _, timing = deployment.run(query, mode)
             out[f"{query} {label}"] = round(
-                deployment.scaled_seconds(result.timing.real_seconds), 2
+                deployment.scaled_seconds(timing.real_seconds), 2
             )
-            scanned[f"{query} {label}"] = int(result.timing.bytes_read)
+            scanned[f"{query} {label}"] = int(timing.bytes_read)
     storage = {
         "triple": _deployment_storage(triple),
         "vert": _deployment_storage(vert),
@@ -698,21 +690,16 @@ def experiment_compression(dataset, machine=MACHINE_B):
             else:
                 query_name = "q1"
                 plan = build_query(catalog, query_name)
-            runner = BenchmarkRunner(deployment.engine)
-            result = runner.run(
-                query_name, lambda: deployment.engine.run(plan), "cold"
-            )
+            _, timing = deployment.engine.run(plan, mode="cold")
             info = _deployment_storage(deployment)
-            bytes_scanned = int(result.timing.bytes_read)
+            bytes_scanned = int(timing.bytes_read)
             rows.append([
                 scheme,
                 label,
                 info["storage_bytes"],
                 info["compression_ratio"],
                 query_name,
-                round(
-                    deployment.scaled_seconds(result.timing.real_seconds), 4
-                ),
+                round(deployment.scaled_seconds(timing.real_seconds), 4),
                 round(bytes_scanned / (1024 * 1024), 3),
             ])
             storage[f"{scheme}/{label}"] = dict(
@@ -769,14 +756,13 @@ def experiment_scaling(dataset, queries=("q2", "q3", "q4", "q6"),
         wall = {}
         for query in queries:
             for deployment, label in ((vert, "vert"), (triple, "triple")):
-                runner = BenchmarkRunner(deployment.engine)
                 started = time.perf_counter()
-                result = runner.run(query, deployment.executor(query), mode)
+                _, timing = deployment.run(query, mode)
                 wall[f"{query} {label}"] = round(
                     (time.perf_counter() - started) * 1000.0, 3
                 )
                 simulated = round(
-                    deployment.scaled_seconds(result.timing.real_seconds), 4
+                    deployment.scaled_seconds(timing.real_seconds), 4
                 )
                 key = f"{query} {label}"
                 if workers == worker_counts[0]:

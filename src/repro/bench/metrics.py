@@ -32,10 +32,6 @@ class TimingCell:
     real: float
     user: float
 
-    @staticmethod
-    def from_timing(timing):
-        return TimingCell(timing.real_seconds, timing.user_seconds)
-
 
 def summarize(cells):
     """Compute the G / G* / G*÷G columns from query -> TimingCell.

@@ -10,7 +10,7 @@ the paper (Section 4.3).
 from dataclasses import dataclass
 
 from repro.colstore import ColumnStoreEngine
-from repro.cstore import CStoreEngine
+from repro.cstore import CSTORE_QUERIES, CStoreEngine
 from repro.engine import (
     COLUMN_STORE_COSTS,
     CSTORE_COSTS,
@@ -64,23 +64,23 @@ class Deployment:
         """Convert simulated seconds to paper-scale-comparable seconds."""
         return seconds / self.scale
 
-    def executor(self, query_name, scope=None):
-        """Zero-argument callable running the query, for BenchmarkRunner."""
+    def run(self, query_name, mode=None, scope=None):
+        """One measured run of a benchmark query under the engine's
+        cold/hot protocol (:meth:`repro.exec.host.EngineHost.run`);
+        returns ``(relation, timing)``."""
         if self.system == "C-Store":
             if scope is not None:
                 raise BenchmarkError(
                     "the C-Store replica's hardwired plans cannot change "
                     "their property scope"
                 )
-            return lambda: self.engine.run(query_name)
+            return self.engine.run(query_name, mode=mode)
         plan = build_query(self.catalog, query_name, scope=scope)
-        return lambda: self.engine.run(plan)
+        return self.engine.run(plan, mode=mode)
 
     def supports(self, query_name):
         if self.system == "C-Store":
-            return query_name in (
-                "q1", "q2", "q3", "q4", "q5", "q6", "q7"
-            )
+            return query_name in CSTORE_QUERIES
         return True
 
 

@@ -36,8 +36,8 @@ log = get_logger("cli")
 
 
 def _add_store_arguments(parser):
-    """The store-deployment options shared by serve/replay (the same set
-    profile/analyze take): load --data if given, else generate."""
+    """The store-deployment options shared by profile/analyze/serve/
+    replay: load --data if given, else generate."""
     parser.add_argument("--data", help="N-Triples file (default: generate)")
     parser.add_argument("--triples", type=int, default=20_000)
     parser.add_argument("--properties", type=int, default=60)
@@ -139,17 +139,7 @@ def build_parser():
         "query",
         help="benchmark query name (q1..q8, q2*..q6*), SPARQL, or SQL",
     )
-    profile.add_argument("--data", help="N-Triples file (default: generate)")
-    profile.add_argument("--triples", type=int, default=20_000)
-    profile.add_argument("--properties", type=int, default=60)
-    profile.add_argument("--seed", type=int, default=42)
-    profile.add_argument(
-        "--engine", choices=("column", "row"), default="column"
-    )
-    profile.add_argument(
-        "--scheme", choices=("vertical", "triple"), default="vertical"
-    )
-    profile.add_argument("--clustering", default="PSO")
+    _add_store_arguments(profile)
     profile.add_argument("--mode", choices=("cold", "hot"), default="cold")
     profile.add_argument(
         "--workers", type=int, default=None,
@@ -370,17 +360,7 @@ def build_parser():
         help="benchmark query name (q1..q8, q2*..q6*, or 'all'), SPARQL, "
              "or SQL (optional when --code or --concurrency is given)",
     )
-    analyze.add_argument("--data", help="N-Triples file (default: generate)")
-    analyze.add_argument("--triples", type=int, default=20_000)
-    analyze.add_argument("--properties", type=int, default=60)
-    analyze.add_argument("--seed", type=int, default=42)
-    analyze.add_argument(
-        "--engine", choices=("column", "row"), default="column"
-    )
-    analyze.add_argument(
-        "--scheme", choices=("vertical", "triple"), default="vertical"
-    )
-    analyze.add_argument("--clustering", default="PSO")
+    _add_store_arguments(analyze)
     analyze.add_argument(
         "--strict", action="store_true",
         help="exit non-zero on ANY diagnostic, informational notes "

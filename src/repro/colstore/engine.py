@@ -1,6 +1,9 @@
 """The column-store engine facade."""
 
 from repro.colstore.table import ColumnTable
+from repro.engine import COLUMN_STORE_COSTS, MACHINE_A
+from repro.errors import StorageError
+from repro.exec.host import PlanHost
 from repro.exec.morsel import (
     MAX_WORKERS,
     ParallelContext,
@@ -8,21 +11,10 @@ from repro.exec.morsel import (
     shared_pool,
     workers_from_env,
 )
-from repro.exec.runtime import Runtime
-from repro.engine import (
-    COLUMN_STORE_COSTS,
-    MACHINE_A,
-    BufferPool,
-    QueryClock,
-    SimulatedDisk,
-)
-from repro.errors import StorageError
-from repro.observe import NULL_OBSERVATION
-from repro.plan.logical import count_operators
 from repro.storage.compress import CompressionConfig
 
 
-class ColumnStoreEngine:
+class ColumnStoreEngine(PlanHost):
     """MonetDB-like engine: column tables, sort orders, vectorized operators.
 
     Usage::
@@ -49,28 +41,14 @@ class ColumnStoreEngine:
                  page_size=DEFAULT_PAGE_SIZE, buffer_bytes=None,
                  max_run_bytes=DEFAULT_MAX_RUN_BYTES, observe=None,
                  compression=None, workers=None):
-        self.machine = machine
-        self.costs = costs
-        self.compression = CompressionConfig.coerce(compression)
-        self.observe = observe if observe is not None else NULL_OBSERVATION
-        self.disk = SimulatedDisk(page_size=page_size)
-        self.clock = QueryClock(machine)
-        if buffer_bytes is None:
-            buffer_bytes = int(machine.ram_bytes * 0.8)
-        self.pool = BufferPool(
-            self.disk, self.clock, buffer_bytes, max_run_bytes=max_run_bytes,
-            observe=self.observe,
+        super().__init__(
+            machine, costs, page_size, buffer_bytes, max_run_bytes,
+            observe=observe,
         )
-        self._tables = {}
-        self._parallel = None
-        self._executor = Runtime(self)
+        self.compression = CompressionConfig.coerce(compression)
         if workers is None:
             workers = workers_from_env(1)
         self.install_parallelism(workers)
-
-    def executor(self):
-        """The engine's execution runtime (unified layer)."""
-        return self._executor
 
     # ------------------------------------------------------------------
     # intra-query parallelism
@@ -105,22 +83,8 @@ class ColumnStoreEngine:
         """The configured degree of parallelism (1 when serial)."""
         return 1 if self._parallel is None else self._parallel.dop
 
-    def lower(self, plan):
-        """Physical plan for *plan* under this engine's operator set."""
-        return self._executor.lower(plan)
-
-    def install_observation(self, observe):
-        """Install (or, with ``None``, remove) an Observation bundle.
-
-        Instrumentation routes through this bundle everywhere, so swapping
-        it turns metrics + tracing on or off without rebuilding the engine.
-        """
-        self.observe = observe if observe is not None else NULL_OBSERVATION
-        self.pool.observe = self.observe
-        return self.observe
-
     # ------------------------------------------------------------------
-    # DDL / catalog
+    # DDL
     # ------------------------------------------------------------------
 
     def create_table(self, name, columns, sort_by=None, indexes=None,
@@ -148,12 +112,6 @@ class ColumnStoreEngine:
         self._tables[name] = table
         return table
 
-    def table(self, name):
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise StorageError(f"no such table: {name!r}") from None
-
     def drop_table(self, name):
         """Drop a table and free its segments (incremental maintenance
         rebuilds tables by drop + create)."""
@@ -161,15 +119,6 @@ class ColumnStoreEngine:
         for column in table.column_names():
             self.disk.drop_segment(f"{name}.{column}")
         del self._tables[name]
-
-    def has_table(self, name):
-        return name in self._tables
-
-    def table_names(self):
-        return list(self._tables)
-
-    def database_bytes(self):
-        return self.disk.total_bytes()
 
     @property
     def compression_mode(self):
@@ -201,41 +150,3 @@ class ColumnStoreEngine:
             "compression_ratio": ratio,
             "columns_by_codec": dict(sorted(codecs.items())),
         }
-
-    # ------------------------------------------------------------------
-    # query execution
-    # ------------------------------------------------------------------
-
-    def run(self, plan):
-        """Execute a logical plan; returns ``(Relation, QueryTiming)``.
-
-        The clock restarts for each run.  Buffer-pool state is preserved
-        across runs — call :meth:`make_cold` to simulate a server restart
-        with cleared caches (the benchmark's cold protocol).
-        """
-        self.clock.reset()
-        n_operators = count_operators(plan)
-        self.clock.charge_cpu(
-            self.costs.query_overhead
-            + self.costs.plan_operator * n_operators
-            + self.costs.plan_quadratic * n_operators * n_operators,
-            category="plan",
-        )
-        relation = self._executor.execute(plan)
-        self.clock.charge_cpu(
-            self.costs.output_tuple * relation.n_rows, category="output"
-        )
-        return relation, self.clock.timing()
-
-    def execute(self, plan):
-        """Execute and return only the relation (timing discarded)."""
-        relation, _ = self.run(plan)
-        return relation
-
-    def make_cold(self):
-        """Clear every cached page (server restart + cache flush)."""
-        self.pool.clear()
-
-    def io_history(self):
-        """Figure-5-style (seconds, cumulative bytes) trace of the last run."""
-        return self.clock.io_history()

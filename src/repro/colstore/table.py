@@ -85,9 +85,6 @@ class ColumnTable:
     def column_names(self):
         return list(self._arrays)
 
-    def has_column(self, name):
-        return name in self._arrays
-
     def array(self, column):
         """The raw in-memory array (I/O accounting is the caller's job)."""
         try:

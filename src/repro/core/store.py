@@ -8,16 +8,12 @@ sessions, timeouts, result objects with simulated costs, and the
 prepared-plan cache.
 """
 
-from repro.bench.runner import BenchmarkRunner
 from repro.colstore import ColumnStoreEngine
 from repro.core.bgp import bgp_plan
 from repro.errors import StorageError
 from repro.model.parser import parse_ntriples_text
 from repro.model.triple import Variable
-from repro.plan.render import render_physical_plan, render_plan
-from repro.queries import ALL_QUERY_NAMES, build_query
 from repro.rowstore import RowStoreEngine
-from repro.sql.planner import plan_sql
 from repro.storage import build_triple_store, build_vertical_store
 
 #: Convenience alias so user code reads ``Var("s")``.
@@ -89,7 +85,6 @@ class RDFStore:
                 self.engine, triples, interesting_properties,
             )
         self.n_triples = len(triples)
-        self._runner = BenchmarkRunner(self.engine)
         self._api_connection = None  # lazy repro.api.Connection
 
     # ------------------------------------------------------------------
@@ -149,51 +144,24 @@ class RDFStore:
         return result
 
     # ------------------------------------------------------------------
-    # the benchmark
-    # ------------------------------------------------------------------
-
-    def benchmark_query(self, name, mode="hot", scope=None):
-        """Run benchmark query *name* (q1..q8, q2*..q6*) under the paper's
-        cold/hot protocol; returns ``(decoded_rows, QueryTiming)``."""
-        plan = build_query(self.catalog, name, scope=scope)
-        captured = {}
-
-        def execute():
-            relation, timing = self.engine.run(plan)
-            captured["relation"] = relation
-            return relation, timing
-
-        result = self._runner.run(name, execute, mode)
-        relation = captured["relation"]
-        rows = relation.decoded_tuples(
-            self.catalog.dictionary, order=plan.output_columns()
-        )
-        return rows, result.timing
-
-    def benchmark_queries(self):
-        """The benchmark query names this store can run."""
-        return list(ALL_QUERY_NAMES)
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
     def explain(self, sql_or_patterns, physical=False):
-        """Render the logical plan for SQL text or a BGP pattern list.
+        """Render the logical plan for query text or a BGP pattern list.
 
         With ``physical=True``, additionally render the engine-lowered
         physical operator tree the unified execution layer will run.
+        Text goes through the store's session
+        (:meth:`repro.api.Session.explain`).
         """
+        connection = self.connection()
         if isinstance(sql_or_patterns, str):
-            plan = plan_sql(sql_or_patterns, self.catalog)
-        else:
-            plan, _ = bgp_plan(self.catalog, sql_or_patterns)
-        rendered = render_plan(plan)
-        if physical:
-            rendered += "\n\nphysical plan:\n" + render_physical_plan(
-                self.engine.lower(plan)
+            return connection.session().explain(
+                sql_or_patterns, physical=physical
             )
-        return rendered
+        plan, _ = bgp_plan(self.catalog, sql_or_patterns)
+        return connection._explain(plan, physical)
 
     def profile(self, query, mode="cold", scope=None):
         """EXPLAIN ANALYZE: run *query* with full observability and return
@@ -202,12 +170,10 @@ class RDFStore:
         *query* is a benchmark query name (``q1``..``q8``, ``q2*``..),
         SPARQL text (anything containing ``{``), or SQL text.  *mode* is
         ``"cold"`` (buffer pool cleared first, the default) or ``"hot"``
-        (one unobserved warm-up run first).
+        (one unobserved warm-up run first).  Runs under the connection's
+        execution lock (:meth:`repro.api.Session.profile`).
         """
-        from repro.observe.profiler import profile_plan
-
-        plan = self.connection()._plan_for(query, scope=scope)[1]
-        return profile_plan(self.engine, plan, mode=mode, query=query)
+        return self.connection().session().profile(query, mode, scope)
 
     def analyze(self, query, scope=None, physical=False):
         """Run the static plan linter over *query* without executing it.
@@ -223,9 +189,10 @@ class RDFStore:
         """
         from repro.analysis import lint_physical_plan, lint_plan
 
-        plan = self.connection()._plan_for(query, scope=scope)[1]
+        connection = self.connection()
+        plan = connection._plan_for(query, scope=scope)[1]
         if physical:
-            return list(lint_physical_plan(self.engine.lower(plan)))
+            return list(lint_physical_plan(connection._lower(plan)))
         return list(lint_plan(plan))
 
     def statistics(self):

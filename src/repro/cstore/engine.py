@@ -15,15 +15,10 @@ from collections import Counter
 
 import numpy as np
 
-from repro.engine import (
-    CSTORE_COSTS,
-    MACHINE_A,
-    BufferPool,
-    QueryClock,
-    SimulatedDisk,
-)
+from repro.engine import CSTORE_COSTS, MACHINE_A
 from repro.errors import StorageError, UnsupportedOperationError
 from repro.dictionary import Dictionary
+from repro.exec.host import EngineHost
 from repro.queries.definitions import CONSTANTS
 from repro.relation import Relation
 from repro.cstore.kvstore import KVCatalog, OrderedKV
@@ -37,24 +32,20 @@ CSTORE_QUERIES = ("q1", "q2", "q3", "q4", "q5", "q6", "q7")
 MAX_REQUEST_BYTES = 256 * 1024
 
 
-class CStoreEngine:
-    """Hardwired vertically-partitioned query engine over an ordered KV."""
+class CStoreEngine(EngineHost):
+    """Hardwired vertically-partitioned query engine over an ordered KV.
+
+    Shares the substrate and the cold/hot protocol with the SQL engines
+    (:class:`~repro.exec.host.EngineHost`) but not the plan-driven level:
+    ``run("q3")`` takes a query *name*, there is no ``lower``.
+    """
 
     kind = "c-store"
 
     def __init__(self, machine=MACHINE_A, costs=CSTORE_COSTS, page_size=8192,
                  buffer_bytes=None):
-        self.machine = machine
-        self.costs = costs
-        self.disk = SimulatedDisk(page_size=page_size)
-        self.clock = QueryClock(machine)
-        if buffer_bytes is None:
-            buffer_bytes = int(machine.ram_bytes * 0.8)
-        self.pool = BufferPool(
-            self.disk,
-            self.clock,
-            buffer_bytes,
-            max_run_bytes=MAX_REQUEST_BYTES,
+        super().__init__(
+            machine, costs, page_size, buffer_bytes, MAX_REQUEST_BYTES,
             sequential_coalescing=False,
         )
         self.catalog = KVCatalog()
@@ -129,18 +120,12 @@ class CStoreEngine:
             "(paper, Section 3)"
         )
 
-    def database_bytes(self):
-        return (
-            self.catalog.total_bytes()
-            + self.subject_projections.total_bytes()
-        )
-
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
 
-    def run(self, query_name):
-        """Run a hardwired query; returns ``(Relation, QueryTiming)``."""
+    def _measure(self, query_name):
+        """The measured body of a hardwired query (``run("q3")``)."""
         if not self._loaded:
             raise StorageError("load_vertical() must be called first")
         if query_name not in CSTORE_QUERIES:
@@ -155,16 +140,6 @@ class CStoreEngine:
         relation = getattr(self, f"_{query_name}")()
         self.clock.charge_cpu(self.costs.output_tuple * relation.n_rows)
         return relation, self.clock.timing()
-
-    def execute(self, query_name):
-        relation, _ = self.run(query_name)
-        return relation
-
-    def make_cold(self):
-        self.pool.clear()
-
-    def io_history(self):
-        return self.clock.io_history()
 
     # ------------------------------------------------------------------
     # hardwired plans

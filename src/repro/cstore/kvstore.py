@@ -59,9 +59,6 @@ class OrderedKV:
         """Iterate every ``(key, value)`` pair in key order."""
         return self._tree.items()
 
-    def bytes_on_disk(self):
-        return self.segment.nbytes
-
 
 class KVCatalog:
     """Named collection of KV databases (one per property table)."""
@@ -85,6 +82,3 @@ class KVCatalog:
 
     def names(self):
         return list(self._databases)
-
-    def total_bytes(self):
-        return sum(db.bytes_on_disk() for db in self._databases.values())

@@ -114,9 +114,6 @@ class BufferPool:
     def resident_pages(self):
         return len(self._pages)
 
-    def resident_bytes(self):
-        return len(self._pages) * self.page_size
-
     def is_resident(self, segment, first_byte=0, nbytes=None):
         """True when every page of the byte range is cached."""
         start, end = segment.page_span(first_byte, nbytes)

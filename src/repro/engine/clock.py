@@ -54,6 +54,20 @@ class QueryTiming:
             self.transfer_seconds + other.transfer_seconds,
         )
 
+    def to_dict(self):
+        """The exact timing fields as a plain JSON-ready dict (floats
+        survive JSON round-trips bit-for-bit).  The one rendering: API
+        results, parity documents, profiles and the perf ledger all
+        carry these six keys in this order."""
+        return {
+            "real_seconds": self.real_seconds,
+            "user_seconds": self.user_seconds,
+            "seek_seconds": self.seek_seconds,
+            "transfer_seconds": self.transfer_seconds,
+            "bytes_read": self.bytes_read,
+            "io_requests": self.io_requests,
+        }
+
 
 class QueryClock:
     """Accumulates CPU and I/O charges for the query currently running."""

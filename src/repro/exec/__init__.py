@@ -8,6 +8,9 @@ drives the resulting tree through a single pull/vector pipeline.  Engines
 contribute operator sets (``repro.colstore.operators``,
 ``repro.rowstore.operators``) instead of whole interpreters; adding a new
 engine or storage scheme is one registry module, not a new executor.
+The engines themselves subclass :mod:`repro.exec.host`, which owns the
+simulated substrate and the one cold/hot protocol, ``engine.run(plan,
+mode=)``.
 """
 
 from repro.exec.physical import PhysicalPlan, count_physical_operators, walk_physical
@@ -21,13 +24,7 @@ from repro.exec.registry import (
     matches,
     registered_engines,
 )
-from repro.exec.runtime import (
-    Intermediate,
-    Runtime,
-    Stream,
-    execute_plan,
-    run_plan,
-)
+from repro.exec.runtime import Intermediate, Runtime, Stream
 
 __all__ = [
     "PhysicalPlan",
@@ -44,6 +41,4 @@ __all__ = [
     "Intermediate",
     "Runtime",
     "Stream",
-    "execute_plan",
-    "run_plan",
 ]

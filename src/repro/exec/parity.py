@@ -76,18 +76,6 @@ def result_digest(relation, dictionary, order):
     return f"{len(rows)}:{digest.hexdigest()}"
 
 
-def timing_document(timing):
-    """Exact timing fields; floats survive JSON round-trips bit-for-bit."""
-    return {
-        "real_seconds": timing.real_seconds,
-        "user_seconds": timing.user_seconds,
-        "seek_seconds": timing.seek_seconds,
-        "transfer_seconds": timing.transfer_seconds,
-        "bytes_read": timing.bytes_read,
-        "io_requests": timing.io_requests,
-    }
-
-
 def parity_sweep(n_triples=4000, n_properties=60, seed=42,
                  queries=ALL_QUERY_NAMES, modes=PARITY_MODES,
                  column_engine_options=None):
@@ -116,8 +104,7 @@ def parity_sweep(n_triples=4000, n_properties=60, seed=42,
     }
     for label, engine_cls, builder in parity_cells():
         options = {}
-        if (column_engine_options
-                and getattr(engine_cls, "kind", "") == "column-store"):
+        if column_engine_options and engine_cls.kind == "column-store":
             options = dict(column_engine_options)
         engine = engine_cls(**options)
         catalog = builder(engine, dataset)
@@ -126,16 +113,12 @@ def parity_sweep(n_triples=4000, n_properties=60, seed=42,
             plan = build_query(catalog, query)
             cell[query] = {}
             for mode in modes:
-                if mode == "cold":
-                    engine.make_cold()
-                else:
-                    engine.run(plan)  # unmeasured warm-up
-                relation, timing = engine.run(plan)
+                relation, timing = engine.run(plan, mode=mode)
                 cell[query][mode] = {
                     "digest": result_digest(
                         relation, catalog.dictionary, plan.output_columns()
                     ),
-                    "timing": timing_document(timing),
+                    "timing": timing.to_dict(),
                 }
     return document
 

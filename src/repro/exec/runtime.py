@@ -241,17 +241,3 @@ class Runtime:
 
         return Stream(stream.columns, generate())
 
-
-def run_plan(engine, plan):
-    """Run *plan* on *engine* through the unified layer with full engine
-    bookkeeping (clock reset, plan overhead, output charges); returns
-    ``(Relation, QueryTiming)``.  Engines cache a :class:`Runtime` as
-    ``engine._executor``; ``engine.run`` drives it."""
-    return engine.run(plan)
-
-
-def execute_plan(engine, plan):
-    """Like :func:`run_plan` but returns only the Relation — the front-end
-    entry point (SQL, SPARQL, BGP solving, verification)."""
-    relation, _ = engine.run(plan)
-    return relation

@@ -215,7 +215,6 @@ def record_from_profile(name, profile, parameters=None, notes=()):
     parameters.setdefault("query", profile.query)
     parameters.setdefault("engine", profile.engine_kind)
     parameters.setdefault("mode", profile.mode)
-    timing = profile.timing
     spans = []
     for span in profile.root.walk():
         spans.append({
@@ -229,15 +228,7 @@ def record_from_profile(name, profile, parameters=None, notes=()):
             "self_io_requests": int(span.self_sim[REQUESTS]),
         })
     simulated = {
-        "totals": {
-            "n_rows": profile.n_rows,
-            "real_seconds": timing.real_seconds,
-            "user_seconds": timing.user_seconds,
-            "seek_seconds": timing.seek_seconds,
-            "transfer_seconds": timing.transfer_seconds,
-            "bytes_read": timing.bytes_read,
-            "io_requests": timing.io_requests,
-        },
+        "totals": {"n_rows": profile.n_rows, **profile.timing.to_dict()},
         "spans": spans,
     }
     wall_ms = round(profile.root.wall_inclusive() * 1000.0, 3)

@@ -28,7 +28,6 @@ import json
 from dataclasses import dataclass, field
 
 from repro.engine.clock import QueryTiming
-from repro.errors import BenchmarkError
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import (
     BYTES,
@@ -86,8 +85,7 @@ class QueryProfile:
     segments: dict
     relation: object = None
     notes: list = field(default_factory=list)
-    #: Engine-lowered physical tree (None for engines outside the unified
-    #: execution layer, e.g. the C-Store replica).
+    #: Engine-lowered physical tree.
     physical: object = None
     #: Compression report + per-run compressed-scan counters (None when the
     #: engine stores columns raw).
@@ -235,21 +233,21 @@ class QueryProfile:
 
     def to_dict(self):
         t = self.timing
+        # The first line fixes the documented key order (io_seconds sits
+        # between user_seconds and the timing's seek/transfer split).
+        totals = dict.fromkeys(
+            ("n_rows", "real_seconds", "user_seconds", "io_seconds")
+        )
+        totals.update(
+            t.to_dict(), n_rows=self.n_rows,
+            io_seconds=t.real_seconds - t.user_seconds,
+        )
         return {
             "schema_version": PROFILE_SCHEMA_VERSION,
             "query": self.query,
             "engine": self.engine_kind,
             "mode": self.mode,
-            "totals": {
-                "n_rows": self.n_rows,
-                "real_seconds": t.real_seconds,
-                "user_seconds": t.user_seconds,
-                "io_seconds": t.real_seconds - t.user_seconds,
-                "seek_seconds": t.seek_seconds,
-                "transfer_seconds": t.transfer_seconds,
-                "bytes_read": t.bytes_read,
-                "io_requests": t.io_requests,
-            },
+            "totals": totals,
             "categories": dict(self.categories),
             "unattributed_seconds": self.unattributed_seconds(),
             "plan": self._span_dict(self.root),
@@ -319,19 +317,16 @@ def profile_plan(engine, plan, mode="cold", query=""):
     """Run *plan* on *engine* under EXPLAIN ANALYZE; returns a
     :class:`QueryProfile`.
 
-    *mode* follows the benchmark protocol: ``"cold"`` clears the buffer
-    pool first; ``"hot"`` performs one unobserved warm-up run.
+    *mode* follows the engine's run protocol
+    (:meth:`repro.exec.host.EngineHost.prepare`): ``"cold"`` clears the
+    buffer pool first; ``"hot"`` performs one unobserved warm-up run.
     ``"current"`` does neither — the query runs against the buffer pool
     exactly as it stands, which is how the session API profiles queries
     inside a live server whose pool is shared across sessions.
     """
-    if mode not in ("cold", "hot", "current"):
-        raise BenchmarkError(f"unknown mode {mode!r}")
-
     estimates = annotate_cardinalities(plan, engine_stats_provider(engine))
-    # The lowered tree the unified layer will actually run (engines outside
-    # the layer, e.g. the C-Store replica, have no lowering).
-    physical = engine.lower(plan) if hasattr(engine, "lower") else None
+    # The lowered tree the unified layer will actually run.
+    physical = engine.lower(plan)
 
     registry = MetricsRegistry()
     tracer = Tracer(clock=engine.clock)
@@ -343,10 +338,9 @@ def profile_plan(engine, plan, mode="cold", query=""):
         if span is not None and id(node) in estimates:
             span.estimated_rows = estimates[id(node)]
 
-    if mode == "cold":
-        engine.make_cold()
-    elif mode == "hot":
-        engine.run(plan)  # warm the buffer pool, unobserved
+    # Cold/hot preparation happens before the observation is installed:
+    # a warm-up run must leave no spans, metrics or read stats behind.
+    engine.prepare(plan, mode)
 
     engine.disk.reset_read_stats()
     observation = Observation(metrics=registry, tracer=tracer)
@@ -373,7 +367,7 @@ def profile_plan(engine, plan, mode="cold", query=""):
                 compression[key] = _counter_total(registry, counter)
     return QueryProfile(
         query=query,
-        engine_kind=getattr(engine, "kind", type(engine).__name__),
+        engine_kind=engine.kind,
         mode=mode,
         plan=plan,
         tracer=tracer,

@@ -19,7 +19,7 @@ from repro.queries.definitions import (
     QueryDefinition,
     coverage_table,
 )
-from repro.queries.builder import build_physical_query, build_query
+from repro.queries.builder import build_query
 from repro.queries.reference import reference_answer
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "QueryDefinition",
     "coverage_table",
     "build_query",
-    "build_physical_query",
     "reference_answer",
 ]

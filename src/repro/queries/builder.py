@@ -61,14 +61,6 @@ def build_query(catalog, name, scope=None, lint=None):
     return plan
 
 
-def build_physical_query(catalog, engine, name, scope=None, lint=None):
-    """Build query *name* and lower it through *engine*'s operator
-    registry; returns the :class:`~repro.exec.physical.PhysicalPlan` the
-    unified execution layer will run (cached by the engine's runtime, so
-    a later ``engine.run`` on the same logical plan reuses it)."""
-    return engine.lower(build_query(catalog, name, scope=scope, lint=lint))
-
-
 class _Plans:
     """Shared helpers for both builders."""
 

@@ -244,11 +244,6 @@ class BPlusTree:
         self._nodes.append(node)
         return node
 
-    def _subtree_min(self, node):
-        while not node.is_leaf:
-            node = self._node(node.children[0])
-        return node.keys[0]
-
     def _split(self, node, path):
         mid = len(node.keys) // 2
         if node.is_leaf:

@@ -1,20 +1,12 @@
 """The row-store engine facade."""
 
-from repro.engine import (
-    MACHINE_A,
-    ROW_STORE_COSTS,
-    BufferPool,
-    QueryClock,
-    SimulatedDisk,
-)
+from repro.engine import MACHINE_A, ROW_STORE_COSTS
 from repro.errors import StorageError
-from repro.observe import NULL_OBSERVATION
-from repro.plan.logical import count_operators
-from repro.exec.runtime import Runtime
+from repro.exec.host import PlanHost
 from repro.rowstore.table import RowTable
 
 
-class RowStoreEngine:
+class RowStoreEngine(PlanHost):
     """DBX-like engine: clustered heaps, B+tree indexes, iterator executor.
 
     Usage::
@@ -41,37 +33,14 @@ class RowStoreEngine:
                  page_size=DEFAULT_PAGE_SIZE, buffer_bytes=None,
                  max_run_bytes=DEFAULT_MAX_RUN_BYTES, btree_order=64,
                  observe=None):
-        self.machine = machine
-        self.costs = costs
-        self.observe = observe if observe is not None else NULL_OBSERVATION
-        self.disk = SimulatedDisk(page_size=page_size)
-        self.clock = QueryClock(machine)
-        if buffer_bytes is None:
-            buffer_bytes = int(machine.ram_bytes * 0.8)
-        self.pool = BufferPool(
-            self.disk, self.clock, buffer_bytes, max_run_bytes=max_run_bytes,
-            observe=self.observe,
+        super().__init__(
+            machine, costs, page_size, buffer_bytes, max_run_bytes,
+            observe=observe,
         )
         self.btree_order = btree_order
-        self._tables = {}
-        self._executor = Runtime(self)
-
-    def executor(self):
-        """The engine's execution runtime (unified layer)."""
-        return self._executor
-
-    def lower(self, plan):
-        """Physical plan for *plan* under this engine's operator set."""
-        return self._executor.lower(plan)
-
-    def install_observation(self, observe):
-        """Install (or, with ``None``, remove) an Observation bundle."""
-        self.observe = observe if observe is not None else NULL_OBSERVATION
-        self.pool.observe = self.observe
-        return self.observe
 
     # ------------------------------------------------------------------
-    # DDL / catalog
+    # DDL
     # ------------------------------------------------------------------
 
     def create_table(self, name, columns, sort_by=None, indexes=None,
@@ -116,12 +85,6 @@ class RowStoreEngine:
 
         index.tree.on_access = on_access
 
-    def table(self, name):
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise StorageError(f"no such table: {name!r}") from None
-
     def drop_table(self, name):
         """Drop a table, its heap, and every index segment."""
         table = self.table(name)
@@ -129,43 +92,3 @@ class RowStoreEngine:
         for index in table.all_indexes():
             self.disk.drop_segment(f"{name}.{index.name}")
         del self._tables[name]
-
-    def has_table(self, name):
-        return name in self._tables
-
-    def table_names(self):
-        return list(self._tables)
-
-    def database_bytes(self):
-        return self.disk.total_bytes()
-
-    # ------------------------------------------------------------------
-    # query execution
-    # ------------------------------------------------------------------
-
-    def run(self, plan):
-        """Execute a logical plan; returns ``(Relation, QueryTiming)``."""
-        self.clock.reset()
-        n_operators = count_operators(plan)
-        self.clock.charge_cpu(
-            self.costs.query_overhead
-            + self.costs.plan_operator * n_operators
-            + self.costs.plan_quadratic * n_operators * n_operators,
-            category="plan",
-        )
-        relation = self._executor.execute(plan)
-        self.clock.charge_cpu(
-            self.costs.output_tuple * relation.n_rows, category="output"
-        )
-        return relation, self.clock.timing()
-
-    def execute(self, plan):
-        relation, _ = self.run(plan)
-        return relation
-
-    def make_cold(self):
-        """Clear every cached page (server restart + cache flush)."""
-        self.pool.clear()
-
-    def io_history(self):
-        return self.clock.io_history()

@@ -22,6 +22,5 @@ Example::
 """
 
 from repro.sparql.parser import parse_sparql, SparqlQuery
-from repro.sparql.executor import execute_sparql
 
-__all__ = ["parse_sparql", "SparqlQuery", "execute_sparql"]
+__all__ = ["parse_sparql", "SparqlQuery"]

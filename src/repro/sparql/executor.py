@@ -1,4 +1,4 @@
-"""Execute parsed SPARQL against a store catalog + engine.
+"""Plan parsed SPARQL against a store catalog.
 
 Lowers the basic graph pattern through :func:`repro.core.bgp.bgp_plan`,
 applies FILTER comparisons as selections on the joined relation, and
@@ -49,19 +49,3 @@ def sparql_plan(catalog, query):
     plan_lint.check_plan(plan, where="sparql")
     return plan, projection
 
-
-def execute_sparql(engine, catalog, query):
-    """Run a parsed :class:`SparqlQuery`; returns a list of binding dicts.
-
-    Execution goes through the unified physical layer: the logical plan is
-    lowered against *engine*'s operator registry and driven by the shared
-    runtime (:func:`repro.exec.execute_plan`).
-    """
-    from repro.exec import execute_plan
-
-    plan, names = sparql_plan(catalog, query)
-    relation = execute_plan(engine, plan)
-    if not names:
-        return [{} for _ in range(relation.n_rows)]
-    rows = relation.decoded_tuples(catalog.dictionary, order=names)
-    return [dict(zip(names, row)) for row in rows]

@@ -14,17 +14,10 @@ answers agree.
 from dataclasses import dataclass, field
 
 from repro.analysis import lint_physical_plan
-from repro.colstore import ColumnStoreEngine
 from repro.cstore import CSTORE_QUERIES, CStoreEngine
-from repro.exec import execute_plan
+from repro.exec.parity import parity_cells
 from repro.observe.log import get_logger
 from repro.queries import ALL_QUERY_NAMES, build_query, reference_answer
-from repro.rowstore import RowStoreEngine
-from repro.storage import (
-    build_property_table_store,
-    build_triple_store,
-    build_vertical_store,
-)
 
 log = get_logger("verify")
 
@@ -87,29 +80,6 @@ class VerificationResult:
         return "\n".join(lines)
 
 
-#: (label, engine factory, scheme builder) for the SQL-engine combinations.
-_CONFIGURATIONS = [
-    ("column/triple-PSO", ColumnStoreEngine,
-     lambda e, d: build_triple_store(
-         e, d.triples, d.interesting_properties, clustering="PSO")),
-    ("column/triple-SPO", ColumnStoreEngine,
-     lambda e, d: build_triple_store(
-         e, d.triples, d.interesting_properties, clustering="SPO")),
-    ("column/vertical", ColumnStoreEngine,
-     lambda e, d: build_vertical_store(
-         e, d.triples, d.interesting_properties)),
-    ("column/property-table", ColumnStoreEngine,
-     lambda e, d: build_property_table_store(
-         e, d.triples, d.interesting_properties)),
-    ("row/triple-PSO", RowStoreEngine,
-     lambda e, d: build_triple_store(
-         e, d.triples, d.interesting_properties, clustering="PSO")),
-    ("row/vertical", RowStoreEngine,
-     lambda e, d: build_vertical_store(
-         e, d.triples, d.interesting_properties)),
-]
-
-
 def verify_dataset(dataset, queries=ALL_QUERY_NAMES, include_cstore=True):
     """Run the verification sweep; returns a :class:`VerificationResult`."""
     graph = dataset.graph()
@@ -118,12 +88,15 @@ def verify_dataset(dataset, queries=ALL_QUERY_NAMES, include_cstore=True):
         for q in queries
     }
 
+    # The SQL-engine combinations: the engine x scheme grid the exec-parity
+    # sweep covers, so the two harnesses can never check different cells.
+    cells = parity_cells()
     result = VerificationResult(
-        configurations=[label for label, _, _ in _CONFIGURATIONS],
+        configurations=[label for label, _, _ in cells],
         queries=list(queries),
     )
 
-    for label, engine_cls, builder in _CONFIGURATIONS:
+    for label, engine_cls, builder in cells:
         log.debug("building %s", label)
         engine = engine_cls()
         catalog = builder(engine, dataset)
@@ -135,7 +108,7 @@ def verify_dataset(dataset, queries=ALL_QUERY_NAMES, include_cstore=True):
             # covers what lint_plan reported before the unified layer.
             for diagnostic in lint_physical_plan(engine.lower(plan)):
                 result.diagnostics.append((label, query, diagnostic))
-            relation = execute_plan(engine, plan)
+            relation = engine.execute(plan)
             got = sorted(
                 relation.decoded_tuples(
                     catalog.dictionary, order=plan.output_columns()

@@ -258,6 +258,25 @@ class TestPlanCache:
         conn._plan_for("q1")
         assert conn.plan_cache_stats()["hits"] == hits_before + 1
 
+    def test_list_scope_is_the_tuple_scope(self, dataset):
+        """An explicit property list — what a JSON array decodes to —
+        keys the plan cache as the tuple form does."""
+        conn = fresh_connection(dataset)
+        session = conn.session()
+        properties = dataset.interesting_properties[:3]
+        as_tuple = session.query("q2", scope=tuple(properties), mode="cold")
+        assert conn.plan_cache_stats()["misses"] == 1
+        as_list = session.query("q2", scope=list(properties), mode="cold")
+        assert as_list.rows == as_tuple.rows and as_list.n_rows > 0
+        assert as_list.cost == as_tuple.cost
+        stats = conn.plan_cache_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
+
+    @pytest.mark.parametrize("scope", [7, "some", ["<type>", 3], {"a": 1}])
+    def test_malformed_scope_is_a_typed_error(self, connection, scope):
+        with pytest.raises(ReproError, match="scope must be"):
+            connection.session().query("q2", scope=scope)
+
 
 # ---------------------------------------------------------------------------
 # timeouts / cancellation
@@ -335,14 +354,17 @@ class TestTimeouts:
 
 
 # ---------------------------------------------------------------------------
-# parity with RDFStore.benchmark_query, the benchmark harness's entry point
+# parity with engine.run(plan, mode=), the one measured-run protocol
 # ---------------------------------------------------------------------------
 
 class TestShimParity:
     def test_benchmark_costs_match_on_exec_parity_cells(self, dataset):
-        """Session.query(mode=...) reproduces RDFStore.benchmark_query's
-        simulated timings bit-for-bit on the goldens' engine x scheme
-        cells (fresh stores on both sides, same protocol)."""
+        """Session.query(mode=...) reproduces engine.run(build_query(...),
+        mode=...) on a twin store bit-for-bit — rows and simulated
+        timings — on the goldens' engine x scheme cells (fresh stores on
+        both sides, same protocol)."""
+        from repro.queries import build_query
+
         build = dict(
             triples=dataset.triples,
             interesting_properties=dataset.interesting_properties,
@@ -351,14 +373,18 @@ class TestShimParity:
             ("column", "vertical"), ("column", "triple"),
             ("row", "vertical"), ("row", "triple"),
         ):
-            legacy = RDFStore(engine=engine, scheme=scheme, **build)
+            twin = RDFStore(engine=engine, scheme=scheme, **build)
             conn = api.connect(engine=engine, scheme=scheme, **build)
             for name in ("q1", "q2", "q5"):
                 for mode in ("cold", "hot"):
-                    _rows, timing = legacy.benchmark_query(name, mode=mode)
+                    plan = build_query(twin.catalog, name)
+                    relation, timing = twin.engine.run(plan, mode=mode)
                     result = conn.session().query(name, mode=mode)
-                    assert result.cost.real_seconds == \
-                        timing.real_seconds, (engine, scheme, name, mode)
+                    where = (engine, scheme, name, mode)
+                    assert result.rows == relation.decoded_tuples(
+                        twin.catalog.dictionary, order=plan.output_columns()
+                    ), where
+                    assert result.cost == timing, where
                     assert result.cost_dict() == {
                         "real_seconds": timing.real_seconds,
                         "user_seconds": timing.user_seconds,
@@ -366,4 +392,4 @@ class TestShimParity:
                         "transfer_seconds": timing.transfer_seconds,
                         "bytes_read": timing.bytes_read,
                         "io_requests": timing.io_requests,
-                    }, (engine, scheme, name, mode)
+                    }, where

@@ -10,7 +10,6 @@ from repro.bench.artifacts import (
     cached_store_payload,
     dataset_cache_key,
 )
-from repro.bench.runner import BenchmarkRunner
 from repro.bench.systems import deploy
 from repro.data import generate_barton
 from repro.data.barton import BartonConfig
@@ -31,12 +30,8 @@ def _run_queries(deployment, queries=("q1", "q2", "q5")):
     """Simulated timings + result rows for a few benchmark queries."""
     timings = {}
     for query in queries:
-        runner = BenchmarkRunner(deployment.engine)
-        result = runner.run(query, deployment.executor(query), "cold")
-        timings[query] = (
-            result.timing.real_seconds,
-            result.timing.bytes_read,
-        )
+        _, timing = deployment.run(query, "cold")
+        timings[query] = (timing.real_seconds, timing.bytes_read)
     return timings
 
 

@@ -1,9 +1,9 @@
-"""Tests for the benchmark harness: metrics, runner, reporting, systems."""
+"""Tests for the benchmark harness: metrics, the measured run, reporting,
+systems."""
 
 import pytest
 
 from repro.bench import (
-    BenchmarkRunner,
     TimingCell,
     format_series,
     format_table,
@@ -98,20 +98,21 @@ class TestReporting:
 
 
 class TestRunner:
+    """``Deployment.run`` — the harness's way into the engine's one
+    cold/hot protocol."""
+
     def test_cold_and_hot(self, dataset):
         deployment = deploy(dataset, "MonetDB", "vert")
-        runner = BenchmarkRunner(deployment.engine)
-        cold = runner.run("q1", deployment.executor("q1"), "cold")
-        hot = runner.run("q1", deployment.executor("q1"), "hot")
-        assert cold.mode == "cold" and hot.mode == "hot"
-        assert hot.timing.real_seconds < cold.timing.real_seconds
-        assert cold.n_rows == hot.n_rows > 0
+        cold_rows, cold = deployment.run("q1", "cold")
+        hot_rows, hot = deployment.run("q1", "hot")
+        assert hot.real_seconds < cold.real_seconds
+        assert hot.bytes_read == 0 < cold.bytes_read
+        assert cold_rows.n_rows == hot_rows.n_rows > 0
 
     def test_unknown_mode(self, dataset):
         deployment = deploy(dataset, "MonetDB", "vert")
-        runner = BenchmarkRunner(deployment.engine)
         with pytest.raises(BenchmarkError):
-            runner.run("q1", deployment.executor("q1"), "warm")
+            deployment.run("q1", "warm")
 
 
 class TestSystems:
@@ -150,7 +151,7 @@ class TestSystems:
     def test_cstore_rejects_scope_override(self, dataset):
         deployment = deploy(dataset, "C-Store", "vert")
         with pytest.raises(BenchmarkError):
-            deployment.executor("q2", scope=["<type>"])
+            deployment.run("q2", scope=["<type>"])
 
     def test_scaled_seconds(self, dataset):
         deployment = deploy(dataset, "MonetDB", "vert")
@@ -162,8 +163,8 @@ class TestSystems:
         """Both SQL deployments return identical q1 relations."""
         a = deploy(dataset, "MonetDB", "triple", "PSO")
         b = deploy(dataset, "DBX", "vert")
-        rel_a, _ = a.executor("q1")()
-        rel_b, _ = b.executor("q1")()
+        rel_a, _ = a.run("q1")
+        rel_b, _ = b.run("q1")
         decoded_a = sorted(rel_a.decoded_tuples(a.catalog.dictionary))
         decoded_b = sorted(rel_b.decoded_tuples(b.catalog.dictionary))
         assert decoded_a == decoded_b

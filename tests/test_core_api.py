@@ -205,27 +205,34 @@ class TestBenchmarkInterface:
             interesting_properties=dataset.interesting_properties,
         )
 
-    def test_benchmark_query_runs(self, barton_store):
-        rows, timing = barton_store.benchmark_query("q1")
-        assert len(rows) > 0
-        assert timing.real_seconds > 0
+    @pytest.fixture()
+    def session(self, barton_store):
+        return barton_store.connection().session()
 
-    def test_cold_slower_than_hot(self, barton_store):
+    def test_benchmark_query_runs(self, session):
+        result = session.query("q1", mode="hot")
+        assert len(result.rows) > 0
+        assert result.cost.real_seconds > 0
+
+    def test_cold_slower_than_hot(self, barton_store, session):
         barton_store.make_cold()
-        _, cold = barton_store.benchmark_query("q2", mode="cold")
-        _, hot = barton_store.benchmark_query("q2", mode="hot")
+        cold = session.query("q2", mode="cold").cost
+        hot = session.query("q2", mode="hot").cost
         assert hot.real_seconds < cold.real_seconds
 
-    def test_query_names(self, barton_store):
-        names = barton_store.benchmark_queries()
-        assert "q8" in names and "q2*" in names
+    def test_query_names(self, session):
+        for name in ("q8", "q2*"):
+            assert session.query(name).kind == "benchmark"
 
-    def test_scope_override(self, barton_store):
-        rows_small, _ = barton_store.benchmark_query(
-            "q2", scope=barton_store.catalog.interesting_properties[:3]
+    def test_scope_override(self, barton_store, session):
+        # An explicit property *list*: the third documented form of
+        # ``scope=``, through the plan cache.
+        small = session.query(
+            "q2", mode="hot",
+            scope=barton_store.catalog.interesting_properties[:3],
         )
-        rows_all, _ = barton_store.benchmark_query("q2", scope="all")
-        assert len(rows_small) <= len(rows_all)
+        everything = session.query("q2", mode="hot", scope="all")
+        assert 0 < len(small.rows) <= len(everything.rows)
 
 
 class TestBGPPlanShapes:

@@ -5,21 +5,21 @@ import pytest
 
 from repro.analysis import ERROR, lint_physical_plan
 from repro.colstore import ColumnStoreEngine
+from repro.cstore import CStoreEngine
 from repro.data import generate_barton
-from repro.errors import EngineError
+from repro.errors import BenchmarkError, EngineError
 from repro.exec import (
     PhysicalPlan,
     count_physical_operators,
     engine_ops,
-    execute_plan,
     lower_plan,
     registered_engines,
-    run_plan,
     walk_physical,
 )
+from repro.exec.host import EngineHost, PlanHost
 from repro.plan import logical as L
 from repro.plan.render import render_physical_plan
-from repro.queries import ALL_QUERY_NAMES, build_physical_query, build_query
+from repro.queries import ALL_QUERY_NAMES, build_query
 from repro.rowstore import RowStoreEngine
 from repro.storage import build_triple_store, build_vertical_store
 
@@ -132,21 +132,156 @@ def test_output_columns_match_logical(row_setup):
 def test_execute_plan_matches_engine_run(column_setup):
     engine, catalog = column_setup
     plan = build_query(catalog, "q1")
+    via_run, timing = engine.run(plan, mode="cold")
     engine.make_cold()
-    via_run, timing = run_plan(engine, plan)
-    engine.make_cold()
-    via_execute = execute_plan(engine, plan)
+    via_execute = engine.execute(plan)
     assert timing.real_seconds > 0
     assert via_run.sorted_tuples() == via_execute.sorted_tuples()
 
 
 def test_build_physical_query(row_setup):
     engine, catalog = row_setup
-    physical = build_physical_query(catalog, engine, "q1")
+    plan = build_query(catalog, "q1")
+    physical = engine.lower(plan)
     assert isinstance(physical, PhysicalPlan)
-    assert physical is engine.lower(build_query(catalog, "q1")) or (
-        physical.op.engine == "row-store"
+    assert physical.op.engine == "row-store"
+    assert physical.logical is plan
+
+
+# ---------------------------------------------------------------------------
+# the one measured-run protocol (repro.exec.host)
+# ---------------------------------------------------------------------------
+
+def _twin_engines(kind, dataset):
+    """Two identically built engines plus what ``run`` takes and how to
+    decode what it returns: a twin starts from the same pool state, so
+    the protocol can be compared against its spelled-out definition."""
+    twins = []
+    for _ in range(2):
+        if kind == "c-store":
+            engine = CStoreEngine().load_vertical(
+                dataset.triples, dataset.interesting_properties
+            )
+            twins.append((engine, "q3", engine.dictionary, None))
+            continue
+        engine_cls = ColumnStoreEngine if kind == "column" else RowStoreEngine
+        engine = engine_cls()
+        catalog = build_vertical_store(
+            engine, dataset.triples, dataset.interesting_properties
+        )
+        plan = build_query(catalog, "q3")
+        twins.append(
+            (engine, plan, catalog.dictionary, plan.output_columns())
+        )
+    return twins
+
+
+def _outcome(run_result, dictionary, order):
+    relation, timing = run_result
+    return relation.decoded_tuples(dictionary, order=order), timing.to_dict()
+
+
+ENGINE_KINDS = ("column", "row", "c-store")
+
+
+def test_engines_subclass_the_host():
+    assert issubclass(ColumnStoreEngine, PlanHost)
+    assert issubclass(RowStoreEngine, PlanHost)
+    assert issubclass(CStoreEngine, EngineHost)
+    assert not issubclass(CStoreEngine, PlanHost)
+    # One implementation of the protocol: no engine overrides it.
+    for engine_cls in (ColumnStoreEngine, RowStoreEngine, CStoreEngine):
+        for name in ("run", "prepare", "execute", "make_cold", "io_history"):
+            assert getattr(engine_cls, name) is getattr(EngineHost, name)
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_cold_mode_is_make_cold_then_run(kind, dataset):
+    (a, qa, dictionary, order), (b, qb, _, _) = _twin_engines(kind, dataset)
+    for engine, query in ((a, qa), (b, qb)):
+        engine.run(query)  # same non-empty pool on both sides
+    b.make_cold()
+    assert _outcome(a.run(qa, mode="cold"), dictionary, order) == \
+        _outcome(b.run(qb), dictionary, order)
+    assert a.pool.stats() == b.pool.stats()
+    assert a.io_history() == b.io_history()
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_hot_mode_is_run_then_run(kind, dataset):
+    (a, qa, dictionary, order), (b, qb, _, _) = _twin_engines(kind, dataset)
+    b.run(qb)
+    assert _outcome(a.run(qa, mode="hot"), dictionary, order) == \
+        _outcome(b.run(qb), dictionary, order)
+    assert a.pool.stats() == b.pool.stats()
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_current_mode_leaves_the_pool_as_it_stands(kind, dataset):
+    (a, qa, dictionary, order), (b, qb, _, _) = _twin_engines(kind, dataset)
+    a.run(qa)
+    b.run(qb)
+    assert _outcome(a.run(qa, mode="current"), dictionary, order) == \
+        _outcome(b.run(qb), dictionary, order)
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_unknown_mode_touches_nothing(kind, dataset):
+    (engine, query, _, _), _ = _twin_engines(kind, dataset)
+    engine.run(query)
+    before = (
+        engine.pool.stats(), engine.pool.resident_pages(),
+        engine.clock.timing(), engine.io_history(),
     )
+    with pytest.raises(BenchmarkError, match="unknown mode 'warm'"):
+        engine.run(query, mode="warm")
+    assert before == (
+        engine.pool.stats(), engine.pool.resident_pages(),
+        engine.clock.timing(), engine.io_history(),
+    )
+
+
+def test_every_caller_rejects_a_bad_mode_the_same_way(dataset):
+    """The session, the profiler, the bench deployment and the parity
+    sweep all reach the host's check by passing ``mode`` through."""
+    import repro.api as api
+    from repro.bench.systems import deploy
+    from repro.exec.parity import parity_sweep
+
+    connection = api.connect(
+        triples=dataset.triples,
+        interesting_properties=dataset.interesting_properties,
+    )
+    session = connection.session()
+    attempts = [
+        lambda: session.query("q1", mode="warm"),
+        lambda: session.profile("q1", mode="warm"),
+        lambda: deploy(
+            dataset, "MonetDB", "vert", cache=False
+        ).run("q1", mode="warm"),
+        lambda: deploy(dataset, "C-Store", "vert").run("q1", mode="warm"),
+        lambda: parity_sweep(
+            n_triples=1000, n_properties=12, queries=("q1",),
+            modes=("warm",),
+        ),
+    ]
+    for attempt in attempts:
+        with pytest.raises(BenchmarkError, match="unknown mode 'warm'"):
+            attempt()
+    # Nothing stuck to the shared engine: the next query runs normally.
+    assert session.query("q1", mode="cold").n_rows > 0
+    assert connection.store.engine.observe.enabled is False
+
+
+def test_verify_sweeps_the_parity_grid(dataset):
+    from repro.exec.parity import parity_cells
+    from repro.verify import verify_dataset
+
+    result = verify_dataset(dataset, queries=("q1",))
+    assert result.ok
+    assert result.configurations == [
+        label for label, _, _ in parity_cells()
+    ] + ["c-store/vertical"]
 
 
 def test_row_join_strategy_knob(row_setup, dataset):

@@ -15,11 +15,7 @@ import pytest
 import repro.api as api
 from repro.colstore import ColumnStoreEngine
 from repro.data import generate_barton
-from repro.exec.parity import (
-    compare_parity,
-    parity_sweep,
-    timing_document,
-)
+from repro.exec.parity import compare_parity, parity_sweep
 from repro.observe import counters
 from repro.plan import Comparison, Extend, GroupBy, Project, Scan, Select, Union
 from repro.storage import build_vertical_store
@@ -161,7 +157,7 @@ class TestSweepParity:
             runs[workers] = (
                 {name: relation.column(name).tolist()
                  for name in relation.columns},
-                timing_document(timing),
+                timing.to_dict(),
                 counters.snapshot("parallel")["batches"],
             )
             if shape == "mixed-union":
@@ -200,8 +196,7 @@ class TestPerQueryWorkers:
                     for workers in (None, 1, 2, 16):
                         got = s4.query(query, mode="cold", workers=workers)
                         assert list(got) == list(expected)
-                        assert timing_document(got.cost) == \
-                            timing_document(expected.cost)
+                        assert got.cost.to_dict() == expected.cost.to_dict()
         finally:
             serial.close()
             parallel.close()
@@ -248,9 +243,7 @@ class TestStealingStress:
                 reference = {
                     query: (
                         list(session.query(query, mode="cold")),
-                        timing_document(
-                            session.query(query, mode="cold").cost
-                        ),
+                        session.query(query, mode="cold").cost.to_dict(),
                     )
                     for query in ("q2", "q3", "q6")
                 }
@@ -258,7 +251,7 @@ class TestStealingStress:
                     for query, (rows, cost) in reference.items():
                         again = session.query(query, mode="cold")
                         assert list(again) == rows
-                        assert timing_document(again.cost) == cost
+                        assert again.cost.to_dict() == cost
         finally:
             connection.close()
 
@@ -310,8 +303,7 @@ class TestServerAdmission:
             # result is still byte-identical to serial.
             result = scheduler.execute("q2", mode="hot", workers=16)
             assert list(result) == list(expected)
-            assert timing_document(result.cost) == \
-                timing_document(expected.cost)
+            assert result.cost.to_dict() == expected.cost.to_dict()
             assert scheduler.stats()["live"]["max_dop"] == 2
         finally:
             scheduler.shutdown()

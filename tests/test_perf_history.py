@@ -84,7 +84,7 @@ class TestCounters:
             n_triples=2_000, n_properties=20, n_interesting=10, seed=3
         )
         store = RDFStore.from_triples(dataset.triples, engine="column")
-        store.benchmark_query("q1", mode="cold")
+        store.connection().session().query("q1", mode="cold")
         counters = collect_counters()
         assert counters["buffer_pool"]["page_misses"] > 0
         assert counters["lowering_cache"]["misses"] > 0

@@ -30,6 +30,19 @@ def row_store(dataset):
     return RDFStore.from_triples(dataset.triples, engine="row")
 
 
+def _without_wall(document):
+    """*document* minus every wall-clock field (the only part of a
+    profile that differs between two runs of the same store state)."""
+    if isinstance(document, dict):
+        return {
+            key: _without_wall(value) for key, value in document.items()
+            if "wall" not in key
+        }
+    if isinstance(document, list):
+        return [_without_wall(value) for value in document]
+    return document
+
+
 class TestAttribution:
     @pytest.mark.parametrize("mode", ["cold", "hot"])
     def test_span_self_times_sum_to_total_charge_column(
@@ -97,7 +110,9 @@ class TestAttribution:
 class TestIsolation:
     def test_results_identical_with_observability(self, dataset):
         plain = RDFStore.from_triples(dataset.triples, engine="column")
-        rows_plain, _ = plain.benchmark_query("q2", mode="cold")
+        rows_plain = plain.connection().session().query(
+            "q2", mode="cold"
+        ).rows
 
         observed = RDFStore.from_triples(dataset.triples, engine="column")
         profile = observed.profile("q2", mode="cold")
@@ -109,7 +124,9 @@ class TestIsolation:
 
     def test_timings_identical_with_observability(self, dataset):
         plain = RDFStore.from_triples(dataset.triples, engine="row")
-        _, timing_plain = plain.benchmark_query("q2", mode="cold")
+        timing_plain = plain.connection().session().query(
+            "q2", mode="cold"
+        ).cost
 
         observed = RDFStore.from_triples(dataset.triples, engine="row")
         profile = observed.profile("q2", mode="cold")
@@ -117,6 +134,46 @@ class TestIsolation:
             timing_plain.real_seconds
         )
         assert profile.timing.bytes_read == timing_plain.bytes_read
+
+    @pytest.mark.parametrize("engine", ["column", "row"])
+    @pytest.mark.parametrize("mode", ["cold", "hot"])
+    def test_store_profile_is_the_session_profile(
+        self, column_store, row_store, engine, mode
+    ):
+        """``RDFStore.profile`` is a delegation: same document (the wall
+        clock aside) as the session's, which runs under the connection's
+        execution lock."""
+        store = column_store if engine == "column" else row_store
+        via_store = store.profile("q2", mode)
+        via_session = store.connection().session().profile("q2", mode)
+        assert json.dumps(_without_wall(via_store.to_dict())) == \
+            json.dumps(_without_wall(via_session.to_dict()))
+
+    def test_store_profile_and_explain_take_the_execution_lock(
+        self, column_store
+    ):
+        """Neither may touch the shared engine while another session's
+        query holds the connection's execution lock."""
+        import threading
+
+        from repro import Var
+
+        connection = column_store.connection()
+        calls = {
+            "profile": lambda: column_store.profile("q1", "cold"),
+            "explain-bgp": lambda: column_store.explain(
+                [(Var("s"), "<type>", Var("o"))], physical=True
+            ),
+        }
+        for name, call in calls.items():
+            finished = threading.Event()
+            worker = threading.Thread(
+                target=lambda: (call(), finished.set()), daemon=True
+            )
+            with connection._exec_lock:
+                worker.start()
+                assert not finished.wait(0.2), name
+            assert finished.wait(30), name
 
     def test_observation_uninstalled_after_profile(self, column_store):
         column_store.profile("q2", mode="cold")

@@ -16,7 +16,13 @@ import pytest
 
 import repro.api as api
 from repro.data import generate_barton
-from repro.errors import QueryTimeout, ServerOverloaded, SessionClosed
+from repro import errors
+from repro.errors import (
+    QueryTimeout,
+    ReproError,
+    ServerOverloaded,
+    SessionClosed,
+)
 from repro.server import (
     QueryServer,
     ReplayConfig,
@@ -264,6 +270,22 @@ class TestQueryServer:
                 assert status == 200, (field, value, document)
         finally:
             connection.close()
+
+    def test_scope_over_http(self, server):
+        """A JSON array always decodes to a list: the explicit
+        property-list form of ``scope`` must survive the plan cache."""
+        body = {"query": "q2", "scope": ["<type>"]}
+        for _ in range(2):  # the second answer comes from the plan cache
+            status, document = server.handle_query(body)
+            assert status == 200, document
+            assert document["n_rows"] == len(document["rows"]) > 0
+        assert post_query(server.address, body)[0] == 200
+
+        status, document = server.handle_query({"query": "q2", "scope": 7})
+        assert status == 400
+        assert issubclass(getattr(errors, document["error_type"]), ReproError)
+        assert "internal error" not in document["error"]
+        assert "scope" in document["error"]
 
     def test_unknown_route_404(self, server):
         try:
