@@ -4,8 +4,6 @@
 Usage::
 
     python scripts/compare_bench_json.py serial.json parallel.json
-    python scripts/compare_bench_json.py --wall-gate --wall-tolerance 2.0 \\
-        baseline.json current.json
     python scripts/compare_bench_json.py --json old.json new.json
 
 The documents are the ``repro bench --json`` output (a list of experiment
@@ -13,9 +11,8 @@ results).  The comparison delegates to
 :mod:`repro.observe.regression`: simulated timings, tables and figure
 series must be **byte-identical** after stripping the ``meta`` blocks
 (wall-clock per cell, worker count); the summed wall-clock is reported
-informationally by default, or gated at ``--wall-tolerance`` (default
-1.5x) with ``--wall-gate``.  ``--json`` emits the machine-readable diff
-instead of text.
+informationally with its ratio.  ``--json`` emits the machine-readable
+diff instead of text.
 
 Exit status 0 means no gate tripped, 1 means a regression (printed),
 2 means usage or input error.
@@ -31,28 +28,16 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.observe.regression import (  # noqa: E402
-    DEFAULT_WALL_TOLERANCE,
-    compare_bench_documents,
-)
+from repro.observe.regression import compare_bench_documents  # noqa: E402
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         description="Compare two 'repro bench --json' documents: simulated "
-                    "results byte-identical, wall-clock under tolerance.",
+                    "results byte-identical, wall-clock informational.",
     )
     parser.add_argument("baseline", help="baseline bench JSON")
     parser.add_argument("current", help="current bench JSON")
-    parser.add_argument(
-        "--wall-tolerance", type=float, default=DEFAULT_WALL_TOLERANCE,
-        help="allowed wall-clock slowdown ratio (default %(default)s)",
-    )
-    parser.add_argument(
-        "--wall-gate", action="store_true",
-        help="fail when wall-clock exceeds the tolerance (default: "
-             "informational only, matching the old equality-only script)",
-    )
     parser.add_argument(
         "--json", action="store_true",
         help="emit the comparison as a JSON document on stdout",
@@ -70,8 +55,6 @@ def main(argv=None):
         comparison = compare_bench_documents(
             baseline, current,
             name=f"{args.baseline} vs {args.current}",
-            wall_tolerance=args.wall_tolerance,
-            wall_gate=args.wall_gate,
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,7 @@ Two heads, one subsystem:
   simulated-cost paths, no bare-``set`` iteration feeding benchmark or
   report output, join kernels must thread their sort-order hint, and no
   mutation of logical-plan nodes after construction.  Exposed as
-  ``repro lint`` with a checked-in ratchet baseline
-  (:mod:`repro.analysis.baseline`).
+  ``repro lint``, which fails on any violation.
 
 * **Concurrency-safety analyzer** (:mod:`repro.analysis.concurrency`) —
   three checks over the process-wide mutable state the query server
@@ -28,10 +27,10 @@ Two heads, one subsystem:
   a static *lock-order* graph with cycle (deadlock) detection, and a
   runtime *race harness* (``REPRO_RACE_CHECK=1``) that records accessor
   threads on annotated structures and cross-checks that N-thread replay
-  produces byte-identical simulated costs to serial.  Exposed as
-  ``repro analyze --concurrency``; the static heads ride the same
-  ratchet-baseline machinery as the code linter
-  (``concurrency-baseline.json``).
+  produces byte-identical simulated costs to serial.  ``repro lint``
+  runs the two static heads with the code rules (``# unguarded-ok:
+  <reason>`` is the inline, reviewed exception); ``repro analyze
+  --concurrency`` adds the lock-graph document and the runtime harness.
 
 Rule catalog and workflow: ``docs/static-analysis.md``.
 """
@@ -61,13 +60,7 @@ from repro.analysis.code_lint import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.concurrency import (
-    CONCURRENCY_BASELINE_NAME,
     CONCURRENCY_RULES,
     build_lock_graph,
     check_package,
@@ -99,10 +92,6 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "lint_package",
-    "load_baseline",
-    "apply_baseline",
-    "write_baseline",
-    "CONCURRENCY_BASELINE_NAME",
     "CONCURRENCY_RULES",
     "check_source",
     "check_paths",

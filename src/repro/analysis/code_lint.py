@@ -26,8 +26,9 @@ guarantees the reproduction depends on:
   plan-node field outside an ``__init__`` breaks plan sharing between the
   optimizer, the profiler and the engines.
 
-Run as ``repro lint``; existing violations are *ratcheted* via a
-checked-in baseline (:mod:`repro.analysis.baseline`), never ignored.
+Run as ``repro lint``, which fails on any violation: the rules are
+path-scoped, so code that legitimately needs the wall clock lives outside
+the simulated-cost paths rather than behind a suppression.
 """
 
 import ast
@@ -93,11 +94,6 @@ class Violation:
     scope: str   # dotted enclosing defs, "<module>" at top level
     symbol: str  # the offending symbol, e.g. "time.perf_counter"
     message: str
-
-    @property
-    def fingerprint(self):
-        """Line-number-free identity used by the ratchet baseline."""
-        return f"{self.rule}::{self.path}::{self.scope}::{self.symbol}"
 
     def render(self):
         return (

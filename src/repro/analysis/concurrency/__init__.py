@@ -4,8 +4,7 @@ Three cooperating layers, all zero-dependency:
 
 * :mod:`repro.analysis.concurrency.guarded` — the **guarded-by static
   checker**: every module-level mutable object must be mutated under the
-  lock its ``# guarded-by: <LockName>`` annotation names (ratcheted via
-  ``concurrency-baseline.json``).
+  lock its ``# guarded-by: <LockName>`` annotation names.
 * :mod:`repro.analysis.concurrency.lockorder` — the **lock-order
   analyzer**: builds the static lock-acquisition graph from nested
   ``with`` blocks (plus same-module call edges) and fails on cycles —
@@ -45,12 +44,8 @@ from repro.observe.race import (
     shared_state,
 )
 
-#: Baseline file for the ratchet (repo root, next to lint-baseline.json).
-CONCURRENCY_BASELINE_NAME = "concurrency-baseline.json"
-
 __all__ = [
     "CONCURRENCY_RULES",
-    "CONCURRENCY_BASELINE_NAME",
     "check_source",
     "check_paths",
     "check_package",

@@ -21,8 +21,7 @@ The convention (see ``docs/static-analysis.md``):
 * A deliberate unguarded mutation site carries an
   ``# unguarded-ok: <reason>`` comment on the mutating line (or the line
   directly above); the reason is mandatory and shows up in reviews.
-* Everything else is a violation, ratcheted through
-  ``concurrency-baseline.json`` exactly like the code lint's baseline.
+* Everything else is a violation, and ``repro lint`` fails on it.
 
 Rules:
 

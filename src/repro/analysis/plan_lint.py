@@ -154,16 +154,22 @@ LINT_MODES = ("off", "warn", "strict")
 _lint_mode = None  # resolved lazily so env changes in tests are honoured
 
 
+def validate_lint_mode(mode):
+    """*mode* if it names a lint mode, else :class:`PlanError` — modes
+    arrive from request bodies and session defaults as well as from code."""
+    if mode not in LINT_MODES:
+        raise PlanError(
+            f"unknown lint mode {mode!r}; expected one of {LINT_MODES}"
+        )
+    return mode
+
+
 def set_lint_mode(mode):
     """Set the frontend lint mode ("off" | "warn" | "strict")."""
     global _lint_mode
-    if mode not in LINT_MODES:
-        raise ValueError(
-            f"unknown lint mode {mode!r}; expected one of {LINT_MODES}"
-        )
     # unguarded-ok: frontend config knob, set during setup (CLI, tests)
     # before queries run; an atomic reference store either way
-    _lint_mode = mode
+    _lint_mode = validate_lint_mode(mode)
 
 
 def lint_mode():
@@ -179,12 +185,7 @@ def check_plan(plan, where, mode=None):
     Returns the diagnostics (empty under mode "off").  Under "strict",
     raises :class:`PlanError` when anything at warning+ severity fires.
     """
-    if mode is None:
-        mode = lint_mode()
-    elif mode not in LINT_MODES:
-        raise ValueError(
-            f"unknown lint mode {mode!r}; expected one of {LINT_MODES}"
-        )
+    mode = lint_mode() if mode is None else validate_lint_mode(mode)
     if mode == "off":
         return ()
     diagnostics = lint_plan(plan)

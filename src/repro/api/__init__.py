@@ -268,13 +268,16 @@ class Session:
             timeout if timeout is not None else self.default_timeout
         )
         effective_lint = lint if lint is not None else self.lint
+        if effective_lint is not None:
+            from repro.analysis import plan_lint
+
+            # Rejected before planning: a bad mode costs no plan.
+            plan_lint.validate_lint_mode(effective_lint)
         connection = self.connection
         kind, plan, columns = connection._plan_for(
             text, optimize=optimize, scope=scope
         )
         if effective_lint is not None:
-            from repro.analysis import plan_lint
-
             plan_lint.check_plan(plan, where=f"api:{kind}",
                                  mode=effective_lint)
         relation, timing, query_profile = connection._execute(

@@ -98,7 +98,7 @@ def deploy(dataset, system, scheme, clustering="PSO", machine=MACHINE_B,
     process-wide one); pass ``False`` to force a fresh build.
 
     *compression* enables columnar compression on the MonetDB-like engine
-    (``"logical"``/``"physical"``, see
+    (``"physical"``, see
     :class:`~repro.storage.compress.CompressionConfig`).  The default
     ``None`` reads the ``REPRO_COMPRESS`` environment variable, so a whole
     benchmark run can be compressed without threading the option through

@@ -12,7 +12,7 @@
     python -m repro profile q2 --trace-out q2.trace.json
     python -m repro perf record --experiment figure6 --name fig6_smoke
     python -m repro perf compare ci/BENCH_fig6_smoke_baseline.json \\
-        BENCH_fig6_smoke.json --wall-info
+        BENCH_fig6_smoke.json
     python -m repro perf report --name fig6_smoke
     python -m repro serve --triples 20000 --port 8737 --workers 4
     python -m repro replay --url http://127.0.0.1:8737 --clients 8
@@ -22,8 +22,8 @@
     python -m repro analyze q5 --scheme triple
     python -m repro analyze all --strict
     python -m repro analyze --concurrency --static-only
-    python -m repro analyze all --code --concurrency --json
-    python -m repro lint --baseline lint-baseline.json
+    python -m repro analyze all --concurrency --json
+    python -m repro lint
 """
 
 import argparse
@@ -151,18 +151,9 @@ def build_parser():
         help="emit the machine-readable profile document",
     )
     profile.add_argument(
-        "--metrics", action="store_true",
-        help="append the full metrics registry to the text report",
-    )
-    profile.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="also write the span tree as Chrome trace-event JSON "
              "(open in Perfetto or chrome://tracing)",
-    )
-    profile.add_argument(
-        "--prometheus-out", metavar="PATH", default=None,
-        help="also write the metrics registry in Prometheus text "
-             "exposition format",
     )
 
     perf = sub.add_parser(
@@ -199,7 +190,7 @@ def build_parser():
         help="bypass the on-disk artifact cache",
     )
     record.add_argument(
-        "--compress", choices=("logical", "physical"), default=None,
+        "--compress", choices=("physical",), default=None,
         help="enable columnar compression on the column-store engines "
              "(sets REPRO_COMPRESS for the run; recorded as a run "
              "parameter so compressed and uncompressed baselines get "
@@ -216,20 +207,11 @@ def build_parser():
 
     compare = perf_sub.add_parser(
         "compare",
-        help="compare two run snapshots; exits 1 when a regression gate "
-             "trips",
+        help="compare two run snapshots; exits 1 when the simulated costs "
+             "or the configuration differ (wall-clock is informational)",
     )
     compare.add_argument("baseline", help="baseline BENCH_<name>.json")
     compare.add_argument("current", help="current BENCH_<name>.json")
-    compare.add_argument(
-        "--wall-tolerance", type=float, default=None,
-        help="allowed wall-clock slowdown ratio (default 1.5)",
-    )
-    compare.add_argument(
-        "--wall-info", action="store_true",
-        help="report wall-clock but never gate on it (for noisy CI "
-             "runners; simulated costs stay byte-identity gated)",
-    )
     compare.add_argument(
         "--json", action="store_true",
         help="emit the comparison as a JSON document",
@@ -358,7 +340,7 @@ def build_parser():
     analyze.add_argument(
         "query", nargs="?", default=None,
         help="benchmark query name (q1..q8, q2*..q6*, or 'all'), SPARQL, "
-             "or SQL (optional when --code or --concurrency is given)",
+             "or SQL (optional when --concurrency is given)",
     )
     _add_store_arguments(analyze)
     analyze.add_argument(
@@ -370,11 +352,6 @@ def build_parser():
         "--physical", action="store_true",
         help="lower the plan through the selected engine's operator "
              "registry and run the physical rule set too",
-    )
-    analyze.add_argument(
-        "--code", action="store_true",
-        help="also run the AST invariant checker over the codebase "
-             "(the 'repro lint' rules, ratchet baseline applied)",
     )
     analyze.add_argument(
         "--concurrency", action="store_true",
@@ -396,27 +373,13 @@ def build_parser():
 
     lint = sub.add_parser(
         "lint",
-        help="run the AST invariant checker over the codebase",
+        help="run the source rules (code invariants, guarded-by, "
+             "lock-order) over the codebase; any violation fails",
     )
     lint.add_argument(
         "paths", nargs="*",
         help="files or directories to check (default: the installed "
              "repro package)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="ratchet file of known violations (default: "
-             "lint-baseline.json next to the source tree, if present)",
-    )
-    lint.add_argument(
-        "--concurrency-baseline", metavar="PATH", default=None,
-        help="ratchet file for the concurrency checks (default: "
-             "concurrency-baseline.json next to the source tree, if "
-             "present)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite both baseline files to the current violation sets",
     )
     lint.add_argument(
         "--json", action="store_true",
@@ -654,7 +617,7 @@ def _command_profile(args):
     if args.json:
         print(profile.to_json())
     else:
-        print(profile.render(with_metrics=args.metrics))
+        print(profile.render())
     if args.trace_out:
         document = profile.to_chrome_trace()
         with open(args.trace_out, "w") as handle:
@@ -664,12 +627,6 @@ def _command_profile(args):
             "wrote %d trace event(s) to %s (open in https://ui.perfetto.dev)",
             len(document["traceEvents"]), args.trace_out,
         )
-    if args.prometheus_out:
-        from repro.observe.export import metrics_to_prometheus
-
-        with open(args.prometheus_out, "w") as handle:
-            handle.write(metrics_to_prometheus(profile.registry))
-        log.info("wrote metrics exposition to %s", args.prometheus_out)
     return 0
 
 
@@ -866,10 +823,7 @@ def _command_perf_compare(args):
     import json
 
     from repro.observe.history import load_snapshot
-    from repro.observe.regression import (
-        DEFAULT_WALL_TOLERANCE,
-        compare_records,
-    )
+    from repro.observe.regression import compare_records
 
     try:
         baseline = load_snapshot(args.baseline)
@@ -877,15 +831,7 @@ def _command_perf_compare(args):
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         log.error("cannot load snapshot: %s", exc)
         return 2
-    tolerance = (
-        args.wall_tolerance if args.wall_tolerance is not None
-        else DEFAULT_WALL_TOLERANCE
-    )
-    comparison = compare_records(
-        baseline, current,
-        wall_tolerance=tolerance,
-        wall_gate=not args.wall_info,
-    )
+    comparison = compare_records(baseline, current)
     if args.json:
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
     else:
@@ -929,13 +875,11 @@ def _command_analyze(args):
     sections = []
     if args.query is not None:
         sections.append("plan")
-    if args.code:
-        sections.append("code")
     if args.concurrency:
         sections.append("concurrency")
     if not sections:
         log.error(
-            "nothing to analyze: give a query and/or --code/--concurrency"
+            "nothing to analyze: give a query and/or --concurrency"
         )
         return 2
 
@@ -962,16 +906,6 @@ def _command_analyze(args):
             f"analyzed {count} quer{'y' if count == 1 else 'ies'}: "
             f"{plan_failing} finding(s) at {threshold}"
         )
-
-    if "code" in sections:
-        section, code_failing = _analyze_code_section()
-        failing += code_failing
-        document["code"] = section
-        lines.extend(v["rendered"] for v in section["violations"])
-        summary = f"code: {code_failing} new violation(s)"
-        if section["suppressed"]:
-            summary += f", {section['suppressed']} suppressed by baseline"
-        lines.append(summary)
 
     if "concurrency" in sections:
         section, conc_failing = _analyze_concurrency_section(
@@ -1038,30 +972,6 @@ def _analyze_plan_section(args):
     return report, failing
 
 
-def _analyze_code_section():
-    """The code-lint section of the analyze document (baseline applied)."""
-    import os
-
-    from repro.analysis import apply_baseline, lint_package, load_baseline
-
-    violations = lint_package()
-    baseline_path = _default_baseline_path()
-    baseline = (
-        load_baseline(baseline_path)
-        if baseline_path and os.path.exists(baseline_path)
-        else None
-    )
-    new, suppressed, stale = apply_baseline(violations, baseline)
-    section = {
-        "violations": [
-            dict(v.to_dict(), rendered=v.render()) for v in new
-        ],
-        "suppressed": suppressed,
-        "stale": sorted(stale),
-    }
-    return section, len(new)
-
-
 def _analyze_concurrency_section(static_only):
     """The concurrency section: guarded-by + lock-order (+ runtime)."""
     from repro.analysis import (
@@ -1101,124 +1011,34 @@ def _analyze_concurrency_section(static_only):
 
 def _command_lint(args):
     import json
-    import os
 
     from repro.analysis import (
-        CONCURRENCY_BASELINE_NAME,
-        apply_baseline,
-        check_package,
         check_paths,
-        lint_package,
         lint_paths,
-        load_baseline,
-        lockorder_package,
         lockorder_paths,
-        write_baseline,
     )
 
-    if args.paths:
-        violations = lint_paths(args.paths)
-        concurrency = check_paths(args.paths) + lockorder_paths(args.paths)
-    else:
-        violations = lint_package()
-        concurrency = check_package() + lockorder_package()
+    paths = args.paths or None  # None: the installed repro package
+    violations = lint_paths(paths)
+    concurrency = check_paths(paths) + lockorder_paths(paths)
     concurrency.sort(key=lambda v: (v.path, v.line, v.rule, v.symbol))
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = _default_baseline_path()
-    conc_path = args.concurrency_baseline
-    if conc_path is None:
-        conc_path = _default_baseline_path(CONCURRENCY_BASELINE_NAME)
-    if args.update_baseline:
-        target = baseline_path or "lint-baseline.json"
-        write_baseline(target, violations)
-        log.info("wrote %d violation(s) to %s", len(violations), target)
-        conc_target = conc_path or CONCURRENCY_BASELINE_NAME
-        write_baseline(conc_target, concurrency)
-        log.info(
-            "wrote %d concurrency violation(s) to %s",
-            len(concurrency), conc_target,
-        )
-        return 0
-
-    baseline = (
-        load_baseline(baseline_path)
-        if baseline_path and os.path.exists(baseline_path)
-        else None
-    )
-    conc_baseline = (
-        load_baseline(conc_path)
-        if conc_path and os.path.exists(conc_path)
-        else None
-    )
-    new, suppressed, stale = apply_baseline(violations, baseline)
-    conc_new, conc_suppressed, conc_stale = apply_baseline(
-        concurrency, conc_baseline
-    )
 
     if args.json:
         print(json.dumps(
             {
-                "violations": [v.to_dict() for v in new],
-                "suppressed": suppressed,
-                "stale": sorted(stale),
+                "violations": [v.to_dict() for v in violations],
                 "concurrency": {
-                    "violations": [v.to_dict() for v in conc_new],
-                    "suppressed": conc_suppressed,
-                    "stale": sorted(conc_stale),
+                    "violations": [v.to_dict() for v in concurrency],
                 },
             },
             indent=2, sort_keys=True,
         ))
     else:
-        for v in new:
+        for v in violations + concurrency:
             print(v.render())
-        for v in conc_new:
-            print(v.render())
-        summary = f"{len(new)} new violation(s)"
-        if suppressed:
-            summary += f", {suppressed} suppressed by baseline"
-        if stale:
-            summary += (
-                f"; {len(stale)} stale baseline entr"
-                f"{'y' if len(stale) == 1 else 'ies'} "
-                "(ratchet down with --update-baseline)"
-            )
-        print(summary)
-        conc_summary = f"{len(conc_new)} new concurrency violation(s)"
-        if conc_suppressed:
-            conc_summary += (
-                f", {conc_suppressed} suppressed by baseline"
-            )
-        if conc_stale:
-            conc_summary += (
-                f"; {len(conc_stale)} stale baseline entr"
-                f"{'y' if len(conc_stale) == 1 else 'ies'} "
-                "(ratchet down with --update-baseline)"
-            )
-        print(conc_summary)
-    return 1 if (new or conc_new) else 0
-
-
-def _default_baseline_path(name="lint-baseline.json"):
-    """*name* in the working directory, else beside the source tree
-    (repo root when running from a checkout)."""
-    import os
-
-    import repro
-
-    candidates = [
-        name,
-        os.path.join(
-            os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__))),
-            name,
-        ),
-    ]
-    for candidate in candidates:
-        if os.path.exists(candidate):
-            return candidate
-    return None
+        print(f"{len(violations)} violation(s)")
+        print(f"{len(concurrency)} concurrency violation(s)")
+    return 1 if (violations or concurrency) else 0
 
 
 def _command_verify(args):

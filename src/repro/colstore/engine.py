@@ -39,11 +39,10 @@ class ColumnStoreEngine(PlanHost):
 
     def __init__(self, machine=MACHINE_A, costs=COLUMN_STORE_COSTS,
                  page_size=DEFAULT_PAGE_SIZE, buffer_bytes=None,
-                 max_run_bytes=DEFAULT_MAX_RUN_BYTES, observe=None,
-                 compression=None, workers=None):
+                 max_run_bytes=DEFAULT_MAX_RUN_BYTES, compression=None,
+                 workers=None):
         super().__init__(
             machine, costs, page_size, buffer_bytes, max_run_bytes,
-            observe=observe,
         )
         self.compression = CompressionConfig.coerce(compression)
         if workers is None:
@@ -122,8 +121,8 @@ class ColumnStoreEngine(PlanHost):
 
     @property
     def compression_mode(self):
-        """``None``, ``"logical"``, or ``"physical"``."""
-        return None if self.compression is None else self.compression.cost_mode
+        """``None`` (raw columns) or ``"physical"`` (compressed)."""
+        return None if self.compression is None else "physical"
 
     def compression_report(self):
         """Footprint report across all tables (``None`` when disabled).
@@ -144,7 +143,7 @@ class ColumnStoreEngine(PlanHost):
                 codecs[info["codec"]] = codecs.get(info["codec"], 0) + 1
         ratio = (logical / compressed) if compressed else 1.0
         return {
-            "mode": self.compression.cost_mode,
+            "mode": self.compression_mode,
             "logical_bytes": logical,
             "compressed_bytes": compressed,
             "compression_ratio": ratio,

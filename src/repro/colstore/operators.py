@@ -78,7 +78,7 @@ def _binary_search(rt, table, column, value, lo, hi):
         rt.costs.select_tuple * (2 * math.log2(max(hi - lo, 2)))
     )
     segment = table.segment(column)
-    encoding = table.physical_encoding(column)
+    encoding = table.encoding(column)
     rt.pool.read_pages(segment, _probe_pages(segment, encoding, lo, hi))
     new_lo = int(np.searchsorted(array[lo:hi], value, side="left")) + lo
     new_hi = int(np.searchsorted(array[lo:hi], value, side="right")) + lo
@@ -111,32 +111,26 @@ def _read_compressed(rt, segment, encoding, lo, hi):
     for offset, length in encoding.byte_ranges(lo, hi):
         rt.pool.read(segment, offset, length)
         nbytes += length
-    _note_compressed_read(rt, segment, nbytes, (hi - lo) * VALUE_BYTES)
+    _note_compressed_read(rt, nbytes, (hi - lo) * VALUE_BYTES)
 
 
-def _note_compressed_read(rt, segment, nbytes, logical_nbytes):
+def _note_compressed_read(rt, nbytes, logical_nbytes):
     note_scan(nbytes, logical_nbytes)
-    observe = rt.engine.observe
-    if not observe.enabled:
-        return
-    metrics = observe.metrics
-    metrics.counter(
-        "compress.bytes_scanned", segment=segment.name
-    ).inc(int(nbytes))
-    metrics.counter(
-        "compress.logical_bytes_scanned", segment=segment.name
-    ).inc(int(logical_nbytes))
+    tracer = rt.engine.tracer
+    if tracer.enabled:
+        tracer.current_add(
+            bytes_scanned=int(nbytes),
+            logical_bytes_scanned=int(logical_nbytes),
+        )
 
 
-def _note_runs_skipped(rt, segment, n):
+def _note_runs_skipped(rt, n):
     if n <= 0:
         return
     note_runs_skipped(n)
-    observe = rt.engine.observe
-    if observe.enabled:
-        observe.metrics.counter(
-            "compress.runs_skipped", segment=segment.name
-        ).inc(int(n))
+    tracer = rt.engine.tracer
+    if tracer.enabled:
+        tracer.current_add(runs_skipped=int(n))
 
 
 def _fetch_cost(rt, table, column, lo, hi, positions):
@@ -151,7 +145,7 @@ def _fetch_cost(rt, table, column, lo, hi, positions):
     the coordinator's serial cost replay — never from a data-plane task.
     """
     segment = table.segment(column)
-    encoding = table.physical_encoding(column)
+    encoding = table.encoding(column)
     if positions is None:
         if encoding is not None:
             _read_compressed(rt, segment, encoding, lo, hi)
@@ -164,8 +158,7 @@ def _fetch_cost(rt, table, column, lo, hi, positions):
         pages = encoding.pages_for_rows(positions, segment.page_size)
         rt.pool.read_pages(segment, pages, scattered=True)
         _note_compressed_read(
-            rt, segment, len(pages) * segment.page_size,
-            len(positions) * VALUE_BYTES,
+            rt, len(pages) * segment.page_size, len(positions) * VALUE_BYTES,
         )
     else:
         pages = np.unique(positions * VALUE_BYTES // segment.page_size)
@@ -242,15 +235,15 @@ def _run_ranges(rt, work, ranges, range_rows, replay):
     if len(ranges) == 1:
         return replay([work(*ranges[0])])
     context = rt.engine.parallelism()
-    observe = rt.engine.observe
-    snap = rt.clock.profile_snapshot() if observe.enabled else None
+    tracer = rt.engine.tracer
+    snap = rt.clock.profile_snapshot() if tracer.enabled else None
     wall0 = wall_now()
     results, steals = context.pool.run_batch(
         [partial(work, *args) for args in ranges],
         effective_dop(rt, context), cancel_token=rt.cancel_token,
     )
     result = replay(results)
-    if observe.enabled:
+    if tracer.enabled:
         _morsel_span_attribution(rt, snap, wall0, range_rows, steals)
     return result
 
@@ -265,8 +258,7 @@ def _morsel_span_attribution(rt, snap, wall0, task_rows, steals):
     spans, apportioned by morsel row count (the last morsel takes the
     exact remainder, so the shares telescope back to the delta and the
     span-sum invariant holds to the bit)."""
-    observe = rt.engine.observe
-    tracer = observe.tracer
+    tracer = rt.engine.tracer
     now = rt.clock.profile_snapshot()
     wall = wall_now() - wall0
     delta = [now[i] - snap[i] for i in range(6)]
@@ -289,10 +281,6 @@ def _morsel_span_attribution(rt, snap, wall0, task_rows, steals):
         if child is not None:
             child.rows = rows
     tracer.current_add(morsels=len(task_rows), steals=int(steals))
-    metrics = observe.metrics
-    metrics.counter("parallel.batches").inc(1)
-    metrics.counter("parallel.morsels").inc(len(task_rows))
-    metrics.counter("parallel.steals").inc(int(steals))
 
 
 def _charge_gathers(rt, table, base_cols, lo, hi, positions, count):
@@ -307,7 +295,7 @@ def _charge_gathers(rt, table, base_cols, lo, hi, positions, count):
 
 
 def _rle_encoding(table, column):
-    encoding = table.physical_encoding(column)
+    encoding = table.encoding(column)
     if encoding is not None and encoding.codec == "rle":
         return encoding
     return None
@@ -378,7 +366,7 @@ def _scan_select(rt, scan, predicates, needed):
                     encoding.run_index(hi - 1) - encoding.run_index(lo) + 1
                 )
                 rt.clock.charge_cpu(rt.costs.select_tuple * n_runs)
-                _note_runs_skipped(rt, segment, count - n_runs)
+                _note_runs_skipped(rt, count - n_runs)
             else:
                 _fetch_cost(rt, table, base_col, lo, hi, positions)
                 rt.clock.charge_cpu(rt.costs.select_tuple * count)
@@ -427,8 +415,8 @@ def _apply_cross(rt, intermediate, cross):
 #
 # Registered ahead of the generic access paths (registration order is
 # lowering priority) but behind a `guard`: they only apply when the live
-# engine's table physically stores the relevant column RLE-encoded, so an
-# uncompressed (or logical-mode) engine lowers exactly as before.
+# engine's table stores the relevant column RLE-encoded, so an uncompressed
+# engine lowers exactly as before.
 
 def _rle_leading_scan(engine, scan):
     """``(table, leading_sort_column, rle_encoding)`` when *scan*'s table
@@ -439,7 +427,7 @@ def _rle_leading_scan(engine, scan):
     if not table.sort_order:
         return None
     lead = table.sort_order[0]
-    encoding = table.physical_encoding(lead)
+    encoding = table.encoding(lead)
     if encoding is None or encoding.codec != "rle":
         return None
     return table, lead, encoding
@@ -486,7 +474,7 @@ def compressed_group(rt, pnode, needed_above):
         _read_compressed(rt, segment, encoding, 0, table.n_rows)
         n_runs = encoding.n_runs
         rt.clock.charge_cpu(rt.costs.scan_tuple * max(n_runs, 1))
-        _note_runs_skipped(rt, segment, table.n_rows - n_runs)
+        _note_runs_skipped(rt, table.n_rows - n_runs)
         columns = {
             node.keys[0]: encoding.run_values.copy(),
             node.count_column: encoding.run_lengths.copy(),
@@ -543,7 +531,7 @@ def compressed_join(rt, pnode, needed):
     def scan_runs():
         _read_compressed(rt, segment, encoding, 0, table.n_rows)
         rt.clock.charge_cpu(rt.costs.scan_tuple * max(encoding.n_runs, 1))
-        _note_runs_skipped(rt, segment, table.n_rows - encoding.n_runs)
+        _note_runs_skipped(rt, table.n_rows - encoding.n_runs)
         relation = Relation(
             {rcol: encoding.run_values}, oid_columns={rcol}
         )

@@ -16,12 +16,9 @@ class ColumnTable:
     column-store's "read only what the query touches" advantage.
 
     With *compress* (a :class:`~repro.storage.compress.CompressionConfig`)
-    each column is additionally encoded by the stats-driven codec picker.
-    In ``"logical"`` cost mode segments stay sized at the uncompressed
-    footprint (simulated costs bit-identical to the uncompressed engine;
-    the encodings only feed the compression report); in ``"physical"``
-    mode segments are sized at the encoded footprint and the operators
-    read compressed byte ranges.
+    each column is additionally encoded by the stats-driven codec picker:
+    an encoded column's segment is sized at the encoded footprint and the
+    operators read compressed byte ranges.
     """
 
     def __init__(self, name, columns, disk, sort_order=None, presorted=False,
@@ -53,7 +50,6 @@ class ColumnTable:
         self.name = name
         self.n_rows = n_rows
         self.sort_order = sort_order
-        self.compress = compress
         self._arrays = arrays
         self._encodings = {}
         if compress is not None:
@@ -62,17 +58,15 @@ class ColumnTable:
                 note_column(encoding, n_rows)
                 if encoding is not None:
                     self._encodings[col] = encoding
-        physical = compress is not None and compress.cost_mode == "physical"
         self._segments = {
-            col: disk.create_segment(
-                f"{name}.{col}", self._segment_bytes(col, physical)
-            )
+            col: disk.create_segment(f"{name}.{col}", self._column_bytes(col))
             for col in arrays
         }
 
-    def _segment_bytes(self, column, physical):
+    def _column_bytes(self, column):
+        """Stored footprint: encoded when a codec won, raw otherwise."""
         encoding = self._encodings.get(column)
-        if physical and encoding is not None:
+        if encoding is not None:
             return encoding.nbytes
         return self.n_rows * VALUE_BYTES
 
@@ -98,18 +92,8 @@ class ColumnTable:
         return self._segments[column]
 
     def encoding(self, column):
-        """The column's codec object, or ``None`` when stored raw."""
-        return self._encodings.get(column)
-
-    def physical_encoding(self, column):
-        """The codec to *account I/O against*, or ``None``.
-
-        Non-None only in physical cost mode — in logical mode segments are
-        raw-sized, so the uncompressed read paths keep charging exactly
-        the uncompressed costs.
-        """
-        if self.compress is None or self.compress.cost_mode != "physical":
-            return None
+        """The column's codec object — what reads account I/O against —
+        or ``None`` when stored raw."""
         return self._encodings.get(column)
 
     def bytes_on_disk(self):
@@ -121,14 +105,7 @@ class ColumnTable:
 
     def compressed_bytes(self):
         """Encoded footprint (raw-kept columns count at full size)."""
-        total = 0
-        for col in self._arrays:
-            encoding = self._encodings.get(col)
-            total += (
-                encoding.nbytes if encoding is not None
-                else self.n_rows * VALUE_BYTES
-            )
-        return total
+        return sum(self._column_bytes(col) for col in self._arrays)
 
     def compression_summary(self):
         """Per-column codec + size document for reports."""
@@ -138,9 +115,6 @@ class ColumnTable:
             columns[col] = {
                 "codec": encoding.codec if encoding is not None else "raw",
                 "logical_bytes": self.n_rows * VALUE_BYTES,
-                "compressed_bytes": (
-                    encoding.nbytes if encoding is not None
-                    else self.n_rows * VALUE_BYTES
-                ),
+                "compressed_bytes": self._column_bytes(col),
             }
         return columns

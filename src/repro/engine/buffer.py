@@ -16,7 +16,7 @@ from collections import OrderedDict
 
 from repro.errors import BufferPoolError
 from repro.observe import counters
-from repro.observe.trace import NULL_OBSERVATION
+from repro.observe.trace import NULL_TRACER
 
 #: Effective-bandwidth divisor for scattered (index-order) page reads: the
 #: same bytes stream at roughly a quarter of the sequential rate — the
@@ -48,14 +48,15 @@ class BufferPool:
     """Page cache over a :class:`~repro.engine.disk.SimulatedDisk`."""
 
     def __init__(self, disk, clock, capacity_bytes, max_run_bytes=None,
-                 sequential_coalescing=True, observe=None):
+                 sequential_coalescing=True):
         if capacity_bytes < disk.page_size:
             raise BufferPoolError("buffer pool smaller than one page")
         self.disk = disk
         self.clock = clock
-        #: Observation bundle (metrics registry + tracer); the default is
-        #: inert, so accounting beyond the plain counters below is skipped.
-        self.observe = observe if observe is not None else NULL_OBSERVATION
+        #: The per-query sink (swapped by ``EngineHost.install_tracer``);
+        #: the default is inert, so accounting beyond the plain counters
+        #: below is skipped.
+        self.tracer = NULL_TRACER
         self.page_size = disk.page_size
         self.capacity_pages = capacity_bytes // disk.page_size
         # Always-on accounting: plain ints, negligible next to the page walk.
@@ -205,7 +206,7 @@ class BufferPool:
     def _account(self, segment, hits, misses, n_requests, transferred,
                  seek_seconds, transfer_seconds, scattered):
         """Update the always-on counters, the disk's per-segment read log,
-        the metrics registry, and the active trace span."""
+        and the active trace span."""
         self.hit_count += hits
         self.miss_count += misses
         self.request_count += n_requests
@@ -218,31 +219,14 @@ class BufferPool:
                 segment.name, transferred, n_requests,
                 seek_seconds, transfer_seconds, scattered=scattered,
             )
-        observe = self.observe
-        if not observe.enabled:
+        tracer = self.tracer
+        if not tracer.enabled:
             return
-        metrics = observe.metrics
-        if hits:
-            metrics.counter("buffer.page_hits", segment=segment.name).inc(hits)
-        if misses:
-            metrics.counter(
-                "buffer.page_misses", segment=segment.name
-            ).inc(misses)
-        if n_requests:
-            kind = "scattered" if scattered else "sequential"
-            metrics.counter(
-                "disk.requests", segment=segment.name, kind=kind
-            ).inc(n_requests)
-        if transferred:
-            metrics.counter(
-                "disk.bytes_read", segment=segment.name
-            ).inc(transferred)
-            metrics.histogram("disk.request_bytes").observe(
-                transferred / max(n_requests, 1)
-            )
-        observe.tracer.current_add(
+        tracer.current_add(
             page_hits=hits, page_misses=misses, disk_requests=n_requests,
         )
+        if evictions:
+            tracer.current_add(evictions=evictions)
 
     def _resolve(self, name_or_segment):
         if isinstance(name_or_segment, str):
@@ -300,6 +284,4 @@ class BufferPool:
             self._pages.popitem(last=False)
             self.eviction_count += 1
             self._unflushed_evictions += 1
-            if self.observe.enabled:
-                self.observe.metrics.counter("buffer.evictions").inc()
         self._pages[page] = True

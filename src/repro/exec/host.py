@@ -23,7 +23,7 @@ no plans, just seven hardwired queries with their own charge sequence.
 from repro.engine import BufferPool, QueryClock, SimulatedDisk
 from repro.errors import BenchmarkError, StorageError
 from repro.exec.runtime import Runtime
-from repro.observe import NULL_OBSERVATION
+from repro.observe import NULL_TRACER
 from repro.plan.logical import count_operators
 
 
@@ -34,10 +34,12 @@ class EngineHost:
     kind = None
 
     def __init__(self, machine, costs, page_size, buffer_bytes,
-                 max_run_bytes, observe=None, sequential_coalescing=True):
+                 max_run_bytes, sequential_coalescing=True):
         self.machine = machine
         self.costs = costs
-        self.observe = observe if observe is not None else NULL_OBSERVATION
+        #: The per-query sink: engines write per-query events to the
+        #: tracer and nothing else (inert until :meth:`install_tracer`).
+        self.tracer = NULL_TRACER
         self.disk = SimulatedDisk(page_size=page_size)
         self.clock = QueryClock(machine)
         if buffer_bytes is None:
@@ -45,18 +47,17 @@ class EngineHost:
         self.pool = BufferPool(
             self.disk, self.clock, buffer_bytes, max_run_bytes=max_run_bytes,
             sequential_coalescing=sequential_coalescing,
-            observe=self.observe,
         )
 
-    def install_observation(self, observe):
-        """Install (or, with ``None``, remove) an Observation bundle.
+    def install_tracer(self, tracer):
+        """Install (or, with ``None``, remove) a tracer.
 
-        Instrumentation routes through this bundle everywhere, so swapping
-        it turns metrics + tracing on or off without rebuilding the engine.
+        Every event site reads the tracer from the engine or its pool, so
+        swapping it turns tracing on or off without rebuilding the engine.
         """
-        self.observe = observe if observe is not None else NULL_OBSERVATION
-        self.pool.observe = self.observe
-        return self.observe
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.pool.tracer = self.tracer
+        return self.tracer
 
     def database_bytes(self):
         """Simulated on-disk footprint: every segment the engine created."""
@@ -76,7 +77,7 @@ class EngineHost:
         raises :class:`~repro.errors.BenchmarkError` before the clock or
         the pool is touched.  :meth:`run` is this plus one measured body;
         only the profiler calls it on its own, because its measured body
-        runs under an observation the warm-up must not see.
+        runs under a tracer the warm-up must not see.
 
         A hot run may still read from disk when the pool is smaller than
         the query's working set — the C-Store replica does, by design

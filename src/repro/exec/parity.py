@@ -82,9 +82,9 @@ def parity_sweep(n_triples=4000, n_properties=60, seed=42,
     """Run the full differential sweep; returns a JSON-able document.
 
     *column_engine_options* are extra constructor kwargs applied to every
-    column-store cell — the compression-parity test passes
-    ``{"compression": "logical"}`` to assert that logical-mode compressed
-    stores reproduce the uncompressed goldens bit for bit.
+    column-store cell — the morsel-parity suite passes ``workers`` and
+    ``compression`` to assert that any worker count reproduces the serial
+    goldens bit for bit, raw and compressed.
     """
     dataset = generate_barton(
         n_triples=n_triples,

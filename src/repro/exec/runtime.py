@@ -150,15 +150,14 @@ class Runtime:
 
     def run_child(self, pnode, needed):
         """Evaluate a vector operator, attributing its work to a trace
-        span when an Observation is installed (children subtract
+        span when a tracer is installed (children subtract
         themselves)."""
         token = self.cancel_token
         if token is not None:
             token.raise_if_cancelled()
-        observe = self.engine.observe
-        if not observe.enabled:
+        tracer = self.engine.tracer
+        if not tracer.enabled:
             return pnode.op.fn(self, pnode, needed)
-        tracer = observe.tracer
         tracer.enter(pnode.logical)
         try:
             result = pnode.op.fn(self, pnode, needed)
@@ -172,10 +171,9 @@ class Runtime:
         result's cardinality there.  Fused operators use this so absorbed
         nodes (a scan inside a fused scan+select) still get their own
         span, mirroring the legacy executors' attribution."""
-        observe = self.engine.observe
-        if not observe.enabled:
+        tracer = self.engine.tracer
+        if not tracer.enabled:
             return fn()
-        tracer = observe.tracer
         tracer.enter(key)
         try:
             result = fn()
@@ -189,9 +187,8 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def build_child(self, pnode):
-        """Build a pull operator's stream; when an Observation is
-        installed, wrap it so every tuple pull is attributed to the
-        operator's span.
+        """Build a pull operator's stream; when a tracer is installed,
+        wrap it so every tuple pull is attributed to the operator's span.
 
         Pull executors are lazy — an operator's work happens inside its
         generator while a parent pulls — so attribution brackets each
@@ -206,9 +203,9 @@ class Runtime:
             stream = Stream(
                 stream.columns, self._cancellable_iter(stream, token)
             )
-        observe = self.engine.observe
-        if observe.enabled:
-            return self._traced_stream(pnode.logical, stream, observe.tracer)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            return self._traced_stream(pnode.logical, stream, tracer)
         return stream
 
     @staticmethod

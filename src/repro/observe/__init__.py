@@ -1,48 +1,43 @@
 """repro.observe — execution tracing, metrics, logging, and the
 EXPLAIN ANALYZE profiler.
 
-Three layers, all zero-dependency and inert by default:
+One sink per scope, all zero-dependency:
 
-* :mod:`repro.observe.metrics` — a labeled counter/gauge/histogram
-  registry with dict/JSON/text export,
-* :mod:`repro.observe.trace` — a span tracer with exact simulated-clock
-  attribution plus wall-clock durations, bundled with the registry into an
-  :class:`~repro.observe.trace.Observation` that engines carry,
-* :mod:`repro.observe.profiler` — EXPLAIN ANALYZE: run a plan with a live
-  Observation installed and render per-operator actual rows, estimated
-  rows, I/O breakdown and buffer behaviour (``repro profile`` on the CLI).
-
-The performance observatory builds on those layers:
-
-* :mod:`repro.observe.counters` — the process-wide always-on counter
+* **query** → :mod:`repro.observe.trace` — a span tracer with exact
+  simulated-clock attribution, wall-clock durations and additive event
+  counts; engines carry a tracer (``engine.tracer``, inert
+  :data:`NULL_TRACER` by default) and write per-query events nowhere
+  else.  :mod:`repro.observe.profiler` is EXPLAIN ANALYZE on top of it:
+  run a plan with a live tracer installed and render per-operator actual
+  rows, estimated rows, I/O breakdown and buffer behaviour (``repro
+  profile`` on the CLI),
+* **process** → :mod:`repro.observe.counters` — the always-on counter
   table (declare / add / snapshot / reset) behind the ledger, the query
   server's ``/v1/stats`` and ``/metrics``,
+* **server / replay** → :mod:`repro.observe.metrics` — a labeled
+  counter/gauge/histogram registry the scheduler and the replay
+  collector each own one of.
+
+The performance observatory builds on those:
+
 * :mod:`repro.observe.history` — the run-history ledger: every benchmark
-  or profile run recorded as a :class:`~repro.observe.history.RunRecord`
+  or replay run recorded as a :class:`~repro.observe.history.RunRecord`
   (JSONL under ``.repro/perf/`` plus ``BENCH_<name>.json`` snapshots),
 * :mod:`repro.observe.regression` — per-metric regression policies
-  (simulated costs byte-identical, wall-clock tolerance-gated, counters
+  (simulated costs byte-identical, wall-clock and counters
   informational) behind ``repro perf record / compare / report``,
 * :mod:`repro.observe.export` — Chrome trace-event JSON for Perfetto and
-  Prometheus text exposition of the metrics registry.
+  Prometheus text exposition of a metrics registry.
 
 :mod:`repro.observe.log` holds the package's logging setup (plain text or
 JSON lines carrying the active span id).
 """
 
 from repro.observe.log import configure_logging, get_logger
-from repro.observe.metrics import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    format_key,
-    parse_key,
-)
+from repro.observe.metrics import MetricsRegistry, format_key, parse_key
 from repro.observe.trace import (
-    NULL_OBSERVATION,
     NULL_TRACER,
     NullTracer,
-    Observation,
     Span,
     Tracer,
     active_span_id,
@@ -55,14 +50,10 @@ __all__ = [
     "parse_key",
     "active_span_id",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_REGISTRY",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
     "Span",
-    "Observation",
-    "NULL_OBSERVATION",
     # provided lazily from repro.observe.profiler:
     "QueryProfile",
     "profile_plan",
@@ -72,7 +63,6 @@ __all__ = [
     "RunRecord",
     "RunLedger",
     "record_from_results",
-    "record_from_profile",
     "write_snapshot",
     "load_snapshot",
     "compare_records",
@@ -95,7 +85,6 @@ _LAZY_MODULES = {
     "RunRecord": "history",
     "RunLedger": "history",
     "record_from_results": "history",
-    "record_from_profile": "history",
     "write_snapshot": "history",
     "load_snapshot": "history",
     "compare_records": "regression",

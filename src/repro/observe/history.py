@@ -1,8 +1,8 @@
-"""The run-history ledger: every benchmark/profile run as a structured record.
+"""The run-history ledger: every benchmark/replay run as a structured record.
 
 The paper's argument rests on comparable timings, so the reproduction keeps
 a persistent record of its own performance.  A :class:`RunRecord` captures
-one run of a benchmark experiment (or one profiled query): the git sha and
+one run of a benchmark experiment (or one server replay): the git sha and
 a config fingerprint that make it attributable, the **simulated** costs
 that must never drift (byte-identity-gated by
 :mod:`repro.observe.regression`), the wall-clock cost of the harness
@@ -27,7 +27,6 @@ from datetime import datetime, timezone
 
 from repro.observe import counters
 from repro.observe.log import get_logger
-from repro.observe.trace import CPU, IO, REQUESTS, SEEK, TRANSFER
 
 log = get_logger("observe.history")
 
@@ -116,16 +115,16 @@ def strip_meta(document):
 
 @dataclass
 class RunRecord:
-    """One ledger entry: a benchmark or profile run.
+    """One ledger entry: a benchmark or replay run.
 
     ``simulated`` holds everything that must be byte-identical between
     runs of the same configuration; ``wall_ms`` and ``counters`` are
-    measurement metadata the regression engine treats under looser
-    policies (tolerance-gated and informational respectively).
+    measurement metadata the regression engine reports but never gates
+    on.
     """
 
     name: str
-    kind: str = "bench"          # "bench" | "profile"
+    kind: str = "bench"          # "bench" | "replay"
     recorded_at: str = ""
     git_sha: object = None
     config_fingerprint: str = ""
@@ -197,50 +196,6 @@ def record_from_results(name, results, parameters=None, notes=()):
         parameters=parameters,
         simulated=strip_meta(documents),
         wall_ms=round(wall, 3) if has_wall else None,
-        counters=collect_counters(),
-        notes=list(notes),
-    )
-
-
-def record_from_profile(name, profile, parameters=None, notes=()):
-    """Build a :class:`RunRecord` from a
-    :class:`~repro.observe.profiler.QueryProfile`.
-
-    The simulated section carries the query's total simulated cost plus
-    per-operator span **self** times — the exact decomposition whose sum
-    equals the clock charge — so an operator-level drift is as visible as
-    a total drift.
-    """
-    parameters = dict(parameters or {})
-    parameters.setdefault("query", profile.query)
-    parameters.setdefault("engine", profile.engine_kind)
-    parameters.setdefault("mode", profile.mode)
-    spans = []
-    for span in profile.root.walk():
-        spans.append({
-            "operator": span.name,
-            "calls": span.calls,
-            "rows": span.rows,
-            "self_cpu_seconds": span.self_sim[CPU],
-            "self_io_seconds": span.self_sim[IO],
-            "self_seek_seconds": span.self_sim[SEEK],
-            "self_transfer_seconds": span.self_sim[TRANSFER],
-            "self_io_requests": int(span.self_sim[REQUESTS]),
-        })
-    simulated = {
-        "totals": {"n_rows": profile.n_rows, **profile.timing.to_dict()},
-        "spans": spans,
-    }
-    wall_ms = round(profile.root.wall_inclusive() * 1000.0, 3)
-    return RunRecord(
-        name=name,
-        kind="profile",
-        recorded_at=_now_iso(),
-        git_sha=git_sha(),
-        config_fingerprint=config_fingerprint(parameters),
-        parameters=parameters,
-        simulated=simulated,
-        wall_ms=wall_ms,
         counters=collect_counters(),
         notes=list(notes),
     )

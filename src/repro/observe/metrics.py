@@ -1,19 +1,18 @@
 """Zero-dependency in-process metrics: counters, gauges, histograms.
 
 A :class:`MetricsRegistry` hands out named instruments, optionally labeled
-(``registry.counter("disk.requests", segment="triples.prop")``).  Each
+(``registry.counter("server.queries", outcome="completed")``).  Each
 ``(name, labels)`` pair maps to exactly one instrument, so incrementing the
 same labeled counter from two call sites accumulates into one time series.
 
 The registry is intentionally tiny — no background threads, no export
-protocol — because the simulated engines are single-threaded and
-deterministic.  Export is a plain dict (:meth:`MetricsRegistry.to_dict`),
-JSON (:meth:`MetricsRegistry.to_json`) or aligned text
-(:meth:`MetricsRegistry.render_text`).
-
-When observability is off the engines hold a :class:`NullMetricsRegistry`
-whose instruments are shared no-op singletons, so the disabled path costs
-one attribute lookup and one no-op call.
+protocol.  Its users are the scopes that outlive one query: the session
+scheduler (admission counters, latency histograms; rendered at
+``/metrics``) and the replay collector.  Engines never write here — a
+query is recorded by its span tree (:mod:`repro.observe.trace`) and the
+process by :mod:`repro.observe.counters`.  Export is a plain dict
+(:meth:`MetricsRegistry.to_dict`) or JSON (:meth:`MetricsRegistry.to_json`);
+callers that share a registry between threads lock around it.
 """
 
 import json
@@ -195,8 +194,6 @@ class Histogram:
 class MetricsRegistry:
     """Namespace of counters, gauges and histograms, labeled by string."""
 
-    enabled = True
-
     def __init__(self):
         self._counters = {}
         self._gauges = {}
@@ -242,68 +239,3 @@ class MetricsRegistry:
 
     def to_json(self, indent=2):
         return json.dumps(self.to_dict(), indent=indent)
-
-    def render_text(self):
-        lines = []
-        for key, counter in sorted(self._counters.items()):
-            lines.append(f"counter   {key} = {counter.value}")
-        for key, gauge in sorted(self._gauges.items()):
-            lines.append(f"gauge     {key} = {gauge.value}")
-        for key, histogram in sorted(self._histograms.items()):
-            lines.append(
-                f"histogram {key} count={histogram.count} "
-                f"mean={histogram.mean:.1f} min={histogram.min} "
-                f"max={histogram.max}"
-            )
-        return "\n".join(lines)
-
-
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
-
-    __slots__ = ()
-    value = 0
-    count = 0
-    total = 0.0
-
-    def inc(self, n=1):
-        pass
-
-    def dec(self, n=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """The disabled registry: every instrument is the shared no-op."""
-
-    enabled = False
-
-    def counter(self, name, **labels):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name, **labels):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, **labels):
-        return _NULL_INSTRUMENT
-
-    def to_dict(self):
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def render_text(self):
-        return ""
-
-
-NULL_REGISTRY = NullMetricsRegistry()

@@ -2,17 +2,18 @@
 operator what the simulated hardware actually did.
 
 :func:`profile_plan` installs a fresh
-:class:`~repro.observe.trace.Observation` (metrics registry + tracer whose
-spans mirror the plan tree) on an engine, runs the plan under the cold/hot
-protocol, and returns a :class:`QueryProfile`:
+:class:`~repro.observe.trace.Tracer` (whose spans mirror the plan tree) on
+an engine, runs the plan under the cold/hot protocol, and returns a
+:class:`QueryProfile`:
 
 * per operator — actual rows, estimated rows and the ``misestimate_ratio``
   between them, simulated self/inclusive time split into CPU vs I/O and
-  seek vs transfer, buffer page hits/misses, disk requests;
+  seek vs transfer, and the span's event counts (buffer page hits /
+  misses / evictions, disk requests, compressed bytes scanned, B+tree
+  node visits, morsels — the table in ``docs/observability.md``);
 * per query — total :class:`~repro.engine.clock.QueryTiming`, charge
   attribution by category (``plan`` / ``execute`` / ``output`` /
-  ``io.seek`` / ``io.transfer``), per-segment read stats, and the full
-  metrics registry.
+  ``io.seek`` / ``io.transfer``) and the disk's per-segment read log.
 
 The accounting is exact: the sum over all spans (including the root
 ``query`` span, which absorbs planning, output and build work no operator
@@ -28,14 +29,12 @@ import json
 from dataclasses import dataclass, field
 
 from repro.engine.clock import QueryTiming
-from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import (
     BYTES,
     IO,
     REQUESTS,
     SEEK,
     TRANSFER,
-    Observation,
     Tracer,
     vector_dict,
 )
@@ -47,7 +46,7 @@ from repro.plan.render import (
     render_plan,
 )
 
-PROFILE_SCHEMA_VERSION = 1
+PROFILE_SCHEMA_VERSION = 2
 
 _TIME_FIELDS = (
     "cpu_seconds", "io_seconds", "seek_seconds", "transfer_seconds",
@@ -80,15 +79,14 @@ class QueryProfile:
     plan: object
     tracer: Tracer
     timing: QueryTiming
-    registry: MetricsRegistry
     categories: dict
     segments: dict
     relation: object = None
     notes: list = field(default_factory=list)
     #: Engine-lowered physical tree.
     physical: object = None
-    #: Compression report + per-run compressed-scan counters (None when the
-    #: engine stores columns raw).
+    #: Compression report + the run's compressed-scan span counts (None
+    #: when the engine stores columns raw).
     compression: object = None
 
     # ------------------------------------------------------------------
@@ -120,11 +118,15 @@ class QueryProfile:
         operator."""
         return self.root.self_seconds()
 
+    def count_total(self, key):
+        """One event count summed over the whole span tree."""
+        return sum(s.counts.get(key, 0) for s in self.root.walk())
+
     # ------------------------------------------------------------------
     # text rendering
     # ------------------------------------------------------------------
 
-    def render(self, max_union_branches=4, with_metrics=False):
+    def render(self, max_union_branches=4):
         t = self.timing
         lines = [
             f"EXPLAIN ANALYZE {self.query or '<plan>'} "
@@ -172,11 +174,6 @@ class QueryProfile:
                     annotate=self._annotate_physical,
                 )
             )
-        if with_metrics:
-            text = self.registry.render_text()
-            if text:
-                lines.append("")
-                lines.append(text)
         return "\n".join(lines)
 
     def _annotate(self, node):
@@ -259,7 +256,6 @@ class QueryProfile:
                 name: stats.to_dict()
                 for name, stats in sorted(self.segments.items())
             },
-            "metrics": self.registry.to_dict(),
             "compression": (
                 dict(self.compression)
                 if self.compression is not None else None
@@ -328,66 +324,45 @@ def profile_plan(engine, plan, mode="cold", query=""):
     # The lowered tree the unified layer will actually run.
     physical = engine.lower(plan)
 
-    registry = MetricsRegistry()
-    tracer = Tracer(clock=engine.clock)
-    tracer.register_plan(plan, describe=describe_node)
-    # Seed the spans with the optimizer's estimates so the profile can
+    # Spans are seeded with the optimizer's estimates so the profile can
     # report estimated-vs-actual per node.
-    for node in tracer._keepalive:
-        span = tracer.span_for(node)
-        if span is not None and id(node) in estimates:
-            span.estimated_rows = estimates[id(node)]
+    tracer = Tracer(clock=engine.clock)
+    tracer.register_plan(plan, describe=describe_node, estimates=estimates)
 
-    # Cold/hot preparation happens before the observation is installed:
-    # a warm-up run must leave no spans, metrics or read stats behind.
+    # Cold/hot preparation happens before the tracer is installed: a
+    # warm-up run must leave no spans or read stats behind.
     engine.prepare(plan, mode)
 
     engine.disk.reset_read_stats()
-    observation = Observation(metrics=registry, tracer=tracer)
-    engine.install_observation(observation)
+    engine.install_tracer(tracer)
     try:
         engine.clock.reset()
         with tracer.run():
             relation, timing = engine.run(plan)
     finally:
-        engine.install_observation(None)
+        engine.install_tracer(None)
 
     tracer.root.rows = relation.n_rows
-    compression = None
-    report_fn = getattr(engine, "compression_report", None)
-    if report_fn is not None:
-        report = report_fn()
-        if report is not None:
-            compression = dict(report)
-            for counter, key in (
-                ("compress.bytes_scanned", "bytes_scanned"),
-                ("compress.logical_bytes_scanned", "logical_bytes_scanned"),
-                ("compress.runs_skipped", "runs_skipped"),
-            ):
-                compression[key] = _counter_total(registry, counter)
-    return QueryProfile(
+    profile = QueryProfile(
         query=query,
         engine_kind=engine.kind,
         mode=mode,
         plan=plan,
         tracer=tracer,
         timing=timing,
-        registry=registry,
         categories=engine.clock.category_seconds(),
         segments=engine.disk.read_stats(),
         relation=relation,
         physical=physical,
-        compression=compression,
     )
-
-
-def _counter_total(registry, name):
-    """Sum one counter across all label sets (e.g. per-segment labels)."""
-    total = 0
-    for key, value in registry.to_dict()["counters"].items():
-        if key == name or key.startswith(name + "{"):
-            total += value
-    return int(total)
+    # Engines that can compress report their footprint; what this run
+    # scanned of it is the sum of its spans' counts.
+    report = getattr(engine, "compression_report", lambda: None)()
+    if report is not None:
+        profile.compression = dict(report)
+        for key in ("bytes_scanned", "logical_bytes_scanned", "runs_skipped"):
+            profile.compression[key] = profile.count_total(key)
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +383,6 @@ def validate_profile(document):
         "unattributed_seconds": (int, float),
         "plan": dict,
         "segments": dict,
-        "metrics": dict,
         "notes": list,
     })
     if document["schema_version"] != PROFILE_SCHEMA_VERSION:
@@ -428,9 +402,6 @@ def validate_profile(document):
     for name, seconds in document["categories"].items():
         if not isinstance(seconds, (int, float)):
             raise ValueError(f"category {name!r} is not a number")
-    _require(document["metrics"], "metrics", {
-        "counters": dict, "gauges": dict, "histograms": dict,
-    })
     _validate_span(document["plan"], path="plan")
     if document.get("physical") is not None:
         _validate_physical(document["physical"], path="physical")

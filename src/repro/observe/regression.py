@@ -3,11 +3,12 @@
 Different metrics deserve different gates.  The simulated costs are pure
 functions of (code, configuration) — any drift is a real behaviour change,
 so they are compared **byte-identically** on canonical JSON.  Wall-clock is
-noisy hardware measurement, so it gets a configurable **ratio tolerance**
-(and the benchmark harness reduces the noise at the source with min-of-N
-repeats, ``REPRO_BENCH_REPEATS``).  The always-on counters are
-**informational**: they explain a wall-clock change (cache stopped
-hitting, buffer pool thrashing) but never gate on their own.
+noisy hardware measurement: it is recorded and reported with its ratio but
+never gated here (perfbench's ``BENCHMARK.json`` bounds are the wall-clock
+contract; the benchmark harness reduces the noise at the source with
+min-of-N repeats, ``REPRO_BENCH_REPEATS``).  The always-on counters are
+**informational** too: they explain a wall-clock change (cache stopped
+hitting, buffer pool thrashing).
 
 :func:`compare_records` applies the policies to two
 :class:`~repro.observe.history.RunRecord` snapshots;
@@ -21,10 +22,6 @@ import json
 from dataclasses import dataclass, field
 
 from repro.observe.history import strip_meta
-
-#: Default wall-clock tolerance: the current run may be up to 1.5x slower
-#: than baseline before the gate trips.
-DEFAULT_WALL_TOLERANCE = 1.5
 
 #: Diff statuses, from worst to best.
 FAIL, INFO, OK, SKIP = "fail", "info", "ok", "skip"
@@ -75,7 +72,7 @@ class MetricDiff:
     """One compared metric: its policy, verdict, and both values."""
 
     metric: str
-    policy: str            # "byte-identity" | "tolerance" | "info"
+    policy: str            # "byte-identity" | "info"
     status: str            # FAIL | INFO | OK | SKIP
     baseline: object = None
     current: object = None
@@ -109,11 +106,6 @@ class PerfComparison:
     @property
     def ok(self):
         return all(diff.status != FAIL for diff in self.diffs)
-
-    @property
-    def identical(self):
-        """True when every gated and informational value matched."""
-        return all(diff.status in (OK, SKIP) for diff in self.diffs)
 
     def failures(self):
         return [diff for diff in self.diffs if diff.status == FAIL]
@@ -150,32 +142,22 @@ def _diff_simulated(baseline, current):
     )
 
 
-def _diff_wall(baseline_ms, current_ms, tolerance, gate):
-    """Ratio-tolerance gate over wall-clock milliseconds."""
-    policy = "tolerance" if gate else "info"
+def _diff_wall(baseline_ms, current_ms):
+    """Informational row for wall-clock milliseconds."""
     if baseline_ms is None or current_ms is None:
         return MetricDiff(
-            "wall_ms", policy, SKIP, baseline_ms, current_ms,
+            "wall_ms", "info", SKIP, baseline_ms, current_ms,
             "wall-clock missing on one side",
         )
     if baseline_ms <= 0:
         return MetricDiff(
-            "wall_ms", policy, SKIP, baseline_ms, current_ms,
+            "wall_ms", "info", SKIP, baseline_ms, current_ms,
             "baseline wall-clock is zero",
         )
-    ratio = current_ms / baseline_ms
-    detail = (
-        f"{current_ms:.1f}ms vs {baseline_ms:.1f}ms "
-        f"({ratio:.2f}x, tolerance {tolerance:.2f}x)"
-    )
-    if ratio <= tolerance:
-        return MetricDiff(
-            "wall_ms", policy, OK if gate else INFO,
-            baseline_ms, current_ms, detail,
-        )
     return MetricDiff(
-        "wall_ms", policy, FAIL if gate else INFO,
-        baseline_ms, current_ms, detail,
+        "wall_ms", "info", INFO, baseline_ms, current_ms,
+        f"{current_ms:.1f}ms vs {baseline_ms:.1f}ms "
+        f"({current_ms / baseline_ms:.2f}x)",
     )
 
 
@@ -194,13 +176,10 @@ def _diff_counters(baseline, current):
     return diffs
 
 
-def compare_records(baseline, current, wall_tolerance=DEFAULT_WALL_TOLERANCE,
-                    wall_gate=True):
+def compare_records(baseline, current):
     """Compare two :class:`~repro.observe.history.RunRecord` snapshots.
 
-    Policies: simulated costs byte-identical (always gated); wall-clock
-    within *wall_tolerance* (gated unless ``wall_gate=False`` — CI keeps
-    wall informational because shared runners are too noisy to gate on);
+    Policies: simulated costs byte-identical (gated); wall-clock and
     counters informational.  A configuration-fingerprint mismatch is
     itself a failure: gating across different configurations compares
     apples to oranges.
@@ -220,10 +199,7 @@ def compare_records(baseline, current, wall_tolerance=DEFAULT_WALL_TOLERANCE,
     comparison.diffs.append(
         _diff_simulated(baseline.simulated, current.simulated)
     )
-    comparison.diffs.append(
-        _diff_wall(baseline.wall_ms, current.wall_ms, wall_tolerance,
-                   wall_gate)
-    )
+    comparison.diffs.append(_diff_wall(baseline.wall_ms, current.wall_ms))
     comparison.diffs.extend(_diff_counters(baseline.counters,
                                            current.counters))
     return comparison
@@ -241,14 +217,11 @@ def _document_wall_ms(documents):
     return round(total, 3) if found else None
 
 
-def compare_bench_documents(baseline, current, name="bench",
-                            wall_tolerance=DEFAULT_WALL_TOLERANCE,
-                            wall_gate=False):
+def compare_bench_documents(baseline, current, name="bench"):
     """Compare two raw ``repro bench --json`` documents (lists of result
     dicts).  Simulated content is everything outside ``meta`` blocks —
     byte-identity applies after stripping them; wall-clock is the summed
-    ``meta.wall_ms``, informational by default (the script's historical
-    behaviour was equality-only)."""
+    ``meta.wall_ms``, informational."""
     if not isinstance(baseline, list) or not isinstance(current, list):
         raise ValueError("bench documents must be JSON lists of results")
     comparison = PerfComparison(name=name)
@@ -257,6 +230,5 @@ def compare_bench_documents(baseline, current, name="bench",
     ))
     comparison.diffs.append(_diff_wall(
         _document_wall_ms(baseline), _document_wall_ms(current),
-        wall_tolerance, wall_gate,
     ))
     return comparison

@@ -27,7 +27,6 @@ import itertools
 import time
 from contextlib import contextmanager
 
-from repro.observe.metrics import NULL_REGISTRY
 from repro.observe.race import guard_lock, shared_state
 
 #: Monotonic span-id source: every Span gets a process-unique integer id so
@@ -180,8 +179,10 @@ class Tracer:
     # span registration / lookup
     # ------------------------------------------------------------------
 
-    def register_plan(self, plan, describe=None):
-        """Create one span per plan node, mirroring the plan tree."""
+    def register_plan(self, plan, describe=None, estimates=None):
+        """Create one span per plan node, mirroring the plan tree.
+        *estimates* (``id(node)`` -> rows, as the optimizer's
+        ``annotate_cardinalities`` returns) seeds ``estimated_rows``."""
 
         def attach(node, parent):
             span = Span(
@@ -189,6 +190,8 @@ class Tracer:
                 describe(node) if describe else "",
                 parent,
             )
+            if estimates is not None:
+                span.estimated_rows = estimates.get(id(node))
             parent.children.append(span)
             self._index[id(node)] = span
             self._keepalive.append(node)
@@ -346,7 +349,7 @@ class NullTracer:
     enabled = False
     root = None
 
-    def register_plan(self, plan, describe=None):
+    def register_plan(self, plan, describe=None, estimates=None):
         pass
 
     def span_for(self, key):
@@ -378,22 +381,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-
-class Observation:
-    """The bundle engines carry: a metrics registry plus a tracer.
-
-    The default, :data:`NULL_OBSERVATION`, is inert; engines check its
-    ``enabled`` flag before doing any per-event bookkeeping, so the
-    disabled path costs one attribute load per event site.
-    """
-
-    __slots__ = ("metrics", "tracer", "enabled")
-
-    def __init__(self, metrics=None, tracer=None):
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.enabled = metrics is not None or tracer is not None
-
-
-NULL_OBSERVATION = Observation()

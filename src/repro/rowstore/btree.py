@@ -131,11 +131,11 @@ class BPlusTree:
     def insert(self, key, value):
         """Insert one pair (duplicates allowed)."""
         key = tuple(key)
-        path = []
+        path = []  # (internal node, index of the child descended into)
         node = self._node(self._root_page)
         while not node.is_leaf:
-            path.append(node)
             index = bisect.bisect_right(node.keys, key)
+            path.append((node, index))
             node = self._node(node.children[index])
         index = bisect.bisect_right(node.keys, key)
         node.keys.insert(index, key)
@@ -269,8 +269,10 @@ class BPlusTree:
             root.children = [node.page, sibling.page]
             self._root_page = root.page
             return
-        parent = path[-1]
-        index = bisect.bisect_right(parent.keys, separator)
+        # The sibling goes right after the child that split.  Searching
+        # the parent for the separator instead would misplace it whenever
+        # a run of duplicates already spans several children.
+        parent, index = path[-1]
         parent.keys.insert(index, separator)
         parent.children.insert(index + 1, sibling.page)
         if len(parent.keys) > self.order:

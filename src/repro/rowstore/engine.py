@@ -31,11 +31,9 @@ class RowStoreEngine(PlanHost):
 
     def __init__(self, machine=MACHINE_A, costs=ROW_STORE_COSTS,
                  page_size=DEFAULT_PAGE_SIZE, buffer_bytes=None,
-                 max_run_bytes=DEFAULT_MAX_RUN_BYTES, btree_order=64,
-                 observe=None):
+                 max_run_bytes=DEFAULT_MAX_RUN_BYTES, btree_order=64):
         super().__init__(
             machine, costs, page_size, buffer_bytes, max_run_bytes,
-            observe=observe,
         )
         self.btree_order = btree_order
 
@@ -72,16 +70,13 @@ class RowStoreEngine(PlanHost):
         """Charge I/O + CPU for every B+tree node the executor touches."""
         pool, clock, segment = self.pool, self.clock, index.segment
         node_cost = self.costs.btree_node
-        engine, index_name = self, index.name
 
         def on_access(page):
             pool.read_pages(segment, [page])
             clock.charge_cpu(node_cost)
-            observe = engine.observe
-            if observe.enabled:
-                observe.metrics.counter(
-                    "btree.node_visits", index=index_name
-                ).inc()
+            tracer = pool.tracer
+            if tracer.enabled:
+                tracer.current_add(btree_node_visits=1)
 
         index.tree.on_access = on_access
 

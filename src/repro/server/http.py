@@ -14,11 +14,12 @@ Wire protocol (JSON over HTTP):
     :meth:`repro.api.Result.to_dict` document plus wall-clock
     ``queue_ms`` / ``exec_ms``; 408 on deadline expiry; 429 when the
     admission queue is full; 400 on parse/plan errors and on a
-    ``timeout`` (finite, > 0) or ``workers`` (integer >= 1) out of range.
+    ``timeout`` (finite, > 0), ``workers`` (integer >= 1) or ``lint``
+    mode out of range; 404 for a ``session`` that is not an open id.
 ``POST /v1/sessions`` / ``DELETE /v1/sessions/<id>``
     Explicit session lifecycle (optional — anonymous queries run on a
     per-worker session).  Sessions carry defaults: body may set
-    ``{"timeout": seconds, "lint": mode}``.
+    ``{"timeout": seconds, "lint": mode}`` (validated here: 400).
 ``GET /v1/stats``
     Scheduler + store counters as JSON.
 ``GET /metrics``
@@ -26,6 +27,11 @@ Wire protocol (JSON over HTTP):
     (:mod:`repro.observe.counters`) in Prometheus text exposition format.
 ``GET /healthz``
     Liveness.
+
+A request body is read only when its ``Content-Length`` is an integer in
+``[0, MAX_BODY_BYTES]``: anything else is answered 400 (negative or not
+an integer) or 413 (too large) without reading, and the connection is
+closed since the body is still on it.
 
 Graceful shutdown (SIGINT/SIGTERM or :meth:`QueryServer.close`) stops
 admission first and drains in-flight queries before the listener exits.
@@ -36,6 +42,7 @@ import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.analysis.plan_lint import validate_lint_mode
 from repro.errors import (
     QueryTimeout,
     ReproError,
@@ -46,9 +53,17 @@ from repro.observe import counters
 from repro.observe.export import metrics_to_prometheus
 from repro.observe.history import collect_counters
 from repro.observe.log import get_logger
-from repro.server.scheduler import SchedulerConfig, SessionScheduler
+from repro.server.scheduler import (
+    SchedulerConfig,
+    SessionScheduler,
+    validate_timeout,
+)
 
 log = get_logger("server.http")
+
+#: Largest request body read.  The largest legitimate one — the 222-branch
+#: ``generate_vertical_sql`` text — is under 16 KB.
+MAX_BODY_BYTES = 1 << 20
 
 
 class QueryServer:
@@ -145,13 +160,18 @@ class QueryServer:
     # -- session bookkeeping -------------------------------------------
 
     def create_session(self, defaults):
+        """Open a session carrying *defaults*; a ``timeout`` or ``lint``
+        default the query path would refuse raises :class:`ReproError`
+        here, not on the session's first query."""
+        timeout, lint = defaults.get("timeout"), defaults.get("lint")
+        if timeout is not None:
+            validate_timeout(timeout)
+        if lint is not None:
+            validate_lint_mode(lint)
         with self._session_lock:
             self._session_counter += 1
             session_id = f"s{self._session_counter}"
-            self._sessions[session_id] = {
-                "timeout": defaults.get("timeout"),
-                "lint": defaults.get("lint"),
-            }
+            self._sessions[session_id] = {"timeout": timeout, "lint": lint}
         return session_id
 
     def drop_session(self, session_id):
@@ -159,8 +179,10 @@ class QueryServer:
             return self._sessions.pop(session_id, None) is not None
 
     def session_defaults(self, session_id):
-        with self._session_lock:
-            defaults = self._sessions.get(session_id)
+        defaults = None
+        if isinstance(session_id, str):  # ids are strings; JSON may not be
+            with self._session_lock:
+                defaults = self._sessions.get(session_id)
         if defaults is None:
             raise SessionClosed(f"no such session {session_id!r}")
         return defaults
@@ -303,16 +325,34 @@ def _make_handler(server):
             self._send(status, "application/json", payload)
 
         def _read_body(self):
-            length = int(self.headers.get("Content-Length") or 0)
+            """The request's JSON object; ``None`` once an error has been
+            answered instead."""
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if not 0 <= length <= MAX_BODY_BYTES:
+                # The body stays unread (a negative read would block until
+                # the client hangs up), so the connection cannot be reused.
+                self.close_connection = True
+                status, error = (
+                    (400, "Content-Length must be an integer >= 0")
+                    if length < 0
+                    else (413, f"request body over {MAX_BODY_BYTES} bytes")
+                )
+                self._send_json(status, {"error": error})
+                return None
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 return {}
             try:
                 body = json.loads(raw.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
-                raise ValueError(f"malformed JSON body: {exc}") from exc
+                self._send_json(400, {"error": f"malformed JSON body: {exc}"})
+                return None
             if not isinstance(body, dict):
-                raise ValueError("JSON body must be an object")
+                self._send_json(400, {"error": "JSON body must be an object"})
+                return None
             return body
 
         # -- routes -----------------------------------------------------
@@ -331,17 +371,21 @@ def _make_handler(server):
                 self._send_json(404, {"error": f"no route {self.path!r}"})
 
         def do_POST(self):
-            try:
-                body = self._read_body()
-            except ValueError as exc:
-                self._send_json(400, {"error": str(exc)})
+            body = self._read_body()
+            if body is None:
                 return
             if self.path == "/v1/query":
                 status, document = self.query_server.handle_query(body)
                 self._send_json(status, document)
             elif self.path == "/v1/sessions":
-                session_id = self.query_server.create_session(body)
-                self._send_json(201, {"session": session_id})
+                try:
+                    session_id = self.query_server.create_session(body)
+                except ReproError as exc:
+                    self._send_json(400, {
+                        "error": str(exc), "error_type": type(exc).__name__,
+                    })
+                else:
+                    self._send_json(201, {"session": session_id})
             else:
                 self._send_json(404, {"error": f"no route {self.path!r}"})
 

@@ -48,6 +48,16 @@ def _is_number(value, types=(int, float)):
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def validate_timeout(timeout):
+    """Raise :class:`ReproError` unless *timeout* is a finite number of
+    seconds > 0 (the value arrives straight from request bodies)."""
+    if not (_is_number(timeout) and 0 < timeout < math.inf):
+        raise ReproError(
+            f"'timeout' must be a finite number of seconds > 0, "
+            f"got {timeout!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Tuning knobs for a :class:`SessionScheduler`."""
@@ -127,11 +137,8 @@ class SessionScheduler:
         timeout = kwargs.pop("timeout", None)
         if timeout is None:
             timeout = self.config.default_timeout
-        elif not (_is_number(timeout) and 0 < timeout < math.inf):
-            raise ReproError(
-                f"'timeout' must be a finite number of seconds > 0, "
-                f"got {timeout!r}"
-            )
+        else:
+            validate_timeout(timeout)
         workers = kwargs.get("workers")
         if workers is not None:
             if not (_is_number(workers, int) and workers >= 1):

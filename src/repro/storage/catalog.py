@@ -39,9 +39,9 @@ class StoreCatalog:
     * ``property_tables`` — property name -> table name (vertical scheme).
     * ``interesting_properties`` / ``all_properties`` — property name lists,
       most frequent first.
-    * ``compression`` — the engine's compression cost mode (``None``,
-      ``"logical"`` or ``"physical"``) at build time, so catalog consumers
-      can tell a compressed store from a raw one.
+    * ``compression`` — the engine's compression mode (``None`` or
+      ``"physical"``) at build time, so catalog consumers can tell a
+      compressed store from a raw one.
     """
 
     scheme: str

@@ -24,12 +24,11 @@ the exact byte layout the simulated disk charges for, exposed through
 ``byte_ranges`` / ``pages_for_rows`` / ``probe_byte`` so the column-store
 operators can account compressed I/O without materializing bytes.
 
-Two cost modes (:class:`CompressionConfig`): ``"logical"`` sizes segments
-at the uncompressed footprint, so every simulated charge is bit-identical
-to the uncompressed path (the parity guarantee) while the compression
-report still measures the footprint win; ``"physical"`` sizes segments at
-the compressed footprint and lets the operators read compressed byte
-ranges and run-skip — the mode whose simulated costs show the speedup.
+Compression is off or on (:class:`CompressionConfig`): an engine without a
+config stores raw int64 columns; with one, segments are sized at the
+encoded footprint and the operators read compressed byte ranges and
+run-skip — the simulated costs show the speedup.  Reports and config
+fingerprints name the on state ``"physical"``.
 """
 
 from dataclasses import dataclass
@@ -58,29 +57,15 @@ MAX_PACK_WIDTH = 57
 #: Codec priority when candidate sizes tie.
 CODEC_ORDER = ("rle", "delta", "dict")
 
-COST_MODES = ("logical", "physical")
-
 
 @dataclass(frozen=True)
 class CompressionConfig:
-    """Column-store compression settings.
+    """Column-store compression settings: having one means compression is
+    on.  ``codecs`` limits which encodings the picker may choose."""
 
-    ``cost_mode="logical"`` keeps simulated costs bit-identical to the
-    uncompressed engine (segments are sized at the logical footprint);
-    ``"physical"`` sizes segments compressed and enables the
-    operate-on-compressed kernels.  ``codecs`` limits which encodings the
-    picker may choose.
-    """
-
-    cost_mode: str = "logical"
     codecs: tuple = CODEC_ORDER
 
     def __post_init__(self):
-        if self.cost_mode not in COST_MODES:
-            raise StorageError(
-                f"unknown compression cost mode {self.cost_mode!r}; "
-                f"expected one of {COST_MODES}"
-            )
         unknown = [c for c in self.codecs if c not in CODEC_ORDER]
         if unknown:
             raise StorageError(
@@ -92,29 +77,33 @@ class CompressionConfig:
         """Normalize user-facing compression settings to a config or None.
 
         Accepts ``None``/``False``/``"off"`` (disabled), ``True``/``"on"``/
-        ``"physical"`` (physical cost mode), ``"logical"``, a settings
-        dict, or an existing config.
+        ``"physical"`` (enabled), a ``{"codecs": ...}`` dict, or an
+        existing config.
         """
         if value is None or value is False:
             return None
         if isinstance(value, cls):
             return value
         if value is True:
-            return cls(cost_mode="physical")
+            return cls()
         if isinstance(value, str):
             mode = value.strip().lower()
             if mode in ("", "off", "none", "false", "0"):
                 return None
             if mode in ("on", "true", "1", "physical"):
-                return cls(cost_mode="physical")
-            if mode == "logical":
-                return cls(cost_mode="logical")
+                return cls()
             raise StorageError(
                 f"unknown compression setting {value!r}; expected "
-                "off/logical/physical"
+                "off or physical"
             )
         if isinstance(value, dict):
-            return cls(**value)
+            try:
+                return cls(**value)
+            except TypeError:
+                raise StorageError(
+                    f"unknown compression settings {sorted(value)}; "
+                    "expected 'codecs'"
+                ) from None
         raise StorageError(
             f"cannot interpret compression setting {value!r}"
         )

@@ -1,4 +1,4 @@
-"""Tests for the AST codebase invariant checker and its ratchet baseline."""
+"""Tests for the AST codebase invariant checker."""
 
 import textwrap
 
@@ -6,14 +6,10 @@ import pytest
 
 from repro.analysis import (
     CODE_RULES,
-    apply_baseline,
     lint_package,
     lint_paths,
     lint_source,
-    load_baseline,
-    write_baseline,
 )
-from repro.errors import ReproError
 
 ENGINE = "repro/engine/bad.py"
 REPORT = "repro/bench/report.py"
@@ -263,72 +259,6 @@ class TestPlanMutation:
             config.threshold = 9
         """
         assert fired(source, ELSEWHERE) == set()
-
-
-# ---------------------------------------------------------------------------
-# fingerprints + baseline ratchet
-# ---------------------------------------------------------------------------
-
-class TestBaseline:
-    SOURCE = """
-    import time
-
-    def cost():
-        return time.perf_counter()
-    """
-
-    def violation(self):
-        return check(self.SOURCE, ENGINE)[0]
-
-    def test_fingerprint_is_line_free(self):
-        v = self.violation()
-        assert v.fingerprint == (
-            "wall-clock-in-engine::repro/engine/bad.py::cost"
-            "::time.perf_counter"
-        )
-        shifted = check("\n\n\n" + textwrap.dedent(self.SOURCE), ENGINE)[0]
-        assert shifted.line != v.line
-        assert shifted.fingerprint == v.fingerprint
-
-    def test_round_trip(self, tmp_path):
-        v = self.violation()
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), [v])
-        assert load_baseline(str(path)) == {v.fingerprint: 1}
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert '"version": 1' in text
-
-    def test_apply_suppresses_baselined(self):
-        v = self.violation()
-        new, suppressed, stale = apply_baseline([v], {v.fingerprint: 1})
-        assert new == [] and suppressed == 1 and stale == []
-
-    def test_apply_ratchets_on_count_increase(self):
-        v = self.violation()
-        new, suppressed, stale = apply_baseline(
-            [v, v], {v.fingerprint: 1}
-        )
-        # Over budget: all occurrences reported, nothing silently kept.
-        assert len(new) == 2 and suppressed == 0
-
-    def test_apply_reports_stale_entries(self):
-        new, suppressed, stale = apply_baseline([], {"gone::x::y::z": 2})
-        assert new == [] and stale == ["gone::x::y::z"]
-
-    def test_apply_without_baseline(self):
-        v = self.violation()
-        new, suppressed, stale = apply_baseline([v], None)
-        assert new == [v]
-
-    def test_load_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"entries": {"x": "lots"}, "version": 1}')
-        with pytest.raises(ReproError, match="malformed"):
-            load_baseline(str(path))
-        path.write_text('{"entries": {}, "version": 99}')
-        with pytest.raises(ReproError, match="version"):
-            load_baseline(str(path))
 
 
 # ---------------------------------------------------------------------------

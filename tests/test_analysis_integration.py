@@ -198,43 +198,36 @@ class TestAnalyzeCommand:
 
     def test_unified_json_document(self, capsys):
         code = main(
-            ["analyze", "q1", "--code", "--concurrency", "--static-only",
+            ["analyze", "q1", "--concurrency", "--static-only",
              "--json"] + self.ARGS
         )
         assert code == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["sections"] == ["plan", "code", "concurrency"]
-        assert document["code"]["violations"] == []
+        # The source rules have one entry, `repro lint`: no code section.
+        assert document["sections"] == ["plan", "concurrency"]
+        assert "code" not in document
         concurrency = document["concurrency"]
         assert concurrency["guarded"] == []
         assert concurrency["lock_order"]["graph"]["cycles"] == []
         assert concurrency["runtime"] is None  # --static-only
         assert document["ok"] is True
 
-    def test_no_sections_is_an_error(self):
+    def test_no_sections_is_an_error(self, capsys):
         assert main(["analyze"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--code"])
+        assert excinfo.value.code == 2
+        assert "--code" in capsys.readouterr().err
 
 
 class TestLintCommand:
     def test_package_is_clean(self, capsys):
         assert main(["lint"]) == 0
-        assert "0 new violation(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 violation(s)" in out
+        assert "0 concurrency violation(s)" in out
 
     def test_seeded_violation_is_caught(self, tmp_path, capsys):
-        package = tmp_path / "repro" / "engine"
-        package.mkdir(parents=True)
-        (package / "sneaky.py").write_text(
-            "import time\n\n"
-            "def cost():\n"
-            "    return time.perf_counter()\n"
-        )
-        code = main(["lint", str(tmp_path / "repro")])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "wall-clock-in-engine" in out
-        assert "1 new violation(s)" in out
-
-    def test_baseline_suppresses_and_ratchets(self, tmp_path, capsys):
         package = tmp_path / "repro" / "engine"
         package.mkdir(parents=True)
         bad = package / "sneaky.py"
@@ -243,33 +236,22 @@ class TestLintCommand:
             "def cost():\n"
             "    return time.perf_counter()\n"
         )
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", str(tmp_path / "repro"),
-            "--baseline", str(baseline), "--update-baseline",
-        ]) == 0
-        capsys.readouterr()
-        # Baselined: clean exit, violation suppressed.
-        assert main([
-            "lint", str(tmp_path / "repro"), "--baseline", str(baseline),
-        ]) == 0
-        assert "1 suppressed by baseline" in capsys.readouterr().out
-        # A second violation in the same scope exceeds the budget.
-        bad.write_text(
-            "import time\n\n"
-            "def cost():\n"
-            "    a = time.perf_counter()\n"
-            "    return a + time.perf_counter()\n"
+        code = main(["lint", str(tmp_path / "repro")])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert (
+            "repro/engine/sneaky.py:4: error [wall-clock-in-engine]" in out
         )
-        assert main([
-            "lint", str(tmp_path / "repro"), "--baseline", str(baseline),
-        ]) == 1
-        # Fixing everything leaves the baseline entry stale.
+        assert "1 violation(s)" in out
+        # The only way back to green is the fix: there is no ratchet to
+        # record the violation in.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(tmp_path / "repro"), "--baseline", "b.json"])
+        assert excinfo.value.code == 2
+        assert "--baseline" in capsys.readouterr().err
         bad.write_text("def cost():\n    return 0\n")
-        assert main([
-            "lint", str(tmp_path / "repro"), "--baseline", str(baseline),
-        ]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
+        assert main(["lint", str(tmp_path / "repro")]) == 0
+        assert "0 violation(s)" in capsys.readouterr().out
 
     def test_json_output(self, tmp_path, capsys):
         package = tmp_path / "repro" / "colstore"
@@ -281,6 +263,8 @@ class TestLintCommand:
         assert code == 1
         document = json.loads(capsys.readouterr().out)
         assert document["violations"][0]["rule"] == "join-sort-hint"
+        assert set(document) == {"violations", "concurrency"}
+        assert document["concurrency"] == {"violations": []}
 
 
 # ---------------------------------------------------------------------------

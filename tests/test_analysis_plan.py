@@ -329,8 +329,12 @@ class TestMachinery:
         assert any(d.rule == "domain-mismatch" for d in diagnostics)
 
     def test_set_lint_mode_validates(self):
-        with pytest.raises(ValueError):
+        # One typed error for every door a mode comes through: over HTTP
+        # a bare ValueError was a worker traceback, not a 400.
+        with pytest.raises(PlanError, match="unknown lint mode 'loud'"):
             set_lint_mode("loud")
+        with pytest.raises(PlanError, match="unknown lint mode"):
+            check_plan(scan("A"), where="test", mode=["strict"])
         set_lint_mode("strict")
         assert lint_mode() == "strict"
 

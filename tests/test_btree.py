@@ -1,7 +1,7 @@
 """Tests for the B+tree, including hypothesis equivalence with sorted dicts."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.rowstore.btree import BPlusTree, _upper_bound
@@ -172,6 +172,9 @@ def test_property_matches_sorted_list(pairs, order):
     keys=st.lists(st.integers(0, 50), max_size=150),
     order=st.sampled_from([3, 5, 16]),
 )
+# A run of duplicates spanning two leaves, then a split of the left one:
+# the new sibling used to be filed after the whole run.
+@example(keys=[1, 1, 1, 1, 0, 0, 2], order=3)
 def test_property_insert_matches_sorted(keys, order):
     tree = BPlusTree(order=order)
     for i, k in enumerate(keys):

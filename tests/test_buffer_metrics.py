@@ -8,7 +8,7 @@ import pytest
 
 from repro.engine import BufferPool, MachineProfile, QueryClock, SimulatedDisk
 from repro.engine.buffer import SCATTERED_BANDWIDTH_PENALTY
-from repro.observe import MetricsRegistry, Observation, Tracer
+from repro.observe import NULL_TRACER, Tracer
 
 PAGE = 4096
 BANDWIDTH = 1024 * 1024  # 1 MiB/s
@@ -29,12 +29,11 @@ TEST_MACHINE = MachineProfile(
 )
 
 
-def make_pool(capacity_pages=64, max_run_bytes=None, observe=None):
+def make_pool(capacity_pages=64, max_run_bytes=None):
     disk = SimulatedDisk(page_size=PAGE)
     clock = QueryClock(TEST_MACHINE)
     pool = BufferPool(
-        disk, clock, capacity_pages * PAGE,
-        max_run_bytes=max_run_bytes, observe=observe,
+        disk, clock, capacity_pages * PAGE, max_run_bytes=max_run_bytes,
     )
     return disk, clock, pool
 
@@ -144,46 +143,62 @@ class TestScatteredAccounting:
 
 
 class TestObservedAccounting:
+    """One pool read is written once per scope: the span tree for the
+    query, the disk's per-segment log for where the bytes came from."""
+
     def _observed_pool(self, **kwargs):
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        observation = Observation(metrics=registry, tracer=tracer)
-        disk, clock, pool = make_pool(observe=observation, **kwargs)
-        return disk, clock, pool, registry, tracer
+        disk, clock, pool = make_pool(**kwargs)
+        pool.tracer = tracer = Tracer()
+        return disk, clock, pool, tracer
 
     def test_labeled_counters(self):
-        disk, clock, pool, registry, tracer = self._observed_pool()
+        disk, clock, pool, tracer = self._observed_pool()
         disk.create_segment("col", 10 * PAGE)
-        pool.read_segment("col")
-        pool.read_segment("col")
-        counters = registry.to_dict()["counters"]
-        assert counters["buffer.page_misses{segment=col}"] == 10
-        assert counters["buffer.page_hits{segment=col}"] == 10
-        assert counters["disk.requests{kind=sequential,segment=col}"] == 1
-        assert counters["disk.bytes_read{segment=col}"] == 10 * PAGE
+        with tracer.run():
+            pool.read_segment("col")
+            pool.read_segment("col")
+        assert tracer.root.counts == {
+            "page_hits": 10, "page_misses": 10, "disk_requests": 1,
+        }
+        stats = disk.read_stats()["col"].to_dict()
+        assert stats["reads"] == 1  # the all-hit rescan transfers nothing
+        assert stats["requests"] == 1
+        assert stats["scattered_reads"] == 0
+        assert stats["bytes"] == 10 * PAGE
 
     def test_scattered_kind_label_and_histogram(self):
-        disk, clock, pool, registry, tracer = self._observed_pool()
+        disk, clock, pool, tracer = self._observed_pool()
         segment = disk.create_segment("heap", 10 * PAGE)
-        pool.read_pages(segment, [0, 2], scattered=True)
-        exported = registry.to_dict()
-        assert exported["counters"][
-            "disk.requests{kind=scattered,segment=heap}"
-        ] == 2
-        summary = exported["histograms"]["disk.request_bytes"]
-        assert summary["count"] == 1
-        assert summary["mean"] == pytest.approx(PAGE)  # 2 pages / 2 requests
+        with tracer.run():
+            pool.read_pages(segment, [0, 2], scattered=True)
+        assert tracer.root.counts == {
+            "page_hits": 0, "page_misses": 2, "disk_requests": 2,
+        }
+        stats = disk.read_stats()["heap"].to_dict()
+        assert stats["scattered_reads"] == 1
+        assert stats["requests"] == 2
+        # Request size: 2 pages / 2 requests.
+        assert stats["min_run_bytes"] == stats["max_run_bytes"] == PAGE
 
     def test_eviction_counter(self):
-        disk, clock, pool, registry, tracer = self._observed_pool(
-            capacity_pages=4
-        )
+        disk, clock, pool, tracer = self._observed_pool(capacity_pages=4)
         disk.create_segment("col", 10 * PAGE)
-        pool.read_segment("col")
-        assert registry.to_dict()["counters"]["buffer.evictions"] == 6
+        disk.create_segment("small", 2 * PAGE)
+        with tracer.run():
+            with tracer.span("scan"):
+                pool.read_segment("col")
+            with tracer.span("small"):
+                pool.read_segment("small")
+            with tracer.span("hot"):
+                pool.read_segment("small")
+        assert tracer.root.child_named("scan").counts["evictions"] == 6
+        assert tracer.root.child_named("small").counts["evictions"] == 2
+        # The key appears only on a span that evicted.
+        assert "evictions" not in tracer.root.child_named("hot").counts
+        assert pool.stats()["evictions"] == 8
 
     def test_active_span_receives_counts(self):
-        disk, clock, pool, registry, tracer = self._observed_pool()
+        disk, clock, pool, tracer = self._observed_pool()
         disk.create_segment("col", 4 * PAGE)
         with tracer.run():
             with tracer.span("scan"):
@@ -200,7 +215,7 @@ class TestObservedAccounting:
         }
 
     def test_segment_read_log(self):
-        disk, clock, pool, registry, tracer = self._observed_pool()
+        disk, clock, pool, tracer = self._observed_pool()
         segment = disk.create_segment("heap", 10 * PAGE)
         pool.read_segment("heap")
         pool.read_pages(segment, [0, 2], scattered=True)  # all hits: no read
@@ -218,5 +233,7 @@ class TestObservedAccounting:
         disk.create_segment("col", 4 * PAGE)
         pool.read_segment("col")
         assert pool.stats()["page_misses"] == 4
-        # The engine-facing registry never saw anything.
-        assert pool.observe.metrics.to_dict()["counters"] == {}
+        # No tracer installed: the per-query sink is the inert one, while
+        # the segment log (always on) still saw the read.
+        assert pool.tracer is NULL_TRACER
+        assert disk.read_stats()["col"].requests == 1

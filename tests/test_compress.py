@@ -209,20 +209,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [True, "on", "1", "physical"])
     def test_physical_settings(self, value):
-        assert CompressionConfig.coerce(value).cost_mode == "physical"
+        assert CompressionConfig.coerce(value) == CompressionConfig()
 
     def test_logical_setting(self):
-        assert CompressionConfig.coerce("logical").cost_mode == "logical"
+        # Compression is off or on; the cost-free third state is gone.
+        with pytest.raises(StorageError, match="off or physical"):
+            CompressionConfig.coerce("logical")
 
     def test_dict_setting(self):
-        config = CompressionConfig.coerce(
-            {"cost_mode": "physical", "codecs": ("rle",)}
-        )
-        assert config.cost_mode == "physical"
+        config = CompressionConfig.coerce({"codecs": ("rle",)})
         assert config.codecs == ("rle",)
 
     def test_config_roundtrips_through_coerce(self):
-        config = CompressionConfig(cost_mode="physical")
+        config = CompressionConfig(codecs=("rle", "dict"))
         assert CompressionConfig.coerce(config) is config
 
     @pytest.mark.parametrize("value", ["zstd", 3.5, ["rle"]])
@@ -231,8 +230,9 @@ class TestConfig:
             CompressionConfig.coerce(value)
 
     def test_invalid_cost_mode_raises(self):
-        with pytest.raises(StorageError):
-            CompressionConfig(cost_mode="magic")
+        # The settings dict no longer has a mode to get wrong.
+        with pytest.raises(StorageError, match="codecs"):
+            CompressionConfig.coerce({"cost_mode": "physical"})
 
     def test_invalid_codec_raises(self):
         with pytest.raises(StorageError):

@@ -1,19 +1,9 @@
 """Compressed-execution parity: same rows, controlled costs.
 
-The compression layer's contract has two halves:
-
-* **logical cost mode** is *invisible*: every Barton query returns
-  identical decoded rows AND bit-identical simulated timings to the
-  uncompressed engine (segments are sized at the logical footprint, all
-  I/O goes down the uncompressed paths).  The exec-parity goldens must
-  also hold under logical compression.
-* **physical cost mode** keeps rows identical while simulated costs drop
-  on scan-heavy queries — compressed byte ranges and run-skipping are the
-  paper's operate-on-compressed argument, measured.
+Compression keeps rows identical while simulated costs drop on
+scan-heavy queries — compressed byte ranges and run-skipping are the
+paper's operate-on-compressed argument, measured.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -21,8 +11,6 @@ from repro.colstore import ColumnStoreEngine
 from repro.data import generate_barton
 from repro.queries import ALL_QUERY_NAMES, build_query
 from repro.storage import build_triple_store, build_vertical_store
-
-GOLDENS = Path(__file__).parent / "data" / "exec_parity_goldens.json"
 
 SCHEMES = ("vertical", "triple")
 
@@ -79,37 +67,8 @@ def sweeps(dataset):
     return {
         (scheme, compression): _sweep(dataset, scheme, compression)
         for scheme in SCHEMES
-        for compression in (None, "logical", "physical")
+        for compression in (None, "physical")
     }
-
-
-class TestLogicalMode:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_bit_identical_to_uncompressed(self, sweeps, scheme):
-        """Rows AND every simulated cost field, all queries, both modes."""
-        raw = sweeps[(scheme, None)]
-        logical = sweeps[(scheme, "logical")]
-        for key in raw:
-            assert logical[key][0] == raw[key][0], (scheme, key, "rows")
-            assert logical[key][1] == raw[key][1], (scheme, key, "timing")
-
-    def test_goldens_hold_under_logical_compression(self):
-        """The pre-refactor exec-parity goldens still reproduce when every
-        column-store cell is built with logical compression."""
-        from repro.exec.parity import compare_parity, parity_sweep
-
-        with open(GOLDENS) as handle:
-            goldens = json.load(handle)
-        meta = goldens["meta"]
-        sweep = parity_sweep(
-            n_triples=meta["n_triples"],
-            n_properties=meta["n_properties"],
-            seed=meta["seed"],
-            modes=tuple(meta["modes"]),
-            column_engine_options={"compression": "logical"},
-        )
-        mismatches = compare_parity(goldens, sweep)
-        assert not mismatches, "\n".join(mismatches)
 
 
 class TestPhysicalMode:
@@ -161,15 +120,6 @@ class TestFootprint:
         assert report["compression_ratio"] >= 5.0, report
         # PSO clustering makes the leading prop column pure runs.
         assert report["columns_by_codec"].get("rle", 0) >= 1
-
-    def test_logical_mode_reports_the_same_footprint(self, dataset):
-        physical_eng, _ = _build(dataset, "vertical", "physical")
-        logical_eng, _ = _build(dataset, "vertical", "logical")
-        physical = physical_eng.compression_report()
-        logical = logical_eng.compression_report()
-        assert logical["compressed_bytes"] == physical["compressed_bytes"]
-        assert logical["logical_bytes"] == physical["logical_bytes"]
-        assert logical["mode"] == "logical"
 
     def test_disabled_engine_has_no_report(self, dataset):
         engine, _ = _build(dataset, "vertical", None)

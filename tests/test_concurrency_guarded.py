@@ -302,7 +302,7 @@ def test_injected_violation_fails_lint_cli(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "unguarded-mutation" in out
-    assert "1 new concurrency violation(s)" in out
+    assert "1 concurrency violation(s)" in out
 
 
 def test_check_paths_keys_relative_to_argument_parent(tmp_path):

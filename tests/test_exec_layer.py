@@ -270,7 +270,7 @@ def test_every_caller_rejects_a_bad_mode_the_same_way(dataset):
             attempt()
     # Nothing stuck to the shared engine: the next query runs normally.
     assert session.query("q1", mode="cold").n_rows > 0
-    assert connection.store.engine.observe.enabled is False
+    assert connection.store.engine.tracer.enabled is False
 
 
 def test_verify_sweeps_the_parity_grid(dataset):

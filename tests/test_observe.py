@@ -7,11 +7,8 @@ import pytest
 
 from repro.engine import MACHINE_A, QueryClock
 from repro.observe import (
-    NULL_OBSERVATION,
-    NULL_REGISTRY,
     NULL_TRACER,
     MetricsRegistry,
-    Observation,
     Tracer,
     configure_logging,
     format_key,
@@ -73,16 +70,6 @@ class TestMetrics:
         registry.counter("c", k="v").inc(3)
         decoded = json.loads(registry.to_json())
         assert decoded["counters"] == {"c{k=v}": 3}
-
-    def test_render_text(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.gauge("g").set(7)
-        registry.histogram("h").observe(2.0)
-        text = registry.render_text()
-        assert "counter   c = 3" in text
-        assert "gauge     g = 7" in text
-        assert "histogram h count=1" in text
 
     def test_histogram_quantiles_empty(self):
         histogram = MetricsRegistry().histogram("h")
@@ -150,16 +137,6 @@ class TestMetrics:
         document = registry.to_dict()
         decoded = json.loads(json.dumps(document))
         assert decoded == document
-
-    def test_null_registry_is_inert(self):
-        instrument = NULL_REGISTRY.counter("anything", label="x")
-        instrument.inc(10)
-        instrument.observe(3)
-        assert NULL_REGISTRY.to_dict() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-        assert NULL_REGISTRY.render_text() == ""
-        assert not NULL_REGISTRY.enabled
 
 
 class TestTracer:
@@ -269,14 +246,29 @@ class TestTracer:
 
 class TestObservation:
     def test_null_observation_disabled(self):
-        assert not NULL_OBSERVATION.enabled
-        assert NULL_OBSERVATION.metrics is NULL_REGISTRY
-        assert NULL_OBSERVATION.tracer is NULL_TRACER
+        # The per-query sink engines are born with: disabled, and one
+        # shared object, so the event sites' flag test is all it costs.
+        from repro.colstore import ColumnStoreEngine
+
+        assert not NULL_TRACER.enabled
+        engine = ColumnStoreEngine()
+        assert engine.tracer is NULL_TRACER
+        assert engine.pool.tracer is NULL_TRACER
 
     def test_partial_observation_enabled(self):
-        assert Observation(metrics=MetricsRegistry()).enabled
-        assert Observation(tracer=Tracer()).enabled
-        assert not Observation().enabled
+        # A tracer alone is the whole observation: no registry rides
+        # along, and installing one enables every event site.
+        from repro.rowstore import RowStoreEngine
+
+        engine = RowStoreEngine()
+        tracer = engine.install_tracer(Tracer(clock=engine.clock))
+        assert tracer.enabled
+        engine.disk.create_segment("seg", 3 * engine.pool.page_size)
+        with tracer.run():
+            engine.pool.read_segment("seg")
+        assert tracer.root.counts == {
+            "page_hits": 0, "page_misses": 3, "disk_requests": 1,
+        }
 
     def test_engines_accept_observation(self):
         from repro.colstore import ColumnStoreEngine
@@ -284,13 +276,15 @@ class TestObservation:
 
         for engine_cls in (ColumnStoreEngine, RowStoreEngine):
             engine = engine_cls()
-            assert engine.observe is NULL_OBSERVATION
-            observation = Observation(metrics=MetricsRegistry())
-            engine.install_observation(observation)
-            assert engine.observe is observation
-            assert engine.pool.observe is observation
-            engine.install_observation(None)
-            assert engine.observe is NULL_OBSERVATION
+            assert engine.tracer is NULL_TRACER
+            assert engine.pool.tracer is NULL_TRACER
+            tracer = Tracer(clock=engine.clock)
+            assert engine.install_tracer(tracer) is tracer
+            assert engine.tracer is tracer
+            assert engine.pool.tracer is tracer
+            engine.install_tracer(None)
+            assert engine.tracer is NULL_TRACER
+            assert engine.pool.tracer is NULL_TRACER
 
 
 class TestLogging:

@@ -14,7 +14,6 @@ from repro.observe.history import (
     default_perf_dir,
     git_sha,
     load_snapshot,
-    record_from_profile,
     record_from_results,
     reset_counters,
     strip_meta,
@@ -141,22 +140,6 @@ class TestRecordBuilders:
         assert len(record.simulated) == 1
         assert "meta" not in json.dumps(record.simulated)
         assert record.recorded_at  # ISO timestamp present
-
-    def test_record_from_profile(self, profile):
-        record = record_from_profile("profile_q2", profile)
-        assert record.kind == "profile"
-        assert record.parameters["query"] == "q2"
-        assert record.parameters["engine"] == "column-store"
-        totals = record.simulated["totals"]
-        assert totals["real_seconds"] == pytest.approx(
-            profile.timing.real_seconds
-        )
-        # Span self-times decompose the clock charge exactly.
-        self_sum = sum(
-            s["self_cpu_seconds"] + s["self_io_seconds"]
-            for s in record.simulated["spans"]
-        )
-        assert self_sum == pytest.approx(profile.timing.real_seconds)
 
     def test_git_sha_in_repo(self):
         sha = git_sha()

@@ -13,7 +13,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.observe.history import RunRecord, load_snapshot, write_snapshot
 from repro.observe.regression import (
-    DEFAULT_WALL_TOLERANCE,
     PerfComparison,
     canonical_json,
     compare_bench_documents,
@@ -64,7 +63,7 @@ class TestCompareRecords:
         current = copy.deepcopy(baseline)
         comparison = compare_records(baseline, current)
         assert comparison.ok
-        assert comparison.identical
+        assert comparison.failures() == []
         assert "OK" in comparison.render()
 
     def test_simulated_drift_fails_byte_identity(self):
@@ -78,32 +77,15 @@ class TestCompareRecords:
         assert [f.metric for f in failures] == ["simulated"]
         assert "totals.real_seconds" in failures[0].detail
 
-    def test_double_wall_trips_tolerance_gate(self):
-        baseline = make_record(wall=100.0)
-        current = make_record(wall=200.0)  # mocked 2x slowdown
-        comparison = compare_records(baseline, current)
-        assert not comparison.ok
-        assert [f.metric for f in comparison.failures()] == ["wall_ms"]
-
-    def test_wall_within_tolerance_passes(self):
-        baseline = make_record(wall=100.0)
-        current = make_record(wall=100.0 * DEFAULT_WALL_TOLERANCE * 0.99)
-        assert compare_records(baseline, current).ok
-
     def test_wall_info_mode_never_gates(self):
         baseline = make_record(wall=100.0)
         current = make_record(wall=1000.0)
-        comparison = compare_records(baseline, current, wall_gate=False)
+        comparison = compare_records(baseline, current)
         assert comparison.ok
-        assert not comparison.identical  # the slowdown is still reported
-
-    def test_custom_tolerance(self):
-        baseline = make_record(wall=100.0)
-        current = make_record(wall=190.0)
-        assert not compare_records(baseline, current).ok
-        assert compare_records(
-            baseline, current, wall_tolerance=2.0
-        ).ok
+        # The slowdown is still reported, with its ratio.
+        wall = [d for d in comparison.diffs if d.metric == "wall_ms"][0]
+        assert (wall.policy, wall.status) == ("info", "info")
+        assert "10.00x" in wall.detail
 
     def test_missing_wall_is_skipped(self):
         baseline = make_record(wall=None)
@@ -161,15 +143,6 @@ class TestCompareBenchDocuments:
         right = copy.deepcopy(left)
         right[0]["rows"][0][1] += 1
         assert not compare_bench_documents(left, right).ok
-
-    def test_wall_gate_optional(self):
-        left = self._documents()
-        right = copy.deepcopy(left)
-        right[0]["meta"]["wall_ms"] = 500.0
-        assert compare_bench_documents(left, right).ok
-        assert not compare_bench_documents(
-            left, right, wall_gate=True
-        ).ok
 
     def test_rejects_non_lists(self):
         with pytest.raises(ValueError):
@@ -232,11 +205,15 @@ class TestPerfCli:
         current = make_record("slow", wall=250.0)
         left = self._snapshot(tmp_path, baseline, "base")
         right = self._snapshot(tmp_path, current, "curr")
-        assert cli_main(["perf", "compare", str(left), str(right)]) == 1
-        capsys.readouterr()
-        assert cli_main([
-            "perf", "compare", str(left), str(right), "--wall-info",
-        ]) == 0
+        # Wall-clock is informational: a 2.5x slowdown is reported, not
+        # gated, and there is no flag left to say so.
+        assert cli_main(["perf", "compare", str(left), str(right)]) == 0
+        assert "[INFO] wall_ms (info)" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([
+                "perf", "compare", str(left), str(right), "--wall-info",
+            ])
+        assert excinfo.value.code == 2
 
     def test_compare_json_output(self, tmp_path, capsys):
         record = make_record("j")
@@ -313,11 +290,11 @@ class TestCompareScript:
         right = self._write(tmp_path / "b.json", [
             {"name": "t", "rows": [[1]], "meta": {"wall_ms": 300.0}},
         ])
-        assert self._run(left, right).returncode == 0
-        assert self._run(left, right, "--wall-gate").returncode == 1
-        assert self._run(
-            left, right, "--wall-gate", "--wall-tolerance", "4.0"
-        ).returncode == 0
+        # The script never gated by default; now it cannot be asked to.
+        completed = self._run(left, right)
+        assert completed.returncode == 0
+        assert "3.00x" in completed.stdout
+        assert self._run(left, right, "--wall-gate").returncode == 2
 
     def test_json_diff_output(self, tmp_path):
         document = [{"name": "t", "rows": [[1]]}]

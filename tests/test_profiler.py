@@ -7,8 +7,9 @@ import pytest
 from repro.core import RDFStore
 from repro.data import generate_barton
 from repro.observe import (
-    NULL_OBSERVATION,
+    NULL_TRACER,
     PROFILE_SCHEMA_VERSION,
+    counters,
     validate_profile,
 )
 
@@ -177,8 +178,8 @@ class TestIsolation:
 
     def test_observation_uninstalled_after_profile(self, column_store):
         column_store.profile("q2", mode="cold")
-        assert column_store.engine.observe is NULL_OBSERVATION
-        assert column_store.engine.pool.observe is NULL_OBSERVATION
+        assert column_store.engine.tracer is NULL_TRACER
+        assert column_store.engine.pool.tracer is NULL_TRACER
 
 
 class TestExport:
@@ -215,10 +216,24 @@ class TestExport:
         assert "by category:" in text
 
     def test_metrics_present_in_document(self, column_store):
+        """What the version-1 ``metrics`` section said — per-segment page
+        misses and disk requests — is in the document once: the segment
+        log and the span counts."""
         document = column_store.profile("q2", mode="cold").to_dict()
-        counters = document["metrics"]["counters"]
-        assert any(k.startswith("buffer.page_misses") for k in counters)
-        assert any(k.startswith("disk.requests") for k in counters)
+        assert "metrics" not in document
+        segments = document["segments"].values()
+        assert segments and all(s["bytes"] > 0 for s in segments)
+
+        def spans(span):
+            yield span
+            for child in span["children"]:
+                yield from spans(child)
+
+        counts = [s["counts"] for s in spans(document["plan"])]
+        assert sum(c.get("page_misses", 0) for c in counts) > 0
+        assert sum(c.get("disk_requests", 0) for c in counts) == sum(
+            s["requests"] for s in segments
+        ) == document["totals"]["io_requests"]
 
     def test_sql_and_sparql_queries_profilable(self, column_store):
         sparql = (
@@ -234,6 +249,167 @@ class TestExport:
 
         with pytest.raises(BenchmarkError):
             column_store.profile("q1", mode="lukewarm")
+
+# ---------------------------------------------------------------------------
+# one sink per scope: the span tree is the whole per-query record
+# ---------------------------------------------------------------------------
+
+#: label -> RDFStore options; every engine x scheme the counts flow through.
+SINK_CELLS = {
+    "column/vertical": {"engine": "column", "scheme": "vertical"},
+    "column/triple": {"engine": "column", "scheme": "triple"},
+    "column/vertical-physical": {
+        "engine": "column", "scheme": "vertical",
+        "engine_options": {"compression": "physical"},
+    },
+    "row/vertical": {"engine": "row", "scheme": "vertical"},
+}
+
+POOL_COUNTS = ("page_hits", "page_misses", "disk_requests", "evictions")
+COMPRESSION_COUNTS = ("bytes_scanned", "logical_bytes_scanned", "runs_skipped")
+
+
+@pytest.fixture(scope="module")
+def sink_stores(dataset):
+    return {
+        label: RDFStore.from_triples(dataset.triples, **options)
+        for label, options in SINK_CELLS.items()
+    }
+
+
+def _count_btree_visits(engine):
+    """Wrap every B+tree's ``on_access`` hook with a call counter (a
+    one-slot list); engines without indexes get a counter that stays 0."""
+    calls = [0]
+    for name in engine.table_names():
+        table = engine.table(name)
+        for index in getattr(table, "all_indexes", lambda: ())():
+            def counted(page, on_access=index.tree.on_access):
+                calls[0] += 1
+                on_access(page)
+            index.tree.on_access = counted
+    return calls
+
+
+def _profile_measured(store, query, mode, visits):
+    """Profile *query* and return ``(profile, before, after)`` where the
+    two marks bracket exactly the measured run: *before* is taken when
+    the protocol's preparation (pool clear / warm-up) has finished."""
+    engine = store.engine
+
+    def mark():
+        return {
+            "pool": engine.pool.stats(),
+            "compression": counters.snapshot("compression"),
+            "visits": visits[0],
+        }
+
+    before = {}
+    prepare = engine.prepare
+
+    def prepare_then_mark(plan, mode):
+        prepare(plan, mode)
+        before.update(mark())
+
+    engine.prepare = prepare_then_mark  # shadows the method
+    try:
+        profile = store.profile(query, mode)
+    finally:
+        del engine.prepare
+    return profile, before, mark()
+
+
+class TestOneSink:
+    @pytest.mark.parametrize("mode", ["cold", "hot"])
+    @pytest.mark.parametrize("label", sorted(SINK_CELLS))
+    def test_span_counts_are_the_whole_per_query_record(
+        self, sink_stores, label, mode
+    ):
+        store = sink_stores[label]
+        visits = _count_btree_visits(store.engine)
+        session = store.connection().session()
+        for query in ("q1", "q2", "q5"):
+            profile, before, after = _profile_measured(
+                store, query, mode, visits
+            )
+            for key in POOL_COUNTS:
+                assert profile.count_total(key) == (
+                    after["pool"][key] - before["pool"][key]
+                ), (query, key)
+            assert profile.count_total("disk_requests") == \
+                profile.timing.io_requests
+            assert profile.count_total("btree_node_visits") == (
+                after["visits"] - before["visits"]
+            )
+            document = profile.to_dict()
+            validate_profile(document)
+            assert "metrics" not in document
+            if "physical" in label:
+                for key in COMPRESSION_COUNTS:
+                    assert document["compression"][key] == (
+                        after["compression"][key]
+                        - before["compression"][key]
+                    ), (query, key)
+            else:
+                assert document["compression"] is None
+                for key in COMPRESSION_COUNTS:
+                    assert profile.count_total(key) == 0
+
+            # Profiling only ever reads the execution.
+            result = session.query(query, mode=mode)
+            assert result.cost.to_dict() == profile.timing.to_dict()
+            assert result.rows == profile.relation.decoded_tuples(
+                store.catalog.dictionary, order=result.columns
+            )
+
+    def test_every_count_kind_is_exercised(self, dataset, sink_stores):
+        """The sums above are not 0 == 0: compressed reads happen on the
+        physical store, node visits on the row store, and run skips
+        where a kernel works straight off RLE runs."""
+        physical = sink_stores["column/vertical-physical"].profile("q1")
+        assert 0 < physical.compression["bytes_scanned"] < \
+            physical.compression["logical_bytes_scanned"]
+        row = sink_stores["row/vertical"].profile("q5")
+        assert row.count_total("btree_node_visits") > 0
+
+        store = RDFStore.from_triples(
+            dataset.triples, engine="column", scheme="triple",
+            engine_options={"compression": "physical"},
+        )
+        profile, before, after = _profile_measured(
+            store, "SELECT prop, COUNT(*) AS n FROM triples GROUP BY prop",
+            "cold", [0],
+        )
+        assert "compressed-group" in profile.render()
+        assert profile.compression["runs_skipped"] > 0
+        for key in COMPRESSION_COUNTS:
+            assert profile.compression[key] == (
+                after["compression"][key] - before["compression"][key]
+            )
+
+    @pytest.mark.parametrize("engine", ["column", "row"])
+    def test_tight_pool_reports_evictions_on_the_span_that_caused_them(
+        self, dataset, sink_stores, engine
+    ):
+        roomy = sink_stores[f"{engine}/vertical"]
+        store = RDFStore.from_triples(
+            dataset.triples, engine=engine, engine_options={
+                "buffer_bytes": roomy.database_bytes() // 4,
+            },
+        )
+        before = store.engine.pool.stats()["evictions"]
+        profile = store.profile("q8", "cold")
+        evicted = store.engine.pool.stats()["evictions"] - before
+        assert evicted > 0
+        assert profile.count_total("evictions") == evicted
+        for span in profile.root.walk():
+            # Only a span that read pages can have evicted any.
+            if "evictions" in span.counts:
+                assert span.counts["evictions"] > 0
+                assert span.counts["page_misses"] > 0
+        # Same rows and same simulated cost as the unprofiled run.
+        result = store.connection().session().query("q8", mode="cold")
+        assert result.cost.to_dict() == profile.timing.to_dict()
 
 
 class TestCli:

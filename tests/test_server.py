@@ -33,6 +33,7 @@ from repro.server import (
     run_replay,
     serve,
 )
+from repro.server.http import MAX_BODY_BYTES
 
 SCALE = dict(n_triples=3_000, n_properties=30, seed=7)
 
@@ -270,6 +271,97 @@ class TestQueryServer:
                 assert status == 200, (field, value, document)
         finally:
             connection.close()
+
+    def test_requests_that_used_to_drop_hang_or_crash(self, server, capsys):
+        """Three request shapes, over a real socket: each is answered with
+        a status, nothing is logged at ERROR, no traceback is printed."""
+        import logging
+        import socket
+        import time
+        from urllib.parse import urlsplit
+
+        errors_logged = []
+        handler = logging.Handler(logging.ERROR)
+        handler.emit = errors_logged.append
+        logging.getLogger("repro").addHandler(handler)
+        try:
+            # (a) A session id that is not a string cannot be a dict key:
+            # the same 404 as an unknown id, not a dropped connection.
+            for session in (["x"], {"id": "s1"}, 7, "s999"):
+                status, document = post_query(
+                    server.address, {"query": "q1", "session": session}
+                )
+                assert status == 404, (session, document)
+                assert "no such session" in document["error"]
+
+            # (b) A Content-Length no client has reason to send is refused
+            # before reading — rfile.read(-1) would block the handler
+            # thread until the client hung up — and the connection closed.
+            address = urlsplit(server.address)
+            baseline_threads = threading.active_count()
+            for length, expected in [
+                ("-1", 400), ("lots", 400), ("1.5", 400),
+                (str(MAX_BODY_BYTES + 1), 413),
+            ]:
+                with socket.create_connection(
+                    (address.hostname, address.port), timeout=5
+                ) as raw:
+                    started = time.monotonic()
+                    raw.sendall(
+                        b"POST /v1/query HTTP/1.1\r\nHost: test\r\n"
+                        + f"Content-Length: {length}\r\n\r\n".encode()
+                    )
+                    answer = b""
+                    while chunk := raw.recv(65536):  # until the server closes
+                        answer += chunk
+                    assert time.monotonic() - started < 1.0, length
+                head, _, payload = answer.partition(b"\r\n\r\n")
+                assert head.startswith(f"HTTP/1.1 {expected} ".encode()), (
+                    length, head,
+                )
+                assert "error" in json.loads(payload)
+            deadline = time.monotonic() + 5.0
+            while (threading.active_count() > baseline_threads
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert threading.active_count() <= baseline_threads
+            # The largest body the server does read is still served.
+            status, _ = post_query(
+                server.address,
+                {"query": "q1", "padding": "x" * (MAX_BODY_BYTES - 64)},
+            )
+            assert status == 200
+
+            # (c) An unknown lint mode is a typed 400 before planning, in
+            # a request and as a session default, not a crashed worker.
+            status, document = post_query(
+                server.address, {"query": "q1", "lint": "bogus"}
+            )
+            assert status == 400, document
+            assert document["error_type"] == "PlanError"
+            assert "internal error" not in document["error"]
+            for defaults, named in [
+                ({"lint": "bogus"}, "lint mode"),
+                ({"timeout": "soon", "lint": "bogus"}, "timeout"),
+                ({"timeout": -1}, "timeout"),
+            ]:
+                request = urllib.request.Request(
+                    server.address + "/v1/sessions",
+                    data=json.dumps(defaults).encode("utf-8"), method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=10)
+                assert excinfo.value.code == 400, defaults
+                document = json.loads(excinfo.value.read())
+                assert named in document["error"]
+                assert issubclass(
+                    getattr(errors, document["error_type"]), ReproError
+                )
+            assert server.stats_document()["sessions"] == {"open": 0}
+        finally:
+            logging.getLogger("repro").removeHandler(handler)
+        assert [r.getMessage() for r in errors_logged] == []
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_scope_over_http(self, server):
         """A JSON array always decodes to a list: the explicit

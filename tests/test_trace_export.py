@@ -204,31 +204,17 @@ class TestPrometheusExposition:
             registry, prefix="myapp"
         )
 
-    def test_profile_registry_exports(self, profile):
-        text = metrics_to_prometheus(profile.registry)
-        assert "repro_buffer_page_misses" in text
-        # Every sample line parses as name{labels} value.
-        for line in text.splitlines():
-            if line.startswith("#"):
-                continue
-            name, _, value = line.rpartition(" ")
-            assert name
-            float(value)
-
 
 class TestCliTraceOut:
     def test_profile_trace_out_writes_valid_trace(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 
         trace_path = tmp_path / "q1.trace.json"
-        prom_path = tmp_path / "q1.prom"
         code = cli_main([
             "profile", "q1", "--triples", "2000", "--properties", "20",
             "--trace-out", str(trace_path),
-            "--prometheus-out", str(prom_path),
         ])
         assert code == 0
         document = json.loads(trace_path.read_text())
         validate_trace(document)
         assert complete_events(document)
-        assert "repro_" in prom_path.read_text()
