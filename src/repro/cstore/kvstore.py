@@ -34,13 +34,14 @@ class OrderedKV:
             f"kv.{name}", max(1, self._tree.n_nodes()) * disk.page_size
         )
         n_pages = self.segment.num_pages()
+        charge = clock.cpu_log()
 
         def on_access(page):
             first = min(page, max(0, n_pages - READAHEAD_PAGES))
             pool.read_pages(
                 self.segment, range(first, min(first + READAHEAD_PAGES, n_pages))
             )
-            clock.charge_cpu(node_cpu_cost)
+            charge(node_cpu_cost)
 
         self._tree.on_access = on_access
 

@@ -173,6 +173,27 @@ class BPlusTree:
         prefix = tuple(prefix)
         return self.range_scan(prefix, _upper_bound(prefix))
 
+    def prefix_values(self, prefix):
+        """The values of :meth:`prefix_scan` as a list, a leaf at a time:
+        the bounds are bisected inside each leaf and the values sliced
+        out, visiting the same nodes in the same order as the
+        pair-at-a-time scan."""
+        prefix = tuple(prefix)
+        hi = _upper_bound(prefix)
+        values = []
+        leaf, start = self._descend(prefix)
+        while True:
+            keys = leaf.keys
+            stop = len(keys) if hi is None else bisect.bisect_left(
+                keys, hi, start
+            )
+            values += leaf.values[start:stop]
+            if stop < len(keys) or leaf.next_leaf is None:
+                return values
+            leaf = self._node(leaf.next_leaf)
+            self._touch(leaf)
+            start = 0
+
     def range_scan(self, lo, hi):
         """Yield ``(key, value)`` pairs with ``lo <= key < hi``.
 

@@ -68,12 +68,12 @@ class RowStoreEngine(PlanHost):
 
     def _wire_index_accounting(self, index):
         """Charge I/O + CPU for every B+tree node the executor touches."""
-        pool, clock, segment = self.pool, self.clock, index.segment
-        node_cost = self.costs.btree_node
+        pool, segment = self.pool, index.segment
+        charge, node_cost = self.clock.cpu_log(), self.costs.btree_node
 
         def on_access(page):
             pool.read_pages(segment, [page])
-            clock.charge_cpu(node_cost)
+            charge(node_cost)
             tracer = pool.tracer
             if tracer.enabled:
                 tracer.current_add(btree_node_visits=1)

@@ -14,7 +14,15 @@ describes observing in DBX's plans:
 Operator functions return lazy :class:`~repro.exec.runtime.Stream` trees;
 the work happens inside generators while a parent pulls, and the shared
 runtime brackets every pull with the bound logical node's trace span.
+
+Per-tuple work stays out of the interpreter where it can: CPU charges
+are appended to the clock's ordered pending log
+(:meth:`~repro.engine.clock.QueryClock.cpu_log` — same charges, same
+order, folded exactly), and tuples are reshaped by one C-level callable
+built once per stream (:func:`_row_shaper`).
 """
+
+from operator import itemgetter
 
 from repro.exec.common import (
     MISSING_VALUE,
@@ -37,6 +45,18 @@ from repro.plan.predicates import is_column_comparison
 INL_MAX_OUTER = 20_000
 
 ROW_OPS = EngineOperatorSet("row-store", paradigm="pull")
+
+
+def _row_shaper(positions):
+    """C-level ``row -> tuple(row[p] for p in positions)``, built once per
+    stream.  Rows are tuples, so a slice getter covers the widths where
+    ``itemgetter`` would return a bare value (one column) or refuse to be
+    built (none)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(slice(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -127,38 +147,40 @@ def _seq_scan(rt, table, scan, base_preds, cross_preds=()):
     # Physical rows carry every table column; the scan may expose a
     # subset (e.g. one property column of the wide property table), so
     # project each emitted tuple to the declared columns.
-    emit = [table.column_position(c) for c in scan.base_columns]
+    shape = _row_shaper([table.column_position(c) for c in scan.base_columns])
+    charge = rt.clock.cpu_log()
 
     def generate():
         rt.pool.read_segment(table.heap_segment)
-        costs, clock = rt.costs, rt.clock
+        scan_tuple, select_tuple = rt.costs.scan_tuple, rt.costs.select_tuple
         preds = [(table.column_position(col), p) for col, p in base_preds]
         for row in table.rows:
-            clock.charge_cpu(costs.scan_tuple)
+            charge(scan_tuple)
             ok = True
             for pos, p in preds:
-                clock.charge_cpu(costs.select_tuple)
+                charge(select_tuple)
                 if not p.evaluate(row[pos]):
                     ok = False
                     break
             if ok:
                 for left, right, p in cross_preds:
-                    clock.charge_cpu(costs.select_tuple)
+                    charge(select_tuple)
                     if not p.evaluate(row[left], row[right]):
                         ok = False
                         break
             if ok:
-                yield tuple(row[i] for i in emit)
+                yield shape(row)
 
     return Stream(out_columns, generate())
 
 
 def _index_scan(rt, table, scan, index, prefix, residual, cross_preds=()):
     out_columns = scan.output_columns()
-    emit = [table.column_position(c) for c in scan.base_columns]
+    shape = _row_shaper([table.column_position(c) for c in scan.base_columns])
+    charge = rt.clock.cpu_log()
 
     def generate():
-        row_ids = [rid for _, rid in index.tree.prefix_scan(prefix)]
+        row_ids = index.tree.prefix_values(prefix)
         if not row_ids:
             return
         if index.clustered:
@@ -168,25 +190,26 @@ def _index_scan(rt, table, scan, index, prefix, residual, cross_preds=()):
         else:
             pages = sorted({table.heap_page_of_row(rid) for rid in row_ids})
             rt.pool.read_pages(table.heap_segment, pages, scattered=True)
-        costs, clock = rt.costs, rt.clock
+        scan_tuple, select_tuple = rt.costs.scan_tuple, rt.costs.select_tuple
         preds = [(table.column_position(col), p) for col, p in residual]
+        rows = table.rows
         for rid in row_ids:
-            clock.charge_cpu(costs.scan_tuple)
-            row = table.rows[rid]
+            charge(scan_tuple)
+            row = rows[rid]
             ok = True
             for pos, p in preds:
-                clock.charge_cpu(costs.select_tuple)
+                charge(select_tuple)
                 if not p.evaluate(row[pos]):
                     ok = False
                     break
             if ok:
                 for left, right, p in cross_preds:
-                    clock.charge_cpu(costs.select_tuple)
+                    charge(select_tuple)
                     if not p.evaluate(row[left], row[right]):
                         ok = False
                         break
             if ok:
-                yield tuple(row[i] for i in emit)
+                yield shape(row)
 
     return Stream(out_columns, generate())
 
@@ -226,12 +249,14 @@ def _filter(rt, stream, predicates):
         else:
             compiled.append((stream.position(p.column), None, p))
 
+    charge = rt.clock.cpu_log()
+    select_tuple = rt.costs.select_tuple
+
     def generate():
-        costs, clock = rt.costs, rt.clock
         for row in stream:
             ok = True
             for left, right, p in compiled:
-                clock.charge_cpu(costs.select_tuple)
+                charge(select_tuple)
                 if right is None:
                     if not p.evaluate(row[left]):
                         ok = False
@@ -270,13 +295,8 @@ def having_filter(rt, pnode):
 def project(rt, pnode):
     stream = rt.build_child(pnode.children[0])
     mapping = pnode.logical.mapping
-    positions = [stream.position(i) for _, i in mapping]
-
-    def generate():
-        for row in stream:
-            yield tuple(row[p] for p in positions)
-
-    return Stream([o for o, _ in mapping], generate())
+    shape = _row_shaper([stream.position(i) for _, i in mapping])
+    return Stream([o for o, _ in mapping], map(shape, stream))
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +339,16 @@ def _index_nested_loop(rt, outer, outer_col, scan, inner_preds,
         (table.column_position(_base_column(scan, p.column)), p)
         for p in inner_preds
     ]
-    emit = [table.column_position(c) for c in scan.base_columns]
+    shape = _row_shaper([table.column_position(c) for c in scan.base_columns])
+    charge = rt.clock.cpu_log()
+    costs = rt.costs
+    scan_tuple, select_tuple = costs.scan_tuple, costs.select_tuple
+    union_tuple = costs.union_tuple
 
     def generate():
-        costs, clock = rt.costs, rt.clock
+        prefix_values, rows = index.tree.prefix_values, table.rows
         for outer_row in outer:
-            value = outer_row[outer_pos]
-            row_ids = [rid for _, rid in index.tree.prefix_scan((value,))]
+            row_ids = prefix_values((outer_row[outer_pos],))
             if not row_ids:
                 continue
             if index.clustered:
@@ -340,22 +363,21 @@ def _index_nested_loop(rt, outer, outer_col, scan, inner_preds,
                     table.heap_segment, pages, scattered=True
                 )
             for rid in row_ids:
-                clock.charge_cpu(costs.scan_tuple)
-                row = table.rows[rid]
+                charge(scan_tuple)
+                row = rows[rid]
                 ok = True
                 for pos, p in base_preds:
-                    clock.charge_cpu(costs.select_tuple)
+                    charge(select_tuple)
                     if not p.evaluate(row[pos]):
                         ok = False
                         break
                 if not ok:
                     continue
-                clock.charge_cpu(costs.union_tuple)
-                inner_row = tuple(row[i] for i in emit)
+                charge(union_tuple)
                 if swap:
-                    yield inner_row + outer_row
+                    yield shape(row) + outer_row
                 else:
-                    yield outer_row + inner_row
+                    yield outer_row + shape(row)
 
     return Stream(out_columns, generate())
 
@@ -363,31 +385,35 @@ def _index_nested_loop(rt, outer, outer_col, scan, inner_preds,
 def _hash_join_streams(rt, left, right, on):
     left_rows = list(left)
     right_rows = list(right)
-    lpos = [left.position(l) for l, _ in on]
-    rpos = [right.position(r) for _, r in on]
+    # The join key never leaves this operator, so a one-column key may
+    # stay the bare value itemgetter returns.
+    lkey = itemgetter(*(left.position(l) for l, _ in on))
+    rkey = itemgetter(*(right.position(r) for _, r in on))
     costs, clock = rt.costs, rt.clock
+    charge = clock.cpu_log()
 
     if len(left_rows) <= len(right_rows):
-        build_rows, build_pos = left_rows, lpos
-        probe_rows, probe_pos = right_rows, rpos
+        build_rows, build_key = left_rows, lkey
+        probe_rows, probe_key = right_rows, rkey
         build_is_left = True
     else:
-        build_rows, build_pos = right_rows, rpos
-        probe_rows, probe_pos = left_rows, lpos
+        build_rows, build_key = right_rows, rkey
+        probe_rows, probe_key = left_rows, lkey
         build_is_left = False
 
     def generate():
+        hash_probe, union_tuple = costs.hash_probe, costs.union_tuple
         table = {}
+        # The build input is materialized: nothing interleaves with its
+        # per-row charges, so they are logged as one run.
+        clock.charge_cpu_many(costs.hash_build, len(build_rows))
         for row in build_rows:
-            clock.charge_cpu(costs.hash_build)
-            table.setdefault(
-                tuple(row[p] for p in build_pos), []
-            ).append(row)
+            table.setdefault(build_key(row), []).append(row)
         for row in probe_rows:
-            clock.charge_cpu(costs.hash_probe)
-            matches = table.get(tuple(row[p] for p in probe_pos), ())
+            charge(hash_probe)
+            matches = table.get(probe_key(row), ())
             for match in matches:
-                clock.charge_cpu(costs.union_tuple)
+                charge(union_tuple)
                 if build_is_left:
                     yield match + row
                 else:
@@ -459,13 +485,13 @@ def adaptive_join(rt, pnode):
 def hash_group(rt, pnode):
     node = pnode.logical
     child = rt.build_child(pnode.children[0])
-    positions = [child.position(k) for k in node.keys]
+    group_key = _row_shaper([child.position(k) for k in node.keys])
     agg_specs = [
         (func, child.position(input_column))
         for func, input_column, _ in node.aggregates
     ]
-    costs, clock = rt.costs, rt.clock
-    row_charge = group_unit_cost(costs, len(agg_specs))
+    charge = rt.clock.cpu_log()
+    row_charge = group_unit_cost(rt.costs, len(agg_specs))
 
     def generate():
         counts = {}
@@ -473,8 +499,8 @@ def hash_group(rt, pnode):
         n_rows = 0
         for row in child:
             n_rows += 1
-            clock.charge_cpu(row_charge)
-            key = tuple(row[p] for p in positions)
+            charge(row_charge)
+            key = group_key(row)
             counts[key] = counts.get(key, 0) + 1
             if agg_specs:
                 current = accumulators.get(key)
@@ -505,14 +531,15 @@ def hash_group(rt, pnode):
 def pull_union(rt, pnode):
     node = pnode.logical
     out_columns = node.inputs[0].output_columns()
-    costs, clock = rt.costs, rt.clock
+    charge = rt.clock.cpu_log()
+    union_tuple = rt.costs.union_tuple
 
     def generate():
         seen = set() if node.distinct else None
         for child_pnode in pnode.children:
             stream = rt.build_child(child_pnode)
             for row in stream:
-                clock.charge_cpu(costs.union_tuple)
+                charge(union_tuple)
                 if seen is None:
                     yield row
                 elif row not in seen:
@@ -553,7 +580,7 @@ def tuple_sort(rt, pnode):
         clock.charge_cpu(sort_cost(costs, len(rows)))
         # Stable sorts applied last-key-first realize mixed asc/desc.
         for pos, descending in reversed(positions):
-            rows.sort(key=lambda r: r[pos], reverse=descending)
+            rows.sort(key=itemgetter(pos), reverse=descending)
         yield from rows
 
     return Stream(stream.columns, generate())
@@ -584,12 +611,13 @@ def limit(rt, pnode):
 )
 def tuple_distinct(rt, pnode):
     stream = rt.build_child(pnode.children[0])
-    costs, clock = rt.costs, rt.clock
+    charge = rt.clock.cpu_log()
+    group_tuple = rt.costs.group_tuple
 
     def generate():
         seen = set()
         for row in stream:
-            clock.charge_cpu(costs.group_tuple)
+            charge(group_tuple)
             if row not in seen:
                 seen.add(row)
                 yield row

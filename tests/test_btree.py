@@ -142,6 +142,18 @@ class TestUpperBound:
         assert _upper_bound(()) is None
 
 
+def assert_prefix_values_match_scan(tree, prefix):
+    """The leaf-at-a-time scan returns the pair-at-a-time scan's values
+    and visits the same nodes in the same order (the visits are charged)."""
+    scan_touched, values_touched = [], []
+    tree.on_access = scan_touched.append
+    expected = [v for _, v in tree.prefix_scan(prefix)]
+    tree.on_access = values_touched.append
+    assert tree.prefix_values(prefix) == expected
+    assert values_touched == scan_touched
+    tree.on_access = None
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     pairs=st.lists(
@@ -165,6 +177,8 @@ def test_property_matches_sorted_list(pairs, order):
             if k[: len(prefix)] == prefix
         ]
         assert list(tree.prefix_scan(prefix)) == expected
+        assert_prefix_values_match_scan(tree, prefix)
+    assert_prefix_values_match_scan(tree, ())
 
 
 @settings(deadline=None, max_examples=30)
@@ -183,3 +197,5 @@ def test_property_insert_matches_sorted(keys, order):
     got = list(tree.items())
     assert sorted(got) == expected
     assert [k for k, _ in got] == sorted(k for k, _ in got)
+    for k in sorted(set(keys)) + [51]:
+        assert_prefix_values_match_scan(tree, (k,))

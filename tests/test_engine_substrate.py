@@ -1,13 +1,16 @@
 """Tests for the simulated disk, buffer pool, clock, and machine profiles."""
 
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import (
     MACHINE_A,
     MACHINE_B,
     MACHINE_C,
     MACHINES,
+    ROW_STORE_COSTS,
     BufferPool,
     QueryClock,
     SimulatedDisk,
@@ -209,6 +212,60 @@ class TestQueryClock:
         with pytest.raises(ValueError):
             clock.charge_io(-1, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+    def test_non_finite_charges_rejected(self, bad):
+        clock = QueryClock(MACHINE_A)
+        clock.charge_cpu(1.0)
+        with pytest.raises(ValueError):
+            clock.charge_cpu(bad)
+        with pytest.raises(ValueError):
+            clock.charge_io(1024, 1, bandwidth_penalty=abs(bad))
+        assert clock.real_seconds() == 1.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+    @pytest.mark.parametrize("length", [3, 500])
+    def test_bad_logged_charge_raises_at_the_next_read(self, bad, length):
+        clock = QueryClock(MACHINE_A)
+        clock.charge_cpu(1.0)
+        charge = clock.cpu_log()
+        clock.charge_cpu_many(1e-6, length - 2)
+        charge(bad)
+        charge(1e-6)
+        with pytest.raises(ValueError):
+            clock.real_seconds()
+        # The log is left empty and none of it was applied.
+        assert clock.real_seconds() == 1.0
+        assert clock.category_seconds() == {"execute": 1.0}
+
+    def test_every_observer_folds_the_log_first(self):
+        def logged():
+            clock = QueryClock(MACHINE_B)
+            clock.cpu_log()(0.5)
+            return clock
+
+        expected = 0.5 * MACHINE_B.cpu_scale
+        assert logged().real_seconds() == expected
+        assert logged().user_seconds() == expected
+        assert logged().timing().user_seconds == expected
+        assert logged().profile_snapshot()[0] == expected
+        assert logged().category_seconds() == {"execute": expected}
+        clock = logged()
+        clock.charge_io(1024, 1)
+        assert clock.io_history()[-1][0] == clock.real_seconds() > expected
+        clock = logged()
+        clock.charge_cpu(0.25, "plan")
+        assert list(clock.category_seconds()) == ["execute", "plan"]
+
+    def test_reset_clears_the_log_in_place(self):
+        clock = QueryClock(MACHINE_A)
+        charge = clock.cpu_log()
+        charge(1.0)
+        clock.reset()
+        assert clock.real_seconds() == 0.0
+        assert clock.category_seconds() == {}
+        charge(2.0)  # obtained before the reset, still bound to the log
+        assert clock.user_seconds() == 2.0
+
     def test_io_history_monotone(self):
         clock = QueryClock(MACHINE_A)
         for _ in range(5):
@@ -263,3 +320,77 @@ def test_property_cold_then_hot(sizes, page_size):
     total = sum(pool.read_segment(s) for s in segments)
     assert total == sum(n * page_size for n in sizes)
     assert sum(pool.read_segment(s) for s in segments) == 0
+
+
+_COSTS = [
+    ROW_STORE_COSTS.scan_tuple,
+    ROW_STORE_COSTS.select_tuple,
+    ROW_STORE_COSTS.union_tuple,
+    ROW_STORE_COSTS.hash_probe,
+    ROW_STORE_COSTS.btree_node,
+]
+
+
+def _random_cost(rng):
+    if rng.random() < 0.5:
+        return rng.choice(_COSTS)
+    return rng.random() * 10.0 ** rng.randint(-9, -3)
+
+
+@settings(max_examples=40)
+@given(
+    machine=st.sampled_from([MACHINE_A, MACHINE_B]),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["log", "log", "many", "cpu", "io", "snapshot"]),
+            st.integers(0, 2**32 - 1),
+            st.integers(0, 40_000),
+        ),
+        max_size=12,
+    ),
+)
+@example(machine=MACHINE_B, steps=[("log", 7, 40_000)])
+@example(
+    machine=MACHINE_B,
+    steps=[("log", 1, 9_000), ("io", 2, 3), ("many", 3, 30_000), ("log", 4, 5)],
+)
+def test_property_charge_log_equals_scalar_loop(machine, steps):
+    """Logged charges fold to exactly the floats N scalar ``+=`` produce —
+    ``==``, not ``approx`` — however they interleave with immediate
+    charges, I/O samples and reads."""
+    logged, scalar = QueryClock(machine), QueryClock(machine)
+    charge = logged.cpu_log()
+    budget = 40_000
+    for kind, seed, n in steps:
+        rng = random.Random(seed)
+        if kind == "log":
+            n = min(n, budget)
+            budget -= n
+            for _ in range(n):
+                cost = _random_cost(rng)
+                charge(cost)
+                scalar.charge_cpu(cost)
+        elif kind == "many":
+            n = min(n, budget)
+            budget -= n
+            cost = _random_cost(rng)
+            logged.charge_cpu_many(cost, n)
+            for _ in range(n):
+                scalar.charge_cpu(cost)
+        elif kind == "cpu":
+            category = rng.choice(["plan", "output", "execute"])
+            cost = _random_cost(rng)
+            logged.charge_cpu(cost, category)
+            scalar.charge_cpu(cost, category)
+        elif kind == "io":
+            nbytes, requests = rng.randrange(1, 1 << 20), n % 4
+            assert logged.charge_io(nbytes, requests) == scalar.charge_io(
+                nbytes, requests
+            )
+        else:
+            assert logged.profile_snapshot() == scalar.profile_snapshot()
+    assert logged.timing() == scalar.timing()
+    assert list(logged.category_seconds().items()) == list(
+        scalar.category_seconds().items()
+    )
+    assert logged.io_history() == scalar.io_history()

@@ -109,7 +109,7 @@ class TestOptimizerImproves:
         rebuilt to start from the most selective relation."""
         engine = ColumnStoreEngine()
         rng = np.random.default_rng(0)
-        n = 60_000
+        n = 6_000
         engine.create_table(
             "facts",
             {"k": rng.integers(0, 50, n), "who": rng.integers(0, 2_000, n)},

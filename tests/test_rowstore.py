@@ -1,10 +1,19 @@
 """Tests for the row-store engine: correctness, access paths, costs."""
 
+import collections
+import os
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.colstore import ColumnStoreEngine
+from repro.core import RDFStore
+from repro.data import generate_barton
+from repro.engine import clock as clock_module
 from repro.errors import StorageError
+from repro.plan import logical as L
 from repro.plan import (
     Comparison,
     Distinct,
@@ -17,6 +26,7 @@ from repro.plan import (
     Union,
 )
 from repro.rowstore import RowStoreEngine
+from repro.rowstore.operators import _row_shaper
 
 PERMS = {
     "spo": ["subj", "prop", "obj"],
@@ -329,3 +339,79 @@ class TestAccessPathRegressions:
         plan = Scan("wide", ["c", "a"])
         rel = engine.execute(plan)
         assert rel.sorted_tuples(order=["c", "a"]) == [(100, 1), (200, 2)]
+
+
+@pytest.mark.parametrize("positions", [[], [1], [2, 0], [0, 1, 2]])
+def test_row_shaper_always_returns_a_tuple(positions):
+    row = (7, 8, 9)
+    assert _row_shaper(positions)(row) == tuple(row[p] for p in positions)
+
+
+class TestInterpreterWorkPerTuple:
+    """The row store is slow on the simulated clock, not in the
+    interpreter: per-tuple charges go to the clock's log, so the number of
+    clock *calls* depends on I/O and plan size, never on tuple count.
+    Counted with ``sys.setprofile`` — the counts repeat exactly."""
+
+    SRC = os.path.dirname(repro.__file__)
+    CLOCK = clock_module.__file__
+
+    def count(self, engine, plan, mode):
+        """Counts of one run: Python calls into clock.py, into src/repro,
+        and C-level appends to the clock's charge log."""
+        log = engine.clock.cpu_log().__self__
+        counts = collections.Counter()
+
+        def hook(frame, event, arg):
+            if event == "call":
+                filename = frame.f_code.co_filename
+                if filename == self.CLOCK:
+                    counts["clock"] += 1
+                if filename.startswith(self.SRC):
+                    counts["repro"] += 1
+            elif event == "c_call" and getattr(arg, "__self__", None) is log:
+                counts["logged"] += 1
+
+        misses = engine.pool.stats()["page_misses"]
+        sys.setprofile(hook)
+        try:
+            engine.run(plan, mode=mode)
+        finally:
+            sys.setprofile(None)
+        counts["misses"] = engine.pool.stats()["page_misses"] - misses
+        return counts
+
+    @pytest.mark.parametrize("scheme", ["triple", "vertical"])
+    def test_clock_calls_do_not_grow_with_tuple_count(self, scheme):
+        logged = {}
+        for n_triples in (2_000, 8_000):
+            dataset = generate_barton(
+                n_triples=n_triples, n_properties=60, n_interesting=28,
+                seed=42,
+            )
+            store = RDFStore.from_triples(
+                dataset.triples, engine="row", scheme=scheme
+            )
+            engine = store.engine
+            for query in ("q2", "q3"):
+                plan = store.connection()._plan_for(query)[1]
+                operators = L.count_operators(plan)
+                engine.run(plan)  # lower the plan outside the counts
+                cold = self.count(engine, plan, "cold")
+                hot = self.count(engine, plan, None)
+                assert cold["misses"] > 0 and hot["misses"] == 0
+                for counts in (cold, hot):
+                    # At most charge_io + its flush + its trace sample per
+                    # missed page, and a constant per operator.
+                    assert counts["clock"] <= (
+                        3 * counts["misses"] + 2 * operators + 16
+                    ), (query, n_triples, counts)
+                    # Pinned band: src/repro calls per per-tuple charge
+                    # (0.7-1.3 today; 3.8-5 with a clock call per charge
+                    # and a generator per shaped tuple).
+                    assert counts["repro"] < 1.5 * counts["logged"], (
+                        query, n_triples, counts,
+                    )
+                logged[query, n_triples] = hot["logged"]
+        for query in ("q2", "q3"):
+            assert logged[query, 8_000] > 3 * logged[query, 2_000]
