@@ -2,7 +2,8 @@
 
 Builds the static lock-acquisition graph of the package: nodes are locks
 (module-level ``threading.Lock()`` / ``guard_lock()`` definitions and
-``self.x = threading.Lock()`` class attributes), and an edge ``A -> B``
+``self.x = threading.Lock()`` class attributes; conditions and semaphores
+are locks too — ``with cond:`` acquires), and an edge ``A -> B``
 means some code path acquires ``B`` while already holding ``A`` — either
 lexically (nested ``with`` blocks) or through a resolvable call made
 inside a ``with`` block (same-module functions, ``self.`` methods, and
@@ -32,6 +33,7 @@ LOCKORDER_RULES = {
 
 _LOCK_FACTORIES = frozenset({
     "Lock", "RLock", "guard_lock", "InstrumentedLock",
+    "Condition", "Semaphore", "BoundedSemaphore",
 })
 _REENTRANT_FACTORIES = frozenset({"RLock"})
 
@@ -59,6 +61,13 @@ def _lock_factory(value):
     if name not in _LOCK_FACTORIES:
         return False, False
     reentrant = name in _REENTRANT_FACTORIES
+    if name == "Condition":
+        # A bare Condition() wraps an RLock; Condition(lock) is exactly as
+        # reentrant as the lock it is built over (unknown counts as not).
+        inner = value.args[0] if value.args else next(
+            (k.value for k in value.keywords if k.arg == "lock"), None
+        )
+        reentrant = inner is None or _lock_factory(inner)[1]
     for keyword in value.keywords:
         if keyword.arg == "reentrant":
             reentrant = not (

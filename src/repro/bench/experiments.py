@@ -731,7 +731,7 @@ def experiment_scaling(dataset, queries=("q2", "q3", "q4", "q6"),
     are the *same number* at every worker count (the parallel runtime is
     deterministic by construction), so the rendered table carries one
     simulated column per query and the sweep's actual payload — wall-clock
-    milliseconds per degree of parallelism plus morsel/steal counters —
+    milliseconds per degree of parallelism plus the morsel counters —
     rides in ``meta``.  A worker count whose simulated timing deviates
     from the serial baseline fails the experiment outright.
     """

@@ -201,7 +201,7 @@ def build_parser():
         help="intra-query degree of parallelism (sets REPRO_WORKERS; "
              "NOT part of the config fingerprint — simulated costs are "
              "identical at any value, so serial and parallel snapshots "
-             "stay byte-identity comparable; morsel/steal counters land "
+             "stay byte-identity comparable; the morsel counters land "
              "in the snapshot's counters section)",
     )
 

@@ -8,7 +8,6 @@ from repro.exec.morsel import (
     MAX_WORKERS,
     ParallelContext,
     morsel_rows_from_env,
-    shared_pool,
     workers_from_env,
 )
 from repro.storage.compress import CompressionConfig
@@ -58,19 +57,17 @@ class ColumnStoreEngine(PlanHost):
 
         ``workers <= 1`` removes the parallel context: every scan and
         union runs its one range on the query thread.  Higher values
-        attach the process-wide work-stealing pool (``workers - 1``
-        helper threads; the query thread is lane 0) and the kernel splits
-        its ranges into morsels.  Lowering never looks at this setting —
-        the same physical plan runs either way — so cached lowered plans
-        stay valid across the change.
+        make the kernel split its ranges into morsels and run them at up
+        to ``workers`` lanes (the query thread plus ``workers - 1``
+        helpers on the process-wide executor).  Lowering never looks at
+        this setting — the same physical plan runs either way — so cached
+        lowered plans stay valid across the change.
         """
         workers = max(1, min(int(workers), MAX_WORKERS))
         if workers <= 1:
             self._parallel = None
         else:
-            self._parallel = ParallelContext(
-                workers, shared_pool(workers - 1), morsel_rows_from_env()
-            )
+            self._parallel = ParallelContext(workers, morsel_rows_from_env())
         return self._parallel
 
     def parallelism(self):

@@ -38,7 +38,7 @@ from repro.exec.common import (
     extend_fill_value,
     sort_cost,
 )
-from repro.exec.morsel import effective_dop, split_morsels
+from repro.exec.morsel import effective_dop, run_batch, split_morsels
 from repro.exec.registry import (
     EngineOperatorSet,
     Lowered,
@@ -209,7 +209,7 @@ def _sorted_prefix(rt, table, by_base):
 # and never touches the clock or the buffer pool.  The coordinator's *cost
 # replay* then charges the clock and the pool in the serial order over the
 # index-ordered task results.  Serial execution is the one-range case, run
-# on the calling thread; a morsel run hands the same tasks to the pool.
+# on the calling thread; a morsel run hands the same tasks to ``run_batch``.
 # Rows and simulated-cost documents are therefore bit-identical at any
 # worker count, and a column's encoding — consulted only by the replay and
 # by the RLE run-level mask — composes with morsels by construction.
@@ -227,10 +227,10 @@ def _run_ranges(rt, work, ranges, range_rows, replay):
     """Run ``work(*args)`` for every args tuple in *ranges*, then *replay*
     over the results in range order; returns what *replay* returns.
 
-    The one place that decides inline vs pool: a single range runs on the
-    calling thread with no pool traffic; several go to the work-stealing
-    pool as one batch, and the replay's clock delta is folded into
-    per-morsel child spans weighted by *range_rows*.
+    The one place that decides inline vs lanes: a single range runs on
+    the calling thread with no executor traffic; several go to
+    ``run_batch`` as one batch, and the replay's clock delta is folded
+    into per-morsel child spans weighted by *range_rows*.
     """
     if len(ranges) == 1:
         return replay([work(*ranges[0])])
@@ -238,13 +238,12 @@ def _run_ranges(rt, work, ranges, range_rows, replay):
     tracer = rt.engine.tracer
     snap = rt.clock.profile_snapshot() if tracer.enabled else None
     wall0 = wall_now()
-    results, steals = context.pool.run_batch(
+    result = replay(run_batch(
         [partial(work, *args) for args in ranges],
         effective_dop(rt, context), cancel_token=rt.cancel_token,
-    )
-    result = replay(results)
+    ))
     if tracer.enabled:
-        _morsel_span_attribution(rt, snap, wall0, range_rows, steals)
+        _morsel_span_attribution(rt, snap, wall0, range_rows)
     return result
 
 
@@ -253,7 +252,7 @@ def _merge(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _morsel_span_attribution(rt, snap, wall0, task_rows, steals):
+def _morsel_span_attribution(rt, snap, wall0, task_rows):
     """Fold the parallel section's clock delta into per-morsel child
     spans, apportioned by morsel row count (the last morsel takes the
     exact remainder, so the shares telescope back to the delta and the
@@ -280,7 +279,7 @@ def _morsel_span_attribution(rt, snap, wall0, task_rows, steals):
         )
         if child is not None:
             child.rows = rows
-    tracer.current_add(morsels=len(task_rows), steals=int(steals))
+    tracer.current_add(morsels=len(task_rows))
 
 
 def _charge_gathers(rt, table, base_cols, lo, hi, positions, count):

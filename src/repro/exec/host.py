@@ -33,6 +33,11 @@ class EngineHost:
     #: Registry key of the engine's operator set / label in reports.
     kind = None
 
+    #: Degree of intra-query parallelism.  Engines are serial unless they
+    #: say otherwise; the column store overrides this and
+    #: :meth:`parallelism`.
+    workers = 1
+
     def __init__(self, machine, costs, page_size, buffer_bytes,
                  max_run_bytes, sequential_coalescing=True):
         self.machine = machine
@@ -58,6 +63,11 @@ class EngineHost:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.pool.tracer = self.tracer
         return self.tracer
+
+    def parallelism(self):
+        """The installed :class:`~repro.exec.morsel.ParallelContext`, or
+        ``None`` (serial)."""
+        return None
 
     def database_bytes(self):
         """Simulated on-disk footprint: every segment the engine created."""

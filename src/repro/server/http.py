@@ -258,13 +258,9 @@ class QueryServer:
             "buffer_hit_ratio": store.engine.pool.hit_ratio(),
         }
         document["plan_cache"] = self.connection.plan_cache_stats()
-        engine = store.engine
-        context = (
-            engine.parallelism() if hasattr(engine, "parallelism") else None
-        )
+        context = store.engine.parallelism()
         document["parallel"] = {
-            "engine_workers": getattr(engine, "workers", 1),
-            "pool_helpers": 0 if context is None else context.pool.helpers,
+            "engine_workers": store.engine.workers,
             "morsel_rows": None if context is None else context.morsel_rows,
             "max_dop": self.scheduler.config.max_dop,
             **counters.snapshot("parallel"),

@@ -236,6 +236,101 @@ class TestCrossModule:
 
 
 # ---------------------------------------------------------------------------
+# conditions and semaphores are locks too
+# ---------------------------------------------------------------------------
+
+class TestConditionsAndSemaphores:
+    def test_lock_then_condition_nesting_is_an_edge(self, tmp_path):
+        # The shape of the retired morsel pool's submit path: the analyzer
+        # used to see two unrelated ``with`` blocks and no edge.
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "pool.py").write_text(textwrap.dedent("""\
+            import threading
+
+            class Pool:
+                def __init__(self):
+                    self._submit_lock = threading.Lock()
+                    self._cond = threading.Condition()
+
+                def post(self):
+                    with self._submit_lock:
+                        with self._cond:
+                            self._cond.notify_all()
+        """))
+        document = build_lock_graph([str(package)]).to_document()
+        assert document["locks"] == {
+            "repro.pool.Pool._cond": {"reentrant": True},
+            "repro.pool.Pool._submit_lock": {"reentrant": False},
+        }
+        assert [(e["from"], e["to"]) for e in document["edges"]] == [
+            ("repro.pool.Pool._submit_lock", "repro.pool.Pool._cond"),
+        ]
+        assert document["cycles"] == []
+
+    def test_opposite_lock_and_condition_orders_are_a_cycle(self):
+        violations = lockorder("""\
+            import threading
+
+            SUBMIT = threading.Lock()
+            READY = threading.Condition()
+
+            def post():
+                with SUBMIT:
+                    with READY:
+                        READY.notify_all()
+
+            def drain():
+                with READY:
+                    with SUBMIT:
+                        pass
+        """)
+        assert [v.rule for v in violations] == ["lock-order-cycle"]
+        assert violations[0].symbol == (
+            "repro.server.fixture.READY -> repro.server.fixture.SUBMIT"
+        )
+
+    def test_condition_is_as_reentrant_as_the_lock_under_it(self):
+        template = """\
+            import threading
+
+            C = {factory}
+
+            def nested():
+                with C:
+                    with C:
+                        pass
+        """
+        def rules(factory):
+            return [
+                v.rule for v in lockorder(template.format(factory=factory))
+            ]
+
+        assert rules("threading.Condition()") == []  # wraps an RLock
+        assert rules("threading.Condition(threading.RLock())") == []
+        assert rules("threading.Condition(threading.Lock())") == [
+            "lock-order-cycle"
+        ]
+        assert rules("threading.Condition(lock=threading.Lock())") == [
+            "lock-order-cycle"
+        ]
+
+    def test_semaphores_are_never_reentrant(self):
+        for factory in ("Semaphore(2)", "BoundedSemaphore()"):
+            violations = lockorder(f"""\
+                import threading
+
+                S = threading.{factory}
+
+                def nested():
+                    with S:
+                        with S:
+                            pass
+            """)
+            assert [v.rule for v in violations] == ["lock-order-cycle"]
+
+
+# ---------------------------------------------------------------------------
 # the graph document + the shipped tree
 # ---------------------------------------------------------------------------
 

@@ -30,10 +30,13 @@ from repro.server import serve
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: ``collect_counters()`` at the commit before the table existed: six
-#: groups, 29 leaves.  The ledger's ``counters`` document is read by
-#: ``repro perf compare`` against committed baselines, so this set only
-#: ever grows, and only together with docs/observability.md.
+#: ``collect_counters()``: six groups, 28 leaves — the 29 of the commit
+#: before the table existed minus ``parallel.steals``, which went with the
+#: work-stealing pool (it was the one scheduling-dependent count and no
+#: committed baseline recorded it).  The ledger's ``counters`` document is
+#: read by ``repro perf compare`` against committed baselines, so a leaf a
+#: baseline records never goes, and the set changes only together with
+#: docs/observability.md.
 LEDGER_KEYS = {
     "buffer_pool.page_hits", "buffer_pool.page_misses",
     "buffer_pool.evictions", "buffer_pool.disk_requests",
@@ -49,7 +52,6 @@ LEDGER_KEYS = {
     "compression.runs_skipped", "compression.compressed_reads",
     "compression.compression_ratio",
     "parallel.batches", "parallel.inline_batches", "parallel.morsels",
-    "parallel.steals",
 }
 
 
@@ -205,11 +207,11 @@ class TestTable:
     def test_snapshot_is_a_copy_and_reset_takes_one_group(self):
         counters.reset()
         handle = morsel._COUNTERS
-        handle.add(1, 0, 5, 2)
+        handle.add(1, 0, 5)
         counters.snapshot("parallel")["morsels"] = 99      # a fresh dict
         counters.snapshot()["parallel"]["morsels"] = 99
         assert counters.snapshot("parallel") == {
-            "batches": 1, "inline_batches": 0, "morsels": 5, "steals": 2,
+            "batches": 1, "inline_batches": 0, "morsels": 5,
         }
         counters.reset("scheduler")
         assert counters.snapshot("parallel")["morsels"] == 5
@@ -220,8 +222,8 @@ class TestTable:
 
     def test_wrong_number_of_deltas_is_refused(self):
         before = counters.snapshot("parallel")
-        with pytest.raises(TypeError, match="takes 4 deltas"):
-            morsel._COUNTERS.add(1, 2, 3)
+        with pytest.raises(TypeError, match="takes 3 deltas"):
+            morsel._COUNTERS.add(1, 2)
         assert counters.snapshot("parallel") == before
 
     def test_a_group_is_declared_once(self):
@@ -242,7 +244,7 @@ class TestConcurrency:
         def work():
             start.wait()
             for _ in range(self.ADDS):
-                handle.add(1, 0, 2, 3)
+                handle.add(1, 0, 2)
 
         threads = [
             threading.Thread(target=work) for _ in range(self.THREADS)
@@ -264,8 +266,7 @@ class TestConcurrency:
         after = counters.snapshot("parallel")
         total = self.THREADS * self.ADDS
         assert {k: after[k] - before[k] for k in after} == {
-            "batches": total, "inline_batches": 0,
-            "morsels": 2 * total, "steals": 3 * total,
+            "batches": total, "inline_batches": 0, "morsels": 2 * total,
         }
 
     def test_write_barrier_audits_every_add(self, race_check):
@@ -280,7 +281,7 @@ class TestConcurrency:
     def test_write_outside_the_lock_is_flagged(self, race_check):
         counters.reset("parallel")  # through the API: guarded
         assert race_report()["violation_count"] == 0
-        counters._TABLE["parallel"] = (0, 0, 0, 0)  # behind its back
+        counters._TABLE["parallel"] = (0, 0, 0)  # behind its back
         report = race_report()
         assert report["structures"]["observe.counters"]["unguarded"] == 1
         assert report["violations"][0] == {

@@ -57,7 +57,9 @@ class TestCounters:
         ]
         assert "hit_ratio" in counters["buffer_pool"]
         assert "compression_ratio" in counters["compression"]
-        assert "steals" in counters["parallel"]
+        assert sorted(counters["parallel"]) == [
+            "batches", "inline_batches", "morsels",
+        ]
 
     def test_reset_zeroes_everything(self, profile):
         # The module-scoped profile fixture has run queries, so the global

@@ -406,6 +406,37 @@ class TestQueryServer:
             exposition = response.read().decode("utf-8")
         assert "server_latency_ms" in exposition
 
+    @pytest.mark.parametrize("engine, options, workers, morsel_rows", [
+        ("column", {"workers": 4}, 4, 4096),
+        ("row", None, 1, None),  # serial is the host's default
+    ])
+    def test_stats_parallel_block(self, dataset, monkeypatch, engine,
+                                  options, workers, morsel_rows):
+        monkeypatch.delenv("REPRO_MORSEL_ROWS", raising=False)
+        connection = api.connect(
+            triples=dataset.triples,
+            interesting_properties=dataset.interesting_properties,
+            engine=engine, engine_options=options,
+        )
+        with serve(connection, port=0, workers=2, max_dop=8,
+                   background=True) as server:
+            assert post_query(server.address, {"query": "q1"})[0] == 200
+            with urllib.request.urlopen(
+                server.address + "/v1/stats", timeout=10
+            ) as response:
+                parallel = json.loads(response.read())["parallel"]
+        assert sorted(parallel) == [
+            "batches", "engine_workers", "inline_batches", "max_dop",
+            "morsel_rows", "morsels",
+        ]
+        assert parallel["engine_workers"] == workers
+        assert parallel["morsel_rows"] == morsel_rows
+        assert parallel["max_dop"] == 8
+        assert all(
+            isinstance(parallel[name], int) and parallel[name] >= 0
+            for name in ("batches", "inline_batches", "morsels")
+        )
+
     @pytest.mark.parametrize("method, path, body", [
         ("POST", "/v1/query", {"query": "q1"}),
         ("GET", "/metrics", None),
