@@ -16,8 +16,12 @@ The convention (see ``docs/static-analysis.md``):
           "pkg.module.FOO", {"hits": 0}, _FOO_LOCK,
       )
 
-* Module-top-level writes (the initial literal, import-time setup) are
-  init-time and always allowed.
+* An instance field is annotated the same way on its ``self.<field> =``
+  line in ``__init__``, naming a lock attribute of the same class
+  (``self._count = 0  # guarded-by: _stats_lock``); writes through
+  ``self`` in the class's other methods are then checked like the above.
+* Module-top-level writes (the initial literal, import-time setup) and
+  writes inside ``__init__`` are init-time and always allowed.
 * A deliberate unguarded mutation site carries an
   ``# unguarded-ok: <reason>`` comment on the mutating line (or the line
   directly above); the reason is mandatory and shows up in reviews.
@@ -70,11 +74,12 @@ _CONTAINER_FACTORIES = frozenset({
     "Counter", "shared_state",
 })
 
-#: Method names that mutate their receiver (dict / list / set / deque).
+#: Method names that mutate their receiver (dict / list / set / deque /
+#: :class:`~repro.observe.metrics.Histogram`).
 MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "remove", "pop", "popitem", "clear",
     "update", "setdefault", "add", "discard", "move_to_end", "sort",
-    "reverse", "appendleft", "popleft",
+    "reverse", "appendleft", "popleft", "observe",
 })
 
 
@@ -101,11 +106,15 @@ def _classify_value(value):
     return None
 
 
-def _base_name(expr):
-    """The root ``Name`` of a subscript/attribute chain, if any."""
-    while isinstance(expr, (ast.Subscript, ast.Attribute)):
-        expr = expr.value
-    return expr.id if isinstance(expr, ast.Name) else None
+def _self_field(expr):
+    """``field`` when *expr* is exactly ``self.field``."""
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    ):
+        return expr.attr
+    return None
 
 
 def _lock_name(expr):
@@ -159,19 +168,27 @@ class ModuleInventory:
             for name, value, lineno in _module_assignments(node):
                 kind = _classify_value(value)
                 if kind == "lock":
-                    inventory.locks.setdefault(name, lineno)
+                    # ``with self._lock:`` resolves to the bare attribute.
+                    bare = name.rpartition(".")[2]
+                    inventory.locks.setdefault(bare, lineno)
                     continue
                 guard = guards.get(lineno) or guards.get(lineno - 1)
                 if guard is not None:
                     inventory.annotated.setdefault(name, (guard, lineno))
-                if kind == "container":
+                if kind == "container" and "." not in name:
                     inventory.containers.setdefault(name, lineno)
         return inventory
 
 
 def _module_assignments(node):
-    """``(name, value, lineno)`` for simple module-level assignments."""
-    if isinstance(node, ast.Assign):
+    """``(name, value, lineno)`` for simple module-level assignments and,
+    named ``"Class.field"``, for ``self.field = ...`` inside a class."""
+    if isinstance(node, ast.ClassDef):
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Assign):
+                for field in filter(None, map(_self_field, inner.targets)):
+                    yield f"{node.name}.{field}", inner.value, inner.lineno
+    elif isinstance(node, ast.Assign):
         for target in node.targets:
             if isinstance(target, ast.Name):
                 yield target.id, node.value, node.lineno
@@ -189,6 +206,7 @@ class _GuardChecker(ast.NodeVisitor):
         self.scope = []        # dotted scope names (classes + functions)
         self.functions = []    # per-function {"globals", "locals"}
         self.held = []         # stack of lock-name sets from with blocks
+        self.classes = []      # enclosing class names
 
     # -- plumbing -------------------------------------------------------
 
@@ -228,7 +246,9 @@ class _GuardChecker(ast.NodeVisitor):
 
     def visit_ClassDef(self, node):
         self.scope.append(node.name)
+        self.classes.append(node.name)
         self.generic_visit(node)
+        self.classes.pop()
         self.scope.pop()
 
     def _visit_function(self, node):
@@ -258,10 +278,21 @@ class _GuardChecker(ast.NodeVisitor):
 
     # -- mutation sites -------------------------------------------------
 
+    def _root(self, expr):
+        """The root of a subscript/attribute chain: a ``Name``, or — in a
+        class — ``"Class.field"`` for a chain rooted at ``self.field``."""
+        while isinstance(expr, (ast.Subscript, ast.Attribute)):
+            if self.classes and _self_field(expr) is not None:
+                return f"{self.classes[-1]}.{expr.attr}"
+            expr = expr.value
+        return expr.id if isinstance(expr, ast.Name) else None
+
     def _check_mutation(self, name, node, op):
         """A container mutation (subscript store, mutating method)."""
         if name is None or not self._in_function():
             return
+        if "." in name and self.scope[-1] == "__init__":
+            return  # the instance is not shared yet
         if not self._is_module_name(name):
             return
         annotated = self.inventory.annotated.get(name)
@@ -312,7 +343,11 @@ class _GuardChecker(ast.NodeVisitor):
 
     def _check_target(self, target, node):
         if isinstance(target, ast.Subscript):
-            self._check_mutation(_base_name(target), node, "item write")
+            self._check_mutation(self._root(target), node, "item write")
+        elif isinstance(target, ast.Attribute):
+            name = self._root(target)
+            if name is not None and "." in name:
+                self._check_mutation(name, node, "field write")
         elif isinstance(target, ast.Name) and self._in_function():
             if any(target.id in f["globals"] for f in self.functions):
                 self._check_rebind(target.id, node)
@@ -338,14 +373,14 @@ class _GuardChecker(ast.NodeVisitor):
     def visit_Delete(self, node):
         for target in node.targets:
             if isinstance(target, ast.Subscript):
-                self._check_mutation(_base_name(target), node, "item delete")
+                self._check_mutation(self._root(target), node, "item delete")
         self.generic_visit(node)
 
     def visit_Call(self, node):
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
             self._check_mutation(
-                _base_name(func.value), node, f".{func.attr}()"
+                self._root(func.value), node, f".{func.attr}()"
             )
         self.generic_visit(node)
 

@@ -14,9 +14,9 @@ One sink per scope, all zero-dependency:
 * **process** → :mod:`repro.observe.counters` — the always-on counter
   table (declare / add / snapshot / reset) behind the ledger, the query
   server's ``/v1/stats`` and ``/metrics``,
-* **server / replay** → :mod:`repro.observe.metrics` — a labeled
-  counter/gauge/histogram registry the scheduler and the replay
-  collector each own one of.
+* **instance** (scheduler, pool, runtime, connection, replay collector)
+  → plain fields behind the instance's own ``stats()``; the latency
+  distributions among them are :class:`~repro.observe.metrics.Histogram`.
 
 The performance observatory builds on those:
 
@@ -27,14 +27,14 @@ The performance observatory builds on those:
   (simulated costs byte-identical, wall-clock and counters
   informational) behind ``repro perf record / compare / report``,
 * :mod:`repro.observe.export` — Chrome trace-event JSON for Perfetto and
-  Prometheus text exposition of a metrics registry.
+  Prometheus text exposition of metric samples.
 
 :mod:`repro.observe.log` holds the package's logging setup (plain text or
 JSON lines carrying the active span id).
 """
 
 from repro.observe.log import configure_logging, get_logger
-from repro.observe.metrics import MetricsRegistry, format_key, parse_key
+from repro.observe.metrics import Histogram
 from repro.observe.trace import (
     NULL_TRACER,
     NullTracer,
@@ -46,10 +46,8 @@ from repro.observe.trace import (
 __all__ = [
     "configure_logging",
     "get_logger",
-    "format_key",
-    "parse_key",
     "active_span_id",
-    "MetricsRegistry",
+    "Histogram",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

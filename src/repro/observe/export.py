@@ -1,8 +1,8 @@
 """Exporters: Chrome trace-event JSON and Prometheus text exposition.
 
-The tracer's span tree and the metrics registry are this reproduction's
-native observability formats; this module translates them into the two
-interchange formats every tooling ecosystem already reads:
+The tracer's span tree and the instance / process counts are this
+reproduction's native observability formats; this module translates them
+into the two interchange formats every tooling ecosystem already reads:
 
 * :func:`profile_to_chrome` / :func:`chrome_trace_events` emit the
   `Chrome trace-event format`_ — open the file in Perfetto
@@ -10,15 +10,14 @@ interchange formats every tooling ecosystem already reads:
   operator tree renders as a flame chart over the **simulated** clock
   (timestamps are simulated microseconds, not wall time; that is the
   point — the chart is deterministic and byte-identical across machines).
-* :func:`metrics_to_prometheus` renders a
-  :class:`~repro.observe.metrics.MetricsRegistry` in the Prometheus text
-  exposition format, one line per labeled series.
+* :func:`metrics_to_prometheus` renders ``(kind, name, labels, value)``
+  samples in the Prometheus text exposition format, one line per
+  labeled series.
 
 .. _Chrome trace-event format:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 """
 
-from repro.observe.metrics import parse_key
 from repro.observe.trace import CPU, IO
 
 #: Synthetic pid/tid for the single simulated "process".
@@ -164,7 +163,7 @@ def validate_trace(document):
 # Prometheus text exposition
 # ---------------------------------------------------------------------------
 
-def _metric_name(prefix, name, suffix=""):
+def _metric_name(prefix, name):
     """Prometheus metric name: ``[a-zA-Z_:][a-zA-Z0-9_:]*``."""
     cleaned = []
     for ch in name:
@@ -175,65 +174,49 @@ def _metric_name(prefix, name, suffix=""):
     flat = "".join(cleaned)
     if flat and flat[0].isdigit():
         flat = "_" + flat
-    return f"{prefix}_{flat}{suffix}" if prefix else f"{flat}{suffix}"
+    return f"{prefix}_{flat}" if prefix else flat
 
 
-def _label_text(labels, extra=None):
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
+def _label_text(labels):
+    if not labels:
         return ""
     parts = []
-    for key in sorted(merged):
-        value = str(merged[key])
+    for key in sorted(labels):
+        value = str(labels[key])
         value = value.replace("\\", "\\\\").replace('"', '\\"')
         value = value.replace("\n", "\\n")
         parts.append(f'{_metric_name("", key)}="{value}"')
     return "{" + ",".join(parts) + "}"
 
 
-def metrics_to_prometheus(registry, prefix="repro"):
-    """The registry in Prometheus text exposition format (version 0.0.4).
+def metrics_to_prometheus(samples, prefix="repro"):
+    """*samples* in Prometheus text exposition format (version 0.0.4).
 
-    Counters and gauges become one sample per labeled series; histograms
-    become summaries (``quantile`` series plus ``_sum``/``_count``).
-    Instrument names are sanitized (dots to underscores); label values are
-    quoted and escaped per the format.  *registry* may also be an already
-    exported ``to_dict()`` document (the query server passes the snapshot
-    it took under its stats lock).
+    A sample is ``(kind, name, labels, value)``: a ``"counter"`` or
+    ``"gauge"`` becomes one line, a ``"summary"`` — whose value is a
+    :meth:`~repro.observe.metrics.Histogram.summary` document — becomes
+    ``quantile`` series plus ``_sum``/``_count``.  Names are sanitized
+    (dots to underscores); label values are quoted and escaped per the
+    format.  Series are sorted by name, each family under one
+    ``# TYPE`` line.
     """
-    exported = registry if isinstance(registry, dict) else registry.to_dict()
     lines = []
-    types = (
-        ("counters", "counter", ""),
-        ("gauges", "gauge", ""),
-    )
-    for section, prom_type, suffix in types:
-        seen_names = []
-        for key in sorted(exported[section]):
-            name, labels = parse_key(key)
-            metric = _metric_name(prefix, name, suffix)
-            if metric not in seen_names:
-                lines.append(f"# TYPE {metric} {prom_type}")
-                seen_names.append(metric)
-            lines.append(
-                f"{metric}{_label_text(labels)} {exported[section][key]}"
-            )
-    for key in sorted(exported["histograms"]):
-        name, labels = parse_key(key)
+    typed = set()
+    for kind, name, labels, value in sorted(
+        samples, key=lambda s: (s[1], sorted(s[2].items()))
+    ):
         metric = _metric_name(prefix, name)
-        summary = exported["histograms"][key]
-        lines.append(f"# TYPE {metric} summary")
+        if metric not in typed:
+            typed.add(metric)
+            lines.append(f"# TYPE {metric} {kind}")
+        if kind != "summary":
+            lines.append(f"{metric}{_label_text(labels)} {value}")
+            continue
         for q_label, q_key in (("0.5", "p50"), ("0.95", "p95"),
                                ("0.99", "p99")):
-            value = summary.get(q_key)
-            if value is None:
-                continue
-            lines.append(
-                f"{metric}{_label_text(labels, {'quantile': q_label})} "
-                f"{value}"
-            )
-        lines.append(f"{metric}_sum{_label_text(labels)} {summary['sum']}")
-        lines.append(f"{metric}_count{_label_text(labels)} {summary['count']}")
+            if value[q_key] is not None:
+                quantile = _label_text({**labels, "quantile": q_label})
+                lines.append(f"{metric}{quantile} {value[q_key]}")
+        lines.append(f"{metric}_sum{_label_text(labels)} {value['sum']}")
+        lines.append(f"{metric}_count{_label_text(labels)} {value['count']}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,122 +1,35 @@
-"""Zero-dependency in-process metrics: counters, gauges, histograms.
+"""The one latency distribution: :class:`Histogram`.
 
-A :class:`MetricsRegistry` hands out named instruments, optionally labeled
-(``registry.counter("server.queries", outcome="completed")``).  Each
-``(name, labels)`` pair maps to exactly one instrument, so incrementing the
-same labeled counter from two call sites accumulates into one time series.
-
-The registry is intentionally tiny — no background threads, no export
-protocol.  Its users are the scopes that outlive one query: the session
-scheduler (admission counters, latency histograms; rendered at
-``/metrics``) and the replay collector.  Engines never write here — a
-query is recorded by its span tree (:mod:`repro.observe.trace`) and the
-process by :mod:`repro.observe.counters`.  Export is a plain dict
-(:meth:`MetricsRegistry.to_dict`) or JSON (:meth:`MetricsRegistry.to_json`);
-callers that share a registry between threads lock around it.
+Counts live elsewhere — a query's in its span tree
+(:mod:`repro.observe.trace`), the process's in the counter table
+(:mod:`repro.observe.counters`), an instance's (scheduler, pool, runtime,
+connection) in plain fields behind its own ``stats()``.  What none of
+those can hold is a distribution, and that is all this module is: the
+session scheduler keeps three histograms (queue wait, execution, total
+latency) and the replay collector two.  A histogram is not thread-safe;
+its owner mutates it under the owner's lock.
 """
 
-import json
-
-#: Characters that would make a ``name{k=v,...}`` key ambiguous if they
-#: appeared raw inside a label value; escaped with a backslash so two
-#: distinct label dicts can never collide on one key.
-_ESCAPED = ("\\", ",", "=", "{", "}")
-
-
-def _escape(text):
-    for ch in _ESCAPED:
-        text = text.replace(ch, "\\" + ch)
-    return text
-
-
-def format_key(name, labels):
-    """Canonical ``name{k=v,...}`` key for a labeled instrument.
-
-    Label keys and values containing separator characters (``,``, ``=``,
-    braces, backslash) are backslash-escaped, so the mapping from
-    ``(name, labels)`` to key is injective — ``{"a": "1,b=2"}`` and
-    ``{"a": "1", "b": "2"}`` produce different keys.
-    """
-    if not labels:
-        return name
-    inner = ",".join(
-        f"{_escape(str(k))}={_escape(str(labels[k]))}" for k in sorted(labels)
-    )
-    return f"{name}{{{inner}}}"
-
-
-def parse_key(key):
-    """Invert :func:`format_key`: ``(name, labels)`` from a canonical key."""
-    if not key.endswith("}") or "{" not in key:
-        return key, {}
-    name, _, inner = key[:-1].partition("{")
-    labels = {}
-    part, field = [], []
-    target = part
-    escaped = False
-    for ch in inner:
-        if escaped:
-            target.append(ch)
-            escaped = False
-        elif ch == "\\":
-            escaped = True
-        elif ch == "=" and target is part:
-            field = []
-            target = field
-        elif ch == ",":
-            labels["".join(part)] = "".join(field)
-            part, field = [], []
-            target = part
-        else:
-            target.append(ch)
-    if part or field:
-        labels["".join(part)] = "".join(field)
-    return name, labels
-
-
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, n=1):
-        if n < 0:
-            raise ValueError("counters only increase")
-        self.value += n
-
-
-class Gauge:
-    """A value that can go up and down (e.g. resident pages)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, value):
-        self.value = value
-
-    def inc(self, n=1):
-        self.value += n
-
-    def dec(self, n=1):
-        self.value -= n
+import math
 
 
 class Histogram:
-    """Summary statistics plus power-of-4 bucket counts.
+    """Summary statistics plus log-spaced bucket counts, in constant memory.
 
-    Buckets are cumulative-free: ``buckets[i]`` counts observations with
-    ``4**i <= value < 4**(i+1)`` (index 0 also catches values below 1).
-    Good enough to see the shape of request sizes without configuration.
+    Sixteen buckets per power of two from ``2**-16`` to ``2**32`` (in
+    milliseconds: 15 ns to 49 days), one bucket for everything below and
+    the last one open above.  Neighbouring bounds differ by ``2**(1/16)``,
+    so a :meth:`quantile` estimate lies within 4.4 % of the sample of that
+    rank whatever the distribution; interpolation inside the bucket
+    usually brings it under 1 %.  :meth:`observe` computes its index from
+    one ``log2`` — no loop, no allocation.
     """
 
     __slots__ = ("count", "total", "min", "max", "buckets")
 
-    N_BUCKETS = 16
+    PER_OCTAVE = 16
+    LOW_EXP = -16
+    N_BUCKETS = PER_OCTAVE * (32 - LOW_EXP) + 1
 
     def __init__(self):
         self.count = 0
@@ -133,22 +46,18 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
         index = 0
-        bound = 4
-        while value >= bound and index < self.N_BUCKETS - 1:
-            bound *= 4
-            index += 1
+        if value > 0:
+            # log2 is exact at powers of two, so the power-of-4 bounds
+            # that summary() renders fall exactly between two buckets.
+            steps = (math.log2(value) - self.LOW_EXP) * self.PER_OCTAVE
+            index = min(max(math.floor(steps) + 1, 0), self.N_BUCKETS - 1)
         self.buckets[index] += 1
 
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else 0.0
-
     def quantile(self, q):
-        """Estimated q-quantile (``0 <= q <= 1``) from the bucket counts.
-
-        Linear interpolation inside the containing bucket, clamped to the
-        observed ``[min, max]`` range so single-sample and narrow-range
-        histograms report exact values.  ``None`` when empty.
+        """Estimated q-quantile (``0 <= q <= 1``): the bucket holding the
+        sample of rank ``q * count``, interpolated linearly inside it and
+        clamped to the observed ``[min, max]`` so single-sample and
+        narrow-range histograms report exact values.  ``None`` when empty.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q!r} outside [0, 1]")
@@ -157,85 +66,36 @@ class Histogram:
         target = q * self.count
         cumulative = 0
         for index, n in enumerate(self.buckets):
-            if n == 0:
-                continue
-            if cumulative + n >= target:
-                low = 0.0 if index == 0 else float(4 ** index)
-                high = float(4 ** (index + 1))
-                low = max(low, self.min)
-                high = min(high, self.max)
-                if high <= low:
-                    value = low
-                else:
-                    fraction = max(0.0, target - cumulative) / n
-                    value = low + (high - low) * fraction
+            if n and cumulative + n >= target:
+                exponent = (index - 1) / self.PER_OCTAVE + self.LOW_EXP
+                low = self.min if index == 0 else max(2.0 ** exponent, self.min)
+                high = self.max
+                if index < self.N_BUCKETS - 1:
+                    high = min(2.0 ** (exponent + 1 / self.PER_OCTAVE), high)
+                fraction = max(0.0, target - cumulative) / n
+                value = low + max(0.0, high - low) * fraction
                 return min(max(value, self.min), self.max)
             cumulative += n
         return self.max
 
     def summary(self):
+        """JSON-ready statistics.  ``buckets`` is the power-of-4 rendering
+        (``"<4"`` also counts everything below 1), aggregated from the
+        fine buckets so the documents that carry it keep their shape."""
+        coarse = {}
+        for index, n in enumerate(self.buckets):
+            if n:
+                power = (index - 1) // (2 * self.PER_OCTAVE) + self.LOW_EXP // 2
+                label = f"<{4 ** (max(power, 0) + 1)}"
+                coarse[label] = coarse.get(label, 0) + n
         return {
             "count": self.count,
             "sum": self.total,
             "min": self.min,
             "max": self.max,
-            "mean": self.mean,
+            "mean": self.total / self.count if self.count else 0.0,
             "p50": self.quantile(0.50),
             "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
-            "buckets": {
-                f"<{4 ** (i + 1)}": n
-                for i, n in enumerate(self.buckets)
-                if n
-            },
+            "buckets": coarse,
         }
-
-
-class MetricsRegistry:
-    """Namespace of counters, gauges and histograms, labeled by string."""
-
-    def __init__(self):
-        self._counters = {}
-        self._gauges = {}
-        self._histograms = {}
-
-    # ------------------------------------------------------------------
-    # instruments
-    # ------------------------------------------------------------------
-
-    def counter(self, name, **labels):
-        key = format_key(name, labels)
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter()
-        return instrument
-
-    def gauge(self, name, **labels):
-        key = format_key(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
-        return instrument
-
-    def histogram(self, name, **labels):
-        key = format_key(name, labels)
-        instrument = self._histograms.get(key)
-        if instrument is None:
-            instrument = self._histograms[key] = Histogram()
-        return instrument
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-
-    def to_dict(self):
-        return {
-            "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
-            "histograms": {
-                k: h.summary() for k, h in sorted(self._histograms.items())
-            },
-        }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)

@@ -9,7 +9,7 @@ package provides:
   with admission control: a bounded queue in front of N worker threads,
   explicit overload rejection (HTTP 429), per-query deadlines with
   cooperative cancellation, and latency accounting (queue wait vs.
-  execution) into a :class:`~repro.observe.metrics.MetricsRegistry`.
+  execution) in :class:`~repro.observe.metrics.Histogram` fields.
 * :mod:`repro.server.http` — ``repro serve``: a stdlib HTTP front-end
   exposing the session API (`POST /v1/query`, session endpoints, JSON
   stats, Prometheus ``/metrics``) over one shared

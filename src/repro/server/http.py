@@ -23,8 +23,9 @@ Wire protocol (JSON over HTTP):
 ``GET /v1/stats``
     Scheduler + store counters as JSON.
 ``GET /metrics``
-    The scheduler registry and the process-wide counters
-    (:mod:`repro.observe.counters`) in Prometheus text exposition format.
+    The scheduler's series, the plan-cache figures and the process-wide
+    counters (:mod:`repro.observe.counters`) in Prometheus text
+    exposition format.
 ``GET /healthz``
     Liveness.
 
@@ -274,19 +275,18 @@ class QueryServer:
         return document
 
     def metrics_text(self):
-        """The ``/metrics`` body: the scheduler registry and the process
-        counters in one document.  The registry half is the snapshot
-        :meth:`SessionScheduler.stats` takes under its lock — worker
-        threads insert first-seen labelled series while we render."""
-        self.scheduler.publish_plan_cache(self.connection.plan_cache_stats())
-        exported = self.scheduler.stats()
+        """The ``/metrics`` body: the scheduler's samples, the connection's
+        plan-cache figures and the process counters, each read now."""
+        samples = self.scheduler.samples()
+        for key, value in self.connection.plan_cache_stats().items():
+            samples.append(("gauge", f"server.plan_cache_{key}", {}, value))
         for group, values in collect_counters().items():
             for name, value in values.items():
                 if value is None:  # a ratio with no observations yet
                     continue
-                section = "gauges" if name.endswith("_ratio") else "counters"
-                exported[section][f"{group}.{name}"] = value
-        return metrics_to_prometheus(exported)
+                kind = "gauge" if name.endswith("_ratio") else "counter"
+                samples.append((kind, f"{group}.{name}", {}, value))
+        return metrics_to_prometheus(samples)
 
 
 def _make_handler(server):

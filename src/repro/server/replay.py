@@ -17,9 +17,9 @@ Two drive modes share one harness:
   instance (stdlib :mod:`urllib`), exercising admission control; 429
   rejections are retried with backoff and counted separately.
 
-Latencies land in a :class:`~repro.observe.metrics.MetricsRegistry`
-histogram (p50/p95/p99 via the same quantile machinery the observability
-layer already ships), and :func:`record_from_replay` turns a report into a
+Latencies land in a :class:`~repro.observe.metrics.Histogram` (p50/p95/p99
+within 4.4 % of the sample at that rank, the same one the server reports
+from), and :func:`record_from_replay` turns a report into a
 :class:`~repro.observe.history.RunRecord` for the perf ledger — with the
 ordered per-query **simulated** costs as the byte-identity section when
 the replay was serial, and ``None`` (plus an explanatory note) when
@@ -43,7 +43,7 @@ from repro.observe.history import (
     git_sha,
 )
 from repro.observe.log import get_logger
-from repro.observe.metrics import MetricsRegistry
+from repro.observe.metrics import Histogram
 from repro.queries import ALL_QUERY_NAMES
 
 log = get_logger("server.replay")
@@ -182,60 +182,51 @@ class ReplayReport:
 
 
 class _Collector:
-    """Thread-safe accumulation of per-query outcomes into a registry."""
+    """Thread-safe accumulation of per-query outcomes into one report."""
 
     def __init__(self, clients):
-        self.registry = MetricsRegistry()
         self.lock = threading.Lock()
-        self.report = ReplayReport(clients=clients)
-        self.costs = {}  # issue index -> {"query": ..., "cost": ...}
+        self.report = ReplayReport(clients=clients)  # guarded-by: lock
+        self.latency_ms = Histogram()  # guarded-by: lock
+        self.queue_wait_ms = Histogram()  # guarded-by: lock
+        # issue index -> {"query": ..., "cost": ...}
+        self.costs = {}  # guarded-by: lock
 
     def record(self, index, name, outcome, latency_ms, cost=None,
                queue_ms=None, error=None):
         with self.lock:
-            report = self.report
-            report.issued += 1
-            report.per_query[name] = report.per_query.get(name, 0) + 1
-            self.registry.counter("replay.queries", outcome=outcome).inc()
+            self.report.issued += 1
+            self.report.per_query[name] = (
+                self.report.per_query.get(name, 0) + 1
+            )
             if outcome == "completed":
-                report.completed += 1
-                self.registry.histogram("replay.latency_ms").observe(
-                    latency_ms
-                )
+                self.report.completed += 1
+                self.latency_ms.observe(latency_ms)
                 if queue_ms is not None:
-                    self.registry.histogram("replay.queue_wait_ms").observe(
-                        queue_ms
-                    )
+                    self.queue_wait_ms.observe(queue_ms)
                 if cost is not None:
                     self.costs[index] = {"query": name, "cost": cost}
             elif outcome == "timeout":
-                report.timeouts += 1
+                self.report.timeouts += 1
             else:
-                report.failed += 1
-            if error is not None and len(report.errors) < 5:
-                report.errors.append(f"{name}: {error}")
+                self.report.failed += 1
+            if error is not None and len(self.report.errors) < 5:
+                self.report.errors.append(f"{name}: {error}")
 
     def count_rejection(self):
         with self.lock:
             self.report.rejections += 1
-            self.registry.counter(
-                "replay.queries", outcome="rejected"
-            ).inc()
 
     def finish(self, wall_seconds, serial):
-        report = self.report
-        report.wall_seconds = wall_seconds
-        report.latency_ms = self.registry.histogram(
-            "replay.latency_ms"
-        ).summary()
-        report.queue_wait_ms = self.registry.histogram(
-            "replay.queue_wait_ms"
-        ).summary()
-        if serial:
-            report.simulated = [
-                self.costs[i] for i in sorted(self.costs)
-            ]
-        return report
+        with self.lock:
+            self.report.wall_seconds = wall_seconds
+            self.report.latency_ms = self.latency_ms.summary()
+            self.report.queue_wait_ms = self.queue_wait_ms.summary()
+            if serial:
+                self.report.simulated = [
+                    self.costs[i] for i in sorted(self.costs)
+                ]
+            return self.report
 
 
 def run_replay(connection=None, url=None, config=None):
@@ -423,7 +414,7 @@ def record_from_replay(report, name="replay", parameters=None, notes=()):
         notes=notes + [
             "latency_ms: " + json.dumps(
                 {k: document["latency_ms"].get(k)
-                 for k in ("count", "p50", "p95", "p99")},
+                 for k in ("count", "p50", "p95", "p99", "max")},
                 sort_keys=True,
             ),
             f"throughput_qps: {document['throughput_qps']}",

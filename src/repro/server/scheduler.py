@@ -17,12 +17,12 @@ starts executing arms the runtime's cooperative
 :class:`~repro.exec.cancel.CancellationToken` through
 ``Session.query(timeout=...)``.
 
-All accounting (accepted / rejected / completed / failed / timeout
-counters, queue-wait / execution / total latency histograms in
-milliseconds, queue-depth gauge) lands in a
-:class:`~repro.observe.metrics.MetricsRegistry` owned by the scheduler,
-mutated only under an internal lock, and exportable as JSON or Prometheus
-text via the existing :mod:`repro.observe` exporters.
+All accounting is a closed set of plain fields (admission and outcome
+counts, queue-wait / execution / total latency
+:class:`~repro.observe.metrics.Histogram` in milliseconds) mutated under
+one internal lock, once per event: admission, pick-up, completion.
+:meth:`SessionScheduler.samples` yields them as series for the Prometheus
+exporter and :meth:`SessionScheduler.stats` as the ``/v1/stats`` document.
 """
 
 import math
@@ -38,7 +38,7 @@ from repro.errors import (
     SessionClosed,
 )
 from repro.observe.log import get_logger
-from repro.observe.metrics import MetricsRegistry
+from repro.observe.metrics import Histogram
 
 log = get_logger("server.scheduler")
 
@@ -103,12 +103,25 @@ class SessionScheduler:
     def __init__(self, connection, config=None):
         self.connection = connection
         self.config = config or SchedulerConfig()
-        self.registry = MetricsRegistry()
         self._queue = queue.Queue(maxsize=self.config.queue_depth)
         self._stats_lock = threading.Lock()
-        self._accepting = True
         self._stopped = threading.Event()
-        self._in_flight = 0
+        # Admission tests the flag and enqueues under the lock shutdown()
+        # flips it under, so no request is enqueued behind the drain.
+        self._accepting = True  # guarded-by: _stats_lock
+        self._in_flight = 0  # guarded-by: _stats_lock
+        self._counts = {  # guarded-by: _stats_lock
+            ("server.admission", "accepted"): 0,
+            ("server.admission", "rejected"): 0,
+            ("server.queries", "completed"): 0,
+            ("server.queries", "failed"): 0,
+            ("server.queries", "timeout"): 0,
+        }
+        self._histograms = {  # guarded-by: _stats_lock
+            "server.queue_wait_ms": Histogram(),
+            "server.execution_ms": Histogram(),
+            "server.latency_ms": Histogram(),
+        }
         self._workers = []
         for index in range(self.config.workers):
             worker = threading.Thread(
@@ -132,8 +145,6 @@ class SessionScheduler:
         :class:`ReproError` for a *timeout* or *workers* value that is not
         a number in range (both arrive straight from request bodies).
         """
-        if not self._accepting:
-            raise SessionClosed("server is shutting down")
         timeout = kwargs.pop("timeout", None)
         if timeout is None:
             timeout = self.config.default_timeout
@@ -154,16 +165,18 @@ class SessionScheduler:
             time.monotonic() + timeout if timeout is not None else None
         )
         request = _Request(text, kwargs, deadline)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self._count("rejected")
-            raise ServerOverloaded(
-                f"admission queue full ({self.config.queue_depth} pending); "
-                "retry later"
-            ) from None
-        self._count("accepted")
-        self._gauge_depth()
+        with self._stats_lock:
+            if not self._accepting:
+                raise SessionClosed("server is shutting down")
+            try:
+                self._queue.put_nowait(request)
+            except queue.Full:
+                self._counts["server.admission", "rejected"] += 1
+                raise ServerOverloaded(
+                    f"admission queue full ({self.config.queue_depth} "
+                    "pending); retry later"
+                ) from None
+            self._counts["server.admission", "accepted"] += 1
         return request
 
     def execute(self, text, **kwargs):
@@ -193,10 +206,7 @@ class SessionScheduler:
             try:
                 self._run_request(session, request)
             finally:
-                with self._stats_lock:
-                    self._in_flight -= 1
                 self._queue.task_done()
-                self._gauge_depth()
 
     def _run_request(self, session, request):
         started = time.monotonic()
@@ -209,8 +219,7 @@ class SessionScheduler:
                     "query timed out while queued "
                     f"(waited {request.queue_ms:.1f}ms)"
                 )
-                self._observe_outcome(request, started, "timeout")
-                request.done.set()
+                self._finish(request, started, "timeout")
                 return
         try:
             request.result = session.query(
@@ -227,54 +236,58 @@ class SessionScheduler:
             log.exception("worker crashed on %r", request.text)
             request.error = ReproError(f"internal error: {exc}")
             outcome = "failed"
-        self._observe_outcome(request, started, outcome)
-        request.done.set()
+        self._finish(request, started, outcome)
 
-    def _observe_outcome(self, request, started, outcome):
+    def _finish(self, request, started, outcome):
+        """Book *outcome* and wake the waiter; a worker is in flight until
+        its request is booked, so the two move in one acquisition."""
         finished = time.monotonic()
         request.exec_ms = (finished - started) * 1000.0
         total_ms = (finished - request.enqueued_at) * 1000.0
         with self._stats_lock:
-            self.registry.counter("server.queries", outcome=outcome).inc()
-            self.registry.histogram("server.queue_wait_ms").observe(
-                request.queue_ms
-            )
-            self.registry.histogram("server.execution_ms").observe(
-                request.exec_ms
-            )
-            self.registry.histogram("server.latency_ms").observe(total_ms)
-
-    def _count(self, name):
-        with self._stats_lock:
-            self.registry.counter("server.admission", outcome=name).inc()
-
-    def _gauge_depth(self):
-        with self._stats_lock:
-            self.registry.gauge("server.queue_depth").set(
-                self._queue.qsize()
-            )
-
-    def publish_plan_cache(self, stats):
-        """Mirror the connection's prepared-plan cache counters into the
-        metrics registry as gauges (the cache lives on the connection,
-        outside the registry, so the Prometheus exporter refreshes these
-        just before rendering)."""
-        with self._stats_lock:
-            for key, value in stats.items():
-                self.registry.gauge(f"server.plan_cache_{key}").set(value)
+            self._in_flight -= 1
+            self._counts["server.queries", outcome] += 1
+            self._histograms["server.queue_wait_ms"].observe(request.queue_ms)
+            self._histograms["server.execution_ms"].observe(request.exec_ms)
+            self._histograms["server.latency_ms"].observe(total_ms)
+        request.done.set()
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
     # ------------------------------------------------------------------
 
-    def stats(self):
-        """JSON-ready snapshot: registry dump plus live depth/in-flight."""
+    def samples(self):
+        """The scheduler's series as ``(kind, name, labels, value)``
+        samples, one snapshot under the stats lock.  A series appears with
+        its first event: zero counts and empty histograms are left out."""
         with self._stats_lock:
-            snapshot = self.registry.to_dict()
-            in_flight = self._in_flight
+            samples = [
+                ("counter", name, {"outcome": outcome}, count)
+                for (name, outcome), count in self._counts.items() if count
+            ]
+            samples += [
+                ("summary", name, {}, histogram.summary())
+                for name, histogram in self._histograms.items()
+                if histogram.count
+            ]
+        samples.append(("gauge", "server.queue_depth", {}, self._queue.qsize()))
+        return samples
+
+    def stats(self):
+        """JSON-ready snapshot: the samples keyed ``name{label=value}``
+        under ``counters`` / ``gauges`` / ``histograms``, plus ``live``."""
+        snapshot = {"counters": {}, "gauges": {}, "histograms": {}}
+        sections = {
+            "counter": "counters", "gauge": "gauges", "summary": "histograms",
+        }
+        for kind, name, labels, value in self.samples():
+            if labels:
+                inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+                name = f"{name}{{{inner}}}"
+            snapshot[sections[kind]][name] = value
         snapshot["live"] = {
             "queue_depth": self._queue.qsize(),
-            "in_flight": in_flight,
+            "in_flight": self._in_flight,
             "workers": self.config.workers,
             "queue_capacity": self.config.queue_depth,
             "accepting": self._accepting,
@@ -283,10 +296,9 @@ class SessionScheduler:
         return snapshot
 
     def latency_summary(self):
-        """p50/p95/p99/mean of total latency (ms), from the registry."""
+        """p50/p95/p99/mean of total latency (ms)."""
         with self._stats_lock:
-            histogram = self.registry.histogram("server.latency_ms")
-            return histogram.summary()
+            return self._histograms["server.latency_ms"].summary()
 
     def shutdown(self, drain=True, timeout=30.0):
         """Stop the scheduler.
@@ -296,7 +308,8 @@ class SessionScheduler:
         With ``drain=False``, queued-but-unstarted requests are failed
         with :class:`SessionClosed`.
         """
-        self._accepting = False
+        with self._stats_lock:
+            self._accepting = False
         if not drain:
             while True:
                 try:

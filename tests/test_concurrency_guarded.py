@@ -135,6 +135,81 @@ class TestGuardedMutation:
         assert rules(violations) == ["unguarded-mutation"]
 
 
+class TestInstanceFields:
+    FIXTURE = """\
+        import threading
+
+        class Scheduler:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._in_flight = 0  # guarded-by: _lock
+                self._counts = {"done": 0}  # guarded-by: _lock
+                self._latency = Histogram()  # guarded-by: _lock
+                self._counts["done"] = 0        # init-time: not shared yet
+                self._plain = []
+
+            def finish(self, ms):
+                GUARD:
+                    self._in_flight -= 1
+                    self._counts["done"] += 1
+                    self._latency.observe(ms)
+                self._plain.append(ms)          # not annotated: not checked
+
+        class Other:
+            def bump(self):
+                self._in_flight = 1             # another class's field
+    """
+
+    def test_fields_mutated_under_their_lock_are_clean(self):
+        assert check(self.FIXTURE.replace("GUARD", "with self._lock")) == []
+
+    def test_every_kind_of_field_mutation_is_flagged(self):
+        violations = check(self.FIXTURE.replace("GUARD", "if True"))
+        assert rules(violations) == ["unguarded-mutation"] * 3
+        assert [v.symbol for v in violations] == [
+            "Scheduler._in_flight", "Scheduler._counts", "Scheduler._latency",
+        ]
+        assert "field write" in violations[0].message
+        assert ".observe()" in violations[2].message
+        assert {v.scope for v in violations} == {"Scheduler.finish"}
+
+    def test_field_annotation_must_name_a_lock_of_the_class(self):
+        violations = check("""\
+            class Scheduler:
+                def __init__(self):
+                    self._count = 0  # guarded-by: _missing_lock
+        """)
+        assert rules(violations) == ["unknown-guard-lock"]
+
+    def test_shipped_scheduler_and_collector_fields_are_annotated(self):
+        from repro.analysis.concurrency.guarded import (
+            ModuleInventory, _comment_maps,
+        )
+        import ast
+        import repro.server.replay
+        import repro.server.scheduler
+
+        annotated = {}
+        for module in (repro.server.scheduler, repro.server.replay):
+            source = open(module.__file__).read()
+            inventory = ModuleInventory.collect(
+                ast.parse(source), _comment_maps(source)[0]
+            )
+            annotated.update(
+                {name: guard for name, (guard, _) in inventory.annotated.items()}
+            )
+        assert annotated == {
+            "SessionScheduler._accepting": "_stats_lock",
+            "SessionScheduler._in_flight": "_stats_lock",
+            "SessionScheduler._counts": "_stats_lock",
+            "SessionScheduler._histograms": "_stats_lock",
+            "_Collector.report": "lock",
+            "_Collector.latency_ms": "lock",
+            "_Collector.queue_wait_ms": "lock",
+            "_Collector.costs": "lock",
+        }
+
+
 class TestAllowlist:
     def test_unguarded_ok_on_the_line(self):
         assert check("""\

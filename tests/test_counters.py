@@ -146,27 +146,30 @@ class TestCoverage:
         assert 'repro_server_queries{outcome="completed"}' in series
         assert "repro_server_plan_cache_hits" in series
 
-    def test_metrics_renders_the_registry_under_the_stats_lock(
+    def test_metrics_reads_the_series_under_the_stats_lock(
         self, connection, monkeypatch
     ):
-        """Worker threads insert first-seen labelled series while
-        ``/metrics`` iterates the registry: the dump must be taken under
-        the scheduler's stats lock, as ``/v1/stats`` always did."""
+        """Worker threads book outcomes while ``/metrics`` reads the
+        scheduler's counts and histograms: the snapshot must be taken
+        under the scheduler's stats lock, as ``/v1/stats`` always did."""
+        from repro.observe.metrics import Histogram
+
+        summary = Histogram.summary
+        held = []
         with serve(connection, port=0, workers=2, background=True) as server:
             scheduler = server.scheduler
-            dump = scheduler.registry.to_dict
-            held = []
+            scheduler.execute("q1")
 
-            def audited_dump():
+            def audited_summary(histogram):
                 held.append(scheduler._stats_lock.locked())
-                return dump()
+                return summary(histogram)
 
-            monkeypatch.setattr(scheduler.registry, "to_dict", audited_dump)
+            monkeypatch.setattr(Histogram, "summary", audited_summary)
             with urllib.request.urlopen(
                 server.address + "/metrics", timeout=10
             ) as response:
                 assert response.status == 200
-        assert held and all(held)
+        assert len(held) == 3 and all(held)
 
 
 class TestExactness:

@@ -2,61 +2,50 @@
 
 import json
 import logging
+import math
+import random
 
 import pytest
 
 from repro.engine import MACHINE_A, QueryClock
 from repro.observe import (
     NULL_TRACER,
-    MetricsRegistry,
+    Histogram,
     Tracer,
     configure_logging,
-    format_key,
     get_logger,
-    parse_key,
+    metrics_to_prometheus,
 )
 
 
+def _lognormal(mu, sigma, extra=()):
+    rng = random.Random(23)
+    return [rng.lognormvariate(mu, sigma) for _ in range(2000)] + list(extra)
+
+
 class TestMetrics:
-    def test_counter_accumulates(self):
-        registry = MetricsRegistry()
-        registry.counter("disk.requests").inc()
-        registry.counter("disk.requests").inc(4)
-        assert registry.to_dict()["counters"]["disk.requests"] == 5
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("x").inc(-1)
-
     def test_labels_identify_instruments(self):
-        registry = MetricsRegistry()
-        registry.counter("hits", segment="a").inc()
-        registry.counter("hits", segment="b").inc(2)
-        counters = registry.to_dict()["counters"]
-        assert counters["hits{segment=a}"] == 1
-        assert counters["hits{segment=b}"] == 2
+        text = metrics_to_prometheus([
+            ("counter", "hits", {"segment": "a"}, 1),
+            ("counter", "hits", {"segment": "b"}, 2),
+        ])
+        assert text.splitlines() == [
+            "# TYPE repro_hits counter",
+            'repro_hits{segment="a"} 1',
+            'repro_hits{segment="b"} 2',
+        ]
 
     def test_label_order_is_canonical(self):
-        assert format_key("m", {"b": 1, "a": 2}) == "m{a=2,b=1}"
-        registry = MetricsRegistry()
-        registry.counter("m", b=1, a=2).inc()
-        registry.counter("m", a=2, b=1).inc()
-        assert registry.to_dict()["counters"]["m{a=2,b=1}"] == 2
-
-    def test_gauge_moves_both_ways(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("resident")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert registry.to_dict()["gauges"]["resident"] == 12
+        one = metrics_to_prometheus([("counter", "m", {"b": 1, "a": 2}, 7)])
+        other = metrics_to_prometheus([("counter", "m", {"a": 2, "b": 1}, 7)])
+        assert one == other
+        assert 'repro_m{a="2",b="1"} 7' in one
 
     def test_histogram_summary(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("request_bytes")
+        histogram = Histogram()
         for value in (1, 5, 100, 100):
             histogram.observe(value)
-        summary = registry.to_dict()["histograms"]["request_bytes"]
+        summary = histogram.summary()
         assert summary["count"] == 4
         assert summary["sum"] == 206
         assert summary["min"] == 1
@@ -65,14 +54,25 @@ class TestMetrics:
         # 1 -> <4 bucket, 5 -> <16, 100 -> <256 (twice)
         assert summary["buckets"] == {"<4": 1, "<16": 1, "<256": 2}
 
+    def test_power_of_4_rendering_has_exact_bounds(self):
+        # A bound belongs to the bucket above it, at every power of 4 the
+        # rendering names; non-positive and tiny values count under "<4".
+        histogram = Histogram()
+        for value in (0, -1.0, 1e-9, 0.5, 3.999999, 4, 15.999999, 16, 4 ** 9):
+            histogram.observe(value)
+        assert histogram.summary()["buckets"] == {
+            "<4": 5, "<16": 2, "<64": 1, f"<{4 ** 10}": 1,
+        }
+        assert len(histogram.buckets) == Histogram.N_BUCKETS
+
     def test_json_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("c", k="v").inc(3)
-        decoded = json.loads(registry.to_json())
-        assert decoded["counters"] == {"c{k=v}": 3}
+        histogram = Histogram()
+        histogram.observe(7.0)
+        document = histogram.summary()
+        assert json.loads(json.dumps(document)) == document
 
     def test_histogram_quantiles_empty(self):
-        histogram = MetricsRegistry().histogram("h")
+        histogram = Histogram()
         assert histogram.quantile(0.5) is None
         summary = histogram.summary()
         assert summary["p50"] is None
@@ -80,7 +80,7 @@ class TestMetrics:
         assert summary["p99"] is None
 
     def test_histogram_quantiles_single_sample(self):
-        histogram = MetricsRegistry().histogram("h")
+        histogram = Histogram()
         histogram.observe(42.0)
         # With one observation every quantile is that observation.
         assert histogram.quantile(0.0) == pytest.approx(42.0)
@@ -88,7 +88,7 @@ class TestMetrics:
         assert histogram.quantile(1.0) == pytest.approx(42.0)
 
     def test_histogram_quantiles_bounded_by_observations(self):
-        histogram = MetricsRegistry().histogram("h")
+        histogram = Histogram()
         for value in (10, 20, 30, 1000):
             histogram.observe(value)
         for q in (0.0, 0.25, 0.5, 0.95, 1.0):
@@ -97,46 +97,27 @@ class TestMetrics:
         assert histogram.quantile(1.0) == pytest.approx(1000)
 
     def test_histogram_quantile_rejects_out_of_range(self):
-        histogram = MetricsRegistry().histogram("h")
+        histogram = Histogram()
         histogram.observe(1)
         with pytest.raises(ValueError):
             histogram.quantile(-0.1)
         with pytest.raises(ValueError):
             histogram.quantile(1.5)
 
-    def test_label_values_cannot_collide(self):
-        # Without escaping, {"a": "1,b=2"} would render the same key as
-        # {"a": "1", "b": "2"}; the injective encoding keeps them apart.
-        tricky = format_key("m", {"a": "1,b=2"})
-        plain = format_key("m", {"a": "1", "b": "2"})
-        assert tricky != plain
-        registry = MetricsRegistry()
-        registry.counter("m", a="1,b=2").inc()
-        registry.counter("m", a="1", b="2").inc(5)
-        counters = registry.to_dict()["counters"]
-        assert sorted(counters.values()) == [1, 5]
-
-    def test_parse_key_inverts_format_key(self):
-        cases = [
-            ("plain", {}),
-            ("buffer.page_hits", {"segment": "triples.prop"}),
-            ("m", {"a": "1", "b": "2"}),
-            ("m", {"a": "1,b=2"}),
-            ("m", {"empty": ""}),
-            ("m", {"br{ace}": "va\\lue"}),
-        ]
-        for name, labels in cases:
-            key = format_key(name, labels)
-            assert parse_key(key) == (name, labels), key
-
-    def test_to_dict_json_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("c", k="v").inc(3)
-        registry.gauge("g").set(-2)
-        registry.histogram("h", kind="x").observe(7.0)
-        document = registry.to_dict()
-        decoded = json.loads(json.dumps(document))
-        assert decoded == document
+    @pytest.mark.parametrize("sample", [
+        # ~1.1 ms latencies plus two outliers: one power-of-4 bucket.
+        _lognormal(0.1, 0.15, extra=(0.2, 3.9)),
+        # ~20 ms latencies spread over three power-of-4 buckets.
+        _lognormal(3, 0.5),
+    ], ids=["around-1ms", "around-20ms"])
+    def test_quantiles_within_5_percent_of_the_sorted_sample(self, sample):
+        histogram = Histogram()
+        for value in sample:
+            histogram.observe(value)
+        ordered = sorted(sample)
+        for q in (0.50, 0.95, 0.99):
+            exact = ordered[math.ceil(q * len(ordered)) - 1]
+            assert histogram.quantile(q) == pytest.approx(exact, rel=0.05), q
 
 
 class TestTracer:

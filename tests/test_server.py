@@ -196,6 +196,66 @@ class TestSessionScheduler:
         assert outcomes.count("SessionClosed") >= 4
         assert all(o in ("ok", "SessionClosed") for o in outcomes)
 
+    def test_submit_racing_shutdown_never_strands_a_request(self, dataset):
+        """Admission passed, then the drain ran to completion before the
+        enqueue: the request sat in a queue nobody reads and its waiter
+        hung.  Whatever ``submit`` returns must end in a result or
+        ``SessionClosed``."""
+        scheduler = SessionScheduler(
+            fresh_connection(dataset), SchedulerConfig(workers=1)
+        )
+        shutdown = threading.Thread(target=scheduler.shutdown)
+        enqueue = scheduler._queue.put_nowait
+
+        def shutdown_first(request):
+            # Between the admission check and the enqueue.  Bounded: once
+            # the two are atomic, shutdown() waits for this very call.
+            shutdown.start()
+            shutdown.join(timeout=0.5)
+            enqueue(request)
+
+        scheduler._queue.put_nowait = shutdown_first
+        try:
+            request = scheduler.submit("q1")
+        except SessionClosed:
+            request = None
+        shutdown.join(timeout=60)
+        assert not shutdown.is_alive()
+        if request is not None:
+            assert request.done.wait(timeout=10), "request was stranded"
+            assert request.error is None or isinstance(
+                request.error, SessionClosed
+            )
+
+    def test_a_request_takes_the_stats_lock_at_most_three_times(self, dataset):
+        class CountingLock:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.acquisitions = 0
+
+            def __enter__(self):
+                self.lock.acquire()
+                self.acquisitions += 1  # under the lock it counts
+
+            def __exit__(self, *exc):
+                self.lock.release()
+
+        scheduler = SessionScheduler(fresh_connection(dataset))
+        counting = scheduler._stats_lock = CountingLock()
+        try:
+            scheduler.execute("q1")
+            scheduler._queue.join()  # the worker is back in its loop
+            # Admission, pick-up by a worker, completion.
+            assert counting.acquisitions <= 3
+            stats = scheduler.stats()
+            assert stats["counters"] == {
+                "server.admission{outcome=accepted}": 1,
+                "server.queries{outcome=completed}": 1,
+            }
+            assert stats["live"]["in_flight"] == 0
+        finally:
+            scheduler.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # the HTTP front-end
@@ -571,6 +631,134 @@ class TestQueryServer:
             status, _ = post_query(instance.address, {"query": "q1"})
             assert status == 200
         assert instance._closed
+
+
+# ---------------------------------------------------------------------------
+# the external documents
+# ---------------------------------------------------------------------------
+
+SUMMARY_KEYS = {
+    "count", "sum", "min", "max", "mean", "p50", "p95", "p99", "buckets",
+}
+
+
+class TestExternalDocuments:
+    """The shape of ``/v1/stats`` and ``/metrics`` after one fixed request
+    sequence — 3 completed, 1 failed, 1 rejected on a depth-1 queue.
+    Values are masked; key sets, series names, labels and ``# TYPE``
+    lines are pinned."""
+
+    @pytest.fixture()
+    def documents(self, dataset):
+        connection = fresh_connection(dataset)
+        with serve(
+            connection, port=0, workers=1, queue_depth=1, background=True
+        ) as server:
+            scheduler = server.scheduler
+            with connection._exec_lock:  # park the one worker
+                running = scheduler.submit("q1")
+                for _ in range(500):
+                    if scheduler._queue.qsize() == 0:
+                        break
+                    threading.Event().wait(0.01)
+                queued = scheduler.submit("q2")
+                with pytest.raises(ServerOverloaded):
+                    scheduler.submit("q3")
+            for request in (running, queued):
+                assert request.done.wait(timeout=60)
+                assert request.error is None
+            scheduler.execute("q1")
+            with pytest.raises(ReproError):
+                scheduler.execute("SELECT nonsense FROM nowhere")
+            with urllib.request.urlopen(
+                server.address + "/v1/stats", timeout=10
+            ) as response:
+                stats = json.loads(response.read())
+            with urllib.request.urlopen(
+                server.address + "/metrics", timeout=10
+            ) as response:
+                exposition = response.read().decode("utf-8")
+        return stats, exposition
+
+    def test_stats_key_sets(self, documents):
+        stats, _ = documents
+        assert stats["counters"] == {
+            "server.admission{outcome=accepted}": 4,
+            "server.admission{outcome=rejected}": 1,
+            "server.queries{outcome=completed}": 3,
+            "server.queries{outcome=failed}": 1,
+        }
+        assert set(stats["histograms"]) == {
+            "server.execution_ms", "server.latency_ms",
+            "server.queue_wait_ms",
+        }
+        for summary in stats["histograms"].values():
+            assert set(summary) == SUMMARY_KEYS
+            assert summary["count"] == 4
+            assert summary["min"] <= summary["p50"] <= summary["p99"]
+            assert summary["p99"] <= summary["max"]
+            assert sum(summary["buckets"].values()) == 4
+            assert all(
+                label.startswith("<") and int(label[1:]) % 4 == 0
+                for label in summary["buckets"]
+            )
+        assert set(stats["live"]) == {
+            "queue_depth", "in_flight", "workers", "queue_capacity",
+            "accepting", "max_dop",
+        }
+        assert stats["gauges"]["server.queue_depth"] == 0
+
+    def test_metrics_series(self, documents):
+        _, exposition = documents
+        lines = exposition.splitlines()
+        server_types = sorted(
+            line for line in lines if line.startswith("# TYPE repro_server_")
+        )
+        assert server_types == [
+            "# TYPE repro_server_admission counter",
+            "# TYPE repro_server_execution_ms summary",
+            "# TYPE repro_server_latency_ms summary",
+            "# TYPE repro_server_plan_cache_capacity gauge",
+            "# TYPE repro_server_plan_cache_evictions gauge",
+            "# TYPE repro_server_plan_cache_hits gauge",
+            "# TYPE repro_server_plan_cache_misses gauge",
+            "# TYPE repro_server_plan_cache_size gauge",
+            "# TYPE repro_server_queries counter",
+            "# TYPE repro_server_queue_depth gauge",
+            "# TYPE repro_server_queue_wait_ms summary",
+        ]
+        server_series = {
+            line.split(" ")[0] for line in lines
+            if line.startswith("repro_server_")
+        }
+        summaries = {
+            f"repro_server_{name}{suffix}"
+            for name in ("execution_ms", "latency_ms", "queue_wait_ms")
+            for suffix in (
+                '{quantile="0.5"}', '{quantile="0.95"}', '{quantile="0.99"}',
+                "_sum", "_count",
+            )
+        }
+        assert server_series == summaries | {
+            'repro_server_admission{outcome="accepted"}',
+            'repro_server_admission{outcome="rejected"}',
+            'repro_server_queries{outcome="completed"}',
+            'repro_server_queries{outcome="failed"}',
+            "repro_server_queue_depth",
+            "repro_server_plan_cache_capacity",
+            "repro_server_plan_cache_evictions",
+            "repro_server_plan_cache_hits",
+            "repro_server_plan_cache_misses",
+            "repro_server_plan_cache_size",
+        }
+        # The process counters ride in the same document: every sample
+        # line follows the TYPE line of its own family, each family once.
+        types = [line.split(" ")[2] for line in lines if line.startswith("#")]
+        assert len(types) == len(set(types))
+        assert "repro_buffer_pool_page_hits" in types
+        for line in lines:
+            if not line.startswith("#"):
+                float(line.rsplit(" ", 1)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.engine import MACHINE_A, QueryClock
-from repro.observe import MetricsRegistry, Tracer
+from repro.observe import Histogram, Tracer
 from repro.observe.export import (
     chrome_trace_events,
     metrics_to_prometheus,
@@ -163,11 +163,11 @@ class TestValidateTrace:
 
 class TestPrometheusExposition:
     def test_counters_and_gauges(self):
-        registry = MetricsRegistry()
-        registry.counter("disk.requests", segment="t.prop",
-                         kind="sequential").inc(5)
-        registry.gauge("pool.resident").set(12)
-        text = metrics_to_prometheus(registry)
+        text = metrics_to_prometheus([
+            ("gauge", "pool.resident", {}, 12),
+            ("counter", "disk.requests",
+             {"segment": "t.prop", "kind": "sequential"}, 5),
+        ])
         assert "# TYPE repro_disk_requests counter" in text
         assert (
             'repro_disk_requests{kind="sequential",segment="t.prop"} 5'
@@ -178,30 +178,37 @@ class TestPrometheusExposition:
         assert text.endswith("\n")
 
     def test_histograms_become_summaries(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("request_bytes")
+        histogram = Histogram()
         for value in (10, 20, 30):
             histogram.observe(value)
-        text = metrics_to_prometheus(registry)
+        text = metrics_to_prometheus(
+            [("summary", "request_bytes", {}, histogram.summary())]
+        )
         assert "# TYPE repro_request_bytes summary" in text
         assert 'repro_request_bytes{quantile="0.5"}' in text
         assert "repro_request_bytes_sum 60" in text
         assert "repro_request_bytes_count 3" in text
 
+    def test_empty_summary_has_no_quantile_series(self):
+        text = metrics_to_prometheus(
+            [("summary", "idle", {"kind": "x"}, Histogram().summary())]
+        )
+        assert text.splitlines() == [
+            "# TYPE repro_idle summary",
+            'repro_idle_sum{kind="x"} 0.0',
+            'repro_idle_count{kind="x"} 0',
+        ]
+
     def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("c", path='a"b\\c').inc()
-        text = metrics_to_prometheus(registry)
+        text = metrics_to_prometheus([("counter", "c", {"path": 'a"b\\c'}, 1)])
         assert 'path="a\\"b\\\\c"' in text
 
     def test_empty_registry(self):
-        assert metrics_to_prometheus(MetricsRegistry()) == ""
+        assert metrics_to_prometheus([]) == ""
 
     def test_custom_prefix(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
         assert "myapp_c 1" in metrics_to_prometheus(
-            registry, prefix="myapp"
+            [("counter", "c", {}, 1)], prefix="myapp"
         )
 
 
