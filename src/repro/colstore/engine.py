@@ -106,6 +106,7 @@ class ColumnStoreEngine(PlanHost):
             compress=self.compression,
         )
         self._tables[name] = table
+        self._catalog_changed()
         return table
 
     def drop_table(self, name):
@@ -115,6 +116,7 @@ class ColumnStoreEngine(PlanHost):
         for column in table.column_names():
             self.disk.drop_segment(f"{name}.{column}")
         del self._tables[name]
+        self._catalog_changed()
 
     @property
     def compression_mode(self):

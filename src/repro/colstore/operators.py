@@ -161,7 +161,12 @@ def _fetch_cost(rt, table, column, lo, hi, positions):
             rt, len(pages) * segment.page_size, len(positions) * VALUE_BYTES,
         )
     else:
-        pages = np.unique(positions * VALUE_BYTES // segment.page_size)
+        pages = positions * VALUE_BYTES // segment.page_size
+        steps = pages[1:] - pages[:-1]
+        if steps.size and steps.min() < 0:
+            pages = np.unique(pages)  # not in row order (a join's matches)
+        else:
+            pages = pages[np.concatenate(([True], steps > 0))]
         rt.pool.read_pages(segment, pages, scattered=True)
 
 
@@ -282,17 +287,6 @@ def _morsel_span_attribution(rt, snap, wall0, task_rows):
     tracer.current_add(morsels=len(task_rows))
 
 
-def _charge_gathers(rt, table, base_cols, lo, hi, positions, count):
-    """Charge reading *base_cols* for *count* candidate rows — the charge
-    sequence of a scan's output columns and of a canonical union branch
-    (a whole-table scan with no predicates)."""
-    if count == 0:
-        return
-    for base_col in base_cols:
-        _fetch_cost(rt, table, base_col, lo, hi, positions)
-        rt.clock.charge_cpu(rt.costs.scan_tuple * count)
-
-
 def _rle_encoding(table, column):
     encoding = table.encoding(column)
     if encoding is not None and encoding.codec == "rle":
@@ -371,7 +365,9 @@ def _scan_select(rt, scan, predicates, needed):
                 rt.clock.charge_cpu(rt.costs.select_tuple * count)
             positions = _merge([r[0][stage] for r in results])
             count = len(positions)
-        _charge_gathers(rt, table, base_needed, lo, hi, positions, count)
+        for base_col in base_needed if count else ():
+            _fetch_cost(rt, table, base_col, lo, hi, positions)
+            rt.clock.charge_cpu(rt.costs.scan_tuple * count)
         columns = {
             scan.qualified(base_col): _merge([r[1][i] for r in results])
             for i, base_col in enumerate(base_needed)
@@ -802,6 +798,21 @@ def having(rt, pnode, needed):
 #: extend constant *fill*.
 _Branch = namedtuple("_Branch", "table fetch_cols sources fill")
 
+#: A run of consecutive canonical branches, resolved: *charges* holds, per
+#: branch and fetched column in charge order, ``(segment, page spans,
+#: compressed-read note or None, scan CPU seconds)`` — a whole-table read
+#: needs nothing else at run time.
+_CanonicalRun = namedtuple("_CanonicalRun", "branches charges n_rows")
+
+#: What ``vector-union`` resolves once per lowered node and keeps in
+#: ``PhysicalPlan.prepared``: the kept output positions and names for the
+#: parent's *needed* set, and the branch runs — a :class:`_CanonicalRun`,
+#: or the child nodes of a run of branches of any other shape.  It holds
+#: little per branch on purpose: 64 lowered plans of 222 branches stay
+#: cached, and every container they keep alive is one more for each full
+#: garbage collection to walk.
+_UnionPlan = namedtuple("_UnionPlan", "needed keep out_keys runs")
+
 
 def _canonical_branch(rt, child, keep):
     """Resolve a canonical ``Project(Extend?(Scan))`` union branch (one
@@ -832,11 +843,11 @@ def _canonical_branch(rt, child, keep):
             scan_needed.discard(extend_col)
         if not scan_needed:
             scan_needed = {scan_node.output_columns()[0]}
-    fetch_cols = _needed_base_columns(scan_node, scan_needed)
-    sources = [
+    fetch_cols = tuple(_needed_base_columns(scan_node, scan_needed))
+    sources = tuple(
         None if source == extend_col else _base_column(scan_node, source)
         for source in child_needed
-    ]
+    )
     return _Branch(rt.engine.table(scan_node.table), fetch_cols, sources, fill)
 
 
@@ -854,18 +865,70 @@ def _union_range(branches, n_out):
     return [_merge(parts) for parts in outputs]
 
 
-def _canonical_branches(rt, branches, n_out):
+def _whole_table_charges(rt, branch):
+    """The :class:`_CanonicalRun` charge entries of one branch: what a
+    whole-table ``scan`` of its fetched columns charges, in that order."""
+    table = branch.table
+    nbytes = table.n_rows * VALUE_BYTES
+    for column in branch.fetch_cols if nbytes else ():
+        # One entry per stored column, shared by every plan that reads it.
+        charge = rt.resolved.get((table.name, column))
+        if charge is None:
+            segment, encoding = table.segment(column), table.encoding(column)
+            ranges, note = [(0, nbytes)], None
+            if encoding is not None:
+                ranges = encoding.byte_ranges(0, table.n_rows)
+                note = (sum(length for _, length in ranges), nbytes)
+            charge = rt.resolved[table.name, column] = (
+                segment, [segment.page_span(*r) for r in ranges], note,
+                rt.costs.scan_tuple * table.n_rows,
+            )
+        yield charge
+
+
+def _resolve_union(rt, pnode, needed):
+    """The :class:`_UnionPlan` of a lowered union under *needed*."""
+    out_names = pnode.logical.output_columns()
+    keep = [i for i, name in enumerate(out_names) if name in needed] or [0]
+    resolved = [
+        (_canonical_branch(rt, child.logical, keep), child)
+        for child in pnode.children
+    ]
+    # Each run of consecutive canonical branches is one kernel call; a
+    # branch of any other shape ends the run and goes through the generic
+    # dispatch, so charges stay in branch order.
+    runs = []
+    for canonical, run in groupby(resolved, lambda pair: pair[0] is not None):
+        if canonical:
+            branches = [branch for branch, _ in run]
+            runs.append(_CanonicalRun(
+                branches,
+                [c for b in branches for c in _whole_table_charges(rt, b)],
+                sum(b.table.n_rows for b in branches),
+            ))
+        else:
+            runs.append(tuple(child for _, child in run))
+    return _UnionPlan(
+        frozenset(needed), keep, [out_names[i] for i in keep], runs
+    )
+
+
+def _canonical_branches(rt, run, n_out):
     """Evaluate consecutive canonical branches without generic dispatch
     (the operator machinery costs more wall-clock than 222 small arrays):
     gathered in morsel-sized groups, charged in branch order with the
     buffer reads and clock charges the generic operators would make.
     Returns the per-group output blocks."""
+    branches = run.branches
 
     def replay(blocks):
-        for table, fetch_cols, _sources, _fill in branches:
-            _charge_gathers(
-                rt, table, fetch_cols, 0, table.n_rows, None, table.n_rows
-            )
+        read_span, charge_cpu = rt.pool.read_span, rt.clock.cpu_log()
+        for segment, spans, note, cpu in run.charges:
+            for span in spans:
+                read_span(segment, *span)
+            if note is not None:
+                _note_compressed_read(rt, *note)
+            charge_cpu(cpu)
         return blocks
 
     groups = [branches]
@@ -894,37 +957,28 @@ def _canonical_branches(rt, branches, n_out):
 )
 def vector_union(rt, pnode, needed):
     node = pnode.logical
-    out_names = node.output_columns()
-    keep = [i for i, name in enumerate(out_names) if name in needed]
-    if not keep:
-        keep = [0]
-    out_keys = [out_names[i] for i in keep]
+    plan = pnode.prepared
+    if plan is None or plan.needed != needed:
+        plan = pnode.prepared = _resolve_union(rt, pnode, needed)
+    out_keys = plan.out_keys
     blocks = []  # per-output vector lists, in branch order
     oid = set()
     total_in = 0
-    resolved = [
-        (_canonical_branch(rt, child.logical, keep), child)
-        for child in pnode.children
-    ]
-    # Each run of consecutive canonical branches is one kernel call; a
-    # branch of any other shape ends the run and goes through the generic
-    # dispatch, so charges stay in branch order.
-    for canonical, run in groupby(resolved, lambda pair: pair[0] is not None):
-        if canonical:
-            branches = [branch for branch, _ in run]
-            blocks.extend(_canonical_branches(rt, branches, len(keep)))
-            total_in += sum(b.table.n_rows for b in branches)
+    for run in plan.runs:
+        if type(run) is _CanonicalRun:
+            blocks.extend(_canonical_branches(rt, run, len(out_keys)))
+            total_in += run.n_rows
             oid.update(out_keys)  # scans and extends only produce oids
             continue
-        for _, child_pnode in run:
-            child_names = child_pnode.logical.output_columns()
-            child_needed = {child_names[i] for i in keep}
-            rel = rt.run_child(child_pnode, child_needed).relation
+        for child_pnode in run:
+            names = child_pnode.logical.output_columns()
+            kept = [names[i] for i in plan.keep]
+            rel = rt.run_child(child_pnode, set(kept)).relation
             total_in += rel.n_rows
-            blocks.append([rel.column(child_names[i]) for i in keep])
+            blocks.append([rel.column(name) for name in kept])
             oid.update(
-                out_names[i] for i in keep
-                if child_names[i] in rel.oid_columns
+                out for out, name in zip(out_keys, kept)
+                if name in rel.oid_columns
             )
     columns = {
         out: _merge([block[k] for block in blocks])

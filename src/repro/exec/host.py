@@ -112,10 +112,17 @@ class EngineHost:
         The clock restarts for the measured body, so the timing covers
         exactly one execution.  The simulated clock is deterministic: one
         measured run replaces the paper's average-of-three.
+
+        The pool counts its reads in plain fields; they reach the
+        process-wide ``buffer_pool`` counters here, once per run — also
+        when the run raises (cancellation, a failing operator).
         """
-        if mode is not None:
-            self.prepare(query, mode)
-        return self._measure(query)
+        try:
+            if mode is not None:
+                self.prepare(query, mode)
+            return self._measure(query)
+        finally:
+            self.pool.flush_counters()
 
     def _measure(self, query):
         """Reset the clock, execute *query*, return ``(Relation,
@@ -159,6 +166,11 @@ class PlanHost(EngineHost):
     # ------------------------------------------------------------------
     # catalog
     # ------------------------------------------------------------------
+
+    def _catalog_changed(self):
+        """Every ``create_table`` / ``drop_table`` ends here: lowered
+        plans bind guards and tables resolved from the catalog."""
+        self._executor.forget_lowered()
 
     def table(self, name):
         try:

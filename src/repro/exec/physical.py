@@ -11,9 +11,11 @@ consumed by :class:`repro.exec.runtime.Runtime`.  They are deliberately
 *thin*: no execution state lives here, so one physical tree can be run
 many times (the benchmark's cold/hot protocol) and rendered/linted without
 an engine at hand.  Unlike logical nodes they are not sealed — the
-profiler annotates ``estimated_rows`` in place — but the bound logical
-nodes stay immutable, so sharing them between the logical and physical
-trees is sound.
+profiler annotates ``estimated_rows`` in place, and an operator may keep
+in ``prepared`` what it resolves once per lowered plan rather than once
+per run (catalog lookups; the lowered-plan cache is dropped on DDL) — but
+the bound logical nodes stay immutable, so sharing them between the
+logical and physical trees is sound.
 
 Fusion convention: an operator that implements several logical nodes at
 once (the engines fuse ``Select(Scan)`` into one access path) binds the
@@ -28,7 +30,7 @@ class PhysicalPlan:
 
     __slots__ = (
         "op", "engine", "logical", "fused", "children", "details",
-        "estimated_rows",
+        "estimated_rows", "prepared",
     )
 
     def __init__(self, op, engine, logical, children=(), fused=(),
@@ -40,6 +42,7 @@ class PhysicalPlan:
         self.children = tuple(children)
         self.details = dict(details) if details else {}
         self.estimated_rows = None
+        self.prepared = None
 
     @property
     def name(self):

@@ -104,6 +104,10 @@ class Runtime:
         # id(plan) -> (plan, PhysicalPlan); touched only under the owning
         # session/connection's execution lock.
         self._lowered = LruCache(LOWER_CACHE_SIZE)
+        #: What operators resolved from the catalog for every lowered
+        #: plan to share: ``(table, column)`` -> the column store's
+        #: whole-column scan charge.
+        self.resolved = {}
 
     # ------------------------------------------------------------------
     # lowering
@@ -121,6 +125,12 @@ class Runtime:
         cache.put(id(plan), (plan, physical))
         _COUNTERS.add(0, 1, cache.evictions - evictions)
         return physical
+
+    def forget_lowered(self):
+        """Drop every cached physical tree and :attr:`resolved`: the
+        engine's catalog changed, and both hold what was read from it."""
+        self._lowered.clear()
+        self.resolved.clear()
 
     def lowering_cache_stats(self):
         """This runtime's lowering-cache counters (a fresh dict)."""

@@ -2,8 +2,8 @@
 
 Backs the per-connection prepared-plan cache (:mod:`repro.api`) and the
 per-runtime lowered-plan cache (:mod:`repro.exec.runtime`).  The buffer
-pool's page LRU stays inline in :mod:`repro.engine.buffer` on purpose
-(see docs/ARCHITECTURE.md).
+pool's LRU is keyed by page extents, not by single keys, and lives in
+:mod:`repro.engine.buffer` (see docs/ARCHITECTURE.md).
 """
 
 from collections import OrderedDict
@@ -51,6 +51,10 @@ class LruCache:
             self.evictions += 1
         self._entries[key] = entry
         return entry
+
+    def clear(self):
+        """Drop every entry (not counted as evictions)."""
+        self._entries.clear()
 
     def stats(self):
         return {

@@ -64,6 +64,7 @@ class RowStoreEngine(PlanHost):
         for index in table.all_indexes():
             self._wire_index_accounting(index)
         self._tables[name] = table
+        self._catalog_changed()
         return table
 
     def _wire_index_accounting(self, index):
@@ -87,3 +88,4 @@ class RowStoreEngine(PlanHost):
         for index in table.all_indexes():
             self.disk.drop_segment(f"{name}.{index.name}")
         del self._tables[name]
+        self._catalog_changed()

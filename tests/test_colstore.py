@@ -241,3 +241,68 @@ class TestCostBehaviour:
         engine.run(scan())
         history = engine.io_history()
         assert history[-1][1] > 0
+
+
+class TestReplayWorkPerBranch:
+    """The union's cost replay does a fixed amount of interpreter work per
+    branch: branches are resolved once per lowered plan, and a whole-table
+    read is one pool call whatever its size.  Counted with
+    ``sys.setprofile`` over ``src/repro`` — the counts repeat exactly."""
+
+    #: Mean ``src/repro`` calls per op over the twelve named queries, cold
+    #: then as the cold run left the pool (the ``col_exec`` op list), on a
+    #: 222-property vertical store of 8 000 triples.  5 602 when recorded;
+    #: 8 545 at the commit before (of which q8, whose 222 non-canonical
+    #: branches go through operator dispatch, is 47 541 / 52 242).
+    CALLS_PER_OP_CEILING = 6_000
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        import repro.api as api
+        from repro.data import generate_barton
+
+        dataset = generate_barton(
+            n_triples=8_000, n_properties=222, n_interesting=28, seed=42
+        )
+        connection = api.connect(
+            triples=dataset.triples,
+            interesting_properties=dataset.interesting_properties,
+        )
+        return connection.session()
+
+    def test_a_hot_union_plan_resolves_no_branch(self, session, repro_calls):
+        session.query("q4*", mode="cold")  # plan, lower, resolve, warm
+        names = repro_calls(lambda: session.query("q4*"))
+        assert names["vector_union"] == 1 and names["read_span"] >= 2 * 222
+        assert names["_canonical_branch"] == 0
+        assert names["_resolve_union"] == 0
+        # The plan's two stand-alone scan+select operators still name
+        # their columns per run; none of the 222 branches does.
+        assert names["_needed_base_columns"] == 2
+        assert names["_base_column"] <= 4
+        assert names["add"] <= 4  # counter-table writes: not one per read
+
+    def test_ddl_drops_what_a_lowered_union_resolved(
+        self, session, repro_calls
+    ):
+        engine = session.connection.store.engine
+        session.query("q2*")
+        assert engine.executor().lowering_cache_stats()["size"] > 0
+        engine.create_table("scratch", {"a": np.arange(3)})
+        assert engine.executor().lowering_cache_stats()["size"] == 0
+        engine.drop_table("scratch")
+        names = repro_calls(lambda: session.query("q2*"))
+        assert names["_resolve_union"] == 1
+        assert names["_canonical_branch"] == 222
+
+    def test_calls_per_op_ceiling(self, session, repro_calls):
+        from repro.queries import ALL_QUERY_NAMES
+
+        ops = [(q, mode) for q in ALL_QUERY_NAMES for mode in ("cold", None)]
+        for query, mode in ops:
+            session.query(query, mode=mode)
+        total = sum(
+            sum(repro_calls(lambda: session.query(q, mode=m)).values())
+            for q, m in ops
+        )
+        assert total / len(ops) <= self.CALLS_PER_OP_CEILING

@@ -206,6 +206,94 @@ class TestExactness:
             assert table_lower[key] == view_lower[key], key
 
 
+class TestPoolFlush:
+    """The pool counts its reads in plain fields; ``EngineHost.run``
+    publishes them to the ``buffer_pool`` group once per measured run —
+    in a ``finally``, so a run that raises mid-plan is still counted."""
+
+    @staticmethod
+    def _views(pool):
+        return counters.snapshot("buffer_pool"), pool.stats()
+
+    @staticmethod
+    def _count_reads(pool, monkeypatch, on_read=lambda n: None):
+        """Count the pool reads (``read`` goes through ``read_span``)."""
+        reads = []
+        for name in ("read_span", "read_pages"):
+            def counted(*args, _read=getattr(pool, name), **kwargs):
+                reads.append(name)
+                on_read(len(reads))
+                return _read(*args, **kwargs)
+            monkeypatch.setattr(pool, name, counted)
+        return reads
+
+    def _assert_flushed(self, before, pool, reads):
+        (table0, view0), (table1, view1) = before, self._views(pool)
+        assert view1["page_misses"] > view0["page_misses"]
+        for key in view1:
+            assert table1[key] - table0[key] == view1[key] - view0[key], key
+        assert table1["account_calls"] - table0["account_calls"] == len(reads)
+        assert len(reads) > 0
+
+    def test_one_add_per_run_and_account_calls_counts_the_reads(
+        self, connection, monkeypatch
+    ):
+        pool = connection.store.engine.pool
+        session = connection.session()
+        session.query("q2", mode="cold")      # plan + lowering caches warm
+        adds = []
+        add = counters.CounterGroup.add
+
+        def spy(group, *deltas):
+            if group.name == "buffer_pool":
+                adds.append(deltas)
+            add(group, *deltas)
+
+        monkeypatch.setattr(counters.CounterGroup, "add", spy)
+        reads = self._count_reads(pool, monkeypatch)
+        before = self._views(pool)
+        session.query("q2", mode="cold")
+        self._assert_flushed(before, pool, reads)
+        assert len(adds) == 1 and adds[0][5] == len(reads) > 10
+        session.query("q2", mode="hot")       # warm-up + measured: one run
+        assert len(adds) == 2
+
+    def test_a_cancelled_run_is_still_flushed(self, connection, monkeypatch):
+        from repro.errors import QueryCancelled
+        from repro.exec.cancel import CancellationToken
+
+        engine = connection.store.engine
+        session = connection.session()
+        token = CancellationToken().bind()
+        reads = self._count_reads(
+            engine.pool, monkeypatch,
+            on_read=lambda n: n == 1 and token.cancel("test"),
+        )
+        monkeypatch.setattr(engine.executor(), "cancel_token", token)
+        before = self._views(engine.pool)
+        with pytest.raises(QueryCancelled):
+            # A join: the token is polled again at its second input.
+            session.query("q3", mode="cold")
+        self._assert_flushed(before, engine.pool, reads)
+
+    def test_a_run_whose_operator_throws_is_still_flushed(
+        self, connection, monkeypatch
+    ):
+        from repro.colstore import vectorops
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("operator failed")
+
+        pool = connection.store.engine.pool
+        session = connection.session()
+        reads = self._count_reads(pool, monkeypatch)
+        monkeypatch.setattr(vectorops, "group_count", boom)
+        before = self._views(pool)
+        with pytest.raises(RuntimeError, match="operator failed"):
+            session.query("q2", mode="cold")
+        self._assert_flushed(before, pool, reads)
+
+
 class TestTable:
     def test_snapshot_is_a_copy_and_reset_takes_one_group(self):
         counters.reset()

@@ -280,6 +280,42 @@ class TestQueryServer:
         assert document["queue_ms"] >= 0
         assert document["exec_ms"] >= 0
 
+    def test_stats_and_metrics_read_the_same_pool_totals(self, server):
+        """The pool publishes to the process counters once per measured
+        run, so between requests the instance view (``/v1/stats``) and
+        the process table (``/metrics``) have moved by the same amounts —
+        also after a request that failed."""
+        keys = ("page_hits", "page_misses", "evictions", "disk_requests",
+                "bytes_transferred")
+
+        def views():
+            with urllib.request.urlopen(
+                server.address + "/v1/stats", timeout=30
+            ) as response:
+                stats = json.loads(response.read())["store"]["buffer_pool"]
+            with urllib.request.urlopen(
+                server.address + "/metrics", timeout=30
+            ) as response:
+                series = dict(
+                    line.rsplit(" ", 1)
+                    for line in response.read().decode().splitlines()
+                    if line.startswith("repro_buffer_pool_")
+                )
+            return stats, {
+                key: float(series[f"repro_buffer_pool_{key}"]) for key in keys
+            }
+
+        stats0, table0 = views()
+        for body in ({"query": "q2", "mode": "cold"}, {"query": "q5"},
+                     {"query": "SELECT nonsense FROM nowhere"},
+                     {"query": "q3", "timeout": 1e-9}, {"query": "q2"}):
+            post_query(server.address, body)
+        stats1, table1 = views()
+        assert stats1["page_misses"] > stats0["page_misses"]
+        assert stats1["page_hits"] > stats0["page_hits"]
+        for key in keys:
+            assert table1[key] - table0[key] == stats1[key] - stats0[key], key
+
     def test_sparql_over_http(self, server):
         status, document = post_query(
             server.address,
