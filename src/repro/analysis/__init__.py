@@ -1,6 +1,6 @@
 """Static analysis: plan linting and codebase invariant checking.
 
-Two heads, one subsystem:
+Three heads, one subsystem:
 
 * **Plan linter** (:mod:`repro.analysis.plan_lint`) — walks
   :class:`~repro.plan.logical.LogicalPlan` trees before execution and
@@ -21,16 +21,16 @@ Two heads, one subsystem:
   ``repro lint``, which fails on any violation.
 
 * **Concurrency-safety analyzer** (:mod:`repro.analysis.concurrency`) —
-  three checks over the process-wide mutable state the query server
-  shares between sessions: a *guarded-by* discipline checker (every
-  mutation of an annotated structure must sit inside ``with <lock>:``),
-  a static *lock-order* graph with cycle (deadlock) detection, and a
-  runtime *race harness* (``REPRO_RACE_CHECK=1``) that records accessor
-  threads on annotated structures and cross-checks that N-thread replay
-  produces byte-identical simulated costs to serial.  ``repro lint``
-  runs the two static heads with the code rules (``# unguarded-ok:
-  <reason>`` is the inline, reviewed exception); ``repro analyze
-  --concurrency`` adds the lock-graph document and the runtime harness.
+  two heads over the process-wide state the query server shares between
+  sessions: one static pass (every mutation of an annotated structure
+  sits inside ``with <lock>:``, and every lock is a leaf — nothing else
+  is acquired while it is held) and a runtime *race harness*
+  (``REPRO_RACE_CHECK=1``) that records accessor threads on annotated
+  structures and cross-checks that N-thread replay produces
+  byte-identical simulated costs to serial.  ``repro lint`` runs the
+  static pass with the code rules (``# unguarded-ok: <reason>`` is the
+  inline, reviewed exception); ``repro analyze --concurrency`` adds the
+  lock inventory and the runtime harness.
 
 Rule catalog and workflow: ``docs/static-analysis.md``.
 """
@@ -62,14 +62,10 @@ from repro.analysis.code_lint import (
 )
 from repro.analysis.concurrency import (
     CONCURRENCY_RULES,
-    build_lock_graph,
     check_package,
     check_paths,
     check_source,
-    lock_graph_document,
-    lockorder_package,
-    lockorder_paths,
-    lockorder_source,
+    scan_paths,
 )
 
 __all__ = [
@@ -96,9 +92,5 @@ __all__ = [
     "check_source",
     "check_paths",
     "check_package",
-    "build_lock_graph",
-    "lock_graph_document",
-    "lockorder_source",
-    "lockorder_paths",
-    "lockorder_package",
+    "scan_paths",
 ]

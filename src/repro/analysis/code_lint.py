@@ -384,8 +384,8 @@ def lint_source(source, relpath):
 
 def walk_sources(paths=None):
     """Yield ``(relpath, source)`` for every module under *paths* — the
-    one source walker behind every AST head (this linter, the guarded-by
-    checker, the lock-order analyzer).
+    one source walker behind both AST heads (this linter and the
+    concurrency checker).
 
     Directory arguments are walked for ``*.py`` in sorted order; each
     file's package-relative path is computed against the *parent* of the

@@ -1,14 +1,12 @@
 """Head 3: concurrency-safety analysis.
 
-Three cooperating layers, all zero-dependency:
+Two heads, both zero-dependency:
 
-* :mod:`repro.analysis.concurrency.guarded` — the **guarded-by static
-  checker**: every module-level mutable object must be mutated under the
-  lock its ``# guarded-by: <LockName>`` annotation names.
-* :mod:`repro.analysis.concurrency.lockorder` — the **lock-order
-  analyzer**: builds the static lock-acquisition graph from nested
-  ``with`` blocks (plus same-module call edges) and fails on cycles —
-  the classic deadlock precondition.
+* :mod:`repro.analysis.concurrency.guarded` — the **static checker**, one
+  :mod:`ast` walk per module: every module-level mutable object must be
+  mutated under the lock its ``# guarded-by: <LockName>`` annotation
+  names, and every lock is a leaf — nothing else is acquired while it is
+  held, lexically or through a resolvable call.
 * :mod:`repro.observe.race` — the **runtime race harness** (re-exported
   here): ``REPRO_RACE_CHECK=1`` turns annotated structures into write
   barriers that record accessor thread ids and report mutations made
@@ -26,13 +24,7 @@ from repro.analysis.concurrency.guarded import (
     check_package,
     check_paths,
     check_source,
-)
-from repro.analysis.concurrency.lockorder import (
-    build_lock_graph,
-    lock_graph_document,
-    lockorder_package,
-    lockorder_paths,
-    lockorder_source,
+    scan_paths,
 )
 from repro.observe.race import (
     InstrumentedLock,
@@ -49,11 +41,7 @@ __all__ = [
     "check_source",
     "check_paths",
     "check_package",
-    "build_lock_graph",
-    "lock_graph_document",
-    "lockorder_source",
-    "lockorder_paths",
-    "lockorder_package",
+    "scan_paths",
     "InstrumentedLock",
     "guard_lock",
     "shared_state",

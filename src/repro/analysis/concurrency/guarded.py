@@ -1,15 +1,17 @@
-"""The guarded-by static checker.
+"""The concurrency static checker: guarded-by discipline and leaf locks.
 
-An :mod:`ast` pass that inventories every module-level mutable object
-(dicts, lists, sets, registries built via ``shared_state``) and verifies
-that every mutation reachable from function scope happens lexically
-inside a ``with <lock>:`` block on the lock named by the structure's
-``# guarded-by: <LockName>`` annotation.
+One :mod:`ast` walk per module inventories every lock and every
+module-level mutable object (dicts, lists, sets, registries built via
+``shared_state``), verifies that every mutation reachable from function
+scope happens lexically inside a ``with <lock>:`` block on the lock
+named by the structure's ``# guarded-by: <LockName>`` annotation, and
+records each function's lock acquisitions and resolvable calls for the
+package-wide leaf rule.
 
 The convention (see ``docs/static-analysis.md``):
 
 * A module-level structure is annotated with a ``# guarded-by:`` comment
-  on its assignment line (or the line directly above)::
+  on its assignment line (or on a comment-only line directly above)::
 
       _FOO_LOCK = guard_lock("pkg.module.FOO")
       FOO = shared_state(  # guarded-by: _FOO_LOCK
@@ -25,19 +27,13 @@ The convention (see ``docs/static-analysis.md``):
 * A deliberate unguarded mutation site carries an
   ``# unguarded-ok: <reason>`` comment on the mutating line (or the line
   directly above); the reason is mandatory and shows up in reviews.
+* Every lock is a leaf: nothing else is acquired while it is held.
 * Everything else is a violation, and ``repro lint`` fails on it.
 
-Rules:
-
-* ``unannotated-shared-state`` — a module-level mutable object is mutated
-  from function scope but carries no ``# guarded-by:`` annotation.
-* ``unguarded-mutation`` — a mutation of an annotated structure outside a
-  ``with`` block on its guard lock.
-* ``unknown-guard-lock`` — a ``# guarded-by:`` annotation names a lock the
-  module never defines.
-* ``unsynchronized-global-rebind`` — a ``global NAME`` rebind from
-  function scope with neither a guard lock held nor an ``# unguarded-ok:``
-  allowlist comment (lazy singletons and config knobs must choose one).
+Locks are module-level and ``self.<field>`` assignments of ``Lock``,
+``RLock``, ``Condition``, ``Semaphore``, ``BoundedSemaphore``,
+``guard_lock`` and ``InstrumentedLock``; instance locks are modelled one
+per class attribute.
 """
 
 import ast
@@ -58,15 +54,22 @@ CONCURRENCY_RULES = {
     "unsynchronized-global-rebind":
         "global rebinds from function scope need a guard lock or an "
         "# unguarded-ok: reason",
+    "lock-not-leaf":
+        "no lock is acquired, lexically or through a resolvable call, "
+        "while another lock is held",
 }
 
 GUARD_COMMENT_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
 ALLOW_COMMENT_RE = re.compile(r"#\s*unguarded-ok:\s*(\S.*)$")
 
-#: Callables whose result is a lock object.
-_LOCK_FACTORIES = frozenset({
-    "Lock", "RLock", "guard_lock", "InstrumentedLock",
-})
+#: Callables whose result is a lock -> whether it is reentrant.  A
+#: ``reentrant=`` keyword overrides; ``Condition(lock)`` is exactly as
+#: reentrant as *lock* (a bare ``Condition()`` wraps an ``RLock``).
+_LOCK_FACTORIES = {
+    "Lock": False, "RLock": True, "Condition": True,
+    "Semaphore": False, "BoundedSemaphore": False,
+    "guard_lock": False, "InstrumentedLock": False,
+}
 
 #: Callables whose result is a mutable container.
 _CONTAINER_FACTORIES = frozenset({
@@ -92,18 +95,37 @@ def _call_name(func):
     return None
 
 
-def _classify_value(value):
-    """"lock" / "container" / None for a module-level assignment value."""
+def _lock_reentrancy(value):
+    """None unless *value* builds a lock; else whether it is reentrant."""
+    if not isinstance(value, ast.Call):
+        return None
+    name = _call_name(value.func)
+    if name not in _LOCK_FACTORIES:
+        return None
+    reentrant = _LOCK_FACTORIES[name]
+    if name == "Condition":
+        inner = value.args[0] if value.args else next(
+            (k.value for k in value.keywords if k.arg == "lock"), None
+        )
+        if inner is not None:  # an unknown lock counts as not reentrant
+            reentrant = bool(_lock_reentrancy(inner))
+    for keyword in value.keywords:
+        if keyword.arg == "reentrant":
+            reentrant = not (
+                isinstance(keyword.value, ast.Constant)
+                and not keyword.value.value
+            )
+    return reentrant
+
+
+def _is_container(value):
     if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
                           ast.ListComp, ast.SetComp)):
-        return "container"
-    if isinstance(value, ast.Call):
-        name = _call_name(value.func)
-        if name in _LOCK_FACTORIES:
-            return "lock"
-        if name in _CONTAINER_FACTORIES:
-            return "container"
-    return None
+        return True
+    return (
+        isinstance(value, ast.Call)
+        and _call_name(value.func) in _CONTAINER_FACTORIES
+    )
 
 
 def _self_field(expr):
@@ -117,32 +139,32 @@ def _self_field(expr):
     return None
 
 
-def _lock_name(expr):
-    """The lock a ``with`` item acquires, by local or attribute name."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
+def _module_name(relpath):
+    """Dotted module for a package-relative path."""
+    parts = relpath.removesuffix(".py").split("/")
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def _comment_maps(source):
     """Per-line ``guarded-by`` / ``unguarded-ok`` comments.
 
-    An ``# unguarded-ok:`` comment covers its own line and — when it
-    opens a block of comment-only lines — the first code line after the
-    block, so multi-line justifications work.
+    A ``# guarded-by:`` on a comment-only line annotates the line below
+    it; one trailing a statement annotates that statement alone.  An
+    ``# unguarded-ok:`` comment covers its own line and — when it opens a
+    block of comment-only lines — the first code line after the block,
+    so multi-line justifications work.
     """
     guards, allows = {}, {}
     pending_allow = None
     for lineno, line in enumerate(source.splitlines(), start=1):
+        stripped = line.strip()
         match = GUARD_COMMENT_RE.search(line)
         if match:
-            guards[lineno] = match.group(1)
+            below = stripped.startswith("#")
+            guards[lineno + 1 if below else lineno] = match.group(1)
         match = ALLOW_COMMENT_RE.search(line)
         if match:
             allows[lineno] = match.group(1)
-        stripped = line.strip()
         if stripped.startswith("#"):
             if match:
                 pending_allow = match.group(1)
@@ -157,7 +179,7 @@ class ModuleInventory:
     """Module-level locks, annotated names, and mutable containers."""
 
     def __init__(self):
-        self.locks = {}       # lock name -> def lineno
+        self.locks = {}       # "NAME" / "Class.field" -> reentrant
         self.annotated = {}   # name -> (guard lock name, def lineno)
         self.containers = {}  # name -> def lineno
 
@@ -166,16 +188,14 @@ class ModuleInventory:
         inventory = cls()
         for node in tree.body:
             for name, value, lineno in _module_assignments(node):
-                kind = _classify_value(value)
-                if kind == "lock":
-                    # ``with self._lock:`` resolves to the bare attribute.
-                    bare = name.rpartition(".")[2]
-                    inventory.locks.setdefault(bare, lineno)
+                reentrant = _lock_reentrancy(value)
+                if reentrant is not None:
+                    inventory.locks.setdefault(name, reentrant)
                     continue
-                guard = guards.get(lineno) or guards.get(lineno - 1)
+                guard = guards.get(lineno)
                 if guard is not None:
                     inventory.annotated.setdefault(name, (guard, lineno))
-                if kind == "container" and "." not in name:
+                if "." not in name and _is_container(value):
                     inventory.containers.setdefault(name, lineno)
         return inventory
 
@@ -198,15 +218,22 @@ def _module_assignments(node):
 
 
 class _GuardChecker(ast.NodeVisitor):
+    """The one walk of a module: guarded-by violations, plus the facts
+    the leaf rule resolves across modules afterwards."""
+
     def __init__(self, relpath, inventory, allows):
         self.relpath = relpath
+        self.module = _module_name(relpath)
         self.inventory = inventory
         self.allows = allows
         self.violations = []
         self.scope = []        # dotted scope names (classes + functions)
-        self.functions = []    # per-function {"globals", "locals"}
+        self.functions = []    # per-function {"globals", "locals", ...}
         self.held = []         # stack of lock-name sets from with blocks
         self.classes = []      # enclosing class names
+        self.imports = {}      # local name -> (module, member)
+        # (class + function name) -> [(held refs, "lock"/"call", ref, line)]
+        self.events = {}
 
     # -- plumbing -------------------------------------------------------
 
@@ -242,7 +269,34 @@ class _GuardChecker(ast.NodeVisitor):
                 return False
         return True
 
+    def _record(self, kind, ref, node):
+        """Note a lock acquisition or call for the leaf rule, with the
+        locks the current function holds at that point."""
+        if self.functions and ref is not None:
+            frame = self.functions[-1]
+            frame["events"].append(
+                (tuple(frame["with"]), kind, ref, node.lineno)
+            )
+
+    def _ref(self, expr, kind):
+        """A ``("name", id)`` / ``("self", class, attr)`` / ``("attr",
+        attr)`` descriptor for a lock expression or call target."""
+        if isinstance(expr, ast.Name):
+            return ("name", expr.id)
+        if self.classes and _self_field(expr) is not None:
+            return ("self", self.classes[-1], expr.attr)
+        if kind == "lock" and isinstance(expr, ast.Attribute):
+            return ("attr", expr.attr)
+        return None
+
     # -- scope tracking -------------------------------------------------
+
+    def visit_ImportFrom(self, node):
+        if node.module:
+            for alias in node.names:
+                self.imports[alias.asname or alias.name] = (
+                    node.module, alias.name
+                )
 
     def visit_ClassDef(self, node):
         self.scope.append(node.name)
@@ -253,9 +307,12 @@ class _GuardChecker(ast.NodeVisitor):
 
     def _visit_function(self, node):
         self.scope.append(node.name)
+        qualname = ".".join(self.classes + [node.name])
         self.functions.append({
             "globals": _global_decls(node),
             "locals": _local_bindings(node),
+            "with": [],  # lock refs this function's own with blocks hold
+            "events": self.events.setdefault(qualname, []),
         })
         self.generic_visit(node)
         self.functions.pop()
@@ -265,14 +322,17 @@ class _GuardChecker(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_function
 
     def visit_With(self, node):
-        names = set()
-        for item in node.items:
-            lock = _lock_name(item.context_expr)
-            if lock is not None:
-                names.add(lock)
-        self.held.append(names)
+        refs = [self._ref(item.context_expr, "lock") for item in node.items]
+        refs = [ref for ref in refs if ref is not None]
+        stack = self.functions[-1]["with"] if self.functions else []
+        for ref in refs:  # `with A, B:` nests B inside A
+            self._record("lock", ref, node)
+            stack.append(ref)
+        # guarded-by annotations name the bare lock
+        self.held.append({ref[-1] for ref in refs})
         self.generic_visit(node)
         self.held.pop()
+        del stack[len(stack) - len(refs):]
 
     visit_AsyncWith = visit_With
 
@@ -382,7 +442,27 @@ class _GuardChecker(ast.NodeVisitor):
             self._check_mutation(
                 self._root(func.value), node, f".{func.attr}()"
             )
+        self._record("call", self._ref(func, "call"), node)
         self.generic_visit(node)
+
+    # -- after the walk -------------------------------------------------
+
+    def unknown_guard_locks(self):
+        lock_names = {name.rpartition(".")[2] for name in self.inventory.locks}
+        for name, (guard, lineno) in sorted(self.inventory.annotated.items()):
+            if guard not in lock_names:
+                self.violations.append(Violation(
+                    rule="unknown-guard-lock",
+                    severity="error",
+                    path=self.relpath,
+                    line=lineno,
+                    scope="<module>",
+                    symbol=name,
+                    message=(
+                        f"{name} is annotated guarded-by {guard}, but the "
+                        f"module defines no lock named {guard}"
+                    ),
+                ))
 
 
 def _global_decls(func_node):
@@ -431,49 +511,149 @@ def _local_bindings(func_node):
     return names
 
 
+def _walk_module(source, relpath):
+    """Parse and walk one module (the only ``ast.parse`` of the head)."""
+    relpath = relpath.replace(os.sep, "/")
+    tree = ast.parse(source, filename=relpath)
+    guards, allows = _comment_maps(source)
+    checker = _GuardChecker(
+        relpath, ModuleInventory.collect(tree, guards), allows
+    )
+    checker.visit(tree)
+    checker.unknown_guard_locks()
+    return checker
+
+
+def _leaf_rule(checkers):
+    """``(lock-not-leaf violations, {lock id: reentrant})`` across the
+    walked modules.
+
+    A lock id is ``module.NAME`` or ``module.Class.field``.  Resolvable
+    calls are same-module functions, ``self.`` methods of the enclosing
+    class and ``from x import f`` imports; a function's lockset is what
+    it acquires plus its callees' locksets, to a fixed point.
+    """
+    modules = {checker.module: checker for checker in checkers}
+    locks, by_field = {}, {}
+    for checker in checkers:
+        for name, reentrant in checker.inventory.locks.items():
+            ident = f"{checker.module}.{name}"
+            locks[ident] = reentrant
+            if "." in name:
+                by_field.setdefault(name.rpartition(".")[2], []).append(ident)
+
+    def resolve(checker, ref, table):
+        """*ref* as ``(module checker, key in table)``, or None."""
+        kind, name = ref[0], ref[-1]
+        if kind == "self":
+            key = f"{ref[1]}.{name}"
+            if key in table(checker):
+                return checker, key
+        elif kind == "name":
+            if name in table(checker):
+                return checker, name
+            module, member = checker.imports.get(name, (None, None))
+            target = modules.get(module)
+            if target is not None and member in table(target):
+                return target, member
+        return None
+
+    def lock_id(checker, ref):
+        found = resolve(checker, ref, lambda c: c.inventory.locks)
+        if found is not None:
+            return f"{found[0].module}.{found[1]}"
+        candidates = by_field.get(ref[-1], ()) if ref[0] != "name" else ()
+        return candidates[0] if len(candidates) == 1 else None
+
+    def callee(checker, ref):
+        found = resolve(checker, ref, lambda c: c.events)
+        return None if found is None else (found[0].module, found[1])
+
+    sites, locksets, calls = [], {}, {}
+    for checker in checkers:
+        for qualname, events in checker.events.items():
+            key = (checker.module, qualname)
+            locksets[key], calls[key] = set(), set()
+            for held, kind, ref, line in events:
+                if kind == "lock":
+                    target = lock_id(checker, ref)
+                    if target is not None:
+                        locksets[key].add(target)
+                else:
+                    target = callee(checker, ref)
+                    if target is not None:
+                        calls[key].add(target)
+                if target is not None and held:
+                    sites.append((checker, qualname, held, kind, target, line))
+    changed = True
+    while changed:
+        changed = False
+        for key, callees in calls.items():
+            before = len(locksets[key])
+            for target in callees:
+                locksets[key] |= locksets[target]
+            changed = changed or len(locksets[key]) != before
+
+    violations = {}  # (path, line, symbol) -> first Violation found there
+    for checker, qualname, held, kind, target, line in sites:
+        acquired = {target} if kind == "lock" else locksets[target]
+        via = "" if kind == "lock" else f" through {'.'.join(target)}()"
+        for outer in filter(None, (lock_id(checker, ref) for ref in held)):
+            for inner in sorted(acquired):
+                if outer == inner and locks[outer]:
+                    continue  # re-entering a reentrant lock
+                symbol = f"{outer} -> {inner}"
+                site = (checker.relpath, line, symbol)
+                violations.setdefault(site, Violation(
+                    rule="lock-not-leaf",
+                    severity="error",
+                    path=checker.relpath,
+                    line=line,
+                    scope=qualname,
+                    symbol=symbol,
+                    message=(
+                        f"{inner} is acquired{via} while {outer} is held — "
+                        "every lock must be a leaf: release the outer lock "
+                        "first or move the inner acquisition out of its "
+                        "critical section"
+                    ),
+                ))
+    return list(violations.values()), locks
+
+
+def _scan(sources):
+    """``(violations, locks)`` of ``(relpath, source)`` pairs."""
+    checkers = [_walk_module(source, relpath) for relpath, source in sources]
+    leaf, locks = _leaf_rule(checkers)
+    violations = leaf + [v for c in checkers for v in c.violations]
+    return (
+        sorted(violations, key=lambda v: (v.path, v.line, v.rule, v.symbol)),
+        {ident: {"reentrant": locks[ident]} for ident in sorted(locks)},
+    )
+
+
+def scan_paths(paths=None):
+    """Every concurrency violation of files and directory trees (see
+    :func:`repro.analysis.code_lint.walk_sources` for path keying) and
+    their lock inventory ``{lock id: {"reentrant": bool}}``, from one walk
+    per module; ``None`` covers the installed :mod:`repro` package."""
+    return _scan(walk_sources(paths))
+
+
 def check_source(source, relpath):
-    """Guarded-by check of one module's source text.
+    """Concurrency check of one module's source text.
 
     *relpath* is package-relative (e.g. ``"repro/engine/buffer.py"``).
     Returns :class:`~repro.analysis.code_lint.Violation` in line order.
     """
-    tree = ast.parse(source, filename=relpath)
-    relpath = relpath.replace(os.sep, "/")
-    guards, allows = _comment_maps(source)
-    inventory = ModuleInventory.collect(tree, guards)
-    checker = _GuardChecker(relpath, inventory, allows)
-    checker.visit(tree)
-    for name, (guard, lineno) in sorted(inventory.annotated.items()):
-        if guard not in inventory.locks:
-            checker.violations.append(Violation(
-                rule="unknown-guard-lock",
-                severity="error",
-                path=relpath,
-                line=lineno,
-                scope="<module>",
-                symbol=name,
-                message=(
-                    f"{name} is annotated guarded-by {guard}, but the "
-                    f"module defines no lock named {guard}"
-                ),
-            ))
-    return sorted(
-        checker.violations,
-        key=lambda v: (v.path, v.line, v.rule, v.symbol),
-    )
+    return _scan([(relpath, source)])[0]
 
 
 def check_paths(paths):
-    """Guarded-by check of files and directory trees (see
-    :func:`repro.analysis.code_lint.walk_sources` for path keying)."""
-    violations = []
-    for relpath, source in walk_sources(paths):
-        violations.extend(check_source(source, relpath))
-    return sorted(
-        violations, key=lambda v: (v.path, v.line, v.rule, v.symbol)
-    )
+    """Concurrency check of files and directory trees."""
+    return scan_paths(paths)[0]
 
 
 def check_package():
-    """Guarded-by check of the installed :mod:`repro` package tree."""
+    """Concurrency check of the installed :mod:`repro` package tree."""
     return check_paths(None)

@@ -355,10 +355,9 @@ def build_parser():
     )
     analyze.add_argument(
         "--concurrency", action="store_true",
-        help="also run the concurrency-safety heads: the guarded-by "
-             "discipline checker, the lock-order (deadlock) analyzer, "
-             "and — unless --static-only — the runtime race/determinism "
-             "harness",
+        help="also run the concurrency-safety heads: the static "
+             "guarded-by and leaf-lock pass and — unless --static-only "
+             "— the runtime race/determinism harness",
     )
     analyze.add_argument(
         "--static-only", action="store_true",
@@ -373,8 +372,8 @@ def build_parser():
 
     lint = sub.add_parser(
         "lint",
-        help="run the source rules (code invariants, guarded-by, "
-             "lock-order) over the codebase; any violation fails",
+        help="run the source rules (code invariants, guarded-by, leaf "
+             "locks) over the codebase; any violation fails",
     )
     lint.add_argument(
         "paths", nargs="*",
@@ -913,16 +912,13 @@ def _command_analyze(args):
         )
         failing += conc_failing
         document["concurrency"] = section
-        lines.extend(v["rendered"] for v in section["guarded"])
-        lines.extend(
-            v["rendered"] for v in section["lock_order"]["violations"]
-        )
-        graph = section["lock_order"]["graph"]
+        violations = section["violations"]
+        lines.extend(v["rendered"] for v in violations)
+        nested = sum(v["rule"] == "lock-not-leaf" for v in violations)
+        leaves = f"{nested} nesting(s)" if nested else "all leaves"
         lines.append(
-            f"concurrency: {len(section['guarded'])} guarded-by "
-            f"violation(s), {len(graph['cycles'])} lock-order cycle(s) "
-            f"[graph: {len(graph['locks'])} locks, "
-            f"{len(graph['edges'])} edges]"
+            f"concurrency: {len(violations)} violation(s) "
+            f"[{len(section['locks'])} locks, {leaves}]"
         )
         runtime = section["runtime"]
         if runtime is not None:
@@ -973,30 +969,18 @@ def _analyze_plan_section(args):
 
 
 def _analyze_concurrency_section(static_only):
-    """The concurrency section: guarded-by + lock-order (+ runtime)."""
-    from repro.analysis import (
-        check_package,
-        lock_graph_document,
-        lockorder_package,
-    )
+    """The concurrency section: the static pass (+ runtime)."""
+    from repro.analysis import scan_paths
 
-    guarded = check_package()
-    lock_violations = lockorder_package()
-    graph = lock_graph_document()
+    violations, locks = scan_paths()
     section = {
-        "guarded": [
-            dict(v.to_dict(), rendered=v.render()) for v in guarded
+        "violations": [
+            dict(v.to_dict(), rendered=v.render()) for v in violations
         ],
-        "lock_order": {
-            "violations": [
-                dict(v.to_dict(), rendered=v.render())
-                for v in lock_violations
-            ],
-            "graph": graph,
-        },
+        "locks": locks,
         "runtime": None,
     }
-    failing = len(guarded) + len(lock_violations)
+    failing = len(violations)
     if not static_only:
         from repro.analysis.concurrency.determinism import (
             run_concurrency_harness,
@@ -1012,16 +996,11 @@ def _analyze_concurrency_section(static_only):
 def _command_lint(args):
     import json
 
-    from repro.analysis import (
-        check_paths,
-        lint_paths,
-        lockorder_paths,
-    )
+    from repro.analysis import check_paths, lint_paths
 
     paths = args.paths or None  # None: the installed repro package
     violations = lint_paths(paths)
-    concurrency = check_paths(paths) + lockorder_paths(paths)
-    concurrency.sort(key=lambda v: (v.path, v.line, v.rule, v.symbol))
+    concurrency = check_paths(paths)
 
     if args.json:
         print(json.dumps(

@@ -97,6 +97,38 @@ class TestGuardedMutation:
                     STATS["hits"] += 1
         """) == []
 
+    # The guard of _A trails its own statement; _B, on the next line, is
+    # unannotated whether or not its mutation holds _A's lock.
+
+    def test_locked_mutation_does_not_inherit_the_line_above(self):
+        violations = check("""\
+            import threading
+
+            _LOCK = threading.Lock()
+            _A = {}  # guarded-by: _LOCK
+            _B = {}
+
+            def put(key):
+                with _LOCK:
+                    _B[key] = 1
+        """)
+        assert rules(violations) == ["unannotated-shared-state"]
+        assert violations[0].symbol == "_B"
+
+    def test_unlocked_mutation_does_not_inherit_the_line_above(self):
+        violations = check("""\
+            import threading
+
+            _LOCK = threading.Lock()
+            _A = {}  # guarded-by: _LOCK
+            _B = {}
+
+            def put(key):
+                _B[key] = 1
+        """)
+        assert rules(violations) == ["unannotated-shared-state"]
+        assert violations[0].symbol == "_B"
+
     def test_module_level_writes_are_init_time(self):
         # Import-time setup needs no lock: the convention only covers
         # function scope, where concurrent threads can be.
@@ -208,6 +240,61 @@ class TestInstanceFields:
             "_Collector.queue_wait_ms": "lock",
             "_Collector.costs": "lock",
         }
+
+
+class TestConditionAndSemaphoreGuards:
+    """Conditions and semaphores are locks: valid guarded-by targets."""
+
+    MODULE_LEVEL = """\
+        import threading
+
+        _SIGNAL = threading.FACTORY
+        PENDING = []  # guarded-by: _SIGNAL
+
+        def push(item):
+            GUARD:
+                PENDING.append(item)
+    """
+
+    @staticmethod
+    def verdicts(fixture, lock):
+        """Rules for *fixture* with its ``GUARD:`` block taking *lock*,
+        then with it taking nothing."""
+        return tuple(
+            rules(check(fixture.replace("GUARD:", block)))
+            for block in (f"with {lock}:", "if True:")
+        )
+
+    def test_module_level_condition_guards_state(self):
+        fixture = self.MODULE_LEVEL.replace("FACTORY", "Condition()")
+        assert self.verdicts(fixture, "_SIGNAL") == (
+            [], ["unguarded-mutation"]
+        )
+
+    def test_module_level_semaphores_guard_state(self):
+        for factory in ("Semaphore(2)", "BoundedSemaphore()"):
+            fixture = self.MODULE_LEVEL.replace("FACTORY", factory)
+            assert self.verdicts(fixture, "_SIGNAL") == (
+                [], ["unguarded-mutation"]
+            )
+
+    def test_instance_condition_guards_fields(self):
+        fixture = """\
+            import threading
+
+            class Queue:
+                def __init__(self):
+                    self._cond = threading.Condition()
+                    self._items = []  # guarded-by: _cond
+
+                def push(self, item):
+                    GUARD:
+                        self._items.append(item)
+                        self._cond.notify()
+        """
+        assert self.verdicts(fixture, "self._cond") == (
+            [], ["unguarded-mutation"]
+        )
 
 
 class TestAllowlist:
@@ -352,6 +439,7 @@ def test_rule_catalog_covers_emitted_rules():
         "unguarded-mutation",
         "unknown-guard-lock",
         "unsynchronized-global-rebind",
+        "lock-not-leaf",
     }
 
 

@@ -177,6 +177,101 @@ class TestInstrumentedLock:
 
 
 # ---------------------------------------------------------------------------
+# every guard lock is a leaf at runtime too
+# ---------------------------------------------------------------------------
+
+class _InstantTimer:
+    """threading.Timer stand-in that fires on start(): the deadline of
+    the timed-out query expires before it runs."""
+
+    def __init__(self, interval, function, args=None, kwargs=None):
+        self.function, self.kwargs = function, kwargs or {}
+        self.daemon = True
+
+    def start(self):
+        self.function(**self.kwargs)
+
+    def cancel(self):
+        pass
+
+
+class TestLeafLocksAtRuntime:
+    def test_no_guard_lock_is_taken_under_another(self, monkeypatch):
+        # The runtime half of the leaf rule, where the static resolver
+        # cannot follow engine.run(...) or the pool's counter flush.
+        import repro.api as api
+        from repro.data import generate_barton
+        from repro.errors import QueryTimeout
+
+        monkeypatch.setenv("REPRO_MORSEL_ROWS", "256")
+        dataset = generate_barton(n_triples=3_000, n_properties=30, seed=7)
+        connection = api.connect(
+            triples=dataset.triples,
+            interesting_properties=dataset.interesting_properties,
+            engine_options={"workers": 4},
+        )
+        exec_lock = connection._exec_lock
+        stacks = threading.local()
+        nested, under_exec = [], set()
+        real_acquire = InstrumentedLock.acquire
+        real_release = InstrumentedLock.release
+
+        def acquire(lock, blocking=True, timeout=-1):
+            acquired = real_acquire(lock, blocking, timeout)
+            if acquired:
+                held = stacks.__dict__.setdefault("held", [])
+                if held:
+                    nested.append((held[-1], lock.name))
+                if exec_lock._is_owned():
+                    under_exec.add(lock.name)
+                held.append(lock.name)
+            return acquired
+
+        def release(lock):
+            held = stacks.__dict__.setdefault("held", [])
+            if lock.name in held:
+                del held[len(held) - 1 - held[::-1].index(lock.name)]
+            real_release(lock)
+
+        monkeypatch.setattr(InstrumentedLock, "acquire", acquire)
+        monkeypatch.setattr(InstrumentedLock, "release", release)
+        errors = []
+
+        def client(queries):
+            try:
+                with connection.session() as session:
+                    for query in queries:
+                        assert session.query(query, workers=4).n_rows > 0
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(queries,))
+            for queries in (("q1", "q2"), ("q3", "q4"), ("q5", "q2"),
+                            ("q6", "q1"))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        with connection.session() as session:
+            assert session.profile("q3").relation.n_rows > 0
+            monkeypatch.setattr(threading, "Timer", _InstantTimer)
+            with pytest.raises(QueryTimeout):
+                session.query("q5", timeout=0.5)
+
+        assert nested == []
+        assert "observe.counters" in under_exec
+        assert under_exec <= {
+            "observe.counters",
+            "observe.trace._ACTIVE_TRACERS",
+            "exec.registry._REGISTRY",
+        }
+
+
+# ---------------------------------------------------------------------------
 # the determinism cross-check
 # ---------------------------------------------------------------------------
 
