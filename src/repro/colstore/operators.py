@@ -50,7 +50,6 @@ from repro.observe.trace import wall_now
 from repro.plan import logical as L
 from repro.plan.predicates import is_column_comparison
 from repro.relation import Relation
-from repro.storage.compress import note_runs_skipped, note_scan
 
 VALUE_BYTES = 8
 
@@ -67,22 +66,40 @@ def _base_column(scan, qualified):
     return qualified
 
 
-def _binary_search(rt, table, column, value, lo, hi):
-    """Range of *value* in the sorted column; charges probe I/O + CPU."""
-    if lo >= hi:
-        return lo, lo
-    array = table.array(column)
-    if value is None:
-        return lo, lo
-    rt.clock.charge_cpu(
-        rt.costs.select_tuple * (2 * math.log2(max(hi - lo, 2)))
-    )
-    segment = table.segment(column)
-    encoding = table.encoding(column)
-    rt.pool.read_pages(segment, _probe_pages(segment, encoding, lo, hi))
-    new_lo = int(np.searchsorted(array[lo:hi], value, side="left")) + lo
-    new_hi = int(np.searchsorted(array[lo:hi], value, side="right")) + lo
-    return new_lo, new_hi
+def _descend(table, prefix):
+    """Binary-search each *prefix* constant in the next sort column;
+    returns the narrowed ``(lo, hi)`` and the ``(column, lo, hi)`` probes
+    made, for :func:`_probe`.  A constant missing from the dictionary
+    (``None``) or an empty range ends the descent."""
+    lo, hi = 0, table.n_rows
+    probes = []
+    for column, value in zip(table.sort_order, prefix):
+        if lo >= hi or value is None:
+            return lo, lo, probes
+        probes.append((column, lo, hi))
+        array = table.array(column)[lo:hi]
+        hi = lo + int(np.searchsorted(array, value, side="right"))
+        lo += int(np.searchsorted(array, value, side="left"))
+    return lo, hi, probes
+
+
+def _probe(rt, table, column, lo, hi):
+    """Charge one probe of the sorted *column* over rows ``[lo, hi)``:
+    search CPU, then probe pages.  A descent's first probe spans the whole
+    table whatever the constant, so it is resolved once per column."""
+    whole = lo == 0 and hi == table.n_rows
+    charge = rt.resolved.get((table.name, column, "probe")) if whole else None
+    if charge is None:
+        segment = table.segments[column]
+        charge = (
+            segment, _probe_pages(segment, table.encodings.get(column), lo, hi),
+            rt.costs.select_tuple * (2 * math.log2(max(hi - lo, 2))),
+        )
+        if whole:
+            rt.resolved[table.name, column, "probe"] = charge
+    segment, pages, cpu = charge
+    rt.clock.charge_cpu(cpu)
+    rt.pool.read_pages(segment, pages)
 
 
 def _probe_pages(segment, encoding, lo, hi):
@@ -105,8 +122,13 @@ def _probe_pages(segment, encoding, lo, hi):
     return sorted(pages)
 
 
-def _read_compressed(rt, segment, encoding, lo, hi):
-    """Read the compressed byte ranges covering rows ``[lo, hi)``."""
+def _dense_read(rt, table, column, lo, hi):
+    """Read rows ``[lo, hi)`` of *column*: its compressed byte ranges when
+    it is encoded, the raw bytes otherwise."""
+    segment, encoding = table.segments[column], table.encodings.get(column)
+    if encoding is None:
+        rt.pool.read(segment, lo * VALUE_BYTES, (hi - lo) * VALUE_BYTES)
+        return
     nbytes = 0
     for offset, length in encoding.byte_ranges(lo, hi):
         rt.pool.read(segment, offset, length)
@@ -115,7 +137,7 @@ def _read_compressed(rt, segment, encoding, lo, hi):
 
 
 def _note_compressed_read(rt, nbytes, logical_nbytes):
-    note_scan(nbytes, logical_nbytes)
+    rt.engine.compression_counts.note_scan(nbytes, logical_nbytes)
     tracer = rt.engine.tracer
     if tracer.enabled:
         tracer.current_add(
@@ -127,7 +149,7 @@ def _note_compressed_read(rt, nbytes, logical_nbytes):
 def _note_runs_skipped(rt, n):
     if n <= 0:
         return
-    note_runs_skipped(n)
+    rt.engine.compression_counts.note_runs_skipped(n)
     tracer = rt.engine.tracer
     if tracer.enabled:
         tracer.current_add(runs_skipped=int(n))
@@ -144,16 +166,12 @@ def _fetch_cost(rt, table, column, lo, hi, positions):
     chunking, the scattered-read penalty), so it is always called from
     the coordinator's serial cost replay — never from a data-plane task.
     """
-    segment = table.segment(column)
-    encoding = table.encoding(column)
     if positions is None:
-        if encoding is not None:
-            _read_compressed(rt, segment, encoding, lo, hi)
-        else:
-            rt.pool.read(segment, lo * VALUE_BYTES, (hi - lo) * VALUE_BYTES)
+        _dense_read(rt, table, column, lo, hi)
         return
     if len(positions) == 0:
         return
+    segment, encoding = table.segments[column], table.encodings.get(column)
     if encoding is not None:
         pages = encoding.pages_for_rows(positions, segment.page_size)
         rt.pool.read_pages(segment, pages, scattered=True)
@@ -179,30 +197,29 @@ def _needed_base_columns(scan, needed):
     return base_needed
 
 
-def _group_predicates(scan, predicates):
-    """Predicates keyed by base column, preserving predicate order."""
+def _split_predicates(scan, table, predicates):
+    """``(prefix, residual)`` of simple *predicates*: the constants of the
+    equalities that follow *table*'s sort order (the first per sort column,
+    until one has none), for :func:`_descend`; every other predicate as a
+    ``(base column, predicate)`` pair, grouped by column in order."""
     by_base = {}
     for pred in predicates:
         by_base.setdefault(_base_column(scan, pred.column), []).append(pred)
-    return by_base
-
-
-def _sorted_prefix(rt, table, by_base):
-    """Binary-search the equality predicates that follow the sort order;
-    returns the narrowed ``(lo, hi)`` range and the consumed predicate
-    ids.  Charges probe I/O + CPU as it descends."""
-    lo, hi = 0, table.n_rows
-    consumed = set()
+    prefix, consumed = [], set()
     for sort_col in table.sort_order:
-        preds = by_base.get(sort_col, [])
+        preds = by_base.get(sort_col, ())
         eq = next((p for p in preds if p.is_equality()), None)
         if eq is None:
             break
-        lo, hi = _binary_search(rt, table, sort_col, eq.value, lo, hi)
+        prefix.append(eq.value)
         consumed.add(id(eq))
-        if lo >= hi:
-            break
-    return lo, hi, consumed
+    residual = tuple(
+        (base_col, pred)
+        for base_col, preds in by_base.items()
+        for pred in preds
+        if id(pred) not in consumed
+    )
+    return tuple(prefix), residual
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +252,13 @@ def _run_ranges(rt, work, ranges, range_rows, replay):
     The one place that decides inline vs lanes: a single range runs on
     the calling thread with no executor traffic; several go to
     ``run_batch`` as one batch, and the replay's clock delta is folded
-    into per-morsel child spans weighted by *range_rows*.
+    into per-morsel child spans weighted by *range_rows*.  Either way the
+    cancel token is polled once per range.
     """
     if len(ranges) == 1:
+        token = rt.cancel_token
+        if token is not None:
+            token.raise_if_cancelled()
         return replay([work(*ranges[0])])
     context = rt.engine.parallelism()
     tracer = rt.engine.tracer
@@ -288,7 +309,7 @@ def _morsel_span_attribution(rt, snap, wall0, task_rows):
 
 
 def _rle_encoding(table, column):
-    encoding = table.encoding(column)
+    encoding = table.encodings.get(column)
     if encoding is not None and encoding.codec == "rle":
         return encoding
     return None
@@ -319,11 +340,40 @@ def _scan_range(table, residual, base_needed, lo, hi):
         elif len(local):
             local = local[pred.mask(table.array(base_col)[local])]
         stages.append(local)
-    if local is None:
-        gathers = [table.array(c)[lo:hi] for c in base_needed]
-    else:
-        gathers = [table.array(c)[local] for c in base_needed]
-    return stages, gathers
+    rows = slice(lo, hi) if local is None else local
+    return stages, [table.array(c)[rows] for c in base_needed]
+
+
+def _replay_scan(rt, table, residual, fetch_cols, lo, hi, stages):
+    """The cost replay of one fused scan+select after its descent: each
+    residual stage, then each gather of *fetch_cols*, over ``[lo, hi)``
+    and the positions each stage kept (*stages*, merged over ranges); all
+    are skipped once no candidate is left.  Returns the row count."""
+    count = hi - lo
+    if not count:
+        return 0
+    charge_cpu = rt.clock.cpu_log()
+    positions = None  # None means the dense range [lo, hi)
+    for stage, (base_col, _pred) in enumerate(residual):
+        if count == 0:
+            break
+        encoding = (
+            _rle_encoding(table, base_col) if positions is None else None
+        )
+        if encoding is not None:
+            _dense_read(rt, table, base_col, lo, hi)
+            n_runs = encoding.run_index(hi - 1) - encoding.run_index(lo) + 1
+            charge_cpu(rt.costs.select_tuple * n_runs)
+            _note_runs_skipped(rt, count - n_runs)
+        else:
+            _fetch_cost(rt, table, base_col, lo, hi, positions)
+            charge_cpu(rt.costs.select_tuple * count)
+        positions = stages[stage]
+        count = len(positions)
+    for base_col in fetch_cols if count else ():
+        _fetch_cost(rt, table, base_col, lo, hi, positions)
+        charge_cpu(rt.costs.scan_tuple * count)
+    return count
 
 
 def _scan_select(rt, scan, predicates, needed):
@@ -332,42 +382,15 @@ def _scan_select(rt, scan, predicates, needed):
     column-at-a-time residual predicates and gathers per range."""
     table = rt.engine.table(scan.table)
     base_needed = _needed_base_columns(scan, needed)
-    by_base = _group_predicates(scan, predicates)
-    lo, hi, consumed = _sorted_prefix(rt, table, by_base)
-    residual = [
-        (base_col, pred)
-        for base_col, preds in by_base.items()
-        for pred in preds
-        if id(pred) not in consumed
-    ]
+    prefix, residual = _split_predicates(scan, table, predicates)
+    lo, hi, probes = _descend(table, prefix)
+    for probe in probes:
+        _probe(rt, table, *probe)
 
     def replay(results):
-        # The serial charge sequence over the merged positions: a stage
-        # (and every gather) is skipped once no candidate is left.
-        positions = None  # None means the dense range [lo, hi)
-        count = hi - lo
-        for stage, (base_col, _pred) in enumerate(residual):
-            if count == 0:
-                break
-            encoding = (
-                _rle_encoding(table, base_col) if positions is None else None
-            )
-            if encoding is not None:
-                segment = table.segment(base_col)
-                _read_compressed(rt, segment, encoding, lo, hi)
-                n_runs = (
-                    encoding.run_index(hi - 1) - encoding.run_index(lo) + 1
-                )
-                rt.clock.charge_cpu(rt.costs.select_tuple * n_runs)
-                _note_runs_skipped(rt, count - n_runs)
-            else:
-                _fetch_cost(rt, table, base_col, lo, hi, positions)
-                rt.clock.charge_cpu(rt.costs.select_tuple * count)
-            positions = _merge([r[0][stage] for r in results])
-            count = len(positions)
-        for base_col in base_needed if count else ():
-            _fetch_cost(rt, table, base_col, lo, hi, positions)
-            rt.clock.charge_cpu(rt.costs.scan_tuple * count)
+        count = _replay_scan(rt, table, residual, base_needed, lo, hi, [
+            _merge(parts) for parts in zip(*(stages for stages, _ in results))
+        ])
         columns = {
             scan.qualified(base_col): _merge([r[1][i] for r in results])
             for i, base_col in enumerate(base_needed)
@@ -422,8 +445,8 @@ def _rle_leading_scan(engine, scan):
     if not table.sort_order:
         return None
     lead = table.sort_order[0]
-    encoding = table.encoding(lead)
-    if encoding is None or encoding.codec != "rle":
+    encoding = _rle_encoding(table, lead)
+    if encoding is None:
         return None
     return table, lead, encoding
 
@@ -459,14 +482,13 @@ def compressed_group(rt, pnode, needed_above):
     scan = node.child
     table = rt.engine.table(scan.table)
     lead = table.sort_order[0]
-    encoding = table.encoding(lead)
-    segment = table.segment(lead)
+    encoding = table.encodings[lead]
 
     def grouped():
         # Maximal runs of the sorted leading column: run values are the
         # distinct keys in ascending order, run lengths their counts —
         # exactly group_count's output, without touching a single row.
-        _read_compressed(rt, segment, encoding, 0, table.n_rows)
+        _dense_read(rt, table, lead, 0, table.n_rows)
         n_runs = encoding.n_runs
         rt.clock.charge_cpu(rt.costs.scan_tuple * max(n_runs, 1))
         _note_runs_skipped(rt, table.n_rows - n_runs)
@@ -514,8 +536,7 @@ def compressed_join(rt, pnode, needed):
     scan = node.right
     table = rt.engine.table(scan.table)
     lead = table.sort_order[0]
-    encoding = table.encoding(lead)
-    segment = table.segment(lead)
+    encoding = table.encodings[lead]
     (lcol, rcol), = node.on
 
     left_cols = set(node.left.output_columns())
@@ -524,7 +545,7 @@ def compressed_join(rt, pnode, needed):
     lrel = left.relation
 
     def scan_runs():
-        _read_compressed(rt, segment, encoding, 0, table.n_rows)
+        _dense_read(rt, table, lead, 0, table.n_rows)
         rt.clock.charge_cpu(rt.costs.scan_tuple * max(encoding.n_runs, 1))
         _note_runs_skipped(rt, table.n_rows - encoding.n_runs)
         relation = Relation(
@@ -794,30 +815,32 @@ def having(rt, pnode, needed):
 
 #: A resolved canonical union branch: *fetch_cols* are the base columns
 #: it reads, in scan column order (the charge order); *sources* names, per
-#: kept union output, the base column that feeds it — ``None`` for the
-#: extend constant *fill*.
-_Branch = namedtuple("_Branch", "table fetch_cols sources fill")
+#: kept union output, the position in *fetch_cols* that feeds it — ``None``
+#: for the extend constant *fill*.  *prefix* and *residual* are its
+#: selection as :func:`_split_predicates` splits it (both empty: none).
+_Branch = namedtuple("_Branch", "table fetch_cols sources fill prefix residual")
 
-#: A run of consecutive canonical branches, resolved: *charges* holds, per
-#: branch and fetched column in charge order, ``(segment, page spans,
-#: compressed-read note or None, scan CPU seconds)`` — a whole-table read
-#: needs nothing else at run time.
-_CanonicalRun = namedtuple("_CanonicalRun", "branches charges n_rows")
+#: A run of consecutive canonical branches, resolved: *charges* holds, in
+#: branch order, a plain branch's :func:`_whole_column` entries and a
+#: selecting branch itself, charged from its data-plane result.
+_CanonicalRun = namedtuple("_CanonicalRun", "branches charges")
 
 #: What ``vector-union`` resolves once per lowered node and keeps in
 #: ``PhysicalPlan.prepared``: the kept output positions and names for the
 #: parent's *needed* set, and the branch runs — a :class:`_CanonicalRun`,
 #: or the child nodes of a run of branches of any other shape.  It holds
-#: little per branch on purpose: 64 lowered plans of 222 branches stay
-#: cached, and every container they keep alive is one more for each full
-#: garbage collection to walk.
+#: little per branch on purpose, and only tuples: 64 lowered plans of 222
+#: branches stay cached, and every container they keep alive is one more
+#: for each full garbage collection to walk.
 _UnionPlan = namedtuple("_UnionPlan", "needed keep out_keys runs")
 
 
-def _canonical_branch(rt, child, keep):
-    """Resolve a canonical ``Project(Extend?(Scan))`` union branch (one
-    per property table in the vertically-partitioned plans) to a
-    :class:`_Branch`, or ``None`` for any other branch shape."""
+def _canonical_branch(rt, child, keep, intern):
+    """Resolve a canonical ``Project(Extend?(Select?(Scan)))`` union
+    branch with only simple predicates (one per property table in the
+    vertically-partitioned plans: q8's selections, a describe's subject)
+    to a :class:`_Branch` sharing equal tuples through *intern*, or
+    ``None`` for any other branch shape."""
     if type(child) is not L.Project:
         return None
     mapping = child.mapping
@@ -825,6 +848,12 @@ def _canonical_branch(rt, child, keep):
     extend_node = None
     if type(inner) is L.Extend:
         extend_node = inner
+        inner = inner.child
+    predicates = ()
+    if type(inner) is L.Select:
+        predicates = inner.predicates
+        if any(map(is_column_comparison, predicates)):
+            return None
         inner = inner.child
     if type(inner) is not L.Scan:
         return None
@@ -845,53 +874,79 @@ def _canonical_branch(rt, child, keep):
             scan_needed = {scan_node.output_columns()[0]}
     fetch_cols = tuple(_needed_base_columns(scan_node, scan_needed))
     sources = tuple(
-        None if source == extend_col else _base_column(scan_node, source)
+        None if source == extend_col
+        else fetch_cols.index(_base_column(scan_node, source))
         for source in child_needed
     )
-    return _Branch(rt.engine.table(scan_node.table), fetch_cols, sources, fill)
+    table = rt.engine.table(scan_node.table)
+    prefix, residual = _split_predicates(scan_node, table, predicates)
+    return _Branch(
+        table, intern(fetch_cols, fetch_cols), intern(sources, sources), fill,
+        intern(prefix, prefix), residual,
+    )
 
 
 def _union_range(branches, n_out):
-    """Data plane for a run of canonical branches: per kept output, the
-    branch vectors (whole columns + constant extend fills) concatenated
-    in branch order."""
+    """Data plane for a group of canonical branches: per kept output, the
+    branch vectors (whole columns, selected rows, constant extend fills)
+    concatenated in branch order; and, in branch order, each selecting
+    branch's ``(lo, hi, probes, stages)`` for the replay to charge."""
     outputs = [[] for _ in range(n_out)]
-    for table, _fetch_cols, sources, fill in branches:
-        for parts, base_col in zip(outputs, sources):
-            if base_col is None:
-                parts.append(np.full(table.n_rows, fill, dtype=np.int64))
-            else:
-                parts.append(table.array(base_col))
-    return [_merge(parts) for parts in outputs]
-
-
-def _whole_table_charges(rt, branch):
-    """The :class:`_CanonicalRun` charge entries of one branch: what a
-    whole-table ``scan`` of its fetched columns charges, in that order."""
-    table = branch.table
-    nbytes = table.n_rows * VALUE_BYTES
-    for column in branch.fetch_cols if nbytes else ():
-        # One entry per stored column, shared by every plan that reads it.
-        charge = rt.resolved.get((table.name, column))
-        if charge is None:
-            segment, encoding = table.segment(column), table.encoding(column)
-            ranges, note = [(0, nbytes)], None
-            if encoding is not None:
-                ranges = encoding.byte_ranges(0, table.n_rows)
-                note = (sum(length for _, length in ranges), nbytes)
-            charge = rt.resolved[table.name, column] = (
-                segment, [segment.page_span(*r) for r in ranges], note,
-                rt.costs.scan_tuple * table.n_rows,
+    scans = []
+    for table, fetch_cols, sources, fill, prefix, residual in branches:
+        if prefix or residual:
+            lo, hi, probes = _descend(table, prefix)
+            stages, gathers = _scan_range(table, residual, fetch_cols, lo, hi)
+            scans.append((lo, hi, probes, stages))
+        else:
+            gathers = list(map(table.array, fetch_cols))
+        for parts, source in zip(outputs, sources):
+            parts.append(
+                np.full(len(gathers[0]), fill, dtype=np.int64)
+                if source is None else gathers[source]
             )
-        yield charge
+    return [_merge(parts) for parts in outputs], scans
+
+
+def _whole_column(rt, table, column):
+    """What a whole-column read of *column* charges: ``(segment, page
+    spans, compressed-read note or None, scan CPU seconds)``, resolved
+    once per stored column into ``rt.resolved`` and shared by every plan
+    that reads it."""
+    charge = rt.resolved.get((table.name, column))
+    if charge is None:
+        nbytes = table.n_rows * VALUE_BYTES
+        segment, encoding = table.segments[column], table.encodings.get(column)
+        ranges, note = [(0, nbytes)], None
+        if encoding is not None:
+            ranges = encoding.byte_ranges(0, table.n_rows)
+            note = (sum(length for _, length in ranges), nbytes)
+        charge = rt.resolved[table.name, column] = (
+            segment, [segment.page_span(*r) for r in ranges], note,
+            rt.costs.scan_tuple * table.n_rows,
+        )
+    return charge
+
+
+def _branch_charges(rt, branch):
+    """The :class:`_CanonicalRun` charge entries of one branch: what a
+    whole-table ``scan`` of its fetched columns charges, in that order —
+    or, for a selecting branch, the branch itself."""
+    if branch.prefix or branch.residual:
+        return (branch,)
+    table = branch.table
+    if not table.n_rows:
+        return ()
+    return [_whole_column(rt, table, column) for column in branch.fetch_cols]
 
 
 def _resolve_union(rt, pnode, needed):
     """The :class:`_UnionPlan` of a lowered union under *needed*."""
     out_names = pnode.logical.output_columns()
     keep = [i for i, name in enumerate(out_names) if name in needed] or [0]
+    intern = {}.setdefault
     resolved = [
-        (_canonical_branch(rt, child.logical, keep), child)
+        (_canonical_branch(rt, child.logical, keep, intern), child)
         for child in pnode.children
     ]
     # Each run of consecutive canonical branches is one kernel call; a
@@ -901,11 +956,10 @@ def _resolve_union(rt, pnode, needed):
     for canonical, run in groupby(resolved, lambda pair: pair[0] is not None):
         if canonical:
             branches = [branch for branch, _ in run]
-            runs.append(_CanonicalRun(
-                branches,
-                [c for b in branches for c in _whole_table_charges(rt, b)],
-                sum(b.table.n_rows for b in branches),
-            ))
+            runs.append(_CanonicalRun(branches, [
+                charge for branch in branches
+                for charge in _branch_charges(rt, branch)
+            ]))
         else:
             runs.append(tuple(child for _, child in run))
     return _UnionPlan(
@@ -916,44 +970,57 @@ def _resolve_union(rt, pnode, needed):
 def _canonical_branches(rt, run, n_out):
     """Evaluate consecutive canonical branches without generic dispatch
     (the operator machinery costs more wall-clock than 222 small arrays):
-    gathered in morsel-sized groups, charged in branch order with the
-    buffer reads and clock charges the generic operators would make.
+    evaluated in morsel-sized groups, charged in branch order with the
+    buffer reads and clock charges the generic operators would make — a
+    selecting branch exactly what its fused ``scan+select`` would.
     Returns the per-group output blocks."""
     branches = run.branches
 
-    def replay(blocks):
+    def replay(results):
         read_span, charge_cpu = rt.pool.read_span, rt.clock.cpu_log()
-        for segment, spans, note, cpu in run.charges:
+        scans = iter([scan for _, group in results for scan in group])
+        for charge in run.charges:
+            if type(charge) is _Branch:
+                table = charge.table
+                lo, hi, probes, stages = next(scans)
+                for probe in probes:
+                    _probe(rt, table, *probe)
+                _replay_scan(
+                    rt, table, charge.residual, charge.fetch_cols, lo, hi,
+                    stages,
+                )
+                continue
+            segment, spans, note, cpu = charge
             for span in spans:
                 read_span(segment, *span)
             if note is not None:
                 _note_compressed_read(rt, *note)
             charge_cpu(cpu)
-        return blocks
+        return [block for block, _ in results]
 
-    groups = [branches]
+    groups, group_rows = [branches], [None]  # one range: rows unused
     rows = _morsel_rows(rt)
     if rows is not None:
         # Deterministic grouping: depends only on branch order and static
         # table sizes, never on the worker count.
-        groups, filled = [[]], 0
+        groups, group_rows = [[]], [0]
         for branch in branches:
-            if filled >= rows:
+            if group_rows[-1] >= rows:
                 groups.append([])
-                filled = 0
+                group_rows.append(0)
             groups[-1].append(branch)
-            filled += branch.table.n_rows
+            group_rows[-1] += branch.table.n_rows
     return _run_ranges(
-        rt, _union_range, [(group, n_out) for group in groups],
-        [sum(b.table.n_rows for b in group) for group in groups], replay,
+        rt, _union_range, [(group, n_out) for group in groups], group_rows,
+        replay,
     )
 
 
 @COLUMN_OPS.operator(
     "vector-union", match_type(L.Union),
     "concatenate branch vectors (consecutive canonical "
-    "Project(Extend?(Scan)) branches are gathered per range and charged "
-    "in branch order, identically to the generic operators)",
+    "Project(Extend?(Select?(Scan))) branches are evaluated per range and "
+    "charged in branch order, identically to the generic operators)",
 )
 def vector_union(rt, pnode, needed):
     node = pnode.logical
@@ -966,8 +1033,9 @@ def vector_union(rt, pnode, needed):
     total_in = 0
     for run in plan.runs:
         if type(run) is _CanonicalRun:
-            blocks.extend(_canonical_branches(rt, run, len(out_keys)))
-            total_in += run.n_rows
+            for block in _canonical_branches(rt, run, len(out_keys)):
+                blocks.append(block)
+                total_in += len(block[0])
             oid.update(out_keys)  # scans and extends only produce oids
             continue
         for child_pnode in run:

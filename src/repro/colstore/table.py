@@ -51,21 +51,23 @@ class ColumnTable:
         self.n_rows = n_rows
         self.sort_order = sort_order
         self._arrays = arrays
-        self._encodings = {}
+        #: column -> its codec (what reads account I/O against); raw: none.
+        self.encodings = {}
         if compress is not None:
             for col, a in arrays.items():
                 encoding = choose_codec(a, compress)
                 note_column(encoding, n_rows)
                 if encoding is not None:
-                    self._encodings[col] = encoding
-        self._segments = {
+                    self.encodings[col] = encoding
+        #: column -> its disk segment.
+        self.segments = {
             col: disk.create_segment(f"{name}.{col}", self._column_bytes(col))
             for col in arrays
         }
 
     def _column_bytes(self, column):
         """Stored footprint: encoded when a codec won, raw otherwise."""
-        encoding = self._encodings.get(column)
+        encoding = self.encodings.get(column)
         if encoding is not None:
             return encoding.nbytes
         return self.n_rows * VALUE_BYTES
@@ -88,16 +90,8 @@ class ColumnTable:
                 f"table {self.name!r} has no column {column!r}"
             ) from None
 
-    def segment(self, column):
-        return self._segments[column]
-
-    def encoding(self, column):
-        """The column's codec object — what reads account I/O against —
-        or ``None`` when stored raw."""
-        return self._encodings.get(column)
-
     def bytes_on_disk(self):
-        return sum(s.nbytes for s in self._segments.values())
+        return sum(s.nbytes for s in self.segments.values())
 
     def logical_bytes(self):
         """Uncompressed footprint of the table's columns."""
@@ -111,7 +105,7 @@ class ColumnTable:
         """Per-column codec + size document for reports."""
         columns = {}
         for col in self._arrays:
-            encoding = self._encodings.get(col)
+            encoding = self.encodings.get(col)
             columns[col] = {
                 "codec": encoding.codec if encoding is not None else "raw",
                 "logical_bytes": self.n_rows * VALUE_BYTES,

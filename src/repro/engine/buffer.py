@@ -184,16 +184,17 @@ def _page_list(segment, page_indices):
 def _page_runs(pages, base):
     """The maximal runs ``(start, stop)`` of consecutive numbers in the
     ascending *pages*, as global page ids (offset by *base*)."""
-    i, n = 0, len(pages)
+    n = len(pages)
     if n and pages[-1] - pages[0] == n - 1:  # one run: a range, one page
-        i = n
-        yield base + pages[0], base + pages[-1] + 1
+        return ((base + pages[0], base + pages[-1] + 1),)
+    runs, i = [], 0
     while i < n:
         j = i + 1
         while j < n and pages[j] == pages[j - 1] + 1:
             j += 1
-        yield base + pages[i], base + pages[j - 1] + 1
+        runs.append((base + pages[i], base + pages[j - 1] + 1))
         i = j
+    return runs
 
 
 class BufferPool:

@@ -25,6 +25,7 @@ from repro.errors import BenchmarkError, StorageError
 from repro.exec.runtime import Runtime
 from repro.observe import NULL_TRACER
 from repro.plan.logical import count_operators
+from repro.storage.compress import CompressionCounts
 
 
 class EngineHost:
@@ -53,6 +54,7 @@ class EngineHost:
             self.disk, self.clock, buffer_bytes, max_run_bytes=max_run_bytes,
             sequential_coalescing=sequential_coalescing,
         )
+        self.compression_counts = CompressionCounts()
 
     def install_tracer(self, tracer):
         """Install (or, with ``None``, remove) a tracer.
@@ -93,7 +95,16 @@ class EngineHost:
         the query's working set — the C-Store replica does, by design
         (restrictive buffer space, paper Section 3); its hot runs stay
         partially I/O-bound exactly as Table 4 shows.
+
+        Called on its own, it flushes what it counted before it returns,
+        so none of it lands in the measured run that follows.
         """
+        try:
+            self._prepare(query, mode)
+        finally:
+            self.flush_counters()
+
+    def _prepare(self, query, mode):
         if mode is None or mode == "current":
             return
         if mode == "cold":
@@ -113,16 +124,22 @@ class EngineHost:
         exactly one execution.  The simulated clock is deterministic: one
         measured run replaces the paper's average-of-three.
 
-        The pool counts its reads in plain fields; they reach the
-        process-wide ``buffer_pool`` counters here, once per run — also
-        when the run raises (cancellation, a failing operator).
+        The pool and the compressed reads count in plain fields; they
+        reach the process-wide counters here, once per run — also when the
+        run raises (cancellation, a failing operator).
         """
         try:
             if mode is not None:
-                self.prepare(query, mode)
+                self._prepare(query, mode)
             return self._measure(query)
         finally:
-            self.pool.flush_counters()
+            self.flush_counters()
+
+    def flush_counters(self):
+        """Publish the pool's and the compressed reads' counts: one ``add``
+        per counter group."""
+        self.pool.flush_counters()
+        self.compression_counts.flush()
 
     def _measure(self, query):
         """Reset the clock, execute *query*, return ``(Relation,

@@ -105,8 +105,9 @@ class Runtime:
         # session/connection's execution lock.
         self._lowered = LruCache(LOWER_CACHE_SIZE)
         #: What operators resolved from the catalog for every lowered
-        #: plan to share: ``(table, column)`` -> the column store's
-        #: whole-column scan charge.
+        #: plan to share: the column store's whole-column scan charge per
+        #: ``(table, column)``, its first-probe charge per ``(table,
+        #: column, "probe")``.
         self.resolved = {}
 
     # ------------------------------------------------------------------

@@ -129,15 +129,31 @@ def note_column(encoding, n_values):
         _COUNTERS.add(1, 0, logical, encoding.nbytes, 0, 0, 0, 0)
 
 
-def note_scan(compressed_bytes, logical_bytes):
-    """Account one compressed read (operators call this per fetch)."""
-    _COUNTERS.add(0, 0, 0, 0, int(compressed_bytes), int(logical_bytes), 0, 1)
+class CompressionCounts:
+    """One engine's read-time ``compression`` counters (the last four, in
+    order) in a plain list; :meth:`flush` publishes them in one ``add``
+    per measured run (``EngineHost.run``), not one per read."""
 
+    __slots__ = ("counts",)
 
-def note_runs_skipped(n):
-    """Account rows whose per-row work collapsed into per-run work."""
-    if n:
-        _COUNTERS.add(0, 0, 0, 0, 0, 0, int(n), 0)
+    def __init__(self):
+        self.counts = [0, 0, 0, 0]
+
+    def note_scan(self, compressed_bytes, logical_bytes):
+        """Account one compressed read (operators call this per fetch)."""
+        self.counts[0] += int(compressed_bytes)
+        self.counts[1] += int(logical_bytes)
+        self.counts[3] += 1
+
+    def note_runs_skipped(self, n):
+        """Account rows whose per-row work collapsed into per-run work."""
+        self.counts[2] += int(n)
+
+    def flush(self):
+        """Publish the counts noted since the last flush."""
+        if any(self.counts):
+            _COUNTERS.add(0, 0, 0, 0, *self.counts)
+            self.counts = [0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
 """Tests for the column-store engine: correctness and I/O/cost behaviour."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.colstore import ColumnStoreEngine
-from repro.errors import StorageError
+from repro.colstore.operators import _CanonicalRun
+from repro.errors import QueryCancelled, StorageError
+from repro.exec.cancel import CancellationToken
 from repro.plan import (
+    ColumnComparison,
     Comparison,
     Distinct,
+    Extend,
     GroupBy,
     Having,
     Join,
@@ -224,6 +231,31 @@ class TestCostBehaviour:
         _, timing = e.run(plan)
         assert timing.bytes_read >= n * 8  # at least the full prop column
 
+    def test_a_probe_is_charged_for_its_own_range(self):
+        """Only a descent's first probe, always over the whole table, is
+        resolved once per column; a narrowed probe never reuses what an
+        earlier query's probe of the same column charged."""
+        def fresh():
+            e = ColumnStoreEngine()
+            e.create_table(
+                "t",
+                {"subj": np.repeat([1, 2, 3], [1000, 10, 300]),
+                 "obj": np.arange(1310)},
+                sort_by=["subj", "obj"],
+            )
+            return e
+
+        def point(subj):
+            return Select(Scan("t", ["subj", "obj"]), [
+                Comparison("subj", "=", subj), Comparison("obj", "=", 5),
+            ])
+
+        warm = fresh()
+        warm.run(point(1))
+        for subj in (2, 3):
+            assert warm.run(point(subj), mode="cold")[1].to_dict() == \
+                fresh().run(point(subj), mode="cold")[1].to_dict()
+
     def test_plan_size_overhead_charged(self, engine):
         """Bigger plans cost more CPU even over identical data — the
         union-heavy vertically-partitioned query tax."""
@@ -251,10 +283,13 @@ class TestReplayWorkPerBranch:
 
     #: Mean ``src/repro`` calls per op over the twelve named queries, cold
     #: then as the cold run left the pool (the ``col_exec`` op list), on a
-    #: 222-property vertical store of 8 000 triples.  5 602 when recorded;
-    #: 8 545 at the commit before (of which q8, whose 222 non-canonical
-    #: branches go through operator dispatch, is 47 541 / 52 242).
-    CALLS_PER_OP_CEILING = 6_000
+    #: 222-property vertical store of 8 000 triples.  2 970 when recorded;
+    #: 5 714 at the commit before, when q8's 444 selection branches still
+    #: went through operator dispatch (q8 alone 48 873 cold / 46 221 hot).
+    CALLS_PER_OP_CEILING = 3_500
+
+    #: ``src/repro`` calls of one hot q8 (14 280 when recorded).
+    Q8_HOT_CALLS_CEILING = 15_000
 
     @pytest.fixture(scope="class")
     def session(self):
@@ -282,6 +317,22 @@ class TestReplayWorkPerBranch:
         assert names["_base_column"] <= 4
         assert names["add"] <= 4  # counter-table writes: not one per read
 
+    def test_a_hot_q8_runs_its_selections_in_the_kernel(
+        self, session, repro_calls
+    ):
+        session.query("q8", mode="cold")
+        names = repro_calls(lambda: session.query("q8"))
+        assert names["vector_union"] == 2
+        assert names["_canonical_branch"] == 0
+        assert names["_resolve_union"] == 0
+        # Only the two projections above the unions dispatch: none of the
+        # 2 x 222 Project(Select(Scan)) branches goes through an operator,
+        # yet each is charged as its fused scan+select would be.
+        assert names["project"] == 2
+        assert names["scan_select"] == 0
+        assert names["_replay_scan"] == 2 * 222
+        assert sum(names.values()) <= self.Q8_HOT_CALLS_CEILING
+
     def test_ddl_drops_what_a_lowered_union_resolved(
         self, session, repro_calls
     ):
@@ -306,3 +357,219 @@ class TestReplayWorkPerBranch:
             for q, m in ops
         )
         assert total / len(ops) <= self.CALLS_PER_OP_CEILING
+
+
+# ---------------------------------------------------------------------------
+# the union kernel against generic dispatch
+# ---------------------------------------------------------------------------
+
+def _kernel_tables():
+    """Six (subj, obj)-sorted tables, one empty: small value domains, so
+    subjects repeat (RLE runs under compression) and any constant in
+    ``[-1, 62]`` may or may not match."""
+    rng = np.random.default_rng(5)
+    return {
+        f"k{i}": (rng.integers(0, 40, n), rng.integers(0, 60, n))
+        for i, n in enumerate((0, 7, 40, 90, 150, 300))
+    }
+
+
+KERNEL_TABLES = _kernel_tables()
+
+#: ``None`` is a constant missing from the dictionary.
+_constants = st.one_of(st.integers(-1, 62), st.none())
+
+
+@st.composite
+def _union_branch(draw, index):
+    """One union branch over a random table: plain, selecting (random
+    simple predicates, or equality on both sort columns), optionally
+    extended, or non-canonical (a column-to-column comparison).  Returns
+    ``(branch, canonical)``."""
+    alias = f"B{index}"
+    node = Scan(draw(st.sampled_from(sorted(KERNEL_TABLES))),
+                ["subj", "obj"], alias=alias)
+    subj, obj, tag = f"{alias}.subj", f"{alias}.obj", f"{alias}.tag"
+    kind = draw(st.sampled_from(
+        ["plain", "select", "point", "cross", "select"]
+    ))
+    if kind == "select":
+        node = Select(node, draw(st.lists(
+            st.builds(
+                Comparison, st.sampled_from([subj, obj]),
+                st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+                _constants,
+            ),
+            min_size=1, max_size=3,
+        )))
+    elif kind == "point":
+        node = Select(node, [
+            Comparison(subj, "=", draw(_constants)),
+            Comparison(obj, "=", draw(_constants)),
+        ])
+    elif kind == "cross":
+        node = Select(node, [
+            ColumnComparison(subj, draw(st.sampled_from(["<", "!="])), obj),
+        ])
+    sources = [subj, obj]
+    if draw(st.booleans()):
+        node = Extend(node, tag, draw(st.integers(0, 9)))
+        sources.append(tag)
+    mapping = [("s", draw(st.sampled_from(sources))),
+               ("o", draw(st.sampled_from(sources)))]
+    return Project(node, mapping), kind != "cross"
+
+
+@st.composite
+def _kernel_case(draw):
+    """``(kernel plan, oracle plan, canonical branch count)``: the oracle
+    wraps every branch in an identity Project, which keeps it off the
+    kernel and charges nothing."""
+    drawn = [
+        draw(_union_branch(i)) for i in range(draw(st.integers(1, 7)))
+    ]
+    distinct = draw(st.booleans())
+    keep = draw(st.sampled_from([["s"], ["o"], ["s", "o"]]))
+
+    def plan(branches):
+        union = Union(branches, distinct=distinct)
+        return Project(union, [(name, name) for name in keep])
+
+    branches = [branch for branch, _ in drawn]
+    identity = [
+        Project(b, [(c, c) for c in b.output_columns()]) for b in branches
+    ]
+    return plan(branches), plan(identity), sum(c for _, c in drawn)
+
+
+def _executed(engine, plan):
+    """Rows, cost document, pool-stats delta and compression counts of
+    *plan* run cold and then warm straight through the runtime (the plan
+    overhead charge depends on the operator count, which the identity
+    Projects change; everything below it must not)."""
+    engine.make_cold()
+    runtime = engine.executor()
+    pool0 = engine.pool.stats()
+    counts0 = list(engine.compression_counts.counts)
+    runs = []
+    for _ in range(2):
+        engine.clock.reset()
+        relation = runtime.execute(plan)
+        runs.append((
+            {n: relation.column(n).tolist() for n in relation.columns},
+            sorted(relation.oid_columns), engine.clock.timing().to_dict(),
+        ))
+    pool = {k: v - pool0[k] for k, v in engine.pool.stats().items()}
+    counts = [
+        b - a for a, b in zip(counts0, engine.compression_counts.counts)
+    ]
+    return runs, pool, counts
+
+
+class TestUnionKernelDifferential:
+    """Runs of canonical branches — now with selections — evaluated and
+    charged by the union kernel must equal generic operator dispatch of
+    the same branches: rows, cost documents and pool statistics, raw and
+    compressed, serial and on 64-row morsels."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        engines = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_MORSEL_ROWS", "64")
+            for compression in (None, "physical"):
+                for workers in (1, 4):
+                    engine = ColumnStoreEngine(
+                        compression=compression, workers=workers
+                    )
+                    for name, (subj, obj) in KERNEL_TABLES.items():
+                        engine.create_table(
+                            name, {"subj": subj, "obj": obj},
+                            sort_by=["subj", "obj"],
+                        )
+                    engines[compression, workers] = engine
+        return engines
+
+    @settings(max_examples=60)
+    @given(case=_kernel_case())
+    def test_kernel_equals_generic_dispatch(self, engines, case):
+        kernel, oracle, n_canonical = case
+        for engine in engines.values():
+            assert _executed(engine, kernel) == _executed(engine, oracle)
+            union = engine.lower(kernel).children[0]
+            assert n_canonical == sum(
+                len(run.branches) for run in union.prepared.runs
+                if type(run) is _CanonicalRun
+            )
+
+
+# ---------------------------------------------------------------------------
+# cancellation inside the union kernel
+# ---------------------------------------------------------------------------
+
+class _FiresOnPoll(CancellationToken):
+    """A token that counts its polls and cancels itself on poll number
+    *fire_at* (never when ``None``)."""
+
+    def __init__(self, fire_at=None):
+        super().__init__()
+        self.fire_at = fire_at
+        self._polls = itertools.count(1)
+        self.polls = 0
+
+    def _poll(self):
+        self.polls = next(self._polls)
+        if self.polls == self.fire_at:
+            self.cancel("poll limit")
+
+    def is_set(self):
+        self._poll()
+        return super().is_set()
+
+    def raise_if_cancelled(self):
+        self._poll()
+        super().raise_if_cancelled()
+
+
+class TestUnionCancellation:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_cancel_mid_union_leaves_the_session_sound(
+        self, workers, monkeypatch
+    ):
+        import repro.api as api
+        from repro.data import generate_barton
+
+        monkeypatch.setenv("REPRO_MORSEL_ROWS", "64")
+        dataset = generate_barton(n_triples=3_000, n_properties=30, seed=7)
+
+        def connect():
+            return api.connect(
+                triples=dataset.triples,
+                interesting_properties=dataset.interesting_properties,
+                engine_options={"workers": workers},
+            )
+
+        fresh = connect().session().query("q8", mode="cold")
+        connection = connect()
+        session = connection.session()
+        runtime = connection.store.engine.executor()
+
+        counting = _FiresOnPoll().bind()
+        monkeypatch.setattr(runtime, "cancel_token", counting)
+        session.query("q8", mode="cold")
+        # Serial: one poll per operator boundary above the branches
+        # (Project, Join, Project, Union, Union) and one per union for its
+        # one branch group.  On morsels each union polls once per group
+        # and once at the end of the batch.  Either way the last poll is
+        # the second union's.
+        polls = counting.polls
+        assert polls == 7 if workers == 1 else polls > 7
+
+        runtime.cancel_token = _FiresOnPoll(fire_at=polls).bind()
+        with pytest.raises(QueryCancelled):
+            session.query("q8", mode="cold")
+        runtime.cancel_token = None
+
+        again = session.query("q8", mode="cold")
+        assert list(again) == list(fresh)
+        assert again.cost.to_dict() == fresh.cost.to_dict()

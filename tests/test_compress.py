@@ -20,14 +20,13 @@ from repro.storage.compress import (
     RUN_BYTES,
     VALUE_BYTES,
     CompressionConfig,
+    CompressionCounts,
     DeltaColumn,
     DictColumn,
     RleColumn,
     choose_codec,
     column_stats,
     note_column,
-    note_runs_skipped,
-    note_scan,
 )
 
 CODEC_CLASSES = (RleColumn, DeltaColumn, DictColumn)
@@ -247,9 +246,13 @@ class TestCounters:
             encoding = choose_codec(values)
             note_column(encoding, len(values))
             note_column(None, 10)
-            note_scan(64, 512)
-            note_runs_skipped(96)
-            note_runs_skipped(0)   # no-op
+            reads = CompressionCounts()
+            reads.note_scan(64, 512)
+            reads.note_runs_skipped(96)
+            reads.note_runs_skipped(0)   # no-op
+            assert counters.snapshot("compression")["bytes_scanned"] == 0
+            reads.flush()
+            reads.flush()                # nothing new: no second add
             stats = counters.snapshot("compression")
             assert stats["columns_compressed"] == 1
             assert stats["columns_raw"] == 1

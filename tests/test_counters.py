@@ -27,6 +27,7 @@ from repro.observe.race import (
     reset_race_state,
 )
 from repro.server import serve
+from repro.storage.compress import CompressionCounts
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -53,6 +54,13 @@ LEDGER_KEYS = {
     "compression.compression_ratio",
     "parallel.batches", "parallel.inline_batches", "parallel.morsels",
 }
+
+#: The ``compression`` counters the engine counts per run, in
+#: :class:`CompressionCounts` order.
+SCAN_KEYS = (
+    "bytes_scanned", "logical_bytes_scanned", "runs_skipped",
+    "compressed_reads",
+)
 
 
 def flat_keys(document):
@@ -292,6 +300,114 @@ class TestPoolFlush:
         with pytest.raises(RuntimeError, match="operator failed"):
             session.query("q2", mode="cold")
         self._assert_flushed(before, pool, reads)
+
+
+class TestCompressionFlush:
+    """Compressed reads count in the engine's plain fields
+    (``engine.compression_counts``); ``EngineHost.run`` publishes them to
+    the ``compression`` group in one ``add`` per measured run, also when
+    the run is cancelled."""
+
+    @pytest.fixture()
+    def compressed(self, dataset):
+        return api.connect(
+            triples=dataset.triples,
+            interesting_properties=dataset.interesting_properties,
+            engine_options={"compression": "physical"},
+        )
+
+    @staticmethod
+    def _spy_adds(monkeypatch):
+        adds = []
+        add = counters.CounterGroup.add
+
+        def spy(group, *deltas):
+            if group.name == "compression":
+                adds.append(deltas)
+            add(group, *deltas)
+
+        monkeypatch.setattr(counters.CounterGroup, "add", spy)
+        return adds
+
+    @staticmethod
+    def _tally_notes(monkeypatch, on_scan=lambda n: None):
+        """What the operators note, summed as the old per-read adds were:
+        ``[bytes_scanned, logical_bytes_scanned, runs_skipped,
+        compressed_reads]``."""
+        noted = [0, 0, 0, 0]
+        note_scan = CompressionCounts.note_scan
+        note_runs_skipped = CompressionCounts.note_runs_skipped
+
+        def scan(counts, compressed_bytes, logical_bytes):
+            noted[0] += compressed_bytes
+            noted[1] += logical_bytes
+            noted[3] += 1
+            on_scan(noted[3])
+            note_scan(counts, compressed_bytes, logical_bytes)
+
+        def runs_skipped(counts, n):
+            noted[2] += n
+            note_runs_skipped(counts, n)
+
+        monkeypatch.setattr(CompressionCounts, "note_scan", scan)
+        monkeypatch.setattr(
+            CompressionCounts, "note_runs_skipped", runs_skipped
+        )
+        return noted
+
+    @staticmethod
+    def _delta(before):
+        after = counters.snapshot("compression")
+        return [after[key] - before[key] for key in SCAN_KEYS]
+
+    def test_one_add_per_run(self, compressed, monkeypatch):
+        session = compressed.session()
+        session.query("q8", mode="cold")      # plan + lowering caches warm
+        adds = self._spy_adds(monkeypatch)
+        noted = self._tally_notes(monkeypatch)
+        session.query("q8", mode="cold")
+        assert len(adds) == 1 and noted[3] > 10
+        session.query("q8", mode="hot")       # warm-up + measured: one run
+        assert len(adds) == 2
+
+    def test_the_totals_of_the_reads_and_of_the_spans(
+        self, compressed, monkeypatch
+    ):
+        session = compressed.session()
+        noted = self._tally_notes(monkeypatch)
+        for query in ("q1", "q2", "q8"):
+            before = counters.snapshot("compression")
+            session.query(query, mode="cold")
+            assert self._delta(before) == noted and noted[0] > 0, query
+            noted[:] = [0, 0, 0, 0]
+            # The span counts record every read as it happens.
+            before = counters.snapshot("compression")
+            profile = session.profile(query, mode="cold")
+            delta = self._delta(before)
+            assert delta == noted, query
+            assert delta[:3] == [
+                profile.count_total(key) for key in SCAN_KEYS[:3]
+            ], query
+            noted[:] = [0, 0, 0, 0]
+
+    def test_a_cancelled_run_is_still_flushed(self, compressed, monkeypatch):
+        from repro.errors import QueryCancelled
+        from repro.exec.cancel import CancellationToken
+
+        engine = compressed.store.engine
+        session = compressed.session()
+        token = CancellationToken().bind()
+        noted = self._tally_notes(
+            monkeypatch, on_scan=lambda n: n == 1 and token.cancel("test"),
+        )
+        monkeypatch.setattr(engine.executor(), "cancel_token", token)
+        before = counters.snapshot("compression")
+        with pytest.raises(QueryCancelled):
+            # A join: the token is polled again at its second input.
+            session.query("q3", mode="cold")
+        assert noted[3] >= 1
+        assert self._delta(before) == noted
+        assert engine.compression_counts.counts == [0, 0, 0, 0]
 
 
 class TestTable:

@@ -17,7 +17,16 @@ from repro.colstore import ColumnStoreEngine
 from repro.data import generate_barton
 from repro.exec.parity import compare_parity, parity_sweep
 from repro.observe import counters
-from repro.plan import Comparison, Extend, GroupBy, Project, Scan, Select, Union
+from repro.plan import (
+    ColumnComparison,
+    Comparison,
+    Extend,
+    GroupBy,
+    Project,
+    Scan,
+    Select,
+    Union,
+)
 from repro.storage import build_vertical_store
 
 #: Small enough that every base-table scan splits into several morsels
@@ -59,9 +68,10 @@ def _connect(dataset, workers):
 
 
 def _mixed_union(catalog):
-    """canonical, canonical, non-canonical (a Select under the Project),
-    canonical with an Extend — so the canonical runs on either side of the
-    generic branch must be charged around it, in branch order."""
+    """canonical, canonical with a selection, non-canonical (a
+    column-to-column comparison under the Project), canonical with an
+    Extend — so the canonical runs on either side of the generic branch
+    must be charged around it, in branch order."""
     tables = [
         catalog.property_tables[name] for name in catalog.all_properties[:4]
     ]
@@ -72,9 +82,12 @@ def _mixed_union(catalog):
     return Union(
         [
             Project(scans[0], [("s", "T0.subj"), ("o", "T0.obj")]),
-            Project(scans[1], [("s", "T1.subj"), ("o", "T1.obj")]),
             Project(
-                Select(scans[2], [Comparison("T2.obj", ">", 0)]),
+                Select(scans[1], [Comparison("T1.obj", ">", 0)]),
+                [("s", "T1.subj"), ("o", "T1.obj")],
+            ),
+            Project(
+                Select(scans[2], [ColumnComparison("T2.obj", ">=", "T2.obj")]),
                 [("s", "T2.subj"), ("o", "T2.obj")],
             ),
             Project(
