@@ -81,6 +81,11 @@ class ColumnTable:
     def column_names(self):
         return list(self._arrays)
 
+    def definition(self):
+        """``(sort_by, indexes)``: what ``create_table`` needs besides the
+        columns to re-create this table (a column table has no indexes)."""
+        return list(self.sort_order), None
+
     def array(self, column):
         """The raw in-memory array (I/O accounting is the caller's job)."""
         try:

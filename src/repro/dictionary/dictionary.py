@@ -58,6 +58,20 @@ class Dictionary:
             raise DictionaryError("from_interned requires unique strings")
         return d
 
+    @classmethod
+    def copy_of(cls, source):
+        """A mutable copy of *source* (mutable or frozen) keeping every oid.
+
+        Two C-level container copies and no per-string :meth:`encode`, so
+        thawing makes the same few Python calls whatever the vocabulary
+        size.
+        """
+        d = cls()
+        d._by_string = dict(source._by_string)
+        d._by_oid = list(source._by_oid)
+        d.needs_reorganization = source.needs_reorganization
+        return d
+
     def __len__(self):
         return len(self._by_oid)
 

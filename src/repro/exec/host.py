@@ -12,13 +12,16 @@ Two levels, and nothing in either branches on which engine it hosts:
   measured body (:meth:`EngineHost._measure`) — whatever it charges
   between the clock reset and the timing snapshot is the run.
 * :class:`PlanHost` — the level the two :class:`~repro.exec.runtime.Runtime`
-  backed engines share: a table catalog, lowering, and the one measured
-  body for a logical plan (clock reset, plan-overhead charge,
+  backed engines share: a table catalog, the one sorted merge of new rows
+  into a stored table (:meth:`PlanHost.merge_rows`), lowering, and the one
+  measured body for a logical plan (clock reset, plan-overhead charge,
   ``Runtime.execute``, output charge).
 
 The C-Store replica subclasses the substrate only: it has no lowering and
 no plans, just seven hardwired queries with their own charge sequence.
 """
+
+import numpy as np
 
 from repro.engine import BufferPool, QueryClock, SimulatedDisk
 from repro.errors import BenchmarkError, StorageError
@@ -164,7 +167,9 @@ class PlanHost(EngineHost):
 
     Subclasses set ``kind`` to a key with a registered
     :class:`~repro.exec.registry.EngineOperatorSet` and provide
-    ``create_table`` / ``drop_table`` over their own table class.
+    ``create_table`` / ``drop_table`` over their own table class, whose
+    tables answer ``column_names()``, ``array(column)`` and
+    ``definition()`` — all :meth:`merge_rows` reads.
     """
 
     def __init__(self, *args, **kwargs):
@@ -201,6 +206,50 @@ class PlanHost(EngineHost):
     def table_names(self):
         return list(self._tables)
 
+    def merge_rows(self, name, delta_columns):
+        """Merge *delta_columns* into table *name* as a set; return the
+        re-created table, or ``None`` when no delta row was new.
+
+        The table's sort key must name every column, so a row is its key.
+        The few delta rows are stable-sorted, rows already stored or
+        repeated are dropped, ``np.searchsorted`` over the stored sorted
+        columns finds where the rest go (after equal keys, as a stable
+        sort would put them), and ``np.insert`` builds the merged columns.
+        The table is then dropped and re-created through ``create_table``
+        with ``presorted=True``: the merged columns are exactly what the
+        load sort of stored plus new rows produces, so segment names, the
+        append-at-end disk layout, table order, codecs and every simulated
+        number equal a drop-and-resort.  Interpreter work is O(delta);
+        only numpy's memory moves are O(rows).
+        """
+        table = self.table(name)
+        sort_by, indexes = table.definition()
+        names = table.column_names()
+        if sorted(sort_by) != sorted(names) or set(delta_columns) != set(names):
+            raise StorageError(
+                f"merge_rows into {name!r} needs a sort key over every "
+                f"column {names} and delta columns {sorted(delta_columns)} "
+                "naming each of them"
+            )
+        # One row per key column: delta is k x m, stored k x n.
+        delta = np.array([delta_columns[c] for c in sort_by], dtype=np.int64)
+        delta = delta[:, np.lexsort(delta[::-1])]
+        stored = np.array([table.array(c) for c in sort_by], dtype=np.int64)
+        stored_rows, delta_rows = _records(stored), _records(delta)
+        at = np.searchsorted(stored_rows, delta_rows, side="right")
+        fresh = np.searchsorted(stored_rows, delta_rows, side="left") == at
+        fresh[1:] &= (delta[:, 1:] != delta[:, :-1]).any(axis=0)
+        if not fresh.any():
+            return None
+        merged = dict(zip(
+            sort_by, np.insert(stored, at[fresh], delta[:, fresh], axis=1)
+        ))
+        self.drop_table(name)
+        return self.create_table(
+            name, {c: merged[c] for c in names}, sort_by=sort_by,
+            indexes=indexes, presorted=True,
+        )
+
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
@@ -219,3 +268,13 @@ class PlanHost(EngineHost):
             self.costs.output_tuple * relation.n_rows, category="output"
         )
         return relation, self.clock.timing()
+
+
+def _records(columns):
+    """The k x n int64 *columns* as n structured rows: numpy compares and
+    searches them lexicographically, field by field."""
+    fields = [f"f{i}" for i in range(len(columns))]
+    records = np.empty(columns.shape[1], dtype=[(f, np.int64) for f in fields])
+    for field, column in zip(fields, columns):
+        records[field] = column
+    return records

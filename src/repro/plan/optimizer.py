@@ -13,6 +13,8 @@ above/below the join tree stay where they were, so the optimized plan is
 result-equivalent by construction (asserted by differential tests).
 """
 
+import numpy as np
+
 from repro.plan import logical as L
 from repro.plan.stats import Estimator, TableStats
 
@@ -31,23 +33,11 @@ def engine_stats_provider(engine):
 
 def _table_stats(engine, table_name):
     table = engine.table(table_name)
-    if hasattr(table, "array"):  # column table
-        distinct = {
-            column: int(len(_unique(table.array(column))))
-            for column in table.column_names()
-        }
-        return TableStats(n_rows=table.n_rows, distinct=distinct)
-    # row table
-    distinct = {}
-    for index, column in enumerate(table.columns):
-        distinct[column] = len({row[index] for row in table.rows})
+    distinct = {
+        column: int(len(np.unique(table.array(column))))
+        for column in table.column_names()
+    }
     return TableStats(n_rows=table.n_rows, distinct=distinct)
-
-
-def _unique(array):
-    import numpy as np
-
-    return np.unique(array)
 
 
 def optimize_joins(plan, stats_provider):

@@ -8,6 +8,8 @@ fetch per row — the physical difference that makes the paper's SPO-vs-PSO
 clustering comparison come out the way it does.
 """
 
+from operator import itemgetter
+
 import numpy as np
 
 from repro.errors import StorageError
@@ -138,6 +140,24 @@ class RowTable:
             raise StorageError(
                 f"table {self.name!r} has no column {column!r}"
             ) from None
+
+    def column_names(self):
+        return list(self.columns)
+
+    def array(self, column):
+        """One column copied out of the heap tuples, in heap order."""
+        return np.fromiter(
+            map(itemgetter(self.column_position(column)), self.rows),
+            dtype=np.int64, count=self.n_rows,
+        )
+
+    def definition(self):
+        """``(sort_by, indexes)``: what ``create_table`` needs besides the
+        columns to re-create this table, secondary indexes included."""
+        return list(self.clustering), [
+            {"name": index.name, "columns": list(index.key_columns)}
+            for index in self.secondary_indexes()
+        ]
 
     def clustered_index(self):
         if not self.clustering:

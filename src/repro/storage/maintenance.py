@@ -6,27 +6,42 @@ queries have to be re-produced.  Here holds the general observation that
 data-driven logical schemes make queries susceptible to updates"
 (Section 4.2).  This module makes that observation executable:
 
-* inserting triples into a **triple-store** rebuilds one table (a bulk
+* inserting triples into a **triple-store** rewrites one table (a sorted
   merge into the clustered order) and never changes the logical schema,
-* inserting into a **vertically-partitioned** store rebuilds only the
-  affected property tables — but a triple with a *previously unseen
+* inserting into a **vertically-partitioned** store rewrites only the
+  touched property tables — but a triple with a *previously unseen
   property* requires ``CREATE TABLE`` and invalidates every generated
   query that iterates the property list (the q2*/q3*/q4*/q6*/q8 family).
 
-Physical rebuild is how column stores actually absorb bulk appends
-(write-optimized deltas merged into the read-optimized store); the
-:class:`MaintenanceReport` accounts what had to be rewritten so the cost
-asymmetry between the schemes is measurable.
+An insert runs in two phases, so a batch that fails leaves the tables,
+the disk and the caller's catalog as they were:
+
+1. **Encode.** The frozen dictionary is thawed by copy
+   (:meth:`~repro.dictionary.Dictionary.copy_of`), and the whole batch is
+   encoded and validated before any table is touched.
+2. **Apply.** Each touched table absorbs its rows through the engine's
+   :meth:`~repro.exec.host.PlanHost.merge_rows`: the few new rows are
+   sorted, searched into the stored sorted columns and inserted there, and
+   the table is re-created from the merged columns exactly as a
+   drop-and-resort would have laid it out.  A new vertical property gets
+   ``create_table``.
+
+Tables hold sets: a triple already stored, or repeated in the batch, is
+stored once, and a batch with nothing new touches no table.  The
+:class:`MaintenanceReport` accounts what had to be rewritten (the
+re-created tables' bytes) so the cost asymmetry between the schemes is
+measurable.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.dictionary import Dictionary
 from repro.errors import StorageError
-from repro.storage.catalog import clustering_columns
 from repro.storage.encoding import is_order_preserving
+from repro.storage.vertical_store import property_table_indexes
 
 
 @dataclass
@@ -67,189 +82,109 @@ def insert_triples(engine, catalog, triples):
 
     The catalog is replaced (its dictionary may have grown and, for the
     vertical scheme, its table map may have gained entries); the engine is
-    updated in place.
+    updated in place.  Nothing is applied unless the whole batch encodes.
     """
-    triples = list(triples)
     if catalog.is_triple_store():
-        return _insert_triple_store(engine, catalog, triples)
-    if catalog.is_vertical():
-        return _insert_vertical(engine, catalog, triples)
-    raise StorageError(
-        f"incremental maintenance not implemented for scheme "
-        f"{catalog.scheme!r}"
-    )
-
-
-def _thaw(frozen):
-    """Rebuild a mutable dictionary preserving every existing oid."""
-    dictionary = Dictionary(frozen)
-    dictionary.needs_reorganization = bool(
-        getattr(frozen, "needs_reorganization", False)
-    )
-    return dictionary
-
-
-def _note_order_breakage(dictionary, report):
-    """Flag the dictionary/report when appended oids broke oid order."""
+        insert = _insert_triple_store
+    elif catalog.is_vertical():
+        insert = _insert_vertical
+    else:
+        raise StorageError(
+            f"incremental maintenance not implemented for scheme "
+            f"{catalog.scheme!r}"
+        )
+    triples = list(triples)
+    dictionary = Dictionary.copy_of(catalog.dictionary)
+    report = MaintenanceReport(n_triples=len(triples))
+    changes = insert(engine, catalog, triples, dictionary, report)
+    report.new_properties.sort()
     if dictionary.needs_reorganization or not is_order_preserving(dictionary):
         dictionary.needs_reorganization = True
         report.needs_reorganization = True
-
-
-def _replace_table(engine, name, columns, sort_by, indexes):
-    if engine.has_table(name):
-        engine.drop_table(name)
-    table = engine.create_table(name, columns, sort_by=sort_by, indexes=indexes)
-    return table
-
-
-def _insert_triple_store(engine, catalog, triples):
-    import dataclasses
-
-    dictionary = _thaw(catalog.dictionary)
-    report = MaintenanceReport(n_triples=len(triples))
-
-    table = engine.table(catalog.triples_table)
-    old_properties = set(catalog.all_properties)
-
-    if engine.kind == "column-store":
-        subj = table.array("subj")
-        prop = table.array("prop")
-        obj = table.array("obj")
-        rows = list(zip(subj.tolist(), prop.tolist(), obj.tolist()))
-    else:
-        position = {c: i for i, c in enumerate(table.columns)}
-        rows = [
-            (r[position["subj"]], r[position["prop"]], r[position["obj"]])
-            for r in table.rows
-        ]
-    for t in triples:
-        rows.append(
-            (
-                dictionary.encode(t.s),
-                dictionary.encode(t.p),
-                dictionary.encode(t.o),
-            )
-        )
-        if t.p not in old_properties:
-            old_properties.add(t.p)
-            report.new_properties.append(t.p)
-
-    columns = {
-        "subj": np.asarray([r[0] for r in rows], dtype=np.int64),
-        "prop": np.asarray([r[1] for r in rows], dtype=np.int64),
-        "obj": np.asarray([r[2] for r in rows], dtype=np.int64),
-    }
-    sort_by = list(clustering_columns(catalog.clustering))
-    indexes = _existing_index_specs(engine, table)
-    new_table = _replace_table(
-        engine, catalog.triples_table, columns, sort_by, indexes
+    new_catalog = dataclasses.replace(
+        catalog, dictionary=dictionary.freeze(), **changes
     )
-    report.tables_rebuilt.append(catalog.triples_table)
-    report.bytes_rewritten += _table_bytes(new_table)
-    # New properties extend the vocabulary but NOT the schema: the
+    return new_catalog, report
+
+
+def _encode(dictionary, strings, width):
+    """*strings* encoded in order (new ones get the next oids), as rows of
+    *width* oids; raises ``DictionaryError`` on a non-string."""
+    oids = dictionary.encode_many(strings)
+    return np.fromiter(oids, dtype=np.int64, count=len(oids)).reshape(
+        -1, width
+    )
+
+
+def _merge(engine, name, columns, report):
+    table = engine.merge_rows(name, columns)
+    if table is not None:
+        report.tables_rebuilt.append(name)
+        report.bytes_rewritten += table.bytes_on_disk()
+
+
+def _insert_triple_store(engine, catalog, triples, dictionary, report):
+    # Encode: subject, property, object of each triple in batch order.
+    rows = _encode(
+        dictionary, [x for t in triples for x in (t.s, t.p, t.o)], 3
+    )
+    report.new_properties = list(
+        {t.p for t in triples}.difference(catalog.all_properties)
+    )
+    # Apply.  New properties extend the vocabulary but NOT the schema: the
     # triple-store's queries never enumerate properties.
-    report.new_properties = sorted(
-        set(report.new_properties)
+    name = catalog.triples_table
+    _merge(engine, name, {
+        "subj": rows[:, 0], "prop": rows[:, 1], "obj": rows[:, 2],
+    }, report)
+    oids, counts = np.unique(
+        engine.table(name).array("prop"), return_counts=True
     )
-    _note_order_breakage(dictionary, report)
-    new_catalog = dataclasses.replace(
-        catalog,
-        dictionary=dictionary.freeze(),
-        all_properties=_ranked_properties_triple(columns, dictionary),
-    )
-    return new_catalog, report
+    ranked = sorted(zip((-counts).tolist(), dictionary.decode_many(oids)))
+    return {"all_properties": [p for _, p in ranked]}
 
 
-def _insert_vertical(engine, catalog, triples):
-    import dataclasses
-
-    dictionary = _thaw(catalog.dictionary)
-    report = MaintenanceReport(n_triples=len(triples))
-
-    by_property = {}
-    for t in triples:
-        by_property.setdefault(t.p, []).append(
-            (dictionary.encode(t.s), dictionary.encode(t.o))
-        )
-
+def _insert_vertical(engine, catalog, triples, dictionary, report):
+    # Encode: subject and object of each triple in batch order, then the
+    # name of each new property in first-seen order.
+    pairs = _encode(dictionary, [x for t in triples for x in (t.s, t.o)], 2)
+    rows_of = {}
+    for i, t in enumerate(triples):
+        rows_of.setdefault(t.p, []).append(i)
     property_tables = dict(catalog.property_tables)
-    with_indexes = engine.kind == "row-store"
-    for prop_name, pairs in by_property.items():
-        table_name = property_tables.get(prop_name)
-        existing = []
-        if table_name is None:
-            # The data-driven schema grows: CREATE TABLE, and every
-            # generated all-property query is now stale.
-            oid = dictionary.encode(prop_name)
-            table_name = f"vp_{oid}"
-            property_tables[prop_name] = table_name
-            report.tables_created.append(table_name)
-            report.new_properties.append(prop_name)
-        else:
-            table = engine.table(table_name)
-            if engine.kind == "column-store":
-                existing = list(
-                    zip(
-                        table.array("subj").tolist(),
-                        table.array("obj").tolist(),
-                    )
-                )
-            else:
-                existing = [(r[0], r[1]) for r in table.rows]
-            report.tables_rebuilt.append(table_name)
-        rows = existing + pairs
-        indexes = None
-        if with_indexes:
-            indexes = [
-                {"name": f"{table_name}_os", "columns": ["obj", "subj"]}
-            ]
-        new_table = _replace_table(
-            engine,
-            table_name,
-            {
-                "subj": np.asarray([r[0] for r in rows], dtype=np.int64),
-                "obj": np.asarray([r[1] for r in rows], dtype=np.int64),
-            },
-            ["subj", "obj"],
-            indexes,
+    new = [p for p in rows_of if p not in property_tables]
+    for p, oid in zip(new, dictionary.encode_many(new)):
+        property_tables[p] = f"vp_{oid}"
+    report.new_properties = new
+
+    # Apply, one table per property in first-seen order.  A new property
+    # table copies the index design of the store's existing ones.
+    sibling = next(iter(catalog.property_tables.values()), None)
+    with_indexes = sibling is not None and bool(
+        engine.table(sibling).definition()[1]
+    )
+    for p, rows in rows_of.items():
+        name = property_tables[p]
+        if p in catalog.property_tables:
+            _merge(engine, name, {
+                "subj": pairs[rows, 0], "obj": pairs[rows, 1],
+            }, report)
+            continue
+        # The data-driven schema grows: CREATE TABLE, and every generated
+        # all-property query is now stale.
+        distinct = np.unique(pairs[rows], axis=0)
+        table = engine.create_table(
+            name, {"subj": distinct[:, 0], "obj": distinct[:, 1]},
+            sort_by=["subj", "obj"],
+            indexes=property_table_indexes(name, with_indexes),
         )
-        report.bytes_rewritten += _table_bytes(new_table)
+        report.tables_created.append(name)
+        report.bytes_rewritten += table.bytes_on_disk()
 
-    counts = {
-        p: engine.table(t).n_rows for p, t in property_tables.items()
+    ranked = sorted(
+        [(-engine.table(t).n_rows, p) for p, t in property_tables.items()]
+    )
+    return {
+        "property_tables": property_tables,
+        "all_properties": [p for _, p in ranked],
     }
-    _note_order_breakage(dictionary, report)
-    new_catalog = dataclasses.replace(
-        catalog,
-        dictionary=dictionary.freeze(),
-        property_tables=property_tables,
-        all_properties=sorted(counts, key=lambda p: (-counts[p], p)),
-    )
-    report.new_properties.sort()
-    return new_catalog, report
-
-
-def _existing_index_specs(engine, table):
-    if engine.kind != "row-store":
-        return None
-    return [
-        {"name": index.name, "columns": list(index.key_columns)}
-        for index in table.secondary_indexes()
-    ]
-
-
-def _table_bytes(table):
-    if hasattr(table, "bytes_on_disk"):
-        return table.bytes_on_disk()
-    return 0
-
-
-def _ranked_properties_triple(columns, dictionary):
-    from collections import Counter
-
-    counts = Counter(columns["prop"].tolist())
-    return sorted(
-        (dictionary.decode(p) for p in counts),
-        key=lambda name: (-counts[dictionary.lookup(name)], name),
-    )

@@ -31,6 +31,14 @@ def build_vertical_store(engine, triples, interesting_properties,
     return build_store_from_payload(engine, payload)
 
 
+def property_table_indexes(table_name, with_indexes):
+    """Index specs of one property table: the unclustered OS B+tree when
+    *with_indexes* (the row store), else none."""
+    if not with_indexes:
+        return None
+    return [{"name": f"{table_name}_os", "columns": ["obj", "subj"]}]
+
+
 def prepare_vertical_payload(triples, interesting_properties,
                              dictionary=None, with_indexes=False,
                              with_properties_table=True):
@@ -82,14 +90,11 @@ def prepare_vertical_payload(triples, interesting_properties,
         property_counts[p_name] = end - start
         members = order[start:end]
         table_name = f"vp_{oid}"
-        indexes = None
-        if with_indexes:
-            indexes = [{"name": f"{table_name}_os", "columns": ["obj", "subj"]}]
         tables.append(table_entry(
             table_name,
             {"subj": subjects[members], "obj": objects[members]},
             ["subj", "obj"],
-            indexes,
+            property_table_indexes(table_name, with_indexes),
         ))
         property_tables[p_name] = table_name
 
