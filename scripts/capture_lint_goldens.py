@@ -13,6 +13,13 @@ trees lost only those names).  Re-run only when a rule, guard or
 operator changes on purpose (and say so in the commit that regenerates
 the file).
 
+The document also holds a digest of every named query's rendered plan
+(at the default scope, ``"all"`` and three Figure 6 sweep points) and of
+the vertical SQL the generator emits for each appendix and ad-hoc text.
+Generator entries are keyed by their input text and never dropped: a
+re-capture after an appendix query is reworded adds the new wording and
+keeps the old one, whose output must not change either.
+
 Usage::
 
     PYTHONPATH=src python scripts/capture_lint_goldens.py [output.json]
@@ -31,6 +38,10 @@ from tests.test_frontend_goldens import GOLDENS, build_document  # noqa: E402
 def main(argv):
     out = Path(argv[1]) if len(argv) > 1 else GOLDENS
     document = build_document()
+    if out.exists():
+        with open(out) as handle:
+            captured = json.load(handle).get("generated_sql", {})
+        document["generated_sql"] = {**captured, **document["generated_sql"]}
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as handle:
         json.dump(document, handle, indent=1, sort_keys=True)

@@ -12,17 +12,31 @@ physical operator-name tree under each engine configuration.  The suite
 rebuilds the document with the current tree and requires equality: a
 rule that skips a node type it used to inspect, a guard that binds (or
 stops binding) somewhere new, or a path string that drifts fails here.
+
+Two more sections pin the query surface itself:
+
+* ``plans`` — a digest of the fully rendered logical plan of every named
+  query on both schemes, at the default scope, at ``"all"`` and at three
+  Figure 6 sweep points (vertical property lists; triple
+  ``properties_<k>`` catalogs);
+* ``generated_sql`` — a digest of :func:`generate_vertical_sql`'s output
+  for each appendix text and ad-hoc SQL shape, stored with the input text
+  it was generated from, so a reworded appendix query still proves the
+  generator's output for the wording captured before.
 """
 
 import hashlib
 import itertools
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import lint_physical_plan, lint_plan, plan_lint
 from repro.analysis.provenance import PlanFacts
+from repro.bench.experiments import _figure6_aux_catalogs
 from repro.colstore import ColumnStoreEngine
 from repro.data import generate_barton
 from repro.exec import PhysicalPlan, engine_ops, lower_plan
@@ -37,11 +51,12 @@ from repro.plan import (
     Select,
     Union,
 )
+from repro.plan.render import render_plan
 from repro.queries import ALL_QUERY_NAMES, build_query
 from repro.rowstore import RowStoreEngine
 from repro.sparql import parse_sparql
 from repro.sparql.executor import sparql_plan
-from repro.sql import generate_vertical_sql, plan_sql
+from repro.sql import APPENDIX_SQL, generate_vertical_sql, plan_sql
 from repro.storage import build_triple_store, build_vertical_store
 
 GOLDENS = Path(__file__).parent / "data" / "lint_goldens.json"
@@ -49,6 +64,12 @@ GOLDENS = Path(__file__).parent / "data" / "lint_goldens.json"
 SCHEMA_VERSION = 1
 DATASET = {"n_triples": 3000, "n_properties": 32, "n_interesting": 28,
            "seed": 42}
+
+#: A dataset with the paper's 222 properties, for the Figure 6 sweep
+#: points ``FIGURE6_COUNTS`` (the plan digests only; nothing runs on it).
+FIGURE6_DATASET = {"n_triples": 6000, "n_properties": 222,
+                   "n_interesting": 28, "seed": 42}
+FIGURE6_COUNTS = (56, 112, 196)
 
 #: The four text shapes of perfbench's ``adhoc_frontend``, with constants
 #: from the dataset — and, in the class-union, one that resolves in no
@@ -166,6 +187,65 @@ def operator_tree(pnode):
     return f"{pnode.name}({', '.join(folded)})"
 
 
+def text_digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def plan_digest(plan):
+    """Digest of the logical plan rendered with every union branch."""
+    return text_digest(render_plan(plan, max_union_branches=sys.maxsize))
+
+
+def figure6_plans():
+    """Plan digests at the Figure 6 sweep points, built as the sweep
+    builds them: a ``properties_<k>`` catalog on the triple store, the
+    first *k* properties as an explicit scope on the vertical store."""
+    dataset = generate_barton(**FIGURE6_DATASET)
+    engine = ColumnStoreEngine(workers=1)
+    triple = SimpleNamespace(
+        engine=engine,
+        catalog=build_triple_store(
+            engine, dataset.triples, dataset.interesting_properties,
+            clustering="PSO"),
+    )
+    triple_catalogs = _figure6_aux_catalogs(triple, FIGURE6_COUNTS)
+    vertical = build_vertical_store(
+        ColumnStoreEngine(workers=1), dataset.triples,
+        dataset.interesting_properties,
+    )
+    plans = {}
+    for k in FIGURE6_COUNTS:
+        catalog, scope = triple_catalogs[k]
+        names = vertical.all_properties[:k]
+        for name in ALL_QUERY_NAMES:
+            plans[f"triple/{name}@{k}"] = plan_digest(
+                build_query(catalog, name, scope=scope))
+            plans[f"vertical/{name}@{k}"] = plan_digest(
+                build_query(vertical, name, scope=names))
+    return plans
+
+
+def generated_sql(catalog, interesting):
+    """``generate_vertical_sql`` digests for the appendix and ad-hoc
+    texts, keyed by name, property list and input-text digest."""
+    texts = dict(APPENDIX_SQL)
+    texts.update(
+        (f"adhoc/{kind}", text) for kind, text in ADHOC_TEXTS.items()
+        if kind.startswith("sql_")
+    )
+    cases = {}
+    for name, text in texts.items():
+        for label, properties in (("all", None), ("interesting", interesting)):
+            key = f"{name}/{label}/{text_digest(text)[:12]}"
+            cases[key] = {
+                "text": text,
+                "properties": label,
+                "digest": text_digest(
+                    generate_vertical_sql(text, catalog, properties)),
+            }
+    return cases
+
+
 class Deployment:
     """One scheme deployed on every engine configuration lowering can
     tell apart (the worker count is not one: see
@@ -218,12 +298,15 @@ def build_document():
     plan_lint.set_lint_mode("off")
     try:
         cases = {}
+        plans = {}
         for scheme, deployment in deployments.items():
             catalog = deployment.catalog
             for name in ALL_QUERY_NAMES:
-                cases[f"{scheme}/{name}"] = (
-                    deployment, build_query(catalog, name)
-                )
+                plan = build_query(catalog, name)
+                cases[f"{scheme}/{name}"] = (deployment, plan)
+                plans[f"{scheme}/{name}"] = plan_digest(plan)
+                plans[f"{scheme}/{name}@all"] = plan_digest(
+                    build_query(catalog, name, scope="all"))
             for kind, text in ADHOC_TEXTS.items():
                 if kind == "sparql_describe":
                     plan, _ = sparql_plan(catalog, parse_sparql(text))
@@ -239,13 +322,18 @@ def build_document():
                 deployments["triple"],
                 plan_sql(text, deployments["triple"].catalog),
             )
+        plans.update(figure6_plans())
     finally:
         plan_lint._lint_mode = previous_mode
 
     document = {
         "schema_version": SCHEMA_VERSION,
         "dataset": DATASET,
+        "figure6_dataset": FIGURE6_DATASET,
         "cases": {},
+        "plans": plans,
+        "generated_sql": generated_sql(
+            deployments["vertical"].catalog, dataset.interesting_properties),
     }
     for label, (deployment, plan) in cases.items():
         document["cases"][label] = {
@@ -307,6 +395,42 @@ def test_front_end_reproduces_goldens(goldens, current, section):
         if case.get(section) != current["cases"][label].get(section)
     ]
     assert not mismatched, (section, mismatched)
+
+
+def test_plans_reproduce_goldens(goldens, current):
+    """Every named query plans to the same tree at every captured scope."""
+    assert goldens["figure6_dataset"] == FIGURE6_DATASET
+    assert set(current["plans"]) == set(goldens["plans"])
+    mismatched = sorted(
+        label for label, digest in goldens["plans"].items()
+        if current["plans"][label] != digest
+    )
+    assert not mismatched, mismatched
+
+
+def test_generator_reproduces_goldens(goldens):
+    """``generate_vertical_sql`` renders every captured input text —
+    including appendix wordings since replaced — byte for byte as it
+    did when captured."""
+    dataset = generate_barton(**DATASET)
+    catalog = build_vertical_store(
+        ColumnStoreEngine(workers=1), dataset.triples,
+        dataset.interesting_properties,
+    )
+    scopes = {"all": None, "interesting": dataset.interesting_properties}
+    mismatched = sorted(
+        key for key, case in goldens["generated_sql"].items()
+        if text_digest(generate_vertical_sql(
+            case["text"], catalog, scopes[case["properties"]]))
+        != case["digest"]
+    )
+    assert not mismatched, mismatched
+
+
+def test_current_texts_are_captured(goldens, current):
+    """The appendix and ad-hoc texts in the tree are among the captured
+    generator inputs."""
+    assert set(current["generated_sql"]) <= set(goldens["generated_sql"])
 
 
 def test_guarded_operators_bind_in_the_goldens(goldens):
