@@ -396,8 +396,10 @@ def _consume_having(facts, node, needed):
 
 
 def _consume_union(facts, node, needed):
+    # UNION (distinct) compares whole rows, as Distinct does.
     keep = [
-        i for i, name in enumerate(facts.columns_of(node)) if name in needed
+        i for i, name in enumerate(facts.columns_of(node))
+        if node.distinct or name in needed
     ]
     if not keep:
         keep = [0]

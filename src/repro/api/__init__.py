@@ -73,19 +73,24 @@ def _normalise_scope(scope):
 
     ``None`` / ``"interesting"`` / ``"all"`` pass through; an explicit
     property-name list (what a JSON array decodes to) or tuple becomes a
-    tuple of strings.  Anything else is a typed error — over HTTP a clean
-    400, not a ``TypeError`` from the cache's dict.
+    tuple of strings.  Anything else — an empty list, a repeated property
+    (which would count its triples twice) — is a typed error: over HTTP a
+    clean 400, not a ``TypeError`` from the cache's dict.
     """
     if scope is None or scope in ("interesting", "all"):
         return scope
-    if isinstance(scope, (list, tuple)) and all(
+    if not isinstance(scope, (list, tuple)) or not all(
         isinstance(name, str) for name in scope
     ):
-        return tuple(scope)
-    raise ReproError(
-        f"scope must be 'interesting', 'all' or a list of property "
-        f"names, got {scope!r}"
-    )
+        raise ReproError(
+            f"scope must be 'interesting', 'all' or a list of property "
+            f"names, got {scope!r}"
+        )
+    if not scope or len(set(scope)) < len(scope):
+        raise ReproError(
+            f"scope must name each property once, got {list(scope)!r}"
+        )
+    return tuple(scope)
 
 
 def classify_query(text):

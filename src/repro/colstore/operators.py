@@ -1024,6 +1024,9 @@ def _canonical_branches(rt, run, n_out):
 )
 def vector_union(rt, pnode, needed):
     node = pnode.logical
+    if node.distinct:
+        # Every column decides which rows are duplicates.
+        needed = set(node.output_columns())
     plan = pnode.prepared
     if plan is None or plan.needed != needed:
         plan = pnode.prepared = _resolve_union(rt, pnode, needed)

@@ -46,7 +46,6 @@ class QueryDefinition:
     triple_patterns: tuple  # p1..p8 coverage
     join_patterns: tuple    # A/B/C coverage
     has_star_variant: bool  # restricted to the 28 properties by default?
-    output_columns: tuple
 
 
 QUERIES = {
@@ -57,7 +56,6 @@ QUERIES = {
         triple_patterns=("p7",),
         join_patterns=(),
         has_star_variant=False,
-        output_columns=("obj", "count"),
     ),
     "q2": QueryDefinition(
         name="q2",
@@ -66,7 +64,6 @@ QUERIES = {
         triple_patterns=("p2", "p8"),
         join_patterns=("A",),
         has_star_variant=True,
-        output_columns=("prop", "count"),
     ),
     "q3": QueryDefinition(
         name="q3",
@@ -75,7 +72,6 @@ QUERIES = {
         triple_patterns=("p2", "p8"),
         join_patterns=("A",),
         has_star_variant=True,
-        output_columns=("prop", "obj", "count"),
     ),
     "q4": QueryDefinition(
         name="q4",
@@ -83,7 +79,6 @@ QUERIES = {
         triple_patterns=("p2", "p8"),
         join_patterns=("A",),
         has_star_variant=True,
-        output_columns=("prop", "obj", "count"),
     ),
     "q5": QueryDefinition(
         name="q5",
@@ -92,7 +87,6 @@ QUERIES = {
         triple_patterns=("p2", "p7"),
         join_patterns=("A", "C"),
         has_star_variant=False,
-        output_columns=("subj", "obj"),
     ),
     "q6": QueryDefinition(
         name="q6",
@@ -101,7 +95,6 @@ QUERIES = {
         triple_patterns=("p2", "p7", "p8"),
         join_patterns=("A", "C"),
         has_star_variant=True,
-        output_columns=("prop", "count"),
     ),
     "q7": QueryDefinition(
         name="q7",
@@ -110,7 +103,6 @@ QUERIES = {
         triple_patterns=("p2", "p7"),
         join_patterns=("A",),
         has_star_variant=False,
-        output_columns=("subj", "obj_encoding", "obj_type"),
     ),
     "q8": QueryDefinition(
         name="q8",
@@ -119,7 +111,6 @@ QUERIES = {
         triple_patterns=("p6", "p8"),
         join_patterns=("B",),
         has_star_variant=False,
-        output_columns=("subj",),
     ),
 }
 

@@ -1,13 +1,21 @@
-"""EXTENSION — benchmark query plans for the property-table scheme.
+"""The benchmark plans that are still built by hand.
 
-Every triple pattern against a property-table store reads *two* places:
-the wide table's column (single-valued instances) and the leftover triples
-table (multi-valued spills and non-clustered properties).  A bound property
-is therefore a 2-branch UNION; an unbound property unions every clustered
-column with the whole leftover table — the "proliferation of union clauses
-and joins ... complex union clauses" that the VLDB 2007 paper levelled at
-property tables and that this paper's Section 4.2 shows applies to vertical
-partitioning as well.
+Every other plan is the appendix SQL, planned (:mod:`repro.queries.builder`).
+
+* :func:`vertical_q8` — q8 on the vertically-partitioned scheme, as the
+  two-phase plan of Section 4.2.  Its predicate on ``<conferences>`` is
+  pushed into every branch of both unions; a planner rule that did this
+  would push the SQL describe's ``subj = <entity>`` into every branch
+  too, which is slower.
+* :class:`PropertyTablePlans` — EXTENSION.  Every triple pattern against
+  a property-table store reads *two* places: the wide table's column
+  (single-valued instances) and the leftover triples table (multi-valued
+  spills and non-clustered properties).  A bound property is therefore a
+  2-branch UNION; an unbound property unions every clustered column with
+  the whole leftover table — the "proliferation of union clauses and
+  joins ... complex union clauses" that the VLDB 2007 paper levelled at
+  property tables and that this paper's Section 4.2 shows applies to
+  vertical partitioning as well.  The scheme has no SQL generator.
 """
 
 from repro.plan import (
@@ -21,12 +29,45 @@ from repro.plan import (
     Select,
     Union,
 )
-from repro.queries.builder import _Plans
+from repro.queries.definitions import CONSTANTS
 from repro.storage.property_table import NULL_OID
 
 
-class PropertyTablePlans(_Plans):
+def vertical_q8(catalog):
+    """Collect the objects of ``<conferences>`` into a relation ``t``,
+    then join ``t`` back against every property table after filtering
+    out ``<conferences>`` subjects."""
+    conferences = catalog.encode(CONSTANTS["conferences"])
+
+    def union(alias, op):
+        branches = []
+        for i, prop in enumerate(catalog.properties_for("all")):
+            branch = f"{alias}{i}"
+            node = Select(
+                Scan(catalog.property_table(prop), ["subj", "obj"],
+                     alias=branch),
+                [Comparison(f"{branch}.subj", op, conferences)],
+            )
+            branches.append(Project(node, [
+                (f"{alias}.subj", f"{branch}.subj"),
+                (f"{alias}.obj", f"{branch}.obj"),
+            ]))
+        return Union(branches, distinct=False)
+
+    t = Project(union("t", "="), [("t.obj", "t.obj")])
+    joined = Join(t, union("B", "!="), on=[("t.obj", "B.obj")])
+    return Project(joined, [("subj", "B.subj")])
+
+
+class PropertyTablePlans:
     """q1-q8 over the wide table + leftover triples layout."""
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+
+    def const(self, key):
+        """Oid of a named query constant (None when absent from the data)."""
+        return self.catalog.encode(CONSTANTS[key])
 
     # ------------------------------------------------------------------
     # pattern relations
@@ -39,13 +80,7 @@ class PropertyTablePlans(_Plans):
         Emits ``{alias}.subj`` (and ``{alias}.obj`` when *need_obj*);
         *obj_eq* / *obj_ne* are constant keys applied to the object.
         """
-        from repro.queries.definitions import CONSTANTS
-
         prop_name = CONSTANTS.get(prop_key, prop_key)
-        mapping_names = [f"{alias}.subj"]
-        if need_obj:
-            mapping_names.append(f"{alias}.obj")
-
         branches = []
         column = self.catalog.clustered_property_columns.get(prop_name)
         if column is not None:
@@ -58,7 +93,7 @@ class PropertyTablePlans(_Plans):
             predicates = [
                 Comparison(f"{wide_alias}.{column}", "!=", NULL_OID)
             ]
-            predicates += self._object_predicates(
+            predicates += self._constants(
                 f"{wide_alias}.{column}", obj_eq, obj_ne
             )
             mapping = [(f"{alias}.subj", f"{wide_alias}.subj")]
@@ -77,7 +112,7 @@ class PropertyTablePlans(_Plans):
                 f"{leftover_alias}.prop", "=", self.catalog.encode(prop_name)
             )
         ]
-        predicates += self._object_predicates(
+        predicates += self._constants(
             f"{leftover_alias}.obj", obj_eq, obj_ne
         )
         mapping = [(f"{alias}.subj", f"{leftover_alias}.subj")]
@@ -89,13 +124,12 @@ class PropertyTablePlans(_Plans):
             return branches[0]
         return Union(branches, distinct=False)
 
-    def _object_predicates(self, column, obj_eq, obj_ne):
-        predicates = []
-        if obj_eq is not None:
-            predicates.append(Comparison(column, "=", self.const(obj_eq)))
-        if obj_ne is not None:
-            predicates.append(Comparison(column, "!=", self.const(obj_ne)))
-        return predicates
+    def _constants(self, column, eq, ne):
+        """``column = eq`` and ``column != ne`` for the keys given."""
+        return [
+            Comparison(column, op, self.const(key))
+            for op, key in (("=", eq), ("!=", ne)) if key is not None
+        ]
 
     def unbound(self, alias, need_prop=True, need_obj=True,
                 subject_eq=None, subject_ne=None):
@@ -123,7 +157,7 @@ class PropertyTablePlans(_Plans):
             predicates = [
                 Comparison(f"{wide_alias}.{column}", "!=", NULL_OID)
             ]
-            predicates += self._subject_predicates(
+            predicates += self._constants(
                 f"{wide_alias}.subj", subject_eq, subject_ne
             )
             node = Select(node, predicates)
@@ -151,7 +185,7 @@ class PropertyTablePlans(_Plans):
             ["subj", "prop", "obj"],
             alias=leftover_alias,
         )
-        predicates = self._subject_predicates(
+        predicates = self._constants(
             f"{leftover_alias}.subj", subject_eq, subject_ne
         )
         if predicates:
@@ -166,18 +200,6 @@ class PropertyTablePlans(_Plans):
             )
         )
         return Union(branches, distinct=False)
-
-    def _subject_predicates(self, column, subject_eq, subject_ne):
-        predicates = []
-        if subject_eq is not None:
-            predicates.append(
-                Comparison(column, "=", self.const(subject_eq))
-            )
-        if subject_ne is not None:
-            predicates.append(
-                Comparison(column, "!=", self.const(subject_ne))
-            )
-        return predicates
 
     def properties_filter(self, child, prop_column, scope):
         if scope == "all":
@@ -194,21 +216,21 @@ class PropertyTablePlans(_Plans):
         g = GroupBy(a, keys=["A.obj"], count_column="count")
         return Project(g, [("obj", "A.obj"), ("count", "count")])
 
-    def _text_join_b(self, scope, need_obj):
+    def _text_join_b(self, need_obj):
         a = self.bound("type", "A", obj_eq="Text", need_obj=False)
         b = self.unbound("B", need_prop=True, need_obj=need_obj)
         return Join(a, b, on=[("A.subj", "B.subj")])
 
     def q2(self, scope):
         joined = self.properties_filter(
-            self._text_join_b(scope, need_obj=False), "B.prop", scope
+            self._text_join_b(need_obj=False), "B.prop", scope
         )
         g = GroupBy(joined, keys=["B.prop"], count_column="count")
         return Project(g, [("prop", "B.prop"), ("count", "count")])
 
     def q3(self, scope):
         joined = self.properties_filter(
-            self._text_join_b(scope, need_obj=True), "B.prop", scope
+            self._text_join_b(need_obj=True), "B.prop", scope
         )
         g = GroupBy(joined, keys=["B.prop", "B.obj"], count_column="count")
         h = Having(g, Comparison("count", ">", 1))
@@ -217,7 +239,7 @@ class PropertyTablePlans(_Plans):
         )
 
     def q4(self, scope):
-        ab = self._text_join_b(scope, need_obj=True)
+        ab = self._text_join_b(need_obj=True)
         c = self.bound("language", "C", obj_eq="french", need_obj=False)
         abc = Join(ab, c, on=[("B.subj", "C.subj")])
         joined = self.properties_filter(abc, "B.prop", scope)
@@ -257,14 +279,9 @@ class PropertyTablePlans(_Plans):
         ab = Join(a, b, on=[("A.subj", "B.subj")])
         c = self.bound("type", "C")
         abc = Join(ab, c, on=[("A.subj", "C.subj")])
-        return Project(
-            abc,
-            [
-                ("subj", "A.subj"),
-                ("obj_encoding", "B.obj"),
-                ("obj_type", "C.obj"),
-            ],
-        )
+        return Project(abc, [
+            ("subj", "A.subj"), ("obj_encoding", "B.obj"), ("obj_type", "C.obj"),
+        ])
 
     def q8(self, scope):
         t = self.unbound(

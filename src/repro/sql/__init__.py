@@ -15,7 +15,9 @@ same workflow:
   rewrite triple-store SQL into vertically-partitioned SQL over a property
   list, producing the union-heavy statements of Section 4.2,
 * :data:`repro.sql.appendix.APPENDIX_SQL` — the paper's appendix queries,
-  verbatim modulo dictionary constants.
+  verbatim modulo constant spelling, conjunct order, the derived-table
+  alias and q7's output aliases: the one definition of the benchmark
+  queries, which :func:`repro.queries.build_query` plans.
 """
 
 from repro.sql.parser import parse_sql

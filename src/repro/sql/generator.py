@@ -27,9 +27,7 @@ from repro.sql import ast
 from repro.sql.parser import parse_sql
 
 
-def generate_vertical_sql(sql_text, catalog, properties=None,
-                          triples_table="triples",
-                          properties_table="properties"):
+def generate_vertical_sql(sql_text, catalog, properties=None):
     """Rewrite triple-store SQL text into vertically-partitioned SQL text.
 
     *catalog* must be a vertical-scheme catalog (it supplies the property ->
@@ -39,18 +37,16 @@ def generate_vertical_sql(sql_text, catalog, properties=None,
     statement = parse_sql(sql_text)
     if properties is None:
         properties = catalog.properties_for("all")
-    rewriter = _Rewriter(
-        catalog, list(properties), triples_table, properties_table
-    )
-    return rewriter.rewrite(statement).sql()
+    return _Rewriter(catalog, list(properties)).rewrite(statement).sql()
 
 
 class _Rewriter:
-    def __init__(self, catalog, properties, triples_table, properties_table):
+    """The AST rewrite (also applied, without rendering, by
+    :func:`repro.queries.build_query` to the appendix statements)."""
+
+    def __init__(self, catalog, properties):
         self.catalog = catalog
         self.properties = properties
-        self.triples_table = triples_table
-        self.properties_table = properties_table
 
     def rewrite(self, statement):
         if isinstance(statement, ast.UnionStmt):
@@ -71,11 +67,11 @@ class _Rewriter:
                     ast.FromSubquery(self.rewrite(item.query), item.alias)
                 )
                 continue
-            if item.table == self.properties_table:
+            if item.table == "properties":
                 # The property restriction now lives in the FROM clause.
                 where = self._drop_binding_conditions(where, item.binding())
                 continue
-            if item.table != self.triples_table:
+            if item.table != "triples":
                 from_items.append(item)
                 continue
             binding = item.binding()

@@ -10,6 +10,12 @@ Supported shape (everything the appendix needs): conjunctive WHERE clauses
 of column-vs-literal selections and column-vs-column equi-joins that connect
 the FROM items into one join tree, GROUP BY + count(*), HAVING on count(*),
 UNION [ALL], subqueries in FROM, literals in the SELECT list.
+
+FROM items join in WHERE-conjunct order, starting from the first.  A FROM
+subquery ``X`` binds ``X.col`` in its own (branch) Projects and keeps only
+the columns the statement references; a UNION branch over one unaliased
+table scans it as ``X{i}`` — the ``Project(Extend(Scan))`` branch the
+union kernel runs.
 """
 
 from repro.errors import SQLError
@@ -32,7 +38,7 @@ from repro.sql import ast
 from repro.sql.parser import parse_sql
 
 
-def plan_sql(sql_or_ast, catalog, schema=None, lint=None):
+def plan_sql(sql_or_ast, catalog, lint=None):
     """Plan SQL text (or a parsed AST) against *catalog*.
 
     The resulting plan runs through the static plan linter
@@ -46,9 +52,7 @@ def plan_sql(sql_or_ast, catalog, schema=None, lint=None):
         statement = parse_sql(sql_or_ast)
     else:
         statement = sql_or_ast
-    if schema is None:
-        schema = default_schema(catalog)
-    plan = _Planner(catalog, schema).plan(statement)
+    plan = _Planner(catalog).plan(statement)
     plan_lint.check_plan(plan, where="sql", mode=lint)
     return plan
 
@@ -66,24 +70,35 @@ def default_schema(catalog):
 
 
 class _Planner:
-    def __init__(self, catalog, schema):
+    def __init__(self, catalog):
         self.catalog = catalog
-        self.schema = schema
+        self.schema = default_schema(catalog)
 
-    def plan(self, statement):
+    def plan(self, statement, columns=None, alias=None):
+        """Plan *statement*; for a FROM subquery bound as *alias*,
+        *columns* names each select item's output (None drops it)."""
         if isinstance(statement, ast.UnionStmt):
-            inputs = [self.plan(s) for s in statement.selects]
+            inputs = [
+                self.plan(s, columns, alias and f"{alias}{i}")
+                for i, s in enumerate(statement.selects)
+            ]
             return Union(inputs, distinct=not statement.all)
         if isinstance(statement, ast.SelectStmt):
-            return self._plan_select(statement)
+            return self._plan_select(statement, columns, alias)
         raise SQLError(f"cannot plan {type(statement).__name__}")
 
     # ------------------------------------------------------------------
     # SELECT
     # ------------------------------------------------------------------
 
-    def _plan_select(self, stmt):
-        bindings = self._plan_from_items(stmt.from_items)
+    def _plan_select(self, stmt, columns=None, alias=None):
+        references = _references(stmt)
+        from_items, owner = stmt.from_items, None
+        only = from_items[0] if len(from_items) == 1 else None
+        if (alias and isinstance(only, ast.FromTable) and not only.alias
+                and only.table not in references):
+            from_items, owner = (ast.FromTable(only.table, alias),), alias
+        bindings = self._plan_from_items(from_items, references)
 
         selections, joins, cross_filters = self._classify_conditions(
             stmt.where, bindings
@@ -95,7 +110,12 @@ class _Planner:
         if cross_filters:
             current = Select(current, cross_filters)
 
-        current, literal_columns = self._extend_literals(current, stmt.items)
+        names = _output_names(stmt) if columns is None else columns
+        if len(names) != len(stmt.items):
+            raise SQLError("UNION inputs must have the same arity")
+        current, literal_columns = self._extend_literals(
+            current, stmt, names, owner
+        )
 
         aggregate_outputs = {}
         if stmt.group_by or self._has_aggregate(stmt.items):
@@ -109,17 +129,9 @@ class _Planner:
             resolve = lambda col: self._resolve_column(col, bindings)
 
         mapping = []
-        used_names = set()
-        for item in stmt.items:
-            name = item.output_name()
-            # SQL permits duplicate output column names (the appendix's q7
-            # selects B.obj and C.obj); relations do not, so disambiguate.
-            if name in used_names:
-                suffix = 2
-                while f"{name}_{suffix}" in used_names:
-                    suffix += 1
-                name = f"{name}_{suffix}"
-            used_names.add(name)
+        for item, name in zip(stmt.items, names):
+            if name is None:
+                continue
             if isinstance(item.expr, ast.CountStar):
                 mapping.append((name, "count"))
             elif isinstance(item.expr, ast.AggregateCall):
@@ -165,7 +177,7 @@ class _Planner:
     # FROM
     # ------------------------------------------------------------------
 
-    def _plan_from_items(self, from_items):
+    def _plan_from_items(self, from_items, references):
         bindings = {}
         for item in from_items:
             name = item.binding()
@@ -177,12 +189,29 @@ class _Planner:
                     raise SQLError(f"unknown table {item.table!r}")
                 bindings[name] = Scan(item.table, columns, alias=name)
             else:
-                sub = self.plan(item.query)
-                mapping = [
-                    (f"{name}.{out}", out) for out in sub.output_columns()
-                ]
-                bindings[name] = Project(sub, mapping)
+                bindings[name] = self._plan_subquery(
+                    item.query, name, references
+                )
         return bindings
+
+    def _plan_subquery(self, query, name, references):
+        """FROM subquery *name*, narrowed to the *references* unless a
+        DISTINCT compares every column.  ORDER BY resolves output names,
+        so such a subquery is re-aliased by a Project on top instead."""
+        parts = list(_parts(query))
+        if any(getattr(part, "order_by", ()) for part in parts):
+            sub = self.plan(query)
+            mapping = [(f"{name}.{out}", out) for out in sub.output_columns()]
+            return Project(sub, mapping)
+        names = _output_names(query)
+        wanted = references.get(name, set()) | references.get(None, set())
+        if not wanted.intersection(names) or any(
+            not part.all if isinstance(part, ast.UnionStmt) else part.distinct
+            for part in parts
+        ):
+            wanted = names
+        columns = [f"{name}.{n}" if n in wanted else None for n in names]
+        return self.plan(query, columns, name)
 
     # ------------------------------------------------------------------
     # WHERE
@@ -281,18 +310,23 @@ class _Planner:
     # literals, grouping, resolution
     # ------------------------------------------------------------------
 
-    def _extend_literals(self, current, items):
+    def _extend_literals(self, current, stmt, names, owner):
+        """Extend the kept (or possibly grouped) string literals, named
+        ``{owner}.{alias}`` in a rebound UNION branch."""
         literal_columns = {}
-        for i, item in enumerate(items):
-            if isinstance(item.expr, ast.StringLit):
-                value = item.expr.value
-                if value in literal_columns:
-                    continue
-                column = f"__lit{i}"
-                current = Extend(
-                    current, column, self.catalog.encode(value)
-                )
-                literal_columns[value] = column
+        for i, (item, name) in enumerate(zip(stmt.items, names)):
+            if not isinstance(item.expr, ast.StringLit):
+                continue
+            value = item.expr.value
+            if value in literal_columns or (name is None and not stmt.group_by):
+                continue
+            column = f"__lit{i}"
+            if owner is not None and item.alias:
+                qualified = f"{owner}.{item.alias}"
+                if qualified not in current.output_columns():
+                    column = qualified
+            current = Extend(current, column, self.catalog.encode(value))
+            literal_columns[value] = column
         return current, literal_columns
 
     def _has_aggregate(self, items):
@@ -383,6 +417,48 @@ class _Planner:
         if len(matches) > 1:
             raise SQLError(f"ambiguous column {col.sql()}: {matches}")
         return matches[0]
+
+
+def _references(stmt):
+    """Column names *stmt* refers to, by qualifier (None: unqualified)."""
+    columns = list(stmt.group_by) + [o.column for o in stmt.order_by]
+    for item in stmt.items:
+        expr = item.expr
+        columns.append(
+            expr.column if isinstance(expr, ast.AggregateCall) else expr
+        )
+    for cond in stmt.where:
+        columns += (cond.left, cond.right)
+    references = {}
+    for col in columns:
+        if isinstance(col, ast.ColumnRef):
+            references.setdefault(col.qualifier, set()).add(col.name)
+    return references
+
+
+def _parts(statement):
+    """A query's UNIONs and SELECTs, pre-order."""
+    yield statement
+    if isinstance(statement, ast.UnionStmt):
+        for select in statement.selects:
+            yield from _parts(select)
+
+
+def _output_names(statement):
+    """Output column names (a UNION's are its first SELECT's).  SQL
+    permits duplicates (``B.obj, C.obj``); relations do not, so a repeat
+    gets a numeric suffix."""
+    first = next(p for p in _parts(statement) if isinstance(p, ast.SelectStmt))
+    names = []
+    for item in first.items:
+        name = item.output_name()
+        if name in names:
+            suffix = 2
+            while f"{name}_{suffix}" in names:
+                suffix += 1
+            name = f"{name}_{suffix}"
+        names.append(name)
+    return names
 
 
 def _flip(op):

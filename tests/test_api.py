@@ -16,6 +16,7 @@ import repro.api as api
 from repro.core import RDFStore, Var
 from repro.data import generate_barton
 from repro.errors import (
+    PlanError,
     QueryCancelled,
     QueryTimeout,
     ReproError,
@@ -276,6 +277,27 @@ class TestPlanCache:
     def test_malformed_scope_is_a_typed_error(self, connection, scope):
         with pytest.raises(ReproError, match="scope must be"):
             connection.session().query("q2", scope=scope)
+
+    def test_repeated_property_scope_is_a_typed_error(self, connection):
+        """Counted once, a property would otherwise count twice."""
+        prop = connection.store.catalog.interesting_properties[1]
+        once = connection.session().query("q2", scope=[prop])
+        assert once.n_rows == 1
+        with pytest.raises(ReproError, match="each property once"):
+            connection.session().query("q2", scope=[prop, prop])
+
+    def test_empty_scope_is_a_typed_error(self, connection):
+        with pytest.raises(ReproError, match="each property once"):
+            connection.session().query("q2", scope=[])
+
+    def test_property_list_scope_on_a_triple_store(self, dataset):
+        """The triple store's restriction is its properties table: an
+        explicit list is refused and points at ``with_properties``."""
+        conn = fresh_connection(dataset, scheme="triple")
+        properties = dataset.interesting_properties[:3]
+        with pytest.raises(PlanError, match="with_properties"):
+            conn.session().query("q2", scope=properties)
+        assert conn.session().query("q2", scope="all").n_rows > 0
 
 
 # ---------------------------------------------------------------------------

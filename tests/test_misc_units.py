@@ -126,7 +126,6 @@ class TestQueryDefinitions:
     def test_descriptions_present(self):
         for q in QUERIES.values():
             assert len(q.description) > 10
-            assert q.output_columns
 
     def test_coverage_table_complete(self):
         table = coverage_table()

@@ -475,6 +475,40 @@ class TestQueryServer:
         assert "internal error" not in document["error"]
         assert "scope" in document["error"]
 
+    @pytest.mark.parametrize("scope", [["<type>", "<type>"], []])
+    def test_repeated_or_empty_scope_is_400(self, server, scope):
+        """A repeated property would count its triples twice; an empty
+        list would plan a union of nothing."""
+        status, document = post_query(
+            server.address, {"query": "q2", "scope": scope}
+        )
+        assert status == 400, document
+        assert document["error_type"] == "ReproError"
+        assert "scope" in document["error"]
+
+    def test_property_list_scope_on_a_triple_store_is_400(self, dataset):
+        """A triple store filters on its properties table; an explicit
+        list it cannot honour is refused, not silently ignored."""
+        instance = serve(
+            api.connect(
+                triples=dataset.triples, scheme="triple",
+                interesting_properties=dataset.interesting_properties,
+            ),
+            port=0, workers=1, queue_depth=4, background=True,
+        )
+        try:
+            status, document = post_query(
+                instance.address, {"query": "q2", "scope": ["<type>"]}
+            )
+            assert status == 400, document
+            assert document["error_type"] == "PlanError"
+            assert "with_properties" in document["error"]
+            assert post_query(
+                instance.address, {"query": "q2", "scope": "all"}
+            )[0] == 200
+        finally:
+            instance.close()
+
     def test_unknown_route_404(self, server):
         try:
             urllib.request.urlopen(server.address + "/nope", timeout=10)
