@@ -281,7 +281,7 @@ def cached_store_payload(dataset, scheme, clustering="PSO",
     The payload (see :mod:`repro.storage.payload`) holds the expensive half
     of a deploy — dictionary encoding plus load sorting — so a cache hit
     reduces deployment to table creation.  Uncacheable datasets (no content
-    key) are prepared fresh.
+    key) are prepared fresh, as is every payload when *cache* is ``False``.
     """
     from repro.storage import prepare_triple_payload, prepare_vertical_payload
 
@@ -297,7 +297,7 @@ def cached_store_payload(dataset, scheme, clustering="PSO",
         )
 
     key = dataset_cache_key(dataset)
-    if key is None:
+    if key is None or cache is False:
         return build()
     cache = cache or default_cache()
     params = {

@@ -20,7 +20,7 @@ from repro.engine import (
 from repro.errors import BenchmarkError
 from repro.queries import build_query
 from repro.rowstore import RowStoreEngine
-from repro.storage import build_triple_store, build_vertical_store
+from repro.storage import build_store_from_payload
 
 #: Triple count of the real Barton dump — the denominator of the scale
 #: model (see MachineProfile.scaled).
@@ -145,32 +145,19 @@ def deploy(dataset, system, scheme, clustering="PSO", machine=MACHINE_B,
     else:
         raise BenchmarkError(f"unknown system {system!r}")
 
-    if scheme == "triple":
-        builder = lambda: build_triple_store(
-            engine, dataset.triples, interesting, clustering=clustering
-        )
+    if scheme == "vert":
+        store_scheme, clustering = "vertical", "SO"
+    elif scheme == "triple":
         store_scheme = "triple"
-    elif scheme == "vert":
-        builder = lambda: build_vertical_store(
-            engine, dataset.triples, interesting
-        )
-        store_scheme = "vertical"
-        clustering = "SO"
     else:
         raise BenchmarkError(f"unknown scheme {scheme!r}")
+    from repro.bench.artifacts import cached_store_payload
 
-    if cache is False:
-        catalog = builder()
-    else:
-        from repro.bench.artifacts import cached_store_payload
-        from repro.storage import build_store_from_payload
-
-        payload = cached_store_payload(
-            dataset, store_scheme, clustering=clustering,
-            with_indexes=engine.kind == "row-store",
-            cache=cache or None,
-        )
-        catalog = build_store_from_payload(engine, payload)
+    payload = cached_store_payload(
+        dataset, store_scheme, clustering=clustering,
+        with_indexes=engine.kind == "row-store", cache=cache,
+    )
+    catalog = build_store_from_payload(engine, payload)
     return Deployment(system, scheme, clustering, engine, catalog, scale)
 
 

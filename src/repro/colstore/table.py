@@ -33,7 +33,7 @@ class ColumnTable:
                 )
 
         arrays = {
-            col: np.ascontiguousarray(values, dtype=np.int64)
+            col: np.ascontiguousarray(values, dtype=np.int64).view()
             for col, values in columns.items()
         }
         lengths = {len(a) for a in arrays.values()}
@@ -50,6 +50,10 @@ class ColumnTable:
         self.name = name
         self.n_rows = n_rows
         self.sort_order = sort_order
+        # Read-only views: a stored column may be a slice of an array other
+        # tables share (the vertical store's PSO pair).
+        for a in arrays.values():
+            a.flags.writeable = False
         self._arrays = arrays
         #: column -> its codec (what reads account I/O against); raw: none.
         self.encodings = {}

@@ -60,18 +60,6 @@ class RDFStore:
                 f"unknown scheme {scheme!r}; expected one of {_SCHEMES}"
             )
         triples = [t if hasattr(t, "s") else _as_triple(t) for t in triples]
-        # RDF graphs are sets of statements: duplicate inputs are one triple.
-        seen = set()
-        unique = []
-        for t in triples:
-            key = (t.s, t.p, t.o)
-            if key not in seen:
-                seen.add(key)
-                unique.append(t)
-        triples = unique
-        if interesting_properties is None:
-            interesting_properties = _top_properties(triples, 28)
-
         self.engine_kind = engine
         self.scheme = scheme
         self.engine = _ENGINES[engine](**(engine_options or {}))
@@ -84,7 +72,11 @@ class RDFStore:
             self.catalog = build_vertical_store(
                 self.engine, triples, interesting_properties,
             )
-        self.n_triples = len(triples)
+        # The builders store a set: repeated input triples count once.
+        tables = self.catalog.property_tables.values()
+        if scheme == "triple":
+            tables = [self.catalog.triples_table]
+        self.n_triples = sum(self.engine.table(t).n_rows for t in tables)
         self._api_connection = None  # lazy repro.api.Connection
 
     # ------------------------------------------------------------------
@@ -221,10 +213,3 @@ def _as_triple(value):
     s, p, o = value
     return Triple(s, p, o)
 
-
-def _top_properties(triples, k):
-    counts = {}
-    for t in triples:
-        counts[t.p] = counts.get(t.p, 0) + 1
-    ranked = sorted(counts, key=lambda p: (-counts[p], p))
-    return ranked[: min(k, len(ranked))]

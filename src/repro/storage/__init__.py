@@ -1,20 +1,19 @@
-"""RDF storage schemes: triple-store and vertically-partitioned.
+"""RDF storage schemes: triple-store, vertically-partitioned, property table.
 
-The two physical organizations the paper compares (Sections 4.1, 4.2):
+* **Triple-store** (Section 4.1) — one ``triples(subj, prop, obj)`` table
+  whose design choice is the clustering order: the VLDB 2007 paper used SPO
+  (plus unclustered POS/OSP); this paper shows PSO is decisively better.
+* **Vertically-partitioned** (Section 4.2) — one ``(subj, obj)`` table per
+  property, clustered SO (plus an OS index on the row store).  Laid end to
+  end the tables *are* the PSO triples table, and each is a view of it.
+* **Property table** (extension) — a wide table of single-valued
+  properties per subject plus a leftover PSO triples table.
 
-* **Triple-store** — one ``triples(subj, prop, obj)`` table.  The physical
-  design choice is the clustering order: the original VLDB 2007 paper used
-  SPO (plus unclustered POS/OSP); this paper shows PSO — the closest
-  equivalent of the vertically-partitioned clustering — is decisively
-  better.  A small ``properties`` table holds the 28 "interesting"
-  properties used to filter q2/q3/q4/q6.
-* **Vertically-partitioned** — one two-column ``(subj, obj)`` table per
-  property, sorted/clustered on SO (plus an unclustered OS index on the row
-  store).
-
-Builders deploy a scheme into any engine exposing ``create_table`` and
-return a :class:`~repro.storage.catalog.StoreCatalog` describing what was
-created; the query builders in :mod:`repro.queries` consume the catalog.
+A small ``properties`` table holds the 28 "interesting" properties that
+filter q2/q3/q4/q6.  Every builder runs one preparation
+(:mod:`repro.storage.payload`: encode once, sort once, store a set),
+deploys it into any engine exposing ``create_table`` and returns a
+:class:`~repro.storage.catalog.StoreCatalog` for :mod:`repro.queries`.
 """
 
 from repro.storage.catalog import StoreCatalog, CLUSTERINGS

@@ -28,20 +28,24 @@ def clustering_columns(name):
 class StoreCatalog:
     """What a storage-scheme builder created inside an engine.
 
-    * ``scheme`` — ``"triple"`` or ``"vertical"``.
-    * ``clustering`` — triples-table clustering order (triple scheme) or
-      ``"SO"`` (vertical scheme).
+    * ``scheme`` — ``"triple"``, ``"vertical"`` or ``"property_table"``.
+    * ``clustering`` — triples-table clustering order (triple scheme),
+      ``"SO"`` (vertical scheme) or ``"subj+PSO"`` (property table: the
+      wide table on subject, the leftover triples PSO).
     * ``dictionary`` — the frozen string dictionary all values are encoded
       with.
-    * ``triples_table`` — table name (triple scheme only).
+    * ``triples_table`` — the triples table (triple scheme) or the leftover
+      triples table (property table).
     * ``properties_table`` — name of the table holding the "interesting"
-      property oids used to filter q2/q3/q4/q6 (both schemes).
+      property oids used to filter q2/q3/q4/q6 (every scheme).
     * ``property_tables`` — property name -> table name (vertical scheme).
     * ``interesting_properties`` / ``all_properties`` — property name lists,
-      most frequent first.
+      most frequent first; only properties that have triples.
     * ``compression`` — the engine's compression mode (``None`` or
       ``"physical"``) at build time, so catalog consumers can tell a
       compressed store from a raw one.
+    * ``property_table_name`` / ``clustered_property_columns`` — the wide
+      table and its property name -> column map (property table only).
     """
 
     scheme: str
@@ -53,6 +57,8 @@ class StoreCatalog:
     properties_table: str = None
     property_tables: dict = field(default_factory=dict)
     compression: str = None
+    property_table_name: str = None
+    clustered_property_columns: dict = field(default_factory=dict)
     #: Values other layers derive from this catalog and keep for the next
     #: query (the SQL generator's union-over-all-properties subquery), each
     #: stored with the inputs it was derived from.  A maintenance insert

@@ -41,6 +41,7 @@ import numpy as np
 from repro.dictionary import Dictionary
 from repro.errors import StorageError
 from repro.storage.encoding import is_order_preserving
+from repro.storage.payload import properties_by_frequency
 from repro.storage.vertical_store import property_table_indexes
 
 
@@ -137,11 +138,9 @@ def _insert_triple_store(engine, catalog, triples, dictionary, report):
     _merge(engine, name, {
         "subj": rows[:, 0], "prop": rows[:, 1], "obj": rows[:, 2],
     }, report)
-    oids, counts = np.unique(
-        engine.table(name).array("prop"), return_counts=True
-    )
-    ranked = sorted(zip((-counts).tolist(), dictionary.decode_many(oids)))
-    return {"all_properties": [p for _, p in ranked]}
+    return {"all_properties": properties_by_frequency(
+        dictionary, engine.table(name).array("prop")
+    )}
 
 
 def _insert_vertical(engine, catalog, triples, dictionary, report):

@@ -17,7 +17,7 @@ Layout (Jena2-style single-valued clustering):
   multi-valued (subject, property) pair — lives in a leftover ``triples``
   table clustered PSO.
 
-Each triple of the input is represented exactly once.  Queries that do not
+Each stored triple is represented exactly once.  Queries that do not
 bind the property, or bind one that is multi-valued somewhere, must UNION
 the wide-table columns with the leftover table — the "proliferation of
 union clauses and joins" criticism the paper quotes.
@@ -25,10 +25,12 @@ union clauses and joins" criticism the paper quotes.
 
 import numpy as np
 
-from repro.dictionary import Dictionary
-from repro.storage.encoding import order_preserving_dictionary
 from repro.errors import StorageError
-from repro.storage.catalog import StoreCatalog, clustering_columns
+from repro.storage.catalog import clustering_columns
+from repro.storage.payload import (
+    build_store, prepare_triples, properties_entry, store_payload,
+    table_entry,
+)
 
 #: Sentinel oid representing SQL NULL in wide-table columns.  Real oids are
 #: non-negative, so -1 can never collide.
@@ -40,112 +42,85 @@ def property_column_name(prop_oid):
 
 
 def build_property_table_store(engine, triples, interesting_properties,
-                               clustered_properties=None, dictionary=None,
-                               leftover_clustering="PSO",
-                               table_name="ptable",
-                               leftover_name="triples"):
+                               clustered_properties=None, dictionary=None):
     """Deploy the property-table scheme; returns a StoreCatalog.
 
     *clustered_properties* defaults to the interesting (Longwell) set —
     the choice a database design wizard would make from the query workload.
     """
-    triples = list(triples)
-    dictionary = order_preserving_dictionary(triples, dictionary)
+    return build_store(
+        engine, prepare_property_table_payload, triples,
+        interesting_properties, clustered_properties=clustered_properties,
+        dictionary=dictionary,
+    )
+
+
+def prepare_property_table_payload(triples, interesting_properties,
+                                   clustered_properties=None,
+                                   dictionary=None, with_indexes=False):
+    """Prepare the property-table design without an engine.
+
+    Works on the PSO-sorted triples: a ``(prop, subj)`` run of length one
+    of a clustered property is a single-valued cell of the wide table;
+    every other row stays, in PSO order, in the leftover table.
+    """
+    sort_by = clustering_columns("PSO")
+    prepared = prepare_triples(
+        triples, interesting_properties, sort_by, dictionary
+    )
     if clustered_properties is None:
-        clustered_properties = list(interesting_properties)
-    clustered_set = set(clustered_properties)
-    if not clustered_set:
+        clustered_properties = prepared.interesting_properties
+    if not clustered_properties:
         raise StorageError("property-table scheme needs clustered properties")
-
-    # Pass 1: encode and bucket triples per (subject, property).
-    by_subject_property = {}
-    leftover_rows = []
-    property_counts = {}
-    for t in triples:
-        s = dictionary.encode(t.s)
-        p = dictionary.encode(t.p)
-        o = dictionary.encode(t.o)
-        property_counts[t.p] = property_counts.get(t.p, 0) + 1
-        if t.p in clustered_set:
-            by_subject_property.setdefault((s, p), []).append(o)
-        else:
-            leftover_rows.append((s, p, o))
-
-    # Pass 2: single-valued pairs go to the wide table; multi-valued pairs
-    # spill every instance to the leftover table.
-    cell_values = {}
-    wide_subjects = set()
-    for (s, p), values in by_subject_property.items():
-        if len(values) == 1:
-            cell_values[(s, p)] = values[0]
-            wide_subjects.add(s)
-        else:
-            leftover_rows.extend((s, p, o) for o in values)
-
-    subjects = np.asarray(sorted(wide_subjects), dtype=np.int64)
-    position = {s: i for i, s in enumerate(subjects.tolist())}
-    columns = {"subj": subjects}
-    clustered_columns = {}
-    for prop in clustered_properties:
-        oid = dictionary.encode(prop)
-        column = property_column_name(oid)
-        values = np.full(len(subjects), NULL_OID, dtype=np.int64)
-        clustered_columns[prop] = column
-        columns[column] = values
-    for (s, p), o in cell_values.items():
-        prop_name = dictionary.decode(p)
-        columns[clustered_columns[prop_name]][position[s]] = o
-
-    engine.create_table(
-        table_name, columns, sort_by=["subj"],
-        indexes=[] if engine.kind == "row-store" else None,
-    )
-
-    leftover_sort = list(clustering_columns(leftover_clustering))
-    leftover_indexes = None
-    if engine.kind == "row-store":
-        leftover_indexes = [
-            {"name": "leftover_pos", "columns": ["prop", "obj", "subj"]},
-            {"name": "leftover_spo", "columns": ["subj", "prop", "obj"]},
-        ]
-    leftover_rows.sort()
-    if leftover_rows:
-        subj_arr, prop_arr, obj_arr = (
-            np.asarray(a, dtype=np.int64) for a in zip(*leftover_rows)
+    missing = set(clustered_properties).difference(prepared.all_properties)
+    if missing:
+        raise StorageError(
+            f"clustered property {min(missing)!r} has no triples in the data"
         )
-    else:
-        subj_arr = prop_arr = obj_arr = np.empty(0, dtype=np.int64)
-    engine.create_table(
-        leftover_name,
-        {"subj": subj_arr, "prop": prop_arr, "obj": obj_arr},
-        sort_by=leftover_sort,
-        indexes=leftover_indexes,
-    )
+    oids = prepared.dictionary.lookup_many(clustered_properties)
 
-    oids = np.asarray(
-        [dictionary.encode(p) for p in interesting_properties],
-        dtype=np.int64,
-    )
-    engine.create_table(
-        "properties", {"prop": oids}, sort_by=["prop"],
-        indexes=[] if engine.kind == "row-store" else None,
-    )
+    columns = prepared.columns
+    subj, prop, obj = columns["subj"], columns["prop"], columns["obj"]
+    run_start = np.ones(len(prop), dtype=bool)
+    run_start[1:] = (prop[1:] != prop[:-1]) | (subj[1:] != subj[:-1])
+    lengths = np.diff(np.append(np.flatnonzero(run_start), len(prop)))
+    wide = np.repeat(lengths == 1, lengths) & np.isin(prop, oids)
 
-    all_properties = sorted(
-        property_counts, key=lambda p: (-property_counts[p], p)
-    )
-    catalog = StoreCatalog(
+    subjects = np.unique(subj[wide])
+    wide_columns = {"subj": subjects}
+    clustered_columns = {}
+    for name, oid in zip(clustered_properties, oids):
+        lo, hi = np.searchsorted(prop, [oid, oid + 1])
+        cells = lo + np.flatnonzero(wide[lo:hi])
+        values = np.full(len(subjects), NULL_OID, dtype=np.int64)
+        values[np.searchsorted(subjects, subj[cells])] = obj[cells]
+        column = property_column_name(oid)
+        wide_columns[column] = values
+        clustered_columns[name] = column
+
+    leftover_indexes = [
+        {"name": "leftover_pos", "columns": ["prop", "obj", "subj"]},
+        {"name": "leftover_spo", "columns": ["subj", "prop", "obj"]},
+    ]
+    tables = [
+        table_entry(
+            "ptable", wide_columns, ["subj"], [] if with_indexes else None
+        ),
+        table_entry(
+            "triples", {c: a[~wide] for c, a in columns.items()}, sort_by,
+            leftover_indexes if with_indexes else None,
+        ),
+        properties_entry(prepared, with_indexes),
+    ]
+    return store_payload(
+        prepared.dictionary,
+        tables,
         scheme="property_table",
-        clustering=f"subj+{leftover_clustering}",
-        dictionary=dictionary.freeze(),
-        interesting_properties=list(interesting_properties),
-        all_properties=all_properties,
-        triples_table=leftover_name,
+        clustering="subj+PSO",
+        interesting_properties=prepared.interesting_properties,
+        all_properties=prepared.all_properties,
+        triples_table="triples",
         properties_table="properties",
-        compression=getattr(engine, "compression_mode", None),
+        property_table_name="ptable",
+        clustered_property_columns=clustered_columns,
     )
-    # Extension fields (StoreCatalog is a plain dataclass; these ride along
-    # for the property-table query builder).
-    catalog.property_table_name = table_name
-    catalog.clustered_property_columns = clustered_columns
-    return catalog

@@ -13,16 +13,9 @@ On the column store the clustering is realized purely as a sort order
 (MonetDB has no user-defined indices).
 """
 
-from collections import Counter
-
-import numpy as np
-
-from repro.dictionary import Dictionary
-from repro.storage.encoding import order_preserving_dictionary
 from repro.storage.catalog import CLUSTERINGS, clustering_columns
 from repro.storage.payload import (
-    build_store_from_payload,
-    store_payload,
+    build_store, prepare_triples, properties_entry, store_payload,
     table_entry,
 )
 
@@ -34,27 +27,22 @@ _INDEX_SETS = {
 
 
 def build_triple_store(engine, triples, interesting_properties,
-                       clustering="PSO", dictionary=None,
-                       table_name="triples", with_indexes=None):
+                       clustering="PSO", dictionary=None, with_indexes=None):
     """Create the triples + properties tables inside *engine*.
 
     *triples* is an iterable of string triples; *interesting_properties* the
     property names of the Longwell filter (most frequent first).  Returns a
     :class:`StoreCatalog`.
     """
-    if with_indexes is None:
-        with_indexes = engine.kind == "row-store"
-    payload = prepare_triple_payload(
-        triples, interesting_properties, clustering=clustering,
-        dictionary=dictionary, table_name=table_name,
-        with_indexes=with_indexes,
+    return build_store(
+        engine, prepare_triple_payload, triples, interesting_properties,
+        with_indexes, clustering=clustering, dictionary=dictionary,
     )
-    return build_store_from_payload(engine, payload)
 
 
 def prepare_triple_payload(triples, interesting_properties,
                            clustering="PSO", dictionary=None,
-                           table_name="triples", with_indexes=False):
+                           with_indexes=False):
     """Prepare the triple-store physical design without an engine.
 
     Returns a picklable payload (see :mod:`repro.storage.payload`) holding
@@ -63,10 +51,9 @@ def prepare_triple_payload(triples, interesting_properties,
     """
     clustering = clustering.upper()
     sort_by = list(clustering_columns(clustering))
-    triples = list(triples)
-    dictionary = order_preserving_dictionary(triples, dictionary)
-    dictionary, arrays, all_properties = encode_triples(triples, dictionary)
-
+    prepared = prepare_triples(
+        triples, interesting_properties, sort_by, dictionary
+    )
     indexes = None
     if with_indexes:
         indexes = [
@@ -74,66 +61,16 @@ def prepare_triple_payload(triples, interesting_properties,
              "columns": list(clustering_columns(perm))}
             for perm in _INDEX_SETS.get(clustering, ())
         ]
-
-    tables = [table_entry(table_name, arrays, sort_by, indexes)]
-    tables.append(
-        _properties_table_entry(dictionary, interesting_properties,
-                                with_indexes)
-    )
     return store_payload(
-        dictionary,
-        tables,
+        prepared.dictionary,
+        [
+            table_entry("triples", prepared.columns, sort_by, indexes),
+            properties_entry(prepared, with_indexes),
+        ],
         scheme="triple",
         clustering=clustering,
-        interesting_properties=list(interesting_properties),
-        all_properties=all_properties,
-        triples_table=table_name,
+        interesting_properties=prepared.interesting_properties,
+        all_properties=prepared.all_properties,
+        triples_table="triples",
         properties_table="properties",
-    )
-
-
-def encode_triples(triples, dictionary=None):
-    """Dictionary-encode triples into parallel subj/prop/obj oid arrays.
-
-    Returns ``(dictionary, {"subj": ..., "prop": ..., "obj": ...},
-    property_names_by_frequency)``.
-
-    Encoding runs column-at-a-time through :meth:`Dictionary.encode_many`
-    (no per-element method dispatch).  Strings not already interned are
-    assigned oids in first-seen order per column (subjects, then properties,
-    then objects); the storage builders pre-intern the whole vocabulary with
-    :func:`order_preserving_dictionary`, in which case no interning happens
-    here at all.
-    """
-    if dictionary is None:
-        dictionary = Dictionary()
-    triples = triples if isinstance(triples, list) else list(triples)
-    n = len(triples)
-    p_list = [t.p for t in triples]
-    arrays = {
-        "subj": np.fromiter(
-            dictionary.encode_many([t.s for t in triples]),
-            dtype=np.int64, count=n,
-        ),
-        "prop": np.fromiter(
-            dictionary.encode_many(p_list), dtype=np.int64, count=n
-        ),
-        "obj": np.fromiter(
-            dictionary.encode_many([t.o for t in triples]),
-            dtype=np.int64, count=n,
-        ),
-    }
-    property_counts = Counter(p_list)
-    by_frequency = sorted(property_counts, key=lambda p: (-property_counts[p], p))
-    return dictionary, arrays, by_frequency
-
-
-def _properties_table_entry(dictionary, interesting_properties, with_indexes,
-                            table_name="properties"):
-    """The 28-property filter table joined by q2/q3/q4/q6."""
-    oids = np.asarray(
-        [dictionary.encode(p) for p in interesting_properties], dtype=np.int64
-    )
-    return table_entry(
-        table_name, {"prop": oids}, ["prop"], [] if with_indexes else None
     )
