@@ -1,31 +1,17 @@
 """Table 4 — repetition of the C-Store experiment (machines A and B).
 
-Shape criteria (paper, Section 3): hot runs far cheaper than cold; user
-below real; machine B's ~3.7x disk bandwidth buys far less than 3.7x cold
-speedup because the replica's synchronous small reads are latency-bound;
-user times similar on both machines (slightly higher on B).
+The paper's Section 3 findings on it (hot far cheaper than cold, user below
+real, machine B's faster disk buying little) are the ``table4`` entries of
+``repro.bench.findings``.
 """
 
 from repro.bench.experiments import experiment_table3, experiment_table4
 
 
-def test_table4_cstore_repetition(benchmark, dataset, publish):
+def test_table4_cstore_repetition(benchmark, dataset, publish, findings_hold):
     publish(experiment_table3())  # the machine table the runs refer to
     result = benchmark.pedantic(
         experiment_table4, args=(dataset,), rounds=1, iterations=1
     )
     publish(result)
-    rows = {row[0]: row[1:] for row in result.rows}
-
-    for machine in ("A", "B"):
-        cold_real = rows[f"{machine} cold real"]
-        hot_real = rows[f"{machine} hot real"]
-        cold_user = rows[f"{machine} cold user"]
-        assert cold_real[-1] > 1.5 * hot_real[-1]  # G drops sharply when hot
-        assert all(u <= r + 1e-9 for u, r in zip(cold_user, cold_real))
-
-    bandwidth_speedup = rows["A cold real"][-1] / rows["B cold real"][-1]
-    assert bandwidth_speedup < 1.8  # nowhere near the 3.7x bandwidth ratio
-
-    a_user, b_user = rows["A cold user"][-1], rows["B cold user"][-1]
-    assert a_user <= b_user < a_user * 1.2
+    findings_hold("table4", result)

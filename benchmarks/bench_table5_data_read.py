@@ -1,26 +1,16 @@
 """Table 5 — data relevant to a query (bytes read from disk, rows returned).
 
-The per-query read volumes, rescaled to paper scale, must sit within an
-order of magnitude of the paper's MB figures, with q1 the cheapest of the
-property-scan queries.
+Its findings (magnitudes within 10x of the paper, q1 the cheapest scan)
+and the q5 deviation are the ``table5`` entries of ``repro.bench.findings``.
 """
 
 from repro.bench.experiments import experiment_table5
-from repro.bench.paper_reference import PAPER_TABLE5
 
 
-def test_table5_data_read_per_query(benchmark, dataset, publish):
+def test_table5_data_read_per_query(benchmark, dataset, publish,
+                                    findings_hold):
     result = benchmark.pedantic(
         experiment_table5, args=(dataset,), rounds=1, iterations=1
     )
     publish(result)
-    reads = {row[0]: row[1] for row in result.rows}
-    rows_returned = {row[0]: row[2] for row in result.rows}
-
-    for query, (paper_mb, _paper_rows) in PAPER_TABLE5.items():
-        assert paper_mb / 10 < reads[query] < paper_mb * 10, query
-        assert rows_returned[query] > 0
-
-    assert reads["q1"] < reads["q2"]
-    assert reads["q1"] < reads["q3"]
-    assert reads["q1"] < reads["q6"]
+    findings_hold("table5", result)

@@ -1,60 +1,17 @@
 """Table 6 — cold runs: every system x every query.
 
-Shape criteria (paper, Section 4.3):
-
-* row store: PSO clustering decisively beats SPO on q1-q7; with PSO chosen,
-  the triple-store's G* beats the vertically-partitioned G* (the row-store
-  "black swan"), while vert still wins the property-restricted q1/q5/q7;
-* column store: an order of magnitude faster than the row store; vert wins
-  the restricted benchmark (G) but loses q2*/q3*/q6*/q8 to triple-PSO (the
-  column-store "black swans");
-* the G*/G growth is larger for the vertically-partitioned scheme on both
-  engines.
+The Section 4.3 findings on it (PSO over SPO, the row-store and
+column-store black swans, the larger G*/G of the vertical scheme) are the
+entries of ``repro.bench.findings`` that read ``table6``; those that also
+read ``table7`` are checked by ``bench_table7_hot.py``.
 """
 
 from repro.bench.experiments import experiment_table6
 
 
-def _cells(result, config, clock):
-    cells, summary = result.measured[config]
-    return {q: getattr(c, clock) for q, c in cells.items()}, summary
-
-
-def test_table6_cold_runs(benchmark, dataset, publish):
+def test_table6_cold_runs(benchmark, dataset, publish, findings_hold):
     result = benchmark.pedantic(
         experiment_table6, args=(dataset,), rounds=1, iterations=1
     )
     publish(result)
-
-    dbx_spo, _ = _cells(result, ("DBX", "triple", "SPO"), "real")
-    dbx_pso, dbx_pso_summary = _cells(result, ("DBX", "triple", "PSO"), "real")
-    dbx_vert, dbx_vert_summary = _cells(result, ("DBX", "vert", "SO"), "real")
-    mdb_pso, mdb_pso_summary = _cells(
-        result, ("MonetDB", "triple", "PSO"), "real"
-    )
-    mdb_vert, mdb_vert_summary = _cells(
-        result, ("MonetDB", "vert", "SO"), "real"
-    )
-
-    # Row store: clustering order is paramount.
-    for q in ("q1", "q2", "q3", "q5", "q6", "q7"):
-        assert dbx_pso[q] < dbx_spo[q], q
-    assert dbx_pso["q1"] < dbx_spo["q1"] / 2
-
-    # Row-store black swan: triple-PSO G* below vert G*.
-    assert dbx_pso_summary["Gstar_real"] < dbx_vert_summary["Gstar_real"]
-    # ... while vert wins the property-restricted queries.
-    for q in ("q1", "q5", "q7"):
-        assert dbx_vert[q] < dbx_pso[q], q
-
-    # Column store an order of magnitude ahead of the row store.
-    assert mdb_vert_summary["G_real"] < dbx_vert_summary["G_real"] / 3
-
-    # Column store: vert wins G; triple-PSO wins the black swans.
-    assert mdb_vert_summary["G_real"] < mdb_pso_summary["G_real"]
-    for q in ("q2*", "q3*", "q6*", "q8"):
-        assert mdb_pso[q] < mdb_vert[q], q
-
-    # G*/G grows faster for the vertically-partitioned scheme.
-    assert dbx_vert_summary["ratio_real"] > dbx_pso_summary["ratio_real"]
-    assert mdb_vert_summary["ratio_real"] > mdb_pso_summary["ratio_real"]
+    findings_hold("table6", result)

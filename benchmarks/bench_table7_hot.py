@@ -1,56 +1,17 @@
 """Table 7 — hot runs: every system x every query.
 
-Hot runs strip the I/O component: the SQL engines become CPU-bound (user
-nearly equals real), every hot cell is at most its cold counterpart, and
-with reads amortized *all* full-scale variants run faster on the
-triple-store than on the vertically-partitioned scheme in the column store
-(paper: "all asterisk versions of the queries are faster on triple-store").
+Its findings (user ~ real on the SQL engines, every hot cell at most its
+cold one, the column-store black swans and G still holding hot) are the
+entries of ``repro.bench.findings`` whose last read is ``table7``; the
+cold side is the session's Table 6 result.
 """
 
-import pytest
-
-from repro.bench.experiments import experiment_table6, experiment_table7
+from repro.bench.experiments import experiment_table7
 
 
-def _cells(result, config, clock):
-    cells, summary = result.measured[config]
-    return {q: getattr(c, clock) for q, c in cells.items()}, summary
-
-
-def test_table7_hot_runs(benchmark, dataset, publish):
+def test_table7_hot_runs(benchmark, dataset, publish, findings_hold):
     result = benchmark.pedantic(
         experiment_table7, args=(dataset,), rounds=1, iterations=1
     )
     publish(result)
-
-    # SQL-engine hot runs are CPU-bound: user ~ real.
-    for system in ("DBX", "MonetDB"):
-        for scheme, clustering in (
-            ("triple", "SPO"), ("triple", "PSO"), ("vert", "SO"),
-        ):
-            cells, _ = result.measured[(system, scheme, clustering)]
-            for q, c in cells.items():
-                assert c.user == pytest.approx(c.real, rel=0.05), (
-                    system, scheme, q,
-                )
-
-    # Column-store hot: the star variants all favour the triple-store.
-    mdb_pso, _ = _cells(result, ("MonetDB", "triple", "PSO"), "real")
-    mdb_vert, vert_summary = _cells(result, ("MonetDB", "vert", "SO"), "real")
-    for q in ("q2*", "q3*", "q6*", "q8"):
-        assert mdb_pso[q] < mdb_vert[q], q
-    # ... while vert still wins the restricted G.
-    _, pso_summary = _cells(result, ("MonetDB", "triple", "PSO"), "real")
-    assert vert_summary["G_real"] < pso_summary["G_real"]
-
-
-def test_hot_never_slower_than_cold(benchmark, dataset, publish):
-    def both():
-        return experiment_table6(dataset), experiment_table7(dataset)
-
-    cold, hot = benchmark.pedantic(both, rounds=1, iterations=1)
-    for config in cold.measured:
-        cold_cells, _ = cold.measured[config]
-        hot_cells, _ = hot.measured[config]
-        for q in cold_cells:
-            assert hot_cells[q].real <= cold_cells[q].real + 1e-9, (config, q)
+    findings_hold("table7", result)

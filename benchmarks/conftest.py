@@ -28,8 +28,10 @@ import pathlib
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.artifacts import cache_disabled, cached_dataset
-from repro.bench.scheduler import default_jobs, default_repeats
+from repro.bench.findings import FINDINGS
+from repro.bench.scheduler import default_repeats
 from repro.data import generate_barton
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -41,11 +43,6 @@ def bench_triples():
 
 def bench_seed():
     return int(os.environ.get("REPRO_BENCH_SEED", "42"))
-
-
-def bench_jobs():
-    """Scheduler worker count (``REPRO_BENCH_JOBS``, default serial)."""
-    return default_jobs()
 
 
 def bench_repeats():
@@ -98,3 +95,26 @@ def publish():
         return results
 
     return _publish
+
+
+@pytest.fixture(scope="session")
+def findings_hold(dataset):
+    """Keep one experiment's timed result for the session and assert every
+    entry of ``repro.bench.findings`` whose last read it is, so a finding
+    that reads two experiments (hot against cold) uses the timed run of
+    each.  An earlier experiment the session has not run (a file run
+    alone) is run here, untimed."""
+    measured = {}
+
+    def _check(name, result):
+        measured[name] = result
+        due = [finding for finding in FINDINGS if finding.reads[-1] == name]
+        for other in dict.fromkeys(r for f in due for r in f.reads):
+            if other not in measured:
+                measured[other] = getattr(experiments, f"experiment_{other}")(
+                    dataset
+                )
+        broken = {f.name: f.broken(measured) for f in due}
+        assert not any(broken.values()), {k: v for k, v in broken.items() if v}
+
+    return _check

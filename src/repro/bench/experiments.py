@@ -37,6 +37,10 @@ class ExperimentResult:
     per-query ``bytes_scanned`` — so the BENCH JSON twins document the
     footprint behind the timings (deterministic, hence part of the
     regression-gated simulated section, unlike ``meta``).
+
+    ``measured`` (Tables 6 and 7 only) maps each system configuration to
+    its ``(query -> TimingCell, summary)`` pair, the unrounded cells that
+    :mod:`repro.bench.findings` reads; the JSON twin leaves it out.
     """
 
     name: str
@@ -49,6 +53,7 @@ class ExperimentResult:
     x_label: str = ""
     meta: dict = field(default_factory=dict)
     storage: dict = field(default_factory=dict)
+    measured: dict = None
 
     def render(self, chart=True):
         if self.series:
@@ -370,7 +375,7 @@ def experiment_table67(dataset, mode, machine=MACHINE_B, grid=SYSTEM_GRID,
             )
             rows.append(row)
     table_number = 6 if mode == "cold" else 7
-    result = ExperimentResult(
+    return ExperimentResult(
         name=f"table{table_number}",
         title=f"Table {table_number}: Experimental results for {mode} runs "
               "(scaled seconds)",
@@ -378,9 +383,8 @@ def experiment_table67(dataset, mode, machine=MACHINE_B, grid=SYSTEM_GRID,
         + ["G", "G*", "G*/G"],
         rows=rows,
         meta=scheduler_meta(outcomes, jobs),
+        measured=measured,
     )
-    result.measured = measured
-    return result
 
 
 def experiment_table6(dataset, machine=MACHINE_B, grid=SYSTEM_GRID,

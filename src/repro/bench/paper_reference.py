@@ -2,9 +2,10 @@
 
 All values are seconds on the authors' hardware (Table 3); this
 reproduction does not target the absolute values — only the *shapes*: who
-wins, by roughly what factor, where crossovers fall.  The constants here
-let the harness print the paper's row next to the measured row for every
-table.
+wins, by roughly what factor, where crossovers fall.  The bench suite
+compares Tables 1 and 2 with these constants, and the Table 4 and 5
+entries of :mod:`repro.bench.findings` bound the measured magnitudes by
+them; EXPERIMENTS.md quotes the paper's Table 6 next to ours.
 """
 
 #: Table 1 — Barton data set details.
@@ -30,8 +31,6 @@ PAPER_TABLE2 = {
     "q8": (["p6", "p8"], ["B"]),
 }
 
-_Q17 = ("q1", "q2", "q3", "q4", "q5", "q6", "q7")
-
 #: Table 4 — C-Store repetition results (q1-q7 plus geometric mean G).
 #: Keyed by (machine, mode, clock): list of 7 query times + G.
 PAPER_TABLE4 = {
@@ -55,108 +54,4 @@ PAPER_TABLE5 = {
     "q5": (250, 12916),
     "q6": (220, 14),
     "q7": (135, 74866),
-}
-
-_QUERY_ORDER = (
-    "q1", "q2", "q2*", "q3", "q3*", "q4", "q4*", "q5", "q6", "q6*", "q7", "q8",
-)
-
-
-def _row(values):
-    times = dict(zip(_QUERY_ORDER, values[:12]))
-    return {"times": times, "G": values[12], "Gstar": values[13],
-            "ratio": values[14]}
-
-
-def _cstore_row(values):
-    times = dict(zip(_Q17, values[:7]))
-    return {"times": times, "G": values[7], "Gstar": None, "ratio": None}
-
-
-#: Table 6 — cold runs.  Keyed by (system, scheme, clustering, clock).
-PAPER_TABLE6 = {
-    ("DBX", "triple", "SPO", "real"): _row(
-        [12.59, 53.65, 108.76, 50.35, 144.81, 16.08, 13.82, 45.06, 127.45,
-         170.99, 9.62, 19.45, 31.4, 40.8, 1.3]),
-    ("DBX", "triple", "SPO", "user"): _row(
-        [9.69, 28.82, 70.50, 30.48, 94.70, 9.06, 6.89, 12.88, 76.74, 114.66,
-         1.91, 9.68, 14.6, 21.0, 1.4]),
-    ("DBX", "triple", "PSO", "real"): _row(
-        [2.35, 34.08, 37.93, 39.73, 72.72, 10.64, 9.84, 14.01, 54.66, 60.66,
-         8.62, 19.61, 15.5, 20.9, 1.3]),
-    ("DBX", "triple", "PSO", "user"): _row(
-        [1.77, 30.85, 36.46, 36.49, 63.67, 3.68, 2.85, 11.04, 50.16, 58.79,
-         1.72, 9.56, 9.5, 13.1, 1.4]),
-    ("DBX", "vert", "SO", "real"): _row(
-        [1.92, 44.29, 99.46, 49.88, 121.08, 10.11, 84.03, 6.32, 51.23,
-         173.49, 2.70, 39.75, 12.0, 28.2, 2.4]),
-    ("DBX", "vert", "SO", "user"): _row(
-        [1.57, 40.62, 73.56, 46.27, 95.80, 6.34, 14.63, 5.78, 47.01, 154.67,
-         1.24, 8.37, 9.3, 17.5, 1.9]),
-    ("MonetDB", "triple", "SPO", "real"): _row(
-        [3.06, 12.16, 12.30, 14.04, 27.32, 11.10, 11.00, 32.86, 25.79, 26.08,
-         29.03, 6.65, 14.6, 14.5, 1.0]),
-    ("MonetDB", "triple", "SPO", "user"): _row(
-        [1.26, 2.96, 3.16, 4.7, 16.52, 1.48, 1.712, 2.83, 6.67, 6.21, 2.07,
-         3.76, 2.6, 3.3, 1.3]),
-    ("MonetDB", "triple", "PSO", "real"): _row(
-        [2.66, 6.48, 6.62, 8.59, 16.92, 14.85, 20.67, 4.11, 9.60, 8.96, 3.46,
-         8.43, 6.0, 7.8, 1.3]),
-    ("MonetDB", "triple", "PSO", "user"): _row(
-        [0.72, 2.32, 2.40, 3.83, 10.89, 2.09, 2.30, 1.21, 3.90, 3.95, 0.21,
-         4.50, 1.4, 2.2, 1.6]),
-    ("MonetDB", "vert", "SO", "real"): _row(
-        [1.20, 3.50, 9.16, 5.22, 19.34, 2.28, 6.22, 2.00, 7.20, 16.58, 0.61,
-         7.99, 2.3, 4.4, 1.9]),
-    ("MonetDB", "vert", "SO", "user"): _row(
-        [0.68, 1.87, 5.85, 2.96, 14.16, 0.57, 2.68, 1.09, 4.94, 12.46, 0.06,
-         3.35, 0.9, 2.0, 2.2]),
-    ("C-Store", "vert", "SO", "real"): _cstore_row(
-        [0.79, 1.79, 10.13, 2.80, 21.13, 12.71, 1.09, 3.8]),
-    ("C-Store", "vert", "SO", "user"): _cstore_row(
-        [0.49, 1.18, 3.44, 1.30, 11.64, 10.56, 0.37, 1.9]),
-}
-
-#: Table 7 — hot runs.
-PAPER_TABLE7 = {
-    ("DBX", "triple", "SPO", "real"): _row(
-        [4.29, 42.61, 93.11, 34.86, 97.92, 8.02, 6.12, 11.70, 89.11, 142.10,
-         1.34, 14.47, 13.2, 21.1, 1.6]),
-    ("DBX", "triple", "SPO", "user"): _row(
-        [4.29, 33.31, 68.88, 34.16, 95.11, 8.02, 6.10, 11.68, 74.96, 120.36,
-         1.27, 10.58, 12.3, 19.0, 1.5]),
-    ("DBX", "triple", "PSO", "real"): _row(
-        [1.72, 40.18, 38.35, 45.65, 67.32, 3.22, 2.49, 10.61, 57.52, 63.04,
-         1.42, 12.14, 9.8, 13.6, 1.4]),
-    ("DBX", "triple", "PSO", "user"): _row(
-        [1.72, 40.17, 38.35, 45.64, 66.85, 3.22, 2.47, 10.60, 57.33, 63.03,
-         1.34, 8.02, 9.7, 13.1, 1.4]),
-    ("DBX", "vert", "SO", "real"): _row(
-        [1.55, 39.62, 74.85, 45.17, 94.59, 6.12, 14.18, 5.69, 45.57, 154.81,
-         1.25, 11.55, 9.1, 17.7, 1.9]),
-    ("DBX", "vert", "SO", "user"): _row(
-        [1.55, 39.61, 74.83, 45.16, 94.09, 6.12, 14.15, 5.67, 45.56, 153.08,
-         1.18, 7.49, 9.1, 17.0, 1.9]),
-    ("MonetDB", "triple", "SPO", "real"): _row(
-        [1.53, 3.50, 3.63, 5.28, 17.54, 1.68, 1.98, 2.77, 8.37, 7.33, 1.82,
-         4.76, 2.9, 3.7, 1.3]),
-    ("MonetDB", "triple", "SPO", "user"): _row(
-        [1.36, 2.73, 2.91, 4.33, 15.40, 1.41, 1.65, 2.30, 6.20, 5.70, 1.65,
-         3.75, 2.4, 3.1, 1.3]),
-    ("MonetDB", "triple", "PSO", "real"): _row(
-        [0.78, 2.80, 2.83, 4.36, 12.59, 1.70, 1.97, 1.44, 5.67, 4.59, 0.18,
-         5.23, 1.5, 2.4, 1.6]),
-    ("MonetDB", "triple", "PSO", "user"): _row(
-        [0.69, 2.31, 2.31, 3.69, 10.54, 1.59, 1.86, 1.16, 3.80, 3.65, 0.17,
-         3.60, 1.3, 2.0, 1.5]),
-    ("MonetDB", "vert", "SO", "real"): _row(
-        [0.79, 1.50, 5.50, 2.64, 14.01, 0.50, 2.57, 1.29, 4.65, 11.51, 0.06,
-         5.05, 0.9, 2.0, 2.2]),
-    ("MonetDB", "vert", "SO", "user"): _row(
-        [0.68, 1.44, 5.20, 2.52, 13.25, 0.48, 2.40, 1.03, 4.40, 11.23, 0.06,
-         4.20, 0.8, 1.9, 2.4]),
-    ("C-Store", "vert", "SO", "real"): _cstore_row(
-        [0.59, 1.35, 4.08, 1.52, 12.95, 12.04, 0.77, 2.4]),
-    ("C-Store", "vert", "SO", "user"): _cstore_row(
-        [0.49, 1.17, 3.45, 1.28, 11.67, 10.49, 0.34, 1.9]),
 }

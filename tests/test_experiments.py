@@ -1,15 +1,16 @@
 """Shape tests for the experiment drivers: every table and figure driver
-runs on a small dataset, and the paper's qualitative findings hold."""
+runs on a small dataset, and every entry of ``repro.bench.findings`` holds
+— and can fail."""
+
+import copy
+from functools import partial
 
 import pytest
 
 from repro.bench import experiments as E
-from repro.bench.metrics import INITIAL_QUERIES
-from repro.bench.paper_reference import (
-    PAPER_TABLE2,
-    PAPER_TABLE4,
-    PAPER_TABLE5,
-)
+from repro.bench.findings import DBX_SPO, FINDINGS
+from repro.bench.metrics import INITIAL_QUERIES, TimingCell
+from repro.bench.paper_reference import PAPER_TABLE2, PAPER_TABLE5
 from repro.data import generate_barton
 
 #: Small but structurally faithful dataset for driver tests.  The full 222
@@ -23,22 +24,22 @@ def dataset():
     return generate_barton(**SCALE)
 
 
-@pytest.fixture(scope="module")
-def table6(dataset):
-    return E.experiment_table6(dataset)
+#: The drivers the findings read, with sweeps short enough for tier-1.
+DRIVERS = {
+    "table4": E.experiment_table4,
+    "table5": E.experiment_table5,
+    "table6": E.experiment_table6,
+    "table7": E.experiment_table7,
+    "figure6": partial(
+        E.experiment_figure6, property_counts=(28, 84, 150, 222)
+    ),
+    "figure7": partial(E.experiment_figure7, property_counts=(222, 500, 800)),
+}
 
 
 @pytest.fixture(scope="module")
-def table7(dataset):
-    return E.experiment_table7(dataset)
-
-
-def cell(table, system, scheme, clustering, clock):
-    cells, summary = table.measured[(system, scheme, clustering)]
-    return (
-        {q: getattr(c, clock) for q, c in cells.items()},
-        {k: v for k, v in summary.items()},
-    )
+def results(dataset):
+    return {name: driver(dataset) for name, driver in DRIVERS.items()}
 
 
 class TestStaticTables:
@@ -73,82 +74,28 @@ class TestStaticTables:
 
 
 class TestTable4Shapes:
-    @pytest.fixture(scope="class")
-    def table4(self, dataset):
-        return E.experiment_table4(dataset)
-
-    def rows_by_label(self, table4):
-        return {row[0]: row[1:] for row in table4.rows}
-
-    def test_has_all_runs(self, table4):
-        rows = self.rows_by_label(table4)
-        assert set(rows) == {
+    def test_has_all_runs(self, results):
+        assert {row[0] for row in results["table4"].rows} == {
             f"{m} {mode} {clock}"
             for m in ("A", "B")
             for mode in ("cold", "hot")
             for clock in ("real", "user")
         }
 
-    def test_cold_real_exceeds_hot_real(self, table4):
-        rows = self.rows_by_label(table4)
-        for machine in ("A", "B"):
-            cold_g = rows[f"{machine} cold real"][-1]
-            hot_g = rows[f"{machine} hot real"][-1]
-            assert cold_g > hot_g
-
-    def test_user_below_real(self, table4):
-        rows = self.rows_by_label(table4)
-        for machine in ("A", "B"):
-            for mode in ("cold", "hot"):
-                real = rows[f"{machine} {mode} real"]
-                user = rows[f"{machine} {mode} user"]
-                assert all(u <= r + 1e-9 for u, r in zip(user, real))
-
-    def test_fast_disk_barely_helps_cold_runs(self, table4):
-        """Machine B's ~3.7x bandwidth gives far less than 3.7x cold
-        speedup (the paper's headline Section 3 observation)."""
-        rows = self.rows_by_label(table4)
-        speedup = rows["A cold real"][-1] / rows["B cold real"][-1]
-        assert speedup < 1.8
-
-    def test_user_times_similar_across_machines(self, table4):
-        rows = self.rows_by_label(table4)
-        a = rows["A cold user"][-1]
-        b = rows["B cold user"][-1]
-        assert b >= a  # slightly higher on B
-        assert b < a * 1.2
-
-    def test_same_magnitude_as_paper(self, table4):
-        """Scaled G within an order of magnitude of the paper's."""
-        rows = self.rows_by_label(table4)
-        for key, paper in PAPER_TABLE4.items():
-            machine, mode, clock = key
-            if machine == "[1]":
-                continue
-            ours = rows[f"{machine} {mode} {clock}"][-1]
-            assert paper[-1] / 10 < ours < paper[-1] * 10
-
 
 class TestTable5Shapes:
-    @pytest.fixture(scope="class")
-    def table5(self, dataset):
-        return E.experiment_table5(dataset)
+    def test_covers_seven_queries(self, results):
+        assert [row[0] for row in results["table5"].rows] == list(
+            INITIAL_QUERIES
+        )
 
-    def test_covers_seven_queries(self, table5):
-        assert [row[0] for row in table5.rows] == list(INITIAL_QUERIES)
-
-    def test_q1_reads_least_of_scan_queries(self, table5):
-        reads = {row[0]: row[1] for row in table5.rows}
-        assert reads["q1"] < reads["q2"]
-        assert reads["q1"] < reads["q3"]
-
-    def test_magnitudes_within_10x_of_paper(self, table5):
-        reads = {row[0]: row[1] for row in table5.rows}
+    def test_magnitudes_within_10x_of_paper(self, results):
+        reads = {row[0]: row[1] for row in results["table5"].rows}
         for query, (paper_mb, _) in PAPER_TABLE5.items():
             assert paper_mb / 10 < reads[query] < paper_mb * 10
 
-    def test_row_counts_positive(self, table5):
-        assert all(row[2] > 0 for row in table5.rows)
+    def test_row_counts_positive(self, results):
+        assert all(row[2] > 0 for row in results["table5"].rows)
 
 
 class TestFigure5:
@@ -161,128 +108,65 @@ class TestFigure5:
                 assert series[-1] > 0
 
 
-class TestTable67Shapes:
-    """The paper's headline findings, asserted on the measured grid."""
-
-    def test_pso_beats_spo_on_the_row_store(self, table6):
-        pso, _ = cell(table6, "DBX", "triple", "PSO", "real")
-        spo, _ = cell(table6, "DBX", "triple", "SPO", "real")
-        for q in ("q1", "q2", "q3", "q5", "q6", "q7"):
-            assert pso[q] < spo[q], q
-        assert pso["q1"] < spo["q1"] / 2  # q1 improves by a large factor
-
-    def test_row_store_black_swan(self, table6):
-        """Once PSO clustering is chosen, the triple-store beats the
-        vertically-partitioned approach on the row store (G*)."""
-        _, pso = cell(table6, "DBX", "triple", "PSO", "real")
-        _, vert = cell(table6, "DBX", "vert", "SO", "real")
-        assert pso["Gstar_real"] < vert["Gstar_real"]
-
-    def test_vertical_wins_restricted_queries_on_row_store(self, table6):
-        pso, _ = cell(table6, "DBX", "triple", "PSO", "real")
-        vert, _ = cell(table6, "DBX", "vert", "SO", "real")
-        for q in ("q1", "q5", "q7"):
-            assert vert[q] < pso[q], q
-
-    def test_triple_store_wins_star_queries_on_row_store(self, table6):
-        pso, _ = cell(table6, "DBX", "triple", "PSO", "real")
-        vert, _ = cell(table6, "DBX", "vert", "SO", "real")
-        for q in ("q2*", "q3*", "q4*", "q6*", "q8"):
-            assert pso[q] < vert[q], q
-
-    def test_column_store_beats_row_store(self, table6):
-        _, monet = cell(table6, "MonetDB", "vert", "SO", "real")
-        _, dbx = cell(table6, "DBX", "vert", "SO", "real")
-        assert monet["G_real"] < dbx["G_real"] / 3
-
-    def test_vertical_wins_g_on_column_store(self, table6):
-        _, vert = cell(table6, "MonetDB", "vert", "SO", "real")
-        _, pso = cell(table6, "MonetDB", "triple", "PSO", "real")
-        assert vert["G_real"] < pso["G_real"]
-
-    def test_column_store_black_swans(self, table6):
-        """q2*, q3*, q6*, q8: triple-store sorted on PSO beats the
-        vertically-partitioned scheme on the column store too."""
-        pso, _ = cell(table6, "MonetDB", "triple", "PSO", "real")
-        vert, _ = cell(table6, "MonetDB", "vert", "SO", "real")
-        for q in ("q2*", "q3*", "q6*", "q8"):
-            assert pso[q] < vert[q], q
-
-    def test_gstar_ratio_larger_for_vertical(self, table6):
-        for system in ("DBX", "MonetDB"):
-            _, vert = cell(table6, system, "vert", "SO", "real")
-            _, pso = cell(table6, system, "triple", "PSO", "real")
-            assert vert["ratio_real"] > pso["ratio_real"]
-
-    def test_cstore_missing_cells(self, table6):
-        cells, summary = table6.measured[("C-Store", "vert", "SO")]
-        assert set(cells) == set(INITIAL_QUERIES)
-        assert summary["Gstar_real"] is None
-
-    def test_hot_runs_faster_than_cold(self, table6, table7):
-        for config in table6.measured:
-            cold_cells, _ = table6.measured[config]
-            hot_cells, _ = table7.measured[config]
-            for q in cold_cells:
-                assert hot_cells[q].real <= cold_cells[q].real + 1e-9, (
-                    config, q,
-                )
-
-    def test_hot_user_close_to_real(self, table7):
-        """Hot runs are CPU-bound on the SQL engines."""
-        for system in ("DBX", "MonetDB"):
-            cells, _ = cell_pair = table7.measured[(system, "vert", "SO")]
-            for q, c in cells.items():
-                assert c.user == pytest.approx(c.real, rel=0.05), (system, q)
+@pytest.mark.parametrize("finding", FINDINGS, ids=lambda f: f.name)
+def test_finding_holds(finding, results):
+    assert finding.broken(results) == []
 
 
-class TestFigure6Shapes:
-    @pytest.fixture(scope="class")
-    def figure6(self, dataset):
-        return E.experiment_figure6(
-            dataset, property_counts=(28, 84, 150, 222)
-        )
-
-    def test_vertical_time_increases(self, figure6):
-        for result in figure6:
-            vert = result.series["vert"]
-            assert vert[-1] > vert[0]
-
-    def test_triple_non_increasing_tail(self, figure6):
-        """The triple-store line is flat and drops at the full property
-        count (no final filter join needed)."""
-        for result in figure6:
-            triple = result.series["triple"]
-            assert triple[-1] <= triple[0] * 1.1
-
-    def test_triple_eventually_wins(self, figure6):
-        crossed = 0
-        for result in figure6:
-            if result.series["triple"][-1] < result.series["vert"][-1]:
-                crossed += 1
-        assert crossed >= 3  # paper: all but q4
+def broken(results, name, doctor):
+    """Finding name -> the cells it reports broken once *doctor* has edited
+    a copy of the *name* result (each cell without its values)."""
+    doctored = copy.deepcopy(results[name])
+    doctor(doctored)
+    view = {**results, name: doctored}
+    cells = {f.name: [c.rsplit(": ", 1)[0] for c in f.broken(view)]
+             for f in FINDINGS}
+    return {finding: c for finding, c in cells.items() if c}
 
 
-class TestFigure7Shapes:
-    @pytest.fixture(scope="class")
-    def figure7(self, dataset):
-        return E.experiment_figure7(
-            dataset, property_counts=(222, 500, 800)
-        )
+class TestPredicatesCanFail:
+    """A doctored cell breaks exactly the predicates that read it, and
+    each names it."""
 
-    def test_vertical_degrades_with_property_count(self, figure7):
-        for q in ("q2*", "q3*", "q4*", "q6*"):
-            series = figure7.series[f"{q} vert"]
-            assert series[-1] > series[0] * 1.5
+    def test_swapped_figure6_series(self, results):
+        def swap(figure6):
+            series = figure6[0].series
+            series["triple"], series["vert"] = series["vert"], series["triple"]
 
-    def test_triple_stays_flat(self, figure7):
-        for q in ("q2*", "q3*", "q4*", "q6*"):
-            series = figure7.series[f"{q} triple"]
-            assert series[-1] <= series[0] * 1.2
+        assert broken(results, "figure6", swap) == {
+            "figure6_vertical_rises": ["figure6_q2 vert: first < last"],
+            "figure6_triple_flat_then_drops": [
+                "figure6_q2 triple: last <= 1.1 x first",
+                "figure6_q2 triple: 222 < 150",
+            ],
+        }
 
-    def test_triple_wins_at_high_property_counts(self, figure7):
-        for q in ("q2*", "q3*", "q4*", "q6*"):
-            assert (
-                figure7.series[f"{q} triple"][-1]
-                < figure7.series[f"{q} vert"][-1]
-            )
+    def test_hot_cell_slower_than_cold(self, results):
+        cold = results["table6"].measured[DBX_SPO][0]["q5"].real
+
+        def slow(table7):
+            table7.measured[DBX_SPO][0]["q5"] = TimingCell(2 * cold, 2 * cold)
+
+        assert broken(results, "table7", slow) == {
+            "hot_never_slower_than_cold": [
+                "table7 q5: DBX/triple-SPO hot <= cold"
+            ],
+        }
+
+    def test_figure6_without_the_222_drop(self, results):
+        def flatten(figure6):
+            triple = figure6[1].series["triple"]
+            triple[-1] = triple[-2]
+
+        assert broken(results, "figure6", flatten) == {
+            "figure6_triple_flat_then_drops": ["figure6_q3 triple: 222 < 150"],
+        }
+
+    def test_falling_figure7_vert_point(self, results):
+        def fall(figure7):
+            vert = figure7.series["q3* vert"]
+            vert[1] = vert[2] + 1
+
+        assert broken(results, "figure7", fall) == {
+            "figure7_vertical_climbs": ["figure7 q3* vert at 800: no fall"],
+        }
