@@ -96,15 +96,32 @@ def lint_plan(plan, rules=None):
     }
     findings = []
     seen = set()
-    for rule_id, (fn, _description) in selected.items():
-        for diagnostic in fn(facts):
-            key = (
-                diagnostic.rule, diagnostic.path, diagnostic.message
-            )
-            if key not in seen:
-                seen.add(key)
-                findings.append(diagnostic)
+    for fn, _description in selected.values():
+        _collect(_logical_findings(fn, facts), findings, seen)
     return sort_diagnostics(findings)
+
+
+def _logical_findings(fn, facts):
+    """Rule *fn*'s findings.  It inspects each template union's template
+    once; when it finds something there, every branch has the finding,
+    and the rule runs again over the expanded tree so that each branch's
+    copy names that branch's own path, node and columns."""
+    found = list(fn(facts))
+    inside = facts.template_paths() if found else ()
+    if any(
+        d.path == path or d.path.startswith(f"{path}.")
+        for d in found for path in inside
+    ):
+        return list(fn(facts.expanded()))
+    return found
+
+
+def _collect(diagnostics, findings, seen):
+    for diagnostic in diagnostics:
+        key = (diagnostic.rule, diagnostic.path, diagnostic.message)
+        if key not in seen:
+            seen.add(key)
+            findings.append(diagnostic)
 
 
 def lint_physical_plan(physical, rules=None):
@@ -131,17 +148,9 @@ def lint_physical_plan(physical, rules=None):
     findings = []
     seen = set()
     for fn, _description in logical_rules.values():
-        for diagnostic in fn(facts):
-            key = (diagnostic.rule, diagnostic.path, diagnostic.message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(diagnostic)
+        _collect(_logical_findings(fn, facts), findings, seen)
     for fn, _description in physical_rules.values():
-        for diagnostic in fn(physical, facts):
-            key = (diagnostic.rule, diagnostic.path, diagnostic.message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(diagnostic)
+        _collect(fn(physical, facts), findings, seen)
     return sort_diagnostics(findings)
 
 
@@ -461,7 +470,7 @@ def _rule_domain_mismatch(facts):
     "duplicate or shadowed qualified column names",
 )
 def _rule_duplicate_columns(facts):
-    for node in facts.nodes():
+    for node in facts.nodes_of(L.LogicalPlan):
         names = facts.columns_of(node)
         if len(set(names)) == len(names):
             continue
@@ -480,9 +489,8 @@ def _rule_duplicate_columns(facts):
             hint="rename via Project or use distinct scan aliases",
         )
     for node in facts.nodes_of(L.Union):
-        first = facts.columns_of(node.inputs[0])
-        for i, branch in enumerate(node.inputs[1:], start=1):
-            branch_names = facts.columns_of(branch)
+        first, *rest = facts.input_columns_of(node)
+        for i, branch_names in enumerate(rest, start=1):
             if branch_names != first:
                 yield Diagnostic(
                     rule="duplicate-columns",

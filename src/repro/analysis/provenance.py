@@ -19,17 +19,27 @@ paper's q8 joins object against object, q5 walks object into subject), so
 ``subject`` vs ``object`` is *not* a domain mismatch; ``property`` and
 ``count`` columns live in their own domains.
 
-The vertically-partitioned plans are wide (a 222-way union, ~700 nodes)
-and every ad-hoc query pays for these facts, so the work is linear and
-done once: one top-down sweep, dispatching on node type, indexes the tree
-(pre-order node list, parents, the nodes bucketed by type for
-:meth:`PlanFacts.nodes_of`) and propagates the consumed columns; the
-bottom-up facts (constants, domains) are derived from the children's on
-first request and kept, as is each node's column list
-(:meth:`PlanFacts.columns_of` — a node derives it from its subtree on
-every ``output_columns()`` call), and a path string is built only when a
-diagnostic names the node.  All of it lives in the ``PlanFacts`` object
-and goes with it: nothing is left on the plan for a plan cache to keep.
+Every ad-hoc query over the vertically-partitioned store pays for these
+facts, so the work is linear in the plan *as built*, not as expanded.
+The 222-way property union is a template union (one branch plus a
+binding per property table, see :class:`~repro.plan.logical.Union`), and
+one top-down sweep, dispatching on node type, indexes the tree with each
+template once — as the union's branch 0, which it is: pre-order node
+list, parents, the nodes bucketed by type for :meth:`PlanFacts.nodes_of`,
+and the consumed columns.  The union's own facts come from the template
+and the bindings: its constants pin the Extend's column only if every
+binding appends the same value, and its branches share the template's
+domains.  The bottom-up facts (constants, domains) are derived from the
+children's on first request and kept, and a path string is built only
+when a diagnostic names the node.
+
+A branch other than the template exists only in the union's expansion.
+Asking about one of its nodes, or for :meth:`PlanFacts.nodes` (every
+node), sweeps the expanded tree once; :meth:`PlanFacts.expanded` is the
+facts of that tree, over which the linter re-runs a rule that found
+something inside a template, so each branch's finding carries its own
+path and text.  All of it lives in the ``PlanFacts`` object and goes with
+it: nothing is left on the plan for a plan cache to keep.
 """
 
 from itertools import chain
@@ -70,30 +80,35 @@ def _handler(table, node_type, default):
 
 
 class PlanFacts:
-    """Shared per-node facts for one plan tree."""
+    """Shared per-node facts for one plan tree.
 
-    def __init__(self, plan):
+    *expand* indexes every branch of a template union instead of its
+    template once (what :meth:`expanded` builds).
+    """
+
+    def __init__(self, plan, expand=False):
         self.plan = plan
         self.parents = {}    # id(node) -> parent node (root absent)
         self.consumed = {}   # id(node) -> set of consumed output columns
-        self._nodes = []     # every node, pre-order
         self._positions = {}  # node type -> its nodes' indices in _nodes
         self._slots = {}     # id(node) -> its child slot in its parent
+        self._expand = expand
+        self._templates = []  # the template unions, pre-order
+        self._expanded = None  # the facts of the expanded tree, on demand
         # Derived on first request, from the children's:
         self._paths = {id(plan): "$"}
-        self._columns = {}        # id(node) -> output columns
         self._constants = {}      # id(node) -> {column: pinned value}
         self._domains = {}        # id(node) -> {column: domain}
         self._input_domains = {}  # id(Union) -> see input_domains_of
-        self._index(plan)
+        self._nodes = self._index(plan)  # pre-order, each template once
 
     def _index(self, plan):
         """The top-down sweep: node list, type buckets, parents, and the
         consumed columns (mirroring the executors' pruning)."""
-        nodes, positions = self._nodes, self._positions
+        nodes, positions = [], self._positions
         parents, slots, consumed = self.parents, self._slots, self.consumed
         handlers = {}
-        stack = [(plan, None, 0, set(self.columns_of(plan)))]
+        stack = [(plan, None, 0, set(plan._columns))]
         while stack:
             node, parent, slot, needed = stack.pop()
             key = id(node)
@@ -111,7 +126,7 @@ class PlanFacts:
                 positions[node_type] = []
             positions[node_type].append(len(nodes))
             nodes.append(node)
-            mine = needed.intersection(self.columns_of(node))
+            mine = needed.intersection(node._columns)
             if key in consumed:
                 consumed[key] |= mine
             else:
@@ -119,6 +134,30 @@ class PlanFacts:
             inputs = handler(self, node, needed)
             for slot in range(len(inputs) - 1, -1, -1):
                 stack.append((inputs[slot][0], node, slot, inputs[slot][1]))
+        return nodes
+
+    def expanded(self):
+        """The facts of the plan with every template union expanded
+        (``self`` when there is no template to expand)."""
+        if not self._templates or self._expand:
+            return self
+        if self._expanded is None:
+            self._expanded = PlanFacts(self.plan, expand=True)
+        return self._expanded
+
+    def template_paths(self):
+        """The path of each template this sweep indexed once (a template
+        union's branch 0)."""
+        if self._expand:
+            return []
+        return [f"{self.path(union)}.inputs[0]" for union in self._templates]
+
+    def _located(self, key):
+        """The facts that located node *key*: these, or the expansion's
+        for a node only the expansion holds."""
+        if key in self.parents or key == id(self.plan):
+            return self
+        return self.expanded()
 
     # ------------------------------------------------------------------
     # accessors
@@ -128,19 +167,18 @@ class PlanFacts:
         key = id(node)
         path = self._paths.get(key)
         if path is None:
+            facts = self._located(key)
+            if facts is not self:
+                return facts.path(node)
             parent = self.parents[key]
             label = _edge_label(parent, self._slots[key])
             path = self._paths[key] = f"{self.path(parent)}.{label}"
         return path
 
     def columns_of(self, node):
-        """The node's output columns — asked of the node once per lint
-        (a node derives them from its subtree on every call), so treat
-        the list as read-only."""
-        columns = self._columns.get(id(node))
-        if columns is None:
-            columns = self._columns[id(node)] = node.output_columns()
-        return columns
+        """The node's output columns (the list the node keeps: treat it
+        as read-only)."""
+        return node._columns
 
     def constants_of(self, node):
         """``{column: value}`` for the output columns pinned to one value
@@ -168,7 +206,13 @@ class PlanFacts:
         carried = self._input_domains.get(id(union))
         if carried is None:
             carried = [{} for _ in self.columns_of(union)]
-            for i, branch in enumerate(union.inputs):
+            # Every branch of a template union carries the template's
+            # domains (requalifying and the Extend value change none).
+            branches = (
+                (union.template,) if union.template is not None
+                else union.inputs
+            )
+            for i, branch in enumerate(branches):
                 domains = self.domains_of(branch)
                 for found, column in zip(carried, self.columns_of(branch)):
                     found.setdefault(domains.get(column, UNKNOWN), i)
@@ -177,19 +221,41 @@ class PlanFacts:
             self._input_domains[id(union)] = carried
         return carried
 
+    def input_columns_of(self, union):
+        """Each branch's output columns, in branch order (a template
+        union's derived from the template and the bindings)."""
+        if union.template is None:
+            return [self.columns_of(branch) for branch in union.inputs]
+        first = self.columns_of(union.template)
+        alias = union.bindings[0][1]
+        old = f"{alias}."
+        if alias is None or not any(c.startswith(old) for c in first):
+            return [first] * len(union.bindings)
+        return [first] + [
+            [
+                f"{new}.{c[len(old):]}" if c.startswith(old) else c
+                for c in first
+            ]
+            for _, new, _ in union.bindings[1:]
+        ]
+
     def consumed_of(self, node):
-        return self.consumed.get(id(node), set())
+        key = id(node)
+        return self._located(key).consumed.get(key, set())
 
     def parent(self, node):
-        return self.parents.get(id(node))
+        key = id(node)
+        return self._located(key).parents.get(key)
 
     def nodes(self):
-        """Every node, pre-order."""
-        return iter(self._nodes)
+        """Every node of the plan, pre-order, every template union's
+        branches expanded."""
+        return iter(self.expanded()._nodes)
 
     def nodes_of(self, *node_types):
         """The nodes that are instances of any of *node_types*, pre-order
-        — what a rule that inspects only those types iterates."""
+        — what a rule that inspects only those types iterates.  A
+        template union's branch is here once, as its template."""
         found = [
             positions for node_type, positions in self._positions.items()
             if issubclass(node_type, node_types)
@@ -247,6 +313,8 @@ def _constants_group(facts, node):
 def _constants_union(facts, node):
     """A column is pinned when every branch pins its column at that
     position, all to one value."""
+    if node.template is not None:
+        return _constants_template_union(facts, node)
     names = facts.columns_of(node)
     values = [_UNSET] * len(names)
     pinned = set(range(len(names)))  # positions still pinned to one value
@@ -266,6 +334,38 @@ def _constants_union(facts, node):
         if not pinned:
             return {}
     return {names[position]: values[position] for position in sorted(pinned)}
+
+
+def _constants_template_union(facts, node):
+    """A template's pinned column, unless the Extend pins it and the
+    bindings do not all append one value."""
+    template = node.template
+    pinned = facts.constants_of(template)
+    if not pinned:
+        return {}
+    values = {value for _, _, value in node.bindings}
+    varying = _extend_pinned(template) if len(values) > 1 else ()
+    return {
+        column: pinned[column] for column in facts.columns_of(template)
+        if column in pinned and column not in varying
+    }
+
+
+def _extend_pinned(template):
+    """The template's output columns whose pinned value is its Extend's
+    (an equality selection above the Extend re-pins its column)."""
+    sourced = set()
+    for node in reversed(L.template_chain(template)):
+        if type(node) is L.Extend:
+            sourced = {node.column}
+        elif type(node) is L.Select:
+            sourced -= {
+                p.column for p in node.predicates
+                if isinstance(p, Comparison) and p.is_equality()
+            }
+        elif type(node) is L.Project:
+            sourced = {out for out, src in node.mapping if src in sourced}
+    return sourced
 
 
 _CONSTANTS = {
@@ -404,7 +504,12 @@ def _consume_union(facts, node, needed):
     if not keep:
         keep = [0]
     pairs = []
-    for branch in node.inputs:
+    if node.template is not None and not facts._expand:
+        facts._templates.append(node)
+        branches = (node.template,)
+    else:
+        branches = node.inputs
+    for branch in branches:
         columns = facts.columns_of(branch)
         pairs.append((branch, {columns[i] for i in keep}))
     return pairs

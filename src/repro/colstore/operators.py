@@ -835,12 +835,14 @@ _CanonicalRun = namedtuple("_CanonicalRun", "branches charges")
 _UnionPlan = namedtuple("_UnionPlan", "needed keep out_keys runs")
 
 
-def _canonical_branch(rt, child, keep, intern):
-    """Resolve a canonical ``Project(Extend?(Select?(Scan)))`` union
-    branch with only simple predicates (one per property table in the
+def _canonical_shape(child, keep):
+    """What a canonical ``Project(Extend?(Select?(Scan)))`` union branch
+    with only simple predicates (one per property table in the
     vertically-partitioned plans: q8's selections, a describe's subject)
-    to a :class:`_Branch` sharing equal tuples through *intern*, or
-    ``None`` for any other branch shape."""
+    reads for the kept outputs *keep*, whatever its table: ``(scan,
+    predicates, fetch_cols, sources, fills)`` — *fills* whether a kept
+    output is the Extend's constant — or ``None`` for any other branch
+    shape."""
     if type(child) is not L.Project:
         return None
     mapping = child.mapping
@@ -864,25 +866,36 @@ def _canonical_branch(rt, child, keep, intern):
     # when nothing below the extended column is needed.
     child_needed = [mapping[i][1] for i in keep]
     scan_needed = set(child_needed)
-    extend_col, fill = None, 0
+    extend_col = None
     if extend_node is not None:
         if extend_node.column in scan_needed:
             extend_col = extend_node.column
-            fill = extend_fill_value(extend_node.value)
             scan_needed.discard(extend_col)
         if not scan_needed:
-            scan_needed = {scan_node.output_columns()[0]}
+            scan_needed = {scan_node._columns[0]}
     fetch_cols = tuple(_needed_base_columns(scan_node, scan_needed))
     sources = tuple(
         None if source == extend_col
         else fetch_cols.index(_base_column(scan_node, source))
         for source in child_needed
     )
-    table = rt.engine.table(scan_node.table)
-    prefix, residual = _split_predicates(scan_node, table, predicates)
+    return scan_node, predicates, fetch_cols, sources, extend_col is not None
+
+
+def _canonical_branch(rt, shape, table_name, value, intern, splits):
+    """The :class:`_Branch` of a branch of *shape* reading *table_name*
+    with Extend constant *value*, sharing equal tuples through *intern*
+    and the predicate split per table sort order through *splits*."""
+    scan_node, predicates, fetch_cols, sources, fills = shape
+    table = rt.engine.table(table_name)
+    order = tuple(table.sort_order)
+    split = splits.get(order)
+    if split is None:
+        prefix, residual = _split_predicates(scan_node, table, predicates)
+        split = splits[order] = (intern(prefix, prefix), residual)
     return _Branch(
-        table, intern(fetch_cols, fetch_cols), intern(sources, sources), fill,
-        intern(prefix, prefix), residual,
+        table, intern(fetch_cols, fetch_cols), intern(sources, sources),
+        extend_fill_value(value) if fills else 0, *split,
     )
 
 
@@ -941,30 +954,60 @@ def _branch_charges(rt, branch):
 
 
 def _resolve_union(rt, pnode, needed):
-    """The :class:`_UnionPlan` of a lowered union under *needed*."""
-    out_names = pnode.logical.output_columns()
+    """The :class:`_UnionPlan` of a lowered union under *needed*.  A
+    template union resolves its template's shape once and binds each
+    branch from its binding: a table lookup and an Extend fill."""
+    node = pnode.logical
+    out_names = node._columns
     keep = [i for i, name in enumerate(out_names) if name in needed] or [0]
     intern = {}.setdefault
-    resolved = [
-        (_canonical_branch(rt, child.logical, keep, intern), child)
-        for child in pnode.children
-    ]
+    if node.template is not None:
+        shape = _canonical_shape(node.template, keep)
+        if shape is not None:
+            splits = {}
+            branches = [
+                _canonical_branch(rt, shape, table, value, intern, splits)
+                for table, _, value in node.bindings
+            ]
+            return _UnionPlan(
+                frozenset(needed), keep, [out_names[i] for i in keep],
+                [_canonical_run(rt, branches)],
+            )
+    resolved = []
+    for child in pnode.children:
+        shape = _canonical_shape(child.logical, keep)
+        branch = None
+        if shape is not None:
+            branch = _canonical_branch(
+                rt, shape, shape[0].table, _extend_value(child.logical),
+                intern, {},
+            )
+        resolved.append((branch, child))
     # Each run of consecutive canonical branches is one kernel call; a
     # branch of any other shape ends the run and goes through the generic
     # dispatch, so charges stay in branch order.
     runs = []
     for canonical, run in groupby(resolved, lambda pair: pair[0] is not None):
         if canonical:
-            branches = [branch for branch, _ in run]
-            runs.append(_CanonicalRun(branches, [
-                charge for branch in branches
-                for charge in _branch_charges(rt, branch)
-            ]))
+            runs.append(_canonical_run(rt, [branch for branch, _ in run]))
         else:
             runs.append(tuple(child for _, child in run))
     return _UnionPlan(
         frozenset(needed), keep, [out_names[i] for i in keep], runs
     )
+
+
+def _canonical_run(rt, branches):
+    return _CanonicalRun(branches, [
+        charge for branch in branches
+        for charge in _branch_charges(rt, branch)
+    ])
+
+
+def _extend_value(branch):
+    """The Extend constant of a canonical branch (None without one)."""
+    inner = branch.child
+    return inner.value if type(inner) is L.Extend else None
 
 
 def _canonical_branches(rt, run, n_out):

@@ -89,30 +89,28 @@ def _pattern_relation(catalog, index, pattern):
         return Select(node, predicates) if predicates else node
 
     # Property variable: union over every property table, tagged with the
-    # property oid (the paper's "sizable SQL clause").  The pattern's
-    # constants are the same in every branch: encode them once.
-    constants = _so_constants(catalog, s, o)
-    branches = []
-    for i, prop in enumerate(catalog.properties_for("all")):
-        branch_alias = f"{alias}_{i}"
-        node = Scan(
-            catalog.property_table(prop), ["subj", "obj"], alias=branch_alias
-        )
-        predicates = _so_predicates(branch_alias, constants)
-        if predicates:
-            node = Select(node, predicates)
-        node = Extend(node, f"{branch_alias}.prop", catalog.encode(prop))
-        branches.append(
-            Project(
-                node,
-                [
-                    (f"{alias}.subj", f"{branch_alias}.subj"),
-                    (f"{alias}.prop", f"{branch_alias}.prop"),
-                    (f"{alias}.obj", f"{branch_alias}.obj"),
-                ],
-            )
-        )
-    return Union(branches, distinct=False)
+    # property oid (the paper's "sizable SQL clause").  The branches differ
+    # only in their table, alias and tag: one template branch (the first)
+    # plus a binding per property.
+    bindings = [
+        (catalog.property_table(prop), f"{alias}_{i}", catalog.encode(prop))
+        for i, prop in enumerate(catalog.properties_for("all"))
+    ]
+    table, branch_alias, value = bindings[0]
+    node = Scan(table, ["subj", "obj"], alias=branch_alias)
+    predicates = _so_predicates(branch_alias, _so_constants(catalog, s, o))
+    if predicates:
+        node = Select(node, predicates)
+    node = Extend(node, f"{branch_alias}.prop", value)
+    template = Project(
+        node,
+        [
+            (f"{alias}.subj", f"{branch_alias}.subj"),
+            (f"{alias}.prop", f"{branch_alias}.prop"),
+            (f"{alias}.obj", f"{branch_alias}.obj"),
+        ],
+    )
+    return Union(distinct=False, template=template, bindings=bindings)
 
 
 def _so_constants(catalog, s, o):
@@ -153,12 +151,21 @@ def _join_connected(relations, patterns, variable_columns):
     n = len(relations)
     joined = {0}
     plan = relations[0]
+    # Each pattern's variables, in the order variable_columns lists them
+    # (its first occurrence), so a pattern's candidates are its own few
+    # variables rather than every variable of the BGP.
+    own = [[] for _ in range(n)]
+    for name, columns in variable_columns.items():
+        for index in dict.fromkeys(_owner(c) for c in columns):
+            own[index].append(name)
     while len(joined) < n:
         progress = False
         for index in range(n):
             if index in joined:
                 continue
-            condition = _connecting_condition(index, joined, variable_columns)
+            condition = _connecting_condition(
+                index, joined, own[index], variable_columns
+            )
             if condition is None:
                 continue
             left_col, right_col = condition
@@ -184,15 +191,18 @@ def _join_connected(relations, patterns, variable_columns):
     return plan
 
 
-def _connecting_condition(index, joined, variable_columns):
-    prefix = f"T{index}."
-    for name, columns in variable_columns.items():
-        mine = [c for c in columns if c.startswith(prefix)]
-        theirs = [
-            c
-            for c in columns
-            if any(c.startswith(f"T{j}.") for j in joined)
-        ]
-        if mine and theirs:
-            return (theirs[0], mine[0])
+def _owner(column):
+    """The pattern index of a ``T{i}.component`` column."""
+    return int(column[1:column.index(".")])
+
+
+def _connecting_condition(index, joined, names, variable_columns):
+    """``(joined column, column of pattern index)`` of the first of the
+    pattern's variables *names* that also occurs in a joined pattern."""
+    for name in names:
+        columns = variable_columns[name]
+        theirs = [c for c in columns if _owner(c) in joined]
+        if theirs:
+            mine = next(c for c in columns if _owner(c) == index)
+            return (theirs[0], mine)
     return None

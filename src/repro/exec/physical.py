@@ -17,6 +17,13 @@ per run (catalog lookups; the lowered-plan cache is dropped on DDL) — but
 the bound logical nodes stay immutable, so sharing them between the
 logical and physical trees is sound.
 
+A template union (:class:`~repro.plan.logical.Union` built from one
+branch and per-branch bindings) lowers its template once: the node keeps
+the template's physical tree in :attr:`PhysicalPlan.template`, and its
+:attr:`~PhysicalPlan.children` — one lowered tree per branch — are built
+the first time something walks them (EXPLAIN, a physical lint, the row
+engine, the column store's generic run of a non-canonical branch).
+
 Fusion convention: an operator that implements several logical nodes at
 once (the engines fuse ``Select(Scan)`` into one access path) binds the
 *top* node as :attr:`PhysicalPlan.logical` and records the absorbed ones
@@ -29,20 +36,36 @@ class PhysicalPlan:
     """One physical operator bound to the logical subtree it implements."""
 
     __slots__ = (
-        "op", "engine", "logical", "fused", "children", "details",
-        "estimated_rows", "prepared",
+        "op", "engine", "logical", "fused", "_children", "details",
+        "estimated_rows", "prepared", "template", "_lower",
     )
 
     def __init__(self, op, engine, logical, children=(), fused=(),
-                 details=None):
+                 details=None, template=None, lower=None):
         self.op = op
         self.engine = engine
         self.logical = logical
         self.fused = tuple(fused)
-        self.children = tuple(children)
         self.details = dict(details) if details else {}
         self.estimated_rows = None
         self.prepared = None
+        #: A template union's lowered template, and the lowering that
+        #: builds its other branches on demand.
+        self.template = template
+        self._lower = lower
+        self._children = None if template is not None else tuple(children)
+
+    @property
+    def children(self):
+        """The physical children (a template union's, one per branch,
+        lowered on first use)."""
+        children = self._children
+        if children is None:
+            lower = self._lower
+            children = self._children = (self.template,) + tuple(
+                lower(branch) for branch in self.logical.inputs[1:]
+            )
+        return children
 
     @property
     def name(self):
@@ -66,9 +89,11 @@ class PhysicalPlan:
 
 def walk_physical(plan):
     """Yield every physical node, pre-order."""
-    yield plan
-    for child in plan.children:
-        yield from walk_physical(child)
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 def count_physical_operators(plan):

@@ -32,6 +32,7 @@ import importlib
 from repro.errors import EngineError
 from repro.exec.physical import PhysicalPlan
 from repro.observe.race import guard_lock, shared_state
+from repro.plan.logical import Union
 
 #: engine key -> module that registers its operator set on import.
 ENGINE_MODULES = {
@@ -54,12 +55,14 @@ _REGISTRY = shared_state(  # guarded-by: _REGISTRY_LOCK
 class Lowered:
     """A match outcome: which logical children still need lowering, which
     extra logical nodes the operator absorbed (fusion), free-form details
-    for EXPLAIN."""
+    for EXPLAIN.  ``children=None`` means every logical child of the node
+    (a template union's lowered as its template once, see
+    :func:`lower_plan`)."""
 
     __slots__ = ("children", "fused", "details")
 
     def __init__(self, children=(), fused=(), details=None):
-        self.children = tuple(children)
+        self.children = None if children is None else tuple(children)
         self.fused = tuple(fused)
         self.details = details
 
@@ -146,7 +149,7 @@ def match_type(*node_types):
     @matches(*node_types)
     def match(node):
         if isinstance(node, node_types):
-            return Lowered(children=node.children())
+            return Lowered(children=None)
         return None
 
     return match
@@ -195,6 +198,10 @@ def lower_plan(plan, engine, instance=None):
     *instance*, when given, is the live engine object; operators with a
     ``guard`` are considered only when their guard accepts it (without an
     instance, guarded operators never match).
+
+    A template union binds its operator and lowers its template once;
+    the physical node lowers its other branches only when something
+    walks its children, the same way as if they had been lowered here.
     """
     rules = engine_ops(engine).rules
     if instance is None:
@@ -213,10 +220,18 @@ def lower_plan(plan, engine, instance=None):
             lowered = opdef.match(node)
             if lowered is None:
                 continue
-            children = tuple(lower(child) for child in lowered.children)
+            logical = lowered.children
+            if logical is None:
+                if type(node) is Union and node.template is not None:
+                    return PhysicalPlan(
+                        opdef, engine, node, fused=lowered.fused,
+                        details=lowered.details,
+                        template=lower(node.template), lower=lower,
+                    )
+                logical = node.children()
             return PhysicalPlan(
                 opdef, engine, node,
-                children=children,
+                children=tuple(lower(child) for child in logical),
                 fused=lowered.fused,
                 details=lowered.details,
             )

@@ -10,13 +10,22 @@ discipline: a :class:`Scan` with alias ``A`` over a table with columns
 concatenate the (disjoint) column sets of their inputs; :class:`Project`
 renames/narrows.  Every node can report its output column names, which
 lets plans be validated once at construction time instead of failing deep
-inside an engine.
+inside an engine.  A node computes its column list and its depth once, as
+it is built: a plan deeper than :data:`MAX_PLAN_DEPTH` is refused there,
+with a :class:`PlanError`, because the engines lower and run a plan a
+few stack frames per level.
 """
 
 import functools
 
 from repro.errors import PlanError
 from repro.plan.predicates import ColumnComparison, Comparison
+
+#: The deepest plan (root to leaf, in nodes) a constructor accepts.  Both
+#: engines lower, lint and run a plan recursively, a few stack frames per
+#: level, and this is as deep as they go within Python's default recursion
+#: limit with room to spare (a 400-pattern SPARQL chain is ~403 deep).
+MAX_PLAN_DEPTH = 440
 
 
 class LogicalPlan:
@@ -40,6 +49,16 @@ class LogicalPlan:
             # Only the outermost constructor seals, so a subclass __init__
             # chaining through super().__init__() still works.
             if type(self).__init__ is sealing_init:
+                depth = 1 + max(
+                    (child._depth for child in _shape_children(self)),
+                    default=0,
+                )
+                if depth > MAX_PLAN_DEPTH:
+                    raise PlanError(
+                        f"plan is {depth} operators deep; plans may be at "
+                        f"most {MAX_PLAN_DEPTH} deep"
+                    )
+                object.__setattr__(self, "_depth", depth)
                 object.__setattr__(self, "_sealed", True)
 
         sealing_init._seals_plan_node = True
@@ -62,13 +81,15 @@ class LogicalPlan:
         object.__delattr__(self, name)
 
     def output_columns(self):
-        raise NotImplementedError
+        """The node's output column names (a fresh list: each node keeps
+        the one it computed when it was built in ``_columns``)."""
+        return list(self._columns)
 
     def children(self):
         return ()
 
     def _require_columns(self, needed, where):
-        available = set(self.output_columns())
+        available = set(self._columns)
         missing = [c for c in needed if c not in available]
         if missing:
             raise PlanError(
@@ -86,15 +107,13 @@ class Scan(LogicalPlan):
         self.table = table
         self.base_columns = list(columns)
         self.alias = alias
+        self._columns = [self.qualified(c) for c in self.base_columns]
 
     def children(self):
         return ()
 
     def qualified(self, column):
         return f"{self.alias}.{column}" if self.alias else column
-
-    def output_columns(self):
-        return [self.qualified(c) for c in self.base_columns]
 
     def __repr__(self):
         alias = f" AS {self.alias}" if self.alias else ""
@@ -123,12 +142,10 @@ class Select(LogicalPlan):
         self.child = child
         self.predicates = predicates
         self.child._require_columns(needed, "Select")
+        self._columns = child._columns
 
     def children(self):
         return (self.child,)
-
-    def output_columns(self):
-        return self.child.output_columns()
 
     def __repr__(self):
         return f"Select({self.predicates})"
@@ -150,12 +167,10 @@ class Project(LogicalPlan):
         self.child = child
         self.mapping = mapping
         self.child._require_columns([i for _, i in mapping], "Project")
+        self._columns = out_names
 
     def children(self):
         return (self.child,)
-
-    def output_columns(self):
-        return [o for o, _ in self.mapping]
 
     def __repr__(self):
         return f"Project({self.mapping})"
@@ -173,19 +188,17 @@ class Join(LogicalPlan):
         self.on = on
         left._require_columns([l for l, _ in on], "Join(left)")
         right._require_columns([r for _, r in on], "Join(right)")
-        overlap = set(left.output_columns()) & set(right.output_columns())
+        overlap = set(left._columns).intersection(right._columns)
         if overlap:
             raise PlanError(
                 "Join inputs must emit disjoint column names "
                 f"(plan invariant): {left!r} and {right!r} both emit "
                 f"{sorted(overlap)}; use scan aliases or Project renames"
             )
+        self._columns = left._columns + right._columns
 
     def children(self):
         return (self.left, self.right)
-
-    def output_columns(self):
-        return self.left.output_columns() + self.right.output_columns()
 
     def __repr__(self):
         return f"Join(on={self.on})"
@@ -224,16 +237,14 @@ class GroupBy(LogicalPlan):
         child._require_columns(needed, "GroupBy")
         if count_column in self.keys:
             raise PlanError("count column collides with a group key")
+        self._columns = (
+            self.keys
+            + [count_column]
+            + [name for _, _, name in self.aggregates]
+        )
 
     def children(self):
         return (self.child,)
-
-    def output_columns(self):
-        return (
-            self.keys
-            + [self.count_column]
-            + [name for _, _, name in self.aggregates]
-        )
 
     def __repr__(self):
         return f"GroupBy(keys={self.keys}, aggregates={self.aggregates})"
@@ -250,40 +261,172 @@ class Having(LogicalPlan):
         self.child = child
         self.predicate = predicate
         child._require_columns([predicate.column], "Having")
+        self._columns = child._columns
 
     def children(self):
         return (self.child,)
-
-    def output_columns(self):
-        return self.child.output_columns()
 
     def __repr__(self):
         return f"Having({self.predicate})"
 
 
 class Union(LogicalPlan):
-    """Concatenate inputs; SQL UNION (distinct=True) or UNION ALL."""
+    """Concatenate inputs; SQL UNION (distinct=True) or UNION ALL.
 
-    def __init__(self, inputs, distinct=True):
-        inputs = list(inputs)
-        if not inputs:
-            raise PlanError("Union needs at least one input")
-        arity = len(inputs[0].output_columns())
-        for node in inputs[1:]:
-            if len(node.output_columns()) != arity:
-                raise PlanError("Union inputs must have the same arity")
-        self.inputs = inputs
+    A union of same-shaped branches — the vertically-partitioned plans'
+    one branch per property table, 222 of them for an unbound property —
+    is built from one *template* branch and per-branch *bindings*
+    ``(table, alias, value)`` instead of a list of inputs.  The template
+    is a ``Project`` / ``Extend`` / ``Select`` chain over one ``Scan``
+    with at most one ``Extend``; branch *i* is the template with its scan
+    reading ``table`` under ``alias`` (every column the template's alias
+    qualifies is requalified by the new one) and its ``Extend``
+    appending ``value``.  ``bindings[0]`` is the template's own, so
+    branch 0 *is* the template.
+
+    The front end (planner, linter, lowering, the column store's union
+    kernel) reads the template once and the bindings as arrays.
+    :attr:`inputs` is the expansion: built on first use, kept on the
+    sealed node, and what every consumer that walks each branch — the
+    row engine, EXPLAIN, the estimator — sees, so a template union
+    behaves exactly as ``Union(list(u.inputs))``.
+    """
+
+    def __init__(self, inputs=(), distinct=True, *, template=None,
+                 bindings=()):
+        if template is None:
+            inputs = list(inputs)
+            if not inputs:
+                raise PlanError("Union needs at least one input")
+            arity = len(inputs[0]._columns)
+            for node in inputs[1:]:
+                if len(node._columns) != arity:
+                    raise PlanError("Union inputs must have the same arity")
+            self._inputs = inputs
+            self._columns = inputs[0]._columns
+            bindings = ()
+        else:
+            if inputs:
+                raise PlanError("a template Union takes no inputs")
+            bindings = tuple(
+                (table, alias, None if value is None else int(value))
+                for table, alias, value in bindings
+            )
+            _check_template(template, bindings)
+            self._columns = template._columns
+        self.template = template
+        self.bindings = bindings
         self.distinct = distinct
+
+    @property
+    def inputs(self):
+        """The branches (a template union's expansion, built once)."""
+        try:
+            return self._inputs
+        except AttributeError:
+            pass
+        template = self.template
+        alias = self.bindings[0][1]
+        expansion = [template] + [
+            _bind_template(template, alias, binding)
+            for binding in self.bindings[1:]
+        ]
+        # A sealed node is written once, by whichever thread gets here
+        # first; every caller then shares that one expansion.
+        return vars(self).setdefault("_inputs", expansion)
+
+    @property
+    def n_inputs(self):
+        """The branch count, without expanding a template."""
+        return len(self.bindings) if self.template is not None else len(
+            self._inputs
+        )
 
     def children(self):
         return tuple(self.inputs)
 
-    def output_columns(self):
-        return self.inputs[0].output_columns()
-
     def __repr__(self):
         kind = "UNION" if self.distinct else "UNION ALL"
-        return f"Union({kind}, {len(self.inputs)} inputs)"
+        return f"Union({kind}, {self.n_inputs} inputs)"
+
+
+def template_chain(template):
+    """A union template's nodes, top-down, ending at its one Scan
+    (:class:`PlanError` for any other shape)."""
+    chain = [template]
+    while type(chain[-1]) is not Scan:
+        if type(chain[-1]) not in (Project, Extend, Select):
+            raise PlanError(
+                "a Union template is a Project/Extend/Select chain over one "
+                f"Scan, not {type(chain[-1]).__name__}"
+            )
+        chain.append(chain[-1].child)
+    return chain
+
+
+def _check_template(template, bindings):
+    if not bindings:
+        raise PlanError("a template Union needs at least one binding")
+    chain = template_chain(template)
+    extends = [node for node in chain if type(node) is Extend]
+    if len(extends) > 1:
+        raise PlanError("a Union template has at most one Extend")
+    scan = chain[-1]
+    own = (scan.table, scan.alias, extends[0].value if extends else None)
+    if bindings[0] != own:
+        raise PlanError(
+            f"a Union template's first binding is its own {own}, "
+            f"not {bindings[0]}"
+        )
+    if scan.alias is None and any(a is not None for _, a, _ in bindings):
+        raise PlanError("an unaliased Union template binds no alias")
+    if not extends and any(v is not None for _, _, v in bindings):
+        raise PlanError("a Union template without an Extend binds no value")
+    # Requalifying must not rename a column onto one the template already
+    # names under another binding's alias.
+    prefix = f"{scan.alias}."
+    others = {
+        column.split(".", 1)[0]
+        for node in chain for column in node._columns
+        if "." in column and not column.startswith(prefix)
+    }
+    clash = others.intersection(a for _, a, _ in bindings)
+    if clash:
+        raise PlanError(
+            f"Union template columns already use binding aliases "
+            f"{sorted(clash)}"
+        )
+
+
+def _bind_template(template, alias, binding):
+    """Branch *binding* of a union whose template scans under *alias*."""
+    table, new_alias, value = binding
+    old = f"{alias}."
+
+    def rename(column):
+        if column.startswith(old):
+            return f"{new_alias}.{column[len(old):]}"
+        return column
+
+    chain = template_chain(template)
+    scan = chain[-1]
+    node = Scan(table, scan.base_columns, alias=new_alias)
+    for above in reversed(chain[:-1]):
+        if type(above) is Select:
+            node = Select(node, [
+                ColumnComparison(rename(p.left), p.op, rename(p.right))
+                if type(p) is ColumnComparison
+                else Comparison(rename(p.column), p.op, p.value)
+                for p in above.predicates
+            ])
+        elif type(above) is Extend:
+            node = Extend(node, rename(above.column), value)
+        else:
+            node = Project(node, [
+                (rename(out), rename(source))
+                for out, source in above.mapping
+            ])
+    return node
 
 
 class Extend(LogicalPlan):
@@ -296,17 +439,15 @@ class Extend(LogicalPlan):
     """
 
     def __init__(self, child, column, value):
-        if column in child.output_columns():
+        if column in child._columns:
             raise PlanError(f"Extend: column {column!r} already exists")
         self.child = child
         self.column = column
         self.value = None if value is None else int(value)
+        self._columns = child._columns + [column]
 
     def children(self):
         return (self.child,)
-
-    def output_columns(self):
-        return self.child.output_columns() + [self.column]
 
     def __repr__(self):
         return f"Extend({self.column!r} = {self.value!r})"
@@ -317,12 +458,10 @@ class Distinct(LogicalPlan):
 
     def __init__(self, child):
         self.child = child
+        self._columns = child._columns
 
     def children(self):
         return (self.child,)
-
-    def output_columns(self):
-        return self.child.output_columns()
 
     def __repr__(self):
         return "Distinct()"
@@ -347,12 +486,10 @@ class Sort(LogicalPlan):
         self.child = child
         self.keys = keys
         child._require_columns([c for c, _ in keys], "Sort")
+        self._columns = child._columns
 
     def children(self):
         return (self.child,)
-
-    def output_columns(self):
-        return self.child.output_columns()
 
     def __repr__(self):
         return f"Sort({self.keys})"
@@ -367,12 +504,10 @@ class Limit(LogicalPlan):
             raise PlanError("Limit must be non-negative")
         self.child = child
         self.n = n
+        self._columns = child._columns
 
     def children(self):
         return (self.child,)
-
-    def output_columns(self):
-        return self.child.output_columns()
 
     def __repr__(self):
         return f"Limit({self.n})"
@@ -387,14 +522,35 @@ def walk(plan):
         stack.extend(reversed(node.children()))
 
 
+def _shape_children(node):
+    """*node*'s children, a template union's being its one template."""
+    if type(node) is Union and node.template is not None:
+        return (node.template,)
+    return node.children()
+
+
+def walk_shapes(plan):
+    """Yield ``(node, times)`` for every node of the plan, pre-order, a
+    template union's branch once: its nodes come from the template, and
+    *times* is how many branches each stands for (1 elsewhere)."""
+    stack = [(plan, 1)]
+    while stack:
+        node, times = stack.pop()
+        yield node, times
+        if type(node) is Union and node.template is not None:
+            stack.append((node.template, times * len(node.bindings)))
+        else:
+            stack.extend((child, times) for child in reversed(node.children()))
+
+
 def _once_per_plan(collect):
     """Memoise *collect(plan)* on the node it is asked of.
 
     Sound because a sealed tree can never change, and worth it because an
     engine asks on every run and a cached plan is run many times.  Only
     the node asked — a plan's root — is written to: the plan caches keep
-    hundreds of 700-node ad-hoc plans alive, and a memo on every node
-    showed as a tenth more resident memory.
+    hundreds of ad-hoc plans alive, and a memo on every node showed as a
+    tenth more resident memory.
     """
     name = f"_{collect.__name__}"
 
@@ -413,14 +569,15 @@ def _once_per_plan(collect):
 
 @_once_per_plan
 def count_operators(plan):
-    """Number of operators in the plan.
+    """Number of operators in the plan (a template union's expansion
+    counted, without building it).
 
     This is the size measure behind the paper's observation that full-scale
     vertically-partitioned queries "contain more than two hundred unions and
     joins" and "seriously challenge the optimizer" — engines charge a fixed
     per-operator cost proportional to this count.
     """
-    return sum(1 for _ in walk(plan))
+    return sum(times for _, times in walk_shapes(plan))
 
 
 @_once_per_plan
@@ -428,5 +585,6 @@ def count_columns(plan):
     """Names of the ``count(*)`` columns produced anywhere in the plan
     (they hold plain integers, not dictionary oids)."""
     return frozenset(
-        node.count_column for node in walk(plan) if isinstance(node, GroupBy)
+        node.count_column for node, _ in walk_shapes(plan)
+        if isinstance(node, GroupBy)
     )

@@ -85,6 +85,8 @@ def _rewrite(node, estimator):
 
 
 def _rewrite_children(node, estimator):
+    if isinstance(node, L.Union) and node.template is not None:
+        return node  # a template is a join-free chain: nothing to reorder
     children = node.children()
     if not children:
         return node

@@ -120,7 +120,7 @@ def _describe(node):
         return f"Having {p.column} {p.op} {p.value}"
     if isinstance(node, L.Union):
         kind = "Union" if node.distinct else "UnionAll"
-        return f"{kind} ({len(node.inputs)} branches)"
+        return f"{kind} ({node.n_inputs} branches)"
     if isinstance(node, L.Distinct):
         return "Distinct"
     if isinstance(node, L.Extend):

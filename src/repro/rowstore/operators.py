@@ -530,7 +530,7 @@ def hash_group(rt, pnode):
 )
 def pull_union(rt, pnode):
     node = pnode.logical
-    out_columns = node.inputs[0].output_columns()
+    out_columns = node.output_columns()
     charge = rt.clock.cpu_log()
     union_tuple = rt.costs.union_tuple
 

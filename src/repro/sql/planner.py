@@ -15,10 +15,13 @@ FROM items join in WHERE-conjunct order, starting from the first.  A FROM
 subquery ``X`` binds ``X.col`` in its own (branch) Projects and keeps only
 the columns the statement references; a UNION branch over one unaliased
 table scans it as ``X{i}`` — the ``Project(Extend(Scan))`` branch the
-union kernel runs.
+union kernel runs.  A UNION whose SELECTs differ from the first only in
+their one table and their one string literal (the vertically-partitioned
+property union) is planned once: the first SELECT's plan is the template
+of a :class:`~repro.plan.logical.Union` with one binding per SELECT.
 """
 
-from repro.errors import SQLError
+from repro.errors import PlanError, SQLError
 from repro.plan import (
     ColumnComparison,
     Comparison,
@@ -34,6 +37,7 @@ from repro.plan import (
     Sort,
     Union,
 )
+from repro.plan.logical import template_chain
 from repro.sql import ast
 from repro.sql.parser import parse_sql
 
@@ -78,6 +82,9 @@ class _Planner:
         """Plan *statement*; for a FROM subquery bound as *alias*,
         *columns* names each select item's output (None drops it)."""
         if isinstance(statement, ast.UnionStmt):
+            union = self._template_union(statement, columns, alias)
+            if union is not None:
+                return union
             inputs = [
                 self.plan(s, columns, alias and f"{alias}{i}")
                 for i, s in enumerate(statement.selects)
@@ -86,6 +93,69 @@ class _Planner:
         if isinstance(statement, ast.SelectStmt):
             return self._plan_select(statement, columns, alias)
         raise SQLError(f"cannot plan {type(statement).__name__}")
+
+    def _template_union(self, statement, columns, alias):
+        """*statement* planned as a template union, or None unless every
+        SELECT equals the first up to its one FROM table and its one
+        string literal (and no column is qualified, so a table name
+        cannot change what a column resolves to)."""
+        selects = statement.selects
+        first = selects[0]
+        if len(selects) < 2 or not all(
+            type(select) is ast.SelectStmt for select in selects
+        ):
+            return None
+        items, from_items = first.items, first.from_items
+        literals = [
+            k for k, item in enumerate(items)
+            if type(item.expr) is ast.StringLit
+        ]
+        if (len(from_items) != 1 or type(from_items[0]) is not ast.FromTable
+                or len(literals) > 1 or set(_references(first)) - {None}):
+            return None
+        own_alias = from_items[0].alias
+        rest = _unbound_parts(first)
+        base_columns = self.schema.get(from_items[0].table)
+        j = literals[0] if literals else None
+        fixed = items if j is None else items[:j] + items[j + 1:]
+        tables, values = [], []
+        for select in selects:
+            only = select.from_items
+            if (len(only) != 1 or type(only[0]) is not ast.FromTable
+                    or only[0].alias != own_alias
+                    or _unbound_parts(select) != rest
+                    or self.schema.get(only[0].table) != base_columns):
+                return None
+            branch_items = select.items
+            if j is None:
+                if branch_items != items:
+                    return None
+            else:
+                literal = branch_items[j] if len(branch_items) == len(
+                    items) else None
+                if (literal is None
+                        or type(literal.expr) is not ast.StringLit
+                        or literal.alias != items[j].alias
+                        or branch_items[:j] + branch_items[j + 1:] != fixed):
+                    return None
+                values.append(literal.expr.value)
+            tables.append(only[0].table)
+        if alias and own_alias is None:
+            aliases = [f"{alias}{i}" for i in range(len(selects))]
+        else:
+            aliases = [own_alias or table for table in tables]
+        template = self.plan(first, columns, alias and f"{alias}0")
+        try:
+            if any(type(n) is Extend for n in template_chain(template)):
+                values = [self.catalog.encode(value) for value in values]
+            else:
+                values = [None] * len(selects)
+            return Union(
+                distinct=not statement.all, template=template,
+                bindings=zip(tables, aliases, values),
+            )
+        except PlanError:
+            return None  # a shape a union template cannot take
 
     # ------------------------------------------------------------------
     # SELECT
@@ -434,6 +504,12 @@ def _references(stmt):
         if isinstance(col, ast.ColumnRef):
             references.setdefault(col.qualifier, set()).add(col.name)
     return references
+
+
+def _unbound_parts(select):
+    """What a template union's SELECTs share beyond items and FROM."""
+    return (select.where, select.group_by, select.having, select.distinct,
+            select.order_by, select.limit)
 
 
 def _parts(statement):

@@ -99,6 +99,24 @@ def test_calls_grow_linearly_with_the_property_count(deployments):
     assert calls[100] / calls[50] <= 2.2, calls
 
 
+def test_lint_and_lowering_read_the_union_once(deployments):
+    """The describe's property union is one template branch plus a
+    binding per property: linting and lowering it take about as many
+    calls at 200 properties as at 50."""
+    calls = {}
+    for n_properties in (50, 200):
+        engine, catalog = deployments[n_properties]
+        plan = plan_sql(generate_vertical_sql(DESCRIBE, catalog), catalog,
+                        lint="off")
+        with CallCounter() as linted:
+            lint_plan(plan)
+        with CallCounter() as lowered:
+            lower_plan(plan, engine.kind, instance=engine)
+        calls[n_properties] = linted.calls, lowered.calls
+    assert calls[200][0] <= 1.2 * calls[50][0], calls
+    assert calls[200][1] <= 1.2 * calls[50][1], calls
+
+
 def test_lint_does_not_rewalk_the_tree_per_rule(deployments):
     engine, catalog = deployments[100]
     plan = plan_sql(generate_vertical_sql(DESCRIBE, catalog), catalog,
