@@ -35,8 +35,27 @@ class Estimator:
 
     def __init__(self, stats_provider):
         self.stats_provider = stats_provider
+        # Plans are sealed, so an estimate never changes: both recursions
+        # are memoised by node identity (each entry keeps its node, so an
+        # id is never reused while this estimator lives).  Without the
+        # memo, cardinality <-> _distinct_of is exponential in join depth.
+        self._memo = {}
 
     def cardinality(self, node):
+        return self._memoised(self._cardinality, node)
+
+    def _distinct_of(self, node, column):
+        """Distinct-count estimate for *column* of *node*'s output."""
+        return self._memoised(self._distinct, node, column)
+
+    def _memoised(self, estimate, node, *args):
+        key = (estimate.__name__, id(node), *args)
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = (node, estimate(node, *args))
+        return entry[1]
+
+    def _cardinality(self, node):
         if isinstance(node, L.Scan):
             return max(1, self.stats_provider(node.table).n_rows)
         if isinstance(node, L.Select):
@@ -100,8 +119,7 @@ class Estimator:
             )
         return max(1.0, left * right / max(denominator, 1.0))
 
-    def _distinct_of(self, node, column):
-        """Distinct-count estimate for *column* of *node*'s output."""
+    def _distinct(self, node, column):
         if isinstance(node, L.Scan):
             base = self._base_column(node, column)
             stats = self.stats_provider(node.table)

@@ -2,12 +2,13 @@
 ``*`` variants added by this paper.
 
 Each query is defined once, as the paper's appendix SQL
-(:data:`repro.sql.appendix.APPENDIX_SQL`).  :func:`build_query` plans it
-against a :class:`~repro.storage.catalog.StoreCatalog` — as written on the
-triple-store scheme, rewritten at the AST by the vertical SQL generator on
-the vertically-partitioned one — into an engine-neutral logical plan that
-runs on any engine.  Vertical q8 (Section 4.2's two-phase plan) and the
-property-table extension are built by hand (:mod:`repro.queries.ptable_plans`).
+(:data:`repro.sql.appendix.APPENDIX_SQL`).  :func:`build_query` places it
+on a :class:`~repro.storage.catalog.StoreCatalog`'s scheme — the one
+rewrite of :mod:`repro.sql.generator`, for the triple, vertical and
+property-table schemes alike — and plans it into an engine-neutral
+logical plan that runs on any engine.  Only q8 off the triple store
+(Section 4.2's two-phase plan) is built by hand
+(:mod:`repro.queries.ptable_plans`).
 
 Naming convention: ``"q1"`` .. ``"q8"`` are the 28-property-restricted
 queries; ``"q2*"``, ``"q3*"``, ``"q4*"``, ``"q6*"`` are the full-scale

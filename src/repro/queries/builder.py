@@ -1,27 +1,26 @@
 """Build logical plans for the benchmark queries against a store catalog.
 
 Each query is defined once, as the paper's appendix SQL
-(:data:`repro.sql.appendix.APPENDIX_SQL`, parsed once per process).  A
-triple store plans it as written; a vertical store first rewrites it at
-the AST with the generator of :mod:`repro.sql.generator` (the paper's
-"Perl script"), so an unbound property becomes a UNION over the in-scope
-property tables.  Vertical q8 and the property-table extension are built
-by hand (:mod:`repro.queries.ptable_plans`).  Every plan ends in a Project
-onto the query's canonical output column names, so results are comparable
+(:data:`repro.sql.appendix.APPENDIX_SQL`, parsed once per process), and
+every scheme builds it the same way: parse, place on the scheme
+(:func:`repro.sql.generator.place`, the paper's "Perl script"), plan.
+Only q8 off the triple store is built by hand
+(:mod:`repro.queries.ptable_plans`).  Every plan ends in a Project onto
+the query's canonical output column names, so results are comparable
 across schemes and engines.
 """
 
-import dataclasses
 import functools
 
-from repro.errors import PlanError
 from repro.queries.definitions import QUERIES, parse_query_name
-from repro.queries.ptable_plans import PropertyTablePlans, vertical_q8
-from repro.sql import ast
+from repro.queries.ptable_plans import property_table_q8, vertical_q8
 from repro.sql.appendix import APPENDIX_SQL
-from repro.sql.generator import _Rewriter
+from repro.sql.generator import place
 from repro.sql.parser import parse_sql
 from repro.sql.planner import _Planner
+
+#: q8 as Section 4.2's two-phase plan, per scheme that unions for it.
+HAND_BUILT_Q8 = {"vertical": vertical_q8, "property_table": property_table_q8}
 
 
 def build_query(catalog, name, scope=None, lint=None):
@@ -29,8 +28,8 @@ def build_query(catalog, name, scope=None, lint=None):
 
     *scope* overrides the property scope ("interesting", "all", or an
     explicit property-name list) — used by the Figure 6 sweep, which varies
-    the number of properties considered by q2/q3/q4/q6.  A triple store
-    takes only "interesting" or "all": its restriction is the catalog's
+    the number of properties considered by q2/q3/q4/q6.  Only a vertical
+    store takes a list; the other schemes restrict through the catalog's
     ``properties`` table, which :meth:`StoreCatalog.with_properties`
     replaces.
 
@@ -41,36 +40,15 @@ def build_query(catalog, name, scope=None, lint=None):
     base, full_scale = parse_query_name(name)
     if scope is None:
         scope = "all" if full_scale else "interesting"
-    if catalog.scheme == "property_table":
-        plan = getattr(PropertyTablePlans(catalog), base)(scope)
-    elif catalog.is_vertical() and base == "q8":
-        plan = vertical_q8(catalog)
-    elif catalog.is_triple_store() or catalog.is_vertical():
+    if base == "q8" and catalog.scheme in HAND_BUILT_Q8:
+        plan = HAND_BUILT_Q8[catalog.scheme](catalog)
+    else:
         statement = _appendix_statement(
             f"{base}*" if scope == "all" and QUERIES[base].has_star_variant
             else base
         )
-        if catalog.is_vertical():
-            statement = _Rewriter(
-                catalog, catalog.properties_for(scope)
-            ).rewrite(statement)
-        elif scope not in ("interesting", "all"):
-            raise PlanError(
-                f"a triple store cannot take the property scope {scope!r}: "
-                "it filters on its catalog's properties table; build one "
-                "and pass catalog.with_properties(table, properties)"
-            )
-        elif catalog.properties_table != "properties":
-            # The filter table of a with_properties catalog (Figure 6).
-            statement = dataclasses.replace(statement, from_items=tuple(
-                ast.FromTable(catalog.properties_table, item.alias)
-                if isinstance(item, ast.FromTable)
-                and item.table == "properties" else item
-                for item in statement.from_items
-            ))
-        plan = _Planner(catalog).plan(statement)
-    else:
-        raise PlanError(f"unknown storage scheme {catalog.scheme!r}")
+        properties = None if scope in ("interesting", "all") else scope
+        plan = _Planner(catalog).plan(place(statement, catalog, properties))
 
     from repro.analysis import plan_lint
 

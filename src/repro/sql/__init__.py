@@ -10,10 +10,13 @@ same workflow:
   the appendix uses (SELECT / FROM with aliases and subqueries / WHERE
   conjunctions / GROUP BY / HAVING count(*) / UNION [ALL]),
 * :func:`plan_sql` — lower an AST (or SQL text) to an engine-neutral
-  logical plan against a store catalog,
+  logical plan against a store catalog; triple-schema text runs on every
+  scheme, placed on the deployed one first,
+* :func:`repro.sql.generator.place` — the one scheme mapping: rewrite a
+  triple-schema statement over the triple, vertical or property-table
+  scheme's tables, producing the union-heavy statements of Section 4.2,
 * :func:`repro.sql.generator.generate_vertical_sql` — the "Perl script":
-  rewrite triple-store SQL into vertically-partitioned SQL over a property
-  list, producing the union-heavy statements of Section 4.2,
+  the vertical placement rendered back to SQL text,
 * :data:`repro.sql.appendix.APPENDIX_SQL` — the paper's appendix queries,
   verbatim modulo constant spelling, conjunct order, the derived-table
   alias and q7's output aliases: the one definition of the benchmark

@@ -41,6 +41,15 @@ class NumberLit:
 
 
 @dataclass(frozen=True)
+class NullLit:
+    """``NULL``: equal to nothing, as a constant absent from the
+    dictionary is."""
+
+    def sql(self):
+        return "NULL"
+
+
+@dataclass(frozen=True)
 class CountStar:
     def sql(self):
         return "count(*)"

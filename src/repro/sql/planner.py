@@ -39,13 +39,17 @@ from repro.plan import (
 )
 from repro.plan.logical import template_chain
 from repro.sql import ast
+from repro.sql.generator import place
 from repro.sql.parser import parse_sql
 
 
 def plan_sql(sql_or_ast, catalog, lint=None):
     """Plan SQL text (or a parsed AST) against *catalog*.
 
-    The resulting plan runs through the static plan linter
+    Triple-schema text (``triples`` / ``properties``) is placed on the
+    catalog's scheme first (:func:`repro.sql.generator.place`), so it runs
+    on every scheme; text over the deployed tables passes through.  The
+    resulting plan runs through the static plan linter
     (:mod:`repro.analysis`): *lint* overrides the session lint mode for
     this call (``"off"``, ``"warn"`` — log warnings, the default — or
     ``"strict"`` — raise :class:`~repro.errors.PlanError` on warnings).
@@ -56,7 +60,7 @@ def plan_sql(sql_or_ast, catalog, lint=None):
         statement = parse_sql(sql_or_ast)
     else:
         statement = sql_or_ast
-    plan = _Planner(catalog).plan(statement)
+    plan = _Planner(catalog).plan(place(statement, catalog))
     plan_lint.check_plan(plan, where="sql", mode=lint)
     return plan
 
@@ -68,6 +72,10 @@ def default_schema(catalog):
         schema[catalog.triples_table] = ["subj", "prop", "obj"]
     for table in catalog.property_tables.values():
         schema[table] = ["subj", "obj"]
+    if catalog.property_table_name:
+        schema[catalog.property_table_name] = ["subj"] + sorted(
+            catalog.clustered_property_columns.values()
+        )
     if catalog.properties_table:
         schema[catalog.properties_table] = ["prop"]
     return schema
@@ -327,6 +335,8 @@ class _Planner:
             return literal.value
         if isinstance(literal, ast.StringLit):
             return self.catalog.encode(literal.value)
+        if isinstance(literal, ast.NullLit):
+            return None
         raise SQLError(f"unsupported literal {literal!r}")
 
     # ------------------------------------------------------------------

@@ -77,6 +77,50 @@ class TestEstimator:
         assert est.cardinality(plan) == pytest.approx(100_000 / 3)
 
 
+def _chain(n):
+    """``?x0 <type> ?x1 . ?x1 <type> ?x2 . …`` — *n* joined patterns."""
+    patterns = " . ".join(f"?x{i} <type> ?x{i + 1}" for i in range(n))
+    return "SELECT ?x0 WHERE { %s }" % patterns
+
+
+class TestEstimatorScalesWithDepth:
+    """``cardinality`` and ``_distinct_of`` recurse into each other; each
+    (node, column) is estimated once, so a profile's estimates are
+    linear in the join depth, not exponential."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        import repro.api as api
+        from repro.model.triple import Triple
+
+        triples = [
+            Triple(f"<e{i}>", "<type>", f"<e{i + 1}>") for i in range(60)
+        ]
+        return api.connect(
+            triples=triples, engine="column", scheme="triple"
+        ).session()
+
+    def test_a_deep_chain_profiles(self, session):
+        result = session.query(_chain(40), profile=True, timeout=60)
+        assert len(result.rows) == 60 - 40 + 1
+        assert result.profile is not None
+
+    def test_cardinality_calls_grow_linearly(self, session, repro_calls):
+        from repro.plan.optimizer import annotate_cardinalities
+
+        store = session.connection.store
+        stats = engine_stats_provider(store.engine)
+        calls = {}
+        for depth in (8, 16, 32):
+            plan = session.connection._plan_for(_chain(depth))[1]
+            calls[depth] = repro_calls(
+                lambda: annotate_cardinalities(plan, stats)
+            )["cardinality"]
+        # Doubling the depth at most doubles the calls, plus a constant.
+        assert calls[32] - calls[16] <= 2 * (calls[16] - calls[8]) + 8
+        assert calls[32] < 40 * 32
+
+
 class TestOptimizerEquivalence:
     @pytest.mark.parametrize("query_name", ALL_QUERY_NAMES)
     def test_benchmark_queries_unchanged_results(self, deployed, query_name):

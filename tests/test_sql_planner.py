@@ -166,6 +166,18 @@ class TestGeneratedVerticalSQL:
             engine, catalog, build_query(catalog, query_name)
         ) == expected
 
+    @pytest.mark.parametrize("query_name", ["q2", "q3", "q4", "q6"])
+    def test_default_list_keeps_the_properties_restriction(
+        self, triple_deploy, vertical_deploy, query_name
+    ):
+        """Without a list, a statement that joins ``properties`` iterates
+        the catalog's properties set, not every property: the generated
+        text answers the triple store's rows."""
+        text = APPENDIX_SQL[query_name]
+        engine, catalog = vertical_deploy
+        got = run_sql(engine, catalog, generate_vertical_sql(text, catalog))
+        assert got == run_sql(*triple_deploy, text)
+
     def test_bound_property_becomes_single_table(self, vertical_deploy):
         _, catalog = vertical_deploy
         sql = generate_vertical_sql(APPENDIX_SQL["q1"], catalog)
