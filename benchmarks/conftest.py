@@ -17,9 +17,10 @@ Environment knobs (see ``docs/benchmarking.md``):
   ``N > 1`` every cell runs N times and ``wall_ms`` reports the minimum —
   min-of-N warmed measurements are what the perf regression gate compares,
   because a single sample on a busy machine is mostly noise.  Cells are
-  pure functions, so repeats cannot change any simulated result,
-* ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_DISABLE`` — artifact-cache location
-  and kill switch for datasets and built store payloads.
+  pure functions, so repeats cannot change any simulated result.
+
+The dataset is generated once per session, and every deploy of it reuses
+the prepared store payloads (:func:`repro.bench.systems.deploy`).
 """
 
 import json
@@ -29,7 +30,6 @@ import pathlib
 import pytest
 
 from repro.bench import experiments
-from repro.bench.artifacts import cache_disabled, cached_dataset
 from repro.bench.findings import FINDINGS
 from repro.bench.scheduler import default_repeats
 from repro.data import generate_barton
@@ -53,14 +53,8 @@ def bench_repeats():
 
 @pytest.fixture(scope="session")
 def dataset():
-    """The Barton-like scale model shared by every bench.
-
-    Served from the on-disk artifact cache unless ``REPRO_CACHE_DISABLE``
-    is set — a cache hit is byte-identical to a fresh build.
-    """
-    if cache_disabled():
-        return generate_barton(n_triples=bench_triples(), seed=bench_seed())
-    return cached_dataset(n_triples=bench_triples(), seed=bench_seed())
+    """The Barton-like scale model shared by every bench."""
+    return generate_barton(n_triples=bench_triples(), seed=bench_seed())
 
 
 @pytest.fixture(scope="session")

@@ -8,11 +8,16 @@ scale factor — which are directly comparable with the paper's numbers.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.bench.metrics import INITIAL_QUERIES, TimingCell, summarize
 from repro.bench.reporting import format_series, format_table
 from repro.bench.systems import SYSTEM_GRID, Deployment, deploy, deploy_grid
-from repro.data import compute_statistics, cumulative_distribution
+from repro.data import (
+    compute_statistics,
+    cumulative_distribution,
+    split_properties,
+)
 from repro.data.barton import WELL_KNOWN_PROPERTIES
 from repro.data.stats import frequency_table
 from repro.engine import MACHINES, MACHINE_B
@@ -536,39 +541,18 @@ _FIGURE7_MAX_SUBPROPERTIES = 50
 
 
 def _figure7_split(dataset, target, base_count, seed):
-    """The (possibly cached) split dataset for one Figure 7 sweep point."""
-    from repro.bench.artifacts import cached_split, dataset_cache_key
-
-    base_key = dataset_cache_key(dataset)
+    """The dataset one Figure 7 sweep point deploys: *dataset* itself at
+    its own property count, otherwise its properties split to *target*
+    (same triple count, so the same scale factor)."""
     if target == base_count:
-        return _SplitDataset(
-            dataset.triples, dataset.interesting_properties,
-            cache_params=base_key,
-        )
-
-    def materialize():
-        triples, _ = cached_split(
-            dataset, target, seed=seed, protected=WELL_KNOWN_PROPERTIES,
-            max_subproperties=_FIGURE7_MAX_SUBPROPERTIES,
-        )
-        return triples
-
-    cache_params = None
-    if base_key is not None:
-        cache_params = {
-            "base": base_key,
-            "split": {
-                "target": target,
-                "seed": seed,
-                "protected": sorted(WELL_KNOWN_PROPERTIES),
-                "max_subproperties": _FIGURE7_MAX_SUBPROPERTIES,
-            },
-        }
-    # Splitting rewrites properties but never adds or drops triples, so the
-    # view's length — all the scale model needs — is known up front.
-    return _SplitDataset(
-        materialize, dataset.interesting_properties,
-        cache_params=cache_params, n_triples=len(dataset.triples),
+        return dataset
+    triples, _ = split_properties(
+        dataset.triples, target, seed=seed, protected=WELL_KNOWN_PROPERTIES,
+        max_subproperties=_FIGURE7_MAX_SUBPROPERTIES,
+    )
+    return SimpleNamespace(
+        triples=triples,
+        interesting_properties=dataset.interesting_properties,
     )
 
 
@@ -797,44 +781,3 @@ def experiment_scaling(dataset, queries=("q2", "q3", "q4", "q6"),
             "parallel_counters": counters,
         },
     )
-
-
-class _SplitDataset:
-    """Duck-typed dataset view over a transformed triple list.
-
-    ``cache_params`` is the content key the artifact cache uses to address
-    store payloads built from this view (see
-    :func:`repro.bench.artifacts.dataset_cache_key`); ``None`` makes the
-    view uncacheable and every deploy builds fresh.
-
-    *triples* may be a zero-argument materializer instead of a list; it is
-    only invoked if something actually reads ``.triples`` (a store-payload
-    cache miss).  Deploys served entirely from the artifact cache never pay
-    for materializing the transformed triple list — pass ``n_triples`` so
-    the 1:N scale factor stays computable without it.
-    """
-
-    def __init__(self, triples, interesting_properties, cache_params=None,
-                 n_triples=None):
-        if callable(triples):
-            if n_triples is None:
-                raise ValueError("lazy triples require an explicit n_triples")
-            self._loader = triples
-            self._triples = None
-            self.n_triples = n_triples
-        else:
-            self._loader = None
-            self._triples = triples
-            self.n_triples = len(triples)
-        self.interesting_properties = list(interesting_properties)
-        self.cache_params = cache_params
-
-    @property
-    def triples(self):
-        if self._triples is None:
-            self._triples = self._loader()
-            self._loader = None
-        return self._triples
-
-    def __len__(self):
-        return self.n_triples

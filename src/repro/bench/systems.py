@@ -7,6 +7,7 @@ PSO) and the vertically-partitioned scheme, plus the C-Store replica
 the paper (Section 4.3).
 """
 
+import threading
 from dataclasses import dataclass
 
 from repro.colstore import ColumnStoreEngine
@@ -18,9 +19,14 @@ from repro.engine import (
     ROW_STORE_COSTS,
 )
 from repro.errors import BenchmarkError
+from repro.lru import LruCache
 from repro.queries import build_query
 from repro.rowstore import RowStoreEngine
-from repro.storage import build_store_from_payload
+from repro.storage import (
+    build_store_from_payload,
+    prepare_triple_payload,
+    prepare_vertical_payload,
+)
 
 #: Triple count of the real Barton dump — the denominator of the scale
 #: model (see MachineProfile.scaled).
@@ -29,10 +35,7 @@ PAPER_TRIPLE_COUNT = 50_255_599
 
 def data_scale(dataset):
     """The 1:N scale factor of a synthetic dataset vs the Barton dump."""
-    n = getattr(dataset, "n_triples", None)
-    if n is None:
-        n = len(dataset.triples)
-    return min(1.0, n / PAPER_TRIPLE_COUNT)
+    return min(1.0, len(dataset.triples) / PAPER_TRIPLE_COUNT)
 
 #: (system, scheme, clustering) rows of Tables 6/7, in paper order.
 SYSTEM_GRID = (
@@ -85,17 +88,18 @@ class Deployment:
 
 
 def deploy(dataset, system, scheme, clustering="PSO", machine=MACHINE_B,
-           cache=None, compression=None, workers=None):
+           cache=True, compression=None, workers=None):
     """Create one deployment of the grid over *dataset*.
 
     The engine runs as a 1:N scale model: fixed latencies and per-query
     overheads shrink with the dataset so simulated times divided by the
     scale factor are directly comparable with the paper's seconds.
 
-    Deployments of cacheable datasets restore their encoded, pre-sorted
-    store payload from the benchmark artifact cache (byte-identical to a
-    fresh build).  *cache* selects the :class:`ArtifactCache` (default: the
-    process-wide one); pass ``False`` to force a fresh build.
+    The encoded, pre-sorted store payload (:mod:`repro.storage.payload`)
+    of a physical design is prepared once per process and reused by every
+    later deploy of the same dataset object (:func:`prepared_payload`); a
+    reused payload deploys a store byte-identical to a fresh build.  Pass
+    ``cache=False`` to prepare afresh.
 
     *compression* enables columnar compression on the MonetDB-like engine
     (``"physical"``, see
@@ -108,9 +112,6 @@ def deploy(dataset, system, scheme, clustering="PSO", machine=MACHINE_B,
     parallelism (morsel-driven; results and simulated costs are identical
     at any value).  The default ``None`` reads ``REPRO_WORKERS``.
     """
-    # ``dataset.triples`` may be lazily materialized (figure-7 splits); only
-    # touch it on paths that actually need the raw triples — the C-Store
-    # loader and store-payload cache misses.
     if compression is None:
         import os
 
@@ -151,17 +152,54 @@ def deploy(dataset, system, scheme, clustering="PSO", machine=MACHINE_B,
         store_scheme = "triple"
     else:
         raise BenchmarkError(f"unknown scheme {scheme!r}")
-    from repro.bench.artifacts import cached_store_payload
-
-    payload = cached_store_payload(
-        dataset, store_scheme, clustering=clustering,
-        with_indexes=engine.kind == "row-store", cache=cache,
+    payload = prepared_payload(
+        dataset, store_scheme, clustering.upper(),
+        engine.kind == "row-store", cache=cache,
     )
     catalog = build_store_from_payload(engine, payload)
     return Deployment(system, scheme, clustering, engine, catalog, scale)
 
 
-def deploy_grid(dataset, machine=MACHINE_B, grid=SYSTEM_GRID, cache=None):
+#: Prepared store payloads a process keeps: a sweep deploys the same few
+#: physical designs of one dataset many times.
+PAYLOAD_MEMO_SIZE = 8
+
+_PAYLOADS_LOCK = threading.Lock()
+#: (id of the triples, interesting properties, scheme, clustering, indexes)
+#: -> (the triples, payload).  Holding the triples keeps their id from being
+#: reused while the entry lives.
+_PAYLOADS = LruCache(PAYLOAD_MEMO_SIZE)  # guarded-by: _PAYLOADS_LOCK
+
+
+def prepared_payload(dataset, scheme, clustering, with_indexes, cache=True):
+    """The prepared payload of one physical design of *dataset*, reused
+    from the process's memo unless *cache* is ``False``.  Building a store
+    from it never writes to it: the tables keep read-only views of its
+    arrays, and a maintenance insert copies what it changes."""
+    interesting = dataset.interesting_properties
+    key = (id(dataset.triples), tuple(interesting), scheme, clustering,
+           with_indexes)
+    if cache:
+        with _PAYLOADS_LOCK:
+            entry = _PAYLOADS.get(key)
+        if entry is not None:
+            return entry[1]
+    if scheme == "triple":
+        payload = prepare_triple_payload(
+            dataset.triples, interesting, clustering=clustering,
+            with_indexes=with_indexes,
+        )
+    else:
+        payload = prepare_vertical_payload(
+            dataset.triples, interesting, with_indexes=with_indexes,
+        )
+    if not cache:
+        return payload
+    with _PAYLOADS_LOCK:
+        return _PAYLOADS.put(key, (dataset.triples, payload))[1]
+
+
+def deploy_grid(dataset, machine=MACHINE_B, grid=SYSTEM_GRID, cache=True):
     """Deploy every system configuration of Tables 6/7."""
     return [
         deploy(dataset, *config, machine=machine, cache=cache)

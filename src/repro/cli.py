@@ -123,10 +123,6 @@ def build_parser():
              "meta) to PATH ('-' for stdout instead of the rendered text)",
     )
     bench.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk artifact cache (datasets, store payloads)",
-    )
-    bench.add_argument(
         "--list", action="store_true", help="list experiment names"
     )
 
@@ -184,10 +180,6 @@ def build_parser():
     record.add_argument(
         "--snapshot-dir", default=".",
         help="where BENCH_<name>.json is written (default: cwd)",
-    )
-    record.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk artifact cache",
     )
     record.add_argument(
         "--compress", choices=("physical",), default=None,
@@ -510,8 +502,6 @@ def _command_bench(args):
         )
         return 2
 
-    if args.no_cache:
-        os.environ["REPRO_CACHE_DISABLE"] = "1"
     if args.workers is not None:
         os.environ["REPRO_WORKERS"] = str(args.workers)
 
@@ -542,6 +532,7 @@ def _run_experiments(names, args, jobs=None):
     import inspect
 
     from repro.bench import experiments
+    from repro.data import generate_barton
 
     dataset = None  # generated once, shared by every requested experiment
     results = []
@@ -554,22 +545,14 @@ def _run_experiments(names, args, jobs=None):
                 kwargs["jobs"] = jobs
         if needs_dataset:
             if dataset is None:
-                dataset = _bench_dataset(args)
+                dataset = generate_barton(
+                    n_triples=args.triples, seed=args.seed
+                )
             result = driver(dataset, **kwargs)
         else:
             result = driver(**kwargs)
         results.extend(result if isinstance(result, list) else [result])
     return results
-
-
-def _bench_dataset(args):
-    """The benchmark dataset — served from the artifact cache when enabled."""
-    from repro.bench.artifacts import cache_disabled, cached_dataset
-    from repro.data import generate_barton
-
-    if cache_disabled():
-        return generate_barton(n_triples=args.triples, seed=args.seed)
-    return cached_dataset(n_triples=args.triples, seed=args.seed)
 
 
 def _store_from_args(args):
@@ -779,8 +762,6 @@ def _command_perf_record(args):
             ", ".join(map(repr, unknown)), ", ".join(_EXPERIMENTS),
         )
         return 2
-    if args.no_cache:
-        os.environ["REPRO_CACHE_DISABLE"] = "1"
     compression = args.compress or os.environ.get("REPRO_COMPRESS") or None
     if compression:
         os.environ["REPRO_COMPRESS"] = compression

@@ -92,7 +92,7 @@ class ColumnStoreEngine(PlanHost):
         (paper, Section 4.1) — callers express physical design as sort order.
 
         *presorted* asserts the columns already arrive in *sort_by* order
-        (e.g. restored from the artifact cache), skipping the load sort.
+        (e.g. a prepared store payload), skipping the load sort.
         """
         if indexes:
             raise StorageError(

@@ -59,7 +59,7 @@ class ColumnTable:
         self.encodings = {}
         if compress is not None:
             for col, a in arrays.items():
-                encoding = choose_codec(a, compress)
+                encoding = choose_codec(a)
                 note_column(encoding, n_rows)
                 if encoding is not None:
                     self.encodings[col] = encoding

@@ -46,8 +46,8 @@ class Dictionary:
     def from_interned(cls, strings):
         """Rebuild a dictionary from strings already in oid order.
 
-        Fast path for deserializing cached artifacts: *strings* must be
-        unique and listed in oid order (as produced by iterating a
+        Fast path for building a store from a prepared payload: *strings*
+        must be unique and listed in oid order (as produced by iterating a
         dictionary); the maps are built with two C-level passes instead of
         per-string encode calls.
         """

@@ -7,8 +7,7 @@ a config fingerprint that make it attributable, the **simulated** costs
 that must never drift (byte-identity-gated by
 :mod:`repro.observe.regression`), the wall-clock cost of the harness
 itself, and the always-on counters threaded through the engines — buffer
-pool hits/misses, artifact-cache hits/misses, lowering-cache stats,
-scheduler cell counts.
+pool hits/misses, lowering-cache stats, scheduler cell counts.
 
 Records are appended to a JSONL ledger under ``.repro/perf/``
 (:class:`RunLedger`; override with ``REPRO_PERF_DIR``) and emitted as
@@ -73,11 +72,10 @@ def config_fingerprint(parameters):
 
 def collect_counters():
     """The always-on process-wide counters, one group per subsystem: the
-    counter table plus the two derived ratios and the artifact cache's
-    instance counters.  (Loading :mod:`repro.bench` for the cache read
+    counter table plus the two derived ratios.  (Loading :mod:`repro.bench`
     imports every module that declares a group, so the document has the
     same groups in every process.)"""
-    from repro.bench.artifacts import cache_stats
+    import repro.bench  # noqa: F401
     from repro.engine.buffer import hit_ratio
 
     document = counters.snapshot()
@@ -88,7 +86,6 @@ def collect_counters():
         compression["logical_bytes"] / compression["compressed_bytes"]
         if compression["compressed_bytes"] else 1.0
     )
-    document["artifact_cache"] = cache_stats()
     return document
 
 

@@ -47,7 +47,7 @@ class RowStoreEngine(PlanHost):
 
         *indexes* is a list of ``{"name": ..., "columns": [...]}`` dicts
         (or None/empty for none).  *presorted* asserts the columns already
-        arrive in clustering order (e.g. restored from the artifact cache),
+        arrive in clustering order (e.g. a prepared store payload),
         skipping the load sort.
         """
         if name in self._tables:

@@ -156,7 +156,8 @@ class _Parser:
                 self._accept_punct(".")
                 continue
             patterns.append(self.parse_pattern())
-            if not self._accept_punct("."):
+            # SPARQL 1.1: a FILTER may follow a pattern without a '.'.
+            if not self._accept_punct(".") and self.peek()[0] != "FILTER":
                 break
         return patterns, filters
 

@@ -61,24 +61,14 @@ CODEC_ORDER = ("rle", "delta", "dict")
 @dataclass(frozen=True)
 class CompressionConfig:
     """Column-store compression settings: having one means compression is
-    on.  ``codecs`` limits which encodings the picker may choose."""
-
-    codecs: tuple = CODEC_ORDER
-
-    def __post_init__(self):
-        unknown = [c for c in self.codecs if c not in CODEC_ORDER]
-        if unknown:
-            raise StorageError(
-                f"unknown codecs {unknown}; expected a subset of {CODEC_ORDER}"
-            )
+    on, and the picker weighs every codec of :data:`CODEC_ORDER`."""
 
     @classmethod
     def coerce(cls, value):
         """Normalize user-facing compression settings to a config or None.
 
         Accepts ``None``/``False``/``"off"`` (disabled), ``True``/``"on"``/
-        ``"physical"`` (enabled), a ``{"codecs": ...}`` dict, or an
-        existing config.
+        ``"physical"`` (enabled), or an existing config.
         """
         if value is None or value is False:
             return None
@@ -96,14 +86,6 @@ class CompressionConfig:
                 f"unknown compression setting {value!r}; expected "
                 "off or physical"
             )
-        if isinstance(value, dict):
-            try:
-                return cls(**value)
-            except TypeError:
-                raise StorageError(
-                    f"unknown compression settings {sorted(value)}; "
-                    "expected 'codecs'"
-                ) from None
         raise StorageError(
             f"cannot interpret compression setting {value!r}"
         )
@@ -476,21 +458,18 @@ def column_stats(values):
     return stats
 
 
-def choose_codec(values, config=None):
+def choose_codec(values):
     """Encode *values* with the smallest eligible codec, or ``None``.
 
     ``None`` means raw storage wins (or the column is empty) — the table
     keeps the plain int64 segment.  Ties resolve in :data:`CODEC_ORDER`.
     """
-    config = config or CompressionConfig()
     stats = column_stats(values)
     if stats["n"] == 0:
         return None
     best_name = None
     best_size = stats["raw_bytes"]
     for name in CODEC_ORDER:
-        if name not in config.codecs:
-            continue
         size = stats["sizes"].get(name)
         if size is not None and size < best_size:
             best_name, best_size = name, size

@@ -1,13 +1,14 @@
-"""Pickle-friendly store payloads: prepared physical designs.
+"""Store payloads: prepared physical designs.
 
 A *store payload* is everything a storage-scheme builder computes before it
 touches an engine: the dictionary's string heap, every table's columns
 already dictionary-encoded and sorted into load order, the index specs, and
 the catalog fields.  Payloads are plain dicts of numpy arrays, lists and
-strings — picklable, so the benchmark artifact cache can persist them — and
-applying one to an engine (:func:`build_store_from_payload`) produces a
-store byte-identical to a fresh build: same table creation order, same
-segment layout, same frozen dictionary.
+strings, and applying one to an engine (:func:`build_store_from_payload`)
+produces a store byte-identical to a fresh build: same table creation
+order, same segment layout, same frozen dictionary.  Building a store never
+writes to its payload, so a benchmark sweep reuses one payload for many
+deploys (:func:`repro.bench.systems.deploy`).
 
 Every scheme starts from the one preparation, :func:`prepare_triples`, and
 only cuts its sorted columns into tables.
@@ -121,7 +122,7 @@ def properties_entry(prepared, with_indexes):
 
 
 def store_payload(dictionary, tables, **catalog_fields):
-    """Bundle a prepared physical design into a picklable payload dict."""
+    """Bundle a prepared physical design into a payload dict."""
     return {
         "strings": list(dictionary),
         "tables": tables,

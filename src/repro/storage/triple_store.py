@@ -45,9 +45,8 @@ def prepare_triple_payload(triples, interesting_properties,
                            with_indexes=False):
     """Prepare the triple-store physical design without an engine.
 
-    Returns a picklable payload (see :mod:`repro.storage.payload`) holding
-    the encoded, load-ordered tables — the expensive half of a deploy — so
-    the artifact cache can persist it between benchmark runs.
+    Returns a payload (see :mod:`repro.storage.payload`) holding the
+    encoded, load-ordered tables — the expensive half of a deploy.
     """
     clustering = clustering.upper()
     sort_by = list(clustering_columns(clustering))

@@ -37,9 +37,8 @@ def prepare_vertical_payload(triples, interesting_properties,
                              dictionary=None, with_indexes=False):
     """Prepare the vertically-partitioned design without an engine.
 
-    Returns a picklable payload (see :mod:`repro.storage.payload`) carrying
-    one ``(subj, obj)`` table per property, for the artifact cache to
-    persist between benchmark runs.  The triples are sorted PSO, so each
+    Returns a payload (see :mod:`repro.storage.payload`) carrying one
+    ``(subj, obj)`` table per property.  The triples are sorted PSO, so each
     property's table is a slice of one column pair, already in SO order;
     the tables are views of that pair, created in first-seen property
     order.

@@ -1,24 +1,24 @@
-"""Tests for the content-addressed benchmark artifact cache."""
+"""Tests for the prepared store payloads a benchmark sweep reuses.
 
-import pickle
+``deploy`` prepares each physical design of a dataset once per process
+and builds every later store of that design from the same payload
+(:func:`repro.bench.systems.prepared_payload`); ``cache=False`` prepares
+afresh.  A reused payload must deploy a store equal to a fresh one, in
+rows and in simulated timings, however the stores built from it were
+used.
+"""
 
 import pytest
 
-from repro.bench.artifacts import (
-    ArtifactCache,
-    cached_dataset,
-    cached_store_payload,
-    dataset_cache_key,
-)
-from repro.bench.systems import deploy
+from repro.bench.experiments import _figure7_split
+from repro.bench import systems
+from repro.bench.systems import deploy, prepared_payload
 from repro.data import generate_barton
-from repro.data.barton import BartonConfig
+from repro.model.triple import Triple
 from repro.queries import build_query
+from repro.storage import insert_triples
 
-
-@pytest.fixture()
-def cache(tmp_path):
-    return ArtifactCache(root=tmp_path / "cache")
+GRID = [("MonetDB", "triple"), ("MonetDB", "vert"), ("DBX", "triple")]
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def dataset():
 
 
 def _run_queries(deployment, queries=("q1", "q2", "q5")):
-    """Simulated timings + result rows for a few benchmark queries."""
+    """Simulated timings of a few benchmark queries."""
     timings = {}
     for query in queries:
         _, timing = deployment.run(query, "cold")
@@ -35,145 +35,155 @@ def _run_queries(deployment, queries=("q1", "q2", "q5")):
     return timings
 
 
-class TestCacheBasics:
-    def test_miss_then_hit(self, cache):
-        calls = []
-
-        def build():
-            calls.append(1)
-            return {"x": 1}
-
-        first = cache.get_or_build("thing", {"a": 1}, build)
-        second = cache.get_or_build("thing", {"a": 1}, build)
-        assert first == second == {"x": 1}
-        assert len(calls) == 1
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_key_is_order_insensitive(self, cache):
-        assert cache.key("k", {"a": 1, "b": 2}) == cache.key(
-            "k", {"b": 2, "a": 1}
+def _rows(deployment, queries=("q1", "q2", "q7")):
+    """Every result column of a few benchmark queries, in order."""
+    out = {}
+    for query in queries:
+        relation, _ = deployment.engine.run(
+            build_query(deployment.catalog, query)
         )
+        out[query] = [
+            (name, values.tolist()) for name, values in relation.columns.items()
+        ]
+    return out
 
-    def test_eviction_prunes_oldest(self, cache):
-        cache.max_bytes = 1  # anything written is immediately over budget
-        cache.get_or_build("thing", {"n": 1}, lambda: list(range(100)))
-        assert cache.entries() == []
+
+def _tables(deployment):
+    """Every stored column of every table, as lists."""
+    engine = deployment.engine
+    return {
+        name: {
+            column: engine.table(name).array(column).tolist()
+            for column in engine.table(name).column_names()
+        }
+        for name in engine.table_names()
+    }
+
+
+def _payload(dataset, scheme, clustering="PSO", cache=True):
+    return prepared_payload(dataset, scheme, clustering, False, cache=cache)
+
+
+class TestCacheBasics:
+    def test_miss_then_hit(self, dataset, monkeypatch):
+        calls = []
+        prepare = systems.prepare_vertical_payload
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(systems, "prepare_vertical_payload", counted)
+        base_count = len({t.p for t in dataset.triples})
+        split = _figure7_split(dataset, base_count + 2, base_count, seed=0)
+        deploy(split, "MonetDB", "vert")
+        deploy(split, "MonetDB", "vert")
+        assert len(calls) == 1
+        deploy(split, "MonetDB", "vert", cache=False)
+        assert len(calls) == 2
+
+    def test_eviction_prunes_oldest(self, dataset):
+        first = _payload(dataset, "triple", "OSP")
+        for clustering in ("SPO", "SOP", "PSO", "POS", "OPS"):
+            _payload(dataset, "triple", clustering)
+        assert _payload(dataset, "triple", "OSP") is first  # refreshed
+        for seed in range(systems.PAYLOAD_MEMO_SIZE):
+            _payload(generate_barton(n_triples=1_000, seed=seed), "vertical")
+        assert _payload(dataset, "triple", "OSP") is not first
 
 
 class TestHitIdentity:
-    def test_dataset_hit_equals_fresh_build(self, cache):
-        config = BartonConfig(n_triples=4_000, n_properties=30, seed=5)
-        built = cached_dataset(config, cache=cache)
-        hit = cached_dataset(
-            BartonConfig(n_triples=4_000, n_properties=30, seed=5),
-            cache=cache,
-        )
-        assert cache.hits == 1
-        assert hit.triples == built.triples
-        assert hit.interesting_properties == built.interesting_properties
-
-    @pytest.mark.parametrize("system,scheme", [
-        ("MonetDB", "triple"),
-        ("MonetDB", "vert"),
-        ("DBX", "triple"),
-    ])
-    def test_cached_store_matches_fresh_build(
-        self, cache, dataset, system, scheme
-    ):
+    @pytest.mark.parametrize("system,scheme", GRID)
+    def test_cached_store_matches_fresh_build(self, dataset, system, scheme):
         fresh = deploy(dataset, system, scheme, "PSO", cache=False)
-        cached = deploy(dataset, system, scheme, "PSO", cache=cache)
-        warm = deploy(dataset, system, scheme, "PSO", cache=cache)
-        assert cache.hits == 1 and cache.misses == 1
+        cached = deploy(dataset, system, scheme, "PSO")
+        warm = deploy(dataset, system, scheme, "PSO")
 
         fresh_timings = _run_queries(fresh)
         assert _run_queries(cached) == fresh_timings
-        # The decisive property: a cache hit yields identical *simulated*
-        # timings, not just identical result rows.
+        # The decisive property: a reused payload yields identical
+        # *simulated* timings, not just identical result rows.
         assert _run_queries(warm) == fresh_timings
 
-    def test_cached_store_rows_match(self, cache, dataset):
-        import numpy as np
-
+    def test_cached_store_rows_match(self, dataset):
         fresh = deploy(dataset, "MonetDB", "vert", cache=False)
-        warm = deploy(dataset, "MonetDB", "vert", cache=cache)
-        for query in ("q1", "q2", "q7"):
-            one, _ = fresh.engine.run(build_query(fresh.catalog, query))
-            two, _ = warm.engine.run(build_query(warm.catalog, query))
-            assert list(one.columns) == list(two.columns)
-            for name in one.columns:
-                assert np.array_equal(one.columns[name], two.columns[name])
+        warm = deploy(dataset, "MonetDB", "vert")
+        assert _rows(warm) == _rows(fresh)
+
+    def test_a_fresh_deploy_prepares_afresh(self, dataset):
+        reused = _payload(dataset, "vertical", "SO")
+        assert _payload(dataset, "vertical", "SO") is reused
+        assert _payload(dataset, "vertical", "SO", cache=False) is not reused
 
 
 class TestKeyInvalidation:
-    def test_n_triples_changes_key(self, cache):
-        base = dataset_cache_key(generate_barton(n_triples=2_000, seed=3))
-        other = dataset_cache_key(generate_barton(n_triples=2_001, seed=3))
-        assert cache.key("dataset", base) != cache.key("dataset", other)
+    def test_n_triples_changes_key(self):
+        base = generate_barton(n_triples=2_000, seed=3)
+        other = generate_barton(n_triples=2_001, seed=3)
+        one, two = _payload(base, "triple"), _payload(other, "triple")
+        assert one is not two
+        assert len(two["tables"][0]["columns"]["subj"]) == len(other.triples)
 
-    def test_seed_changes_key(self, cache):
-        base = dataset_cache_key(generate_barton(n_triples=2_000, seed=3))
-        other = dataset_cache_key(generate_barton(n_triples=2_000, seed=4))
-        assert cache.key("dataset", base) != cache.key("dataset", other)
+    def test_seed_changes_key(self):
+        base = generate_barton(n_triples=2_000, seed=3)
+        other = generate_barton(n_triples=2_000, seed=4)
+        one, two = _payload(base, "triple"), _payload(other, "triple")
+        assert one is not two
+        assert two["strings"] == _payload(other, "triple", cache=False)[
+            "strings"
+        ]
 
-    def test_schema_version_changes_key(self, tmp_path):
-        one = ArtifactCache(root=tmp_path, schema=1)
-        two = ArtifactCache(root=tmp_path, schema=2)
-        params = {"n": 1}
-        assert one.key("dataset", params) != two.key("dataset", params)
-        one.get_or_build("dataset", params, lambda: "v1")
-        # The schema bump misses the old entry and rebuilds.
-        assert two.get_or_build("dataset", params, lambda: "v2") == "v2"
+    def test_store_key_varies_with_physical_design(self, dataset):
+        payloads = [
+            _payload(dataset, "triple", "PSO"),
+            _payload(dataset, "triple", "SPO"),
+            _payload(dataset, "vertical", "SO"),
+        ]
+        assert len({id(p) for p in payloads}) == 3
+        # Each design hits its own entry the second time.
+        assert _payload(dataset, "triple", "SPO") is payloads[1]
+        assert _payload(dataset, "vertical", "SO") is payloads[2]
 
-    def test_store_key_varies_with_physical_design(self, cache, dataset):
-        cached_store_payload(dataset, "triple", "PSO", cache=cache)
-        cached_store_payload(dataset, "triple", "SPO", cache=cache)
-        cached_store_payload(dataset, "vertical", cache=cache)
-        assert cache.misses == 3 and cache.hits == 0
+    def test_figure7_split_never_receives_the_base_payload(self, dataset):
+        base_count = len({t.p for t in dataset.triples})
+        base = deploy(dataset, "MonetDB", "vert")
+        split = _figure7_split(dataset, base_count + 6, base_count, seed=0)
+        assert len(split.triples) == len(dataset.triples)
+        assert split.triples != dataset.triples
+        assert _figure7_split(dataset, base_count, base_count, 0) is dataset
 
-    def test_uncacheable_dataset_builds_fresh(self, cache):
-        class Plain:
-            triples = generate_barton(n_triples=1_000, seed=2).triples
-            interesting_properties = []
+        memo = deploy(split, "MonetDB", "vert")
+        fresh = deploy(split, "MonetDB", "vert", cache=False)
+        assert _payload(split, "vertical", "SO") is not _payload(
+            dataset, "vertical", "SO"
+        )
+        assert len(memo.catalog.property_tables) == base_count + 6
+        assert len(base.catalog.property_tables) == base_count
+        assert _run_queries(memo) == _run_queries(fresh)
+        assert _rows(memo) == _rows(fresh)
 
-        assert dataset_cache_key(Plain()) is None
-        payload = cached_store_payload(Plain(), "triple", cache=cache)
-        assert payload["tables"]
-        assert cache.hits == cache.misses == 0  # never touched the cache
 
+class TestNothingShared:
+    @pytest.mark.parametrize("system,scheme", GRID)
+    def test_insert_into_a_reused_store_leaves_the_payload(
+        self, dataset, system, scheme
+    ):
+        first = deploy(dataset, system, scheme)
+        subject = "<memo/inserted>"
+        catalog, report = insert_triples(first.engine, first.catalog, [
+            Triple(subject, "<type>", "<Text>"),
+            Triple(subject, dataset.interesting_properties[1], "<memo/o>"),
+            Triple(subject, "<memo/new-property>", "<memo/o>"),
+        ])
+        assert report.tables_rebuilt
+        first.catalog = catalog
+        assert _rows(first) != _rows(deploy(dataset, system, scheme,
+                                            cache=False))
 
-class TestCorruption:
-    def _entry_path(self, cache):
-        entries = cache.entries()
-        assert len(entries) == 1
-        return entries[0][0]
-
-    @pytest.mark.parametrize("damage", [
-        lambda blob: blob[: len(blob) // 2],          # truncated
-        lambda blob: b"0" * 64 + b"\n" + blob[65:],   # checksum mismatch
-        lambda blob: blob[:65] + b"not a pickle",     # unpicklable body
-        lambda blob: b"junk with no header",          # malformed header
-    ])
-    def test_corrupt_entry_rebuilt(self, cache, damage):
-        cache.get_or_build("thing", {"n": 1}, lambda: {"v": 1})
-        path = self._entry_path(cache)
-        path.write_bytes(damage(path.read_bytes()))
-        value = cache.get_or_build("thing", {"n": 1}, lambda: {"v": 2})
-        assert value == {"v": 2}  # rebuilt, not crashed
-        assert cache.corrupt == 1
-        # The rebuilt entry replaced the corrupt one and hits again.
-        assert cache.get_or_build("thing", {"n": 1}, lambda: 0) == {"v": 2}
-
-    def test_checksum_guards_bit_flips(self, cache):
-        cache.get_or_build("thing", {"n": 1}, lambda: list(range(64)))
-        path = self._entry_path(cache)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        assert cache.get_or_build("thing", {"n": 1}, lambda: "fresh") == "fresh"
-        assert cache.corrupt == 1
-
-    def test_valid_entry_round_trips_pickle(self, cache):
-        value = {"arrays": [1, 2, 3], "nested": {"k": "v"}}
-        cache.get_or_build("thing", {"n": 1}, lambda: value)
-        blob = self._entry_path(cache).read_bytes()
-        assert pickle.loads(blob.partition(b"\n")[2]) == value
+        again = deploy(dataset, system, scheme)
+        fresh = deploy(dataset, system, scheme, cache=False)
+        assert "<memo/new-property>" not in again.catalog.all_properties
+        assert again.catalog.dictionary.lookup_or_none(subject) is None
+        assert _rows(again) == _rows(fresh)
+        assert _run_queries(again) == _run_queries(fresh)
+        assert _tables(again) == _tables(fresh)

@@ -194,12 +194,6 @@ class TestPicker:
                    "dict": DictColumn}[name]
             assert cls(values).nbytes == size, name
 
-    def test_codec_restriction_is_honoured(self):
-        values = np.repeat(np.arange(10, dtype=np.int64), 1000)
-        config = CompressionConfig(codecs=("dict",))
-        encoding = choose_codec(values, config)
-        assert encoding is not None and encoding.codec == "dict"
-
 
 class TestConfig:
     @pytest.mark.parametrize("value", [None, False, "", "off", "none", "0"])
@@ -215,12 +209,8 @@ class TestConfig:
         with pytest.raises(StorageError, match="off or physical"):
             CompressionConfig.coerce("logical")
 
-    def test_dict_setting(self):
-        config = CompressionConfig.coerce({"codecs": ("rle",)})
-        assert config.codecs == ("rle",)
-
     def test_config_roundtrips_through_coerce(self):
-        config = CompressionConfig(codecs=("rle", "dict"))
+        config = CompressionConfig()
         assert CompressionConfig.coerce(config) is config
 
     @pytest.mark.parametrize("value", ["zstd", 3.5, ["rle"]])
@@ -229,13 +219,9 @@ class TestConfig:
             CompressionConfig.coerce(value)
 
     def test_invalid_cost_mode_raises(self):
-        # The settings dict no longer has a mode to get wrong.
-        with pytest.raises(StorageError, match="codecs"):
+        # A settings dict is no setting: compression is off or on.
+        with pytest.raises(StorageError, match="cannot interpret"):
             CompressionConfig.coerce({"cost_mode": "physical"})
-
-    def test_invalid_codec_raises(self):
-        with pytest.raises(StorageError):
-            CompressionConfig(codecs=("rle", "lz4"))
 
 
 class TestCounters:

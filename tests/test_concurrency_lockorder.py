@@ -490,7 +490,7 @@ def test_shipped_package_lock_inventory():
     assert locks == {
         "repro.api.Connection._exec_lock": {"reentrant": True},
         "repro.api.Connection._plan_lock": {"reentrant": False},
-        "repro.bench.artifacts._DEFAULT_CACHE_LOCK": {"reentrant": False},
+        "repro.bench.systems._PAYLOADS_LOCK": {"reentrant": False},
         "repro.exec.cancel.CancellationToken._lock": {"reentrant": False},
         "repro.exec.registry._REGISTRY_LOCK": {"reentrant": False},
         "repro.observe.counters._LOCK": {"reentrant": False},

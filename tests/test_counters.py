@@ -31,19 +31,19 @@ from repro.storage.compress import CompressionCounts
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: ``collect_counters()``: six groups, 28 leaves — the 29 of the commit
+#: ``collect_counters()``: five groups, 25 leaves — the 29 of the commit
 #: before the table existed minus ``parallel.steals``, which went with the
 #: work-stealing pool (it was the one scheduling-dependent count and no
-#: committed baseline recorded it).  The ledger's ``counters`` document is
-#: read by ``repro perf compare`` against committed baselines, so a leaf a
-#: baseline records never goes, and the set changes only together with
+#: committed baseline recorded it), and minus the three
+#: :data:`RETIRED_KEYS`.  The ledger's ``counters`` document is read by
+#: ``repro perf compare`` against committed baselines, so a leaf goes only
+#: with what it counted, and the set changes only together with
 #: docs/observability.md.
 LEDGER_KEYS = {
     "buffer_pool.page_hits", "buffer_pool.page_misses",
     "buffer_pool.evictions", "buffer_pool.disk_requests",
     "buffer_pool.bytes_transferred", "buffer_pool.account_calls",
     "buffer_pool.hit_ratio",
-    "artifact_cache.hits", "artifact_cache.misses", "artifact_cache.corrupt",
     "lowering_cache.hits", "lowering_cache.misses",
     "lowering_cache.evictions",
     "scheduler.cells", "scheduler.repeats", "scheduler.wall_ms",
@@ -53,6 +53,13 @@ LEDGER_KEYS = {
     "compression.runs_skipped", "compression.compressed_reads",
     "compression.compression_ratio",
     "parallel.batches", "parallel.inline_batches", "parallel.morsels",
+}
+
+#: Leaves of the on-disk artifact cache, which went with the cache.  The
+#: committed CI baselines still record them; ``repro perf compare`` shows
+#: the missing group as an info row.
+RETIRED_KEYS = {
+    "artifact_cache.hits", "artifact_cache.misses", "artifact_cache.corrupt",
 }
 
 #: The ``compression`` counters the engine counts per run, in
@@ -118,7 +125,7 @@ class TestCoverage:
     def test_ci_baselines_compare_key_for_key(self, baseline):
         document = json.loads((ROOT / "ci" / baseline).read_text())
         recorded = flat_keys(document["counters"])
-        assert recorded and recorded <= LEDGER_KEYS
+        assert recorded and recorded <= LEDGER_KEYS | RETIRED_KEYS
 
     def test_every_counter_is_documented(self):
         text = (ROOT / "docs" / "observability.md").read_text()

@@ -52,7 +52,7 @@ class TestCounters:
     def test_collect_returns_all_groups(self):
         counters = collect_counters()
         assert sorted(counters) == [
-            "artifact_cache", "buffer_pool", "compression",
+            "buffer_pool", "compression",
             "lowering_cache", "parallel", "scheduler",
         ]
         assert "hit_ratio" in counters["buffer_pool"]

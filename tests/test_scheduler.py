@@ -183,8 +183,7 @@ class TestExperimentParity:
 
         return generate_barton(n_triples=5_000, n_properties=40, seed=11)
 
-    def test_figure7_parallel_identical(self, dataset, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_figure7_parallel_identical(self, dataset):
         from repro.bench.experiments import experiment_figure7
 
         base = len({t.p for t in dataset.triples})
@@ -196,8 +195,7 @@ class TestExperimentParity:
         assert parallel.render() == serial.render()
         assert parallel.series == serial.series
 
-    def test_figure6_parallel_identical(self, dataset, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_figure6_parallel_identical(self, dataset):
         from repro.bench.experiments import experiment_figure6
 
         serial = experiment_figure6(

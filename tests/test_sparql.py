@@ -29,6 +29,13 @@ def store(request):
     return RDFStore.from_ntriples(DATA, scheme=request.param)
 
 
+#: A FILTER right after a pattern, with no '.' between them.
+UNDOTTED_FILTER = (
+    "SELECT ?s ?o WHERE { ?s <type> ?c . ?s <language> ?o "
+    "FILTER(?c = <Text>) }"
+)
+
+
 class TestParser:
     def test_basic_select(self):
         q = parse_sparql("SELECT ?s WHERE { ?s <type> <Text> . }")
@@ -64,6 +71,28 @@ class TestParser:
         )
         assert q.filters == [Filter("p", "=", '"end"')]
 
+    def test_filter_may_follow_a_pattern_without_a_dot(self):
+        # SPARQL 1.1's group grammar makes the '.' before a FILTER optional.
+        bare = parse_sparql(UNDOTTED_FILTER)
+        dotted = parse_sparql(UNDOTTED_FILTER.replace(" FILTER", " . FILTER"))
+        assert bare == dotted
+        assert bare.filters == [Filter("c", "=", "<Text>")]
+
+    def test_filter_between_patterns(self):
+        q = parse_sparql(
+            "SELECT ?s WHERE { ?s <type> ?c FILTER(?c = <Text>) . "
+            "?s <language> ?l }"
+        )
+        assert len(q.patterns) == 2
+        assert q.filters == [Filter("c", "=", "<Text>")]
+
+    def test_filter_first_group(self):
+        q = parse_sparql(
+            "SELECT ?s WHERE { FILTER(?l = <fre>) ?s <language> ?l }"
+        )
+        assert q.patterns == [(Variable("s"), "<language>", Variable("l"))]
+        assert q.filters == [Filter("l", "=", "<fre>")]
+
     def test_comments_ignored(self):
         q = parse_sparql(
             "# find texts\nSELECT ?s WHERE { ?s <type> <Text> }"
@@ -83,6 +112,7 @@ class TestParser:
             "SELECT ?s WHERE { ?s ?p }",
             "SELECT ?s WHERE { ?s ?p ?o ",
             "SELECT ?s WHERE { ?s ?p ?o } garbage",
+            "SELECT ?s WHERE { ?s ?p ?o ?s ?p ?o }",
             "SELECT ?s WHERE { FILTER(?s ~ <x>) }",
             "SELECT ?s WHERE { FILTER(<x> = ?s) }",
         ],
@@ -113,6 +143,14 @@ class TestExecution:
             "FILTER(?l != <eng>) }"
         )
         assert [b["s"] for b in got] == ["<e1>"]
+
+    def test_undotted_filter_answers_like_dotted(self, store):
+        dotted = UNDOTTED_FILTER.replace(" FILTER", " . FILTER")
+        got = sparql(store, UNDOTTED_FILTER)
+        assert got == sparql(store, dotted)
+        assert sorted((b["s"], b["o"]) for b in got) == [
+            ("<e1>", "<fre>"), ("<e2>", "<eng>"),
+        ]
 
     def test_filter_on_nonprojected_variable(self, store):
         """The filtered variable need not be selected."""
