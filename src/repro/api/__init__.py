@@ -196,12 +196,10 @@ class Session:
     contention observable in the server.
     """
 
-    def __init__(self, connection, default_timeout=None, lint=None,
-                 session_id=None):
+    def __init__(self, connection, default_timeout=None, lint=None):
         self.connection = connection
         self.default_timeout = default_timeout
         self.lint = lint
-        self.session_id = session_id
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -362,7 +360,6 @@ class Connection:
         # cache key -> (kind, plan, columns)
         self._plans = LruCache(PLAN_CACHE_SIZE)
         self._closed = False
-        self._session_counter = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -401,11 +398,7 @@ class Connection:
     def session(self, default_timeout=None, lint=None):
         """Open a :class:`Session` (usable as a context manager)."""
         self._check_open()
-        self._session_counter += 1
-        return Session(
-            self, default_timeout=default_timeout, lint=lint,
-            session_id=self._session_counter,
-        )
+        return Session(self, default_timeout=default_timeout, lint=lint)
 
     def query(self, text, **kwargs):
         """One-shot convenience: ``connection.session().query(...)``."""

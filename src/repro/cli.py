@@ -238,7 +238,7 @@ def build_parser():
     )
     serve.add_argument(
         "--workers", type=int, default=4,
-        help="session worker threads (default 4)",
+        help="queries that run at once (default 4)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=64,

@@ -37,7 +37,7 @@ _SPAN_IDS = itertools.count(1)
 #: Stack of tracers currently inside :meth:`Tracer.run` (innermost last);
 #: :func:`active_span_id` reads it so log lines can carry the span id.
 #: Concurrent sessions each run their own tracer, so entry/exit mutations
-#: from the server's worker threads must serialize.
+#: from the server's request threads must serialize.
 _ACTIVE_TRACERS_LOCK = guard_lock("observe.trace._ACTIVE_TRACERS")
 _ACTIVE_TRACERS = shared_state(  # guarded-by: _ACTIVE_TRACERS_LOCK
     "observe.trace._ACTIVE_TRACERS", [], _ACTIVE_TRACERS_LOCK,

@@ -5,11 +5,12 @@ ROADMAP's north star is sustained concurrent traffic, where the shared
 buffer pool and tail latency become the measured quantities.  This
 package provides:
 
-* :mod:`repro.server.scheduler` — a thread-pool **session scheduler**
-  with admission control: a bounded queue in front of N worker threads,
-  explicit overload rejection (HTTP 429), per-query deadlines with
-  cooperative cancellation, and latency accounting (queue wait vs.
-  execution) in :class:`~repro.observe.metrics.Histogram` fields.
+* :mod:`repro.server.scheduler` — the **session scheduler**: admission
+  control that runs each query on its caller's thread, at most N at
+  once and the rest in arrival order, with explicit overload rejection
+  (HTTP 429), per-query deadlines with cooperative cancellation, and
+  latency accounting (slot wait vs. execution) in
+  :class:`~repro.observe.metrics.Histogram` fields.
 * :mod:`repro.server.http` — ``repro serve``: a stdlib HTTP front-end
   exposing the session API (`POST /v1/query`, session endpoints, JSON
   stats, Prometheus ``/metrics``) over one shared

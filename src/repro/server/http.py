@@ -1,24 +1,25 @@
 """``repro serve`` — the long-lived HTTP query front-end.
 
-Zero-dependency (stdlib :mod:`http.server`) so the container needs
-nothing new.  The request handler goes through :mod:`repro.api` — every
-query runs as ``Session.query`` on a session scheduler over one shared
-:class:`~repro.api.Connection`, so all clients contend for one buffer
+Zero-dependency (stdlib :mod:`http.server`).  The listener starts one
+thread per connection, and that thread runs its requests' queries itself,
+through the session scheduler, as ``Session.query`` on one shared
+:class:`~repro.api.Connection` — all clients contend for one buffer
 pool, exactly like sessions of a real database server.
 
 Wire protocol (JSON over HTTP):
 
 ``POST /v1/query``
-    Body ``{"query": "...", "timeout": seconds?, "workers": n?,
-    "lint": mode?, "session": id?}``.  200 with the
+    Body ``{"query": "...", "timeout"?, "workers"?, "lint"?, "mode"?,
+    "optimize"?, "scope"?, "session"?}``.  200 with the
     :meth:`repro.api.Result.to_dict` document plus wall-clock
-    ``queue_ms`` / ``exec_ms``; 408 on deadline expiry; 429 when the
-    admission queue is full; 400 on parse/plan errors and on a
-    ``timeout`` (finite, > 0), ``workers`` (integer >= 1) or ``lint``
-    mode out of range; 404 for a ``session`` that is not an open id.
+    ``queue_ms`` / ``exec_ms``; 408 on deadline expiry; 429 when
+    ``queue_depth`` requests already wait; 503 while draining; 400 on
+    parse/plan errors and on a ``timeout`` (finite, > 0), ``workers``
+    (integer >= 1), ``optimize`` (boolean) or ``lint`` mode out of range;
+    404 for a ``session`` that is not an open id.
 ``POST /v1/sessions`` / ``DELETE /v1/sessions/<id>``
-    Explicit session lifecycle (optional — anonymous queries run on a
-    per-worker session).  Sessions carry defaults: body may set
+    Explicit session lifecycle (optional — anonymous queries share the
+    scheduler's session).  Sessions carry defaults: body may set
     ``{"timeout": seconds, "lint": mode}`` (validated here: 400).
 ``GET /v1/stats``
     Scheduler + store counters as JSON.
@@ -29,13 +30,13 @@ Wire protocol (JSON over HTTP):
 ``GET /healthz``
     Liveness.
 
-A request body is read only when its ``Content-Length`` is an integer in
-``[0, MAX_BODY_BYTES]``: anything else is answered 400 (negative or not
-an integer) or 413 (too large) without reading, and the connection is
-closed since the body is still on it.
+A request body is read only when ``Content-Length`` is an integer in
+``[0, MAX_BODY_BYTES]`` and no ``Transfer-Encoding`` is set (else 400,
+413 or 411), and must arrive whole (else 400) without stalling for
+``BODY_TIMEOUT_S`` (else 408).  Each refusal closes the connection.
 
 Graceful shutdown (SIGINT/SIGTERM or :meth:`QueryServer.close`) stops
-admission first and drains in-flight queries before the listener exits.
+admission first and drains admitted queries before the listener exits.
 """
 
 import json
@@ -65,6 +66,10 @@ log = get_logger("server.http")
 #: Largest request body read.  The largest legitimate one — the 222-branch
 #: ``generate_vertical_sql`` text — is under 16 KB.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest wait for the next byte of a request body; a stalled body is
+#: answered 408 and its connection closed.
+BODY_TIMEOUT_S = 10.0
 
 
 class QueryServer:
@@ -205,32 +210,28 @@ class QueryServer:
             kwargs.update(
                 {k: v for k, v in defaults.items() if v is not None}
             )
-        for key in ("timeout", "lint", "mode", "scope", "workers"):
+        for key in ("timeout", "lint", "mode", "scope", "workers",
+                    "optimize"):
             if body.get(key) is not None:
                 kwargs[key] = body[key]
-        if body.get("optimize"):
-            kwargs["optimize"] = True
         try:
-            request = self.scheduler.submit(text, **kwargs)
-        except ServerOverloaded as exc:
-            return 429, {"error": str(exc)}
-        except SessionClosed as exc:
-            return 503, {"error": str(exc)}
-        except ReproError as exc:  # a timeout/workers value out of range
-            return 400, {"error": str(exc), "error_type": type(exc).__name__}
-        request.done.wait()
-        if request.error is not None:
-            return self._error_response(request)
-        document = request.result.to_dict()
-        document["queue_ms"] = round(request.queue_ms, 3)
-        document["exec_ms"] = round(request.exec_ms, 3)
-        if session_id is not None:
-            document["session"] = session_id
-        return 200, document
+            result, error, queue_ms, exec_ms = self.scheduler.run(
+                text, **kwargs
+            )
+        except ReproError as exc:  # refused at admission
+            return self._error_response(exc)
+        if error is not None:
+            status, document = self._error_response(error)
+        else:
+            status, document = 200, result.to_dict()
+            if session_id is not None:
+                document["session"] = session_id
+        document["queue_ms"] = round(queue_ms, 3)
+        document["exec_ms"] = round(exec_ms, 3)
+        return status, document
 
     @staticmethod
-    def _error_response(request):
-        error = request.error
+    def _error_response(error):
         if isinstance(error, QueryTimeout):
             status = 408
         elif isinstance(error, ServerOverloaded):
@@ -238,14 +239,10 @@ class QueryServer:
         elif isinstance(error, SessionClosed):
             status = 503
         else:
-            status = 400 if isinstance(error, ReproError) else 500
-        document = {
-            "error": str(error),
-            "error_type": type(error).__name__,
+            status = 400
+        return status, {
+            "error": str(error), "error_type": type(error).__name__,
         }
-        if request.queue_ms is not None:
-            document["queue_ms"] = round(request.queue_ms, 3)
-        return status, document
 
     def stats_document(self):
         store = self.connection.store
@@ -320,25 +317,42 @@ def _make_handler(server):
             payload = json.dumps(document, sort_keys=True).encode("utf-8")
             self._send(status, "application/json", payload)
 
+        def _refuse(self, status, error):
+            """Answer *error* and close the connection, whose body is not
+            fully read; returns ``None`` as :meth:`_read_body` does."""
+            self.close_connection = True
+            self._send_json(status, {"error": error})
+
         def _read_body(self):
             """The request's JSON object; ``None`` once an error has been
             answered instead."""
+            if "Transfer-Encoding" in self.headers:
+                return self._refuse(411, "Transfer-Encoding is not accepted; "
+                                         "send a Content-Length")
             try:
                 length = int(self.headers.get("Content-Length") or 0)
             except ValueError:
                 length = -1
-            if not 0 <= length <= MAX_BODY_BYTES:
-                # The body stays unread (a negative read would block until
-                # the client hangs up), so the connection cannot be reused.
-                self.close_connection = True
-                status, error = (
-                    (400, "Content-Length must be an integer >= 0")
-                    if length < 0
-                    else (413, f"request body over {MAX_BODY_BYTES} bytes")
-                )
-                self._send_json(status, {"error": error})
-                return None
-            raw = self.rfile.read(length) if length else b""
+            # Refused before reading: a negative read would block until
+            # the client hangs up.
+            if length < 0:
+                return self._refuse(400, "Content-Length must be an "
+                                         "integer >= 0")
+            if length > MAX_BODY_BYTES:
+                return self._refuse(413, "request body over "
+                                         f"{MAX_BODY_BYTES} bytes")
+            idle_timeout = self.connection.gettimeout()
+            self.connection.settimeout(BODY_TIMEOUT_S)
+            try:
+                raw = self.rfile.read(length)
+            except TimeoutError:
+                return self._refuse(408, "request body stalled for "
+                                         f"{BODY_TIMEOUT_S}s")
+            finally:
+                self.connection.settimeout(idle_timeout)
+            if len(raw) < length:
+                return self._refuse(400, "request body ended after "
+                                         f"{len(raw)} of {length} bytes")
             if not raw:
                 return {}
             try:

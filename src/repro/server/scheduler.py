@@ -1,32 +1,34 @@
-"""The session scheduler: bounded admission, worker threads, deadlines.
+"""The session scheduler: bounded admission, execution slots, deadlines.
 
-One :class:`SessionScheduler` fronts one :class:`repro.api.Connection`.
-Requests enter a **bounded** queue (`queue.Queue(maxsize=queue_depth)`);
-when it is full, :meth:`submit` raises
+One :class:`SessionScheduler` fronts one :class:`repro.api.Connection`
+and starts no thread: each query runs on the thread that calls
+:meth:`~SessionScheduler.execute` (for HTTP, the listener's
+per-connection thread).  At most ``workers`` admitted queries run at
+once; the rest wait for a slot and start in arrival order.  When
+``queue_depth`` requests already wait, a new one raises
 :class:`~repro.errors.ServerOverloaded` immediately — backpressure is
-explicit, never unbounded buffering.  N worker threads drain the queue,
-each through its own :class:`~repro.api.Session`; execution itself
-serializes on the connection's lock (the simulated engine is
-single-threaded), so concurrency shows up as *interleaving* at query
-granularity: queries contend for the shared buffer pool, and a request's
-latency decomposes into queue wait + execution.
+explicit, never unbounded buffering.  Execution serializes on the
+connection's lock (the simulated engine is single-threaded), so queries
+interleave at query granularity, contend for the shared buffer pool, and
+a request's latency decomposes into slot wait + execution.
 
-Deadlines are enforced twice: a request whose deadline passed while still
-queued is failed without ever touching the engine, and a request that
-starts executing arms the runtime's cooperative
-:class:`~repro.exec.cancel.CancellationToken` through
-``Session.query(timeout=...)``.
+Deadlines are enforced twice: a request whose deadline passes while it
+waits fails without ever touching the engine, and a running one arms the
+runtime's cooperative :class:`~repro.exec.cancel.CancellationToken`
+through ``Session.query(timeout=...)``.
 
 All accounting is a closed set of plain fields (admission and outcome
 counts, queue-wait / execution / total latency
-:class:`~repro.observe.metrics.Histogram` in milliseconds) mutated under
-one internal lock, once per event: admission, pick-up, completion.
-:meth:`SessionScheduler.samples` yields them as series for the Prometheus
-exporter and :meth:`SessionScheduler.stats` as the ``/v1/stats`` document.
+:class:`~repro.observe.metrics.Histogram` in milliseconds) under one
+lock, taken once to admit and start a request and once to finish it,
+which also hands the slot to the oldest waiter.  No lock is held while a
+query runs.  :meth:`SessionScheduler.samples` yields the fields as
+series for the Prometheus exporter, :meth:`SessionScheduler.stats` as
+the ``/v1/stats`` document.
 """
 
+import collections
 import math
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -62,7 +64,9 @@ def validate_timeout(timeout):
 class SchedulerConfig:
     """Tuning knobs for a :class:`SessionScheduler`."""
 
+    #: Admitted queries that run at once.
     workers: int = 4
+    #: Requests that may wait for a slot before admission answers 429.
     queue_depth: int = 64
     default_timeout: object = None  # seconds, None = no deadline
     #: Per-query degree-of-parallelism admission cap: a request asking for
@@ -79,37 +83,29 @@ class SchedulerConfig:
             raise ReproError("max_dop must be >= 1 (or None)")
 
 
-class _Request:
-    """One enqueued query plus its completion plumbing."""
+class _Turn(threading.Event):
+    """A request waiting for a slot.  ``granted`` is written under the
+    stats lock before the event is set; set without ``granted`` means
+    :meth:`SessionScheduler.shutdown` refused the request."""
 
-    __slots__ = ("text", "kwargs", "deadline", "enqueued_at", "done",
-                 "result", "error", "queue_ms", "exec_ms")
-
-    def __init__(self, text, kwargs, deadline):
-        self.text = text
-        self.kwargs = kwargs
-        self.deadline = deadline
-        self.enqueued_at = time.monotonic()
-        self.done = threading.Event()
-        self.result = None
-        self.error = None
-        self.queue_ms = None
-        self.exec_ms = None
+    granted = False
 
 
 class SessionScheduler:
-    """Thread-pool executor for queries against one shared connection."""
+    """Admission and execution slots for queries against one shared
+    connection, each run on its caller's thread."""
 
     def __init__(self, connection, config=None):
         self.connection = connection
         self.config = config or SchedulerConfig()
-        self._queue = queue.Queue(maxsize=self.config.queue_depth)
-        self._stats_lock = threading.Lock()
-        self._stopped = threading.Event()
-        # Admission tests the flag and enqueues under the lock shutdown()
-        # flips it under, so no request is enqueued behind the drain.
+        # Anonymous queries share it: a Session holds only defaults.
+        self._session = connection.session()
+        self._stats_lock = threading.Condition(threading.Lock())
+        # Admission tests the flag under the lock shutdown() flips it
+        # under, so no request is admitted behind the drain.
         self._accepting = True  # guarded-by: _stats_lock
         self._in_flight = 0  # guarded-by: _stats_lock
+        self._waiting = collections.deque()  # guarded-by: _stats_lock
         self._counts = {  # guarded-by: _stats_lock
             ("server.admission", "accepted"): 0,
             ("server.admission", "rejected"): 0,
@@ -122,135 +118,135 @@ class SessionScheduler:
             "server.execution_ms": Histogram(),
             "server.latency_ms": Histogram(),
         }
-        self._workers = []
-        for index in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-worker-{index}",
-                daemon=True,
-            )
-            self._workers.append(worker)
-        for worker in self._workers:
-            worker.start()
 
     # ------------------------------------------------------------------
-    # submission
+    # execution
     # ------------------------------------------------------------------
 
-    def submit(self, text, **kwargs):
-        """Enqueue a query; returns a :class:`_Request` handle.
+    def execute(self, text, **kwargs):
+        """Run a query on the calling thread once admitted; returns the
+        :class:`repro.api.Result` or raises the query's error.
 
-        Raises :class:`ServerOverloaded` when the admission queue is full,
-        :class:`SessionClosed` after :meth:`shutdown`, and a plain
-        :class:`ReproError` for a *timeout* or *workers* value that is not
-        a number in range (both arrive straight from request bodies).
+        Admission raises :class:`ServerOverloaded` when ``queue_depth``
+        requests already wait, :class:`SessionClosed` after
+        :meth:`shutdown`, and a plain :class:`ReproError` for a *timeout*,
+        *workers* or *optimize* value out of range.
         """
+        result, error, _queue_ms, _exec_ms = self.run(text, **kwargs)
+        if error is not None:
+            raise error
+        return result
+
+    def run(self, text, **kwargs):
+        """:meth:`execute`, returning ``(result, error, queue_ms,
+        exec_ms)``: a refusal raises, the query's own error is returned
+        beside its wall-clock slot wait and execution time."""
+        kwargs, deadline = self._admission_kwargs(kwargs)
+        arrived = time.monotonic()
+        turn = self._admit()
+        holds_slot = turn is None or self._await_slot(turn, deadline)
+        started = time.monotonic()
+        queue_ms = (started - arrived) * 1000.0
+        result = error = None
+        if not holds_slot or (deadline is not None and deadline <= started):
+            error = QueryTimeout(
+                f"query timed out while queued (waited {queue_ms:.1f}ms)"
+            )
+            outcome = "timeout"
+        else:
+            try:
+                result = self._session.query(
+                    text, timeout=None if deadline is None
+                    else deadline - started, **kwargs
+                )
+                outcome = "completed"
+            except QueryTimeout as exc:
+                error, outcome = exc, "timeout"
+            except ReproError as exc:
+                error, outcome = exc, "failed"
+            except Exception as exc:  # defensive: answer, never unwind
+                log.exception("query crashed on %r", text)
+                error = ReproError(f"internal error: {exc}")
+                outcome = "failed"
+        exec_ms = (time.monotonic() - started) * 1000.0
+        with self._stats_lock:
+            self._counts["server.queries", outcome] += 1
+            self._histograms["server.queue_wait_ms"].observe(queue_ms)
+            self._histograms["server.execution_ms"].observe(exec_ms)
+            self._histograms["server.latency_ms"].observe(queue_ms + exec_ms)
+            if holds_slot and self._waiting:  # in-flight stays
+                successor = self._waiting.popleft()
+                successor.granted = True
+                successor.set()
+            elif holds_slot:
+                self._in_flight -= 1
+                if not self._in_flight:
+                    self._stats_lock.notify_all()  # a drain may be waiting
+        return result, error, queue_ms, exec_ms
+
+    def _admit(self):
+        """Admit one request: ``None`` when it holds a slot now, else the
+        :class:`_Turn` it waits on."""
+        with self._stats_lock:
+            if not self._accepting:
+                raise SessionClosed("server is shutting down")
+            if self._in_flight < self.config.workers and not self._waiting:
+                turn = None
+                self._in_flight += 1
+            elif len(self._waiting) >= self.config.queue_depth:
+                self._counts["server.admission", "rejected"] += 1
+                raise ServerOverloaded(
+                    f"admission queue full ({self.config.queue_depth} "
+                    "pending); retry later"
+                )
+            else:
+                turn = _Turn()
+                self._waiting.append(turn)
+            self._counts["server.admission", "accepted"] += 1
+        return turn
+
+    def _admission_kwargs(self, kwargs):
+        """Validate the values a request body sets; returns the kwargs
+        for ``Session.query`` (``workers`` clamped to ``max_dop``) and the
+        absolute deadline, or ``None``."""
         timeout = kwargs.pop("timeout", None)
         if timeout is None:
             timeout = self.config.default_timeout
         else:
             validate_timeout(timeout)
+        optimize = kwargs.get("optimize", False)
+        if not isinstance(optimize, bool):
+            raise ReproError(
+                f"'optimize' must be a JSON boolean, got {optimize!r}"
+            )
         workers = kwargs.get("workers")
-        if workers is not None:
-            if not (_is_number(workers, int) and workers >= 1):
-                raise ReproError(
-                    f"'workers' must be an integer >= 1, got {workers!r}"
-                )
-            if self.config.max_dop is not None:
-                workers = min(workers, int(self.config.max_dop))
-            kwargs["workers"] = workers
-        elif self.config.max_dop is not None:
-            kwargs["workers"] = int(self.config.max_dop)
+        if workers is not None and not (
+            _is_number(workers, int) and workers >= 1
+        ):
+            raise ReproError(
+                f"'workers' must be an integer >= 1, got {workers!r}"
+            )
+        if self.config.max_dop is not None:
+            max_dop = int(self.config.max_dop)
+            kwargs["workers"] = min(workers or max_dop, max_dop)
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
-        request = _Request(text, kwargs, deadline)
+        return kwargs, deadline
+
+    def _await_slot(self, turn, deadline):
+        """Wait until *turn* holds a slot (``True``) or its deadline
+        passes first (``False``, and it has left the line)."""
+        turn.wait(
+            None if deadline is None else max(deadline - time.monotonic(), 0)
+        )
         with self._stats_lock:
-            if not self._accepting:
-                raise SessionClosed("server is shutting down")
-            try:
-                self._queue.put_nowait(request)
-            except queue.Full:
-                self._counts["server.admission", "rejected"] += 1
-                raise ServerOverloaded(
-                    f"admission queue full ({self.config.queue_depth} "
-                    "pending); retry later"
-                ) from None
-            self._counts["server.admission", "accepted"] += 1
-        return request
-
-    def execute(self, text, **kwargs):
-        """Submit and wait; returns the :class:`repro.api.Result` or
-        raises the query's error (including :class:`QueryTimeout`)."""
-        request = self.submit(text, **kwargs)
-        request.done.wait()
-        if request.error is not None:
-            raise request.error
-        return request.result
-
-    # ------------------------------------------------------------------
-    # worker loop
-    # ------------------------------------------------------------------
-
-    def _worker_loop(self):
-        session = self.connection.session()
-        while True:
-            try:
-                request = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stopped.is_set():
-                    return
-                continue
-            with self._stats_lock:
-                self._in_flight += 1
-            try:
-                self._run_request(session, request)
-            finally:
-                self._queue.task_done()
-
-    def _run_request(self, session, request):
-        started = time.monotonic()
-        request.queue_ms = (started - request.enqueued_at) * 1000.0
-        remaining = None
-        if request.deadline is not None:
-            remaining = request.deadline - started
-            if remaining <= 0:
-                request.error = QueryTimeout(
-                    "query timed out while queued "
-                    f"(waited {request.queue_ms:.1f}ms)"
-                )
-                self._finish(request, started, "timeout")
-                return
-        try:
-            request.result = session.query(
-                request.text, timeout=remaining, **request.kwargs
-            )
-            outcome = "completed"
-        except QueryTimeout as exc:
-            request.error = exc
-            outcome = "timeout"
-        except ReproError as exc:
-            request.error = exc
-            outcome = "failed"
-        except Exception as exc:  # defensive: never kill a worker
-            log.exception("worker crashed on %r", request.text)
-            request.error = ReproError(f"internal error: {exc}")
-            outcome = "failed"
-        self._finish(request, started, outcome)
-
-    def _finish(self, request, started, outcome):
-        """Book *outcome* and wake the waiter; a worker is in flight until
-        its request is booked, so the two move in one acquisition."""
-        finished = time.monotonic()
-        request.exec_ms = (finished - started) * 1000.0
-        total_ms = (finished - request.enqueued_at) * 1000.0
-        with self._stats_lock:
-            self._in_flight -= 1
-            self._counts["server.queries", outcome] += 1
-            self._histograms["server.queue_wait_ms"].observe(request.queue_ms)
-            self._histograms["server.execution_ms"].observe(request.exec_ms)
-            self._histograms["server.latency_ms"].observe(total_ms)
-        request.done.set()
+            if turn.granted:
+                return True
+            if turn.is_set():
+                raise SessionClosed("server shut down")
+            self._waiting.remove(turn)
+        return False
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
@@ -270,7 +266,9 @@ class SessionScheduler:
                 for name, histogram in self._histograms.items()
                 if histogram.count
             ]
-        samples.append(("gauge", "server.queue_depth", {}, self._queue.qsize()))
+            samples.append(
+                ("gauge", "server.queue_depth", {}, len(self._waiting))
+            )
         return samples
 
     def stats(self):
@@ -286,7 +284,7 @@ class SessionScheduler:
                 name = f"{name}{{{inner}}}"
             snapshot[sections[kind]][name] = value
         snapshot["live"] = {
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": len(self._waiting),
             "in_flight": self._in_flight,
             "workers": self.config.workers,
             "queue_capacity": self.config.queue_depth,
@@ -301,25 +299,17 @@ class SessionScheduler:
             return self._histograms["server.latency_ms"].summary()
 
     def shutdown(self, drain=True, timeout=30.0):
-        """Stop the scheduler.
+        """Stop admission, then wait up to *timeout* seconds until nothing
+        waits or runs.
 
-        With ``drain=True`` (graceful), admission closes first, every
-        already-accepted query runs to completion, then workers exit.
-        With ``drain=False``, queued-but-unstarted requests are failed
-        with :class:`SessionClosed`.
+        With ``drain=True`` (graceful) every admitted query runs to
+        completion.  With ``drain=False`` requests still waiting for a
+        slot fail with :class:`SessionClosed`; running ones finish.
         """
         with self._stats_lock:
             self._accepting = False
-        if not drain:
-            while True:
-                try:
-                    request = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                request.error = SessionClosed("server shut down")
-                request.done.set()
-                self._queue.task_done()
-        self._queue.join()
-        self._stopped.set()
-        for worker in self._workers:
-            worker.join(timeout=timeout)
+            if not drain:
+                while self._waiting:
+                    self._waiting.popleft().set()
+            # Requests wait only while every slot is taken.
+            self._stats_lock.wait_for(lambda: not self._in_flight, timeout)

@@ -6,6 +6,7 @@ and the single-use (bind-once) token contract.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -122,19 +123,41 @@ class TestConcurrentTimeouts:
         scheduler = SessionScheduler(
             connection, SchedulerConfig(workers=1, queue_depth=8)
         )
+        outcomes = {}
+
+        def execute(name, **kwargs):
+            try:
+                outcomes[name] = scheduler.execute(name, **kwargs)
+            except QueryTimeout as exc:
+                outcomes[name] = exc
+
+        def live(key):
+            return scheduler.stats()["live"][key]
+
+        def wait_for(key):
+            deadline = time.monotonic() + 10
+            while not live(key):
+                assert time.monotonic() < deadline, key
+                time.sleep(0.002)
+
         try:
-            # Park the single worker by holding the execution lock so the
-            # doomed request's deadline expires before it is dequeued.
+            # Hold the execution lock so the one slot stays taken and the
+            # doomed request's deadline expires while it waits for it.
             with connection._exec_lock:
-                blocker = scheduler.submit("q1")
-                doomed = scheduler.submit("q2", timeout=0.05)
-                doomed.done.wait(timeout=0)
-                threading.Event().wait(0.2)
-            assert blocker.done.wait(timeout=60)
-            assert doomed.done.wait(timeout=60)
-            assert blocker.error is None
-            assert isinstance(doomed.error, QueryTimeout)
-            assert "while queued" in str(doomed.error)
+                blocker = threading.Thread(target=execute, args=("q1",))
+                blocker.start()
+                wait_for("in_flight")
+                doomed = threading.Thread(
+                    target=execute, args=("q2",), kwargs={"timeout": 0.05}
+                )
+                doomed.start()
+                doomed.join(timeout=10)
+                assert not doomed.is_alive()
+            blocker.join(timeout=60)
+            assert not blocker.is_alive()
+            assert outcomes["q1"].n_rows > 0
+            assert isinstance(outcomes["q2"], QueryTimeout)
+            assert "while queued" in str(outcomes["q2"])
         finally:
             scheduler.shutdown()
 

@@ -233,6 +233,7 @@ class TestInstanceFields:
         assert annotated == {
             "SessionScheduler._accepting": "_stats_lock",
             "SessionScheduler._in_flight": "_stats_lock",
+            "SessionScheduler._waiting": "_stats_lock",
             "SessionScheduler._counts": "_stats_lock",
             "SessionScheduler._histograms": "_stats_lock",
             "_Collector.report": "lock",

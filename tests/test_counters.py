@@ -176,7 +176,10 @@ class TestCoverage:
             scheduler.execute("q1")
 
             def audited_summary(histogram):
-                held.append(scheduler._stats_lock.locked())
+                free = scheduler._stats_lock.acquire(blocking=False)
+                if free:
+                    scheduler._stats_lock.release()
+                held.append(not free)
                 return summary(histogram)
 
             monkeypatch.setattr(Histogram, "summary", audited_summary)

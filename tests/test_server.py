@@ -8,7 +8,9 @@ direct ``Session.query`` execution.
 """
 
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -65,6 +67,54 @@ def post_query(url, body):
         return exc.code, json.loads(exc.read())
 
 
+def wait_until(predicate, timeout=10.0):
+    """Poll *predicate* until it holds; fail the test after *timeout* s."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def live(scheduler):
+    return scheduler.stats()["live"]
+
+
+class Caller(threading.Thread):
+    """One ``scheduler.execute`` call on a thread of its own, as the
+    listener runs each HTTP request."""
+
+    def __init__(self, scheduler, text, **kwargs):
+        super().__init__(daemon=True)
+        self.call = lambda: scheduler.execute(text, **kwargs)
+        self.result = self.error = None
+        self.start()
+
+    def run(self):
+        try:
+            self.result = self.call()
+        except ReproError as exc:
+            self.error = exc
+
+    def outcome(self, timeout=60):
+        """The call's error type name, or ``"ok"``, once it returned."""
+        self.join(timeout)
+        assert not self.is_alive(), "execute() never returned"
+        return "ok" if self.error is None else type(self.error).__name__
+
+
+def record_engine_calls(scheduler, monkeypatch):
+    """The texts that reach ``Session.query``, in the order they do."""
+    started = []
+    query = scheduler._session.query
+
+    def recording(text, **kwargs):
+        started.append(text)
+        return query(text, **kwargs)
+
+    monkeypatch.setattr(scheduler._session, "query", recording)
+    return started
+
+
 # ---------------------------------------------------------------------------
 # the session scheduler
 # ---------------------------------------------------------------------------
@@ -85,16 +135,15 @@ class TestSessionScheduler:
             SchedulerConfig(workers=4, queue_depth=64),
         )
         try:
-            requests = [
-                scheduler.submit(name)
+            callers = [
+                Caller(scheduler, name)
                 for name in ("q1", "q2", "q3", "q5", "q1", "q2") * 4
             ]
-            for request in requests:
-                assert request.done.wait(timeout=60)
-                assert request.error is None
+            assert [c.outcome() for c in callers] == ["ok"] * len(callers)
             stats = scheduler.stats()
             completed = stats["counters"]["server.queries{outcome=completed}"]
-            assert completed == len(requests)
+            assert completed == len(callers)
+            assert stats["live"]["in_flight"] == 0
         finally:
             scheduler.shutdown()
 
@@ -104,45 +153,67 @@ class TestSessionScheduler:
             connection, SchedulerConfig(workers=1, queue_depth=2)
         )
         try:
-            # Park the single worker by holding the execution lock, so
-            # submissions pile up deterministically.
+            # Hold the execution lock: the first request takes the one
+            # slot and blocks in the engine, the next two wait for it.
             with connection._exec_lock:
-                first = scheduler.submit("q1")   # worker picks this up
-                # Let the worker dequeue the first request before filling
-                # the queue behind it.
-                deadline = threading.Event()
-                for _ in range(100):
-                    if scheduler._queue.qsize() == 0:
-                        break
-                    deadline.wait(0.01)
-                queued = [scheduler.submit("q1"), scheduler.submit("q1")]
+                first = Caller(scheduler, "q1")
+                wait_until(lambda: live(scheduler)["in_flight"] == 1)
+                queued = []
+                for depth in (1, 2):
+                    queued.append(Caller(scheduler, "q1"))
+                    wait_until(
+                        lambda: live(scheduler)["queue_depth"] == depth
+                    )
                 with pytest.raises(ServerOverloaded, match="queue full"):
-                    scheduler.submit("q1")
-            for request in [first] + queued:
-                assert request.done.wait(timeout=60)
-                assert request.error is None
+                    scheduler.execute("q1")
+            for caller in [first] + queued:
+                assert caller.outcome() == "ok"
             stats = scheduler.stats()
             assert stats["counters"]["server.admission{outcome=rejected}"] == 1
             assert stats["counters"]["server.admission{outcome=accepted}"] == 3
         finally:
             scheduler.shutdown()
 
-    def test_deadline_expired_while_queued(self, dataset):
+    def test_waiting_requests_start_in_arrival_order(self, dataset,
+                                                      monkeypatch):
         connection = fresh_connection(dataset)
         scheduler = SessionScheduler(
             connection, SchedulerConfig(workers=1, queue_depth=8)
         )
+        started = record_engine_calls(scheduler, monkeypatch)
         try:
             with connection._exec_lock:
-                blocker = scheduler.submit("q1")
-                doomed = scheduler.submit("q2", timeout=0.05)
-                # Hold the lock well past the doomed request's deadline.
-                doomed.done.wait(timeout=0)
-                threading.Event().wait(0.2)
-            assert blocker.done.wait(timeout=60)
-            assert doomed.done.wait(timeout=60)
-            assert isinstance(doomed.error, QueryTimeout)
+                callers = [Caller(scheduler, "q1")]
+                wait_until(lambda: live(scheduler)["in_flight"] == 1)
+                for depth, name in enumerate(("q2", "q3", "q5"), 1):
+                    callers.append(Caller(scheduler, name))
+                    wait_until(
+                        lambda: live(scheduler)["queue_depth"] == depth
+                    )
+            assert [c.outcome() for c in callers] == ["ok"] * 4
+            assert started == ["q1", "q2", "q3", "q5"]
+        finally:
+            scheduler.shutdown()
+
+    def test_deadline_expired_while_queued(self, dataset, monkeypatch):
+        connection = fresh_connection(dataset)
+        scheduler = SessionScheduler(
+            connection, SchedulerConfig(workers=1, queue_depth=8)
+        )
+        started = record_engine_calls(scheduler, monkeypatch)
+        try:
+            with connection._exec_lock:
+                blocker = Caller(scheduler, "q1")
+                wait_until(lambda: live(scheduler)["in_flight"] == 1)
+                doomed = Caller(scheduler, "q2", timeout=0.05)
+                # It fails at its deadline, while the slot is still taken.
+                assert doomed.outcome(timeout=10) == "QueryTimeout"
+                assert live(scheduler)["queue_depth"] == 0
+            assert blocker.outcome() == "ok"
             assert "while queued" in str(doomed.error)
+            assert started == ["q1"]  # the engine never saw q2
+            stats = scheduler.stats()
+            assert stats["counters"]["server.queries{outcome=timeout}"] == 1
         finally:
             scheduler.shutdown()
 
@@ -160,93 +231,90 @@ class TestSessionScheduler:
             scheduler.shutdown()
 
     def test_graceful_shutdown_drains_in_flight(self, dataset):
+        connection = fresh_connection(dataset)
         scheduler = SessionScheduler(
-            fresh_connection(dataset),
-            SchedulerConfig(workers=2, queue_depth=32),
+            connection, SchedulerConfig(workers=2, queue_depth=32)
         )
-        requests = [scheduler.submit("q1") for _ in range(10)]
-        scheduler.shutdown(drain=True)
-        for request in requests:
-            assert request.done.is_set()
-            assert request.error is None
-        with pytest.raises(SessionClosed):
-            scheduler.submit("q1")
+        shutdown = threading.Thread(target=scheduler.shutdown)
+        with connection._exec_lock:
+            callers = [Caller(scheduler, "q1") for _ in range(10)]
+            wait_until(lambda: live(scheduler)["queue_depth"] == 8)
+            shutdown.start()
+            wait_until(lambda: not live(scheduler)["accepting"])
+            with pytest.raises(SessionClosed):
+                scheduler.execute("q1")
+            assert shutdown.is_alive()  # it waits for the admitted ten
+        shutdown.join(timeout=60)
+        assert not shutdown.is_alive()
+        assert [c.outcome() for c in callers] == ["ok"] * 10
+        assert live(scheduler)["in_flight"] == 0
 
     def test_non_drain_shutdown_fails_queued(self, dataset):
         connection = fresh_connection(dataset)
         scheduler = SessionScheduler(
             connection, SchedulerConfig(workers=1, queue_depth=32)
         )
+        shutdown = threading.Thread(
+            target=scheduler.shutdown, kwargs={"drain": False}
+        )
         with connection._exec_lock:
-            requests = [scheduler.submit("q1") for _ in range(6)]
-            scheduler._accepting = False
-            # fail everything still queued, then release the lock
-            shutdown = threading.Thread(
-                target=scheduler.shutdown, kwargs={"drain": False}
-            )
+            running = Caller(scheduler, "q1")
+            wait_until(lambda: live(scheduler)["in_flight"] == 1)
+            waiting = [Caller(scheduler, "q1") for _ in range(5)]
+            wait_until(lambda: live(scheduler)["queue_depth"] == 5)
             shutdown.start()
-            for _ in range(100):
-                if sum(1 for r in requests if r.done.is_set()) >= 4:
-                    break
-                threading.Event().wait(0.01)
+            # Failed while the running request still holds the slot.
+            outcomes = [c.outcome(timeout=10) for c in waiting]
         shutdown.join(timeout=30)
-        outcomes = [
-            type(r.error).__name__ if r.error else "ok" for r in requests
-        ]
-        assert outcomes.count("SessionClosed") >= 4
-        assert all(o in ("ok", "SessionClosed") for o in outcomes)
+        assert not shutdown.is_alive()
+        assert outcomes == ["SessionClosed"] * 5
+        assert running.outcome() == "ok"
 
     def test_submit_racing_shutdown_never_strands_a_request(self, dataset):
-        """Admission passed, then the drain ran to completion before the
-        enqueue: the request sat in a queue nobody reads and its waiter
-        hung.  Whatever ``submit`` returns must end in a result or
-        ``SessionClosed``."""
-        scheduler = SessionScheduler(
-            fresh_connection(dataset), SchedulerConfig(workers=1)
-        )
-        shutdown = threading.Thread(target=scheduler.shutdown)
-        enqueue = scheduler._queue.put_nowait
-
-        def shutdown_first(request):
-            # Between the admission check and the enqueue.  Bounded: once
-            # the two are atomic, shutdown() waits for this very call.
-            shutdown.start()
-            shutdown.join(timeout=0.5)
-            enqueue(request)
-
-        scheduler._queue.put_nowait = shutdown_first
+        """Requests arriving while a shutdown runs, with the interpreter
+        switching threads every few microseconds: each ends in a result
+        or ``SessionClosed``, and the shutdown returns."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            request = scheduler.submit("q1")
-        except SessionClosed:
-            request = None
-        shutdown.join(timeout=60)
-        assert not shutdown.is_alive()
-        if request is not None:
-            assert request.done.wait(timeout=10), "request was stranded"
-            assert request.error is None or isinstance(
-                request.error, SessionClosed
-            )
+            for drain in (True, False):
+                scheduler = SessionScheduler(
+                    fresh_connection(dataset),
+                    SchedulerConfig(workers=2, queue_depth=64),
+                )
+                callers = [Caller(scheduler, "q1") for _ in range(4)]
+                shutdown = threading.Thread(
+                    target=scheduler.shutdown, kwargs={"drain": drain}
+                )
+                shutdown.start()
+                callers += [Caller(scheduler, "q1") for _ in range(4)]
+                shutdown.join(timeout=60)
+                assert not shutdown.is_alive()
+                assert {c.outcome() for c in callers} <= {
+                    "ok", "SessionClosed"
+                }
+                assert live(scheduler)["in_flight"] == 0
+                assert live(scheduler)["queue_depth"] == 0
+        finally:
+            sys.setswitchinterval(interval)
 
-    def test_a_request_takes_the_stats_lock_at_most_three_times(self, dataset):
-        class CountingLock:
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.acquisitions = 0
+    def test_a_request_takes_the_stats_lock_at_most_twice(self, dataset):
+        class CountingCondition(threading.Condition):
+            acquisitions = 0
 
             def __enter__(self):
-                self.lock.acquire()
+                entered = super().__enter__()
                 self.acquisitions += 1  # under the lock it counts
-
-            def __exit__(self, *exc):
-                self.lock.release()
+                return entered
 
         scheduler = SessionScheduler(fresh_connection(dataset))
-        counting = scheduler._stats_lock = CountingLock()
+        counting = scheduler._stats_lock = CountingCondition(
+            threading.Lock()
+        )
         try:
             scheduler.execute("q1")
-            scheduler._queue.join()  # the worker is back in its loop
-            # Admission, pick-up by a worker, completion.
-            assert counting.acquisitions <= 3
+            # Admission with start, completion.
+            assert counting.acquisitions <= 2
             stats = scheduler.stats()
             assert stats["counters"] == {
                 "server.admission{outcome=accepted}": 1,
@@ -355,7 +423,7 @@ class TestQueryServer:
                 ("workers", "abc"), ("workers", [2]), ("workers", 2.5),
                 ("workers", 0), ("workers", True),
                 ("timeout", "soon"), ("timeout", [1]), ("timeout", 0),
-                ("timeout", -1),
+                ("timeout", -1), ("optimize", "no"), ("optimize", 1),
             ]:
                 status, document = post({"query": "q1", field: value})
                 assert status == 400, (field, value, document)
@@ -682,17 +750,99 @@ class TestQueryServer:
         assert summary["p95"] is not None
 
     def test_graceful_close_drains(self, dataset):
+        connection = fresh_connection(dataset)
+        instance = serve(
+            connection, port=0, workers=2, queue_depth=32, background=True,
+        )
+        close = threading.Thread(target=instance.close)
+        with connection._exec_lock:
+            callers = [Caller(instance.scheduler, "q1") for _ in range(8)]
+            wait_until(lambda: live(instance.scheduler)["queue_depth"] == 6)
+            close.start()
+            wait_until(lambda: not live(instance.scheduler)["accepting"])
+        close.join(timeout=60)
+        assert not close.is_alive()
+        assert [c.outcome() for c in callers] == ["ok"] * 8
+        # idempotent
+        instance.close()
+
+    def test_idle_server_holds_only_the_listener_thread(self, dataset):
+        before = set(threading.enumerate())
+        with serve(
+            fresh_connection(dataset), port=0, workers=4, background=True
+        ):
+            added = set(threading.enumerate()) - before
+            assert [thread.name for thread in added] == ["repro-http"]
+
+    def test_close_returns_the_thread_count_to_baseline(
+            self, dataset, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)  # no morsel lanes
+        baseline = set(threading.enumerate())
         instance = serve(
             fresh_connection(dataset), port=0, workers=2, queue_depth=32,
             background=True,
         )
-        requests = [instance.scheduler.submit("q1") for _ in range(8)]
+        statuses = []
+
+        def client():
+            statuses.append(post_query(instance.address, {"query": "q1"})[0])
+
+        clients = [threading.Thread(target=client) for _ in range(24)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         instance.close()
-        for request in requests:
-            assert request.done.is_set()
-            assert request.error is None
-        # idempotent
-        instance.close()
+        assert statuses == [200] * 24
+        # Handler threads exit once their client hangs up; threads of
+        # earlier tests may exit meanwhile, so no more than the baseline.
+        wait_until(lambda: set(threading.enumerate()) <= baseline)
+
+    @pytest.mark.parametrize("head, body, half_close, status, error", [
+        # Once a JSON 400, then the chunk bytes answered as a second
+        # request with an HTML 400.
+        ("Transfer-Encoding: chunked", b'e\r\n{"query":"q1"}\r\n0\r\n\r\n',
+         False, 411, "Transfer-Encoding"),
+        # A body shorter than its Content-Length once ran the query.
+        ("Content-Length: 100", b'{"query":"q1"}', True, 400,
+         "ended after 14 of 100 bytes"),
+        # ... and without the half-close held its thread indefinitely.
+        ("Content-Length: 100", b'{"query":"q1"}', False, 408, "stalled"),
+    ], ids=["chunked", "truncated", "stalled"])
+    def test_a_body_that_is_not_whole_gets_one_answer(
+            self, server, monkeypatch, head, body, half_close, status,
+            error):
+        import socket
+        from urllib.parse import urlsplit
+
+        import repro.server.http as http_module
+
+        monkeypatch.setattr(http_module, "BODY_TIMEOUT_S", 0.2)
+        address = urlsplit(server.address)
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=5
+        ) as raw:
+            started = time.monotonic()
+            raw.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: test\r\n"
+                + head.encode() + b"\r\n\r\n" + body
+            )
+            if half_close:
+                raw.shutdown(socket.SHUT_WR)
+            answer = b""
+            while chunk := raw.recv(65536):  # until the server closes
+                answer += chunk
+            assert time.monotonic() - started < 2.0
+        assert answer.count(b"HTTP/1.1 ") == 1, answer
+        status_line, _, payload = answer.partition(b"\r\n\r\n")
+        assert status_line.startswith(f"HTTP/1.1 {status} ".encode()), (
+            status_line
+        )
+        assert error in json.loads(payload)["error"]
+        assert "server.queries{outcome=completed}" not in (
+            server.scheduler.stats()["counters"]
+        )
 
     def test_server_is_context_manager(self, dataset):
         with serve(
@@ -725,18 +875,14 @@ class TestExternalDocuments:
             connection, port=0, workers=1, queue_depth=1, background=True
         ) as server:
             scheduler = server.scheduler
-            with connection._exec_lock:  # park the one worker
-                running = scheduler.submit("q1")
-                for _ in range(500):
-                    if scheduler._queue.qsize() == 0:
-                        break
-                    threading.Event().wait(0.01)
-                queued = scheduler.submit("q2")
+            with connection._exec_lock:  # hold the one slot in the engine
+                running = Caller(scheduler, "q1")
+                wait_until(lambda: live(scheduler)["in_flight"] == 1)
+                queued = Caller(scheduler, "q2")
+                wait_until(lambda: live(scheduler)["queue_depth"] == 1)
                 with pytest.raises(ServerOverloaded):
-                    scheduler.submit("q3")
-            for request in (running, queued):
-                assert request.done.wait(timeout=60)
-                assert request.error is None
+                    scheduler.execute("q3")
+            assert running.outcome() == queued.outcome() == "ok"
             scheduler.execute("q1")
             with pytest.raises(ReproError):
                 scheduler.execute("SELECT nonsense FROM nowhere")
