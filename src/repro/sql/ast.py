@@ -29,7 +29,7 @@ class StringLit:
     value: str
 
     def sql(self):
-        return f"'{self.value}'"
+        return "'" + self.value.replace("'", "''") + "'"
 
 
 @dataclass(frozen=True)
@@ -193,4 +193,11 @@ class UnionStmt:
 
 
 def _indent(text, prefix="  "):
-    return "\n".join(prefix + line for line in text.splitlines())
+    """*text* with *prefix* at the start of every line that does not start
+    inside a string literal.  Quotes pair up (``''`` is two), so the
+    even-numbered pieces between them are the text outside literals."""
+    pieces = text.split("'")
+    pieces[::2] = [
+        piece.replace("\n", "\n" + prefix) for piece in pieces[::2]
+    ]
+    return prefix + "'".join(pieces)

@@ -189,7 +189,8 @@ class _Rewriter:
             _branch(ast.StringLit(prop), table, "obj")
             for prop, table in zip(properties, tables)
         )
-        catalog.derived["sql.union_subquery"] = (inputs, subquery)
+        # The third slot is the planner's: its template-union verdicts.
+        catalog.derived["sql.union_subquery"] = (inputs, subquery, {})
         return subquery
 
 

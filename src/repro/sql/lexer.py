@@ -1,4 +1,21 @@
-"""SQL lexer for the benchmark subset."""
+"""SQL lexer for the benchmark subset: one regular-expression scan.
+
+:func:`scan` is what the parser reads: the token kinds and values as two
+flat lists ending with ``EOF``.  One compiled pattern finds every token
+(and every ``--`` comment, which the scan drops), skipping blanks
+itself, so no Python code runs per character and no object is built per
+token.  A token's line and column are worked out only when something
+asks (:func:`positions`, from the same pattern): a raised
+:class:`~repro.errors.SQLError`, or :func:`tokenize`, the positioned
+token list.
+
+A string literal runs from ``'`` to the next lone ``'``; inside it SQL's
+doubled quote ``''`` stands for one ``'``.
+"""
+
+import re
+from itertools import compress, count
+from operator import not_
 
 from repro.errors import SQLError
 
@@ -24,6 +41,104 @@ SYMBOLS = {
     ";": "SEMI",
 }
 
+#: Blanks, then one token (group 1): a word with an ASCII start, a
+#: symbol (two characters before one), a literal, a run of decimal
+#: digits (``\d`` is ``str.isdecimal``: what ``int`` reads), a word with
+#: any other start (``\w`` is ``str.isalnum`` or ``_``; the start must
+#: be a letter, checked in :func:`scan`), a ``--`` comment (dropped by
+#: :func:`scan`: tried only where nothing else fits, it costs the common
+#: token nothing), any other character (an error), or the empty end of
+#: the text.  The token alternative always matches, so the skipped blanks
+#: are never backtracked into.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]*
+    ( [A-Za-z_]\w*
+    | != | <> | >= | <= | [(),*.=<>;]
+    | '[^']*(?:''[^']*)*'
+    | \d+
+    | \w+
+    | --[^\n]*
+    | .
+    | \Z )
+""", re.VERBOSE | re.DOTALL)
+
+#: Kind by token text, for the tokens whose text is their value.
+_KINDS = dict(SYMBOLS, **{keyword: keyword for keyword in KEYWORDS})
+
+
+def scan(text):
+    """``(kinds, values)``: *text*'s tokens as two lists ending with EOF.
+
+    A keyword's kind and value are its upper-case spelling, an
+    identifier's kind is ``IDENT``, a literal's value its text between
+    the quotes, a number's value an ``int``, EOF's value None.
+    """
+    values = _TOKEN.findall(text)
+    del values[values.index(""):]  # the first empty token is the end
+    if "--" in text:
+        values = [token for token in values if token[:2] != "--"]
+    # Symbols and upper-case keywords are looked up in one C loop; the
+    # rest (identifiers, literals, numbers, errors) are classified here.
+    kinds = list(map(_KINDS.get, values))
+    for index in compress(count(), map(not_, kinds)):
+        token = values[index]
+        first = token[0]
+        if first.isalpha() or first == "_":
+            upper = token.upper()
+            if upper in KEYWORDS:
+                kinds[index] = values[index] = upper
+            else:
+                kinds[index] = "IDENT"
+        elif first == "'":
+            if len(token) == 1:
+                raise SQLError("unterminated string literal",
+                               *position(text, index))
+            kinds[index] = "STRING"
+            values[index] = token[1:-1].replace("''", "'")
+        elif first.isdecimal():
+            kinds[index] = "NUMBER"
+            values[index] = int(token)
+        else:
+            raise SQLError(f"unexpected character {first!r}",
+                           *position(text, index))
+    kinds.append("EOF")
+    values.append(None)
+    return kinds, values
+
+
+def positions(text, stop=None):
+    """``(line, column)`` of *text*'s tokens, EOF's last — or of tokens
+    0 to *stop*.  Columns count characters from 1; a tab is one.  EOF
+    sits where a comment that ends the text starts, and one column past
+    the end when a one-character symbol ends it (the positions errors at
+    the end have always reported)."""
+    found = []
+    line, line_start, previous, token = 1, 0, 0, ""
+    for match in _TOKEN.finditer(text):
+        offset = match.start(1)
+        end = offset == match.end(1)
+        if end and previous + len(token) == offset:
+            if token[:2] == "--":
+                offset = previous
+            elif len(token) == 1 and token in SYMBOLS:
+                offset += 1
+        newlines = text.count("\n", previous, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", previous, offset) + 1
+        previous, token = offset, match.group(1)
+        if token[:2] == "--":
+            continue
+        found.append((line, offset - line_start + 1))
+        if end or len(found) - 1 == stop:
+            break
+    return found
+
+
+def position(text, index):
+    """``(line, column)`` of token *index* of *text* (EOF included)."""
+    return positions(text, index)[index]
+
 
 class Token:
     __slots__ = ("kind", "value", "line", "column")
@@ -39,73 +154,10 @@ class Token:
 
 
 def tokenize(text):
-    """Tokenize SQL text, returning a list ending with an EOF token."""
-    tokens = []
-    line, column = 1, 1
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = length if end < 0 else end
-            continue
-        if ch == "'":
-            end = text.find("'", i + 1)
-            if end < 0:
-                raise SQLError("unterminated string literal", line, column)
-            tokens.append(Token("STRING", text[i + 1 : end], line, column))
-            newlines = text.count("\n", i, end)
-            if newlines:
-                line += newlines
-                column = end - text.rfind("\n", i, end) + 1
-            else:
-                column += end - i + 1
-            i = end + 1
-            continue
-        # Not isdigit(): that also accepts superscripts and the like, which
-        # int() rejects.
-        if ch.isdecimal():
-            end = i
-            while end < length and text[end].isdecimal():
-                end += 1
-            tokens.append(Token("NUMBER", int(text[i:end]), line, column))
-            column += end - i
-            i = end
-            continue
-        if ch.isalpha() or ch == "_":
-            end = i
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[i:end]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(upper, upper, line, column))
-            else:
-                tokens.append(Token("IDENT", word, line, column))
-            column += end - i
-            i = end
-            continue
-        two = text[i : i + 2]
-        if two in SYMBOLS:
-            tokens.append(Token(SYMBOLS[two], two, line, column))
-            i += 2
-            column += 2
-            continue
-        if ch in SYMBOLS:
-            tokens.append(Token(SYMBOLS[ch], ch, line, column))
-            i += 1
-            column += 1
-            continue
-        raise SQLError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("EOF", None, line, column))
-    return tokens
+    """Tokenize SQL text, returning a list of positioned :class:`Token`
+    objects ending with an EOF token."""
+    kinds, values = scan(text)
+    return [
+        Token(kind, value, line, column)
+        for kind, value, (line, column) in zip(kinds, values, positions(text))
+    ]

@@ -1,8 +1,16 @@
-"""Recursive-descent parser for the benchmark SQL subset."""
+"""Recursive-descent parser for the benchmark SQL subset.
+
+The parser walks the scan's flat kind and value lists
+(:func:`repro.sql.lexer.scan`) with an index.  The rules compare kinds
+inline (:meth:`_Parser.expect` serves the rarer clauses) — a generated
+union repeats the union chain, the select list and the FROM list once
+per property — and a token's line and column are worked out only for an
+error.
+"""
 
 from repro.errors import SQLError
 from repro.sql import ast
-from repro.sql.lexer import tokenize
+from repro.sql.lexer import position, scan
 
 
 _COMPARISON_OPERATORS = {"EQ": "=", "NE": "!=", "GT": ">", "LT": "<",
@@ -11,53 +19,48 @@ _COMPARISON_OPERATORS = {"EQ": "=", "NE": "!=", "GT": ">", "LT": "<",
 
 def parse_sql(text):
     """Parse SQL text into a :class:`SelectStmt` or :class:`UnionStmt`."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     stmt = parser.parse_query()
-    parser.accept("SEMI")
+    if parser.kinds[parser.pos] == "SEMI":
+        parser.pos += 1
     parser.expect("EOF")
     return stmt
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    # The kind list ends with an EOF that is never consumed (no rule
+    # steps past a kind it has not compared), so ``kinds[pos]`` — and
+    # ``kinds[pos + 1]`` after any kind but EOF — always exists.
+
+    def __init__(self, text):
+        self.text = text
+        self.kinds, self.values = scan(text)
         self.pos = 0
+        # AST nodes are immutable, so one parse builds each column
+        # reference, and each unaliased select item over one, once: a
+        # union's branches repeat them.
+        self.columns = {}
+        self.column_items = {}
 
-    # ------------------------------------------------------------------
-    # token plumbing
-    # ------------------------------------------------------------------
+    def error(self, message, index):
+        return SQLError(message, *position(self.text, index))
 
-    # The token list ends with an EOF token that is never consumed, so
-    # ``tokens[pos]`` always exists: no bounds check per token.
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        if token.kind != "EOF":
-            self.pos += 1
-        return token
-
-    def accept(self, kind):
-        token = self.tokens[self.pos]
-        if token.kind != kind:
-            return None
-        if kind != "EOF":
-            self.pos += 1
-        return token
+    def expected(self, kind, index):
+        return self.error(
+            f"expected {kind}, found {self.kinds[index]} "
+            f"({self.values[index]!r})",
+            index,
+        )
 
     def expect(self, kind):
-        token = self.tokens[self.pos]
-        if token.kind != kind:
-            raise SQLError(
-                f"expected {kind}, found {token.kind} ({token.value!r})",
-                token.line,
-                token.column,
-            )
+        """The value of the token at ``pos``, which must be a *kind*;
+        moves past it (but never past EOF)."""
+        index = self.pos
+        if self.kinds[index] != kind:
+            raise self.expected(kind, index)
         if kind != "EOF":
-            self.pos += 1
-        return token
+            self.pos = index + 1
+        return self.values[index]
 
     # ------------------------------------------------------------------
     # grammar
@@ -66,152 +69,213 @@ class _Parser:
     def parse_query(self):
         """query := term (UNION [ALL] term)*"""
         first = self.parse_term()
-        selects = [first]
-        all_flags = []
-        while self.accept("UNION"):
-            all_flags.append(self.accept("ALL") is not None)
-            selects.append(self.parse_term())
-        if len(selects) == 1:
+        kinds = self.kinds
+        if kinds[self.pos] != "UNION":
             return first
-        if len(set(all_flags)) > 1:
-            raise SQLError("mixing UNION and UNION ALL is not supported")
-        return ast.UnionStmt(tuple(selects), all=all_flags[0])
+        selects = [first]
+        union_all = kinds[self.pos + 1] == "ALL"
+        mixed = None  # the first UNION that differs from the first
+        while kinds[self.pos] == "UNION":
+            index = self.pos + 1
+            if kinds[index] == "ALL":
+                self.pos = index + 1
+                if not union_all and mixed is None:
+                    mixed = index - 1
+            else:
+                self.pos = index
+                if union_all and mixed is None:
+                    mixed = index - 1
+            selects.append(self.parse_term())
+        if mixed is not None:
+            raise self.error(
+                "mixing UNION and UNION ALL is not supported", mixed
+            )
+        return ast.UnionStmt(tuple(selects), all=union_all)
 
     def parse_term(self):
         """term := '(' query ')' | select_stmt"""
-        if self.peek().kind == "LPAREN":
-            self.expect("LPAREN")
-            query = self.parse_query()
-            self.expect("RPAREN")
-            return query
-        return self.parse_select()
+        if self.kinds[self.pos] != "LPAREN":
+            return self.parse_select()
+        self.pos += 1
+        query = self.parse_query()
+        index = self.pos
+        if self.kinds[index] != "RPAREN":
+            raise self.expected("RPAREN", index)
+        self.pos = index + 1
+        return query
 
     def parse_select(self):
-        self.expect("SELECT")
-        distinct = self.accept("DISTINCT") is not None
+        kinds = self.kinds
+        index = self.pos
+        if kinds[index] != "SELECT":
+            raise self.expected("SELECT", index)
+        distinct = kinds[index + 1] == "DISTINCT"
+        self.pos = index + 1 + distinct
         items = [self.parse_select_item()]
-        while self.accept("COMMA"):
+        while kinds[self.pos] == "COMMA":
+            self.pos += 1
             items.append(self.parse_select_item())
-        self.expect("FROM")
+        index = self.pos
+        if kinds[index] != "FROM":
+            raise self.expected("FROM", index)
+        self.pos = index + 1
         from_items = [self.parse_from_item()]
-        while self.accept("COMMA"):
+        while kinds[self.pos] == "COMMA":
+            self.pos += 1
             from_items.append(self.parse_from_item())
         where = ()
-        if self.accept("WHERE"):
+        if kinds[self.pos] == "WHERE":
+            self.pos += 1
             conditions = [self.parse_condition()]
-            while self.accept("AND"):
+            while kinds[self.pos] == "AND":
+                self.pos += 1
                 conditions.append(self.parse_condition())
             where = tuple(conditions)
         group_by = ()
-        if self.accept("GROUP"):
+        if kinds[self.pos] == "GROUP":
+            self.pos += 1
             self.expect("BY")
             columns = [self.parse_column()]
-            while self.accept("COMMA"):
+            while kinds[self.pos] == "COMMA":
+                self.pos += 1
                 columns.append(self.parse_column())
             group_by = tuple(columns)
         having = None
-        if self.accept("HAVING"):
+        if kinds[self.pos] == "HAVING":
+            self.pos += 1
             having = self.parse_condition()
         order_by = ()
-        if self.accept("ORDER"):
+        if kinds[self.pos] == "ORDER":
+            self.pos += 1
             self.expect("BY")
             order_items = [self.parse_order_item()]
-            while self.accept("COMMA"):
+            while kinds[self.pos] == "COMMA":
+                self.pos += 1
                 order_items.append(self.parse_order_item())
             order_by = tuple(order_items)
         limit = None
-        if self.accept("LIMIT"):
-            limit = self.expect("NUMBER").value
-        return ast.SelectStmt(
-            items=tuple(items),
-            from_items=tuple(from_items),
-            where=where,
-            group_by=group_by,
-            having=having,
-            distinct=distinct,
-            order_by=order_by,
-            limit=limit,
-        )
+        if kinds[self.pos] == "LIMIT":
+            self.pos += 1
+            limit = self.expect("NUMBER")
+        return ast.SelectStmt(tuple(items), tuple(from_items), where,
+                              group_by, having, distinct, order_by, limit)
 
     def parse_order_item(self):
-        if self.peek().kind == "COUNT":
+        kinds = self.kinds
+        if kinds[self.pos] == "COUNT":
             # ORDER BY count(*) — refer to the aggregate output column.
-            self.advance()
-            if self.accept("LPAREN"):
+            self.pos += 1
+            if kinds[self.pos] == "LPAREN":
+                self.pos += 1
                 self.expect("STAR")
                 self.expect("RPAREN")
             column = ast.ColumnRef(None, "count")
         else:
             column = self.parse_column()
         direction = "asc"
-        if self.accept("DESC"):
+        if kinds[self.pos] == "DESC":
+            self.pos += 1
             direction = "desc"
-        elif self.accept("ASC"):
-            direction = "asc"
+        elif kinds[self.pos] == "ASC":
+            self.pos += 1
         return ast.OrderItem(column, direction)
 
     def parse_select_item(self):
         expr = self.parse_expr()
-        alias = None
-        if self.accept("AS"):
-            alias = self.expect("IDENT").value
-        elif self.peek().kind == "IDENT":
-            alias = self.advance().value
-        return ast.SelectItem(expr, alias)
+        kinds = self.kinds
+        index = self.pos
+        kind = kinds[index]
+        if kind == "AS":
+            index += 1
+            if kinds[index] != "IDENT":
+                raise self.expected("IDENT", index)
+        elif kind != "IDENT":
+            if type(expr) is not ast.ColumnRef:
+                return ast.SelectItem(expr)
+            item = self.column_items.get(id(expr))
+            if item is None:
+                item = self.column_items[id(expr)] = ast.SelectItem(expr)
+            return item
+        self.pos = index + 1
+        return ast.SelectItem(expr, self.values[index])
 
     def parse_expr(self):
-        token = self.peek()
-        if token.kind == "COUNT":
-            self.advance()
+        index = self.pos
+        kind = self.kinds[index]
+        if kind == "IDENT":
+            return self.parse_column()
+        if kind == "STRING":
+            self.pos = index + 1
+            return ast.StringLit(self.values[index])
+        if kind == "NUMBER":
+            self.pos = index + 1
+            return ast.NumberLit(self.values[index])
+        if kind == "COUNT":
+            self.pos = index + 1
             self.expect("LPAREN")
             self.expect("STAR")
             self.expect("RPAREN")
             return ast.CountStar()
-        if token.kind in ("MIN", "MAX"):
-            self.advance()
+        if kind in ("MIN", "MAX"):
+            self.pos = index + 1
             self.expect("LPAREN")
             column = self.parse_column()
             self.expect("RPAREN")
-            return ast.AggregateCall(token.kind.lower(), column)
-        if token.kind == "STRING":
-            self.advance()
-            return ast.StringLit(token.value)
-        if token.kind == "NUMBER":
-            self.advance()
-            return ast.NumberLit(token.value)
-        return self.parse_column()
+            return ast.AggregateCall(kind.lower(), column)
+        raise self.expected("IDENT", index)
 
     def parse_column(self):
-        name = self.expect("IDENT").value
-        if self.accept("DOT"):
-            return ast.ColumnRef(name, self.expect("IDENT").value)
-        return ast.ColumnRef(None, name)
+        kinds, values = self.kinds, self.values
+        index = self.pos
+        if kinds[index] != "IDENT":
+            raise self.expected("IDENT", index)
+        if kinds[index + 1] != "DOT":
+            self.pos = index + 1
+            key = values[index]
+        elif kinds[index + 2] != "IDENT":
+            raise self.expected("IDENT", index + 2)
+        else:
+            self.pos = index + 3
+            key = values[index], values[index + 2]
+        column = self.columns.get(key)
+        if column is None:
+            column = self.columns[key] = (
+                ast.ColumnRef(*key) if type(key) is tuple
+                else ast.ColumnRef(None, key)
+            )
+        return column
 
     def parse_from_item(self):
-        if self.peek().kind == "LPAREN":
-            self.expect("LPAREN")
+        kinds, values = self.kinds, self.values
+        index = self.pos
+        kind = kinds[index]
+        if kind == "LPAREN":
+            self.pos = index + 1
             query = self.parse_query()
             self.expect("RPAREN")
-            self.accept("AS")
-            alias = self.expect("IDENT").value
-            return ast.FromSubquery(query, alias)
-        table = self.expect("IDENT").value
-        alias = None
-        if self.accept("AS"):
-            alias = self.expect("IDENT").value
-        elif self.peek().kind == "IDENT":
-            alias = self.advance().value
-        return ast.FromTable(table, alias)
+            if kinds[self.pos] == "AS":
+                self.pos += 1
+            return ast.FromSubquery(query, self.expect("IDENT"))
+        if kind != "IDENT":
+            raise self.expected("IDENT", index)
+        kind = kinds[index + 1]
+        if kind == "IDENT":
+            self.pos = index + 2
+            return ast.FromTable(values[index], values[index + 1])
+        if kind != "AS":
+            self.pos = index + 1
+            return ast.FromTable(values[index])
+        self.pos = index + 2
+        return ast.FromTable(values[index], self.expect("IDENT"))
 
     def parse_condition(self):
         left = self.parse_expr()
-        token = self.peek()
-        if token.kind not in _COMPARISON_OPERATORS:
-            raise SQLError(
-                f"expected comparison operator, found {token.kind}",
-                token.line,
-                token.column,
+        index = self.pos
+        kind = self.kinds[index]
+        op = _COMPARISON_OPERATORS.get(kind)
+        if op is None:
+            raise self.error(
+                f"expected comparison operator, found {kind}", index
             )
-        self.advance()
-        right = self.parse_expr()
-        return ast.Condition(left, _COMPARISON_OPERATORS[token.kind], right)
+        self.pos = index + 1
+        return ast.Condition(left, op, self.parse_expr())

@@ -21,6 +21,8 @@ property union) is planned once: the first SELECT's plan is the template
 of a :class:`~repro.plan.logical.Union` with one binding per SELECT.
 """
 
+from operator import attrgetter
+
 from repro.errors import PlanError, SQLError
 from repro.plan import (
     ColumnComparison,
@@ -90,23 +92,51 @@ class _Planner:
         """Plan *statement*; for a FROM subquery bound as *alias*,
         *columns* names each select item's output (None drops it)."""
         if isinstance(statement, ast.UnionStmt):
-            union = self._template_union(statement, columns, alias)
+            selects = statement.selects
+            inputs = [self.plan(selects[0], columns, alias and f"{alias}0")]
+            union = self._template_union(statement, inputs[0], columns, alias)
             if union is not None:
                 return union
-            inputs = [
+            inputs += [
                 self.plan(s, columns, alias and f"{alias}{i}")
-                for i, s in enumerate(statement.selects)
+                for i, s in enumerate(selects) if i
             ]
             return Union(inputs, distinct=not statement.all)
         if isinstance(statement, ast.SelectStmt):
             return self._plan_select(statement, columns, alias)
         raise SQLError(f"cannot plan {type(statement).__name__}")
 
-    def _template_union(self, statement, columns, alias):
-        """*statement* planned as a template union, or None unless every
-        SELECT equals the first up to its one FROM table and its one
-        string literal (and no column is qualified, so a table name
-        cannot change what a column resolves to)."""
+    def _template_union(self, statement, template, columns, alias):
+        """*statement* planned as a union over *template*, its first
+        SELECT's plan, or None unless every SELECT equals the first up
+        to its one FROM table and its one string literal (and no column
+        is qualified, so a table name cannot change what a column
+        resolves to).
+
+        The generator's kept union (:func:`repro.sql.generator.place`)
+        is the same statement for every query over one catalog, so its
+        verdict — the bindings, or None — is kept beside it, keyed on
+        everything the check reads: the schema, *columns* and *alias*.
+        """
+        kept = self.catalog.derived.get("sql.union_subquery")
+        verdicts = kept[2] if kept is not None and kept[1] is statement else {}
+        key = (columns if columns is None else tuple(columns), alias)
+        verdict = verdicts.get(key)
+        if verdict is None or verdict[0] != self.schema:
+            bindings = self._template_bindings(statement, template, alias)
+            verdict = verdicts[key] = (self.schema, bindings)
+        bindings = verdict[1]
+        if bindings is None:
+            return None
+        try:
+            return Union(distinct=not statement.all, template=template,
+                         bindings=bindings)
+        except PlanError:
+            return None  # a shape a union template cannot take
+
+    def _template_bindings(self, statement, template, alias):
+        """The ``(table, alias, value)`` bindings of *statement* as a
+        union over *template*, or None when it is not one."""
         selects = statement.selects
         first = selects[0]
         if len(selects) < 2 or not all(
@@ -152,18 +182,11 @@ class _Planner:
             aliases = [f"{alias}{i}" for i in range(len(selects))]
         else:
             aliases = [own_alias or table for table in tables]
-        template = self.plan(first, columns, alias and f"{alias}0")
-        try:
-            if any(type(n) is Extend for n in template_chain(template)):
-                values = [self.catalog.encode(value) for value in values]
-            else:
-                values = [None] * len(selects)
-            return Union(
-                distinct=not statement.all, template=template,
-                bindings=zip(tables, aliases, values),
-            )
-        except PlanError:
-            return None  # a shape a union template cannot take
+        if any(type(n) is Extend for n in template_chain(template)):
+            values = [self.catalog.encode(value) for value in values]
+        else:
+            values = [None] * len(selects)
+        return tuple(zip(tables, aliases, values))
 
     # ------------------------------------------------------------------
     # SELECT
@@ -276,17 +299,16 @@ class _Planner:
         """FROM subquery *name*, narrowed to the *references* unless a
         DISTINCT compares every column.  ORDER BY resolves output names,
         so such a subquery is re-aliased by a Project on top instead."""
-        parts = list(_parts(query))
-        if any(getattr(part, "order_by", ()) for part in parts):
+        unions, selects = _parts(query)
+        if any(map(attrgetter("order_by"), selects)):
             sub = self.plan(query)
             mapping = [(f"{name}.{out}", out) for out in sub.output_columns()]
             return Project(sub, mapping)
         names = _output_names(query)
         wanted = references.get(name, set()) | references.get(None, set())
-        if not wanted.intersection(names) or any(
-            not part.all if isinstance(part, ast.UnionStmt) else part.distinct
-            for part in parts
-        ):
+        if (not wanted.intersection(names)
+                or not all(map(attrgetter("all"), unions))
+                or any(map(attrgetter("distinct"), selects))):
             wanted = names
         columns = [f"{name}.{n}" if n in wanted else None for n in names]
         return self.plan(query, columns, name)
@@ -523,18 +545,25 @@ def _unbound_parts(select):
 
 
 def _parts(statement):
-    """A query's UNIONs and SELECTs, pre-order."""
-    yield statement
-    if isinstance(statement, ast.UnionStmt):
-        for select in statement.selects:
-            yield from _parts(select)
+    """A query's UNIONs and its SELECTs, as two lists."""
+    unions, selects, stack = [], [], [statement]
+    while stack:
+        part = stack.pop()
+        if type(part) is ast.UnionStmt:
+            unions.append(part)
+            stack.extend(part.selects)
+        else:
+            selects.append(part)
+    return unions, selects
 
 
 def _output_names(statement):
     """Output column names (a UNION's are its first SELECT's).  SQL
     permits duplicates (``B.obj, C.obj``); relations do not, so a repeat
     gets a numeric suffix."""
-    first = next(p for p in _parts(statement) if isinstance(p, ast.SelectStmt))
+    first = statement
+    while type(first) is ast.UnionStmt:
+        first = first.selects[0]
     names = []
     for item in first.items:
         name = item.output_name()

@@ -23,7 +23,7 @@ from repro.queries import ALL_QUERY_NAMES, reference_answer
 from repro.rowstore import RowStoreEngine
 from repro.sparql import parse_sparql
 from repro.sparql.executor import sparql_plan
-from repro.sql import APPENDIX_SQL, plan_sql
+from repro.sql import APPENDIX_SQL, generate_vertical_sql, plan_sql
 from repro.storage import (
     build_property_table_store,
     build_triple_store,
@@ -270,3 +270,42 @@ def test_a_disconnected_bgp_is_a_plan_error(cells):
     for _, _, catalog in cells:
         with pytest.raises(PlanError, match="not connected"):
             bgp_plan(catalog, patterns)
+
+
+#: Terms with a quote in them, and the SQL that names them (``''`` is
+#: one quote in a SQL literal).
+QUOTED = [
+    Triple("<s0>", "<p'q>", "<o'2>"),
+    Triple("<s1>", "<p'q>", "<o1>"),
+    Triple("<s1>", "<p>", "<o'2>"),
+    Triple("<s2>", "<p>", "<o1>"),
+]
+QUOTED_TEXTS = [
+    ("SELECT ?s ?o WHERE { ?s <p'q> ?o }",
+     "SELECT A.subj, A.obj FROM triples AS A WHERE A.prop = '<p''q>'"),
+    ("SELECT ?s ?p WHERE { ?s ?p <o'2> }",
+     "SELECT A.subj, A.prop FROM triples AS A WHERE A.obj = '<o''2>'"),
+    ("SELECT ?p ?o WHERE { <s1> ?p ?o }",
+     "SELECT A.prop, A.obj FROM triples AS A WHERE A.subj = '<s1>'"),
+]
+
+
+@pytest.mark.parametrize("sparql, sql", QUOTED_TEXTS)
+def test_a_quote_in_a_term_answers_the_same_through_every_front_end(
+    sparql, sql
+):
+    """SPARQL, triple-schema SQL and — on the vertical scheme — the
+    generated text (whose property union carries ``'<p''q>'``) agree on
+    every scheme and engine."""
+    answers_by_cell = {}
+    for label, engine, catalog in deploy(QUOTED, ["<p'q>"]):
+        via_sparql = run_text(engine, catalog, sparql)
+        assert run_text(engine, catalog, sql) == via_sparql, label
+        if catalog.is_vertical():
+            generated = generate_vertical_sql(sql, catalog)
+            assert run_text(engine, catalog, generated) == via_sparql, label
+        answers_by_cell[label] = via_sparql
+    answers = list(answers_by_cell.values())
+    assert answers[0] and all(got == answers[0] for got in answers), (
+        answers_by_cell
+    )

@@ -14,12 +14,15 @@ import sys
 
 import pytest
 
-from repro.analysis import lint_plan
+from repro.analysis import lint_plan, plan_lint
 from repro.colstore import ColumnStoreEngine
 from repro.exec import engine_ops, lower_plan
 from repro.model.triple import Triple
 from repro.plan import logical as L
+from repro.plan.render import render_plan
 from repro.rowstore import RowStoreEngine
+from repro.sparql import parse_sparql
+from repro.sparql.executor import sparql_plan
 from repro.sql import generate_vertical_sql, parse_sql, plan_sql
 from repro.storage import build_vertical_store
 
@@ -97,6 +100,34 @@ def test_calls_grow_linearly_with_the_property_count(deployments):
         calls[n_properties] = counter.calls
     assert calls[200] / calls[100] <= 2.2, calls
     assert calls[100] / calls[50] <= 2.2, calls
+
+
+def test_parsing_a_union_makes_few_calls_per_branch(deployments):
+    """The scan runs no Python per token and the parser compares kinds
+    inline: a branch costs its AST nodes and a few rule calls."""
+    _, catalog = deployments[200]
+    text = generate_vertical_sql(DESCRIBE, catalog)
+    with CallCounter() as counter:
+        parse_sql(text)
+    assert counter.calls <= 30 * 200, counter.calls
+
+
+def test_a_second_describe_reuses_the_kept_union_verdict(
+    deployments, monkeypatch
+):
+    """SPARQL describes on one catalog plan the generator's kept union:
+    its template check and constant encoding run once, not per query."""
+    monkeypatch.setattr(plan_lint, "_lint_mode", "off")
+    _, catalog = deployments[200]
+    query = parse_sparql("SELECT ?p ?o WHERE { <s0> ?p ?o }")
+    first, _ = sparql_plan(catalog, query)
+    with CallCounter() as counter:
+        again, _ = sparql_plan(catalog, query)
+    assert counter.calls <= 1000, counter.calls
+    assert again is not first
+    assert render_plan(again, max_union_branches=sys.maxsize) == render_plan(
+        first, max_union_branches=sys.maxsize
+    )
 
 
 def test_lint_and_lowering_read_the_union_once(deployments):
