@@ -46,6 +46,7 @@ from repro.exec.registry import (
     matches,
 )
 from repro.exec.runtime import Intermediate
+from repro.lru import LruCache
 from repro.observe.trace import wall_now
 from repro.plan import logical as L
 from repro.plan.predicates import is_column_comparison
@@ -820,10 +821,15 @@ def having(rt, pnode, needed):
 #: selection as :func:`_split_predicates` splits it (both empty: none).
 _Branch = namedtuple("_Branch", "table fetch_cols sources fill prefix residual")
 
-#: A run of consecutive canonical branches, resolved: *charges* holds, in
-#: branch order, a plain branch's :func:`_whole_column` entries and a
-#: selecting branch itself, charged from its data-plane result.
-_CanonicalRun = namedtuple("_CanonicalRun", "branches charges")
+#: A run of consecutive canonical branches, resolved.  *charges* holds, in
+#: branch order, a selecting branch itself (charged from its data-plane
+#: result) and, per stretch of plain branches between them, the tuple of
+#: their :func:`_whole_column` entries (one ``BufferPool.read_spans``
+#: pass).  *outputs* is the serial data plane of an all-plain run whose
+#: branches share one *sources*: per kept output, one call that builds it
+#: — an ``np.concatenate`` of the branches' column arrays, or an
+#: ``np.repeat`` of their Extend fills by their table lengths — else None.
+_CanonicalRun = namedtuple("_CanonicalRun", "branches charges outputs")
 
 #: What ``vector-union`` resolves once per lowered node and keeps in
 #: ``PhysicalPlan.prepared``: the kept output positions and names for the
@@ -831,8 +837,15 @@ _CanonicalRun = namedtuple("_CanonicalRun", "branches charges")
 #: or the child nodes of a run of branches of any other shape.  It holds
 #: little per branch on purpose, and only tuples: 64 lowered plans of 222
 #: branches stay cached, and every container they keep alive is one more
-#: for each full garbage collection to walk.
+#: for each full garbage collection to walk.  A template union's plan is
+#: also memoised per catalog (:func:`_union_memo`), so every describe
+#: shares one.
 _UnionPlan = namedtuple("_UnionPlan", "needed keep out_keys runs")
+
+#: How many template-union plans one runtime memoises (LRU): a plan's key
+#: holds its selection's constants, so a stream of distinct selecting
+#: templates must not grow the memo without bound.
+UNION_MEMO_SIZE = 64
 
 
 def _canonical_shape(child, keep):
@@ -921,6 +934,13 @@ def _union_range(branches, n_out):
     return [_merge(parts) for parts in outputs], scans
 
 
+def _plain_range(outputs):
+    """Data plane of an all-plain run on one range: each kept output
+    built in one call (:attr:`_CanonicalRun.outputs`); nothing to
+    replay per branch."""
+    return [build() for build in outputs], ()
+
+
 def _whole_column(rt, table, column):
     """What a whole-column read of *column* charges: ``(segment, page
     spans, compressed-read note or None, scan CPU seconds)``, resolved
@@ -941,38 +961,51 @@ def _whole_column(rt, table, column):
     return charge
 
 
-def _branch_charges(rt, branch):
-    """The :class:`_CanonicalRun` charge entries of one branch: what a
-    whole-table ``scan`` of its fetched columns charges, in that order —
-    or, for a selecting branch, the branch itself."""
-    if branch.prefix or branch.residual:
-        return (branch,)
-    table = branch.table
-    if not table.n_rows:
-        return ()
-    return [_whole_column(rt, table, column) for column in branch.fetch_cols]
+def _union_memo(rt):
+    """This runtime's template-union plans (an LRU in ``rt.resolved``, so
+    a catalog change drops it with everything else read from the
+    catalog)."""
+    memo = rt.resolved.get("unions")
+    if memo is None:
+        memo = rt.resolved["unions"] = LruCache(UNION_MEMO_SIZE)
+    return memo
 
 
 def _resolve_union(rt, pnode, needed):
     """The :class:`_UnionPlan` of a lowered union under *needed*.  A
-    template union resolves its template's shape once and binds each
-    branch from its binding: a table lookup and an Extend fill."""
+    template union resolves its template's shape and binds each branch
+    from its binding — a table lookup and an Extend fill — once per
+    catalog: every later union of the same bindings, outputs and template
+    shape shares the memoised plan."""
     node = pnode.logical
     out_names = node._columns
-    keep = [i for i, name in enumerate(out_names) if name in needed] or [0]
+    keep = tuple(
+        i for i, name in enumerate(out_names) if name in needed
+    ) or (0,)
+    out_keys = tuple(out_names[i] for i in keep)
+    needed = frozenset(needed)
     intern = {}.setdefault
     if node.template is not None:
         shape = _canonical_shape(node.template, keep)
         if shape is not None:
-            splits = {}
-            branches = [
-                _canonical_branch(rt, shape, table, value, intern, splits)
-                for table, _, value in node.bindings
-            ]
-            return _UnionPlan(
-                frozenset(needed), keep, [out_names[i] for i in keep],
-                [_canonical_run(rt, branches)],
+            scan_node, predicates = shape[:2]
+            key = (
+                node.bindings, keep, out_keys, needed, scan_node.alias,
+                tuple(predicates), *shape[2:],
             )
+            memo = _union_memo(rt)
+            plan = memo.get(key)
+            if plan is None:
+                splits = {}
+                branches = [
+                    _canonical_branch(rt, shape, table, value, intern, splits)
+                    for table, _, value in node.bindings
+                ]
+                plan = _UnionPlan(
+                    needed, keep, out_keys, (_canonical_run(rt, branches),)
+                )
+                memo.put(key, plan)
+            return plan
     resolved = []
     for child in pnode.children:
         shape = _canonical_shape(child.logical, keep)
@@ -992,16 +1025,54 @@ def _resolve_union(rt, pnode, needed):
             runs.append(_canonical_run(rt, [branch for branch, _ in run]))
         else:
             runs.append(tuple(child for _, child in run))
-    return _UnionPlan(
-        frozenset(needed), keep, [out_names[i] for i in keep], runs
-    )
+    return _UnionPlan(needed, keep, out_keys, tuple(runs))
 
 
 def _canonical_run(rt, branches):
-    return _CanonicalRun(branches, [
-        charge for branch in branches
-        for charge in _branch_charges(rt, branch)
-    ])
+    """The :class:`_CanonicalRun` of *branches*: consecutive plain
+    branches' whole-column charges gathered into one batch, and the
+    one-call outputs when every branch is plain."""
+    charges, batch = [], []
+    for branch in branches:
+        if branch.prefix or branch.residual:
+            if batch:
+                charges.append(tuple(batch))
+                batch = []
+            charges.append(branch)
+        elif branch.table.n_rows:
+            batch.extend(
+                _whole_column(rt, branch.table, column)
+                for column in branch.fetch_cols
+            )
+    if batch:
+        charges.append(tuple(batch))
+    return _CanonicalRun(
+        tuple(branches), tuple(charges), _plain_outputs(branches)
+    )
+
+
+def _plain_outputs(branches):
+    """:attr:`_CanonicalRun.outputs` of *branches*, or None unless all
+    are plain and share one *sources*."""
+    sources = branches[0].sources
+    if any(
+        branch.prefix or branch.residual or branch.sources != sources
+        for branch in branches
+    ):
+        return None
+    outputs = []
+    for source in sources:
+        if source is None:
+            fills = np.array([b.fill for b in branches], dtype=np.int64)
+            lengths = np.array(
+                [b.table.n_rows for b in branches], dtype=np.int64
+            )
+            outputs.append(partial(np.repeat, fills, lengths))
+        else:
+            outputs.append(partial(np.concatenate, tuple(
+                b.table.array(b.fetch_cols[source]) for b in branches
+            )))
+    return tuple(outputs)
 
 
 def _extend_value(branch):
@@ -1013,37 +1084,38 @@ def _extend_value(branch):
 def _canonical_branches(rt, run, n_out):
     """Evaluate consecutive canonical branches without generic dispatch
     (the operator machinery costs more wall-clock than 222 small arrays):
-    evaluated in morsel-sized groups, charged in branch order with the
-    buffer reads and clock charges the generic operators would make — a
+    evaluated in morsel-sized groups — or, serially, an all-plain run in
+    one call per output — and charged in branch order with the buffer
+    reads and clock charges the generic operators would make, a
     selecting branch exactly what its fused ``scan+select`` would.
     Returns the per-group output blocks."""
     branches = run.branches
 
     def replay(results):
-        read_span, charge_cpu = rt.pool.read_span, rt.clock.cpu_log()
+        read_spans, charge_cpu = rt.pool.read_spans, rt.clock.cpu_log()
+        note = partial(_note_compressed_read, rt)
         scans = iter([scan for _, group in results for scan in group])
         for charge in run.charges:
-            if type(charge) is _Branch:
-                table = charge.table
-                lo, hi, probes, stages = next(scans)
-                for probe in probes:
-                    _probe(rt, table, *probe)
-                _replay_scan(
-                    rt, table, charge.residual, charge.fetch_cols, lo, hi,
-                    stages,
-                )
+            if type(charge) is not _Branch:
+                read_spans(charge, charge_cpu, note)
                 continue
-            segment, spans, note, cpu = charge
-            for span in spans:
-                read_span(segment, *span)
-            if note is not None:
-                _note_compressed_read(rt, *note)
-            charge_cpu(cpu)
+            table = charge.table
+            lo, hi, probes, stages = next(scans)
+            for probe in probes:
+                _probe(rt, table, *probe)
+            _replay_scan(
+                rt, table, charge.residual, charge.fetch_cols, lo, hi, stages,
+            )
         return [block for block, _ in results]
 
-    groups, group_rows = [branches], [None]  # one range: rows unused
     rows = _morsel_rows(rt)
-    if rows is not None:
+    if rows is None:
+        if run.outputs is not None:
+            return _run_ranges(
+                rt, _plain_range, [(run.outputs,)], [None], replay,
+            )
+        groups, group_rows = [branches], [None]  # one range: rows unused
+    else:
         # Deterministic grouping: depends only on branch order and static
         # table sizes, never on the worker count.
         groups, group_rows = [[]], [0]

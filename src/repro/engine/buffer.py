@@ -6,6 +6,10 @@ which pages are missing, groups contiguous misses into disk requests, splits
 requests at the engine's request-size cap, and charges the query clock.
 Residency is kept per page *extent* (:class:`_ExtentLru`), so a read costs
 interval arithmetic over the runs it touches, not a walk over its pages.
+A batch of resolved whole-column reads (the plain branches of a union)
+is one :meth:`BufferPool.read_spans` pass: a read of exactly one resident
+extent is re-queued in line, anything else is a :meth:`BufferPool.read_span`
+at its own position, and the pool ends as one read per span would leave it.
 
 The request-size cap is how the paper's C-Store finding is reproduced: an
 engine that issues small synchronous requests pays the per-request latency
@@ -305,6 +309,51 @@ class BufferPool:
                     break
                 spare -= run_end - run_start
         return self._account(segment, hits, miss_runs, evictions, False)
+
+    def read_spans(self, entries, cpu_log, note):
+        """:meth:`read_span` over a batch of resolved whole-column reads,
+        in order: *entries* are ``(segment, spans, noted, cpu)``; after an
+        entry's spans, *noted* (when not None) goes to ``note(*noted)``
+        and *cpu* to the clock's pending log through *cpu_log*.
+
+        A span that is exactly one resident extent — every read of a warm
+        union — is re-queued in line and its hits are counted here, in one
+        add per batch; any other span is a :meth:`read_span` at its own
+        position, so a miss charges its I/O after exactly the CPU logged
+        before it.  Pool, clock and trace end byte-identical to one
+        :meth:`read_span` per span, and each span is one read in
+        ``account_calls``."""
+        tracer = self.tracer
+        if tracer.enabled:
+            # The span's counters in the order a first read opens them.
+            tracer.current_add(page_hits=0, page_misses=0, disk_requests=0)
+        lru = self._lru
+        starts, extents, head = lru.starts, lru.extents, lru.head
+        hits = requeued = 0
+        for segment, spans, noted, cpu in entries:
+            for start, end in spans:
+                index = bisect_left(starts, start)
+                if index < len(starts) and starts[index] == start:
+                    extent = extents[index]
+                    if extent.end == end:
+                        # extent.unlink(); extent.link(head.prev), inline
+                        before, after = extent.prev, extent.next
+                        before.next, after.prev = after, before
+                        last = head.prev
+                        extent.prev, extent.next = last, head
+                        last.next = head.prev = extent
+                        hits += end - start
+                        requeued += 1
+                        continue
+                self.read_span(segment, start, end)
+            if noted is not None:
+                note(*noted)
+            cpu_log(cpu)
+        if requeued:
+            self._counts[0] += hits
+            self._counts[5] += requeued
+            if tracer.enabled:
+                tracer.current_add(page_hits=hits)
 
     def read_segment(self, name_or_segment):
         """Read a whole segment (a full column / table scan)."""

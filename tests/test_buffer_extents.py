@@ -89,6 +89,16 @@ class PagePool:
     def read_segment(self, segment):
         return self.read(segment, 0, segment.nbytes)
 
+    def read_spans(self, entries, cpu_log, note):
+        """The batched read as the union's replay made it before: one
+        read per span, then the entry's note and CPU."""
+        for segment, ranges, noted, cpu in entries:
+            for first_byte, nbytes in ranges:
+                self.read(segment, first_byte, nbytes)
+            if noted is not None:
+                note(*noted)
+            cpu_log(cpu)
+
     def read_pages(self, segment, page_indices, scattered=False):
         base_page, end_page = segment.page_span()
         unique = sorted(set(int(p) for p in page_indices))
@@ -220,10 +230,23 @@ class Twins:
     def step(self, op):
         """Apply *op* to both pools and compare everything observable."""
         results = []
-        for pool, _disk, _clock, segments in self.sides:
+        for pool, _disk, clock, segments in self.sides:
             kind = op[0]
             if kind == "clear":
                 results.append(pool.clear())
+            elif kind == "spans":
+                # The shipped pool takes page spans, the reference the
+                # byte ranges they were resolved from; the notes are
+                # compared in the order they arrive.
+                notes = []
+                pool.read_spans([
+                    (segments[s], [
+                        segments[s].page_span(*r) if pool is self.pool
+                        else r for r in ranges
+                    ], noted, cpu)
+                    for s, ranges, noted, cpu in op[1]
+                ], clock.cpu_log(), lambda *noted: notes.append(noted))
+                results.append(notes)
             elif kind == "read":
                 _, s, first_byte, nbytes = op
                 results.append(pool.read(segments[s], first_byte, nbytes))
@@ -284,15 +307,40 @@ def scenarios(draw):
     max_run = draw(st.sampled_from([None, 1, 3]))
     coalescing = draw(st.booleans())
 
+    def segment_bytes(s):
+        return segment_pages[s] * PAGE - 17 * (s % 2)
+
+    @st.composite
+    def spans_entry(draw_entry):
+        """A batch entry: mostly whole segments (warm, the re-queue
+        path), sometimes byte ranges that cut extents."""
+        s = draw_entry(st.integers(0, len(segment_pages) - 1))
+        nbytes = segment_bytes(s)
+        whole = st.just((0, nbytes))
+        cut = st.integers(0, nbytes).flatmap(lambda first: st.tuples(
+            st.just(first), st.integers(0, nbytes - first),
+        ))
+        ranges = draw_entry(st.lists(
+            st.one_of(whole, whole, cut), min_size=1, max_size=2,
+        ))
+        noted = draw_entry(st.one_of(st.none(), st.tuples(
+            st.integers(0, 99), st.integers(0, 99),
+        )))
+        cpu = draw_entry(st.floats(0, 1e-3, allow_subnormal=False))
+        return s, ranges, noted, cpu
+
     def op():
         s = draw(st.integers(0, len(segment_pages) - 1))
-        nbytes = segment_pages[s] * PAGE - 17 * (s % 2)
+        nbytes = segment_bytes(s)
         kind = draw(st.sampled_from(
-            ["read", "read", "read_segment", "pages", "pages", "clear"]
+            ["read", "read", "read_segment", "pages", "pages", "clear",
+             "spans"]
         ))
         if kind == "read":
             first = draw(st.integers(0, nbytes))
             return ("read", s, first, draw(st.integers(0, nbytes - first)))
+        if kind == "spans":
+            return ("spans", draw(st.lists(spans_entry(), max_size=6)))
         if kind == "pages":
             pages = draw(st.lists(
                 st.integers(0, segment_pages[s] - 1), max_size=10,

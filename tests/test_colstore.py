@@ -306,9 +306,16 @@ class TestReplayWorkPerBranch:
         return connection.session()
 
     def test_a_hot_union_plan_resolves_no_branch(self, session, repro_calls):
+        from repro.observe import counters
+
         session.query("q4*", mode="cold")  # plan, lower, resolve, warm
+        reads = counters.snapshot("buffer_pool")["account_calls"]
         names = repro_calls(lambda: session.query("q4*"))
-        assert names["vector_union"] == 1 and names["read_span"] >= 2 * 222
+        reads = counters.snapshot("buffer_pool")["account_calls"] - reads
+        # Each branch still reads its two columns, one pool read per span:
+        # the warm ones are charged by one ``read_spans`` pass.
+        assert names["vector_union"] == 1 and reads >= 2 * 222
+        assert names["read_spans"] == 1
         assert names["_canonical_branch"] == 0
         assert names["_resolve_union"] == 0
         # The plan's two stand-alone scan+select operators still name
@@ -345,6 +352,40 @@ class TestReplayWorkPerBranch:
         names = repro_calls(lambda: session.query("q2*"))
         assert names["_resolve_union"] == 1
         assert names["_canonical_branch"] == 222
+
+    #: ``src/repro`` calls of a warm describe's ``engine.run`` (138 when
+    #: recorded; 5 246 at the commit before, when each describe re-bound
+    #: its 222 branches and made 444 ``read_span`` calls).
+    DESCRIBE_CALLS_CEILING = 300
+
+    def test_a_warm_describe_is_one_memo_hit_and_one_pool_pass(
+        self, repro_calls
+    ):
+        import repro.api as api
+        from repro.data import generate_barton
+        from repro.sparql import parse_sparql
+        from repro.sparql.executor import sparql_plan
+
+        dataset = generate_barton(n_triples=60_000, seed=7)
+        connection = api.connect(
+            triples=dataset.triples,
+            interesting_properties=dataset.interesting_properties,
+        )
+        engine, catalog = connection.store.engine, connection.store.catalog
+
+        def describe(entity):
+            text = "SELECT ?p ?o WHERE { %s ?p ?o }" % (
+                dataset.entity_name(entity)
+            )
+            return sparql_plan(catalog, parse_sparql(text))[0]
+
+        engine.run(describe(1))
+        plan = describe(2)  # a new plan, lowered: its union unresolved
+        engine.lower(plan)
+        names = repro_calls(lambda: engine.run(plan))
+        assert names["_resolve_union"] == 1 and names["read_spans"] == 1
+        assert names["_canonical_branch"] == names["read_span"] == 0
+        assert sum(names.values()) <= self.DESCRIBE_CALLS_CEILING
 
     def test_calls_per_op_ceiling(self, session, repro_calls):
         from repro.queries import ALL_QUERY_NAMES
@@ -501,6 +542,107 @@ class TestUnionKernelDifferential:
                 len(run.branches) for run in union.prepared.runs
                 if type(run) is _CanonicalRun
             )
+
+    #: Tight: 76 pages against a describe's 78, so every warm describe
+    #: hits some reads and misses and evicts others inside its run.
+    @pytest.mark.parametrize("options,profile", [
+        ({"buffer_bytes": 76 * ColumnStoreEngine.DEFAULT_PAGE_SIZE}, False),
+        ({"compression": "physical"}, False),
+        ({"compression": "physical"}, True),
+        ({"workers": 4}, False),
+    ], ids=["tight-pool", "physical", "profile", "workers-4"])
+    def test_plain_runs_equal_generic_dispatch(
+        self, options, profile, monkeypatch
+    ):
+        """Describes — unions of 30 plain ``Project(Extend(Scan))``
+        branches, memoised per catalog, built in one call per output and
+        charged in one ``read_spans`` pass — against the same describes
+        with every branch through generic dispatch, on a twin deployment:
+        rows, cost documents, pool stats and the LRU ring order, also
+        across an insert that rebuilds a table the memo has seen."""
+        import repro.api as api
+        import repro.colstore.operators as operators
+        from repro.data import generate_barton
+        from repro.model.triple import Triple
+        from repro.storage import insert_triples
+
+        monkeypatch.setenv("REPRO_MORSEL_ROWS", "64")
+        dataset = generate_barton(n_triples=3_000, n_properties=30, seed=7)
+        kernel, oracle = [
+            api.connect(
+                triples=dataset.triples,
+                interesting_properties=dataset.interesting_properties,
+                engine_options=options,
+            )
+            for _ in range(2)
+        ]
+        entity = dataset.entity_name
+        texts = [
+            "SELECT ?p ?o WHERE { %s ?p ?o }" % entity(i) for i in range(4)
+        ] + [
+            "SELECT A.prop, A.obj FROM triples AS A WHERE A.subj = '%s'"
+            % entity(i) for i in range(4, 6)
+        ]
+
+        def ring(engine):
+            head = extent = engine.pool._lru.head
+            order = []
+            while extent.next is not head:
+                extent = extent.next
+                order.append((extent.start, extent.end))
+            return order
+
+        def observed(connection, text, mode):
+            engine = connection.store.engine
+            result = connection.session().query(
+                text, mode=mode, profile=profile,
+            )
+            traced = profile and [
+                result.profile.count_total(key) for key in (
+                    "page_hits", "page_misses", "disk_requests", "evictions",
+                    "bytes_scanned",
+                )
+            ]
+            return (
+                list(result), result.cost.to_dict(), engine.pool.stats(),
+                ring(engine), traced,
+            )
+
+        def check(text, mode=None):
+            got = observed(kernel, text, mode)
+            with monkeypatch.context() as generic:
+                generic.setattr(
+                    operators, "_canonical_shape", lambda child, keep: None,
+                )
+                assert observed(oracle, text, mode) == got
+            return got[0]
+
+        for number, text in enumerate(texts):
+            check(text, "cold" if number == 0 else None)
+        # One plan per front end's union (their aliases differ), resolved
+        # once: every later describe is a memo hit.
+        memo = kernel.store.engine.executor().resolved["unions"]
+        assert len(memo) == 2 and memo.hits == len(texts) - 2
+
+        # An existing property of a described subject: its table is
+        # rebuilt, the bindings stay the same, so only dropping the memo
+        # with the catalog keeps the describe right.
+        prop = next(t.p for t in dataset.triples if t.s == entity(0))
+        for connection in (kernel, oracle):
+            store = connection.store
+            store.catalog, report = insert_triples(
+                store.engine, store.catalog,
+                [Triple(entity(0), prop, "<differential/new>")],
+            )
+            assert report.tables_rebuilt
+        assert "unions" not in kernel.store.engine.executor().resolved
+        # A text not seen before, so the plan is built on the new catalog.
+        rows = check("SELECT ?p ?o WHERE { %s ?p ?o . }" % entity(0))
+        assert (prop, "<differential/new>") in rows
+        stats = kernel.store.engine.pool.stats()
+        assert stats["page_hits"] and stats["page_misses"]
+        if "buffer_bytes" in options:
+            assert stats["evictions"]
 
 
 # ---------------------------------------------------------------------------

@@ -235,14 +235,29 @@ class TestPoolFlush:
 
     @staticmethod
     def _count_reads(pool, monkeypatch, on_read=lambda n: None):
-        """Count the pool reads (``read`` goes through ``read_span``)."""
+        """Count the pool reads: ``read`` goes through ``read_span``, and
+        ``read_spans`` is one read per span it is given — those it hands
+        to ``read_span`` are counted there, the rest when it returns."""
         reads = []
+
+        def count(name):
+            reads.append(name)
+            on_read(len(reads))
+
         for name in ("read_span", "read_pages"):
-            def counted(*args, _read=getattr(pool, name), **kwargs):
-                reads.append(name)
-                on_read(len(reads))
+            def counted(*args, _read=getattr(pool, name), _name=name,
+                        **kwargs):
+                count(_name)
                 return _read(*args, **kwargs)
             monkeypatch.setattr(pool, name, counted)
+
+        def batched(entries, *args, _read=pool.read_spans, **kwargs):
+            before = len(reads)
+            _read(entries, *args, **kwargs)
+            spans = sum(len(spans) for _, spans, _, _ in entries)
+            for _ in range(spans - (len(reads) - before)):
+                count("read_spans")
+        monkeypatch.setattr(pool, "read_spans", batched)
         return reads
 
     def _assert_flushed(self, before, pool, reads):
