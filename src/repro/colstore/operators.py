@@ -27,7 +27,6 @@ legacy executor's dispatch.
 import math
 from collections import namedtuple
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
@@ -814,33 +813,28 @@ def having(rt, pnode, needed):
 # union / distinct / extend
 # ---------------------------------------------------------------------------
 
-#: A resolved canonical union branch: *fetch_cols* are the base columns
-#: it reads, in scan column order (the charge order); *sources* names, per
-#: kept union output, the position in *fetch_cols* that feeds it — ``None``
-#: for the extend constant *fill*.  *prefix* and *residual* are its
-#: selection as :func:`_split_predicates` splits it (both empty: none).
-_Branch = namedtuple("_Branch", "table fetch_cols sources fill prefix residual")
+#: A bound branch of a canonical template union: the *table* its binding
+#: reads, and its selection as :func:`_split_predicates` splits it for
+#: that table's sort order (*prefix* and *residual* both empty: none).
+_Branch = namedtuple("_Branch", "table prefix residual")
 
-#: A run of consecutive canonical branches, resolved.  *charges* holds, in
-#: branch order, a selecting branch itself (charged from its data-plane
-#: result) and, per stretch of plain branches between them, the tuple of
-#: their :func:`_whole_column` entries (one ``BufferPool.read_spans``
-#: pass).  *outputs* is the serial data plane of an all-plain run whose
-#: branches share one *sources*: per kept output, one call that builds it
-#: — an ``np.concatenate`` of the branches' column arrays, or an
-#: ``np.repeat`` of their Extend fills by their table lengths — else None.
-_CanonicalRun = namedtuple("_CanonicalRun", "branches charges outputs")
-
-#: What ``vector-union`` resolves once per lowered node and keeps in
-#: ``PhysicalPlan.prepared``: the kept output positions and names for the
-#: parent's *needed* set, and the branch runs — a :class:`_CanonicalRun`,
-#: or the child nodes of a run of branches of any other shape.  It holds
-#: little per branch on purpose, and only tuples: 64 lowered plans of 222
-#: branches stay cached, and every container they keep alive is one more
-#: for each full garbage collection to walk.  A template union's plan is
-#: also memoised per catalog (:func:`_union_memo`), so every describe
-#: shares one.
-_UnionPlan = namedtuple("_UnionPlan", "needed keep out_keys runs")
+#: A canonical template union resolved for one set of kept outputs, once
+#: per catalog (:func:`_resolve_union`).  *fetch_cols* are the base
+#: columns every branch reads, in scan column order (the charge order);
+#: *sources* names, per kept output, the position in *fetch_cols* that
+#: feeds it — ``None`` for the Extend fill.  *lengths* and *fills* are the
+#: branches' table lengths and Extend fills (int64 arrays).  A *plain*
+#: template — one without a selection — also holds its whole data plane
+#: and cost: *columns*, per kept output, the branches' column arrays
+#: (``None`` for the fill), and *reads*, every non-empty branch's
+#: :func:`_whole_column` entries, charged in one ``BufferPool.read_spans``
+#: pass; a selecting template has ``None`` for both.  It holds only tuples
+#: and arrays: up to :data:`UNION_MEMO_SIZE` plans of 222 branches stay
+#: cached, and every container they keep alive is one more for each full
+#: garbage collection to walk.
+_UnionPlan = namedtuple(
+    "_UnionPlan", "branches fetch_cols sources lengths fills columns reads"
+)
 
 #: How many template-union plans one runtime memoises (LRU): a plan's key
 #: holds its selection's constants, so a stream of distinct selecting
@@ -848,97 +842,117 @@ _UnionPlan = namedtuple("_UnionPlan", "needed keep out_keys runs")
 UNION_MEMO_SIZE = 64
 
 
-def _canonical_shape(child, keep):
-    """What a canonical ``Project(Extend?(Select?(Scan)))`` union branch
-    with only simple predicates (one per property table in the
-    vertically-partitioned plans: q8's selections, a describe's subject)
-    reads for the kept outputs *keep*, whatever its table: ``(scan,
-    predicates, fetch_cols, sources, fills)`` — *fills* whether a kept
-    output is the Extend's constant — or ``None`` for any other branch
-    shape."""
-    if type(child) is not L.Project:
+def _canonical_shape(template, keep):
+    """The shape of a canonical ``Project(Extend?(Select?(Scan)))`` union
+    template with only simple predicates (the vertically-partitioned
+    plans' one branch per property table: q8's selections, a describe's
+    subject) for the kept outputs *keep*, whatever its table: ``(scan,
+    predicates, extend column or None, sources)`` — *sources* the
+    template column feeding each kept output — or ``None`` for any other
+    shape.  Every part is hashable: it is the template's memo key."""
+    if type(template) is not L.Project:
         return None
-    mapping = child.mapping
-    inner = child.child
-    extend_node = None
+    inner = template.child
+    extend_col = None
     if type(inner) is L.Extend:
-        extend_node = inner
+        extend_col = inner.column
         inner = inner.child
     predicates = ()
     if type(inner) is L.Select:
-        predicates = inner.predicates
+        predicates = tuple(inner.predicates)
         if any(map(is_column_comparison, predicates)):
             return None
         inner = inner.child
     if type(inner) is not L.Scan:
         return None
-    scan_node = inner
-
-    # Reproduce the operators' "needed columns" propagation exactly —
-    # including extend's quirk of requesting the scan's first column
-    # when nothing below the extended column is needed.
-    child_needed = [mapping[i][1] for i in keep]
-    scan_needed = set(child_needed)
-    extend_col = None
-    if extend_node is not None:
-        if extend_node.column in scan_needed:
-            extend_col = extend_node.column
-            scan_needed.discard(extend_col)
-        if not scan_needed:
-            scan_needed = {scan_node._columns[0]}
-    fetch_cols = tuple(_needed_base_columns(scan_node, scan_needed))
-    sources = tuple(
-        None if source == extend_col
-        else fetch_cols.index(_base_column(scan_node, source))
-        for source in child_needed
-    )
-    return scan_node, predicates, fetch_cols, sources, extend_col is not None
+    mapping = template.mapping
+    return inner, predicates, extend_col, tuple(mapping[i][1] for i in keep)
 
 
-def _canonical_branch(rt, shape, table_name, value, intern, splits):
-    """The :class:`_Branch` of a branch of *shape* reading *table_name*
-    with Extend constant *value*, sharing equal tuples through *intern*
-    and the predicate split per table sort order through *splits*."""
-    scan_node, predicates, fetch_cols, sources, fills = shape
+def _canonical_branch(rt, shape, table_name, splits):
+    """The :class:`_Branch` of a template of *shape* bound to
+    *table_name*, sharing the predicate split per table sort order
+    through *splits*."""
+    scan_node, predicates = shape[:2]
     table = rt.engine.table(table_name)
     order = tuple(table.sort_order)
     split = splits.get(order)
     if split is None:
-        prefix, residual = _split_predicates(scan_node, table, predicates)
-        split = splits[order] = (intern(prefix, prefix), residual)
-    return _Branch(
-        table, intern(fetch_cols, fetch_cols), intern(sources, sources),
-        extend_fill_value(value) if fills else 0, *split,
+        split = splits[order] = _split_predicates(scan_node, table, predicates)
+    return _Branch(table, *split)
+
+
+def _template_plan(rt, shape, bindings):
+    """The :class:`_UnionPlan` of a template of *shape* bound to each of
+    *bindings*."""
+    scan_node, predicates, extend_col, needed = shape
+    # Reproduce the operators' "needed columns" propagation exactly —
+    # including extend's quirk of requesting the scan's first column
+    # when nothing below the extended column is needed.
+    scan_needed = set(needed) - {extend_col} or {scan_node._columns[0]}
+    fetch_cols = tuple(_needed_base_columns(scan_node, scan_needed))
+    sources = tuple(
+        None if source == extend_col
+        else fetch_cols.index(_base_column(scan_node, source))
+        for source in needed
+    )
+    splits = {}
+    branches = tuple(
+        _canonical_branch(rt, shape, table, splits) for table, _, _ in bindings
+    )
+    columns = reads = None
+    if not predicates:
+        columns = tuple(
+            None if source is None else tuple(
+                b.table.array(fetch_cols[source]) for b in branches
+            )
+            for source in sources
+        )
+        reads = tuple(
+            _whole_column(rt, b.table, column)
+            for b in branches if b.table.n_rows for column in fetch_cols
+        )
+    return _UnionPlan(
+        branches, fetch_cols, sources,
+        np.array([b.table.n_rows for b in branches], dtype=np.int64),
+        np.array(
+            [extend_fill_value(value) for _, _, value in bindings],
+            dtype=np.int64,
+        ),
+        columns, reads,
     )
 
 
-def _union_range(branches, n_out):
-    """Data plane for a group of canonical branches: per kept output, the
-    branch vectors (whole columns, selected rows, constant extend fills)
-    concatenated in branch order; and, in branch order, each selecting
-    branch's ``(lo, hi, probes, stages)`` for the replay to charge."""
-    outputs = [[] for _ in range(n_out)]
+def _plain_range(plan, lo, hi):
+    """Data plane of branches ``[lo, hi)`` of a plain template: each kept
+    output built in one call; nothing to replay per branch."""
+    return [
+        np.repeat(plan.fills[lo:hi], plan.lengths[lo:hi]) if columns is None
+        else np.concatenate(columns[lo:hi])
+        for columns in plan.columns
+    ], ()
+
+
+def _select_range(plan, lo, hi):
+    """Data plane of branches ``[lo, hi)`` of a selecting template: per
+    kept output, the branches' selected rows (or constant Extend fills)
+    concatenated in branch order; and, per branch, its ``(lo, hi,
+    probes, stages)`` for the replay to charge."""
+    fetch_cols, sources = plan.fetch_cols, plan.sources
+    outputs = [[] for _ in sources]
     scans = []
-    for table, fetch_cols, sources, fill, prefix, residual in branches:
-        if prefix or residual:
-            lo, hi, probes = _descend(table, prefix)
-            stages, gathers = _scan_range(table, residual, fetch_cols, lo, hi)
-            scans.append((lo, hi, probes, stages))
-        else:
-            gathers = list(map(table.array, fetch_cols))
+    for (table, prefix, residual), fill in zip(
+        plan.branches[lo:hi], plan.fills[lo:hi]
+    ):
+        start, end, probes = _descend(table, prefix)
+        stages, gathers = _scan_range(table, residual, fetch_cols, start, end)
+        scans.append((start, end, probes, stages))
         for parts, source in zip(outputs, sources):
             parts.append(
                 np.full(len(gathers[0]), fill, dtype=np.int64)
                 if source is None else gathers[source]
             )
     return [_merge(parts) for parts in outputs], scans
-
-
-def _plain_range(outputs):
-    """Data plane of an all-plain run on one range: each kept output
-    built in one call (:attr:`_CanonicalRun.outputs`); nothing to
-    replay per branch."""
-    return [build() for build in outputs], ()
 
 
 def _whole_column(rt, table, column):
@@ -971,201 +985,112 @@ def _union_memo(rt):
     return memo
 
 
-def _resolve_union(rt, pnode, needed):
-    """The :class:`_UnionPlan` of a lowered union under *needed*.  A
-    template union resolves its template's shape and binds each branch
-    from its binding — a table lookup and an Extend fill — once per
-    catalog: every later union of the same bindings, outputs and template
-    shape shares the memoised plan."""
-    node = pnode.logical
+def _resolve_union(rt, node, needed):
+    """``(keep, out_keys, plan)`` of union *node* under *needed*: the kept
+    output positions and names, and for a canonical template union its
+    :class:`_UnionPlan` — resolved once per catalog, so every later union
+    of the same bindings and template shape is one memo hit — else
+    ``None``: the branches run through generic dispatch."""
     out_names = node._columns
     keep = tuple(
         i for i, name in enumerate(out_names) if name in needed
     ) or (0,)
     out_keys = tuple(out_names[i] for i in keep)
-    needed = frozenset(needed)
-    intern = {}.setdefault
+    shape = None
     if node.template is not None:
         shape = _canonical_shape(node.template, keep)
-        if shape is not None:
-            scan_node, predicates = shape[:2]
-            key = (
-                node.bindings, keep, out_keys, needed, scan_node.alias,
-                tuple(predicates), *shape[2:],
-            )
-            memo = _union_memo(rt)
-            plan = memo.get(key)
-            if plan is None:
-                splits = {}
-                branches = [
-                    _canonical_branch(rt, shape, table, value, intern, splits)
-                    for table, _, value in node.bindings
-                ]
-                plan = _UnionPlan(
-                    needed, keep, out_keys, (_canonical_run(rt, branches),)
-                )
-                memo.put(key, plan)
-            return plan
-    resolved = []
-    for child in pnode.children:
-        shape = _canonical_shape(child.logical, keep)
-        branch = None
-        if shape is not None:
-            branch = _canonical_branch(
-                rt, shape, shape[0].table, _extend_value(child.logical),
-                intern, {},
-            )
-        resolved.append((branch, child))
-    # Each run of consecutive canonical branches is one kernel call; a
-    # branch of any other shape ends the run and goes through the generic
-    # dispatch, so charges stay in branch order.
-    runs = []
-    for canonical, run in groupby(resolved, lambda pair: pair[0] is not None):
-        if canonical:
-            runs.append(_canonical_run(rt, [branch for branch, _ in run]))
-        else:
-            runs.append(tuple(child for _, child in run))
-    return _UnionPlan(needed, keep, out_keys, tuple(runs))
-
-
-def _canonical_run(rt, branches):
-    """The :class:`_CanonicalRun` of *branches*: consecutive plain
-    branches' whole-column charges gathered into one batch, and the
-    one-call outputs when every branch is plain."""
-    charges, batch = [], []
-    for branch in branches:
-        if branch.prefix or branch.residual:
-            if batch:
-                charges.append(tuple(batch))
-                batch = []
-            charges.append(branch)
-        elif branch.table.n_rows:
-            batch.extend(
-                _whole_column(rt, branch.table, column)
-                for column in branch.fetch_cols
-            )
-    if batch:
-        charges.append(tuple(batch))
-    return _CanonicalRun(
-        tuple(branches), tuple(charges), _plain_outputs(branches)
+    if shape is None:
+        return keep, out_keys, None
+    scan_node = shape[0]
+    key = (
+        node.bindings, scan_node.alias, tuple(scan_node.base_columns),
+        *shape[1:],
     )
+    memo = _union_memo(rt)
+    plan = memo.get(key)
+    if plan is None:
+        plan = _template_plan(rt, shape, node.bindings)
+        memo.put(key, plan)
+    return keep, out_keys, plan
 
 
-def _plain_outputs(branches):
-    """:attr:`_CanonicalRun.outputs` of *branches*, or None unless all
-    are plain and share one *sources*."""
-    sources = branches[0].sources
-    if any(
-        branch.prefix or branch.residual or branch.sources != sources
-        for branch in branches
-    ):
-        return None
-    outputs = []
-    for source in sources:
-        if source is None:
-            fills = np.array([b.fill for b in branches], dtype=np.int64)
-            lengths = np.array(
-                [b.table.n_rows for b in branches], dtype=np.int64
-            )
-            outputs.append(partial(np.repeat, fills, lengths))
-        else:
-            outputs.append(partial(np.concatenate, tuple(
-                b.table.array(b.fetch_cols[source]) for b in branches
-            )))
-    return tuple(outputs)
+def _branch_slices(lengths, rows):
+    """``(bounds, rows per slice)`` of a template's branches: one slice
+    of every branch on one lane (*rows* None); else consecutive slices
+    closed once they hold *rows* table rows — deterministic, from branch
+    order and static table sizes only, never the worker count."""
+    n = len(lengths)
+    if rows is None:
+        return [(0, n)], [None]  # one range: rows unused
+    starts, sizes = [0], [0]
+    for index, length in enumerate(lengths.tolist()):
+        if sizes[-1] >= rows:
+            starts.append(index)
+            sizes.append(0)
+        sizes[-1] += length
+    return list(zip(starts, starts[1:] + [n])), sizes
 
 
-def _extend_value(branch):
-    """The Extend constant of a canonical branch (None without one)."""
-    inner = branch.child
-    return inner.value if type(inner) is L.Extend else None
-
-
-def _canonical_branches(rt, run, n_out):
-    """Evaluate consecutive canonical branches without generic dispatch
-    (the operator machinery costs more wall-clock than 222 small arrays):
-    evaluated in morsel-sized groups — or, serially, an all-plain run in
-    one call per output — and charged in branch order with the buffer
-    reads and clock charges the generic operators would make, a
-    selecting branch exactly what its fused ``scan+select`` would.
-    Returns the per-group output blocks."""
-    branches = run.branches
-
+def _template_blocks(rt, plan):
+    """Evaluate a template union's branches without generic dispatch (the
+    operator machinery costs more wall-clock than 222 small arrays):
+    per slice of branches, and charged in branch order with the buffer
+    reads and clock charges the generic operators would make — a plain
+    template's whole columns in one ``read_spans`` pass, a selecting
+    branch exactly what its fused ``scan+select`` would.  Returns the
+    per-slice output blocks."""
     def replay(results):
-        read_spans, charge_cpu = rt.pool.read_spans, rt.clock.cpu_log()
-        note = partial(_note_compressed_read, rt)
-        scans = iter([scan for _, group in results for scan in group])
-        for charge in run.charges:
-            if type(charge) is not _Branch:
-                read_spans(charge, charge_cpu, note)
-                continue
-            table = charge.table
-            lo, hi, probes, stages = next(scans)
+        if plan.reads:
+            rt.pool.read_spans(
+                plan.reads, rt.clock.cpu_log(),
+                partial(_note_compressed_read, rt),
+            )
+        # A selecting template's branches, each with its data-plane scan.
+        scans = (scan for _, group in results for scan in group)
+        for branch, (lo, hi, probes, stages) in zip(plan.branches, scans):
+            table = branch.table
             for probe in probes:
                 _probe(rt, table, *probe)
             _replay_scan(
-                rt, table, charge.residual, charge.fetch_cols, lo, hi, stages,
+                rt, table, branch.residual, plan.fetch_cols, lo, hi, stages,
             )
         return [block for block, _ in results]
 
-    rows = _morsel_rows(rt)
-    if rows is None:
-        if run.outputs is not None:
-            return _run_ranges(
-                rt, _plain_range, [(run.outputs,)], [None], replay,
-            )
-        groups, group_rows = [branches], [None]  # one range: rows unused
-    else:
-        # Deterministic grouping: depends only on branch order and static
-        # table sizes, never on the worker count.
-        groups, group_rows = [[]], [0]
-        for branch in branches:
-            if group_rows[-1] >= rows:
-                groups.append([])
-                group_rows.append(0)
-            groups[-1].append(branch)
-            group_rows[-1] += branch.table.n_rows
+    bounds, slice_rows = _branch_slices(plan.lengths, _morsel_rows(rt))
     return _run_ranges(
-        rt, _union_range, [(group, n_out) for group in groups], group_rows,
-        replay,
+        rt, _plain_range if plan.columns is not None else _select_range,
+        [(plan, lo, hi) for lo, hi in bounds], slice_rows, replay,
     )
 
 
 @COLUMN_OPS.operator(
     "vector-union", match_type(L.Union),
-    "concatenate branch vectors (consecutive canonical "
-    "Project(Extend?(Select?(Scan))) branches are evaluated per range and "
-    "charged in branch order, identically to the generic operators)",
+    "concatenate branch vectors (a canonical "
+    "Project(Extend?(Select?(Scan))) template union is evaluated per "
+    "slice of branches and charged in branch order, identically to the "
+    "generic operators; any other union dispatches its branches)",
 )
 def vector_union(rt, pnode, needed):
     node = pnode.logical
     if node.distinct:
         # Every column decides which rows are duplicates.
         needed = set(node.output_columns())
-    plan = pnode.prepared
-    if plan is None or plan.needed != needed:
-        plan = pnode.prepared = _resolve_union(rt, pnode, needed)
-    out_keys = plan.out_keys
-    blocks = []  # per-output vector lists, in branch order
-    oid = set()
-    total_in = 0
-    for run in plan.runs:
-        if type(run) is _CanonicalRun:
-            for block in _canonical_branches(rt, run, len(out_keys)):
-                blocks.append(block)
-                total_in += len(block[0])
-            oid.update(out_keys)  # scans and extends only produce oids
-            continue
-        for child_pnode in run:
+    keep, out_keys, plan = _resolve_union(rt, node, needed)
+    if plan is not None:
+        blocks = _template_blocks(rt, plan)
+        oid = set(out_keys)  # scans and extends only produce oids
+    else:
+        blocks, oid = [], set()
+        for child_pnode in pnode.children:
             names = child_pnode.logical.output_columns()
-            kept = [names[i] for i in plan.keep]
+            kept = [names[i] for i in keep]
             rel = rt.run_child(child_pnode, set(kept)).relation
-            total_in += rel.n_rows
             blocks.append([rel.column(name) for name in kept])
             oid.update(
                 out for out, name in zip(out_keys, kept)
                 if name in rel.oid_columns
             )
+    total_in = sum(len(block[0]) for block in blocks)
     columns = {
         out: _merge([block[k] for block in blocks])
         for k, out in enumerate(out_keys)

@@ -10,19 +10,19 @@ Physical trees are produced by :func:`repro.exec.registry.lower_plan` and
 consumed by :class:`repro.exec.runtime.Runtime`.  They are deliberately
 *thin*: no execution state lives here, so one physical tree can be run
 many times (the benchmark's cold/hot protocol) and rendered/linted without
-an engine at hand.  Unlike logical nodes they are not sealed — the
-profiler annotates ``estimated_rows`` in place, and an operator may keep
-in ``prepared`` what it resolves once per lowered plan rather than once
-per run (catalog lookups; the lowered-plan cache is dropped on DDL) — but
-the bound logical nodes stay immutable, so sharing them between the
-logical and physical trees is sound.
+an engine at hand; what an operator resolves from the catalog once
+rather than per run lives in the runtime (``Runtime.resolved``, dropped
+on DDL), never on the node.  Unlike logical nodes they are not sealed —
+the profiler annotates ``estimated_rows`` in place — but the bound
+logical nodes stay immutable, so sharing them between the logical and
+physical trees is sound.
 
 A template union (:class:`~repro.plan.logical.Union` built from one
 branch and per-branch bindings) lowers its template once: the node keeps
 the template's physical tree in :attr:`PhysicalPlan.template`, and its
 :attr:`~PhysicalPlan.children` — one lowered tree per branch — are built
 the first time something walks them (EXPLAIN, a physical lint, the row
-engine, the column store's generic run of a non-canonical branch).
+engine, the column store's generic run of a non-canonical template).
 
 Fusion convention: an operator that implements several logical nodes at
 once (the engines fuse ``Select(Scan)`` into one access path) binds the
@@ -37,7 +37,7 @@ class PhysicalPlan:
 
     __slots__ = (
         "op", "engine", "logical", "fused", "_children", "details",
-        "estimated_rows", "prepared", "template", "_lower",
+        "estimated_rows", "template", "_lower",
     )
 
     def __init__(self, op, engine, logical, children=(), fused=(),
@@ -48,7 +48,6 @@ class PhysicalPlan:
         self.fused = tuple(fused)
         self.details = dict(details) if details else {}
         self.estimated_rows = None
-        self.prepared = None
         #: A template union's lowered template, and the lowering that
         #: builds its other branches on demand.
         self.template = template

@@ -1,7 +1,8 @@
 """The one keyed LRU cache.
 
-Backs the per-connection prepared-plan cache (:mod:`repro.api`) and the
-per-runtime lowered-plan cache (:mod:`repro.exec.runtime`).  The buffer
+Backs the per-connection prepared-plan cache (:mod:`repro.api`), the
+per-runtime lowered-plan cache (:mod:`repro.exec.runtime`) and the column
+store's template-union memo (:mod:`repro.colstore.operators`).  The buffer
 pool's LRU is keyed by page extents, not by single keys, and lives in
 :mod:`repro.engine.buffer` (see docs/ARCHITECTURE.md).
 """

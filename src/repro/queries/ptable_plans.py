@@ -14,6 +14,11 @@ filtering out ``<conferences>`` subjects.  Its predicate on
 ``<conferences>`` is pushed into every branch of both unions; the
 placement rule of :mod:`repro.sql.generator` keeps an unbound property's
 constants above its union, which is faster for the ad-hoc describe.
+
+The vertical unions are template unions, like every other union over
+the property tables: one branch, bound to each table under alias
+``t<i>`` / ``B<i>``.  The property-table unions stay lists of branches,
+because their branches read different columns of the wide table.
 """
 
 from repro.plan import Comparison, Join, Project, Scan, Select, Union
@@ -22,10 +27,12 @@ from repro.storage.property_table import NULL_OID
 
 
 def vertical_q8(catalog):
-    return _two_phase_q8(catalog, [
-        (catalog.property_table(prop), ["subj", "obj"], str(i), "obj", ())
-        for i, prop in enumerate(catalog.properties_for("all"))
-    ])
+    tables = [
+        catalog.property_table(prop) for prop in catalog.properties_for("all")
+    ]
+    return _two_phase_q8(
+        catalog, [(tables[0], ["subj", "obj"], "0", "obj", ())], tables,
+    )
 
 
 def property_table_q8(catalog):
@@ -42,9 +49,11 @@ def property_table_q8(catalog):
     return _two_phase_q8(catalog, sources)
 
 
-def _two_phase_q8(catalog, sources):
+def _two_phase_q8(catalog, sources, tables=None):
     """*sources*: per union branch, ``(table, scan columns, alias suffix,
-    object column, guards)`` — guards are ``(column, op, value)``."""
+    object column, guards)`` — guards are ``(column, op, value)``.  With
+    *tables*, the one source is a template bound to each table in turn,
+    under alias suffix ``0``, ``1``, …"""
     conferences = catalog.encode(CONSTANTS["conferences"])
 
     def union(alias, op):
@@ -61,7 +70,11 @@ def _two_phase_q8(catalog, sources):
                 (f"{alias}.subj", f"{branch}.subj"),
                 (f"{alias}.obj", f"{branch}.{obj}"),
             ]))
-        return Union(branches, distinct=False)
+        if tables is None:
+            return Union(branches, distinct=False)
+        return Union(distinct=False, template=branches[0], bindings=[
+            (table, f"{alias}{i}", None) for i, table in enumerate(tables)
+        ])
 
     t = Project(union("t", "="), [("t.obj", "t.obj")])
     joined = Join(t, union("B", "!="), on=[("t.obj", "B.obj")])

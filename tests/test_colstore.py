@@ -4,17 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.colstore import ColumnStoreEngine
-from repro.colstore.operators import _CanonicalRun
 from repro.errors import QueryCancelled, StorageError
 from repro.exec.cancel import CancellationToken
 from repro.plan import (
-    ColumnComparison,
     Comparison,
     Distinct,
-    Extend,
     GroupBy,
     Having,
     Join,
@@ -277,8 +273,8 @@ class TestCostBehaviour:
 
 class TestReplayWorkPerBranch:
     """The union's cost replay does a fixed amount of interpreter work per
-    branch: branches are resolved once per lowered plan, and a whole-table
-    read is one pool call whatever its size.  Counted with
+    branch: a template union's branches are resolved once per catalog, and
+    a whole-table read is one pool call whatever its size.  Counted with
     ``sys.setprofile`` over ``src/repro`` — the counts repeat exactly."""
 
     #: Mean ``src/repro`` calls per op over the twelve named queries, cold
@@ -305,19 +301,26 @@ class TestReplayWorkPerBranch:
         )
         return connection.session()
 
+    def memo_hits(self, session):
+        engine = session.connection.store.engine
+        return engine.executor().resolved["unions"].hits
+
     def test_a_hot_union_plan_resolves_no_branch(self, session, repro_calls):
         from repro.observe import counters
 
         session.query("q4*", mode="cold")  # plan, lower, resolve, warm
         reads = counters.snapshot("buffer_pool")["account_calls"]
+        hits = self.memo_hits(session)
         names = repro_calls(lambda: session.query("q4*"))
         reads = counters.snapshot("buffer_pool")["account_calls"] - reads
         # Each branch still reads its two columns, one pool read per span:
         # the warm ones are charged by one ``read_spans`` pass.
         assert names["vector_union"] == 1 and reads >= 2 * 222
         assert names["read_spans"] == 1
+        # One memo hit: the union binds none of its branches again.
+        assert names["_resolve_union"] == 1
+        assert self.memo_hits(session) == hits + 1
         assert names["_canonical_branch"] == 0
-        assert names["_resolve_union"] == 0
         # The plan's two stand-alone scan+select operators still name
         # their columns per run; none of the 222 branches does.
         assert names["_needed_base_columns"] == 2
@@ -328,10 +331,13 @@ class TestReplayWorkPerBranch:
         self, session, repro_calls
     ):
         session.query("q8", mode="cold")
+        hits = self.memo_hits(session)
         names = repro_calls(lambda: session.query("q8"))
         assert names["vector_union"] == 2
+        # One memo hit per union: neither binds its branches again.
+        assert names["_resolve_union"] == 2
+        assert self.memo_hits(session) == hits + 2
         assert names["_canonical_branch"] == 0
-        assert names["_resolve_union"] == 0
         # Only the two projections above the unions dispatch: none of the
         # 2 x 222 Project(Select(Scan)) branches goes through an operator,
         # yet each is charged as its fused scan+select would be.
@@ -404,144 +410,12 @@ class TestReplayWorkPerBranch:
 # the union kernel against generic dispatch
 # ---------------------------------------------------------------------------
 
-def _kernel_tables():
-    """Six (subj, obj)-sorted tables, one empty: small value domains, so
-    subjects repeat (RLE runs under compression) and any constant in
-    ``[-1, 62]`` may or may not match."""
-    rng = np.random.default_rng(5)
-    return {
-        f"k{i}": (rng.integers(0, 40, n), rng.integers(0, 60, n))
-        for i, n in enumerate((0, 7, 40, 90, 150, 300))
-    }
-
-
-KERNEL_TABLES = _kernel_tables()
-
-#: ``None`` is a constant missing from the dictionary.
-_constants = st.one_of(st.integers(-1, 62), st.none())
-
-
-@st.composite
-def _union_branch(draw, index):
-    """One union branch over a random table: plain, selecting (random
-    simple predicates, or equality on both sort columns), optionally
-    extended, or non-canonical (a column-to-column comparison).  Returns
-    ``(branch, canonical)``."""
-    alias = f"B{index}"
-    node = Scan(draw(st.sampled_from(sorted(KERNEL_TABLES))),
-                ["subj", "obj"], alias=alias)
-    subj, obj, tag = f"{alias}.subj", f"{alias}.obj", f"{alias}.tag"
-    kind = draw(st.sampled_from(
-        ["plain", "select", "point", "cross", "select"]
-    ))
-    if kind == "select":
-        node = Select(node, draw(st.lists(
-            st.builds(
-                Comparison, st.sampled_from([subj, obj]),
-                st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-                _constants,
-            ),
-            min_size=1, max_size=3,
-        )))
-    elif kind == "point":
-        node = Select(node, [
-            Comparison(subj, "=", draw(_constants)),
-            Comparison(obj, "=", draw(_constants)),
-        ])
-    elif kind == "cross":
-        node = Select(node, [
-            ColumnComparison(subj, draw(st.sampled_from(["<", "!="])), obj),
-        ])
-    sources = [subj, obj]
-    if draw(st.booleans()):
-        node = Extend(node, tag, draw(st.integers(0, 9)))
-        sources.append(tag)
-    mapping = [("s", draw(st.sampled_from(sources))),
-               ("o", draw(st.sampled_from(sources)))]
-    return Project(node, mapping), kind != "cross"
-
-
-@st.composite
-def _kernel_case(draw):
-    """``(kernel plan, oracle plan, canonical branch count)``: the oracle
-    wraps every branch in an identity Project, which keeps it off the
-    kernel and charges nothing."""
-    drawn = [
-        draw(_union_branch(i)) for i in range(draw(st.integers(1, 7)))
-    ]
-    distinct = draw(st.booleans())
-    keep = draw(st.sampled_from([["s"], ["o"], ["s", "o"]]))
-
-    def plan(branches):
-        union = Union(branches, distinct=distinct)
-        return Project(union, [(name, name) for name in keep])
-
-    branches = [branch for branch, _ in drawn]
-    identity = [
-        Project(b, [(c, c) for c in b.output_columns()]) for b in branches
-    ]
-    return plan(branches), plan(identity), sum(c for _, c in drawn)
-
-
-def _executed(engine, plan):
-    """Rows, cost document, pool-stats delta and compression counts of
-    *plan* run cold and then warm straight through the runtime (the plan
-    overhead charge depends on the operator count, which the identity
-    Projects change; everything below it must not)."""
-    engine.make_cold()
-    runtime = engine.executor()
-    pool0 = engine.pool.stats()
-    counts0 = list(engine.compression_counts.counts)
-    runs = []
-    for _ in range(2):
-        engine.clock.reset()
-        relation = runtime.execute(plan)
-        runs.append((
-            {n: relation.column(n).tolist() for n in relation.columns},
-            sorted(relation.oid_columns), engine.clock.timing().to_dict(),
-        ))
-    pool = {k: v - pool0[k] for k, v in engine.pool.stats().items()}
-    counts = [
-        b - a for a, b in zip(counts0, engine.compression_counts.counts)
-    ]
-    return runs, pool, counts
-
-
 class TestUnionKernelDifferential:
-    """Runs of canonical branches — now with selections — evaluated and
-    charged by the union kernel must equal generic operator dispatch of
-    the same branches: rows, cost documents and pool statistics, raw and
-    compressed, serial and on 64-row morsels."""
-
-    @pytest.fixture(scope="class")
-    def engines(self):
-        engines = {}
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_MORSEL_ROWS", "64")
-            for compression in (None, "physical"):
-                for workers in (1, 4):
-                    engine = ColumnStoreEngine(
-                        compression=compression, workers=workers
-                    )
-                    for name, (subj, obj) in KERNEL_TABLES.items():
-                        engine.create_table(
-                            name, {"subj": subj, "obj": obj},
-                            sort_by=["subj", "obj"],
-                        )
-                    engines[compression, workers] = engine
-        return engines
-
-    @settings(max_examples=60)
-    @given(case=_kernel_case())
-    def test_kernel_equals_generic_dispatch(self, engines, case):
-        kernel, oracle, n_canonical = case
-        for engine in engines.values():
-            assert _executed(engine, kernel) == _executed(engine, oracle)
-            union = engine.lower(kernel).children[0]
-            assert n_canonical == sum(
-                len(run.branches) for run in union.prepared.runs
-                if type(run) is _CanonicalRun
-            )
+    """The union kernel against generic dispatch on twin deployments:
+    what only a whole store shows — a tight pool, profiling, an insert
+    under the memo.  ``tests/test_union_template.py`` runs the random
+    differential (template union vs its expansion, which the column
+    store runs through generic dispatch)."""
 
     #: Tight: 76 pages against a describe's 78, so every warm describe
     #: hits some reads and misses and evicts others inside its run.

@@ -5,11 +5,14 @@ per-branch bindings is read once by the planner, the linter, lowering and
 the column store's union kernel; everything else sees its expansion,
 ``union.inputs``.  The differential below builds random template unions —
 branch counts, branch shapes (with and without a selection, a missing
-constant, a column-to-column predicate, an Extend, alias-qualified
-outputs), UNION and UNION ALL — and requires every observable answer to
-equal that of ``Union(list(u.inputs))``, the same branches as a plain
-list.  The hot-path tests pin that an ad-hoc query never builds the
-expansion at all.
+constant, equality on both sort columns, a column-to-column predicate,
+an Extend, alias-qualified outputs), UNION and UNION ALL — and requires
+every observable answer to equal that of ``Union(list(u.inputs))``, the
+same branches as a plain list.  On the column store that is the union
+kernel against generic dispatch of every branch: rows, cost documents,
+pool statistics and compression counts, cold and warm, raw and
+compressed, serial and on 64-row morsels.  The hot-path tests pin that
+an ad-hoc query never builds the expansion at all.
 """
 
 import hashlib
@@ -27,6 +30,7 @@ from repro.colstore import ColumnStoreEngine
 from repro.data import generate_barton
 from repro.errors import PlanError
 from repro.exec import lower_plan
+from repro.observe import counters
 from repro.plan import (
     ColumnComparison,
     Comparison,
@@ -57,14 +61,19 @@ _constants = st.one_of(st.integers(-1, 30), st.none())
 
 @pytest.fixture(scope="module")
 def engines():
-    engines = []
-    for engine in (ColumnStoreEngine(), ColumnStoreEngine(
-            compression="physical"), RowStoreEngine()):
+    engines = [RowStoreEngine()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_MORSEL_ROWS", "64")
+        for compression in (None, "physical"):
+            for workers in (1, 4):
+                engines.append(ColumnStoreEngine(
+                    compression=compression, workers=workers,
+                ))
+    for engine in engines:
         for name, (subj, obj) in TABLES.items():
             engine.create_table(
                 name, {"subj": subj, "obj": obj}, sort_by=["subj", "obj"]
             )
-        engines.append(engine)
     return engines
 
 
@@ -79,15 +88,21 @@ def template_cases(draw):
                            max_size=n))
     subj, obj, tag = "B0.subj", "B0.obj", "B0.tag"
     node = Scan(tables[0], ["subj", "obj"], alias="B0")
-    kind = draw(st.sampled_from(
-        ["plain", "select", "contradiction", "missing", "cross"]
-    ))
+    # The union kernel's two data planes (plain, selecting) twice as
+    # often as each shape it shares with the front end only.
+    kind = draw(st.sampled_from([
+        "plain", "plain", "select", "select", "point", "contradiction",
+        "missing", "cross",
+    ]))
     if kind == "select":
         node = Select(node, draw(st.lists(
             st.builds(Comparison, st.sampled_from([subj, obj]),
                       st.sampled_from(["=", "!=", "<", ">="]), _constants),
             min_size=1, max_size=3,
         )))
+    elif kind == "point":
+        node = Select(node, [Comparison(subj, "=", draw(_constants)),
+                             Comparison(obj, "=", draw(_constants))])
     elif kind == "contradiction":
         node = Select(node, [Comparison(subj, "=", 3),
                              Comparison(subj, "=", 4)])
@@ -119,7 +134,7 @@ def template_cases(draw):
         bindings=[(tables[i], f"B{i}", values[i]) for i in range(n)],
     )
     keep = draw(st.sampled_from([names[:1], names[1:], names]))
-    above = draw(st.sampled_from(["project", "select", "join"]))
+    above = draw(st.sampled_from(["project", "project", "select", "join"]))
     if above == "select":
         plan = Select(union, [Comparison(names[0], ">", 2)])
     elif above == "join":
@@ -174,17 +189,48 @@ def operator_tree(pnode):
 
 
 def executed(engine, plan):
-    """Rows, cost document and pool-statistics delta of a cold run."""
+    """Rows and cost document of a cold run and of the warm run after it,
+    and their pool-statistics and compression-count deltas."""
     engine.make_cold()
-    before = engine.pool.stats()
-    relation, timing = engine.run(plan)
-    rows = {n: relation.column(n).tolist() for n in relation.columns}
-    pool = {k: v - before[k] for k, v in engine.pool.stats().items()}
-    return rows, timing.to_dict(), pool
+    pool = engine.pool.stats()
+    compression = counters.snapshot("compression")
+    runs = []
+    for _ in range(2):
+        relation, timing = engine.run(plan)
+        runs.append((
+            {n: relation.column(n).tolist() for n in relation.columns},
+            timing.to_dict(),
+        ))
+    return runs, {
+        k: v - pool[k] for k, v in engine.pool.stats().items()
+    }, {
+        k: v - compression[k]
+        for k, v in counters.snapshot("compression").items()
+    }
+
+
+def memoised(engine, plan):
+    """``executed(engine, plan)``, and whether the run put a plan in the
+    column store's template-union memo (its union kernel ran)."""
+    resolved = engine.executor().resolved
+    resolved.pop("unions", None)
+    result = executed(engine, plan)
+    return result, bool(resolved.get("unions"))
+
+
+def canonical(union):
+    """Whether the union kernel takes *union*: its template selects with
+    simple predicates only."""
+    return not any(
+        type(node) is Select and any(
+            type(p) is ColumnComparison for p in node.predicates
+        )
+        for node in L.template_chain(union.template)
+    )
 
 
 class TestTemplateEqualsExpansion:
-    @settings(max_examples=60)
+    @settings(max_examples=200)
     @given(case=template_cases())
     def test_every_answer_equals_the_expansions(self, engines, case):
         plan, union = case
@@ -209,7 +255,13 @@ class TestTemplateEqualsExpansion:
                 render_physical_plan(reference, sys.maxsize)
             assert lint_physical_plan(physical) == \
                 lint_physical_plan(reference)
-            assert executed(engine, plan) == executed(engine, oracle)
+            if engine.kind == "column-store":
+                got, kernel = memoised(engine, plan)
+                want, generic = memoised(engine, oracle)
+                assert (kernel, generic) == (canonical(union), False)
+            else:
+                got, want = executed(engine, plan), executed(engine, oracle)
+            assert got == want
 
     def test_findings_inside_a_template_name_each_branch(self):
         template = Project(
@@ -326,3 +378,29 @@ class TestAdhocHotPathNeverExpands:
         again = repro_calls(lambda: session.query(DESCRIBE_SPARQL))
         assert again["_bind_template"] == 0
         assert vars(union)["_inputs"] is expansion
+
+
+class TestQ8IsTwoTemplateUnions:
+    def test_a_hot_q8_runs_without_building_an_expansion(
+        self, dataset, repro_calls
+    ):
+        from repro.queries import build_query
+
+        connection = api.connect(
+            triples=dataset.triples,
+            interesting_properties=dataset.interesting_properties,
+        )
+        catalog = connection.store.catalog
+        built = [
+            node for node, _ in L.walk_shapes(build_query(catalog, "q8"))
+            if isinstance(node, Union)
+        ]
+        assert [(u.template is not None, u.n_inputs) for u in built] == [
+            (True, 40), (True, 40),
+        ]
+        session = connection.session()
+        assert session.query("q8", mode="cold").rows
+        names = repro_calls(lambda: session.query("q8"))
+        assert names["vector_union"] == 2 and names["_bind_template"] == 0
+        for union in template_unions(connection, "q8"):
+            assert "_inputs" not in vars(union)
