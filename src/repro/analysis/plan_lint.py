@@ -18,20 +18,17 @@ Severity policy
              unconsumed columns for free, so dead scan columns are notes,
              not warnings.
 
-Frontend wiring
----------------
-:func:`check_plan` is called by the SQL planner, the SPARQL executor and
-the benchmark query builders.  Its behaviour is mode-gated:
+One lint point
+--------------
+Building a plan lints nothing.  :meth:`repro.api.Session.query` lints
+each plan its connection caches at most once, under a mode:
 
 * ``"off"``    — no linting (zero overhead),
-* ``"warn"``   — lint and log findings at warning+ (the default),
+* ``"warn"``   — log findings at warning+ once per plan (the default),
 * ``"strict"`` — raise :class:`~repro.errors.PlanError` on warning+.
 
-The mode comes from :func:`set_lint_mode` or the ``REPRO_LINT``
-environment variable.
+The process default comes from :func:`set_lint_mode`.
 """
-
-import os
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -155,12 +152,12 @@ def lint_physical_plan(physical, rules=None):
 
 
 # ---------------------------------------------------------------------------
-# frontend wiring
+# lint modes
 # ---------------------------------------------------------------------------
 
 LINT_MODES = ("off", "warn", "strict")
 
-_lint_mode = None  # resolved lazily so env changes in tests are honoured
+_lint_mode = "warn"
 
 
 def validate_lint_mode(mode):
@@ -174,31 +171,23 @@ def validate_lint_mode(mode):
 
 
 def set_lint_mode(mode):
-    """Set the frontend lint mode ("off" | "warn" | "strict")."""
+    """Set the process default lint mode ("off" | "warn" | "strict")."""
     global _lint_mode
-    # unguarded-ok: frontend config knob, set during setup (CLI, tests)
+    # unguarded-ok: process config knob, set during setup (CLI, tests)
     # before queries run; an atomic reference store either way
     _lint_mode = validate_lint_mode(mode)
 
 
 def lint_mode():
-    if _lint_mode is not None:
-        return _lint_mode
-    env = os.environ.get("REPRO_LINT", "warn").strip().lower()
-    return env if env in LINT_MODES else "warn"
+    """The process default lint mode."""
+    return _lint_mode
 
 
-def check_plan(plan, where, mode=None):
-    """Frontend hook: lint *plan* according to the current (or given) mode.
-
-    Returns the diagnostics (empty under mode "off").  Under "strict",
-    raises :class:`PlanError` when anything at warning+ severity fires.
-    """
-    mode = lint_mode() if mode is None else validate_lint_mode(mode)
-    if mode == "off":
-        return ()
-    diagnostics = lint_plan(plan)
-    actionable = worst(diagnostics, at_least=WARNING)
+def enforce(diagnostics, where, mode):
+    """Act on a plan's *diagnostics* at warning+ severity: under mode
+    "strict" raise :class:`PlanError` if there are any, under "warn" log
+    each one, under "off" nothing."""
+    actionable = worst(diagnostics, at_least=WARNING) if mode != "off" else ()
     if actionable and mode == "strict":
         details = "; ".join(
             f"{d.rule} at {d.path}: {d.message}" for d in actionable
@@ -206,6 +195,14 @@ def check_plan(plan, where, mode=None):
         raise PlanError(f"{where}: plan fails lint ({details})")
     for d in actionable:
         log.warning("%s: %s at %s: %s", where, d.rule, d.path, d.message)
+
+
+def check_plan(plan, where, mode=None):
+    """Lint *plan* under *mode* (``None``: the process default) and
+    :func:`enforce` it; returns the diagnostics (``()`` under "off")."""
+    mode = lint_mode() if mode is None else validate_lint_mode(mode)
+    diagnostics = lint_plan(plan) if mode != "off" else ()
+    enforce(diagnostics, where, mode)
     return diagnostics
 
 

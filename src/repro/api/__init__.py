@@ -36,7 +36,9 @@ consistent.
 """
 
 import threading
+from dataclasses import dataclass
 
+from repro.analysis import plan_lint
 from repro.core.store import RDFStore
 from repro.errors import (
     QueryCancelled,
@@ -185,6 +187,17 @@ class Result:
         }
 
 
+@dataclass
+class _Prepared:
+    """One plan-cache entry; its lint findings are filled in on first ask."""
+
+    kind: str
+    plan: object
+    columns: list
+    diagnostics: list = None
+    warned: bool = False
+
+
 class Session:
     """A serialized query stream over a :class:`Connection`.
 
@@ -240,10 +253,11 @@ class Session:
             :class:`~repro.errors.QueryTimeout` is raised and the shared
             engine state stays consistent.
         lint:
-            Per-call lint mode (``"off"`` / ``"warn"`` / ``"strict"``)
-            applied on top of the plan built by the front-end; ``None``
-            uses the session default (which defaults to the global
-            ``REPRO_LINT`` behaviour of the front-ends).
+            Per-call lint mode (``"off"`` / ``"warn"`` / ``"strict"``);
+            ``None`` uses the session's, else the process default
+            (:func:`repro.analysis.set_lint_mode`).  Each cached plan is
+            linted once: warn logs its findings once, strict raises on
+            every query of it, plan-cache hits included.
         mode:
             Buffer-pool protocol, handed to the engine's
             :meth:`~repro.exec.host.EngineHost.run`: ``None``/``"current"``
@@ -270,29 +284,24 @@ class Session:
         effective_timeout = (
             timeout if timeout is not None else self.default_timeout
         )
-        effective_lint = lint if lint is not None else self.lint
-        if effective_lint is not None:
-            from repro.analysis import plan_lint
-
-            # Rejected before planning: a bad mode costs no plan.
-            plan_lint.validate_lint_mode(effective_lint)
+        if lint is None:
+            lint = plan_lint.lint_mode() if self.lint is None else self.lint
+        # Rejected before planning: a bad mode costs no plan.
+        plan_lint.validate_lint_mode(lint)
         connection = self.connection
-        kind, plan, columns = connection._plan_for(
-            text, optimize=optimize, scope=scope
-        )
-        if effective_lint is not None:
-            plan_lint.check_plan(plan, where=f"api:{kind}",
-                                 mode=effective_lint)
+        entry = connection._plan_for(text, optimize=optimize, scope=scope)
+        if lint != "off":
+            connection._lint(entry, lint)
         relation, timing, query_profile = connection._execute(
-            plan, timeout=effective_timeout, mode=mode,
+            entry.plan, timeout=effective_timeout, mode=mode,
             profile=profile, query=text, workers=workers,
         )
         n_rows = relation.n_rows
         rows = relation.decoded_tuples(
-            connection.store.catalog.dictionary, order=columns
+            connection.store.catalog.dictionary, order=entry.columns
         )
         return Result(
-            query=text, kind=kind, columns=columns, rows=rows,
+            query=text, kind=entry.kind, columns=entry.columns, rows=rows,
             cost=timing, n_rows=n_rows, profile=query_profile,
         )
 
@@ -334,7 +343,7 @@ class Session:
         """Render the logical (and optionally physical) plan for *text*."""
         self._check_open()
         connection = self.connection
-        _kind, plan, _columns = connection._plan_for(text, scope=scope)
+        plan = connection._plan_for(text, scope=scope).plan
         return connection._explain(plan, physical)
 
 
@@ -357,7 +366,7 @@ class Connection:
         self.store = store
         self._exec_lock = threading.RLock()
         self._plan_lock = threading.Lock()
-        # cache key -> (kind, plan, columns)
+        # cache key -> _Prepared
         self._plans = LruCache(PLAN_CACHE_SIZE)
         self._closed = False
 
@@ -412,7 +421,7 @@ class Connection:
     # -- planning -------------------------------------------------------
 
     def _plan_for(self, text, optimize=False, scope=None):
-        """(kind, plan, output columns) for *text*, served from the
+        """The :class:`_Prepared` plan for *text*, served from the
         prepared-plan cache.  Plans are immutable, so cached plan objects
         are shared across sessions and executions."""
         kind = classify_query(text)
@@ -426,6 +435,20 @@ class Connection:
         with self._plan_lock:
             return self._plans.put(key, entry)
 
+    def _lint(self, entry, mode="off"):
+        """Plan-cache *entry*'s lint findings, linted on first ask (two
+        racing threads may both lint, to the same result), and enforced
+        under *mode*: strict raises every time, warn logs once."""
+        if entry.diagnostics is None:
+            entry.diagnostics = plan_lint.lint_plan(entry.plan)
+        if mode == "warn":
+            with self._plan_lock:
+                if entry.warned:
+                    return entry.diagnostics
+                entry.warned = True
+        plan_lint.enforce(entry.diagnostics, f"api:{entry.kind}", mode)
+        return entry.diagnostics
+
     def plan_cache_stats(self):
         """Prepared-plan cache counters: size, capacity, hits, misses,
         evictions.  Exposed through ``/v1/stats`` and the Prometheus
@@ -437,13 +460,13 @@ class Connection:
         catalog = self.store.catalog
         if kind == "benchmark":
             plan = build_query(catalog, text, scope=scope)
-            return kind, plan, plan.output_columns()
+            return _Prepared(kind, plan, plan.output_columns())
         if kind == "sparql":
             from repro.sparql import parse_sparql
             from repro.sparql.executor import sparql_plan
 
             plan, names = sparql_plan(catalog, parse_sparql(text))
-            return kind, plan, list(names)
+            return _Prepared(kind, plan, list(names))
         from repro.sql.planner import plan_sql
 
         plan = plan_sql(text, catalog)
@@ -456,7 +479,7 @@ class Connection:
             plan = optimize_joins(
                 plan, engine_stats_provider(self.store.engine)
             )
-        return kind, plan, plan.output_columns()
+        return _Prepared(kind, plan, plan.output_columns())
 
     # -- execution ------------------------------------------------------
 

@@ -543,16 +543,19 @@ _FIGURE7_MAX_SUBPROPERTIES = 50
 def _figure7_split(dataset, target, base_count, seed):
     """The dataset one Figure 7 sweep point deploys: *dataset* itself at
     its own property count, otherwise its properties split to *target*
-    (same triple count, so the same scale factor)."""
+    (same triple count, so the same scale factor) with as many interesting
+    properties as *dataset*, its own most frequent ones."""
     if target == base_count:
         return dataset
     triples, _ = split_properties(
         dataset.triples, target, seed=seed, protected=WELL_KNOWN_PROPERTIES,
         max_subproperties=_FIGURE7_MAX_SUBPROPERTIES,
     )
+    counts = frequency_table(triples, "p")
+    ranked = sorted(counts, key=lambda prop: (-counts[prop], prop))
     return SimpleNamespace(
         triples=triples,
-        interesting_properties=dataset.interesting_properties,
+        interesting_properties=ranked[:len(dataset.interesting_properties)],
     )
 
 

@@ -922,30 +922,20 @@ def _command_analyze(args):
 
 def _analyze_plan_section(args):
     """Plan diagnostics per query: ``({query: [Diagnostic]}, failing)``."""
-    from repro.analysis import WARNING, plan_lint, worst
+    from repro.analysis import WARNING, worst
     from repro.queries import ALL_QUERY_NAMES
 
-    # The analyzer reports findings itself; suppress the frontends' own
-    # warn-mode logging so nothing is reported twice.
-    previous_mode = plan_lint._lint_mode
-    plan_lint.set_lint_mode("off")
-    try:
-        store = _store_from_args(args)
-
-        queries = (
-            list(ALL_QUERY_NAMES) if args.query == "all" else [args.query]
+    store = _store_from_args(args)
+    queries = list(ALL_QUERY_NAMES) if args.query == "all" else [args.query]
+    report = {}
+    failing = 0
+    for query in queries:
+        diagnostics = store.analyze(query, physical=args.physical)
+        report[query] = diagnostics
+        failing += len(
+            diagnostics if args.strict
+            else worst(diagnostics, at_least=WARNING)
         )
-        report = {}
-        failing = 0
-        for query in queries:
-            diagnostics = store.analyze(query, physical=args.physical)
-            report[query] = diagnostics
-            failing += len(
-                diagnostics if args.strict
-                else worst(diagnostics, at_least=WARNING)
-            )
-    finally:
-        plan_lint._lint_mode = previous_mode
     return report, failing
 
 

@@ -179,13 +179,13 @@ class RDFStore:
         store's engine registry and the physical rule set (e.g.
         ``wrong-engine-operator``) runs alongside the logical rules.
         """
-        from repro.analysis import lint_physical_plan, lint_plan
+        from repro.analysis import lint_physical_plan
 
         connection = self.connection()
-        plan = connection._plan_for(query, scope=scope)[1]
+        entry = connection._plan_for(query, scope=scope)
         if physical:
-            return list(lint_physical_plan(connection._lower(plan)))
-        return list(lint_plan(plan))
+            return list(lint_physical_plan(connection._lower(entry.plan)))
+        return list(connection._lint(entry))  # kept with the plan; no log
 
     def statistics(self):
         """Table-1-style statistics of the loaded data

@@ -24,31 +24,32 @@ methods are no-ops.
 """
 
 import itertools
+import threading
 import time
 from contextlib import contextmanager
-
-from repro.observe.race import guard_lock, shared_state
 
 #: Monotonic span-id source: every Span gets a process-unique integer id so
 #: exported traces and structured log lines can correlate on it.
 #: ``itertools.count`` advances atomically under the GIL.
 _SPAN_IDS = itertools.count(1)
 
-#: Stack of tracers currently inside :meth:`Tracer.run` (innermost last);
-#: :func:`active_span_id` reads it so log lines can carry the span id.
-#: Concurrent sessions each run their own tracer, so entry/exit mutations
-#: from the server's request threads must serialize.
-_ACTIVE_TRACERS_LOCK = guard_lock("observe.trace._ACTIVE_TRACERS")
-_ACTIVE_TRACERS = shared_state(  # guarded-by: _ACTIVE_TRACERS_LOCK
-    "observe.trace._ACTIVE_TRACERS", [], _ACTIVE_TRACERS_LOCK,
-)
+class _Active(threading.local):
+    """Per thread, the stack of tracers inside :meth:`Tracer.run`
+    (innermost last): :func:`active_span_id` reads the calling thread's,
+    so a log line carries the span of the thread that wrote it."""
+
+    def __init__(self):
+        self.tracers = []
+
+
+_ACTIVE = _Active()
 
 
 def active_span_id():
-    """Span id of the innermost active span, or ``None`` outside tracing."""
-    if not _ACTIVE_TRACERS:
+    """Span id of this thread's innermost active span, or ``None``."""
+    if not _ACTIVE.tracers:
         return None
-    span = _ACTIVE_TRACERS[-1].current_span()
+    span = _ACTIVE.tracers[-1].current_span()
     return span.sid if span is not None else None
 
 
@@ -262,13 +263,11 @@ class Tracer:
         (and through it the structured JSON logger) can name the span any
         log line was emitted under."""
         self._push(self.root)
-        with _ACTIVE_TRACERS_LOCK:
-            _ACTIVE_TRACERS.append(self)
+        _ACTIVE.tracers.append(self)
         try:
             yield self.root
         finally:
-            with _ACTIVE_TRACERS_LOCK:
-                _ACTIVE_TRACERS.remove(self)
+            _ACTIVE.tracers.remove(self)
             self._pop()
 
     @contextmanager

@@ -23,7 +23,7 @@ from repro.sql.planner import _Planner
 HAND_BUILT_Q8 = {"vertical": vertical_q8, "property_table": property_table_q8}
 
 
-def build_query(catalog, name, scope=None, lint=None):
+def build_query(catalog, name, scope=None):
     """Build the logical plan for benchmark query *name* over *catalog*.
 
     *scope* overrides the property scope ("interesting", "all", or an
@@ -32,28 +32,18 @@ def build_query(catalog, name, scope=None, lint=None):
     store takes a list; the other schemes restrict through the catalog's
     ``properties`` table, which :meth:`StoreCatalog.with_properties`
     replaces.
-
-    Every built plan runs through the static plan linter
-    (:mod:`repro.analysis`); *lint* overrides the session lint mode for
-    this call (``"off"`` / ``"warn"`` / ``"strict"``).
     """
     base, full_scale = parse_query_name(name)
     if scope is None:
         scope = "all" if full_scale else "interesting"
     if base == "q8" and catalog.scheme in HAND_BUILT_Q8:
-        plan = HAND_BUILT_Q8[catalog.scheme](catalog)
-    else:
-        statement = _appendix_statement(
-            f"{base}*" if scope == "all" and QUERIES[base].has_star_variant
-            else base
-        )
-        properties = None if scope in ("interesting", "all") else scope
-        plan = _Planner(catalog).plan(place(statement, catalog, properties))
-
-    from repro.analysis import plan_lint
-
-    plan_lint.check_plan(plan, where=f"query:{name}", mode=lint)
-    return plan
+        return HAND_BUILT_Q8[catalog.scheme](catalog)
+    statement = _appendix_statement(
+        f"{base}*" if scope == "all" and QUERIES[base].has_star_variant
+        else base
+    )
+    properties = None if scope in ("interesting", "all") else scope
+    return _Planner(catalog).plan(place(statement, catalog, properties))
 
 
 @functools.lru_cache(maxsize=None)

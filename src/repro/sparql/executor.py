@@ -43,9 +43,5 @@ def sparql_plan(catalog, query):
     if query.limit is not None:
         # Pushed into the plan so engine timing reflects the truncation.
         plan = Limit(plan, query.limit)
-
-    from repro.analysis import plan_lint
-
-    plan_lint.check_plan(plan, where="sparql")
     return plan, projection
 

@@ -50,20 +50,19 @@ def plan_sql(sql_or_ast, catalog, lint=None):
 
     Triple-schema text (``triples`` / ``properties``) is placed on the
     catalog's scheme first (:func:`repro.sql.generator.place`), so it runs
-    on every scheme; text over the deployed tables passes through.  The
-    resulting plan runs through the static plan linter
-    (:mod:`repro.analysis`): *lint* overrides the session lint mode for
-    this call (``"off"``, ``"warn"`` — log warnings, the default — or
-    ``"strict"`` — raise :class:`~repro.errors.PlanError` on warnings).
+    on every scheme; text over the deployed tables passes through.
+    Planning lints nothing, unless *lint* names a mode: then it is
+    :func:`~repro.analysis.plan_lint.check_plan` under that mode.
     """
-    from repro.analysis import plan_lint
-
     if isinstance(sql_or_ast, str):
         statement = parse_sql(sql_or_ast)
     else:
         statement = sql_or_ast
     plan = _Planner(catalog).plan(place(statement, catalog))
-    plan_lint.check_plan(plan, where="sql", mode=lint)
+    if lint is not None:
+        from repro.analysis import plan_lint
+
+        plan_lint.check_plan(plan, where="sql", mode=lint)
     return plan
 
 

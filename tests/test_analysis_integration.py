@@ -6,11 +6,23 @@ Plus: the frontend wiring, the CLI subcommands, the LogicalPlan
 immutability seal and the Join disjoint-columns invariant.
 """
 
+import collections
 import json
+import logging
+import sys
+import threading
 
 import pytest
 
-from repro.analysis import WARNING, lint_plan, worst
+import repro.api as api
+from repro.analysis import (
+    WARNING,
+    lint_mode,
+    lint_plan,
+    plan_lint,
+    set_lint_mode,
+    worst,
+)
 from repro.cli import main
 from repro.colstore import ColumnStoreEngine
 from repro.data import generate_barton
@@ -56,35 +68,160 @@ def test_shipped_queries_lint_clean(catalogs, scheme, query):
     assert not flagged, "\n".join(d.render() for d in flagged)
 
 
+#: Triple-store SQL with one warning: a property oid joined to a subject.
+CROSS_DOMAIN_SQL = (
+    "SELECT A.subj FROM triples AS A, triples AS B "
+    "WHERE A.prop = B.subj AND A.subj = B.obj"
+)
+
+
 def test_sql_frontend_lints(catalogs):
     from repro.sql.planner import plan_sql
 
     catalog = catalogs["triple"]
-    sql = (
-        "SELECT A.subj FROM triples AS A, triples AS B "
-        "WHERE A.prop = B.subj AND A.subj = B.obj"
-    )
     with pytest.raises(PlanError, match="domain-mismatch"):
-        plan_sql(sql, catalog, lint="strict")
-    # Default mode plans fine (logged, not raised).
-    assert plan_sql(sql, catalog, lint="warn") is not None
+        plan_sql(CROSS_DOMAIN_SQL, catalog, lint="strict")
+    # An explicit "warn" plans fine (logged, not raised).
+    assert plan_sql(CROSS_DOMAIN_SQL, catalog, lint="warn") is not None
 
 
-def test_sparql_frontend_lints(catalogs, monkeypatch):
+@pytest.fixture
+def strict_by_default():
+    previous = lint_mode()
+    set_lint_mode("strict")
+    yield
+    set_lint_mode(previous)
+
+
+@pytest.fixture
+def lint_calls(monkeypatch):
+    """How often ``lint_plan`` and each plan rule ran."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        plan_lint, "lint_plan", counted("lint_plan", plan_lint.lint_plan)
+    )
+    for rule_id, (fn, description) in list(plan_lint.PLAN_RULES.items()):
+        monkeypatch.setitem(
+            plan_lint.PLAN_RULES, rule_id, (counted(rule_id, fn), description)
+        )
+    return calls
+
+
+@pytest.fixture
+def lint_log():
+    """The warnings the plan linter logs, caught on its own logger so
+    that a CLI run's logging setup cannot hide them."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("repro.analysis")
+    logger.addHandler(handler)
+    yield records
+    logger.removeHandler(handler)
+
+
+@pytest.fixture
+def triple_connection(dataset):
+    return api.connect(triples=dataset.triples[:2000], scheme="triple")
+
+
+@pytest.mark.parametrize("front_end", ["build_query", "sparql", "sql"])
+def test_building_a_plan_lints_nothing(
+    catalogs, front_end, strict_by_default, lint_calls, lint_log
+):
     from repro.sparql import parse_sparql
     from repro.sparql.executor import sparql_plan
+    from repro.sql.planner import plan_sql
 
-    monkeypatch.setenv("REPRO_LINT", "strict")
-    plan, names = sparql_plan(
-        catalogs["vertical"],
-        parse_sparql("SELECT ?s WHERE { ?s <type> <Text> }"),
-    )
-    assert plan is not None and names == ["s"]
-
-
-def test_benchmark_frontend_lint_override(catalogs):
-    plan = build_query(catalogs["vertical"], "q1", lint="strict")
+    catalog = catalogs["triple"]
+    if front_end == "build_query":
+        plan = build_query(catalog, "q2")
+    elif front_end == "sparql":
+        plan, _ = sparql_plan(
+            catalog, parse_sparql("SELECT ?s WHERE { ?s <type> <Text> }")
+        )
+    else:
+        plan = plan_sql(CROSS_DOMAIN_SQL, catalog)
     assert plan is not None
+    assert lint_calls == {}
+    assert lint_log == []
+
+
+def test_sparql_frontend_lints(triple_connection):
+    with triple_connection.session(lint="strict") as session:
+        result = session.query("SELECT ?s WHERE { ?s <type> <Text> }")
+    assert result.kind == "sparql" and result.columns == ["s"]
+
+
+def test_benchmark_frontend_lint_override(triple_connection):
+    with triple_connection.session(lint="off") as session:
+        assert session.query("q1", lint="strict").n_rows > 0
+
+
+def test_strict_raises_on_every_query_and_lints_once(
+    triple_connection, lint_calls
+):
+    with triple_connection.session(lint="strict") as session:
+        for _ in range(2):
+            with pytest.raises(PlanError, match="domain-mismatch"):
+                session.query(CROSS_DOMAIN_SQL)
+    assert triple_connection.plan_cache_stats()["hits"] == 1
+    assert lint_calls["lint_plan"] == 1
+
+
+def test_warn_logs_a_finding_once_per_plan(triple_connection, lint_log):
+    with triple_connection.session(lint="warn") as session:
+        first = session.query(CROSS_DOMAIN_SQL)
+        second = session.query(CROSS_DOMAIN_SQL)
+    assert first.rows == second.rows
+    assert len(lint_log) == 1
+    assert "domain-mismatch" in lint_log[0].getMessage()
+
+
+def test_warn_logs_once_under_concurrent_first_queries(triple_connection,
+                                                       lint_log):
+    errors = []
+
+    def query():
+        try:
+            triple_connection.query(CROSS_DOMAIN_SQL, lint="warn")
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=query) for _ in range(8)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(lint_log) == 1
+
+
+def test_call_mode_wins_over_session_and_process_default(
+    triple_connection, strict_by_default, lint_log
+):
+    with triple_connection.session() as session:
+        with pytest.raises(PlanError):
+            session.query(CROSS_DOMAIN_SQL)
+        session.query(CROSS_DOMAIN_SQL, lint="off")
+    with triple_connection.session(lint="warn") as session:
+        session.query(CROSS_DOMAIN_SQL)
+        with pytest.raises(PlanError):
+            session.query(CROSS_DOMAIN_SQL, lint="strict")
+    assert len(lint_log) == 1
 
 
 def test_optimizer_keeps_plans_lint_clean(dataset):
@@ -177,15 +314,18 @@ class TestAnalyzeCommand:
 
     def test_broken_sql_exits_nonzero(self, capsys):
         code = main(
-            [
-                "analyze",
-                "SELECT A.subj FROM triples AS A, triples AS B "
-                "WHERE A.prop = B.subj AND A.subj = B.obj",
-                "--scheme", "triple",
-            ] + self.ARGS
+            ["analyze", CROSS_DOMAIN_SQL, "--scheme", "triple"] + self.ARGS
         )
         assert code == 1
         assert "domain-mismatch" in capsys.readouterr().out
+
+    def test_a_finding_is_printed_once_and_not_logged(self, capsys, lint_log):
+        code = main(
+            ["analyze", CROSS_DOMAIN_SQL, "--scheme", "triple"] + self.ARGS
+        )
+        assert code == 1
+        assert capsys.readouterr().out.count("domain-mismatch") == 1
+        assert lint_log == []
 
     def test_json_document(self, capsys):
         code = main(["analyze", "q1", "--json"] + self.ARGS)
@@ -209,7 +349,7 @@ class TestAnalyzeCommand:
         concurrency = document["concurrency"]
         assert set(concurrency) == {"violations", "locks", "runtime"}
         assert concurrency["violations"] == []
-        assert len(concurrency["locks"]) == 11
+        assert len(concurrency["locks"]) == 10
         assert concurrency["runtime"] is None  # --static-only
         assert document["ok"] is True
 

@@ -46,11 +46,9 @@ def rules_fired(plan, severity=None):
 
 @pytest.fixture(autouse=True)
 def _reset_mode():
-    from repro.analysis import plan_lint
-
-    previous = plan_lint._lint_mode
+    previous = lint_mode()
     yield
-    plan_lint._lint_mode = previous
+    set_lint_mode(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +335,6 @@ class TestMachinery:
             check_plan(scan("A"), where="test", mode=["strict"])
         set_lint_mode("strict")
         assert lint_mode() == "strict"
-
-    def test_env_mode(self, monkeypatch):
-        from repro.analysis import plan_lint
-
-        plan_lint._lint_mode = None
-        monkeypatch.setenv("REPRO_LINT", "off")
-        assert lint_mode() == "off"
-        monkeypatch.setenv("REPRO_LINT", "garbage")
-        assert lint_mode() == "warn"
 
     def test_assert_no_regression(self):
         clean = Join(scan("A"), scan("B"), on=[("A.subj", "B.subj")])

@@ -192,15 +192,15 @@ class TestSession:
 class TestPlanCache:
     def test_repeated_queries_share_the_plan_object(self, dataset):
         conn = fresh_connection(dataset)
-        _, plan_a, _ = conn._plan_for("q1")
-        _, plan_b, _ = conn._plan_for("q1")
+        plan_a = conn._plan_for("q1").plan
+        plan_b = conn._plan_for("q1").plan
         assert plan_a is plan_b
 
     def test_cache_key_separates_variants(self, dataset):
         conn = fresh_connection(dataset, scheme="triple")
         sql = "SELECT A.subj FROM triples AS A WHERE A.prop = '<type>'"
-        _, plain, _ = conn._plan_for(sql)
-        _, optimized, _ = conn._plan_for(sql, optimize=True)
+        plain = conn._plan_for(sql).plan
+        optimized = conn._plan_for(sql, optimize=True).plan
         assert plain is not optimized
 
     def test_hit_and_miss_counters(self, dataset):
@@ -358,7 +358,7 @@ class TestTimeouts:
         conn = fresh_connection(dataset)
         engine = conn.store.engine
         runtime = engine.executor()
-        _, plan, _ = conn._plan_for("q1")
+        plan = conn._plan_for("q1").plan
         token = CancellationToken()
         token.cancel(reason="test")
         runtime.cancel_token = token

@@ -137,7 +137,7 @@ def answers(engine, catalog, patterns, variables):
     plan, _ = bgp_plan(catalog, patterns, variables)
     text = bgp_statement(patterns, variables)[0].sql()
     return (rows(engine, catalog, plan),
-            rows(engine, catalog, plan_sql(text, catalog, lint="off")))
+            rows(engine, catalog, plan_sql(text, catalog)))
 
 
 def canon(bindings, variables):

@@ -495,7 +495,6 @@ def test_shipped_package_lock_inventory():
         "repro.exec.registry._REGISTRY_LOCK": {"reentrant": False},
         "repro.observe.counters._LOCK": {"reentrant": False},
         "repro.observe.race._STATE_LOCK": {"reentrant": False},
-        "repro.observe.trace._ACTIVE_TRACERS_LOCK": {"reentrant": False},
         "repro.server.http.QueryServer._session_lock": {"reentrant": False},
         "repro.server.replay._Collector.lock": {"reentrant": False},
         "repro.server.scheduler.SessionScheduler._stats_lock": {

@@ -264,11 +264,7 @@ class TestLeafLocksAtRuntime:
 
         assert nested == []
         assert "observe.counters" in under_exec
-        assert under_exec <= {
-            "observe.counters",
-            "observe.trace._ACTIVE_TRACERS",
-            "exec.registry._REGISTRY",
-        }
+        assert under_exec <= {"observe.counters", "exec.registry._REGISTRY"}
 
 
 # ---------------------------------------------------------------------------

@@ -294,37 +294,32 @@ def build_document():
                 e, d.triples, d.interesting_properties, clustering="PSO"),
         ),
     }
-    previous_mode = plan_lint._lint_mode
-    plan_lint.set_lint_mode("off")
-    try:
-        cases = {}
-        plans = {}
-        for scheme, deployment in deployments.items():
-            catalog = deployment.catalog
-            for name in ALL_QUERY_NAMES:
-                plan = build_query(catalog, name)
-                cases[f"{scheme}/{name}"] = (deployment, plan)
-                plans[f"{scheme}/{name}"] = plan_digest(plan)
-                plans[f"{scheme}/{name}@all"] = plan_digest(
-                    build_query(catalog, name, scope="all"))
-            for kind, text in ADHOC_TEXTS.items():
-                if kind == "sparql_describe":
-                    plan, _ = sparql_plan(catalog, parse_sparql(text))
-                else:
-                    if scheme == "vertical":
-                        text = generate_vertical_sql(text, catalog)
-                    plan = plan_sql(text, catalog)
-                cases[f"{scheme}/adhoc/{kind}"] = (deployment, plan)
-        for rule, plan in bad_plans().items():
-            cases[f"bad/{rule}"] = (deployments["triple"], plan)
-        for operator, text in COMPRESSED_KERNEL_SQL.items():
-            cases[f"guard/{operator}"] = (
-                deployments["triple"],
-                plan_sql(text, deployments["triple"].catalog),
-            )
-        plans.update(figure6_plans())
-    finally:
-        plan_lint._lint_mode = previous_mode
+    cases = {}
+    plans = {}
+    for scheme, deployment in deployments.items():
+        catalog = deployment.catalog
+        for name in ALL_QUERY_NAMES:
+            plan = build_query(catalog, name)
+            cases[f"{scheme}/{name}"] = (deployment, plan)
+            plans[f"{scheme}/{name}"] = plan_digest(plan)
+            plans[f"{scheme}/{name}@all"] = plan_digest(
+                build_query(catalog, name, scope="all"))
+        for kind, text in ADHOC_TEXTS.items():
+            if kind == "sparql_describe":
+                plan, _ = sparql_plan(catalog, parse_sparql(text))
+            else:
+                if scheme == "vertical":
+                    text = generate_vertical_sql(text, catalog)
+                plan = plan_sql(text, catalog)
+            cases[f"{scheme}/adhoc/{kind}"] = (deployment, plan)
+    for rule, plan in bad_plans().items():
+        cases[f"bad/{rule}"] = (deployments["triple"], plan)
+    for operator, text in COMPRESSED_KERNEL_SQL.items():
+        cases[f"guard/{operator}"] = (
+            deployments["triple"],
+            plan_sql(text, deployments["triple"].catalog),
+        )
+    plans.update(figure6_plans())
 
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -455,8 +450,7 @@ def test_lowering_cannot_see_the_worker_count():
         engine, dataset.triples, dataset.interesting_properties
     )
     plan = plan_sql(
-        generate_vertical_sql(ADHOC_TEXTS["sql_describe"], catalog), catalog,
-        lint="off",
+        generate_vertical_sql(ADHOC_TEXTS["sql_describe"], catalog), catalog
     )
     serial = operator_tree(lower_plan(plan, engine.kind, instance=engine))
     engine.install_parallelism(4)

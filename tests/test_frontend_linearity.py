@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.analysis import lint_plan, plan_lint
+from repro.analysis import lint_plan
 from repro.colstore import ColumnStoreEngine
 from repro.exec import engine_ops, lower_plan
 from repro.model.triple import Triple
@@ -84,7 +84,7 @@ def deployments():
 
 def front_end(engine, catalog, text):
     statement = parse_sql(text)
-    plan = plan_sql(statement, catalog, lint="off")
+    plan = plan_sql(statement, catalog)
     diagnostics = lint_plan(plan)
     physical = lower_plan(plan, engine.kind, instance=engine)
     return plan, diagnostics, physical
@@ -112,12 +112,9 @@ def test_parsing_a_union_makes_few_calls_per_branch(deployments):
     assert counter.calls <= 30 * 200, counter.calls
 
 
-def test_a_second_describe_reuses_the_kept_union_verdict(
-    deployments, monkeypatch
-):
+def test_a_second_describe_reuses_the_kept_union_verdict(deployments):
     """SPARQL describes on one catalog plan the generator's kept union:
     its template check and constant encoding run once, not per query."""
-    monkeypatch.setattr(plan_lint, "_lint_mode", "off")
     _, catalog = deployments[200]
     query = parse_sparql("SELECT ?p ?o WHERE { <s0> ?p ?o }")
     first, _ = sparql_plan(catalog, query)
@@ -137,8 +134,7 @@ def test_lint_and_lowering_read_the_union_once(deployments):
     calls = {}
     for n_properties in (50, 200):
         engine, catalog = deployments[n_properties]
-        plan = plan_sql(generate_vertical_sql(DESCRIBE, catalog), catalog,
-                        lint="off")
+        plan = plan_sql(generate_vertical_sql(DESCRIBE, catalog), catalog)
         with CallCounter() as linted:
             lint_plan(plan)
         with CallCounter() as lowered:
@@ -150,8 +146,7 @@ def test_lint_and_lowering_read_the_union_once(deployments):
 
 def test_lint_does_not_rewalk_the_tree_per_rule(deployments):
     engine, catalog = deployments[100]
-    plan = plan_sql(generate_vertical_sql(DESCRIBE, catalog), catalog,
-                    lint="off")
+    plan = plan_sql(generate_vertical_sql(DESCRIBE, catalog), catalog)
     with CallCounter() as counter:
         lint_plan(plan)
     assert counter.frames[L.walk.__code__] <= 1
@@ -172,8 +167,7 @@ JOIN_AND_GROUP = (
 
 def test_a_guard_runs_once_per_node_of_its_declared_type(deployments):
     engine, catalog = deployments[100]
-    plan = plan_sql(generate_vertical_sql(JOIN_AND_GROUP, catalog), catalog,
-                    lint="off")
+    plan = plan_sql(generate_vertical_sql(JOIN_AND_GROUP, catalog), catalog)
     guarded = [
         opdef for opdef in engine_ops(engine.kind).rules
         if opdef.guard is not None
@@ -208,7 +202,7 @@ def test_running_a_plan_again_walks_no_tree(engine_cls):
     text = generate_vertical_sql(
         "SELECT A.obj, count(*) FROM triples AS A GROUP BY A.obj", catalog
     )
-    plan = plan_sql(text, catalog, lint="off")
+    plan = plan_sql(text, catalog)
     _, first = engine.run(plan)
     with CallCounter() as counter:
         _, again = engine.run(plan)

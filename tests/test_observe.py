@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import random
+import threading
 
 import pytest
 
@@ -320,6 +321,35 @@ class TestJsonLogging:
                 get_logger("test").info("inside the scan")
         document = json.loads(capsys.readouterr().err.strip())
         assert document["span_id"] == span.sid
+
+    def test_each_thread_reads_its_own_span_id(self):
+        """Two threads, each inside its own ``Tracer.run()`` at the same
+        time, each see their own innermost span."""
+        from repro.observe.trace import active_span_id
+
+        barrier = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def traced(name):
+            tracer = Tracer()
+            with tracer.run():
+                with tracer.span(name) as span:
+                    barrier.wait()  # both tracers are active now
+                    seen[name] = (span.sid, active_span_id())
+                    barrier.wait()
+
+        threads = [
+            threading.Thread(target=traced, args=(name,))
+            for name in ("left", "right")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert set(seen) == {"left", "right"}
+        for own, read in seen.values():
+            assert read == own
+        assert active_span_id() is None
 
     def test_env_var_selects_json(self, monkeypatch, capsys):
         from repro.observe.log import json_lines_default

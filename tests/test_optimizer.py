@@ -112,7 +112,7 @@ class TestEstimatorScalesWithDepth:
         stats = engine_stats_provider(store.engine)
         calls = {}
         for depth in (8, 16, 32):
-            plan = session.connection._plan_for(_chain(depth))[1]
+            plan = session.connection._plan_for(_chain(depth)).plan
             calls[depth] = repro_calls(
                 lambda: annotate_cardinalities(plan, stats)
             )["cardinality"]

@@ -394,7 +394,7 @@ class TestInterpreterWorkPerTuple:
             )
             engine = store.engine
             for query in ("q2", "q3"):
-                plan = store.connection()._plan_for(query)[1]
+                plan = store.connection()._plan_for(query).plan
                 operators = L.count_operators(plan)
                 engine.run(plan)  # lower the plan outside the counts
                 cold = self.count(engine, plan, "cold")

@@ -337,7 +337,7 @@ def dataset():
 
 
 def template_unions(connection, text):
-    _, plan, _ = connection._plan_for(text)
+    plan = connection._plan_for(text).plan
     unions = [
         node for node, _ in L.walk_shapes(plan)
         if isinstance(node, Union) and node.template is not None
