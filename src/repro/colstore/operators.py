@@ -31,6 +31,7 @@ from functools import partial
 import numpy as np
 
 from repro.colstore import vectorops as V
+from repro.engine.buffer import CPU, NOTE, PAGES, SPAN, page_runs
 from repro.exec.common import (
     MISSING_VALUE,
     ascending_prefix,
@@ -83,57 +84,69 @@ def _descend(table, prefix):
     return lo, hi, probes
 
 
-def _probe(rt, table, column, lo, hi):
-    """Charge one probe of the sorted *column* over rows ``[lo, hi)``:
-    search CPU, then probe pages.  A descent's first probe spans the whole
-    table whatever the constant, so it is resolved once per column."""
+def _probe_charges(rt, table, column, lo, hi):
+    """The charges of one probe of the sorted *column* over rows ``[lo,
+    hi)``: search CPU, then probe pages.  A descent's first probe spans
+    the whole table whatever the constant, so it is resolved once per
+    column into ``rt.resolved``."""
     whole = lo == 0 and hi == table.n_rows
-    charge = rt.resolved.get((table.name, column, "probe")) if whole else None
-    if charge is None:
+    charges = rt.resolved.get((table.name, column, "probe")) if whole else None
+    if charges is None:
         segment = table.segments[column]
-        charge = (
-            segment, _probe_pages(segment, table.encodings.get(column), lo, hi),
-            rt.costs.select_tuple * (2 * math.log2(max(hi - lo, 2))),
+        pages = _probe_pages(segment, table.encodings.get(column), lo, hi)
+        charges = (
+            (CPU, rt.costs.select_tuple * (2 * math.log2(max(hi - lo, 2)))),
+            (PAGES, segment, page_runs(segment, pages), False),
         )
         if whole:
-            rt.resolved[table.name, column, "probe"] = charge
-    segment, pages, cpu = charge
-    rt.clock.charge_cpu(cpu)
-    rt.pool.read_pages(segment, pages)
+            rt.resolved[table.name, column, "probe"] = charges
+    return charges
 
 
 def _probe_pages(segment, encoding, lo, hi):
     """Deterministic bisection probe pages within the row range (mapped
-    through the compressed byte layout when *encoding* is not None)."""
-    pages = set()
+    through the compressed byte layout when *encoding* is not None), as
+    an ascending array of distinct page numbers."""
+    probed = []
     a, b = lo, hi
     for _ in range(64):
         if a >= b:
             break
         mid = (a + b) // 2
-        byte = (
+        probed.append(
             mid * VALUE_BYTES if encoding is None
             else encoding.probe_byte(mid)
         )
-        pages.add(byte // segment.page_size)
         b = mid  # descend left; the exact path doesn't matter for cost
         if b - a <= segment.page_size // VALUE_BYTES:
             break
-    return sorted(pages)
+    return np.unique(np.array(probed, dtype=np.int64) // segment.page_size)
 
 
-def _dense_read(rt, table, column, lo, hi):
-    """Read rows ``[lo, hi)`` of *column*: its compressed byte ranges when
-    it is encoded, the raw bytes otherwise."""
-    segment, encoding = table.segments[column], table.encodings.get(column)
-    if encoding is None:
-        rt.pool.read(segment, lo * VALUE_BYTES, (hi - lo) * VALUE_BYTES)
-        return
-    nbytes = 0
-    for offset, length in encoding.byte_ranges(lo, hi):
-        rt.pool.read(segment, offset, length)
-        nbytes += length
-    _note_compressed_read(rt, nbytes, (hi - lo) * VALUE_BYTES)
+def _dense_charges(rt, table, column, lo, hi):
+    """The charges of reading rows ``[lo, hi)`` of *column*: its
+    compressed byte ranges and a compressed-read note when it is encoded,
+    the raw bytes otherwise.  A whole column's are resolved once per
+    stored column into ``rt.resolved``."""
+    whole = lo == 0 and hi == table.n_rows
+    charges = rt.resolved.get((table.name, column)) if whole else None
+    if charges is None:
+        segment, encoding = table.segments[column], table.encodings.get(column)
+        if encoding is None:
+            ranges = [(lo * VALUE_BYTES, (hi - lo) * VALUE_BYTES)]
+        else:
+            ranges = encoding.byte_ranges(lo, hi)
+        charges = tuple(
+            (SPAN, segment, *segment.page_span(*r)) for r in ranges
+        )
+        if encoding is not None:
+            charges += ((
+                NOTE, _note_compressed_read,
+                sum(length for _, length in ranges), (hi - lo) * VALUE_BYTES,
+            ),)
+        if whole:
+            rt.resolved[table.name, column] = charges
+    return charges
 
 
 def _note_compressed_read(rt, nbytes, logical_nbytes):
@@ -147,45 +160,55 @@ def _note_compressed_read(rt, nbytes, logical_nbytes):
 
 
 def _note_runs_skipped(rt, n):
-    if n <= 0:
-        return
     rt.engine.compression_counts.note_runs_skipped(n)
     tracer = rt.engine.tracer
     if tracer.enabled:
         tracer.current_add(runs_skipped=int(n))
 
 
-def _fetch_cost(rt, table, column, lo, hi, positions):
-    """Charge the I/O of reading *column* for the candidate rows: the
-    dense range ``[lo, hi)`` when *positions* is None, else the pages the
-    positions touch.  The column's physical encoding decides which bytes
-    those are (compressed byte ranges / run pages instead of raw ones).
+def _run_charges(rt, table, column, lo, hi, cpu, skipped):
+    """The charges of evaluating RLE-encoded *column* over rows ``[lo,
+    hi)`` run by run: its dense read, *cpu*, then a note of the *skipped*
+    rows when there are any."""
+    charges = _dense_charges(rt, table, column, lo, hi) + ((CPU, cpu),)
+    if skipped > 0:
+        charges += ((NOTE, _note_runs_skipped, skipped),)
+    return charges
 
-    This is the kernel's only I/O accounting path.  Buffer-pool request
-    counts depend on global access order (sequential coalescing, run
-    chunking, the scattered-read penalty), so it is always called from
-    the coordinator's serial cost replay — never from a data-plane task.
+
+def _fetch_charges(rt, table, column, lo, hi, positions, charges):
+    """Append to *charges* the I/O of reading *column* for the candidate
+    rows: the dense range ``[lo, hi)`` when *positions* is None, else the
+    pages the positions touch.  The column's physical encoding decides
+    which bytes those are (compressed byte ranges / run pages instead of
+    raw ones).
+
+    Buffer-pool request counts depend on global access order (sequential
+    coalescing, run chunking, the scattered-read penalty), so the list is
+    charged from the coordinator's serial cost replay — never from a
+    data-plane task.
     """
     if positions is None:
-        _dense_read(rt, table, column, lo, hi)
+        charges.extend(_dense_charges(rt, table, column, lo, hi))
         return
     if len(positions) == 0:
         return
     segment, encoding = table.segments[column], table.encodings.get(column)
     if encoding is not None:
         pages = encoding.pages_for_rows(positions, segment.page_size)
-        rt.pool.read_pages(segment, pages, scattered=True)
-        _note_compressed_read(
-            rt, len(pages) * segment.page_size, len(positions) * VALUE_BYTES,
-        )
+        charges.append((PAGES, segment, page_runs(segment, pages), True))
+        charges.append((
+            NOTE, _note_compressed_read,
+            len(pages) * segment.page_size, len(positions) * VALUE_BYTES,
+        ))
+        return
+    pages = positions * VALUE_BYTES // segment.page_size
+    steps = pages[1:] - pages[:-1]
+    if steps.size and steps.min() < 0:
+        pages = np.unique(pages)  # not in row order (a join's matches)
     else:
-        pages = positions * VALUE_BYTES // segment.page_size
-        steps = pages[1:] - pages[:-1]
-        if steps.size and steps.min() < 0:
-            pages = np.unique(pages)  # not in row order (a join's matches)
-        else:
-            pages = pages[np.concatenate(([True], steps > 0))]
-        rt.pool.read_pages(segment, pages, scattered=True)
+        pages = pages[np.concatenate(([True], steps > 0))]
+    charges.append((PAGES, segment, page_runs(segment, pages), True))
 
 
 def _needed_base_columns(scan, needed):
@@ -344,59 +367,85 @@ def _scan_range(table, residual, base_needed, lo, hi):
     return stages, [table.array(c)[rows] for c in base_needed]
 
 
-def _replay_scan(rt, table, residual, fetch_cols, lo, hi, stages):
-    """The cost replay of one fused scan+select after its descent: each
-    residual stage, then each gather of *fetch_cols*, over ``[lo, hi)``
-    and the positions each stage kept (*stages*, merged over ranges); all
-    are skipped once no candidate is left.  Returns the row count."""
+def _scan_charges(rt, table, residual, fetch_cols, lo, hi, stages, charges):
+    """Append to *charges* what one fused scan+select charges after its
+    descent: each residual stage, then each gather of *fetch_cols*, over
+    ``[lo, hi)`` and the positions each stage kept (*stages*, merged over
+    ranges); all are skipped once no candidate is left."""
     count = hi - lo
-    if not count:
-        return 0
-    charge_cpu = rt.clock.cpu_log()
     positions = None  # None means the dense range [lo, hi)
     for stage, (base_col, _pred) in enumerate(residual):
         if count == 0:
-            break
+            return
         encoding = (
             _rle_encoding(table, base_col) if positions is None else None
         )
         if encoding is not None:
-            _dense_read(rt, table, base_col, lo, hi)
             n_runs = encoding.run_index(hi - 1) - encoding.run_index(lo) + 1
-            charge_cpu(rt.costs.select_tuple * n_runs)
-            _note_runs_skipped(rt, count - n_runs)
+            charges.extend(_run_charges(
+                rt, table, base_col, lo, hi,
+                rt.costs.select_tuple * n_runs, count - n_runs,
+            ))
         else:
-            _fetch_cost(rt, table, base_col, lo, hi, positions)
-            charge_cpu(rt.costs.select_tuple * count)
+            _fetch_charges(rt, table, base_col, lo, hi, positions, charges)
+            charges.append((CPU, rt.costs.select_tuple * count))
         positions = stages[stage]
         count = len(positions)
     for base_col in fetch_cols if count else ():
-        _fetch_cost(rt, table, base_col, lo, hi, positions)
-        charge_cpu(rt.costs.scan_tuple * count)
-    return count
+        _fetch_charges(rt, table, base_col, lo, hi, positions, charges)
+        charges.append((CPU, rt.costs.scan_tuple * count))
 
 
-def _scan_select(rt, scan, predicates, needed):
+#: What a fused scan+select resolved for its physical node under the
+#: *needed* outputs, kept on the node (``PhysicalPlan.resolved``) and so
+#: dropped with the lowered tree when the catalog changes: the needed base
+#: columns, the predicate split, the descent's range ``[lo, hi)``, the
+#: charges of its probes, and — filled by the first replay — the charges
+#: of its stages and gathers.
+_ScanPlan = namedtuple(
+    "_ScanPlan", "needed table base_needed residual lo hi probes charges"
+)
+
+
+def _scan_select(rt, pnode, scan, predicates, needed):
     """Scan with fused selection: binary-searchable sorted prefix on the
     coordinator (it narrows the range the morsels split), then
-    column-at-a-time residual predicates and gathers per range."""
-    table = rt.engine.table(scan.table)
-    base_needed = _needed_base_columns(scan, needed)
-    prefix, residual = _split_predicates(scan, table, predicates)
-    lo, hi, probes = _descend(table, prefix)
-    for probe in probes:
-        _probe(rt, table, *probe)
+    column-at-a-time residual predicates and gathers per range.  What it
+    charges is resolved by the first run and replayed by every later one."""
+    plan = pnode.resolved
+    if plan is None or plan.needed != needed:
+        table = rt.engine.table(scan.table)
+        prefix, residual = _split_predicates(scan, table, predicates)
+        lo, hi, probes = _descend(table, prefix)
+        plan = pnode.resolved = _ScanPlan(
+            frozenset(needed), table, _needed_base_columns(scan, needed),
+            residual, lo, hi,
+            [c for probe in probes for c in _probe_charges(rt, table, *probe)],
+            None,
+        )
+    _, table, base_needed, residual, lo, hi, probes, _ = plan
+    if probes:
+        rt.pool.read_spans(probes, rt)
 
     def replay(results):
-        count = _replay_scan(rt, table, residual, base_needed, lo, hi, [
+        stages = [
             _merge(parts) for parts in zip(*(stages for stages, _ in results))
-        ])
+        ]
+        charges = plan.charges
+        if charges is None:
+            charges = []
+            _scan_charges(
+                rt, table, residual, base_needed, lo, hi, stages, charges,
+            )
+            pnode.resolved = plan._replace(charges=charges)
+        rt.pool.read_spans(charges, rt)
         columns = {
             scan.qualified(base_col): _merge([r[1][i] for r in results])
             for i, base_col in enumerate(base_needed)
         }
         if not columns:
             # Parent only needs the row count (e.g. a bare count(*)).
+            count = len(stages[-1]) if stages else hi - lo
             columns["__rowid__"] = np.arange(count, dtype=np.int64)
         relation = Relation(columns, oid_columns=set(columns) - {"__rowid__"})
         # A dense range of a sorted table stays sorted; positional
@@ -488,10 +537,11 @@ def compressed_group(rt, pnode, needed_above):
         # Maximal runs of the sorted leading column: run values are the
         # distinct keys in ascending order, run lengths their counts —
         # exactly group_count's output, without touching a single row.
-        _dense_read(rt, table, lead, 0, table.n_rows)
         n_runs = encoding.n_runs
-        rt.clock.charge_cpu(rt.costs.scan_tuple * max(n_runs, 1))
-        _note_runs_skipped(rt, table.n_rows - n_runs)
+        rt.pool.read_spans(_run_charges(
+            rt, table, lead, 0, table.n_rows,
+            rt.costs.scan_tuple * max(n_runs, 1), table.n_rows - n_runs,
+        ), rt)
         columns = {
             node.keys[0]: encoding.run_values.copy(),
             node.count_column: encoding.run_lengths.copy(),
@@ -545,9 +595,11 @@ def compressed_join(rt, pnode, needed):
     lrel = left.relation
 
     def scan_runs():
-        _dense_read(rt, table, lead, 0, table.n_rows)
-        rt.clock.charge_cpu(rt.costs.scan_tuple * max(encoding.n_runs, 1))
-        _note_runs_skipped(rt, table.n_rows - encoding.n_runs)
+        rt.pool.read_spans(_run_charges(
+            rt, table, lead, 0, table.n_rows,
+            rt.costs.scan_tuple * max(encoding.n_runs, 1),
+            table.n_rows - encoding.n_runs,
+        ), rt)
         relation = Relation(
             {rcol: encoding.run_values}, oid_columns={rcol}
         )
@@ -564,7 +616,7 @@ def compressed_join(rt, pnode, needed):
         rt.costs.merge_step * (lrel.n_rows + encoding.n_runs + n_out)
     )
 
-    columns = {}
+    columns, charges = {}, []
     for name, arr in lrel.columns.items():
         if name in needed or name == lcol:
             columns[name] = arr[lidx]
@@ -575,9 +627,12 @@ def compressed_join(rt, pnode, needed):
         if base != lead:
             # The key column's bytes were already read as runs; only the
             # other columns pay a positional fetch for the matches.
-            _fetch_cost(rt, table, base, 0, table.n_rows, right_pos)
-        rt.clock.charge_cpu(rt.costs.scan_tuple * max(n_out, 1))
+            _fetch_charges(
+                rt, table, base, 0, table.n_rows, right_pos, charges,
+            )
+        charges.append((CPU, rt.costs.scan_tuple * max(n_out, 1)))
         columns[qualified] = table.array(base)[right_pos]
+    rt.pool.read_spans(charges, rt)
     scan_outputs = set(scan.output_columns())
     oid = (lrel.oid_columns | scan_outputs) & set(columns)
     # join_runs keeps left order, so left sortedness survives.
@@ -609,11 +664,11 @@ def scan_select(rt, pnode, needed):
         # The fused scan still gets its own span; its reported rows are
         # post-selection (the selection runs inside the scan).
         return rt.traced_block(
-            scan, lambda: _scan_select(rt, scan, simple, needed)
+            scan, lambda: _scan_select(rt, pnode, scan, simple, needed)
         )
     inner_needed = set(needed) | {c for p in cross for c in p.columns()}
     result = rt.traced_block(
-        scan, lambda: _scan_select(rt, scan, simple, inner_needed)
+        scan, lambda: _scan_select(rt, pnode, scan, simple, inner_needed)
     )
     return _apply_cross(rt, result, cross)
 
@@ -623,7 +678,7 @@ def scan_select(rt, pnode, needed):
     "full-column scan (dense sequential reads of the needed columns)",
 )
 def scan(rt, pnode, needed):
-    return _scan_select(rt, pnode.logical, [], needed)
+    return _scan_select(rt, pnode, pnode.logical, [], needed)
 
 
 @COLUMN_OPS.operator(
@@ -818,23 +873,39 @@ def having(rt, pnode, needed):
 #: that table's sort order (*prefix* and *residual* both empty: none).
 _Branch = namedtuple("_Branch", "table prefix residual")
 
-#: A canonical template union resolved for one set of kept outputs, once
-#: per catalog (:func:`_resolve_union`).  *fetch_cols* are the base
-#: columns every branch reads, in scan column order (the charge order);
-#: *sources* names, per kept output, the position in *fetch_cols* that
-#: feeds it — ``None`` for the Extend fill.  *lengths* and *fills* are the
-#: branches' table lengths and Extend fills (int64 arrays).  A *plain*
-#: template — one without a selection — also holds its whole data plane
-#: and cost: *columns*, per kept output, the branches' column arrays
-#: (``None`` for the fill), and *reads*, every non-empty branch's
-#: :func:`_whole_column` entries, charged in one ``BufferPool.read_spans``
-#: pass; a selecting template has ``None`` for both.  It holds only tuples
-#: and arrays: up to :data:`UNION_MEMO_SIZE` plans of 222 branches stay
-#: cached, and every container they keep alive is one more for each full
-#: garbage collection to walk.
-_UnionPlan = namedtuple(
-    "_UnionPlan", "branches fetch_cols sources lengths fills columns reads"
-)
+class _UnionPlan:
+    """A canonical template union resolved for one set of kept outputs,
+    once per catalog (:func:`_resolve_union`).  *fetch_cols* are the base
+    columns every branch reads, in scan column order (the charge order);
+    *sources* names, per kept output, the position in *fetch_cols* that
+    feeds it — ``None`` for the Extend fill.  *lengths* and *fills* are
+    the branches' table lengths and Extend fills (int64 arrays).  A
+    *plain* template — one without a selection — also holds its whole
+    data plane: *columns*, per kept output, the branches' column arrays
+    (``None`` for the fill); a selecting template has ``None``.
+
+    *charges* is the union's charge list (``BufferPool.read_spans``):
+    every non-empty branch's whole-column reads for a plain template,
+    resolved here; for a selecting template, every branch's probes,
+    stages and gathers, filled in by the first replay (``None`` until
+    then).  Beyond the charge list it holds only tuples and arrays: up to
+    :data:`UNION_MEMO_SIZE` plans of 222 branches stay cached, and every
+    container they keep alive is one more for each full garbage
+    collection to walk."""
+
+    __slots__ = (
+        "branches", "fetch_cols", "sources", "lengths", "fills", "columns",
+        "charges",
+    )
+
+    def __init__(self, branches, fetch_cols, sources, lengths, fills,
+                 columns, charges):
+        self.branches, self.fetch_cols, self.sources = (
+            branches, fetch_cols, sources
+        )
+        self.lengths, self.fills = lengths, fills
+        self.columns, self.charges = columns, charges
+
 
 #: How many template-union plans one runtime memoises (LRU): a plan's key
 #: holds its selection's constants, so a stream of distinct selecting
@@ -900,7 +971,7 @@ def _template_plan(rt, shape, bindings):
     branches = tuple(
         _canonical_branch(rt, shape, table, splits) for table, _, _ in bindings
     )
-    columns = reads = None
+    columns = charges = None
     if not predicates:
         columns = tuple(
             None if source is None else tuple(
@@ -908,10 +979,12 @@ def _template_plan(rt, shape, bindings):
             )
             for source in sources
         )
-        reads = tuple(
-            _whole_column(rt, b.table, column)
-            for b in branches if b.table.n_rows for column in fetch_cols
-        )
+        charges = []
+        for table in (b.table for b in branches if b.table.n_rows):
+            n_rows = table.n_rows
+            for column in fetch_cols:
+                charges.extend(_dense_charges(rt, table, column, 0, n_rows))
+                charges.append((CPU, rt.costs.scan_tuple * n_rows))
     return _UnionPlan(
         branches, fetch_cols, sources,
         np.array([b.table.n_rows for b in branches], dtype=np.int64),
@@ -919,7 +992,7 @@ def _template_plan(rt, shape, bindings):
             [extend_fill_value(value) for _, _, value in bindings],
             dtype=np.int64,
         ),
-        columns, reads,
+        columns, charges,
     )
 
 
@@ -953,26 +1026,6 @@ def _select_range(plan, lo, hi):
                 if source is None else gathers[source]
             )
     return [_merge(parts) for parts in outputs], scans
-
-
-def _whole_column(rt, table, column):
-    """What a whole-column read of *column* charges: ``(segment, page
-    spans, compressed-read note or None, scan CPU seconds)``, resolved
-    once per stored column into ``rt.resolved`` and shared by every plan
-    that reads it."""
-    charge = rt.resolved.get((table.name, column))
-    if charge is None:
-        nbytes = table.n_rows * VALUE_BYTES
-        segment, encoding = table.segments[column], table.encodings.get(column)
-        ranges, note = [(0, nbytes)], None
-        if encoding is not None:
-            ranges = encoding.byte_ranges(0, table.n_rows)
-            note = (sum(length for _, length in ranges), nbytes)
-        charge = rt.resolved[table.name, column] = (
-            segment, [segment.page_span(*r) for r in ranges], note,
-            rt.costs.scan_tuple * table.n_rows,
-        )
-    return charge
 
 
 def _union_memo(rt):
@@ -1034,26 +1087,28 @@ def _branch_slices(lengths, rows):
 def _template_blocks(rt, plan):
     """Evaluate a template union's branches without generic dispatch (the
     operator machinery costs more wall-clock than 222 small arrays):
-    per slice of branches, and charged in branch order with the buffer
-    reads and clock charges the generic operators would make — a plain
-    template's whole columns in one ``read_spans`` pass, a selecting
-    branch exactly what its fused ``scan+select`` would.  Returns the
-    per-slice output blocks."""
+    per slice of branches, then one ``read_spans`` pass over the union's
+    charge list — in branch order, the buffer reads and clock charges the
+    generic operators would make: a plain branch's whole columns, a
+    selecting branch exactly what its fused ``scan+select`` would.  The
+    first replay of a selecting template resolves the list from its
+    data-plane scans.  Returns the per-slice output blocks."""
     def replay(results):
-        if plan.reads:
-            rt.pool.read_spans(
-                plan.reads, rt.clock.cpu_log(),
-                partial(_note_compressed_read, rt),
-            )
-        # A selecting template's branches, each with its data-plane scan.
-        scans = (scan for _, group in results for scan in group)
-        for branch, (lo, hi, probes, stages) in zip(plan.branches, scans):
-            table = branch.table
-            for probe in probes:
-                _probe(rt, table, *probe)
-            _replay_scan(
-                rt, table, branch.residual, plan.fetch_cols, lo, hi, stages,
-            )
+        charges = plan.charges
+        if charges is None:
+            charges = []
+            # A selecting template's branches, each with its data-plane scan.
+            scans = (scan for _, group in results for scan in group)
+            for branch, (lo, hi, probes, stages) in zip(plan.branches, scans):
+                table = branch.table
+                for probe in probes:
+                    charges.extend(_probe_charges(rt, table, *probe))
+                _scan_charges(
+                    rt, table, branch.residual, plan.fetch_cols, lo, hi,
+                    stages, charges,
+                )
+            plan.charges = charges
+        rt.pool.read_spans(charges, rt)
         return [block for block, _ in results]
 
     bounds, slice_rows = _branch_slices(plan.lengths, _morsel_rows(rt))

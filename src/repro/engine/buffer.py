@@ -6,10 +6,15 @@ which pages are missing, groups contiguous misses into disk requests, splits
 requests at the engine's request-size cap, and charges the query clock.
 Residency is kept per page *extent* (:class:`_ExtentLru`), so a read costs
 interval arithmetic over the runs it touches, not a walk over its pages.
-A batch of resolved whole-column reads (the plain branches of a union)
-is one :meth:`BufferPool.read_spans` pass: a read of exactly one resident
-extent is re-queued in line, anything else is a :meth:`BufferPool.read_span`
-at its own position, and the pool ends as one read per span would leave it.
+
+A caller that replays the same reads every run (the column store's cost
+replay) resolves them once into a *charge list* — page spans, page runs,
+CPU entries and notes, in order — and charges the whole list in one
+:meth:`BufferPool.read_spans` pass: a read that only re-queues resident
+extents is done in line and counted once per call, anything else takes
+the general path at its own position, and pool, clock and trace end as
+one :meth:`BufferPool.read_span` / :meth:`BufferPool.read_pages` per
+entry would leave them.
 
 The request-size cap is how the paper's C-Store finding is reproduced: an
 engine that issues small synchronous requests pays the per-request latency
@@ -34,6 +39,9 @@ from repro.observe.trace import NULL_TRACER
 #: achieves (Section 4.3: "DBX is spending half of the execution time
 #: waiting for the data to be retrieved from disk").
 SCATTERED_BANDWIDTH_PENALTY = 4.0
+
+#: The kinds of a charge-list entry (:meth:`BufferPool.read_spans`).
+SPAN, PAGES, CPU, NOTE = range(4)
 
 #: Process-wide always-on accounting, aggregated across every pool this
 #: process creates (the ``buffer_pool`` group of
@@ -201,6 +209,28 @@ def _page_runs(pages, base):
     return runs
 
 
+def page_runs(segment, pages):
+    """The ``(start, stop)`` global page runs a :meth:`BufferPool.read_pages`
+    of *segment* charges for *pages* — ascending, distinct, segment-relative
+    page numbers in an integer array — computed with numpy, for a charge
+    list's ``PAGES`` entry.  A page outside the segment is refused."""
+    base, end = segment.page_span()
+    n = len(pages)
+    if not n:
+        return ()
+    first, last = int(pages[0]), int(pages[-1])
+    if first < 0 or base + last >= end:
+        raise BufferPoolError(
+            f"page index out of range for segment {segment.name!r}"
+        )
+    if last - first == n - 1:
+        return ((base + first, base + last + 1),)
+    cuts = np.flatnonzero(pages[1:] != pages[:-1] + 1) + 1
+    starts = pages[np.concatenate(([0], cuts))] + base
+    stops = pages[np.concatenate((cuts - 1, [n - 1]))] + (base + 1)
+    return tuple(zip(starts.tolist(), stops.tolist()))
+
+
 class BufferPool:
     """Page cache over a :class:`~repro.engine.disk.SimulatedDisk`."""
 
@@ -310,48 +340,67 @@ class BufferPool:
                 spare -= run_end - run_start
         return self._account(segment, hits, miss_runs, evictions, False)
 
-    def read_spans(self, entries, cpu_log, note):
-        """:meth:`read_span` over a batch of resolved whole-column reads,
-        in order: *entries* are ``(segment, spans, noted, cpu)``; after an
-        entry's spans, *noted* (when not None) goes to ``note(*noted)``
-        and *cpu* to the clock's pending log through *cpu_log*.
+    def read_spans(self, charges, context=None):
+        """Charge a resolved charge list in order.  Its entries are
 
-        A span that is exactly one resident extent — every read of a warm
-        union — is re-queued in line and its hits are counted here, in one
-        add per batch; any other span is a :meth:`read_span` at its own
-        position, so a miss charges its I/O after exactly the CPU logged
-        before it.  Pool, clock and trace end byte-identical to one
-        :meth:`read_span` per span, and each span is one read in
-        ``account_calls``."""
-        tracer = self.tracer
-        if tracer.enabled:
-            # The span's counters in the order a first read opens them.
-            tracer.current_add(page_hits=0, page_misses=0, disk_requests=0)
+        * ``(SPAN, segment, start, end)`` — a :meth:`read_span`;
+        * ``(PAGES, segment, runs, scattered)`` — a :meth:`read_pages` of
+          the global page *runs* (:func:`page_runs`);
+        * ``(CPU, seconds)`` — one charge on the clock's pending log;
+        * ``(NOTE, function, *args)`` — ``function(context, *args)``.
+
+        A read that only re-queues resident extents — every read of a
+        warm replay — is done in line, and its hits and its read in
+        ``account_calls`` are added once per call; any other read takes
+        the general path at its own position, so a miss charges its I/O
+        after exactly the CPU logged before it.  Pool, clock and trace end
+        byte-identical to one :meth:`read_span` / :meth:`read_pages` per
+        entry."""
         lru = self._lru
         starts, extents, head = lru.starts, lru.extents, lru.head
-        hits = requeued = 0
-        for segment, spans, noted, cpu in entries:
-            for start, end in spans:
+        cpu_log = self.clock.cpu_log()
+        tracer = self.tracer
+        hits = quiet = 0
+        for entry in charges:
+            kind = entry[0]
+            if kind is CPU:
+                cpu_log(entry[1])
+                continue
+            if kind is NOTE:
+                entry[1](context, *entry[2:])
+                continue
+            if kind is SPAN:
+                _, segment, start, end = entry
                 index = bisect_left(starts, start)
-                if index < len(starts) and starts[index] == start:
-                    extent = extents[index]
-                    if extent.end == end:
-                        # extent.unlink(); extent.link(head.prev), inline
-                        before, after = extent.prev, extent.next
-                        before.next, after.prev = after, before
-                        last = head.prev
-                        extent.prev, extent.next = last, head
-                        last.next = head.prev = extent
-                        hits += end - start
-                        requeued += 1
-                        continue
-                self.read_span(segment, start, end)
-            if noted is not None:
-                note(*noted)
-            cpu_log(cpu)
-        if requeued:
+                if not (index < len(starts) and starts[index] == start
+                        and extents[index].end == end):
+                    self.read_span(segment, start, end)
+                    continue
+                # extent.unlink(); extent.link(head.prev), in line: a
+                # call per warm read is what this pass exists to save.
+                extent = extents[index]
+                before, after = extent.prev, extent.next
+                before.next, after.prev = after, before
+                last = head.prev
+                extent.prev, extent.next = last, head
+                last.next = head.prev = extent
+                got = end - start
+            else:
+                _, segment, runs, scattered = entry
+                got, miss_runs, evictions = self._charge_runs(runs)
+                if miss_runs or evictions:
+                    self._account(segment, got, miss_runs, evictions,
+                                  scattered)
+                    continue
+            if not quiet and tracer.enabled:
+                # The span's counters in the order a read opens them.
+                tracer.current_add(page_hits=0, page_misses=0,
+                                   disk_requests=0)
+            hits += got
+            quiet += 1
+        if quiet:
             self._counts[0] += hits
-            self._counts[5] += requeued
+            self._counts[5] += quiet
             if tracer.enabled:
                 tracer.current_add(page_hits=hits)
 
@@ -375,18 +424,41 @@ class BufferPool:
             raise BufferPoolError(
                 f"page index out of range for segment {segment.name!r}"
             )
+        return self._account(
+            segment, *self._charge_runs(_page_runs(unique, base_page)),
+            scattered,
+        )
+
+    def _charge_runs(self, runs):
+        """Install the ascending, disjoint global page *runs* as a page
+        walk would: a resident page is touched at once (a whole resident
+        extent is re-queued in line), a miss joins the run of misses
+        installed when the next non-adjacent miss arrives.  Returns
+        ``(hits, miss_runs, evictions)`` for :meth:`_account`."""
         lru, capacity = self._lru, self.capacity_pages
+        starts, extents, head = lru.starts, lru.extents, lru.head
         hits = evictions = 0
         miss_runs = []
         pending = None  # the miss run [start, end) not yet installed
-        for page, stop in _page_runs(unique, base_page):
+        for page, stop in runs:
             while page < stop:
-                index, extent = lru.find(page)
-                if extent is not None:
+                index = bisect_right(starts, page)
+                extent = extents[index - 1] if index else None
+                if extent is not None and page < extent.end:
                     # A hit is touched at once — ahead of the miss run
                     # still waiting to be installed.
-                    upto = min(extent.end, stop)
-                    lru.install(page, upto)
+                    upto = extent.end
+                    if extent.start == page and upto <= stop:
+                        # install(page, upto) of exactly one extent
+                        # re-queues it: in line, as in read_spans.
+                        before, after = extent.prev, extent.next
+                        before.next, after.prev = after, before
+                        last = head.prev
+                        extent.prev, extent.next = last, head
+                        last.next = head.prev = extent
+                    else:
+                        upto = min(upto, stop)
+                        lru.install(page, upto)
                     hits += upto - page
                     page = upto
                     continue
@@ -396,17 +468,16 @@ class BufferPool:
                     if pending is not None:
                         lru.install(*pending)
                         evictions += lru.trim(capacity)
-                        index = lru.find(page)[0]
+                        index = bisect_right(starts, page)
                     pending = [page, page]
                     miss_runs.append(pending)
                 page = pending[1] = (
-                    min(stop, lru.starts[index])
-                    if index < len(lru.starts) else stop
+                    min(stop, starts[index]) if index < len(starts) else stop
                 )
         if pending is not None:
             lru.install(*pending)
             evictions += lru.trim(capacity)
-        return self._account(segment, hits, miss_runs, evictions, scattered)
+        return hits, miss_runs, evictions
 
     # ------------------------------------------------------------------
     # internals

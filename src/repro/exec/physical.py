@@ -10,12 +10,15 @@ Physical trees are produced by :func:`repro.exec.registry.lower_plan` and
 consumed by :class:`repro.exec.runtime.Runtime`.  They are deliberately
 *thin*: no execution state lives here, so one physical tree can be run
 many times (the benchmark's cold/hot protocol) and rendered/linted without
-an engine at hand; what an operator resolves from the catalog once
-rather than per run lives in the runtime (``Runtime.resolved``, dropped
-on DDL), never on the node.  Unlike logical nodes they are not sealed —
-the profiler annotates ``estimated_rows`` in place — but the bound
-logical nodes stay immutable, so sharing them between the logical and
-physical trees is sound.
+an engine at hand.  What an operator resolves from the catalog once
+rather than per run lives in the runtime (``Runtime.resolved``), except
+what belongs to one node alone — a fused column-store scan's charge
+list — which the node keeps in :attr:`PhysicalPlan.resolved`; both are
+dropped with the lowered trees on DDL (``Runtime.forget_lowered``).
+Unlike logical nodes they are not sealed — the profiler annotates
+``estimated_rows`` in place — but the bound logical nodes stay
+immutable, so sharing them between the logical and physical trees is
+sound.
 
 A template union (:class:`~repro.plan.logical.Union` built from one
 branch and per-branch bindings) lowers its template once: the node keeps
@@ -37,7 +40,7 @@ class PhysicalPlan:
 
     __slots__ = (
         "op", "engine", "logical", "fused", "_children", "details",
-        "estimated_rows", "template", "_lower",
+        "estimated_rows", "template", "_lower", "resolved",
     )
 
     def __init__(self, op, engine, logical, children=(), fused=(),
@@ -48,6 +51,9 @@ class PhysicalPlan:
         self.fused = tuple(fused)
         self.details = dict(details) if details else {}
         self.estimated_rows = None
+        #: What the operator resolved for this node from the catalog of
+        #: the engine that lowered it (``None`` until its first run).
+        self.resolved = None
         #: A template union's lowered template, and the lowering that
         #: builds its other branches on demand.
         self.template = template

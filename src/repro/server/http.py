@@ -92,7 +92,20 @@ class QueryServer:
         self._session_lock = threading.Lock()
         self._session_counter = 0
         handler = _make_handler(self)
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = ThreadingHTTPServer(
+            (host, port), handler, bind_and_activate=False,
+        )
+        # The listen backlog holds a burst as large as admission does
+        # (running plus waiting), not socketserver's 5: a connect the
+        # kernel drops is never answered, not even with a 429.
+        config = self.scheduler.config
+        self.httpd.request_queue_size = config.workers + config.queue_depth
+        try:
+            self.httpd.server_bind()
+            self.httpd.server_activate()
+        except OSError:
+            self.httpd.server_close()
+            raise
         self.httpd.daemon_threads = True
         self._serve_thread = None
         self._closed = False

@@ -6,7 +6,9 @@ is the reference model — kept here, not under ``src/`` — and the
 hypothesis test drives it and the shipped pool through the same read
 sequences, asserting after every step that nothing observable differs:
 return value, counters, the clock's floats (``==``), the disk's read log,
-the readahead cursor and the full page-level LRU order.
+the trace span counts, the readahead cursor and the full page-level LRU
+order.  A charge list (``BufferPool.read_spans``) must equal one read —
+or one CPU charge, or one note — per entry on the reference.
 """
 
 from collections import OrderedDict
@@ -16,8 +18,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import BufferPool, MachineProfile, QueryClock, SimulatedDisk
-from repro.engine.buffer import SCATTERED_BANDWIDTH_PENALTY
+from repro.engine.buffer import (
+    CPU,
+    NOTE,
+    PAGES,
+    SCATTERED_BANDWIDTH_PENALTY,
+    SPAN,
+    page_runs,
+)
 from repro.errors import BufferPoolError
+from repro.observe.trace import NULL_TRACER
 
 PAGE = 4096
 
@@ -44,6 +54,7 @@ class PagePool:
         self.sequential_coalescing = sequential_coalescing
         self._pages = OrderedDict()  # page_id -> True, LRU order
         self._last_disk_page = None
+        self.tracer = NULL_TRACER
 
     def clear(self):
         self._pages.clear()
@@ -66,6 +77,7 @@ class PagePool:
         return all(p in self._pages for p in range(start, end))
 
     def read(self, segment, first_byte=0, nbytes=None):
+        evicted = self.eviction_count
         start, end = segment.page_span(first_byte, nbytes)
         miss_runs = self._collect_misses(start, end)
         transferred = 0
@@ -82,24 +94,16 @@ class PagePool:
         misses = transferred // self.page_size
         self._account(
             segment, (end - start) - misses, misses, n_requests,
-            transferred, seek, transfer, scattered=False,
+            transferred, seek, transfer, self.eviction_count - evicted,
+            scattered=False,
         )
         return transferred
 
     def read_segment(self, segment):
         return self.read(segment, 0, segment.nbytes)
 
-    def read_spans(self, entries, cpu_log, note):
-        """The batched read as the union's replay made it before: one
-        read per span, then the entry's note and CPU."""
-        for segment, ranges, noted, cpu in entries:
-            for first_byte, nbytes in ranges:
-                self.read(segment, first_byte, nbytes)
-            if noted is not None:
-                note(*noted)
-            cpu_log(cpu)
-
     def read_pages(self, segment, page_indices, scattered=False):
+        evicted = self.eviction_count
         base_page, end_page = segment.page_span()
         unique = sorted(set(int(p) for p in page_indices))
         if unique and (unique[0] < 0 or base_page + unique[-1] >= end_page):
@@ -130,12 +134,19 @@ class PagePool:
             )
         self._account(
             segment, hits, transferred // self.page_size, n_requests,
-            transferred, seek, transfer, scattered=scattered,
+            transferred, seek, transfer, self.eviction_count - evicted,
+            scattered=scattered,
         )
         return transferred
 
     def _account(self, segment, hits, misses, n_requests, transferred,
-                 seek_seconds, transfer_seconds, scattered):
+                 seek_seconds, transfer_seconds, evictions, scattered):
+        if self.tracer.enabled:
+            self.tracer.current_add(
+                page_hits=hits, page_misses=misses, disk_requests=n_requests,
+            )
+            if evictions:
+                self.tracer.current_add(evictions=evictions)
         self.hit_count += hits
         self.miss_count += misses
         self.request_count += n_requests
@@ -201,12 +212,63 @@ class PagePool:
 # the twin harness
 # ----------------------------------------------------------------------
 
+class SpanCounts:
+    """A tracer of one span: what every read and note adds to its
+    counts, keys in the order they first arrive."""
+
+    enabled = True
+
+    def __init__(self):
+        self.counts = {}
+
+    def current_add(self, **counts):
+        for key, value in counts.items():
+            self.counts[key] = self.counts.get(key, 0) + value
+
+
+def _note(context, first, second):
+    """A charge list's note: recorded, and counted on the span."""
+    notes, tracer = context
+    notes.append((first, second))
+    tracer.current_add(noted=first)
+
+
+def _charge(segments, entry):
+    """A test charge entry as the shipped pool's charge-list entry."""
+    kind = entry[0]
+    if kind == "span":
+        _, s, first_byte, nbytes = entry
+        return (SPAN, segments[s], *segments[s].page_span(first_byte, nbytes))
+    if kind == "pages":
+        _, s, pages, scattered = entry
+        pages = np.unique(np.asarray(pages, dtype=np.int64))
+        return (PAGES, segments[s], page_runs(segments[s], pages), scattered)
+    if kind == "cpu":
+        return (CPU, entry[1])
+    return (NOTE, _note, *entry[1:])
+
+
+def _charge_one_by_one(pool, clock, segments, entry, context):
+    """The same entry on the reference: one read, CPU charge or note."""
+    kind = entry[0]
+    if kind == "span":
+        _, s, first_byte, nbytes = entry
+        pool.read(segments[s], first_byte, nbytes)
+    elif kind == "pages":
+        _, s, pages, scattered = entry
+        pool.read_pages(segments[s], pages, scattered=scattered)
+    elif kind == "cpu":
+        clock.charge_cpu(entry[1])
+    else:
+        _note(context, *entry[1:])
+
+
 class Twins:
     """The shipped pool and the reference, each over its own disk and
-    clock, with identical segments."""
+    clock, with identical segments (and, when *traced*, a span each)."""
 
     def __init__(self, segment_pages, capacity_pages, max_run_pages=None,
-                 sequential_coalescing=True):
+                 sequential_coalescing=True, traced=False):
         self.sides = []
         for pool_class in (BufferPool, PagePool):
             disk = SimulatedDisk(page_size=PAGE)
@@ -218,6 +280,8 @@ class Twins:
                 ),
                 sequential_coalescing=sequential_coalescing,
             )
+            if traced:
+                pool.tracer = SpanCounts()
             segments = [
                 # Odd byte counts: the last page of a segment is partial.
                 disk.create_segment(f"s{i}", pages * PAGE - 17 * (i % 2))
@@ -228,24 +292,30 @@ class Twins:
         self.segments = self.sides[0][3]
 
     def step(self, op):
-        """Apply *op* to both pools and compare everything observable."""
+        """Apply *op* to both pools and compare everything observable —
+        when traced, what *op* adds to a span of its own."""
         results = []
         for pool, _disk, clock, segments in self.sides:
+            if pool.tracer.enabled:
+                pool.tracer.counts = {}
             kind = op[0]
             if kind == "clear":
                 results.append(pool.clear())
-            elif kind == "spans":
-                # The shipped pool takes page spans, the reference the
-                # byte ranges they were resolved from; the notes are
-                # compared in the order they arrive.
+            elif kind == "charges":
+                # The shipped pool charges the whole list in one pass, the
+                # reference one entry at a time; the notes are compared in
+                # the order they arrive.
                 notes = []
-                pool.read_spans([
-                    (segments[s], [
-                        segments[s].page_span(*r) if pool is self.pool
-                        else r for r in ranges
-                    ], noted, cpu)
-                    for s, ranges, noted, cpu in op[1]
-                ], clock.cpu_log(), lambda *noted: notes.append(noted))
+                context = (notes, pool.tracer)
+                if pool is self.pool:
+                    pool.read_spans(
+                        [_charge(segments, entry) for entry in op[1]],
+                        context,
+                    )
+                else:
+                    for entry in op[1]:
+                        _charge_one_by_one(pool, clock, segments, entry,
+                                           context)
                 results.append(notes)
             elif kind == "read":
                 _, s, first_byte, nbytes = op
@@ -264,8 +334,13 @@ class Twins:
         (pool, disk, clock, segments), (ref, rdisk, rclock, _) = self.sides
         assert pool.stats() == ref.stats(), op
         assert clock.timing() == rclock.timing(), op  # floats, exactly
+        assert clock.profile_snapshot() == rclock.profile_snapshot(), op
         assert clock.io_history() == rclock.io_history(), op
         assert _read_log(disk) == _read_log(rdisk), op
+        if pool.tracer.enabled:
+            assert list(pool.tracer.counts.items()) == list(
+                ref.tracer.counts.items()
+            ), op
         assert pool._last_disk_page == ref._last_disk_page, op
         assert lru_order(pool) == list(ref._pages), op
         assert pool.resident_pages() == ref.resident_pages(), op
@@ -311,36 +386,46 @@ def scenarios(draw):
         return segment_pages[s] * PAGE - 17 * (s % 2)
 
     @st.composite
-    def spans_entry(draw_entry):
-        """A batch entry: mostly whole segments (warm, the re-queue
-        path), sometimes byte ranges that cut extents."""
+    def charge(draw_entry):
+        """A charge-list entry: mostly whole segments (warm, the re-queue
+        path), sometimes byte ranges that cut extents, page lists (whole
+        segments or scattered pages), CPU charges and notes."""
+        kind = draw_entry(st.sampled_from(
+            ["span", "span", "pages", "pages", "cpu", "note"]
+        ))
         s = draw_entry(st.integers(0, len(segment_pages) - 1))
-        nbytes = segment_bytes(s)
-        whole = st.just((0, nbytes))
-        cut = st.integers(0, nbytes).flatmap(lambda first: st.tuples(
-            st.just(first), st.integers(0, nbytes - first),
-        ))
-        ranges = draw_entry(st.lists(
-            st.one_of(whole, whole, cut), min_size=1, max_size=2,
-        ))
-        noted = draw_entry(st.one_of(st.none(), st.tuples(
-            st.integers(0, 99), st.integers(0, 99),
-        )))
-        cpu = draw_entry(st.floats(0, 1e-3, allow_subnormal=False))
-        return s, ranges, noted, cpu
+        if kind == "span":
+            nbytes = segment_bytes(s)
+            whole = st.just((0, nbytes))
+            cut = st.integers(0, nbytes).flatmap(lambda first: st.tuples(
+                st.just(first), st.integers(0, nbytes - first),
+            ))
+            return ("span", s, *draw_entry(st.one_of(whole, whole, cut)))
+        if kind == "pages":
+            pages = draw_entry(st.one_of(
+                st.just(list(range(segment_pages[s]))),
+                st.lists(st.integers(0, segment_pages[s] - 1), max_size=10),
+            ))
+            return ("pages", s, pages, draw_entry(st.booleans()))
+        if kind == "cpu":
+            return ("cpu", draw_entry(
+                st.floats(0, 1e-3, allow_subnormal=False)
+            ))
+        return ("note", draw_entry(st.integers(0, 99)),
+                draw_entry(st.integers(0, 99)))
 
     def op():
         s = draw(st.integers(0, len(segment_pages) - 1))
         nbytes = segment_bytes(s)
         kind = draw(st.sampled_from(
             ["read", "read", "read_segment", "pages", "pages", "clear",
-             "spans"]
+             "charges", "charges"]
         ))
         if kind == "read":
             first = draw(st.integers(0, nbytes))
             return ("read", s, first, draw(st.integers(0, nbytes - first)))
-        if kind == "spans":
-            return ("spans", draw(st.lists(spans_entry(), max_size=6)))
+        if kind == "charges":
+            return ("charges", draw(st.lists(charge(), max_size=8)))
         if kind == "pages":
             pages = draw(st.lists(
                 st.integers(0, segment_pages[s] - 1), max_size=10,
@@ -349,7 +434,8 @@ def scenarios(draw):
         return (kind, s)
 
     n_ops = draw(st.integers(1, 25))
-    return segment_pages, capacity, max_run, coalescing, [
+    traced = draw(st.booleans())
+    return segment_pages, capacity, max_run, coalescing, traced, [
         op() for _ in range(n_ops)
     ]
 
@@ -357,8 +443,8 @@ def scenarios(draw):
 @settings(max_examples=300)
 @given(scenarios())
 def test_extent_pool_equals_page_pool(scenario):
-    segment_pages, capacity, max_run, coalescing, ops = scenario
-    twins = Twins(segment_pages, capacity, max_run, coalescing)
+    segment_pages, capacity, max_run, coalescing, traced, ops = scenario
+    twins = Twins(segment_pages, capacity, max_run, coalescing, traced)
     for op in ops:
         twins.step(op)
 
@@ -479,6 +565,12 @@ class TestPageIndexValidation:
             pool._last_disk_page,
         )
         twins.check()
+
+    @pytest.mark.parametrize("pages", [[-1], [0, 8], [3, 9]])
+    def test_page_runs_refuses_pages_outside_the_segment(self, twins, pages):
+        segment = twins.segments[0]
+        with pytest.raises(BufferPoolError):
+            page_runs(segment, np.array(pages, dtype=np.int64))
 
     @pytest.mark.parametrize("pages", [
         [0, 2, 2, 5], range(1, 6), np.array([5, 0, 2]),

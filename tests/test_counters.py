@@ -17,6 +17,7 @@ import pytest
 
 import repro.api as api
 from repro.data import generate_barton
+from repro.engine.buffer import PAGES, SPAN
 from repro.exec import morsel
 from repro.observe import counters
 from repro.observe.history import collect_counters
@@ -236,8 +237,9 @@ class TestPoolFlush:
     @staticmethod
     def _count_reads(pool, monkeypatch, on_read=lambda n: None):
         """Count the pool reads: ``read`` goes through ``read_span``, and
-        ``read_spans`` is one read per span it is given — those it hands
-        to ``read_span`` are counted there, the rest when it returns."""
+        ``read_spans`` is one read per span or page-run entry of the
+        charge list it is given — those it hands to ``read_span`` are
+        counted there, the rest when it returns."""
         reads = []
 
         def count(name):
@@ -251,10 +253,10 @@ class TestPoolFlush:
                 return _read(*args, **kwargs)
             monkeypatch.setattr(pool, name, counted)
 
-        def batched(entries, *args, _read=pool.read_spans, **kwargs):
+        def batched(charges, *args, _read=pool.read_spans, **kwargs):
             before = len(reads)
-            _read(entries, *args, **kwargs)
-            spans = sum(len(spans) for _, spans, _, _ in entries)
+            _read(charges, *args, **kwargs)
+            spans = sum(entry[0] in (SPAN, PAGES) for entry in charges)
             for _ in range(spans - (len(reads) - before)):
                 count("read_spans")
         monkeypatch.setattr(pool, "read_spans", batched)

@@ -799,6 +799,49 @@ class TestQueryServer:
         # earlier tests may exit meanwhile, so no more than the baseline.
         wait_until(lambda: set(threading.enumerate()) <= baseline)
 
+    def test_a_burst_as_large_as_admission_is_answered(self, dataset):
+        """The listen backlog holds ``workers + queue_depth`` connects:
+        32 clients connect while the listener accepts nothing yet (with
+        socketserver's backlog of 5 all but six wait for a SYN retry),
+        then each is answered 200 or 429 — none is reset or dropped."""
+        import http.client
+        from urllib.parse import urlsplit
+
+        instance = QueryServer(
+            fresh_connection(dataset), port=0, workers=2, queue_depth=30,
+        )
+        address = urlsplit(instance.address)
+        connected, outcomes = [], []
+
+        def client():
+            conn = http.client.HTTPConnection(
+                address.hostname, address.port, timeout=30,
+            )
+            try:
+                conn.connect()
+                connected.append(True)
+                conn.request("POST", "/v1/query", json.dumps({"query": "q1"}),
+                             {"Content-Type": "application/json"})
+                outcomes.append(conn.getresponse().status)
+            except OSError as exc:
+                outcomes.append(repr(exc))
+            finally:
+                conn.close()
+
+        clients = [threading.Thread(target=client) for _ in range(32)]
+        try:
+            for thread in clients:
+                thread.start()
+            wait_until(lambda: len(connected) == 32, timeout=5.0)
+        finally:
+            instance.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            instance.close()
+        assert not any(thread.is_alive() for thread in clients)
+        assert len(outcomes) == 32
+        assert set(outcomes) <= {200, 429}, outcomes
+
     @pytest.mark.parametrize("head, body, half_close, status, error", [
         # Once a JSON 400, then the chunk bytes answered as a second
         # request with an HTML 400.
