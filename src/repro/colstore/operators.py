@@ -70,8 +70,8 @@ def _base_column(scan, qualified):
 def _descend(table, prefix):
     """Binary-search each *prefix* constant in the next sort column;
     returns the narrowed ``(lo, hi)`` and the ``(column, lo, hi)`` probes
-    made, for :func:`_probe`.  A constant missing from the dictionary
-    (``None``) or an empty range ends the descent."""
+    made, for :func:`_probe_charges`.  A constant missing from the
+    dictionary (``None``) or an empty range ends the descent."""
     lo, hi = 0, table.n_rows
     probes = []
     for column, value in zip(table.sort_order, prefix):
@@ -245,6 +245,24 @@ def _split_predicates(scan, table, predicates):
     return tuple(prefix), residual
 
 
+#: One table access, resolved once per catalog (:func:`_resolve_access`):
+#: the *table*, its *residual* ``(base column, predicate)`` pairs, the
+#: rows ``[lo, hi)`` its sorted-prefix descent left, and the charges of
+#: that descent's *probes*.  A fused scan keeps one in its
+#: :class:`_ScanPlan`, a template union one per branch.
+_Access = namedtuple("_Access", "table residual lo hi probes")
+
+
+def _resolve_access(rt, table, split):
+    """The :class:`_Access` of *table* under a :func:`_split_predicates`
+    *split*: the descent runs here, and its probes become charges."""
+    prefix, residual = split
+    lo, hi, probes = _descend(table, prefix)
+    return _Access(table, residual, lo, hi, tuple(
+        c for probe in probes for c in _probe_charges(rt, table, *probe)
+    ))
+
+
 # ---------------------------------------------------------------------------
 # the kernel: data-plane tasks per range, one dispatch, one cost replay
 # ---------------------------------------------------------------------------
@@ -338,9 +356,9 @@ def _rle_encoding(table, column):
     return None
 
 
-def _scan_range(table, residual, base_needed, lo, hi):
-    """Data plane for rows ``[lo, hi)``: evaluate the residual predicates
-    stage by stage and gather the needed columns.  Returns
+def _scan_range(access, base_needed, lo, hi):
+    """Data plane for rows ``[lo, hi)`` of *access*: evaluate its residual
+    predicates stage by stage and gather the needed columns.  Returns
     ``(stage_positions, gathers)`` — masks are row-local, so the
     range-ordered concatenation of each stage equals the whole-range
     stage arrays exactly.
@@ -349,9 +367,10 @@ def _scan_range(table, residual, base_needed, lo, hi):
     once per run instead of once per row; the mask is identical by the
     run-length identity (every row of a run shares the run's value).
     """
+    table = access.table
     stages = []
     local = None  # None means the dense range [lo, hi)
-    for base_col, pred in residual:
+    for base_col, pred in access.residual:
         if local is None:
             encoding = _rle_encoding(table, base_col)
             if encoding is not None:
@@ -367,11 +386,12 @@ def _scan_range(table, residual, base_needed, lo, hi):
     return stages, [table.array(c)[rows] for c in base_needed]
 
 
-def _scan_charges(rt, table, residual, fetch_cols, lo, hi, stages, charges):
-    """Append to *charges* what one fused scan+select charges after its
-    descent: each residual stage, then each gather of *fetch_cols*, over
-    ``[lo, hi)`` and the positions each stage kept (*stages*, merged over
-    ranges); all are skipped once no candidate is left."""
+def _scan_charges(rt, access, fetch_cols, stages, charges):
+    """Append to *charges* what *access* charges after its descent: each
+    residual stage, then each gather of *fetch_cols*, over its range and
+    the positions each stage kept (*stages*, merged over ranges); all are
+    skipped once no candidate is left."""
+    table, residual, lo, hi, _ = access
     count = hi - lo
     positions = None  # None means the dense range [lo, hi)
     for stage, (base_col, _pred) in enumerate(residual):
@@ -398,13 +418,10 @@ def _scan_charges(rt, table, residual, fetch_cols, lo, hi, stages, charges):
 
 #: What a fused scan+select resolved for its physical node under the
 #: *needed* outputs, kept on the node (``PhysicalPlan.resolved``) and so
-#: dropped with the lowered tree when the catalog changes: the needed base
-#: columns, the predicate split, the descent's range ``[lo, hi)``, the
-#: charges of its probes, and — filled by the first replay — the charges
-#: of its stages and gathers.
-_ScanPlan = namedtuple(
-    "_ScanPlan", "needed table base_needed residual lo hi probes charges"
-)
+#: dropped with the lowered tree when the catalog changes: its
+#: :class:`_Access`, the needed base columns, and — filled by the first
+#: replay — the charges of its stages and gathers.
+_ScanPlan = namedtuple("_ScanPlan", "needed access base_needed charges")
 
 
 def _scan_select(rt, pnode, scan, predicates, needed):
@@ -415,17 +432,17 @@ def _scan_select(rt, pnode, scan, predicates, needed):
     plan = pnode.resolved
     if plan is None or plan.needed != needed:
         table = rt.engine.table(scan.table)
-        prefix, residual = _split_predicates(scan, table, predicates)
-        lo, hi, probes = _descend(table, prefix)
         plan = pnode.resolved = _ScanPlan(
-            frozenset(needed), table, _needed_base_columns(scan, needed),
-            residual, lo, hi,
-            [c for probe in probes for c in _probe_charges(rt, table, *probe)],
-            None,
+            frozenset(needed),
+            _resolve_access(
+                rt, table, _split_predicates(scan, table, predicates)
+            ),
+            _needed_base_columns(scan, needed), None,
         )
-    _, table, base_needed, residual, lo, hi, probes, _ = plan
-    if probes:
-        rt.pool.read_spans(probes, rt)
+    _, access, base_needed, _ = plan
+    table, lo, hi = access.table, access.lo, access.hi
+    if access.probes:
+        rt.pool.read_spans(access.probes, rt)
 
     def replay(results):
         stages = [
@@ -434,9 +451,7 @@ def _scan_select(rt, pnode, scan, predicates, needed):
         charges = plan.charges
         if charges is None:
             charges = []
-            _scan_charges(
-                rt, table, residual, base_needed, lo, hi, stages, charges,
-            )
+            _scan_charges(rt, access, base_needed, stages, charges)
             pnode.resolved = plan._replace(charges=charges)
         rt.pool.read_spans(charges, rt)
         columns = {
@@ -459,17 +474,22 @@ def _scan_select(rt, pnode, scan, predicates, needed):
         bounds = ((lo, hi),)
     return _run_ranges(
         rt, _scan_range,
-        [(table, residual, base_needed, mlo, mhi) for mlo, mhi in bounds],
+        [(access, base_needed, mlo, mhi) for mlo, mhi in bounds],
         [mhi - mlo for mlo, mhi in bounds], replay,
     )
 
 
-def _apply_cross(rt, intermediate, cross):
+def _apply_predicates(rt, intermediate, predicates):
+    """*intermediate*'s rows that pass every one of *predicates*, each
+    charged one select per row."""
     rel = intermediate.relation
     mask = np.ones(rel.n_rows, dtype=bool)
-    for pred in cross:
+    for pred in predicates:
         rt.clock.charge_cpu(rt.costs.select_tuple * max(rel.n_rows, 1))
-        mask &= pred.mask(rel.column(pred.left), rel.column(pred.right))
+        if is_column_comparison(pred):
+            mask &= pred.mask(rel.column(pred.left), rel.column(pred.right))
+        else:
+            mask &= pred.mask(rel.column(pred.column))
     columns = {n: a[mask] for n, a in rel.columns.items()}
     return Intermediate(
         Relation(columns, rel.oid_columns), intermediate.sorted_by
@@ -485,34 +505,38 @@ def _apply_cross(rt, intermediate, cross):
 # engine's table stores the relevant column RLE-encoded, so an uncompressed
 # engine lowers exactly as before.
 
-def _rle_leading_scan(engine, scan):
-    """``(table, leading_sort_column, rle_encoding)`` when *scan*'s table
-    physically stores its leading sort column run-length encoded."""
-    if not engine.has_table(scan.table):
-        return None
+def _rle_lead(engine, scan, column):
+    """Whether *column* of *scan* is its table's leading sort column and
+    the table physically stores that column run-length encoded."""
+    if not isinstance(scan, L.Scan) or not engine.has_table(scan.table):
+        return False
     table = engine.table(scan.table)
-    if not table.sort_order:
-        return None
+    return (
+        bool(table.sort_order)
+        and _base_column(scan, column) == table.sort_order[0]
+        and _rle_encoding(table, table.sort_order[0]) is not None
+    )
+
+
+def _read_lead_runs(rt, table):
+    """Charge reading *table*'s RLE-encoded leading sort column run by run
+    (CPU per run, the rows inside runs skipped); returns its encoding."""
     lead = table.sort_order[0]
-    encoding = _rle_encoding(table, lead)
-    if encoding is None:
-        return None
-    return table, lead, encoding
+    encoding = table.encodings[lead]
+    rt.pool.read_spans(_run_charges(
+        rt, table, lead, 0, table.n_rows,
+        rt.costs.scan_tuple * max(encoding.n_runs, 1),
+        table.n_rows - encoding.n_runs,
+    ), rt)
+    return encoding
 
 
 def _guard_compressed_group(engine, node):
-    if not isinstance(node, L.GroupBy):
-        return False
-    if node.aggregates or len(node.keys) != 1:
-        return False
-    scan = node.child
-    if not isinstance(scan, L.Scan):
-        return False
-    info = _rle_leading_scan(engine, scan)
-    if info is None:
-        return False
-    _, lead, _ = info
-    return _base_column(scan, node.keys[0]) == lead
+    return (
+        isinstance(node, L.GroupBy)
+        and not node.aggregates and len(node.keys) == 1
+        and _rle_lead(engine, node.child, node.keys[0])
+    )
 
 
 @matches(L.GroupBy)
@@ -530,18 +554,12 @@ def compressed_group(rt, pnode, needed_above):
     node = pnode.logical
     scan = node.child
     table = rt.engine.table(scan.table)
-    lead = table.sort_order[0]
-    encoding = table.encodings[lead]
 
     def grouped():
         # Maximal runs of the sorted leading column: run values are the
         # distinct keys in ascending order, run lengths their counts —
         # exactly group_count's output, without touching a single row.
-        n_runs = encoding.n_runs
-        rt.pool.read_spans(_run_charges(
-            rt, table, lead, 0, table.n_rows,
-            rt.costs.scan_tuple * max(n_runs, 1), table.n_rows - n_runs,
-        ), rt)
+        encoding = _read_lead_runs(rt, table)
         columns = {
             node.keys[0]: encoding.run_values.copy(),
             node.count_column: encoding.run_lengths.copy(),
@@ -557,17 +575,10 @@ def compressed_group(rt, pnode, needed_above):
 
 
 def _guard_compressed_join(engine, node):
-    if not isinstance(node, L.Join) or len(node.on) != 1:
-        return False
-    scan = node.right
-    if not isinstance(scan, L.Scan):
-        return False
-    info = _rle_leading_scan(engine, scan)
-    if info is None:
-        return False
-    _, lead, _ = info
-    (_, rcol), = node.on
-    return _base_column(scan, rcol) == lead
+    return (
+        isinstance(node, L.Join) and len(node.on) == 1
+        and _rle_lead(engine, node.right, node.on[0][1])
+    )
 
 
 @matches(L.Join)
@@ -595,11 +606,7 @@ def compressed_join(rt, pnode, needed):
     lrel = left.relation
 
     def scan_runs():
-        rt.pool.read_spans(_run_charges(
-            rt, table, lead, 0, table.n_rows,
-            rt.costs.scan_tuple * max(encoding.n_runs, 1),
-            table.n_rows - encoding.n_runs,
-        ), rt)
+        _read_lead_runs(rt, table)
         relation = Relation(
             {rcol: encoding.run_values}, oid_columns={rcol}
         )
@@ -670,7 +677,7 @@ def scan_select(rt, pnode, needed):
     result = rt.traced_block(
         scan, lambda: _scan_select(rt, pnode, scan, simple, inner_needed)
     )
-    return _apply_cross(rt, result, cross)
+    return _apply_predicates(rt, result, cross)
 
 
 @COLUMN_OPS.operator(
@@ -693,17 +700,9 @@ def filter_(rt, pnode, needed):
             child_needed.update(p.columns())
         else:
             child_needed.add(p.column)
-    child = rt.run_child(pnode.children[0], child_needed)
-    rel = child.relation
-    mask = np.ones(rel.n_rows, dtype=bool)
-    for pred in node.predicates:
-        rt.clock.charge_cpu(rt.costs.select_tuple * max(rel.n_rows, 1))
-        if is_column_comparison(pred):
-            mask &= pred.mask(rel.column(pred.left), rel.column(pred.right))
-        else:
-            mask &= pred.mask(rel.column(pred.column))
-    columns = {n: a[mask] for n, a in rel.columns.items()}
-    return Intermediate(Relation(columns, rel.oid_columns), child.sorted_by)
+    return _apply_predicates(
+        rt, rt.run_child(pnode.children[0], child_needed), node.predicates
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -868,14 +867,10 @@ def having(rt, pnode, needed):
 # union / distinct / extend
 # ---------------------------------------------------------------------------
 
-#: A bound branch of a canonical template union: the *table* its binding
-#: reads, and its selection as :func:`_split_predicates` splits it for
-#: that table's sort order (*prefix* and *residual* both empty: none).
-_Branch = namedtuple("_Branch", "table prefix residual")
-
 class _UnionPlan:
     """A canonical template union resolved for one set of kept outputs,
-    once per catalog (:func:`_resolve_union`).  *fetch_cols* are the base
+    once per catalog (:func:`_resolve_union`).  *branches* are the
+    :class:`_Access` of each binding's table.  *fetch_cols* are the base
     columns every branch reads, in scan column order (the charge order);
     *sources* names, per kept output, the position in *fetch_cols* that
     feeds it — ``None`` for the Extend fill.  *lengths* and *fills* are
@@ -884,14 +879,13 @@ class _UnionPlan:
     data plane: *columns*, per kept output, the branches' column arrays
     (``None`` for the fill); a selecting template has ``None``.
 
-    *charges* is the union's charge list (``BufferPool.read_spans``):
-    every non-empty branch's whole-column reads for a plain template,
-    resolved here; for a selecting template, every branch's probes,
-    stages and gathers, filled in by the first replay (``None`` until
-    then).  Beyond the charge list it holds only tuples and arrays: up to
-    :data:`UNION_MEMO_SIZE` plans of 222 branches stay cached, and every
-    container they keep alive is one more for each full garbage
-    collection to walk."""
+    *charges* is the union's charge list (``BufferPool.read_spans``,
+    built by :func:`_union_charges`): every branch's probes, stages and
+    gathers — resolved here for a plain template, filled in by the first
+    replay for a selecting one (``None`` until then).  Beyond the charge
+    list it holds only tuples and arrays: up to :data:`UNION_MEMO_SIZE`
+    plans of 222 branches stay cached, and every container they keep
+    alive is one more for each full garbage collection to walk."""
 
     __slots__ = (
         "branches", "fetch_cols", "sources", "lengths", "fills", "columns",
@@ -940,17 +934,15 @@ def _canonical_shape(template, keep):
     return inner, predicates, extend_col, tuple(mapping[i][1] for i in keep)
 
 
-def _canonical_branch(rt, shape, table_name, splits):
-    """The :class:`_Branch` of a template of *shape* bound to
-    *table_name*, sharing the predicate split per table sort order
-    through *splits*."""
-    scan_node, predicates = shape[:2]
-    table = rt.engine.table(table_name)
-    order = tuple(table.sort_order)
-    split = splits.get(order)
-    if split is None:
-        split = splits[order] = _split_predicates(scan_node, table, predicates)
-    return _Branch(table, *split)
+def _union_charges(rt, branches, fetch_cols, stages):
+    """A template union's charge list: per branch of *branches* in order,
+    its probes, then its stages (*stages*, per branch) and gathers of
+    *fetch_cols* — what its fused scan+select would charge."""
+    charges = []
+    for access, branch_stages in zip(branches, stages):
+        charges.extend(access.probes)
+        _scan_charges(rt, access, fetch_cols, branch_stages, charges)
+    return charges
 
 
 def _template_plan(rt, shape, bindings):
@@ -967,10 +959,15 @@ def _template_plan(rt, shape, bindings):
         else fetch_cols.index(_base_column(scan_node, source))
         for source in needed
     )
-    splits = {}
-    branches = tuple(
-        _canonical_branch(rt, shape, table, splits) for table, _, _ in bindings
-    )
+    # The predicate split depends only on the table's sort order.
+    splits, branches = {}, []
+    for table_name, _, _ in bindings:
+        table = rt.engine.table(table_name)
+        order = tuple(table.sort_order)
+        if order not in splits:
+            splits[order] = _split_predicates(scan_node, table, predicates)
+        branches.append(_resolve_access(rt, table, splits[order]))
+    branches = tuple(branches)
     columns = charges = None
     if not predicates:
         columns = tuple(
@@ -979,12 +976,9 @@ def _template_plan(rt, shape, bindings):
             )
             for source in sources
         )
-        charges = []
-        for table in (b.table for b in branches if b.table.n_rows):
-            n_rows = table.n_rows
-            for column in fetch_cols:
-                charges.extend(_dense_charges(rt, table, column, 0, n_rows))
-                charges.append((CPU, rt.costs.scan_tuple * n_rows))
+        charges = _union_charges(
+            rt, branches, fetch_cols, [()] * len(branches)
+        )
     return _UnionPlan(
         branches, fetch_cols, sources,
         np.array([b.table.n_rows for b in branches], dtype=np.int64),
@@ -1009,17 +1003,14 @@ def _plain_range(plan, lo, hi):
 def _select_range(plan, lo, hi):
     """Data plane of branches ``[lo, hi)`` of a selecting template: per
     kept output, the branches' selected rows (or constant Extend fills)
-    concatenated in branch order; and, per branch, its ``(lo, hi,
-    probes, stages)`` for the replay to charge."""
+    concatenated in branch order; and, per branch, its stages for the
+    first replay to charge."""
     fetch_cols, sources = plan.fetch_cols, plan.sources
     outputs = [[] for _ in sources]
     scans = []
-    for (table, prefix, residual), fill in zip(
-        plan.branches[lo:hi], plan.fills[lo:hi]
-    ):
-        start, end, probes = _descend(table, prefix)
-        stages, gathers = _scan_range(table, residual, fetch_cols, start, end)
-        scans.append((start, end, probes, stages))
+    for access, fill in zip(plan.branches[lo:hi], plan.fills[lo:hi]):
+        stages, gathers = _scan_range(access, fetch_cols, access.lo, access.hi)
+        scans.append(stages)
         for parts, source in zip(outputs, sources):
             parts.append(
                 np.full(len(gathers[0]), fill, dtype=np.int64)
@@ -1094,21 +1085,13 @@ def _template_blocks(rt, plan):
     first replay of a selecting template resolves the list from its
     data-plane scans.  Returns the per-slice output blocks."""
     def replay(results):
-        charges = plan.charges
-        if charges is None:
-            charges = []
-            # A selecting template's branches, each with its data-plane scan.
-            scans = (scan for _, group in results for scan in group)
-            for branch, (lo, hi, probes, stages) in zip(plan.branches, scans):
-                table = branch.table
-                for probe in probes:
-                    charges.extend(_probe_charges(rt, table, *probe))
-                _scan_charges(
-                    rt, table, branch.residual, plan.fetch_cols, lo, hi,
-                    stages, charges,
-                )
-            plan.charges = charges
-        rt.pool.read_spans(charges, rt)
+        if plan.charges is None:
+            # A selecting template: each branch's stages, in branch order.
+            plan.charges = _union_charges(
+                rt, plan.branches, plan.fetch_cols,
+                (stages for _, group in results for stages in group),
+            )
+        rt.pool.read_spans(plan.charges, rt)
         return [block for block, _ in results]
 
     bounds, slice_rows = _branch_slices(plan.lengths, _morsel_rows(rt))
@@ -1152,14 +1135,15 @@ def vector_union(rt, pnode, needed):
     }
     rt.clock.charge_cpu(rt.costs.union_tuple * max(total_in, 1))
     rel = Relation(columns, oid)
-    if node.distinct:
-        rt.clock.charge_cpu(rt.costs.group_tuple * max(rel.n_rows, 1))
-        idx = V.distinct_rows([rel.column(n) for n in rel.columns])
-        rel = Relation(
-            {n: a[idx] for n, a in rel.columns.items()}, rel.oid_columns
-        )
-        return Intermediate(rel, tuple(rel.columns))
-    return Intermediate(rel, ())
+    return _distinct(rt, rel) if node.distinct else Intermediate(rel, ())
+
+
+def _distinct(rt, rel):
+    """*rel*'s distinct rows, sorted on every column."""
+    rt.clock.charge_cpu(rt.costs.group_tuple * max(rel.n_rows, 1))
+    idx = V.distinct_rows([rel.column(n) for n in rel.columns])
+    columns = {n: a[idx] for n, a in rel.columns.items()}
+    return Intermediate(Relation(columns, rel.oid_columns), tuple(columns))
 
 
 @COLUMN_OPS.operator(
@@ -1169,11 +1153,7 @@ def vector_union(rt, pnode, needed):
 def vector_distinct(rt, pnode, needed):
     node = pnode.logical
     child = rt.run_child(pnode.children[0], set(node.output_columns()))
-    rel = child.relation
-    rt.clock.charge_cpu(rt.costs.group_tuple * max(rel.n_rows, 1))
-    idx = V.distinct_rows([rel.column(n) for n in rel.columns])
-    columns = {n: a[idx] for n, a in rel.columns.items()}
-    return Intermediate(Relation(columns, rel.oid_columns), tuple(columns))
+    return _distinct(rt, child.relation)
 
 
 @COLUMN_OPS.operator(

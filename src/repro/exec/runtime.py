@@ -107,7 +107,8 @@ class Runtime:
         #: What operators resolved from the catalog for every lowered
         #: plan to share: the column store's whole-column scan charge per
         #: ``(table, column)``, its first-probe charge per ``(table,
-        #: column, "probe")``.
+        #: column, "probe")``, and its template-union plans under
+        #: ``"unions"`` (an LRU).
         self.resolved = {}
 
     # ------------------------------------------------------------------

@@ -284,8 +284,10 @@ class TestReplayWorkPerBranch:
     #: went through operator dispatch (q8 alone 48 873 cold / 46 221 hot).
     CALLS_PER_OP_CEILING = 3_500
 
-    #: ``src/repro`` calls of one hot q8 (14 280 when recorded).
-    Q8_HOT_CALLS_CEILING = 15_000
+    #: ``src/repro`` calls of one hot q8 (3 481 when recorded; 4 147 at
+    #: the commit before, when every run descended each of its 444
+    #: branches again).
+    Q8_HOT_CALLS_CEILING = 3_660
 
     @pytest.fixture(scope="class")
     def session(self):
@@ -323,7 +325,7 @@ class TestReplayWorkPerBranch:
         # One memo hit: the union binds none of its branches again.
         assert names["_resolve_union"] == 1
         assert self.memo_hits(session) == hits + 1
-        assert names["_canonical_branch"] == 0
+        assert names["_resolve_access"] == 0
         # The two scan+select operators replay what their first run
         # resolved: neither names its columns again.
         assert names["_needed_base_columns"] == 0
@@ -340,14 +342,17 @@ class TestReplayWorkPerBranch:
         # One memo hit per union: neither binds its branches again.
         assert names["_resolve_union"] == 2
         assert self.memo_hits(session) == hits + 2
-        assert names["_canonical_branch"] == 0
+        assert names["_resolve_access"] == 0
         # Only the two projections above the unions dispatch: none of the
         # 2 x 222 Project(Select(Scan)) branches goes through an operator,
         # yet each is charged as its fused scan+select would be — from
         # the union's charge list, resolved by its first run.
         assert names["project"] == 2
         assert names["scan_select"] == 0
-        assert names["_descend"] == names["_scan_range"] == 2 * 222
+        # Every branch's descent was resolved with its access: a warm run
+        # only masks and gathers.
+        assert names["_descend"] == 0
+        assert names["_scan_range"] == 2 * 222
         assert names["_scan_charges"] == names["_probe_charges"] == 0
         assert names["read_spans"] == 2
         assert sum(names.values()) <= self.Q8_HOT_CALLS_CEILING
@@ -363,7 +368,8 @@ class TestReplayWorkPerBranch:
         engine.drop_table("scratch")
         names = repro_calls(lambda: session.query("q2*"))
         assert names["_resolve_union"] == 1
-        assert names["_canonical_branch"] == 222
+        # Every branch of the union, and the plan's one fused scan.
+        assert names["_resolve_access"] == 222 + 1
 
     #: ``src/repro`` calls of a warm describe's ``engine.run`` (138 when
     #: recorded; 5 246 at the commit before, when each describe re-bound
@@ -396,14 +402,15 @@ class TestReplayWorkPerBranch:
         engine.lower(plan)
         names = repro_calls(lambda: engine.run(plan))
         assert names["_resolve_union"] == 1 and names["read_spans"] == 1
-        assert names["_canonical_branch"] == names["read_span"] == 0
+        assert names["_resolve_access"] == names["read_span"] == 0
         assert sum(names.values()) <= self.DESCRIBE_CALLS_CEILING
 
-    #: ``src/repro`` calls of a warm vertical q8 ``engine.run`` (4 130
-    #: when recorded; 14 743 at the commit before, when every run
+    #: ``src/repro`` calls of a warm vertical q8 ``engine.run`` (3 468
+    #: when recorded; 4 134 at the commit before, when every run descended
+    #: each branch again, and 14 743 before that, when every run
     #: re-derived its charges from positions and charged them one pool
     #: read at a time).
-    Q8_WARM_RUN_CALLS_CEILING = 7_500
+    Q8_WARM_RUN_CALLS_CEILING = 6_300
 
     def test_a_warm_q8_replays_its_resolved_charges(
         self, session, repro_calls

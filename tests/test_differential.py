@@ -28,6 +28,9 @@ from repro.rowstore import RowStoreEngine
 
 N_ROWS = 400
 VALUE_RANGE = 8  # small domain -> plenty of join matches and duplicates
+#: The most rows a drawn join is expected to produce: an unselected
+#: two-way join's.
+MAX_JOIN_ROWS = N_ROWS * N_ROWS // VALUE_RANGE
 
 
 def make_data(seed):
@@ -67,7 +70,8 @@ _counter = st.shared(st.just(None))  # placeholder; aliases via draw indices
 
 @st.composite
 def base_relation(draw, alias_pool):
-    """Scan with optional selection; returns (plan, set_of_columns)."""
+    """Scan with optional selection; returns (plan, set_of_columns, the
+    columns an ``=`` constant binds)."""
     alias = f"A{draw(st.integers(0, 10**6))}_{len(alias_pool)}"
     while alias in alias_pool:
         alias += "x"
@@ -88,18 +92,49 @@ def base_relation(draw, alias_pool):
                 value = draw(st.integers(0, VALUE_RANGE))
                 predicates.append(Comparison(column, op, value))
         plan = Select(scan, predicates)
-    return plan, set(plan.output_columns())
+    bound = {
+        p.column for p in getattr(plan, "predicates", ())
+        if isinstance(p, Comparison) and p.op == "="
+    }
+    return plan, set(plan.output_columns()), bound
 
 
 @st.composite
 def joined_relation(draw):
+    """Up to three base relations joined left-deep, each join expected
+    to produce at most MAX_JOIN_ROWS rows over the uniform table: a
+    column bound to a constant and a join key pair each keep one value
+    of VALUE_RANGE (a pair of bound keys keeps every row), and a join
+    that would exceed the bound keys more column pairs."""
     alias_pool = set()
-    plan, columns = draw(base_relation(alias_pool))
+    plan, columns, bound = draw(base_relation(alias_pool))
+    rows = N_ROWS / VALUE_RANGE ** len(bound)
     for _ in range(draw(st.integers(0, 2))):
-        right, right_columns = draw(base_relation(alias_pool))
+        right, right_columns, right_bound = draw(base_relation(alias_pool))
         left_col = draw(st.sampled_from(sorted(columns)))
         right_col = draw(st.sampled_from(sorted(right_columns)))
-        plan = Join(plan, right, on=[(left_col, right_col)])
+        on = [(left_col, right_col)]
+        rows *= N_ROWS / VALUE_RANGE ** len(right_bound)
+        if left_col not in bound or right_col not in right_bound:
+            rows /= VALUE_RANGE
+        # Each further pair keys an unbound column of the new input, so
+        # keeps one value more; two always suffice.
+        extra = 0
+        while rows / VALUE_RANGE ** extra > MAX_JOIN_ROWS:
+            extra += 1
+        if extra:
+            free = right_columns - right_bound - {right_col}
+            on += zip(
+                draw(st.lists(
+                    st.sampled_from(sorted(columns - {left_col})),
+                    min_size=extra, max_size=extra, unique=True,
+                )),
+                draw(st.permutations(sorted(free)))[:extra],
+            )
+            rows /= VALUE_RANGE ** extra
+        bound |= right_bound
+        bound |= {c for pair in on if bound & set(pair) for c in pair}
+        plan = Join(plan, right, on=on)
         columns |= right_columns
     return plan, sorted(columns)
 
