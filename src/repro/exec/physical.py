@@ -13,8 +13,9 @@ many times (the benchmark's cold/hot protocol) and rendered/linted without
 an engine at hand.  What an operator resolves from the catalog once
 rather than per run lives in the runtime (``Runtime.resolved``), except
 what belongs to one node alone — a fused column-store scan's charge
-list — which the node keeps in :attr:`PhysicalPlan.resolved`; both are
-dropped with the lowered trees on DDL (``Runtime.forget_lowered``).
+list, a row-store access path's rows and charge list — which the node
+keeps in :attr:`PhysicalPlan.resolved`; both are dropped with the
+lowered trees on DDL (``Runtime.forget_lowered``).
 Unlike logical nodes they are not sealed — the profiler annotates
 ``estimated_rows`` in place — but the bound logical nodes stay
 immutable, so sharing them between the logical and physical trees is

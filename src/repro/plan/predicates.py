@@ -1,5 +1,8 @@
 """Scalar comparison predicates used in selections and HAVING clauses."""
 
+import operator
+from functools import partial
+
 from repro.errors import PlanError
 
 EQ = "="
@@ -12,12 +15,23 @@ GE = ">="
 _OPERATORS = {EQ, NE, LT, LE, GT, GE}
 
 _PYTHON_OPS = {
-    EQ: lambda a, b: a == b,
-    NE: lambda a, b: a != b,
-    LT: lambda a, b: a < b,
-    LE: lambda a, b: a <= b,
-    GT: lambda a, b: a > b,
-    GE: lambda a, b: a >= b,
+    EQ: operator.eq,
+    NE: operator.ne,
+    LT: operator.lt,
+    LE: operator.le,
+    GT: operator.gt,
+    GE: operator.ge,
+}
+
+#: ``a <op> b`` is ``_MIRRORED[op](b, a)``: a constant bound first by
+#: ``partial`` is the right operand.
+_MIRRORED = {
+    EQ: operator.eq,
+    NE: operator.ne,
+    LT: operator.gt,
+    LE: operator.ge,
+    GT: operator.lt,
+    GE: operator.le,
 }
 
 
@@ -30,7 +44,7 @@ class Comparison:
     is unsatisfiable for ``=`` and always true for ``!=``.
     """
 
-    __slots__ = ("column", "op", "value")
+    __slots__ = ("column", "op", "value", "test")
 
     def __init__(self, column, op, value):
         if op not in _OPERATORS:
@@ -40,6 +54,14 @@ class Comparison:
         self.column = column
         self.op = op
         self.value = value
+        #: :meth:`evaluate` as one C-level call, for per-tuple loops: the
+        #: operator with the constant bound, or — for an unresolved
+        #: constant — an identity test against ``None`` that is true for
+        #: ``!=`` and false otherwise.
+        self.test = (
+            partial(_MIRRORED[op], value) if value is not None
+            else partial(operator.is_not if op == NE else operator.is_, None)
+        )
 
     def __repr__(self):
         return f"Comparison({self.column!r} {self.op} {self.value!r})"
@@ -59,9 +81,7 @@ class Comparison:
 
     def evaluate(self, scalar):
         """Apply the predicate to a single integer value."""
-        if self.value is None:
-            return self.op == NE
-        return _PYTHON_OPS[self.op](scalar, self.value)
+        return self.test(scalar)
 
     def mask(self, array):
         """Apply the predicate to a numpy array, returning a boolean mask."""
@@ -82,7 +102,7 @@ class ColumnComparison:
     conditions between already-joined relations.
     """
 
-    __slots__ = ("left", "op", "right")
+    __slots__ = ("left", "op", "right", "test")
 
     def __init__(self, left, op, right):
         if op not in _OPERATORS:
@@ -90,6 +110,8 @@ class ColumnComparison:
         self.left = left
         self.op = op
         self.right = right
+        #: :meth:`evaluate` as one C-level call (the operator itself).
+        self.test = _PYTHON_OPS[op]
 
     def __repr__(self):
         return f"ColumnComparison({self.left!r} {self.op} {self.right!r})"
@@ -108,7 +130,7 @@ class ColumnComparison:
         return (self.left, self.right)
 
     def evaluate(self, left_value, right_value):
-        return _PYTHON_OPS[self.op](left_value, right_value)
+        return self.test(left_value, right_value)
 
     def mask(self, left_array, right_array):
         return _PYTHON_OPS[self.op](left_array, right_array)

@@ -8,7 +8,9 @@ and by incremental loads).
 Each node corresponds to one simulated disk page.  The tree itself is a
 pure data structure; callers that want I/O and CPU accounting set
 ``on_access`` to a callback invoked with the node's page number on every
-node visit (descent steps and leaf hops alike).
+node visit (descent steps and leaf hops alike).  A caller that charges a
+descent itself, from a list resolved once, asks :meth:`BPlusTree.prefix_pages`
+for the values and the visited pages instead.
 """
 
 import bisect
@@ -178,10 +180,23 @@ class BPlusTree:
         the bounds are bisected inside each leaf and the values sliced
         out, visiting the same nodes in the same order as the
         pair-at-a-time scan."""
+        return self._prefix_values(prefix, self._touch)
+
+    def prefix_pages(self, prefix):
+        """``(values, pages)``: :meth:`prefix_values` and the page of every
+        node it visits, in visit order.  The visits are neither counted
+        nor reported to ``on_access`` — for a caller that resolves the
+        descent once and charges its pages on every run."""
+        pages = []
+        visit = pages.append
+        values = self._prefix_values(prefix, lambda node: visit(node.page))
+        return values, pages
+
+    def _prefix_values(self, prefix, touch):
         prefix = tuple(prefix)
         hi = _upper_bound(prefix)
         values = []
-        leaf, start = self._descend(prefix)
+        leaf, start = self._descend(prefix, touch)
         while True:
             keys = leaf.keys
             stop = len(keys) if hi is None else bisect.bisect_left(
@@ -191,7 +206,7 @@ class BPlusTree:
             if stop < len(keys) or leaf.next_leaf is None:
                 return values
             leaf = self._node(leaf.next_leaf)
-            self._touch(leaf)
+            touch(leaf)
             start = 0
 
     def range_scan(self, lo, hi):
@@ -201,7 +216,7 @@ class BPlusTree:
         above.  Key comparison is tuple comparison, so a short *lo* tuple
         acts as an inclusive prefix bound.
         """
-        leaf, index = self._descend(lo)
+        leaf, index = self._descend(lo, self._touch)
         while leaf is not None:
             keys = leaf.keys
             while index < len(keys):
@@ -224,10 +239,11 @@ class BPlusTree:
     # internals
     # ------------------------------------------------------------------
 
-    def _descend(self, key):
-        """Leaf and in-leaf position of the first key >= *key*."""
+    def _descend(self, key, touch):
+        """Leaf and in-leaf position of the first key >= *key*; *touch*
+        is called with every node visited."""
         node = self._node(self._root_page)
-        self._touch(node)
+        touch(node)
         while not node.is_leaf:
             if key is None:
                 index = 0
@@ -237,13 +253,13 @@ class BPlusTree:
                 # so descend left and let the leaf hop move forward if empty.
                 index = bisect.bisect_left(node.keys, tuple(key))
             node = self._node(node.children[index])
-            self._touch(node)
+            touch(node)
         if key is None:
             return node, 0
         index = bisect.bisect_left(node.keys, tuple(key))
         if index == len(node.keys) and node.next_leaf is not None:
             nxt = self._node(node.next_leaf)
-            self._touch(nxt)
+            touch(nxt)
             return nxt, 0
         return node, index
 

@@ -68,7 +68,10 @@ class RowStoreEngine(PlanHost):
         return table
 
     def _wire_index_accounting(self, index):
-        """Charge I/O + CPU for every B+tree node the executor touches."""
+        """Charge I/O + CPU for every B+tree node a live descent touches
+        (the index-nested-loop probes).  A resolved access path charges
+        the same read, CPU and visit from its charge list instead
+        (``operators._descent_charges``)."""
         pool, segment = self.pool, index.segment
         charge, node_cost = self.clock.cpu_log(), self.costs.btree_node
 

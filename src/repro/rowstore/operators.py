@@ -18,12 +18,21 @@ runtime brackets every pull with the bound logical node's trace span.
 Per-tuple work stays out of the interpreter where it can: CPU charges
 are appended to the clock's ordered pending log
 (:meth:`~repro.engine.clock.QueryClock.cpu_log` — same charges, same
-order, folded exactly), and tuples are reshaped by one C-level callable
-built once per stream (:func:`_row_shaper`).
+order, folded exactly), predicates are tested by one C-level call
+(``Comparison.test``), and tuples are reshaped by one C-level callable
+built once per stream (:func:`_row_shaper`).  A base-table access is
+worked out once per lowered node (:func:`_resolve_access`): a run
+charges its descent and heap read in one buffer-pool pass and then
+loops over the rows.
 """
 
-from operator import itemgetter
+from collections import namedtuple
+from itertools import islice, repeat
+from operator import add, itemgetter
 
+import numpy as np
+
+from repro.engine.buffer import CPU, NOTE, PAGES, SPAN, page_runs
 from repro.exec.common import (
     MISSING_VALUE,
     extend_fill_value,
@@ -69,25 +78,45 @@ def _base_column(scan, qualified):
     return qualified
 
 
-def _access_path(rt, scan, predicates):
-    table = rt.engine.table(scan.table)
-    out_columns = scan.output_columns()
+#: One base-table access, resolved once per lowered node and catalog
+#: (:func:`_resolve_access`) and kept on the node
+#: (``PhysicalPlan.resolved``): its output *columns*, the heap *rows* it
+#: reads in read order (the whole heap, or the rows the index descent
+#: found), the *charges* of the descent and the heap read as one
+#: :meth:`~repro.engine.buffer.BufferPool.read_spans` list, the residual
+#: ``(position, test)`` and *cross* ``(left, right, test)`` predicates,
+#: and the *shape* of an emitted tuple.
+_Access = namedtuple("_Access", "columns rows charges preds cross shape")
 
-    cross_preds = [
+
+def _resolve_access(rt, scan, predicates):
+    """The :class:`_Access` of *scan* under *predicates*: the index
+    choice and its descent happen here, and charge nothing."""
+    table = rt.engine.table(scan.table)
+    position = table.column_position
+    # Physical rows carry every table column; the scan may expose a
+    # subset (e.g. one property column of the wide property table), so
+    # each emitted tuple is projected to the declared columns.
+    shape = _row_shaper([position(c) for c in scan.base_columns])
+    cross = tuple(
         (
-            table.column_position(_base_column(scan, p.left)),
-            table.column_position(_base_column(scan, p.right)),
-            p,
+            position(_base_column(scan, p.left)),
+            position(_base_column(scan, p.right)),
+            p.test,
         )
         for p in predicates
         if is_column_comparison(p)
+    )
+    base_preds = [
+        (_base_column(scan, p.column), p)
+        for p in predicates
+        if not is_column_comparison(p)
     ]
-    predicates = [p for p in predicates if not is_column_comparison(p)]
-    base_preds = [(_base_column(scan, p.column), p) for p in predicates]
+    columns = scan.output_columns()
     # An equality against a constant missing from the dictionary can
-    # never match: empty stream, no I/O.
+    # never match: no rows, no I/O.
     if any(p.value is None and p.is_equality() for _, p in base_preds):
-        return Stream(out_columns, iter(()))
+        return _Access(columns, (), (), (), cross, shape)
 
     eq_values = {}
     for col, p in base_preds:
@@ -95,8 +124,13 @@ def _access_path(rt, scan, predicates):
             eq_values[col] = p.value
 
     index, prefix_len = _choose_index(table, set(eq_values))
+    heap = table.heap_segment
     if index is None:
-        return _seq_scan(rt, table, scan, base_preds, cross_preds)
+        return _Access(
+            columns, table.rows, ((SPAN, heap, *heap.page_span()),),
+            tuple((position(col), p.test) for col, p in base_preds),
+            cross, shape,
+        )
     prefix = tuple(eq_values[c] for c in index.key_columns[:prefix_len])
     # Only the specific predicate instances bound into the prefix are
     # satisfied by the index range; any further equality on the same
@@ -113,10 +147,19 @@ def _access_path(rt, scan, predicates):
             ):
                 consumed_ids.add(id(p))
                 break
-    residual = [
-        (col, p) for col, p in base_preds if id(p) not in consumed_ids
-    ]
-    return _index_scan(rt, table, scan, index, prefix, residual, cross_preds)
+    row_ids, pages = index.tree.prefix_pages(prefix)
+    charges = _descent_charges(rt, index, pages)
+    if row_ids:
+        charges += _heap_charges(table, index, row_ids)
+    return _Access(
+        columns, list(map(table.rows.__getitem__, row_ids)), charges,
+        tuple(
+            (position(col), p.test)
+            for col, p in base_preds
+            if id(p) not in consumed_ids
+        ),
+        cross, shape,
+    )
 
 
 def _choose_index(table, eq_columns):
@@ -142,76 +185,72 @@ def _choose_index(table, eq_columns):
     return best[1], best[0][1]
 
 
-def _seq_scan(rt, table, scan, base_preds, cross_preds=()):
-    out_columns = scan.output_columns()
-    # Physical rows carry every table column; the scan may expose a
-    # subset (e.g. one property column of the wide property table), so
-    # project each emitted tuple to the declared columns.
-    shape = _row_shaper([table.column_position(c) for c in scan.base_columns])
+def _descent_charges(rt, index, pages):
+    """What the index's ``on_access`` hook charges for visiting the nodes
+    on *pages*, in order: per node a one-page read, its CPU, and a note
+    that counts the visit."""
+    segment, tree = index.segment, index.tree
+    base = segment.page_span()[0]
+    node = (CPU, rt.costs.btree_node)
+    visit = (NOTE, _note_node_visit, tree)
+    charges = ()
+    for page in pages:
+        charges += (
+            (PAGES, segment, ((base + page, base + page + 1),), False),
+            node, visit,
+        )
+    return charges
+
+
+def _note_node_visit(rt, tree):
+    tree.node_visits += 1
+    tracer = rt.pool.tracer
+    if tracer.enabled:
+        tracer.current_add(btree_node_visits=1)
+
+
+def _heap_charges(table, index, row_ids):
+    """The heap read of the non-empty *row_ids* found through *index*: a
+    clustered index's rows are one contiguous range, a secondary's are
+    fetched page by page in scattered order."""
+    heap = table.heap_segment
+    if index.clustered:
+        first, last = table.heap_pages_of_range(min(row_ids), max(row_ids) + 1)
+        return ((PAGES, heap, page_runs(heap, np.arange(first, last)), False),)
+    # The distinct pages, ascending (``np.unique`` would import
+    # ``numpy.ma`` into a process that needs nothing else of it).
+    pages = np.flatnonzero(np.bincount(
+        np.asarray(row_ids, dtype=np.int64) * table.row_bytes
+        // heap.page_size
+    ))
+    return ((PAGES, heap, page_runs(heap, pages), True),)
+
+
+def _run_access(rt, access):
+    """A stream over a resolved access: one charge-list pass for the
+    descent and the heap read on the first pull, then the rows."""
+    columns, rows, charges, preds, cross, shape = access
     charge = rt.clock.cpu_log()
+    scan_tuple, select_tuple = rt.costs.scan_tuple, rt.costs.select_tuple
 
     def generate():
-        rt.pool.read_segment(table.heap_segment)
-        scan_tuple, select_tuple = rt.costs.scan_tuple, rt.costs.select_tuple
-        preds = [(table.column_position(col), p) for col, p in base_preds]
-        for row in table.rows:
+        if charges:
+            rt.pool.read_spans(charges, rt)
+        for row in rows:
             charge(scan_tuple)
-            ok = True
-            for pos, p in preds:
+            for pos, test in preds:
                 charge(select_tuple)
-                if not p.evaluate(row[pos]):
-                    ok = False
+                if not test(row[pos]):
                     break
-            if ok:
-                for left, right, p in cross_preds:
+            else:
+                for left, right, test in cross:
                     charge(select_tuple)
-                    if not p.evaluate(row[left], row[right]):
-                        ok = False
+                    if not test(row[left], row[right]):
                         break
-            if ok:
-                yield shape(row)
+                else:
+                    yield shape(row)
 
-    return Stream(out_columns, generate())
-
-
-def _index_scan(rt, table, scan, index, prefix, residual, cross_preds=()):
-    out_columns = scan.output_columns()
-    shape = _row_shaper([table.column_position(c) for c in scan.base_columns])
-    charge = rt.clock.cpu_log()
-
-    def generate():
-        row_ids = index.tree.prefix_values(prefix)
-        if not row_ids:
-            return
-        if index.clustered:
-            lo, hi = min(row_ids), max(row_ids) + 1
-            first, last = table.heap_pages_of_range(lo, hi)
-            rt.pool.read_pages(table.heap_segment, range(first, last))
-        else:
-            pages = sorted({table.heap_page_of_row(rid) for rid in row_ids})
-            rt.pool.read_pages(table.heap_segment, pages, scattered=True)
-        scan_tuple, select_tuple = rt.costs.scan_tuple, rt.costs.select_tuple
-        preds = [(table.column_position(col), p) for col, p in residual]
-        rows = table.rows
-        for rid in row_ids:
-            charge(scan_tuple)
-            row = rows[rid]
-            ok = True
-            for pos, p in preds:
-                charge(select_tuple)
-                if not p.evaluate(row[pos]):
-                    ok = False
-                    break
-            if ok:
-                for left, right, p in cross_preds:
-                    charge(select_tuple)
-                    if not p.evaluate(row[left], row[right]):
-                        ok = False
-                        break
-            if ok:
-                yield shape(row)
-
-    return Stream(out_columns, generate())
+    return Stream(columns, generate())
 
 
 @matches(L.Select, L.Scan)
@@ -229,10 +268,15 @@ def _match_access_path(node):
     "(clustered wins ties) with residual filters, else a heap scan",
 )
 def access_path(rt, pnode):
-    node = pnode.logical
-    if isinstance(node, L.Select):
-        return _access_path(rt, node.child, node.predicates)
-    return _access_path(rt, node, [])
+    access = pnode.resolved
+    if access is None:
+        node = pnode.logical
+        if isinstance(node, L.Select):
+            access = _resolve_access(rt, node.child, node.predicates)
+        else:
+            access = _resolve_access(rt, node, ())
+        pnode.resolved = access
+    return _run_access(rt, access)
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +288,24 @@ def _filter(rt, stream, predicates):
     for p in predicates:
         if is_column_comparison(p):
             compiled.append(
-                (stream.position(p.left), stream.position(p.right), p)
+                (stream.position(p.left), stream.position(p.right), p.test)
             )
         else:
-            compiled.append((stream.position(p.column), None, p))
+            compiled.append((stream.position(p.column), None, p.test))
 
     charge = rt.clock.cpu_log()
     select_tuple = rt.costs.select_tuple
 
     def generate():
         for row in stream:
-            ok = True
-            for left, right, p in compiled:
+            for left, right, test in compiled:
                 charge(select_tuple)
                 if right is None:
-                    if not p.evaluate(row[left]):
-                        ok = False
+                    if not test(row[left]):
                         break
-                elif not p.evaluate(row[left], row[right]):
-                    ok = False
+                elif not test(row[left], row[right]):
                     break
-            if ok:
+            else:
                 yield row
 
     return Stream(stream.columns, generate())
@@ -336,7 +377,7 @@ def _index_nested_loop(rt, outer, outer_col, scan, inner_preds,
     else:
         out_columns = outer.columns + inner_columns
     base_preds = [
-        (table.column_position(_base_column(scan, p.column)), p)
+        (table.column_position(_base_column(scan, p.column)), p.test)
         for p in inner_preds
     ]
     shape = _row_shaper([table.column_position(c) for c in scan.base_columns])
@@ -365,19 +406,16 @@ def _index_nested_loop(rt, outer, outer_col, scan, inner_preds,
             for rid in row_ids:
                 charge(scan_tuple)
                 row = rows[rid]
-                ok = True
-                for pos, p in base_preds:
+                for pos, test in base_preds:
                     charge(select_tuple)
-                    if not p.evaluate(row[pos]):
-                        ok = False
+                    if not test(row[pos]):
                         break
-                if not ok:
-                    continue
-                charge(union_tuple)
-                if swap:
-                    yield shape(row) + outer_row
                 else:
-                    yield outer_row + shape(row)
+                    charge(union_tuple)
+                    if swap:
+                        yield shape(row) + outer_row
+                    else:
+                        yield outer_row + shape(row)
 
     return Stream(out_columns, generate())
 
@@ -557,12 +595,9 @@ def extend(rt, pnode):
     stream = rt.build_child(pnode.children[0])
     node = pnode.logical
     value = extend_fill_value(node.value)
-
-    def generate():
-        for row in stream:
-            yield row + (value,)
-
-    return Stream(stream.columns + [node.column], generate())
+    return Stream(
+        stream.columns + [node.column], map(add, stream, repeat((value,)))
+    )
 
 
 @ROW_OPS.operator(
@@ -592,17 +627,7 @@ def tuple_sort(rt, pnode):
 )
 def limit(rt, pnode):
     stream = rt.build_child(pnode.children[0])
-    node = pnode.logical
-
-    def generate():
-        remaining = node.n
-        for row in stream:
-            if remaining <= 0:
-                return
-            remaining -= 1
-            yield row
-
-    return Stream(stream.columns, generate())
+    return Stream(stream.columns, islice(stream, pnode.logical.n))
 
 
 @ROW_OPS.operator(

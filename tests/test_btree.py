@@ -144,13 +144,20 @@ class TestUpperBound:
 
 def assert_prefix_values_match_scan(tree, prefix):
     """The leaf-at-a-time scan returns the pair-at-a-time scan's values
-    and visits the same nodes in the same order (the visits are charged)."""
+    and visits the same nodes in the same order (the visits are charged);
+    ``prefix_pages`` returns the same values and those nodes' pages,
+    without charging or counting a visit."""
     scan_touched, values_touched = [], []
     tree.on_access = scan_touched.append
     expected = [v for _, v in tree.prefix_scan(prefix)]
     tree.on_access = values_touched.append
     assert tree.prefix_values(prefix) == expected
     assert values_touched == scan_touched
+    charged = []
+    tree.on_access = charged.append
+    visits = tree.node_visits
+    assert tree.prefix_pages(prefix) == (expected, scan_touched)
+    assert charged == [] and tree.node_visits == visits
     tree.on_access = None
 
 

@@ -278,17 +278,18 @@ def sink_stores(dataset):
 
 
 def _count_btree_visits(engine):
-    """Wrap every B+tree's ``on_access`` hook with a call counter (a
-    one-slot list); engines without indexes get a counter that stays 0."""
-    calls = [0]
-    for name in engine.table_names():
-        table = engine.table(name)
-        for index in getattr(table, "all_indexes", lambda: ())():
-            def counted(page, on_access=index.tree.on_access):
-                calls[0] += 1
-                on_access(page)
-            index.tree.on_access = counted
-    return calls
+    """``visits()``: the B+tree node visits the engine's queries made so
+    far (``BPlusTree.node_visits`` over every index — counted by the live
+    ``on_access`` hook and by a resolved descent's replayed charges
+    alike); engines without indexes stay at 0."""
+    def visits():
+        return sum(
+            index.tree.node_visits
+            for name in engine.table_names()
+            for index in getattr(engine.table(name), "all_indexes",
+                                 lambda: ())()
+        )
+    return visits
 
 
 def _profile_measured(store, query, mode, visits):
@@ -301,7 +302,7 @@ def _profile_measured(store, query, mode, visits):
         return {
             "pool": engine.pool.stats(),
             "compression": counters.snapshot("compression"),
-            "visits": visits[0],
+            "visits": visits(),
         }
 
     before = {}
@@ -378,7 +379,7 @@ class TestOneSink:
         )
         profile, before, after = _profile_measured(
             store, "SELECT prop, COUNT(*) AS n FROM triples GROUP BY prop",
-            "cold", [0],
+            "cold", lambda: 0,
         )
         assert "compressed-group" in profile.render()
         assert profile.compression["runs_skipped"] > 0

@@ -415,3 +415,117 @@ class TestInterpreterWorkPerTuple:
                 logged[query, n_triples] = hot["logged"]
         for query in ("q2", "q3"):
             assert logged[query, 8_000] > 3 * logged[query, 2_000]
+
+
+class _CountingRows(list):
+    """A heap whose iteration counts the rows handed out."""
+
+    pulled = 0
+
+    def __iter__(self):
+        for row in list.__iter__(self):
+            self.pulled += 1
+            yield row
+
+
+class TestLimitPullsOnlyWhatItKeeps:
+    """``Limit(n)`` pulls exactly *n* rows from its child, so the child
+    charges scan and select CPU for no tuple the limit throws away."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_a_limited_scan_reads_n_heap_rows(self, n):
+        engine = make_engine(data={
+            "subj": np.arange(100),
+            "prop": np.full(100, 10),
+            "obj": np.arange(100) % 7,
+        })
+        table = engine.table("t")
+        table.rows = heap = _CountingRows(table.rows)
+        relation = engine.execute(L.Limit(scan(), n))
+        assert relation.n_rows == n
+        assert heap.pulled == n
+
+    def test_the_rows_kept_are_the_first_n(self):
+        engine = make_engine()
+        rows = engine.execute(scan()).to_tuples()
+        assert engine.execute(L.Limit(scan(), 4)).to_tuples() == rows[:4]
+
+
+class TestResolvedAccessWork:
+    """A row-store table access is resolved once per lowered node and
+    catalog — index choice, equality prefix, B+tree descent, predicate
+    positions, shaper and one charge list — so a warm run replays it:
+    one ``read_spans`` pass per access, then the rows.  Counted with
+    ``sys.setprofile`` over ``src/repro``; the counts repeat exactly."""
+
+    #: ``src/repro`` calls of one hot vertical q8 on the row engine
+    #: (25 473 when recorded; 56 221 at the commit before, when every run
+    #: chose an index for each of its 444 accesses again, descended 222
+    #: B+trees and called ``Comparison.evaluate`` 8 054 times).
+    Q8_HOT_CALLS_CEILING = 26_750
+
+    def test_a_hot_q8_resolves_no_access(self, repro_calls):
+        import repro.api as api
+
+        dataset = generate_barton(
+            n_triples=8_000, n_properties=222, n_interesting=28, seed=42
+        )
+        session = api.connect(
+            triples=dataset.triples, engine="row",
+            interesting_properties=dataset.interesting_properties,
+        ).session()
+        session.query("q8", mode="cold")  # plan, lower, resolve, warm
+        names = repro_calls(lambda: session.query("q8"))
+        assert names["_resolve_access"] == 0
+        assert names["_choose_index"] == 0
+        assert names["prefix_values"] == names["prefix_pages"] == 0
+        assert names["evaluate"] == 0
+        # One charge-list pass per access: its descent and heap read.
+        assert names["read_spans"] == 2 * 222
+        assert names["read_pages"] == names["read_segment"] == 0
+        assert sum(names.values()) <= self.Q8_HOT_CALLS_CEILING
+
+
+class TestAnInsertDropsTheResolvedAccesses:
+    """The row-store twin of ``test_colstore.py``'s
+    ``TestAnInsertDropsTheResolvedCharges``: an access path's rows and
+    charge list are resolved from the catalog on the lowered node, so an
+    insert that rebuilds the table they read must drop them."""
+
+    @pytest.mark.parametrize("scheme", ["vertical", "triple"])
+    def test_a_cached_q1_after_an_insert_equals_a_fresh_store(self, scheme):
+        import repro.api as api
+        from repro.model.triple import Triple
+        from repro.storage import insert_triples
+
+        dataset = generate_barton(n_triples=4_000, n_properties=40, seed=11)
+        batch = [
+            Triple(f"<inserted/{i}>", "<type>", "<Inserted>")
+            for i in range(3)
+        ]
+
+        def connect(triples):
+            return api.connect(
+                triples=triples, engine="row", scheme=scheme,
+                interesting_properties=dataset.interesting_properties,
+            )
+
+        live = connect(dataset.triples)
+        session = live.session()
+        plan = live._plan_for("q1").plan
+        before = session.query("q1", mode="cold")
+        session.query("q1")  # warm: every access of q1 resolved
+        store = live.store
+        store.catalog, report = insert_triples(
+            store.engine, store.catalog, batch,
+        )
+        assert report.tables_rebuilt and not report.schema_changed
+        after = session.query("q1", mode="cold")
+        assert live._plan_for("q1").plan is plan  # the cached plan
+        assert ("<Inserted>", 3) in list(after)
+        assert ("<Inserted>", 3) not in list(before)
+        fresh = connect(dataset.triples + batch).session().query(
+            "q1", mode="cold"
+        )
+        assert sorted(after) == sorted(fresh)
+        assert after.cost.to_dict() == fresh.cost.to_dict()
