@@ -61,12 +61,6 @@ COLUMN_OPS = EngineOperatorSet("column-store", paradigm="vector")
 # base-table access helpers
 # ---------------------------------------------------------------------------
 
-def _base_column(scan, qualified):
-    if scan.alias and qualified.startswith(scan.alias + "."):
-        return qualified[len(scan.alias) + 1 :]
-    return qualified
-
-
 def _descend(table, prefix):
     """Binary-search each *prefix* constant in the next sort column;
     returns the narrowed ``(lo, hi)`` and the ``(column, lo, hi)`` probes
@@ -120,7 +114,11 @@ def _probe_pages(segment, encoding, lo, hi):
         b = mid  # descend left; the exact path doesn't matter for cost
         if b - a <= segment.page_size // VALUE_BYTES:
             break
-    return np.unique(np.array(probed, dtype=np.int64) // segment.page_size)
+    # The distinct pages, ascending, without ``np.unique`` (which would
+    # import ``numpy.ma`` into a process that needs nothing else of it).
+    return np.flatnonzero(np.bincount(
+        np.array(probed, dtype=np.int64) // segment.page_size
+    ))
 
 
 def _dense_charges(rt, table, column, lo, hi):
@@ -205,7 +203,9 @@ def _fetch_charges(rt, table, column, lo, hi, positions, charges):
     pages = positions * VALUE_BYTES // segment.page_size
     steps = pages[1:] - pages[:-1]
     if steps.size and steps.min() < 0:
-        pages = np.unique(pages)  # not in row order (a join's matches)
+        # Not in row order (a join's matches): the distinct pages,
+        # ascending, as in _probe_pages.
+        pages = np.flatnonzero(np.bincount(pages))
     else:
         pages = pages[np.concatenate(([True], steps > 0))]
     charges.append((PAGES, segment, page_runs(segment, pages), True))
@@ -216,7 +216,7 @@ def _needed_base_columns(scan, needed):
     base_needed = []
     for col in scan.output_columns():
         if col in needed:
-            base_needed.append(_base_column(scan, col))
+            base_needed.append(scan.base_column(col))
     return base_needed
 
 
@@ -227,7 +227,7 @@ def _split_predicates(scan, table, predicates):
     ``(base column, predicate)`` pair, grouped by column in order."""
     by_base = {}
     for pred in predicates:
-        by_base.setdefault(_base_column(scan, pred.column), []).append(pred)
+        by_base.setdefault(scan.base_column(pred.column), []).append(pred)
     prefix, consumed = [], set()
     for sort_col in table.sort_order:
         preds = by_base.get(sort_col, ())
@@ -513,7 +513,7 @@ def _rle_lead(engine, scan, column):
     table = engine.table(scan.table)
     return (
         bool(table.sort_order)
-        and _base_column(scan, column) == table.sort_order[0]
+        and scan.base_column(column) == table.sort_order[0]
         and _rle_encoding(table, table.sort_order[0]) is not None
     )
 
@@ -630,7 +630,7 @@ def compressed_join(rt, pnode, needed):
     for qualified in scan.output_columns():
         if qualified not in needed and qualified != rcol:
             continue
-        base = _base_column(scan, qualified)
+        base = scan.base_column(qualified)
         if base != lead:
             # The key column's bytes were already read as runs; only the
             # other columns pay a positional fetch for the matches.
@@ -956,7 +956,7 @@ def _template_plan(rt, shape, bindings):
     fetch_cols = tuple(_needed_base_columns(scan_node, scan_needed))
     sources = tuple(
         None if source == extend_col
-        else fetch_cols.index(_base_column(scan_node, source))
+        else fetch_cols.index(scan_node.base_column(source))
         for source in needed
     )
     # The predicate split depends only on the table's sort order.

@@ -1,20 +1,23 @@
 """LRU buffer pool with I/O-time accounting.
 
-The buffer pool is the single place where simulated I/O happens.  Engines
-call :meth:`BufferPool.read` for every segment access; the pool works out
-which pages are missing, groups contiguous misses into disk requests, splits
-requests at the engine's request-size cap, and charges the query clock.
-Residency is kept per page *extent* (:class:`_ExtentLru`), so a read costs
-interval arithmetic over the runs it touches, not a walk over its pages.
+The buffer pool is the single place where simulated I/O happens.  For
+every read the pool works out which pages are missing, groups contiguous
+misses into disk requests, splits requests at the engine's request-size
+cap, and charges the query clock.  Residency is kept per page *extent*
+(:class:`_ExtentLru`), so a read costs interval arithmetic over the runs it
+touches, not a walk over its pages.
 
-A caller that replays the same reads every run (the column store's cost
-replay) resolves them once into a *charge list* — page spans, page runs,
-CPU entries and notes, in order — and charges the whole list in one
-:meth:`BufferPool.read_spans` pass: a read that only re-queues resident
-extents is done in line and counted once per call, anything else takes
-the general path at its own position, and pool, clock and trace end as
-one :meth:`BufferPool.read_span` / :meth:`BufferPool.read_pages` per
-entry would leave them.
+The two main engines resolve what a table access reads once into a
+*charge list* — page spans, page runs, CPU entries and notes, in order —
+and charge the whole list in one :meth:`BufferPool.read_spans` pass: the
+column store's cost replay, the row store's access paths and each of its
+index-nested-loop probes.  A read that only re-queues resident extents is
+done in line and counted once per call, anything else takes the general
+path at its own position, and pool, clock and trace end as one
+:meth:`BufferPool.read_span` / :meth:`BufferPool.read_pages` per entry
+would leave them.  :meth:`BufferPool.read_pages` itself is left to the
+C-Store KV replica, whose B+tree ``on_access`` callback reads live, a
+request at a time.
 
 The request-size cap is how the paper's C-Store finding is reproduced: an
 engine that issues small synchronous requests pays the per-request latency

@@ -115,6 +115,13 @@ class Scan(LogicalPlan):
     def qualified(self, column):
         return f"{self.alias}.{column}" if self.alias else column
 
+    def base_column(self, qualified):
+        """The stored column behind *qualified*: :meth:`qualified`
+        undone (a name without this scan's alias passes through)."""
+        if self.alias and qualified.startswith(self.alias + "."):
+            return qualified[len(self.alias) + 1 :]
+        return qualified
+
     def __repr__(self):
         alias = f" AS {self.alias}" if self.alias else ""
         return f"Scan({self.table}{alias})"

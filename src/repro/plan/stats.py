@@ -121,7 +121,7 @@ class Estimator:
 
     def _distinct(self, node, column):
         if isinstance(node, L.Scan):
-            base = self._base_column(node, column)
+            base = node.base_column(column)
             stats = self.stats_provider(node.table)
             return float(
                 min(stats.distinct_of(base), max(1, stats.n_rows))
@@ -153,8 +153,3 @@ class Estimator:
                 # node's own cardinality.
                 return max(1.0, min(distinct, self.cardinality(node)))
         return 100.0
-
-    def _base_column(self, scan, qualified):
-        if scan.alias and qualified.startswith(scan.alias + "."):
-            return qualified[len(scan.alias) + 1 :]
-        return qualified

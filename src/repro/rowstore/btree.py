@@ -6,11 +6,13 @@ pairs, point/prefix/range scans, and single-pair insertion (used by tests
 and by incremental loads).
 
 Each node corresponds to one simulated disk page.  The tree itself is a
-pure data structure; callers that want I/O and CPU accounting set
+pure data structure and charges nothing.  The row store resolves a
+descent once with :meth:`BPlusTree.prefix_pages` — the values and the
+page of every node visited — and charges those pages itself.  A caller
+that accounts live, a request at a time (the C-Store KV replica), sets
 ``on_access`` to a callback invoked with the node's page number on every
-node visit (descent steps and leaf hops alike).  A caller that charges a
-descent itself, from a list resolved once, asks :meth:`BPlusTree.prefix_pages`
-for the values and the visited pages instead.
+node visit of the pair-at-a-time scans (descent steps and leaf hops
+alike).
 """
 
 import bisect
@@ -48,11 +50,14 @@ class _Internal(_Node):
 class BPlusTree:
     """B+tree with configurable fan-out (max keys per node)."""
 
-    def __init__(self, order=64, on_access=None):
+    #: Called with the page of every node a scan visits; ``None`` charges
+    #: nothing.
+    on_access = None
+
+    def __init__(self, order=64):
         if order < 3:
             raise StorageError("B+tree order must be at least 3")
         self.order = order
-        self.on_access = on_access
         #: Lifetime count of node visits (descent steps and leaf hops) by
         #: queries — the row store's per-probe work, surfaced in profiles.
         self.node_visits = 0
@@ -66,7 +71,7 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     @classmethod
-    def bulk_load(cls, pairs, order=64, fill_factor=0.7, on_access=None):
+    def bulk_load(cls, pairs, order=64, fill_factor=0.7):
         """Build a tree from ``(key, value)`` pairs sorted by key."""
         pairs = list(pairs)
         keys = [tuple(k) for k, _ in pairs]
@@ -77,12 +82,10 @@ class BPlusTree:
             [v for _, v in pairs],
             order=order,
             fill_factor=fill_factor,
-            on_access=on_access,
         )
 
     @classmethod
-    def from_sorted(cls, keys, values, order=64, fill_factor=0.7,
-                    on_access=None):
+    def from_sorted(cls, keys, values, order=64, fill_factor=0.7):
         """Bottom-up constructor from pre-sorted parallel sequences.
 
         *keys* must be a sequence of key tuples already in ascending order
@@ -94,7 +97,7 @@ class BPlusTree:
         way is O(n) after the caller's sort instead of O(n log n) tree
         inserts with node splits.
         """
-        tree = cls(order=order, on_access=on_access)
+        tree = cls(order=order)
         n = len(keys)
         if n == 0:
             return tree
@@ -175,28 +178,17 @@ class BPlusTree:
         prefix = tuple(prefix)
         return self.range_scan(prefix, _upper_bound(prefix))
 
-    def prefix_values(self, prefix):
-        """The values of :meth:`prefix_scan` as a list, a leaf at a time:
-        the bounds are bisected inside each leaf and the values sliced
-        out, visiting the same nodes in the same order as the
-        pair-at-a-time scan."""
-        return self._prefix_values(prefix, self._touch)
-
     def prefix_pages(self, prefix):
-        """``(values, pages)``: :meth:`prefix_values` and the page of every
-        node it visits, in visit order.  The visits are neither counted
-        nor reported to ``on_access`` — for a caller that resolves the
-        descent once and charges its pages on every run."""
-        pages = []
-        visit = pages.append
-        values = self._prefix_values(prefix, lambda node: visit(node.page))
-        return values, pages
-
-    def _prefix_values(self, prefix, touch):
+        """``(values, pages)``: the values of :meth:`prefix_scan` as a
+        list, and the page of every node it visits, in visit order.  The
+        bounds are bisected inside each leaf and the values sliced out, a
+        leaf at a time.  The visits are neither counted nor reported to
+        ``on_access`` — for a caller that charges the pages itself."""
         prefix = tuple(prefix)
         hi = _upper_bound(prefix)
-        values = []
-        leaf, start = self._descend(prefix, touch)
+        values, pages = [], []
+        visit = pages.append
+        leaf, start = self._descend(prefix, lambda node: visit(node.page))
         while True:
             keys = leaf.keys
             stop = len(keys) if hi is None else bisect.bisect_left(
@@ -204,9 +196,9 @@ class BPlusTree:
             )
             values += leaf.values[start:stop]
             if stop < len(keys) or leaf.next_leaf is None:
-                return values
+                return values, pages
             leaf = self._node(leaf.next_leaf)
-            touch(leaf)
+            visit(leaf.page)
             start = 0
 
     def range_scan(self, lo, hi):

@@ -61,28 +61,9 @@ class RowStoreEngine(PlanHost):
             btree_order=self.btree_order,
             presorted=presorted,
         )
-        for index in table.all_indexes():
-            self._wire_index_accounting(index)
         self._tables[name] = table
         self._catalog_changed()
         return table
-
-    def _wire_index_accounting(self, index):
-        """Charge I/O + CPU for every B+tree node a live descent touches
-        (the index-nested-loop probes).  A resolved access path charges
-        the same read, CPU and visit from its charge list instead
-        (``operators._descent_charges``)."""
-        pool, segment = self.pool, index.segment
-        charge, node_cost = self.clock.cpu_log(), self.costs.btree_node
-
-        def on_access(page):
-            pool.read_pages(segment, [page])
-            charge(node_cost)
-            tracer = pool.tracer
-            if tracer.enabled:
-                tracer.current_add(btree_node_visits=1)
-
-        index.tree.on_access = on_access
 
     def drop_table(self, name):
         """Drop a table, its heap, and every index segment."""

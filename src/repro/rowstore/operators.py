@@ -21,8 +21,9 @@ are appended to the clock's ordered pending log
 order, folded exactly), predicates are tested by one C-level call
 (``Comparison.test``), and tuples are reshaped by one C-level callable
 built once per stream (:func:`_row_shaper`).  A base-table access is
-worked out once per lowered node (:func:`_resolve_access`): a run
-charges its descent and heap read in one buffer-pool pass and then
+worked out once per lowered node (:func:`_resolve_access`), an
+index-nested-loop probe once per outer row (:func:`_index_access`): a
+run charges its descent and heap read in one buffer-pool pass and then
 loops over the rows.
 """
 
@@ -30,9 +31,7 @@ from collections import namedtuple
 from itertools import islice, repeat
 from operator import add, itemgetter
 
-import numpy as np
-
-from repro.engine.buffer import CPU, NOTE, PAGES, SPAN, page_runs
+from repro.engine.buffer import CPU, NOTE, PAGES, SPAN, _page_runs
 from repro.exec.common import (
     MISSING_VALUE,
     extend_fill_value,
@@ -72,17 +71,11 @@ def _row_shaper(positions):
 # base-table access
 # ---------------------------------------------------------------------------
 
-def _base_column(scan, qualified):
-    if scan.alias and qualified.startswith(scan.alias + "."):
-        return qualified[len(scan.alias) + 1 :]
-    return qualified
-
-
 #: One base-table access, resolved once per lowered node and catalog
 #: (:func:`_resolve_access`) and kept on the node
-#: (``PhysicalPlan.resolved``): its output *columns*, the heap *rows* it
-#: reads in read order (the whole heap, or the rows the index descent
-#: found), the *charges* of the descent and the heap read as one
+#: (``PhysicalPlan.resolved``), or once per index-nested-loop probe: its
+#: output *columns*, the heap *rows* it reads in read order (the whole
+#: heap, or the rows the index descent found), the *charges* of the descent and the heap read as one
 #: :meth:`~repro.engine.buffer.BufferPool.read_spans` list, the residual
 #: ``(position, test)`` and *cross* ``(left, right, test)`` predicates,
 #: and the *shape* of an emitted tuple.
@@ -100,15 +93,15 @@ def _resolve_access(rt, scan, predicates):
     shape = _row_shaper([position(c) for c in scan.base_columns])
     cross = tuple(
         (
-            position(_base_column(scan, p.left)),
-            position(_base_column(scan, p.right)),
+            position(scan.base_column(p.left)),
+            position(scan.base_column(p.right)),
             p.test,
         )
         for p in predicates
         if is_column_comparison(p)
     )
     base_preds = [
-        (_base_column(scan, p.column), p)
+        (scan.base_column(p.column), p)
         for p in predicates
         if not is_column_comparison(p)
     ]
@@ -147,18 +140,28 @@ def _resolve_access(rt, scan, predicates):
             ):
                 consumed_ids.add(id(p))
                 break
-    row_ids, pages = index.tree.prefix_pages(prefix)
-    charges = _descent_charges(rt, index, pages)
-    if row_ids:
-        charges += _heap_charges(table, index, row_ids)
-    return _Access(
-        columns, list(map(table.rows.__getitem__, row_ids)), charges,
+    return _index_access(
+        rt, table, index, prefix, columns,
         tuple(
             (position(col), p.test)
             for col, p in base_preds
             if id(p) not in consumed_ids
         ),
         cross, shape,
+    )
+
+
+def _index_access(rt, table, index, prefix, columns, preds, cross, shape):
+    """The :class:`_Access` of *table*'s rows under *prefix* of *index*:
+    the B+tree descent happens here and charges nothing; its node visits
+    and the heap read become the access's charge list."""
+    row_ids, pages = index.tree.prefix_pages(prefix)
+    charges = _descent_charges(rt, index, pages)
+    if row_ids:
+        charges += _heap_charges(table, index, row_ids)
+    return _Access(
+        columns, list(map(table.rows.__getitem__, row_ids)), charges,
+        preds, cross, shape,
     )
 
 
@@ -186,9 +189,8 @@ def _choose_index(table, eq_columns):
 
 
 def _descent_charges(rt, index, pages):
-    """What the index's ``on_access`` hook charges for visiting the nodes
-    on *pages*, in order: per node a one-page read, its CPU, and a note
-    that counts the visit."""
+    """The charges of visiting the index nodes on *pages*, in order: per
+    node a one-page read, its CPU, and a note that counts the visit."""
     segment, tree = index.segment, index.tree
     base = segment.page_span()[0]
     node = (CPU, rt.costs.btree_node)
@@ -214,16 +216,13 @@ def _heap_charges(table, index, row_ids):
     clustered index's rows are one contiguous range, a secondary's are
     fetched page by page in scattered order."""
     heap = table.heap_segment
+    base = heap.page_span()[0]
     if index.clustered:
         first, last = table.heap_pages_of_range(min(row_ids), max(row_ids) + 1)
-        return ((PAGES, heap, page_runs(heap, np.arange(first, last)), False),)
-    # The distinct pages, ascending (``np.unique`` would import
-    # ``numpy.ma`` into a process that needs nothing else of it).
-    pages = np.flatnonzero(np.bincount(
-        np.asarray(row_ids, dtype=np.int64) * table.row_bytes
-        // heap.page_size
-    ))
-    return ((PAGES, heap, page_runs(heap, pages), True),)
+        return ((PAGES, heap, ((base + first, base + last),), False),)
+    row_bytes, page_size = table.row_bytes, heap.page_size
+    pages = sorted({row_id * row_bytes // page_size for row_id in row_ids})
+    return ((PAGES, heap, _page_runs(pages, base), True),)
 
 
 def _run_access(rt, access):
@@ -355,67 +354,44 @@ def _inner_candidate(rt, child, join_col):
         scan, predicates = child, []
     else:
         return None
-    base_col = _base_column(scan, join_col)
     table = rt.engine.table(scan.table)
-    best = None
-    for index in table.all_indexes():
-        if index.key_columns[0] != base_col:
-            continue
-        if best is None or (index.clustered and not best.clustered):
-            best = index
-    if best is None:
+    index, _ = _choose_index(table, {scan.base_column(join_col)})
+    if index is None:
         return None
-    return scan, predicates, table, best
+    return scan, predicates, table, index
 
 
 def _index_nested_loop(rt, outer, outer_col, scan, inner_preds,
                        table, index, swap):
+    """Probe *index* once per outer row: each probe is the
+    :class:`_Access` of the rows under the outer row's join value, run
+    like any other access, and every inner row it yields is a match."""
     outer_pos = outer.position(outer_col)
     inner_columns = scan.output_columns()
     if swap:
         out_columns = inner_columns + outer.columns
     else:
         out_columns = outer.columns + inner_columns
-    base_preds = [
-        (table.column_position(_base_column(scan, p.column)), p.test)
-        for p in inner_preds
-    ]
-    shape = _row_shaper([table.column_position(c) for c in scan.base_columns])
+    position = table.column_position
+    preds = tuple(
+        (position(scan.base_column(p.column)), p.test) for p in inner_preds
+    )
+    shape = _row_shaper([position(c) for c in scan.base_columns])
     charge = rt.clock.cpu_log()
-    costs = rt.costs
-    scan_tuple, select_tuple = costs.scan_tuple, costs.select_tuple
-    union_tuple = costs.union_tuple
+    union_tuple = rt.costs.union_tuple
 
     def generate():
-        prefix_values, rows = index.tree.prefix_values, table.rows
         for outer_row in outer:
-            row_ids = prefix_values((outer_row[outer_pos],))
-            if not row_ids:
-                continue
-            if index.clustered:
-                lo, hi = min(row_ids), max(row_ids) + 1
-                first, last = table.heap_pages_of_range(lo, hi)
-                rt.pool.read_pages(table.heap_segment, range(first, last))
-            else:
-                pages = sorted(
-                    {table.heap_page_of_row(rid) for rid in row_ids}
-                )
-                rt.pool.read_pages(
-                    table.heap_segment, pages, scattered=True
-                )
-            for rid in row_ids:
-                charge(scan_tuple)
-                row = rows[rid]
-                for pos, test in base_preds:
-                    charge(select_tuple)
-                    if not test(row[pos]):
-                        break
+            probe = _index_access(
+                rt, table, index, (outer_row[outer_pos],), inner_columns,
+                preds, (), shape,
+            )
+            for inner_row in _run_access(rt, probe):
+                charge(union_tuple)
+                if swap:
+                    yield inner_row + outer_row
                 else:
-                    charge(union_tuple)
-                    if swap:
-                        yield shape(row) + outer_row
-                    else:
-                        yield outer_row + shape(row)
+                    yield outer_row + inner_row
 
     return Stream(out_columns, generate())
 

@@ -1,6 +1,10 @@
 """Tests for the column-store engine: correctness and I/O/cost behaviour."""
 
 import itertools
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,7 +333,7 @@ class TestReplayWorkPerBranch:
         # The two scan+select operators replay what their first run
         # resolved: neither names its columns again.
         assert names["_needed_base_columns"] == 0
-        assert names["_base_column"] == 0
+        assert names["base_column"] == 0
         assert names["add"] <= 4  # counter-table writes: not one per read
 
     def test_a_hot_q8_runs_its_selections_in_the_kernel(
@@ -441,6 +445,50 @@ class TestReplayWorkPerBranch:
             for q, m in ops
         )
         assert total / len(ops) <= self.CALLS_PER_OP_CEILING
+
+
+_NUMPY_MA_SCRIPT = """
+import json, sys
+from repro.core import RDFStore
+from repro.data import generate_barton
+from repro.queries.definitions import ALL_QUERY_NAMES
+
+dataset = generate_barton(n_triples=5_000, seed=42)
+stores = [
+    RDFStore.from_triples(
+        dataset.triples, engine="column", scheme=scheme,
+        interesting_properties=dataset.interesting_properties,
+    )
+    for scheme in ("vertical", "triple")
+]
+imported = ["build"] if "numpy.ma" in sys.modules else []
+for store in stores:
+    connection = store.connection()
+    for name in ALL_QUERY_NAMES:
+        for mode in ("cold", "hot"):
+            store.engine.run(connection._plan_for(name).plan, mode=mode)
+            if "numpy.ma" in sys.modules and not imported:
+                imported.append(name)
+print(json.dumps(imported))
+"""
+
+
+class TestNoMaskedArrays:
+    """The column store's page sets are distinct ascending pages from
+    ``np.bincount``, not ``np.unique``, which imports ``numpy.ma`` on
+    first use: a fresh process that builds both column stores and runs
+    the named queries never loads it.  (``compression="physical"``
+    encodings still call ``np.unique``; they are not run here.)"""
+
+    def test_the_named_queries_import_no_numpy_ma(self):
+        root = Path(__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-c", _NUMPY_MA_SCRIPT],
+            capture_output=True, text=True, timeout=300, cwd=root,
+            env={"PYTHONPATH": str(root / "src"), "PATH": ""},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == []
 
 
 class TestAnInsertDropsTheResolvedCharges:

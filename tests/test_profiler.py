@@ -279,9 +279,9 @@ def sink_stores(dataset):
 
 def _count_btree_visits(engine):
     """``visits()``: the B+tree node visits the engine's queries made so
-    far (``BPlusTree.node_visits`` over every index — counted by the live
-    ``on_access`` hook and by a resolved descent's replayed charges
-    alike); engines without indexes stay at 0."""
+    far (``BPlusTree.node_visits`` over every index, counted by the
+    visit notes of a resolved access's or an index-nested-loop probe's
+    charge list); engines without indexes stay at 0."""
     def visits():
         return sum(
             index.tree.node_visits

@@ -451,6 +451,14 @@ class TestLimitPullsOnlyWhatItKeeps:
         assert engine.execute(L.Limit(scan(), 4)).to_tuples() == rows[:4]
 
 
+@pytest.fixture(scope="module")
+def barton_8k():
+    """The 8 000-triple, 222-property dataset of the q8 work guards."""
+    return generate_barton(
+        n_triples=8_000, n_properties=222, n_interesting=28, seed=42
+    )
+
+
 class TestResolvedAccessWork:
     """A row-store table access is resolved once per lowered node and
     catalog — index choice, equality prefix, B+tree descent, predicate
@@ -464,26 +472,144 @@ class TestResolvedAccessWork:
     #: B+trees and called ``Comparison.evaluate`` 8 054 times).
     Q8_HOT_CALLS_CEILING = 26_750
 
-    def test_a_hot_q8_resolves_no_access(self, repro_calls):
+    #: ``src/repro`` calls of one hot triple q8 on the row engine (738
+    #: when recorded; 784 at the commit before, when its two
+    #: index-nested-loop probes were charged live through ``on_access``).
+    TRIPLE_Q8_HOT_CALLS_CEILING = 800
+
+    def test_a_hot_q8_resolves_no_access(self, repro_calls, barton_8k):
         import repro.api as api
 
-        dataset = generate_barton(
-            n_triples=8_000, n_properties=222, n_interesting=28, seed=42
-        )
         session = api.connect(
-            triples=dataset.triples, engine="row",
-            interesting_properties=dataset.interesting_properties,
+            triples=barton_8k.triples, engine="row",
+            interesting_properties=barton_8k.interesting_properties,
         ).session()
         session.query("q8", mode="cold")  # plan, lower, resolve, warm
         names = repro_calls(lambda: session.query("q8"))
         assert names["_resolve_access"] == 0
         assert names["_choose_index"] == 0
-        assert names["prefix_values"] == names["prefix_pages"] == 0
+        assert names["prefix_pages"] == 0
         assert names["evaluate"] == 0
         # One charge-list pass per access: its descent and heap read.
         assert names["read_spans"] == 2 * 222
         assert names["read_pages"] == names["read_segment"] == 0
         assert sum(names.values()) <= self.Q8_HOT_CALLS_CEILING
+
+    def test_index_nested_loop_probes_are_resolved_accesses(
+        self, repro_calls, barton_8k,
+    ):
+        """Each probe of an index nested loop is an :class:`_Access`
+        under the outer row's join value: one descent that charges
+        nothing, then one ``read_spans`` pass, like any other access.
+        No index of the row engine charges a node visit live."""
+        import repro.api as api
+
+        connection = api.connect(
+            triples=barton_8k.triples, engine="row", scheme="triple",
+            interesting_properties=barton_8k.interesting_properties,
+        )
+        session = connection.session()
+        session.query("q8", mode="cold")
+        names = repro_calls(lambda: session.query("q8"))
+        # The auto policy probes the index for q8's two outer rows.
+        assert names["_index_nested_loop"] == 1
+        assert names["prefix_pages"] == 2
+        # The probes' two passes and the outer access's one.
+        assert names["read_spans"] == 3
+        assert names["read_pages"] == names["_account"] == 0
+        assert names["on_access"] == 0
+        assert sum(names.values()) <= self.TRIPLE_Q8_HOT_CALLS_CEILING
+        engine = connection.store.engine
+        for name in engine.table_names():
+            for index in engine.table(name).all_indexes():
+                assert index.tree.on_access is None
+
+
+class TestForcedIndexNestedLoopCosts:
+    """Forced index nested loops (the join-strategy ablation's
+    ``"inl"``) on the 8 000-triple row triple store: every
+    ``QueryTiming`` field, the row count and ``pool.stats()`` of q5 and
+    q7, cold and hot, equal the figures recorded while the probes were
+    still charged live through ``BPlusTree.on_access``."""
+
+    EXPECTED = {
+        ("q5", "cold"): (
+            95,
+            {
+                "real_seconds": 0.9583682942857128,
+                "user_seconds": 0.022035705000001852,
+                "seek_seconds": 0.9240000000000007,
+                "transfer_seconds": 0.012332589285714263,
+                "bytes_read": 632832, "io_requests": 231,
+            },
+            {
+                "page_hits": 2346, "page_misses": 309, "evictions": 0,
+                "disk_requests": 231, "bytes_transferred": 632832,
+            },
+        ),
+        ("q5", "hot"): (
+            95,
+            {
+                "real_seconds": 0.022035705000001852,
+                "user_seconds": 0.022035705000001852,
+                "seek_seconds": 0.0, "transfer_seconds": 0.0,
+                "bytes_read": 0, "io_requests": 0,
+            },
+            {
+                "page_hits": 5310, "page_misses": 0, "evictions": 0,
+                "disk_requests": 0, "bytes_transferred": 0,
+            },
+        ),
+        ("q7", "cold"): (
+            44,
+            {
+                "real_seconds": 0.9500542373809505,
+                "user_seconds": 0.021907660000001633,
+                "seek_seconds": 0.9160000000000007,
+                "transfer_seconds": 0.012146577380952359,
+                "bytes_read": 600064, "io_requests": 229,
+            },
+            {
+                "page_hits": 2078, "page_misses": 293, "evictions": 0,
+                "disk_requests": 229, "bytes_transferred": 600064,
+            },
+        ),
+        ("q7", "hot"): (
+            44,
+            {
+                "real_seconds": 0.021907660000001633,
+                "user_seconds": 0.021907660000001633,
+                "seek_seconds": 0.0, "transfer_seconds": 0.0,
+                "bytes_read": 0, "io_requests": 0,
+            },
+            {
+                "page_hits": 4742, "page_misses": 0, "evictions": 0,
+                "disk_requests": 0, "bytes_transferred": 0,
+            },
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def store(self, barton_8k):
+        return RDFStore.from_triples(
+            barton_8k.triples, engine="row", scheme="triple",
+            interesting_properties=barton_8k.interesting_properties,
+        )
+
+    @pytest.mark.parametrize("query,mode", sorted(EXPECTED))
+    def test_costs_equal_the_live_probes(self, store, query, mode):
+        engine = store.engine
+        plan = store.connection()._plan_for(query).plan
+        engine._executor.join_strategy = "inl"
+        try:
+            engine.pool.reset_stats()
+            relation, timing = engine.run(plan, mode=mode)
+        finally:
+            engine._executor.join_strategy = "auto"
+        n_rows, cost, pool = self.EXPECTED[query, mode]
+        assert relation.n_rows == n_rows
+        assert timing.to_dict() == cost
+        assert engine.pool.stats() == pool
 
 
 class TestAnInsertDropsTheResolvedAccesses:
