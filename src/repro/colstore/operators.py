@@ -31,7 +31,9 @@ from functools import partial
 import numpy as np
 
 from repro.colstore import vectorops as V
-from repro.engine.buffer import CPU, NOTE, PAGES, SPAN, page_runs
+from repro.engine.buffer import (
+    CPU, NOTE, PAGES, SPAN, distinct_pages, page_runs,
+)
 from repro.exec.common import (
     MISSING_VALUE,
     ascending_prefix,
@@ -114,11 +116,9 @@ def _probe_pages(segment, encoding, lo, hi):
         b = mid  # descend left; the exact path doesn't matter for cost
         if b - a <= segment.page_size // VALUE_BYTES:
             break
-    # The distinct pages, ascending, without ``np.unique`` (which would
-    # import ``numpy.ma`` into a process that needs nothing else of it).
-    return np.flatnonzero(np.bincount(
+    return distinct_pages(
         np.array(probed, dtype=np.int64) // segment.page_size
-    ))
+    )
 
 
 def _dense_charges(rt, table, column, lo, hi):
@@ -204,8 +204,8 @@ def _fetch_charges(rt, table, column, lo, hi, positions, charges):
     steps = pages[1:] - pages[:-1]
     if steps.size and steps.min() < 0:
         # Not in row order (a join's matches): the distinct pages,
-        # ascending, as in _probe_pages.
-        pages = np.flatnonzero(np.bincount(pages))
+        # ascending.
+        pages = distinct_pages(pages)
     else:
         pages = pages[np.concatenate(([True], steps > 0))]
     charges.append((PAGES, segment, page_runs(segment, pages), True))
@@ -246,21 +246,34 @@ def _split_predicates(scan, table, predicates):
 
 
 #: One table access, resolved once per catalog (:func:`_resolve_access`):
-#: the *table*, its *residual* ``(base column, predicate)`` pairs, the
-#: rows ``[lo, hi)`` its sorted-prefix descent left, and the charges of
-#: that descent's *probes*.  A fused scan keeps one in its
+#: the *table*; its *residual* stages as ``(base column, predicate,
+#: array, runs)`` — the column's array and its RLE encoding, or None when
+#: it is not run-length encoded; the rows ``[lo, hi)`` its sorted-prefix
+#: descent left; the charges of that descent's *probes*; and the arrays
+#: of the columns it *gathers*.  A fused scan keeps one in its
 #: :class:`_ScanPlan`, a template union one per branch.
-_Access = namedtuple("_Access", "table residual lo hi probes")
+_Access = namedtuple("_Access", "table residual lo hi probes gathers")
 
 
-def _resolve_access(rt, table, split):
+def _resolve_access(rt, table, split, fetch_cols):
     """The :class:`_Access` of *table* under a :func:`_split_predicates`
-    *split*: the descent runs here, and its probes become charges."""
+    *split*, gathering the base columns *fetch_cols*: the descent runs
+    here, and its probes become charges."""
     prefix, residual = split
     lo, hi, probes = _descend(table, prefix)
-    return _Access(table, residual, lo, hi, tuple(
-        c for probe in probes for c in _probe_charges(rt, table, *probe)
-    ))
+    return _Access(
+        table,
+        tuple(
+            (base_col, pred, table.array(base_col),
+             _rle_encoding(table, base_col))
+            for base_col, pred in residual
+        ),
+        lo, hi,
+        tuple(
+            c for probe in probes for c in _probe_charges(rt, table, *probe)
+        ),
+        tuple(table.array(column) for column in fetch_cols),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +369,9 @@ def _rle_encoding(table, column):
     return None
 
 
-def _scan_range(access, base_needed, lo, hi):
+def _scan_range(access, lo, hi):
     """Data plane for rows ``[lo, hi)`` of *access*: evaluate its residual
-    predicates stage by stage and gather the needed columns.  Returns
+    predicates stage by stage and gather its columns.  Returns
     ``(stage_positions, gathers)`` — masks are row-local, so the
     range-ordered concatenation of each stage equals the whole-range
     stage arrays exactly.
@@ -367,23 +380,21 @@ def _scan_range(access, base_needed, lo, hi):
     once per run instead of once per row; the mask is identical by the
     run-length identity (every row of a run shares the run's value).
     """
-    table = access.table
     stages = []
     local = None  # None means the dense range [lo, hi)
-    for base_col, pred in access.residual:
+    for _, pred, array, runs in access.residual:
         if local is None:
-            encoding = _rle_encoding(table, base_col)
-            if encoding is not None:
-                run_values, run_counts = encoding.runs_overlapping(lo, hi)
+            if runs is not None:
+                run_values, run_counts = runs.runs_overlapping(lo, hi)
                 mask = np.repeat(pred.mask(run_values), run_counts)
             else:
-                mask = pred.mask(table.array(base_col)[lo:hi])
+                mask = pred.mask(array[lo:hi])
             local = lo + np.nonzero(mask)[0]
         elif len(local):
-            local = local[pred.mask(table.array(base_col)[local])]
+            local = local[pred.mask(array[local])]
         stages.append(local)
     rows = slice(lo, hi) if local is None else local
-    return stages, [table.array(c)[rows] for c in base_needed]
+    return stages, [array[rows] for array in access.gathers]
 
 
 def _scan_charges(rt, access, fetch_cols, stages, charges):
@@ -391,17 +402,14 @@ def _scan_charges(rt, access, fetch_cols, stages, charges):
     residual stage, then each gather of *fetch_cols*, over its range and
     the positions each stage kept (*stages*, merged over ranges); all are
     skipped once no candidate is left."""
-    table, residual, lo, hi, _ = access
+    table, residual, lo, hi = access[:4]
     count = hi - lo
     positions = None  # None means the dense range [lo, hi)
-    for stage, (base_col, _pred) in enumerate(residual):
+    for stage, (base_col, _, _, runs) in enumerate(residual):
         if count == 0:
             return
-        encoding = (
-            _rle_encoding(table, base_col) if positions is None else None
-        )
-        if encoding is not None:
-            n_runs = encoding.run_index(hi - 1) - encoding.run_index(lo) + 1
+        if positions is None and runs is not None:
+            n_runs = runs.run_index(hi - 1) - runs.run_index(lo) + 1
             charges.extend(_run_charges(
                 rt, table, base_col, lo, hi,
                 rt.costs.select_tuple * n_runs, count - n_runs,
@@ -432,12 +440,14 @@ def _scan_select(rt, pnode, scan, predicates, needed):
     plan = pnode.resolved
     if plan is None or plan.needed != needed:
         table = rt.engine.table(scan.table)
+        base_needed = _needed_base_columns(scan, needed)
         plan = pnode.resolved = _ScanPlan(
             frozenset(needed),
             _resolve_access(
-                rt, table, _split_predicates(scan, table, predicates)
+                rt, table, _split_predicates(scan, table, predicates),
+                base_needed,
             ),
-            _needed_base_columns(scan, needed), None,
+            base_needed, None,
         )
     _, access, base_needed, _ = plan
     table, lo, hi = access.table, access.lo, access.hi
@@ -474,7 +484,7 @@ def _scan_select(rt, pnode, scan, predicates, needed):
         bounds = ((lo, hi),)
     return _run_ranges(
         rt, _scan_range,
-        [(access, base_needed, mlo, mhi) for mlo, mhi in bounds],
+        [(access, mlo, mhi) for mlo, mhi in bounds],
         [mhi - mlo for mlo, mhi in bounds], replay,
     )
 
@@ -966,13 +976,15 @@ def _template_plan(rt, shape, bindings):
         order = tuple(table.sort_order)
         if order not in splits:
             splits[order] = _split_predicates(scan_node, table, predicates)
-        branches.append(_resolve_access(rt, table, splits[order]))
+        branches.append(
+            _resolve_access(rt, table, splits[order], fetch_cols)
+        )
     branches = tuple(branches)
     columns = charges = None
     if not predicates:
         columns = tuple(
             None if source is None else tuple(
-                b.table.array(fetch_cols[source]) for b in branches
+                b.gathers[source] for b in branches
             )
             for source in sources
         )
@@ -1009,7 +1021,7 @@ def _select_range(plan, lo, hi):
     outputs = [[] for _ in sources]
     scans = []
     for access, fill in zip(plan.branches[lo:hi], plan.fills[lo:hi]):
-        stages, gathers = _scan_range(access, fetch_cols, access.lo, access.hi)
+        stages, gathers = _scan_range(access, access.lo, access.hi)
         scans.append(stages)
         for parts, source in zip(outputs, sources):
             parts.append(

@@ -4,6 +4,15 @@ These are the column-store's physical operators: many-to-many equi-join
 index computation, row factorization (for multi-column keys), grouping and
 duplicate elimination.  They are pure functions of arrays — cost accounting
 happens in the executor that calls them.
+
+The input's shape picks the kernel, never an option.  A join against a
+sorted right side is a counting join; against an unsorted one, distinct
+left keys (a star query's type-filtered subjects) map every right row
+straight to its one left row and order the matches with one sort, while
+duplicate left keys put the semi-join survivors in key order with 16-bit
+radix passes.  Dense codes come from a counting table, sparse ones from
+one sort of ``value << bits | row`` composites; ``np.unique`` is left
+only for keys whose composite would not fit in int64.
 """
 
 import numpy as np
@@ -24,9 +33,11 @@ def _dense_codes(array):
 
     Returns ``(codes, n_distinct)`` with codes identical to
     ``np.unique(array, return_inverse=True)[1]`` (rank among sorted distinct
-    values), computed in O(n + range) instead of O(n log n).  Returns
-    ``None`` when the value range is too sparse for the LUT to pay off —
-    dictionary OIDs are dense, so benchmark-shaped inputs qualify.
+    values), computed in O(n + range) instead of O(n log n): the LUT gets
+    each present value's rank by one scatter of ``arange`` over the
+    present slots, and its other slots are never read.  Returns ``None``
+    when the value range is too sparse for the LUT to pay off — dictionary
+    OIDs are dense, so benchmark-shaped inputs qualify.
     """
     amin = int(array.min())
     value_range = int(array.max()) - amin + 1
@@ -35,9 +46,53 @@ def _dense_codes(array):
     rel = array - amin
     present = np.zeros(value_range, dtype=bool)
     present[rel] = True
-    lut = np.cumsum(present, dtype=np.int64)
-    lut -= 1
-    return lut[rel], int(lut[-1]) + 1
+    values = np.flatnonzero(present)
+    lut = np.empty(value_range, dtype=np.int64)
+    lut[values] = np.arange(len(values), dtype=np.int64)
+    return lut[rel], len(values)
+
+
+def _sorted_codes(array):
+    """Rank codes of a column too sparse for :func:`_dense_codes`, from
+    one sort of ``(value - min) << bits | row`` composites.
+
+    The sorted composites list the values ascending with rows ascending
+    among equals, so their running count of value changes is the code of
+    each row in that order; one scatter puts it back in row order.  The
+    codes equal ``np.unique(array, return_inverse=True)[1]``.  Returns
+    ``None`` when the composite would not fit in int64.
+    """
+    n = array.size
+    amin = int(array.min())
+    if (int(array.max()) - amin) >> (63 - (n - 1).bit_length()):
+        return None
+    values, rows = _sort_pairs(array - amin, np.arange(n, dtype=np.int64), n)
+    ranks = _change_count(values)
+    codes = np.empty(n, dtype=np.int64)
+    codes[rows] = ranks
+    return codes, int(ranks[-1]) + 1
+
+
+def _sort_pairs(keys, rows, n_rows):
+    """*keys* and *rows* (non-negative, rows below *n_rows*) ordered by
+    key, then row: one sort of the int64 composites ``key << bits | row``,
+    split again.  The caller makes sure the composites fit."""
+    bits = (n_rows - 1).bit_length()
+    composite = keys << bits
+    composite |= rows
+    composite = np.sort(composite)
+    rows = composite & ((1 << bits) - 1)
+    composite >>= bits
+    return composite, rows
+
+
+def _change_count(values):
+    """Per element of the ascending *values*, how many value changes
+    precede it: its rank among the distinct values."""
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[0] = 0
+    np.cumsum(values[1:] != values[:-1], out=ranks[1:])
+    return ranks
 
 
 def _stable_argsort(codes, n_codes):
@@ -111,10 +166,14 @@ def join_indices(left_keys, right_keys, assume_sorted=False):
     structure, O(rows) to build.  With ``assume_sorted=True`` the right
     input is taken to be already sorted ascending — the executor passes
     this when the plan's sort-order metadata proves it (e.g. the SO-sorted
-    vertical tables joined on subject) — which saves the O(n) check.  An
-    unsorted right side is first cut down to the rows whose key occurs on
-    the left (a semi-join bitmap), and only those survivors are put in key
-    order.
+    vertical tables joined on subject) — which saves the O(n) check.
+
+    An unsorted right side is first looked up in a position table of the
+    left keys (each key's left row, -1 for none), which also tells whether
+    the left keys are distinct.  If they are, every surviving right row
+    matches exactly one left row, so the pairs are the survivors ordered
+    by ``(left row, right row)`` — one sort of int64 composites, no probe.
+    Otherwise only the survivors are put in key order and probed.
     """
     left = np.asarray(left_keys, dtype=np.int64)
     right = np.asarray(right_keys, dtype=np.int64)
@@ -125,9 +184,15 @@ def join_indices(left_keys, right_keys, assume_sorted=False):
     left, right, span = _dense_domain(left, right)
     order = None
     if not right_sorted:
-        present = np.zeros(span, dtype=bool)
-        present[left] = True
-        order = np.flatnonzero(present[right])
+        rows = np.arange(left.size, dtype=np.int64)
+        position = np.full(span, -1, dtype=np.int64)
+        position[left] = rows  # a repeated key keeps one of its rows
+        matched = position[right]
+        order = np.flatnonzero(matched >= 0)
+        if np.array_equal(position[left], rows):
+            # Each survivor's one left row; a composite of a left and a
+            # right row fits in int64 below some 2**62 input rows.
+            return _sort_pairs(matched[order], order, right.size)
         right = right[order]
         # Survivors are in row order, so a stable sort of them is the
         # stable sort of the whole side restricted to them.
@@ -183,13 +248,13 @@ def factorize_rows(arrays):
         if _is_sorted(array):
             # For sorted input np.unique's inverse is the running count of
             # value changes — same codes, no argsort.
-            codes = np.empty(n, dtype=np.int64)
-            codes[0] = 0
-            np.cumsum(array[1:] != array[:-1], out=codes[1:])
+            codes = _change_count(array)
             return codes, int(codes[-1]) + 1
-        dense = _dense_codes(array)
-        if dense is not None:
-            return dense
+        codes = _dense_codes(array)
+        if codes is None:
+            codes = _sorted_codes(array)
+        if codes is not None:
+            return codes
         uniques, codes = np.unique(array, return_inverse=True)
         return codes.astype(np.int64), len(uniques)
     # Multi-column: rank-code each column, then pair the codes into one

@@ -13,7 +13,26 @@ Two flavours are provided:
   unknown strings are reported instead of silently interned).
 """
 
+import numpy as np
+
 from repro.errors import DictionaryError
+
+
+def decode_many(by_oid, oids):
+    """The strings of *oids* (an oid array or any iterable of oids) in the
+    oid table *by_oid*, as a list.
+
+    The whole array is range-checked with one ``min`` / ``max``; an oid
+    outside the table raises :class:`DictionaryError` naming the first
+    such oid.  Then one C-level ``map`` indexes the table with the oids as
+    Python ints — no per-element bytecode.
+    """
+    if not isinstance(oids, np.ndarray):
+        oids = np.fromiter(oids, dtype=np.int64)
+    if oids.size and (oids.min() < 0 or oids.max() >= len(by_oid)):
+        bad = oids[(oids < 0) | (oids >= len(by_oid))]
+        raise DictionaryError(f"oid out of range: {bad[0]}")
+    return list(map(by_oid.__getitem__, oids.tolist()))
 
 
 class Dictionary:
@@ -164,21 +183,9 @@ class Dictionary:
             raise DictionaryError(f"oid out of range: {oid}") from None
 
     def decode_many(self, oids):
-        """Decode an iterable of oids, returning a list of strings.
-
-        Fast path mirroring :meth:`encode_many`: direct indexing into the
-        oid table with local variables, no per-element method dispatch.
-        """
-        by_oid = self._by_oid
-        n = len(by_oid)
-        strings = []
-        out = strings.append
-        for o in oids:
-            index = int(o)
-            if not 0 <= index < n:
-                raise DictionaryError(f"oid out of range: {o}")
-            out(by_oid[index])
-        return strings
+        """Decode an oid array (or any iterable of oids) into a list of
+        strings; see :func:`decode_many`."""
+        return decode_many(self._by_oid, oids)
 
     def freeze(self):
         """Return an immutable :class:`FrozenDictionary` snapshot."""
@@ -253,16 +260,7 @@ class FrozenDictionary:
             raise DictionaryError(f"oid out of range: {oid}") from None
 
     def decode_many(self, oids):
-        by_oid = self._by_oid
-        n = len(by_oid)
-        strings = []
-        out = strings.append
-        for o in oids:
-            index = int(o)
-            if not 0 <= index < n:
-                raise DictionaryError(f"oid out of range: {o}")
-            out(by_oid[index])
-        return strings
+        return decode_many(self._by_oid, oids)
 
     def byte_size(self):
         return sum(len(s.encode("utf-8")) + 8 for s in self._by_oid)

@@ -212,6 +212,15 @@ def _page_runs(pages, base):
     return runs
 
 
+def distinct_pages(*parts):
+    """The distinct page numbers of the non-negative integer arrays
+    *parts*, ascending, as :func:`page_runs` takes them: ``np.unique`` of
+    their concatenation, from a bincount.  ``np.unique`` imports
+    ``numpy.ma`` on first use, which a query process needs for nothing
+    else."""
+    return np.flatnonzero(np.bincount(np.concatenate(parts)))
+
+
 def page_runs(segment, pages):
     """The ``(start, stop)`` global page runs a :meth:`BufferPool.read_pages`
     of *segment* charges for *pages* — ascending, distinct, segment-relative

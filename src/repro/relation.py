@@ -61,11 +61,11 @@ class Relation:
         names = list(order) if order else list(self.columns)
         decoded_columns = []
         for name in names:
-            values = self.column(name).tolist()
+            values = self.column(name)
             if name in self.oid_columns:
                 decoded_columns.append(dictionary.decode_many(values))
             else:
-                decoded_columns.append(values)
+                decoded_columns.append(values.tolist())
         return list(zip(*decoded_columns)) if self.n_rows else []
 
     def sorted_tuples(self, order=None):

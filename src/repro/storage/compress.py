@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.buffer import distinct_pages
 from repro.errors import StorageError
 from repro.observe import counters
 
@@ -253,7 +254,7 @@ class RleColumn:
         runs = np.searchsorted(self.run_starts, positions, side="right") - 1
         first = runs * RUN_BYTES // page_size
         last = (runs * RUN_BYTES + RUN_BYTES - 1) // page_size
-        return np.unique(np.concatenate((first, last)))
+        return distinct_pages(first, last)
 
 
 class DeltaColumn:
@@ -334,7 +335,7 @@ class DeltaColumn:
         return ranges
 
     def pages_for_rows(self, positions, page_size):
-        blocks = np.unique(positions // DELTA_BLOCK)
+        blocks = distinct_pages(positions // DELTA_BLOCK)
         parts = [(HEADER_BYTES + blocks * VALUE_BYTES) // page_size]
         if self.width:
             # A block's packed bytes (<= DELTA_BLOCK * MAX_PACK_WIDTH / 8)
@@ -350,7 +351,7 @@ class DeltaColumn:
             parts.append(
                 (packed0 + (last_rows * self.width + 7) // 8 - 1) // page_size
             )
-        return np.unique(np.concatenate(parts))
+        return distinct_pages(*parts)
 
 
 class DictColumn:
@@ -403,7 +404,7 @@ class DictColumn:
         last = (
             HEADER_BYTES + ((positions + 1) * self.width + 7) // 8 - 1
         ) // page_size
-        return np.unique(np.concatenate((first, last)))
+        return distinct_pages(first, last)
 
 
 _CODEC_CLASSES = {

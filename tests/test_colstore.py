@@ -288,10 +288,11 @@ class TestReplayWorkPerBranch:
     #: went through operator dispatch (q8 alone 48 873 cold / 46 221 hot).
     CALLS_PER_OP_CEILING = 3_500
 
-    #: ``src/repro`` calls of one hot q8 (3 481 when recorded; 4 147 at
-    #: the commit before, when every run descended each of its 444
-    #: branches again).
-    Q8_HOT_CALLS_CEILING = 3_660
+    #: ``src/repro`` calls of one hot q8 (2 148 when recorded; 3 259 at
+    #: the commit before, when every run looked up each of its 444
+    #: branches' arrays and RLE encodings again, and 4 147 before that,
+    #: when it descended each branch again).
+    Q8_HOT_CALLS_CEILING = 2_260
 
     @pytest.fixture(scope="class")
     def session(self):
@@ -353,9 +354,10 @@ class TestReplayWorkPerBranch:
         # the union's charge list, resolved by its first run.
         assert names["project"] == 2
         assert names["scan_select"] == 0
-        # Every branch's descent was resolved with its access: a warm run
-        # only masks and gathers.
+        # Every branch's descent, column arrays and encodings were
+        # resolved with its access: a warm run only masks and gathers.
         assert names["_descend"] == 0
+        assert names["array"] == names["_rle_encoding"] == 0
         assert names["_scan_range"] == 2 * 222
         assert names["_scan_charges"] == names["_probe_charges"] == 0
         assert names["read_spans"] == 2
@@ -458,8 +460,12 @@ stores = [
     RDFStore.from_triples(
         dataset.triples, engine="column", scheme=scheme,
         interesting_properties=dataset.interesting_properties,
+        engine_options=options,
     )
-    for scheme in ("vertical", "triple")
+    for scheme, options in (
+        ("vertical", None), ("triple", None),
+        ("vertical", {"compression": "physical"}),
+    )
 ]
 imported = ["build"] if "numpy.ma" in sys.modules else []
 for store in stores:
@@ -476,9 +482,10 @@ print(json.dumps(imported))
 class TestNoMaskedArrays:
     """The column store's page sets are distinct ascending pages from
     ``np.bincount``, not ``np.unique``, which imports ``numpy.ma`` on
-    first use: a fresh process that builds both column stores and runs
-    the named queries never loads it.  (``compression="physical"``
-    encodings still call ``np.unique``; they are not run here.)"""
+    first use: a fresh process that builds both column stores, and a
+    vertical one with ``compression="physical"`` (whose encodings map
+    positional fetches to pages), and runs the named queries never loads
+    it."""
 
     def test_the_named_queries_import_no_numpy_ma(self):
         root = Path(__file__).resolve().parents[1]

@@ -1,5 +1,6 @@
 """Unit and property tests for the string dictionary."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,6 +102,42 @@ class TestFrozenDictionary:
     def test_frozen_byte_size_matches_source(self):
         d = Dictionary(["hello", "world"])
         assert d.freeze().byte_size() == d.byte_size()
+
+
+class TestDecodeMany:
+    """One ``decode_many`` behind both dictionaries: an oid array and a
+    list of oids decode alike and fail alike."""
+
+    @pytest.fixture(params=["mutable", "frozen"])
+    def dictionary(self, request):
+        d = Dictionary(["a", "b", "c"])
+        return d if request.param == "mutable" else d.freeze()
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_decodes_arrays_and_lists(self, dictionary, as_array):
+        oids = [2, 0, 2, 1]
+        if as_array:
+            oids = np.array(oids, dtype=np.int64)
+        assert dictionary.decode_many(oids) == ["c", "a", "c", "b"]
+        assert dictionary.decode_many(oids[:0]) == []
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("oids, bad", [
+        ([0, -1, 1], -1), ([0, 3, 1], 3), ([2, 3, -1, 9], 3),
+    ])
+    def test_an_oid_outside_the_table_raises(self, dictionary, as_array,
+                                             oids, bad):
+        """MISSING_VALUE (-1) must not wrap to the last string, nor may
+        the table's length pass, and the message names the first bad oid,
+        as the per-oid loop did."""
+        if as_array:
+            oids = np.array(oids, dtype=np.int64)
+        with pytest.raises(DictionaryError) as raised:
+            dictionary.decode_many(oids)
+        assert str(raised.value) == f"oid out of range: {bad}"
+
+    def test_decodes_any_iterable(self, dictionary):
+        assert dictionary.decode_many(iter((1, 1))) == ["b", "b"]
 
 
 @given(st.lists(st.text(min_size=0, max_size=30)))

@@ -3,7 +3,7 @@ equivalence against brute-force implementations)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.colstore import vectorops
 from repro.colstore.vectorops import (
@@ -42,6 +42,23 @@ def key_sides(draw):
     pool = st.sampled_from(draw(st.sampled_from(KEY_POOLS)))
     return (draw(st.lists(pool, max_size=14)),
             draw(st.lists(pool, max_size=14)))
+
+
+@st.composite
+def distinct_left_sides(draw):
+    """Distinct left keys, ascending or shuffled, against an unsorted
+    right side: the shape of a star query's type-filtered subjects joined
+    to the union of every property."""
+    pool = draw(st.sampled_from(KEY_POOLS))
+    left = sorted(draw(st.lists(st.sampled_from(pool), unique=True,
+                                min_size=1)))
+    if draw(st.booleans()):
+        left = draw(st.permutations(left))
+    right = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=14))
+    if right == sorted(right):
+        right.reverse()
+    assume(right != sorted(right))
+    return left, right
 
 
 def nested_loop_join(left, right):
@@ -97,6 +114,14 @@ def test_property_join_order_matches_nested_loop(sides):
     assert ordered_pairs(
         join_indices(left, right, assume_sorted=False)
     ) == nested_loop_join(left, right)
+
+
+@given(distinct_left_sides())
+def test_property_distinct_left_join_order_matches_nested_loop(sides):
+    left, right = sides
+    assert ordered_pairs(join_indices(left, right)) == nested_loop_join(
+        left, right
+    )
 
 
 @given(key_sides())
@@ -177,20 +202,41 @@ class TestJoinIsLinear:
             join_indices(self.left, right, assume_sorted=hint)
         assert recorder.calls == []
 
-    def test_unsorted_right_side_sorts_only_the_survivors(self, recorder):
-        li, ri = join_indices(self.left, self.right, assume_sorted=False)
-        survivors = np.isin(self.right, self.left).sum()
+    def joined_in_reference_order(self, left):
+        """Join *left* to the unsorted right side, check the pairs against
+        the match matrix, and return how many right rows survive."""
+        li, ri = join_indices(left, self.right, assume_sorted=False)
+        survivors = np.isin(self.right, left).sum()
         assert 0 < survivors < len(self.right) // 4
         # np.nonzero walks the match matrix row-major: the reference order.
-        expected = np.nonzero(self.left[:, None] == self.right[None, :])
+        expected = np.nonzero(left[:, None] == self.right[None, :])
         assert np.array_equal(li, expected[0])
         assert np.array_equal(ri, expected[1])
+        return survivors
+
+    def test_duplicate_left_keys_sort_only_the_survivors(self, recorder):
+        left = np.concatenate((self.left, self.left[::7]))
+        survivors = self.joined_in_reference_order(left)
         # Two 16-bit radix passes (the span is above 65,536), each over
         # exactly the right rows whose key occurs on the left.
         assert [name for name, _ in recorder.calls] == ["argsort"] * 2
         for _, array in recorder.calls:
             assert array.dtype == np.uint16
             assert len(array) == survivors
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_distinct_left_keys_sort_the_survivors_once(
+        self, recorder, shuffled
+    ):
+        left = np.array(sorted(set(self.left.tolist())), dtype=np.int64)
+        if shuffled:
+            left = np.random.default_rng(5).permutation(left)
+        survivors = self.joined_in_reference_order(left)
+        # Every survivor matches one left row: one sort of the survivors'
+        # (left row, right row) composites, and no probe needs an argsort.
+        (name, array), = recorder.calls
+        assert name == "sort"
+        assert array.dtype == np.int64 and len(array) == survivors
 
     def test_run_join_sorts_and_searches_nothing(self, recorder):
         run_values, run_starts, run_lengths = np.unique(
@@ -201,12 +247,13 @@ class TestJoinIsLinear:
 
     def test_sparse_keys_are_rank_compressed_then_probed(self, recorder):
         """Off the dense path a sort is allowed (the rank compression) —
-        still no search per left key."""
+        still no search per left key, and no ``np.unique``."""
         left, right = self.left * 10**9, self.right * 10**9
         li, ri = join_indices(left, right, assume_sorted=False)
         assert np.array_equal(left[li], right[ri])
-        assert "unique" in {name for name, _ in recorder.calls}
-        assert "searchsorted" not in {name for name, _ in recorder.calls}
+        names = {name for name, _ in recorder.calls}
+        assert "sort" in names
+        assert not names & {"unique", "searchsorted"}
 
 
 class TestFactorize:
@@ -360,6 +407,62 @@ class TestFastPathEquivalence:
         for i in np.unique(li):
             run = ri[li == i]
             assert np.all(run[1:] > run[:-1])
+
+
+def sparse_key_columns(case):
+    """Key columns whose codes the counting table cannot give: a sparse
+    column, one whose ``value << bits | row`` composite would not fit in
+    int64, and 2-3 dense columns whose combined key spans past the
+    table's bound."""
+    rng = np.random.default_rng(len(case))
+    n = 3000
+    if case == "sparse column":
+        return [rng.integers(-500, 500, n) * 10**12]
+    if case == "int64 extremes":
+        column = rng.integers(-(10**6), 10**6, n)
+        column[[3, 7, 11]] = INT64.min, INT64.max, INT64.min
+        return [column]
+    if case == "two columns":
+        return [rng.integers(0, 3000, n), rng.integers(-9, 3000, n)]
+    if case == "three columns":
+        return [rng.integers(0, 400, n) for _ in range(3)]
+    raise AssertionError(case)
+
+
+SPARSE_CASES = ("sparse column", "int64 extremes", "two columns",
+                "three columns")
+
+
+class TestSparseCodes:
+    """Codes off the counting table equal ``np.unique``'s, and only a
+    composite that cannot fit in int64 is left to ``np.unique``."""
+
+    @pytest.mark.parametrize("case", SPARSE_CASES)
+    def test_kernels_equal_the_unique_reference(self, case):
+        columns = [c.astype(np.int64) for c in sparse_key_columns(case)]
+        uniques, first, inverse, counts = np.unique(
+            np.column_stack(columns), axis=0, return_index=True,
+            return_inverse=True, return_counts=True,
+        )
+        codes, n = factorize_rows(columns)
+        assert np.array_equal(codes, inverse.reshape(-1))
+        assert n == len(uniques)
+        keys_out, got_counts = group_count(columns)
+        for got, expected in zip(keys_out, uniques.T):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(got_counts, counts)
+        assert np.array_equal(distinct_rows(columns), first)
+
+    @pytest.mark.parametrize("case", ("sparse column", "two columns"))
+    def test_sparse_codes_sort_once_without_unique(self, recorder, case):
+        columns = sparse_key_columns(case)
+        factorize_rows(columns)
+        (name, array), = recorder.calls
+        assert name == "sort" and len(array) == len(columns[0])
+
+    def test_only_an_unfitting_composite_calls_unique(self, recorder):
+        factorize_rows(sparse_key_columns("int64 extremes"))
+        assert [name for name, _ in recorder.calls] == ["unique"]
 
 
 @given(keys, keys)
