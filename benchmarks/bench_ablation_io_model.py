@@ -29,7 +29,7 @@ def chunked_scan_rate(machine, chunk_bytes):
         sequential_coalescing=False,
     )
     segment = disk.create_segment("scan", SCAN_BYTES)
-    pool.read_segment(segment)
+    pool.read_span(segment, *segment.page_span(0, segment.nbytes))
     return SCAN_BYTES / clock.timing().real_seconds / MB
 
 

@@ -322,17 +322,11 @@ class BufferPool:
     # reads
     # ------------------------------------------------------------------
 
-    def read(self, segment, first_byte=0, nbytes=None):
-        """Read a byte range of *segment*, charging I/O for page misses.
-
-        Returns the number of bytes actually transferred from disk (0 when
-        the range was fully cached).
-        """
-        return self.read_span(segment, *segment.page_span(first_byte, nbytes))
-
     def read_span(self, segment, start, end):
-        """:meth:`read` by global page span ``[start, end)`` — for callers
-        that resolved ``segment.page_span(...)`` ahead of time."""
+        """Read the global page span ``[start, end)`` of *segment* (a
+        ``segment.page_span(first_byte, nbytes)``), charging I/O for page
+        misses.  Returns the number of bytes actually transferred from
+        disk (0 when the span was fully cached)."""
         lru, capacity = self._lru, self.capacity_pages
         hits, miss_runs = lru.install(start, end) if start < end else (0, ())
         evictions = lru.trim(capacity)
@@ -415,11 +409,6 @@ class BufferPool:
             self._counts[5] += quiet
             if tracer.enabled:
                 tracer.current_add(page_hits=hits)
-
-    def read_segment(self, name_or_segment):
-        """Read a whole segment (a full column / table scan)."""
-        segment = self._resolve(name_or_segment)
-        return self.read(segment, 0, segment.nbytes)
 
     def read_pages(self, segment, page_indices, scattered=False):
         """Read pages of *segment* by number (index lookups, row fetches).
@@ -531,11 +520,6 @@ class BufferPool:
             if evictions:
                 tracer.current_add(evictions=evictions)
         return transferred
-
-    def _resolve(self, name_or_segment):
-        if isinstance(name_or_segment, str):
-            return self.disk.segment(name_or_segment)
-        return name_or_segment
 
     def _requests_for_run(self, run_bytes, run_start):
         if self.max_run_bytes is None:

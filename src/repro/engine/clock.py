@@ -91,15 +91,16 @@ class QueryClock:
     CPU charges arrive two ways.  :meth:`charge_cpu` is the scalar API:
     validate, scale, add.  :meth:`cpu_log` hands a per-tuple operator the
     bound ``append`` of one ordered pending list of ``"execute"`` charges
-    (:meth:`charge_cpu_many` extends the same list), and :meth:`_flush`
-    folds that list onto the accumulators.  The two are interchangeable
-    bit for bit, for three reasons:
+    (:meth:`cpu_log_extend` and :meth:`charge_cpu_many` extend the same
+    list), and :meth:`_flush` folds that list onto the accumulators.  The
+    two are interchangeable bit for bit, for three reasons:
 
     * **strict left fold** — each entry is scaled by ``cpu_scale`` and
       added to the running accumulator in arrival order, by a Python loop
-      or by ``np.add.accumulate`` over ``[accumulator, *scaled]``, which
-      computes every prefix sequentially.  Builtin ``sum`` and ``np.sum``
-      are compensated/pairwise and would round differently.
+      or by ``np.add.accumulate`` over ``[accumulator + scaled[0],
+      *scaled[1:]]``, which computes every prefix sequentially.  Builtin
+      ``sum`` and ``np.sum`` are compensated/pairwise and would round
+      differently.
     * **flush points** — the log is folded before anything can observe
       or interleave with the accumulators: :meth:`charge_io` (the
       Figure-5 trace samples :meth:`real_seconds`), a scalar
@@ -109,8 +110,8 @@ class QueryClock:
       different operators; a log per operator would regroup the float
       additions, one log keeps the global order.
 
-    :meth:`reset` clears the log in place, so a bound ``append`` obtained
-    once per operator never goes stale.
+    :meth:`reset` clears the log in place, so a bound ``append`` or
+    ``extend`` obtained once per operator never goes stale.
     """
 
     def __init__(self, machine):
@@ -150,6 +151,11 @@ class QueryClock:
         per-tuple loops.  Entries are validated when the log is folded."""
         return self._pending.append
 
+    def cpu_log_extend(self):
+        """``charges(iterable)``: append every charge of *iterable* to the
+        pending log, in order — :meth:`cpu_log` for a batch of tuples."""
+        return self._pending.extend
+
     def charge_cpu_many(self, seconds, n):
         """Log *n* consecutive ``"execute"`` charges of *seconds* each."""
         self._pending.extend(repeat(seconds, n))
@@ -173,17 +179,19 @@ class QueryClock:
                     cpu += scaled
                     execute += scaled
             else:
-                terms = np.empty(len(pending) + 1)
-                scaled = terms[1:]
-                scaled[:] = pending
+                scaled = np.fromiter(pending, float, len(pending))
                 # min/max propagate NaN, so one comparison each covers it.
                 if not (scaled.min() >= 0 and scaled.max() < _INF):
                     raise ValueError(_BAD_CPU_CHARGE)
                 scaled *= scale
-                terms[0] = cpu
-                cpu = float(np.add.accumulate(terms)[-1])
-                terms[0] = execute
-                execute = float(np.add.accumulate(terms)[-1])
+                # The fold's first step, ``accumulator + scaled[0]``, is
+                # done here, so the array needs no slot for the
+                # accumulator and the rest is the same sequential sum.
+                first = scaled[0]
+                scaled[0] = cpu + first
+                cpu = float(np.add.accumulate(scaled)[-1])
+                scaled[0] = execute + first
+                execute = float(np.add.accumulate(scaled)[-1])
         finally:
             pending.clear()
         self._cpu_seconds = cpu

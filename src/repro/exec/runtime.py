@@ -16,7 +16,8 @@ around their operator bodies:
 * **Materialization** — the vector paradigm threads a needed-column set
   down and returns :class:`Intermediate` relations; the pull paradigm
   builds a :class:`Stream` tree and drains it into a
-  :class:`~repro.relation.Relation`.
+  :class:`~repro.relation.Relation` (:meth:`Stream.drain`: every row at
+  once, with the charges a full pull would log, in the same order).
 
 Operator functions receive the runtime as their first argument and call
 :meth:`Runtime.run_child` / :meth:`Runtime.build_child` to evaluate their
@@ -54,16 +55,45 @@ class Intermediate:
 
 
 class Stream:
-    """A pull-engine stream of tuples plus its (qualified) column names."""
+    """A pull-engine stream of tuples plus its (qualified) column names.
 
-    __slots__ = ("columns", "_iterator")
+    A pipelined parent iterates the stream, one tuple per ``next()``; a
+    materialising parent calls :meth:`drain`.  An operator that can make
+    its rows and charges in bulk passes its own *drain* (``suffix ->
+    list``); any other stream drains by pulling, and logs a suffix through
+    *log*, the clock's :meth:`~repro.engine.clock.QueryClock.cpu_log_extend`,
+    which :meth:`Runtime.build_child` sets on every stream it returns.
+    A *materialised* stream builds all its rows before the first and logs
+    no charge for any row it hands over.
+    """
 
-    def __init__(self, columns, iterator):
+    __slots__ = ("columns", "_iterator", "_drain", "materialised", "log")
+
+    def __init__(self, columns, iterator, drain=None, materialised=False):
         self.columns = list(columns)
         self._iterator = iterator
+        self._drain = drain
+        self.materialised = materialised
+        self.log = None
 
     def __iter__(self):
         return iter(self._iterator)
+
+    def drain(self, suffix=()):
+        """Every row, as a list, having logged exactly the charges a full
+        pull logs, with *suffix* — the charges the consumer logs for each
+        row it receives — after each row's own charges, so the clock folds
+        the same floats in the same order."""
+        if self._drain is not None:
+            return self._drain(suffix)
+        if not suffix:
+            return list(self._iterator)
+        rows = []
+        keep, log = rows.append, self.log
+        for row in self._iterator:
+            keep(row)
+            log(suffix)
+        return rows
 
     def position(self, column):
         try:
@@ -152,7 +182,7 @@ class Runtime:
             return result.relation
         stream = self.build_child(physical)
         out_names = physical.logical.output_columns()
-        rows = list(stream)
+        rows = stream.drain()
         oid = set(out_names) - L.count_columns(physical.logical)
         return Relation.from_rows(out_names, rows, oid_columns=oid)
 
@@ -205,7 +235,9 @@ class Runtime:
         Pull executors are lazy — an operator's work happens inside its
         generator while a parent pulls — so attribution brackets each
         ``next()`` call; pulls from child streams (themselves wrapped)
-        subtract automatically.
+        subtract automatically.  A wrapped stream (traced, or polling a
+        cancel token per row) drains by pulling, so its spans and polls
+        stay per row.
         """
         token = self.cancel_token
         if token is not None:
@@ -217,7 +249,8 @@ class Runtime:
             )
         tracer = self.engine.tracer
         if tracer.enabled:
-            return self._traced_stream(pnode.logical, stream, tracer)
+            stream = self._traced_stream(pnode.logical, stream, tracer)
+        stream.log = self.clock.cpu_log_extend()
         return stream
 
     @staticmethod
@@ -249,4 +282,3 @@ class Runtime:
             tracer.set_rows(node, rows)
 
         return Stream(stream.columns, generate())
-

@@ -12,23 +12,34 @@ describes observing in DBX's plans:
   materialized tuple-at-a-time with row-store CPU costs.
 
 Operator functions return lazy :class:`~repro.exec.runtime.Stream` trees;
-the work happens inside generators while a parent pulls, and the shared
-runtime brackets every pull with the bound logical node's trace span.
+a pipelined parent pulls them a tuple at a time, and the work happens
+inside generators while it does.  A materialising parent (the query's
+result, both hash-join inputs, the index-nested-loop outer, sort and
+group) drains its input instead (:meth:`Stream.drain
+<repro.exec.runtime.Stream.drain>`): all rows at once, with the charges
+a full pull logs, and the consumer's own per-row charge as a *suffix*
+after each row's, so the clock folds the same floats in the same order.
+A traced or cancellable run wraps every stream, brackets every pull with
+the bound logical node's trace span (or polls the cancel token), and a
+wrapped stream drains by pulling.
 
 Per-tuple work stays out of the interpreter where it can: CPU charges
 are appended to the clock's ordered pending log
 (:meth:`~repro.engine.clock.QueryClock.cpu_log` — same charges, same
-order, folded exactly), predicates are tested by one C-level call
+order, folded exactly), in a drain as one repeated pattern per run of
+rows that log alike, predicates are tested by one C-level call
 (``Comparison.test``), and tuples are reshaped by one C-level callable
 built once per stream (:func:`_row_shaper`).  A base-table access is
 worked out once per lowered node (:func:`_resolve_access`), an
 index-nested-loop probe once per outer row (:func:`_index_access`): a
 run charges its descent and heap read in one buffer-pool pass and then
-loops over the rows.
+loops over the rows.  A union's Project/Extend branches over an access,
+and a join's index-nested-loop candidate, are resolved once per lowered
+node as well (:func:`_resolve_branch`, :func:`_resolve_index_join`).
 """
 
-from collections import namedtuple
-from itertools import islice, repeat
+from collections import Counter, namedtuple
+from itertools import compress, groupby, islice, repeat
 from operator import add, itemgetter
 
 from repro.engine.buffer import CPU, NOTE, PAGES, SPAN, _page_runs
@@ -227,7 +238,9 @@ def _heap_charges(table, index, row_ids):
 
 def _run_access(rt, access):
     """A stream over a resolved access: one charge-list pass for the
-    descent and the heap read on the first pull, then the rows."""
+    descent and the heap read on the first pull, then the rows.  An
+    access that :func:`_drain_access` can run drains in bulk; any other
+    drains by pulling, one row at a time."""
     columns, rows, charges, preds, cross, shape = access
     charge = rt.clock.cpu_log()
     scan_tuple, select_tuple = rt.costs.scan_tuple, rt.costs.select_tuple
@@ -249,7 +262,44 @@ def _run_access(rt, access):
                 else:
                     yield shape(row)
 
-    return Stream(columns, generate())
+    drain = None
+    if _drains_in_bulk(access):
+        def drain(suffix):
+            return list(map(shape, _drain_access(rt, access, suffix)))
+
+    return Stream(columns, generate(), drain)
+
+
+def _drains_in_bulk(access):
+    """Whether :func:`_drain_access` can run *access*: no cross predicate
+    and at most one residual predicate."""
+    return not access.cross and len(access.preds) <= 1
+
+
+def _drain_access(rt, access, suffix):
+    """The heap rows *access* keeps, unshaped, read and charged in bulk:
+    one charge-list pass, then the log gets every row's charges in the
+    order the per-row loop logs them — ``scan_tuple``, a ``select_tuple``
+    for the residual predicate, and *suffix* after each kept row's — as
+    one repeated pattern per run of rows that log the same."""
+    rows, charges, preds = access.rows, access.charges, access.preds
+    if charges:
+        rt.pool.read_spans(charges, rt)
+    costs = rt.costs
+    log = rt.clock.cpu_log_extend()
+    if not preds:
+        log(((costs.scan_tuple,) + suffix) * len(rows))
+        return rows
+    (pos, test), = preds
+    mask = [test(row[pos]) for row in rows]
+    fail = (costs.scan_tuple, costs.select_tuple)
+    if not suffix:
+        log(fail * len(rows))
+    else:
+        patterns = (fail, fail + suffix)
+        for kept, run in groupby(mask):
+            log(patterns[kept] * len(list(run)))
+    return compress(rows, mask)
 
 
 @matches(L.Select, L.Scan)
@@ -267,6 +317,12 @@ def _match_access_path(node):
     "(clustered wins ties) with residual filters, else a heap scan",
 )
 def access_path(rt, pnode):
+    return _run_access(rt, _access_of(rt, pnode))
+
+
+def _access_of(rt, pnode):
+    """The :class:`_Access` of an ``access-path`` node, resolved on its
+    first use and kept on the node."""
     access = pnode.resolved
     if access is None:
         node = pnode.logical
@@ -275,7 +331,7 @@ def access_path(rt, pnode):
         else:
             access = _resolve_access(rt, node, ())
         pnode.resolved = access
-    return _run_access(rt, access)
+    return access
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +363,30 @@ def _filter(rt, stream, predicates):
             else:
                 yield row
 
-    return Stream(stream.columns, generate())
+    if not stream.materialised:
+        return Stream(stream.columns, generate())
+    log = rt.clock.cpu_log_extend()
+
+    def drain(suffix):
+        # A HAVING over a group: drained by a plain loop, it makes no
+        # call per group.  The input's rows log nothing of their own, so
+        # the filter's charges and *suffix* are all a row adds to the log.
+        kept = []
+        keep = kept.append
+        for row in stream.drain():
+            for left, right, test in compiled:
+                charge(select_tuple)
+                if right is None:
+                    if not test(row[left]):
+                        break
+                elif not test(row[left], row[right]):
+                    break
+            else:
+                keep(row)
+                log(suffix)
+        return kept
+
+    return Stream(stream.columns, generate(), drain)
 
 
 @ROW_OPS.operator(
@@ -336,7 +415,10 @@ def project(rt, pnode):
     stream = rt.build_child(pnode.children[0])
     mapping = pnode.logical.mapping
     shape = _row_shaper([stream.position(i) for _, i in mapping])
-    return Stream([o for o, _ in mapping], map(shape, stream))
+    return Stream(
+        [o for o, _ in mapping], map(shape, stream),
+        lambda suffix: list(map(shape, stream.drain(suffix))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +479,14 @@ def _index_nested_loop(rt, outer, outer_col, scan, inner_preds,
 
 
 def _hash_join_streams(rt, left, right, on):
-    left_rows = list(left)
-    right_rows = list(right)
+    left_rows = left.drain()
+    right_rows = right.drain()
     # The join key never leaves this operator, so a one-column key may
     # stay the bare value itemgetter returns.
     lkey = itemgetter(*(left.position(l) for l, _ in on))
     rkey = itemgetter(*(right.position(r) for _, r in on))
     costs, clock = rt.costs, rt.clock
+    hash_probe, union_tuple = costs.hash_probe, costs.union_tuple
     charge = clock.cpu_log()
 
     if len(left_rows) <= len(right_rows):
@@ -415,14 +498,17 @@ def _hash_join_streams(rt, left, right, on):
         probe_rows, probe_key = left_rows, lkey
         build_is_left = False
 
-    def generate():
-        hash_probe, union_tuple = costs.hash_probe, costs.union_tuple
+    def build():
         table = {}
         # The build input is materialized: nothing interleaves with its
         # per-row charges, so they are logged as one run.
         clock.charge_cpu_many(costs.hash_build, len(build_rows))
         for row in build_rows:
             table.setdefault(build_key(row), []).append(row)
+        return table
+
+    def generate():
+        table = build()
         for row in probe_rows:
             charge(hash_probe)
             matches = table.get(probe_key(row), ())
@@ -433,7 +519,61 @@ def _hash_join_streams(rt, left, right, on):
                 else:
                     yield row + match
 
-    return Stream(left.columns + right.columns, generate())
+    def drain(suffix):
+        # The pull loop without its yields: *suffix* follows each
+        # match's ``union_tuple``.
+        get = build().get
+        per_match = (union_tuple,) + suffix
+        charges = clock.cpu_log_extend()
+        rows = []
+        emit = rows.append
+        for row in probe_rows:
+            charge(hash_probe)
+            matches = get(probe_key(row))
+            if matches:
+                for match in matches:
+                    charges(per_match)
+                    emit(match + row if build_is_left else row + match)
+        return rows
+
+    return Stream(left.columns + right.columns, generate(), drain)
+
+
+#: ``adaptive_join``'s index-nested-loop candidate, resolved once per
+#: lowered node (``PhysicalPlan.resolved``): the *inner* side's physical
+#: node, whose base access has an index leading on the join column, the
+#: *outer* side's node and join column, whether the inner side is the
+#: join's left (*swap*), the inner access's scan, residual predicates,
+#: table and index, and the bytes one probe reads cold at most
+#: (*probe_bytes*: the index's height plus a heap page).
+_IndexJoin = namedtuple(
+    "_IndexJoin",
+    "inner outer outer_col swap scan preds table index probe_bytes",
+)
+
+
+def _resolve_index_join(rt, pnode):
+    """The :class:`_IndexJoin` of a one-column join whose right side (or,
+    failing that, its left) could be probed through an index, else
+    ``()``."""
+    node = pnode.logical
+    if len(node.on) != 1:
+        return ()
+    (lcol, rcol), = node.on
+    left, right = pnode.children
+    for inner, inner_col, outer, outer_col, swap in (
+        (right, rcol, left, lcol, False),
+        (left, lcol, right, rcol, True),
+    ):
+        candidate = _inner_candidate(rt, inner.logical, inner_col)
+        if candidate is not None:
+            _, _, table, index = candidate
+            probe_pages = 1 + index.tree.height()
+            return _IndexJoin(
+                inner, outer, outer_col, swap, *candidate,
+                probe_pages * table.heap_segment.page_size,
+            )
+    return ()
 
 
 @ROW_OPS.operator(
@@ -444,45 +584,33 @@ def _hash_join_streams(rt, left, right, on):
 )
 def adaptive_join(rt, pnode):
     node = pnode.logical
-    left_pnode, right_pnode = pnode.children
-    if rt.join_strategy != "hash" and len(node.on) == 1:
-        (lcol, rcol), = node.on
-        for inner_pnode, inner_col, outer_pnode, outer_col, swap in (
-            (right_pnode, rcol, left_pnode, lcol, False),
-            (left_pnode, lcol, right_pnode, rcol, True),
+    choice = pnode.resolved
+    if choice is None:
+        choice = pnode.resolved = _resolve_index_join(rt, pnode)
+    if rt.join_strategy != "hash" and choice:
+        inner_pnode, outer_pnode, outer_col, swap, scan, inner_preds, \
+            table, index, probe_bytes = choice
+        # Materialize the outer to learn its cardinality: a small outer
+        # probes the index; a large one would touch more pages than a
+        # scan, so the optimizer falls back to a hash join.
+        outer = rt.build_child(outer_pnode)
+        rows = outer.drain()
+        materialized = Stream(outer.columns, iter(rows))
+        # Cost rule: each probe touches ~(height + 1) pages cold, so
+        # prefer the index only when that upper bound beats a scan.
+        if rt.join_strategy == "inl" or (
+            len(rows) <= INL_MAX_OUTER
+            and len(rows) * probe_bytes < max(table.heap_segment.nbytes, 1)
         ):
-            inner = _inner_candidate(rt, inner_pnode.logical, inner_col)
-            if inner is None:
-                continue
-            scan, inner_preds, table, index = inner
-            # Materialize the outer to learn its cardinality: a small
-            # outer probes the index; a large one would touch more pages
-            # than a scan, so the optimizer falls back to a hash join.
-            outer = rt.build_child(outer_pnode)
-            rows = list(outer)
-            materialized = Stream(outer.columns, iter(rows))
-            # Cost rule: each probe touches ~(height + 1) pages cold, so
-            # prefer the index only when that upper bound beats a scan.
-            probe_pages = 1 + index.tree.height()
-            probed_bytes = (
-                len(rows) * probe_pages * table.heap_segment.page_size
+            return _index_nested_loop(
+                rt, materialized, outer_col, scan, inner_preds,
+                table, index, swap=swap,
             )
-            if rt.join_strategy == "inl" or (
-                len(rows) <= INL_MAX_OUTER
-                and probed_bytes < max(table.heap_segment.nbytes, 1)
-            ):
-                return _index_nested_loop(
-                    rt, materialized, outer_col, scan, inner_preds,
-                    table, index, swap=swap,
-                )
-            inner_stream = rt.build_child(inner_pnode)
-            if swap:
-                return _hash_join_streams(
-                    rt, inner_stream, materialized, [(lcol, rcol)]
-                )
-            return _hash_join_streams(
-                rt, materialized, inner_stream, [(lcol, rcol)]
-            )
+        inner_stream = rt.build_child(inner_pnode)
+        if swap:
+            return _hash_join_streams(rt, inner_stream, materialized, node.on)
+        return _hash_join_streams(rt, materialized, inner_stream, node.on)
+    left_pnode, right_pnode = pnode.children
     left = rt.build_child(left_pnode)
     right = rt.build_child(right_pnode)
     return _hash_join_streams(rt, left, right, node.on)
@@ -491,6 +619,23 @@ def adaptive_join(rt, pnode):
 # ---------------------------------------------------------------------------
 # grouping, union, distinct
 # ---------------------------------------------------------------------------
+
+def _materialised(rt, columns, build):
+    """A stream over the list *build* returns, built on the first pull or
+    by a drain.  Its rows log nothing of their own, so a drain's suffix is
+    one run of *suffix* per row."""
+    log = rt.clock.cpu_log_extend()
+
+    def generate():
+        yield from build()
+
+    def drain(suffix):
+        rows = build()
+        log(suffix * len(rows))
+        return rows
+
+    return Stream(columns, generate(), drain, materialised=True)
+
 
 @ROW_OPS.operator(
     "hash-group", match_type(L.GroupBy),
@@ -504,38 +649,75 @@ def hash_group(rt, pnode):
         (func, child.position(input_column))
         for func, input_column, _ in node.aggregates
     ]
-    charge = rt.clock.cpu_log()
     row_charge = group_unit_cost(rt.costs, len(agg_specs))
 
-    def generate():
+    def groups():
+        rows = child.drain((row_charge,))
+        if not agg_specs:
+            if not node.keys:
+                return [(len(rows),)]
+            counts = Counter(map(group_key, rows))
+            return [key + (counts[key],) for key in sorted(counts)]
         counts = {}
         accumulators = {}
-        n_rows = 0
-        for row in child:
-            n_rows += 1
-            charge(row_charge)
+        for row in rows:
             key = group_key(row)
             counts[key] = counts.get(key, 0) + 1
-            if agg_specs:
-                current = accumulators.get(key)
-                if current is None:
-                    accumulators[key] = [row[pos] for _, pos in agg_specs]
-                else:
-                    for i, (func, pos) in enumerate(agg_specs):
-                        current[i] = update_accumulator(
-                            func, current[i], row[pos]
-                        )
+            current = accumulators.get(key)
+            if current is None:
+                accumulators[key] = [row[pos] for _, pos in agg_specs]
+            else:
+                for i, (func, pos) in enumerate(agg_specs):
+                    current[i] = update_accumulator(func, current[i], row[pos])
         if not node.keys:
-            aggregates = tuple(
+            return [(len(rows),) + tuple(
                 accumulators.get((), [MISSING_VALUE] * len(agg_specs))
-            ) if agg_specs else ()
-            yield (n_rows,) + tuple(aggregates)
-            return
-        for key in sorted(counts):
-            aggregates = tuple(accumulators[key]) if agg_specs else ()
-            yield key + (counts[key],) + aggregates
+            )]
+        return [
+            key + (counts[key],) + tuple(accumulators[key])
+            for key in sorted(counts)
+        ]
 
-    return Stream(node.output_columns(), generate())
+    return _materialised(rt, node.output_columns(), groups)
+
+
+#: A union branch the drain runs from its resolved access: every output
+#: row is ``shape(heap_row + tail)``, the branch's Project and Extend
+#: steps composed into one constant *tail* and one shaper.
+_Branch = namedtuple("_Branch", "access tail shape")
+
+
+def _resolve_branch(rt, pnode):
+    """The :class:`_Branch` of a union branch that is Project / Extend
+    steps over a base-table access :func:`_drain_access` can run, else
+    ``None``."""
+    steps = []
+    while pnode.op.fn is project or pnode.op.fn is extend:
+        steps.append(pnode.logical)
+        pnode = pnode.children[0]
+    if pnode.op.fn is not access_path:
+        return None
+    access = _access_of(rt, pnode)
+    if not _drains_in_bulk(access):
+        return None
+    node = pnode.logical
+    scan = node.child if isinstance(node, L.Select) else node
+    table = rt.engine.table(scan.table)
+    width = len(table.columns)
+    # Where each column of the rows so far comes from in ``heap_row +
+    # tail``.
+    columns = list(access.columns)
+    sources = [table.column_position(c) for c in scan.base_columns]
+    tail = ()
+    for step in reversed(steps):
+        if isinstance(step, L.Extend):
+            columns.append(step.column)
+            sources.append(width + len(tail))
+            tail += (extend_fill_value(step.value),)
+        else:
+            sources = [sources[columns.index(i)] for _, i in step.mapping]
+            columns = [o for o, _ in step.mapping]
+    return _Branch(access, tail, _row_shaper(sources))
 
 
 @ROW_OPS.operator(
@@ -560,7 +742,25 @@ def pull_union(rt, pnode):
                     seen.add(row)
                     yield row
 
-    return Stream(out_columns, generate())
+    def drain(suffix):
+        branches = pnode.resolved
+        if branches is None:
+            branches = pnode.resolved = tuple(
+                _resolve_branch(rt, child) for child in pnode.children
+            )
+        per_row = (union_tuple,) + suffix
+        rows = []
+        for child_pnode, branch in zip(pnode.children, branches):
+            if branch is None:
+                rows += rt.build_child(child_pnode).drain(per_row)
+                continue
+            kept = _drain_access(rt, branch.access, per_row)
+            if branch.tail:
+                kept = map(add, kept, repeat(branch.tail))
+            rows += map(branch.shape, kept)
+        return rows
+
+    return Stream(out_columns, generate(), None if node.distinct else drain)
 
 
 @ROW_OPS.operator(
@@ -570,9 +770,10 @@ def pull_union(rt, pnode):
 def extend(rt, pnode):
     stream = rt.build_child(pnode.children[0])
     node = pnode.logical
-    value = extend_fill_value(node.value)
+    tail = (extend_fill_value(node.value),)
     return Stream(
-        stream.columns + [node.column], map(add, stream, repeat((value,)))
+        stream.columns + [node.column], map(add, stream, repeat(tail)),
+        lambda suffix: list(map(add, stream.drain(suffix), repeat(tail))),
     )
 
 
@@ -586,15 +787,15 @@ def tuple_sort(rt, pnode):
     positions = [(stream.position(c), d == "desc") for c, d in node.keys]
     costs, clock = rt.costs, rt.clock
 
-    def generate():
-        rows = list(stream)
+    def sorted_rows():
+        rows = stream.drain()
         clock.charge_cpu(sort_cost(costs, len(rows)))
         # Stable sorts applied last-key-first realize mixed asc/desc.
         for pos, descending in reversed(positions):
             rows.sort(key=itemgetter(pos), reverse=descending)
-        yield from rows
+        return rows
 
-    return Stream(stream.columns, generate())
+    return _materialised(rt, stream.columns, sorted_rows)
 
 
 @ROW_OPS.operator(

@@ -317,11 +317,19 @@ class Twins:
                         _charge_one_by_one(pool, clock, segments, entry,
                                            context)
                 results.append(notes)
-            elif kind == "read":
-                _, s, first_byte, nbytes = op
-                results.append(pool.read(segments[s], first_byte, nbytes))
-            elif kind == "read_segment":
-                results.append(pool.read_segment(segments[op[1]]))
+            elif kind in ("read", "read_segment"):
+                # A byte range, or the whole segment; the shipped pool
+                # reads it as the global page span it covers.
+                segment = segments[op[1]]
+                span = op[2:]
+                if pool is self.pool:
+                    results.append(
+                        pool.read_span(segment, *segment.page_span(*span))
+                    )
+                elif span:
+                    results.append(pool.read(segment, *span))
+                else:
+                    results.append(pool.read_segment(segment))
             else:
                 _, s, pages, scattered = op
                 results.append(
@@ -494,7 +502,7 @@ class TestOrderings:
         assert twins.pool.stats()["evictions"] == 2      # 7, then 0
 
     def test_read_pages_counts_a_page_its_own_flush_evicted_as_a_miss(self):
-        """Unlike ``read``, ``read_pages`` tests residency page by page:
+        """Unlike ``read_span``, ``read_pages`` tests residency page by page:
         page 5 is resident when the call starts, but installing the miss
         run [0, 2) evicts it before the walk gets there."""
         twins = Twins([8], capacity_pages=2)
@@ -521,10 +529,11 @@ def test_a_range_read_makes_the_same_calls_whatever_its_page_count(
         pool = BufferPool(disk, QueryClock(MACHINE), 8_000 * PAGE)
         other = disk.create_segment("other", 3 * PAGE)
         segment = disk.create_segment("column", pages * PAGE)
-        pool.read_segment(other)
+        pool.read_span(other, *other.page_span())
         counts[pages] = (
-            calls(lambda: pool.read(segment, 0, segment.nbytes)),  # cold
-            calls(lambda: pool.read(segment, 0, segment.nbytes)),  # hot
+            # Cold, then hot.
+            calls(lambda: pool.read_span(segment, *segment.page_span())),
+            calls(lambda: pool.read_span(segment, *segment.page_span())),
             calls(lambda: pool.is_resident(segment)),
         )
         assert pool.stats()["page_misses"] == 3 + pages

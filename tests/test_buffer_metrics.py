@@ -42,7 +42,7 @@ class TestSequentialAccounting:
     def test_cold_scan_counts_and_charges(self):
         disk, clock, pool = make_pool()
         segment = disk.create_segment("col", 10 * PAGE)
-        transferred = pool.read_segment("col")
+        transferred = pool.read_span(segment, *segment.page_span())
         assert transferred == 10 * PAGE
         assert pool.stats() == {
             "page_hits": 0,
@@ -62,10 +62,10 @@ class TestSequentialAccounting:
 
     def test_hot_scan_is_all_hits(self):
         disk, clock, pool = make_pool()
-        disk.create_segment("col", 10 * PAGE)
-        pool.read_segment("col")
+        col = disk.create_segment("col", 10 * PAGE)
+        pool.read_span(col, *col.page_span())
         before = clock.real_seconds()
-        assert pool.read_segment("col") == 0
+        assert pool.read_span(col, *col.page_span()) == 0
         stats = pool.stats()
         assert stats["page_hits"] == 10
         assert stats["page_misses"] == 10  # from the cold scan only
@@ -74,9 +74,10 @@ class TestSequentialAccounting:
     def test_partial_residency_reads_only_misses(self):
         disk, clock, pool = make_pool()
         segment = disk.create_segment("col", 10 * PAGE)
-        pool.read(segment, 0, 4 * PAGE)  # pages 0-3 now hot
+        # Pages 0-3 now hot.
+        pool.read_span(segment, *segment.page_span(0, 4 * PAGE))
         pool.reset_stats()
-        pool.read_segment("col")
+        pool.read_span(segment, *segment.page_span())
         stats = pool.stats()
         assert stats["page_hits"] == 4
         assert stats["page_misses"] == 6
@@ -84,8 +85,8 @@ class TestSequentialAccounting:
 
     def test_request_splitting_at_max_run_bytes(self):
         disk, clock, pool = make_pool(max_run_bytes=2 * PAGE)
-        disk.create_segment("col", 10 * PAGE)
-        pool.read_segment("col")
+        col = disk.create_segment("col", 10 * PAGE)
+        pool.read_span(col, *col.page_span())
         # One 10-page miss run split into ceil(10/2) = 5 requests.
         assert pool.stats()["disk_requests"] == 5
         assert clock.seek_seconds() == pytest.approx(5 * LATENCY)
@@ -94,19 +95,19 @@ class TestSequentialAccounting:
     def test_sequential_continuation_pays_no_new_seek(self):
         disk, clock, pool = make_pool()
         segment = disk.create_segment("col", 10 * PAGE)
-        pool.read(segment, 0, 5 * PAGE)
+        pool.read_span(segment, *segment.page_span(0, 5 * PAGE))
         assert clock.seek_seconds() == pytest.approx(LATENCY)
         # The next read starts exactly where the disk head stopped: it rides
         # readahead, so bytes are charged but no request/seek is.
-        pool.read(segment, 5 * PAGE, 5 * PAGE)
+        pool.read_span(segment, *segment.page_span(5 * PAGE, 5 * PAGE))
         assert clock.seek_seconds() == pytest.approx(LATENCY)
         assert pool.stats()["disk_requests"] == 1
         assert pool.stats()["bytes_transferred"] == 10 * PAGE
 
     def test_evictions_counted(self):
         disk, clock, pool = make_pool(capacity_pages=4)
-        disk.create_segment("col", 10 * PAGE)
-        pool.read_segment("col")
+        col = disk.create_segment("col", 10 * PAGE)
+        pool.read_span(col, *col.page_span())
         assert pool.stats()["evictions"] == 6
         assert pool.resident_pages() == 4
 
@@ -153,10 +154,10 @@ class TestObservedAccounting:
 
     def test_labeled_counters(self):
         disk, clock, pool, tracer = self._observed_pool()
-        disk.create_segment("col", 10 * PAGE)
+        col = disk.create_segment("col", 10 * PAGE)
         with tracer.run():
-            pool.read_segment("col")
-            pool.read_segment("col")
+            pool.read_span(col, *col.page_span())
+            pool.read_span(col, *col.page_span())
         assert tracer.root.counts == {
             "page_hits": 10, "page_misses": 10, "disk_requests": 1,
         }
@@ -182,15 +183,15 @@ class TestObservedAccounting:
 
     def test_eviction_counter(self):
         disk, clock, pool, tracer = self._observed_pool(capacity_pages=4)
-        disk.create_segment("col", 10 * PAGE)
-        disk.create_segment("small", 2 * PAGE)
+        col = disk.create_segment("col", 10 * PAGE)
+        small = disk.create_segment("small", 2 * PAGE)
         with tracer.run():
             with tracer.span("scan"):
-                pool.read_segment("col")
+                pool.read_span(col, *col.page_span())
             with tracer.span("small"):
-                pool.read_segment("small")
+                pool.read_span(small, *small.page_span())
             with tracer.span("hot"):
-                pool.read_segment("small")
+                pool.read_span(small, *small.page_span())
         assert tracer.root.child_named("scan").counts["evictions"] == 6
         assert tracer.root.child_named("small").counts["evictions"] == 2
         # The key appears only on a span that evicted.
@@ -199,12 +200,12 @@ class TestObservedAccounting:
 
     def test_active_span_receives_counts(self):
         disk, clock, pool, tracer = self._observed_pool()
-        disk.create_segment("col", 4 * PAGE)
+        col = disk.create_segment("col", 4 * PAGE)
         with tracer.run():
             with tracer.span("scan"):
-                pool.read_segment("col")
+                pool.read_span(col, *col.page_span())
             with tracer.span("rescan"):
-                pool.read_segment("col")
+                pool.read_span(col, *col.page_span())
         scan = tracer.root.child_named("scan")
         rescan = tracer.root.child_named("rescan")
         assert scan.counts == {
@@ -217,7 +218,7 @@ class TestObservedAccounting:
     def test_segment_read_log(self):
         disk, clock, pool, tracer = self._observed_pool()
         segment = disk.create_segment("heap", 10 * PAGE)
-        pool.read_segment("heap")
+        pool.read_span(segment, *segment.page_span())
         pool.read_pages(segment, [0, 2], scattered=True)  # all hits: no read
         stats = disk.read_stats()["heap"].to_dict()
         assert stats["reads"] == 1
@@ -230,8 +231,8 @@ class TestObservedAccounting:
 
     def test_disabled_observation_keeps_plain_counters_only(self):
         disk, clock, pool = make_pool()
-        disk.create_segment("col", 4 * PAGE)
-        pool.read_segment("col")
+        col = disk.create_segment("col", 4 * PAGE)
+        pool.read_span(col, *col.page_span())
         assert pool.stats()["page_misses"] == 4
         # No tracer installed: the per-query sink is the inert one, while
         # the segment log (always on) still saw the read.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.colstore import ColumnStoreEngine
+from repro.observe import Tracer
 from repro.plan import (
     ColumnComparison,
     Comparison,
@@ -200,10 +201,21 @@ def plans(draw):
 @settings(deadline=None, max_examples=60)
 @given(plan=plans())
 def test_engines_agree_on_random_plans(engines, plan):
+    """Both engines return the same bag; the row engine's untraced run
+    (materialising consumers drain their inputs) and its traced run
+    (every stream pulled row by row) charge the same ``QueryTiming``."""
     col, row = engines
     expected = col.execute(plan).sorted_tuples(order=plan.output_columns())
-    got = row.execute(plan).sorted_tuples(order=plan.output_columns())
+    relation, untraced = row.run(plan, mode="cold")
+    got = relation.sorted_tuples(order=plan.output_columns())
     assert got == expected
+    row.install_tracer(Tracer(clock=row.clock))
+    try:
+        relation, traced = row.run(plan, mode="cold")
+    finally:
+        row.install_tracer(None)
+    assert relation.sorted_tuples(order=plan.output_columns()) == got
+    assert traced == untraced
 
 
 @settings(deadline=None, max_examples=20)

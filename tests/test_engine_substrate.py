@@ -70,16 +70,16 @@ class TestBufferPool:
     def test_cold_read_charges_full_bytes(self):
         disk, clock, pool = make_pool()
         seg = disk.create_segment("col", 10 * 8192)
-        transferred = pool.read_segment(seg)
+        transferred = pool.read_span(seg, *seg.page_span())
         assert transferred == 10 * 8192
         assert clock.bytes_read() == 10 * 8192
 
     def test_hot_read_is_free(self):
         disk, clock, pool = make_pool()
         seg = disk.create_segment("col", 10 * 8192)
-        pool.read_segment(seg)
+        pool.read_span(seg, *seg.page_span())
         before = clock.timing()
-        assert pool.read_segment(seg) == 0
+        assert pool.read_span(seg, *seg.page_span()) == 0
         after = clock.timing()
         assert after.real_seconds == before.real_seconds
         assert after.bytes_read == before.bytes_read
@@ -87,20 +87,20 @@ class TestBufferPool:
     def test_clear_makes_reads_cold_again(self):
         disk, clock, pool = make_pool()
         seg = disk.create_segment("col", 4 * 8192)
-        pool.read_segment(seg)
+        pool.read_span(seg, *seg.page_span())
         pool.clear()
-        assert pool.read_segment(seg) == 4 * 8192
+        assert pool.read_span(seg, *seg.page_span()) == 4 * 8192
 
     def test_sequential_read_is_one_request(self):
         disk, clock, pool = make_pool()
         seg = disk.create_segment("col", 100 * 8192)
-        pool.read_segment(seg)
+        pool.read_span(seg, *seg.page_span())
         assert clock.timing().io_requests == 1
 
     def test_max_run_bytes_splits_requests(self):
         disk, clock, pool = make_pool(max_run_bytes=8192)
         seg = disk.create_segment("col", 10 * 8192)
-        pool.read_segment(seg)
+        pool.read_span(seg, *seg.page_span())
         assert clock.timing().io_requests == 10
 
     def test_small_requests_are_latency_bound(self):
@@ -113,7 +113,7 @@ class TestBufferPool:
                 capacity_bytes=512 * MB,
             )
             seg = disk.create_segment("col", 100 * MB)
-            pool.read_segment(seg)
+            pool.read_span(seg, *seg.page_span())
             times[machine.name] = clock.timing().real_seconds
         speedup = times["A"] / times["B"]
         bandwidth_ratio = MACHINE_B.read_bandwidth / MACHINE_A.read_bandwidth
@@ -124,7 +124,7 @@ class TestBufferPool:
         for machine in (MACHINE_A, MACHINE_B):
             disk, clock, pool = make_pool(machine=machine, capacity_bytes=512 * MB)
             seg = disk.create_segment("col", 100 * MB)
-            pool.read_segment(seg)
+            pool.read_span(seg, *seg.page_span())
             times[machine.name] = clock.timing().real_seconds
         speedup = times["A"] / times["B"]
         assert speedup > 3.0
@@ -134,9 +134,9 @@ class TestBufferPool:
         a = disk.create_segment("a", 8192)
         b = disk.create_segment("b", 8192)
         c = disk.create_segment("c", 8192)
-        pool.read_segment(a)
-        pool.read_segment(b)
-        pool.read_segment(c)  # evicts a
+        pool.read_span(a, *a.page_span())
+        pool.read_span(b, *b.page_span())
+        pool.read_span(c, *c.page_span())  # evicts a
         assert not pool.is_resident(a)
         assert pool.is_resident(b)
         assert pool.is_resident(c)
@@ -146,17 +146,17 @@ class TestBufferPool:
         a = disk.create_segment("a", 8192)
         b = disk.create_segment("b", 8192)
         c = disk.create_segment("c", 8192)
-        pool.read_segment(a)
-        pool.read_segment(b)
-        pool.read_segment(a)  # touch a; b becomes LRU
-        pool.read_segment(c)  # evicts b
+        pool.read_span(a, *a.page_span())
+        pool.read_span(b, *b.page_span())
+        pool.read_span(a, *a.page_span())  # touch a; b becomes LRU
+        pool.read_span(c, *c.page_span())  # evicts b
         assert pool.is_resident(a)
         assert not pool.is_resident(b)
 
     def test_partial_range_read(self):
         disk, clock, pool = make_pool()
         seg = disk.create_segment("col", 100 * 8192)
-        transferred = pool.read(seg, first_byte=0, nbytes=8192)
+        transferred = pool.read_span(seg, *seg.page_span(0, 8192))
         assert transferred == 8192
 
     def test_read_pages_scattered(self):
@@ -317,9 +317,9 @@ def test_property_cold_then_hot(sizes, page_size):
     segments = [
         disk.create_segment(f"s{i}", n * page_size) for i, n in enumerate(sizes)
     ]
-    total = sum(pool.read_segment(s) for s in segments)
+    total = sum(pool.read_span(s, *s.page_span()) for s in segments)
     assert total == sum(n * page_size for n in sizes)
-    assert sum(pool.read_segment(s) for s in segments) == 0
+    assert sum(pool.read_span(s, *s.page_span()) for s in segments) == 0
 
 
 _COSTS = [

@@ -245,9 +245,9 @@ class TestObservation:
         engine = RowStoreEngine()
         tracer = engine.install_tracer(Tracer(clock=engine.clock))
         assert tracer.enabled
-        engine.disk.create_segment("seg", 3 * engine.pool.page_size)
+        seg = engine.disk.create_segment("seg", 3 * engine.pool.page_size)
         with tracer.run():
-            engine.pool.read_segment("seg")
+            engine.pool.read_span(seg, *seg.page_span())
         assert tracer.root.counts == {
             "page_hits": 0, "page_misses": 3, "disk_requests": 1,
         }

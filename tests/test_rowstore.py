@@ -13,6 +13,7 @@ from repro.core import RDFStore
 from repro.data import generate_barton
 from repro.engine import clock as clock_module
 from repro.errors import StorageError
+from repro.observe import Tracer
 from repro.plan import logical as L
 from repro.plan import (
     Comparison,
@@ -349,28 +350,33 @@ def test_row_shaper_always_returns_a_tuple(positions):
 
 class TestInterpreterWorkPerTuple:
     """The row store is slow on the simulated clock, not in the
-    interpreter: per-tuple charges go to the clock's log, so the number of
-    clock *calls* depends on I/O and plan size, never on tuple count.
-    Counted with ``sys.setprofile`` — the counts repeat exactly."""
+    interpreter: per-tuple charges go to the clock's log, in bulk where a
+    consumer drains its input, so the number of clock calls depends on I/O
+    and plan size and the number of ``src/repro`` calls on the pages read,
+    never on tuple count.  Counted with ``sys.setprofile`` — the counts
+    repeat exactly."""
 
     SRC = os.path.dirname(repro.__file__)
     CLOCK = clock_module.__file__
+    FOLD = clock_module.QueryClock._flush.__code__
 
     def count(self, engine, plan, mode):
-        """Counts of one run: Python calls into clock.py, into src/repro,
-        and C-level appends to the clock's charge log."""
+        """Counts of one run: Python calls into clock.py and into
+        src/repro (also by function name), and the entries the clock's
+        charge log folded."""
         log = engine.clock.cpu_log().__self__
         counts = collections.Counter()
 
         def hook(frame, event, arg):
             if event == "call":
-                filename = frame.f_code.co_filename
-                if filename == self.CLOCK:
+                code = frame.f_code
+                if code.co_filename == self.CLOCK:
                     counts["clock"] += 1
-                if filename.startswith(self.SRC):
+                if code.co_filename.startswith(self.SRC):
                     counts["repro"] += 1
-            elif event == "c_call" and getattr(arg, "__self__", None) is log:
-                counts["logged"] += 1
+                    counts[code.co_name] += 1
+                if code is self.FOLD:
+                    counts["logged"] += len(log)
 
         misses = engine.pool.stats()["page_misses"]
         sys.setprofile(hook)
@@ -383,7 +389,7 @@ class TestInterpreterWorkPerTuple:
 
     @pytest.mark.parametrize("scheme", ["triple", "vertical"])
     def test_clock_calls_do_not_grow_with_tuple_count(self, scheme):
-        logged = {}
+        logged, per_page = {}, {}
         for n_triples in (2_000, 8_000):
             dataset = generate_barton(
                 n_triples=n_triples, n_properties=60, n_interesting=28,
@@ -406,15 +412,17 @@ class TestInterpreterWorkPerTuple:
                     assert counts["clock"] <= (
                         3 * counts["misses"] + 2 * operators + 16
                     ), (query, n_triples, counts)
-                    # Pinned band: src/repro calls per per-tuple charge
-                    # (0.7-1.3 today; 3.8-5 with a clock call per charge
-                    # and a generator per shaped tuple).
-                    assert counts["repro"] < 1.5 * counts["logged"], (
-                        query, n_triples, counts,
-                    )
                 logged[query, n_triples] = hot["logged"]
+                # Each B+tree node a descent visits is one page read
+                # (``_charge_runs``) and one note; that is work per page.
+                per_page[query, n_triples] = (
+                    hot["repro"] - 2 * hot["_note_node_visit"]
+                )
         for query in ("q2", "q3"):
             assert logged[query, 8_000] > 3 * logged[query, 2_000]
+            assert per_page[query, 8_000] <= per_page[query, 2_000], (
+                query, per_page,
+            )
 
 
 class _CountingRows(list):
@@ -467,10 +475,12 @@ class TestResolvedAccessWork:
     ``sys.setprofile`` over ``src/repro``; the counts repeat exactly."""
 
     #: ``src/repro`` calls of one hot vertical q8 on the row engine
-    #: (25 473 when recorded; 56 221 at the commit before, when every run
-    #: chose an index for each of its 444 accesses again, descended 222
-    #: B+trees and called ``Comparison.evaluate`` 8 054 times).
-    Q8_HOT_CALLS_CEILING = 26_750
+    #: (2 667 when recorded, since its hash joins drain both unions from
+    #: their resolved branches; 25 473 while every branch was a pulled
+    #: stream tree, and 56 221 before that, when every run chose an index
+    #: for each of its 444 accesses again, descended 222 B+trees and
+    #: called ``Comparison.evaluate`` 8 054 times).
+    Q8_HOT_CALLS_CEILING = 2_800
 
     #: ``src/repro`` calls of one hot triple q8 on the row engine (738
     #: when recorded; 784 at the commit before, when its two
@@ -492,7 +502,7 @@ class TestResolvedAccessWork:
         assert names["evaluate"] == 0
         # One charge-list pass per access: its descent and heap read.
         assert names["read_spans"] == 2 * 222
-        assert names["read_pages"] == names["read_segment"] == 0
+        assert names["read_pages"] == 0
         assert sum(names.values()) <= self.Q8_HOT_CALLS_CEILING
 
     def test_index_nested_loop_probes_are_resolved_accesses(
@@ -655,3 +665,180 @@ class TestAnInsertDropsTheResolvedAccesses:
         )
         assert sorted(after) == sorted(fresh)
         assert after.cost.to_dict() == fresh.cost.to_dict()
+
+
+def _branch(alias, *predicates, extend=None):
+    """A union branch over ``t`` with columns ``s, o, p``: Project over an
+    optional Extend over an access."""
+    child = scan(alias)
+    if predicates:
+        child = Select(child, list(predicates))
+    p = f"{alias}.prop"
+    if extend is not None:
+        child = L.Extend(child, "p", extend)
+        p = "p"
+    return Project(child, [("s", f"{alias}.subj"), ("o", f"{alias}.obj"),
+                           ("p", p)])
+
+
+def _mixed_union(distinct=False):
+    """Branches the union drains from their resolved accesses (no
+    residual, one residual, Extend under Project, Project under Extend)
+    and branches it drains through their own streams (two residuals, a
+    cross predicate, a hash join, an index nested loop)."""
+    under_extend = L.Extend(
+        Project(Select(scan("C"), [Comparison("C.prop", "=", 3)]),
+                [("s", "C.subj"), ("o", "C.obj")]),
+        "p", 3,
+    )
+    hashed = Project(
+        Join(Select(scan("D"), [Comparison("D.prop", "=", 4)]),
+             Select(scan("E"), [Comparison("E.prop", "=", 5)]),
+             on=[("D.subj", "E.subj")]),
+        [("s", "D.subj"), ("o", "E.obj"), ("p", "D.prop")],
+    )
+    probed = Project(
+        Join(Select(scan("G"), [Comparison("G.prop", "=", 6),
+                                Comparison("G.subj", "<", 8)]),
+             scan("H"), on=[("G.obj", "H.obj")]),
+        [("s", "H.subj"), ("o", "G.obj"), ("p", "H.prop")],
+    )
+    return Union([
+        _branch("A", Comparison("A.prop", "=", 1),
+                Comparison("A.obj", "!=", 5), extend=1),
+        _branch("B"),
+        under_extend,
+        _branch("F", Comparison("F.obj", ">", 3),
+                Comparison("F.subj", "<", 200)),
+        _branch("I", L.ColumnComparison("I.subj", "<", "I.obj")),
+        hashed,
+        probed,
+        _branch("J", Comparison("J.prop", "=", 2), extend=2),
+    ], distinct=distinct)
+
+
+class TestDrainEqualsPull:
+    """A materialising consumer drains its input (``Stream.drain``): the
+    producers hand over all their rows at once and log their per-row
+    charges in bulk, the consumer's own per-row charge placed after each
+    row's as a suffix.  A traced run wraps every stream and pulls it row
+    by row under its span.  Both must log the same floats in the same
+    order, so twin engines — one untraced (drained), one traced (pulled)
+    — must agree on the rows in order, every ``QueryTiming`` field,
+    ``pool.stats()`` and the read history, cold and hot."""
+
+    @staticmethod
+    def outcome(engine, plan, mode, traced):
+        if traced:
+            engine.install_tracer(Tracer(clock=engine.clock))
+        try:
+            relation, timing = engine.run(plan, mode=mode)
+        finally:
+            engine.install_tracer(None)
+        return (
+            relation.to_tuples(), timing.to_dict(), engine.pool.stats(),
+            engine.clock.io_history(),
+        )
+
+    def assert_drain_equals_pull(self, drained, pulled, plan):
+        """Compare cold, then hot; returns the rows."""
+        for mode in ("cold", "hot"):
+            outcome = self.outcome(drained, plan, mode, False)
+            assert outcome == self.outcome(pulled, plan, mode, True), mode
+        return outcome[0]
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_barton(
+            n_triples=3_000, n_properties=60, n_interesting=28, seed=7
+        )
+
+    @pytest.mark.parametrize("scheme", ["vertical", "triple"])
+    def test_named_queries(self, dataset, scheme):
+        from repro.queries import ALL_QUERY_NAMES
+
+        drained, pulled = (
+            RDFStore.from_triples(
+                dataset.triples, engine="row", scheme=scheme,
+                interesting_properties=dataset.interesting_properties,
+            )
+            for _ in range(2)
+        )
+        for query in ALL_QUERY_NAMES:
+            plan = drained.connection()._plan_for(query).plan
+            self.assert_drain_equals_pull(drained.engine, pulled.engine, plan)
+
+    @pytest.fixture
+    def twins(self):
+        rng = np.random.default_rng(5)
+        n = 2000
+        data = {
+            "subj": rng.integers(0, 300, n),
+            "prop": rng.integers(0, 10, n),
+            "obj": rng.integers(0, 100, n),
+        }
+        return make_engine(data=data), make_engine(data=data)
+
+    @pytest.mark.parametrize("shape", [
+        "group_over_union", "global_group_over_union", "group_min_max_join",
+        "distinct_union", "filter_over_union", "limit_over_union",
+        "sort_over_union", "join_over_union", "having_over_group",
+        "two_predicates", "cross_predicate", "group_over_two_predicates",
+        "group_over_cross_predicate",
+    ])
+    def test_ad_hoc_shapes(self, twins, shape):
+        two = Select(scan(), [Comparison("obj", ">", 3),
+                              Comparison("subj", "<", 200)])
+        cross = Select(scan(), [L.ColumnComparison("subj", "<", "obj")])
+        plans = {
+            "group_over_union": lambda: GroupBy(
+                _mixed_union(), keys=["p"], count_column="n"),
+            "global_group_over_union": lambda: GroupBy(
+                _mixed_union(), keys=[], count_column="n",
+                aggregates=[("max", "o", "top")]),
+            "group_min_max_join": lambda: GroupBy(
+                Join(Select(scan("A"), [Comparison("A.prop", "=", 1)]),
+                     Select(scan("B"), [Comparison("B.prop", "=", 2)]),
+                     on=[("A.subj", "B.subj")]),
+                keys=["A.obj"], count_column="n",
+                aggregates=[("min", "B.obj", "lo"), ("max", "B.obj", "hi")]),
+            "distinct_union": lambda: _mixed_union(distinct=True),
+            "filter_over_union": lambda: Select(
+                _mixed_union(), [Comparison("o", ">", 10)]),
+            "limit_over_union": lambda: L.Limit(_mixed_union(), 150),
+            "sort_over_union": lambda: L.Sort(
+                _mixed_union(), [("o", "desc"), ("s", "asc")]),
+            "join_over_union": lambda: Join(
+                _mixed_union(),
+                Select(scan("K"), [Comparison("K.prop", "=", 7)]),
+                on=[("s", "K.subj")]),
+            "having_over_group": lambda: Having(
+                GroupBy(_mixed_union(), keys=["o"], count_column="n"),
+                Comparison("n", ">", 2)),
+            "two_predicates": lambda: two,
+            "cross_predicate": lambda: cross,
+            "group_over_two_predicates": lambda: GroupBy(
+                two, keys=["prop"], count_column="n"),
+            "group_over_cross_predicate": lambda: GroupBy(
+                cross, keys=["prop"], count_column="n"),
+        }
+        drained, pulled = twins
+        assert self.assert_drain_equals_pull(drained, pulled, plans[shape]())
+
+    def test_an_untraced_union_drains_its_resolved_branches(
+        self, dataset, repro_calls,
+    ):
+        """A warm drained 60-branch union builds no stream per branch and
+        reads each branch's access in one pass."""
+        store = RDFStore.from_triples(
+            dataset.triples, engine="row", scheme="vertical",
+            interesting_properties=dataset.interesting_properties,
+        )
+        plan = store.connection()._plan_for("q2*").plan
+        store.engine.run(plan)  # lower and resolve
+        names = repro_calls(lambda: store.engine.run(plan))
+        branches = names["_drain_access"]
+        assert branches >= 60
+        assert names["read_spans"] == branches
+        assert names["build_child"] < 10
+        assert names["_resolve_branch"] == names["_resolve_access"] == 0
