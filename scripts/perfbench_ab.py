@@ -11,13 +11,16 @@ this script only invokes) once in the parent's tree and once in this
 checkout, same seed, back to back, and the side that goes first alternates
 from pair to pair.  Every run made is listed; per workload and end-to-end
 metric the record gives each side's median and quartiles and how many
-pairs the change won (ties count for neither).  One extra ``--trace 1``
-pair on the claimed workload records the per-layer split and checks that
-the counts that must repeat exactly do.
+pairs the change won (ties count for neither).  ``--traced-pairs`` extra
+``--trace 1`` pairs (at least five) on the claimed workload record the
+per-layer split — each layer's median and quartiles per side, since one
+traced pair cannot show where a saving sits — and check on every pair
+that the counts that must repeat exactly do.
 
-The record (schema ``perfbench-ab/1``, the shape of
-``BENCH_adhoc_frontend.json``) is rewritten after every pair, so an
-interrupted session keeps the runs it made.
+The record (schema ``perfbench-ab/2``: ``perfbench-ab/1``, the shape of
+``BENCH_adhoc_frontend.json``, with ``traced[workload]`` a ``{"summary",
+"pairs"}`` object instead of a one-pair list) is rewritten after every
+pair, so an interrupted session keeps the runs it made.
 """
 
 import argparse
@@ -101,6 +104,39 @@ def summarise(pairs, metric):
     return summary
 
 
+def traced_summary(entries):
+    """Per layer, each side's median and quartiles of its milliseconds per
+    op and of its share over the traced pairs *entries* (a layer a pair
+    did not report counts as 0 there), the pairs where the change spent
+    less; and whether every pair's exact counts were identical."""
+    layers = {}
+    for stage in sorted({stage for entry in entries
+                         for stage in entry["layers"]}):
+        zero = {"share": dict.fromkeys(SIDES, 0.0),
+                "ms_per_op": dict.fromkeys(SIDES, 0.0)}
+        rows = [entry["layers"].get(stage, zero) for entry in entries]
+        summary = {
+            field: {side: spread([row[field][side] for row in rows])
+                    for side in SIDES}
+            for field in ("ms_per_op", "share")}
+        parent_median = summary["ms_per_op"]["parent"]["median"]
+        summary.update(
+            change_over_parent_median=(
+                round(summary["ms_per_op"]["change"]["median"]
+                      / parent_median, 6) if parent_median else None),
+            change_wins=sum(row["ms_per_op"]["change"]
+                            < row["ms_per_op"]["parent"] for row in rows),
+        )
+        layers[stage] = summary
+    return {
+        "pairs": len(entries),
+        "exact_identical_every_pair": all(
+            exact["identical"] for entry in entries
+            for exact in entry["exact"].values()),
+        "layers": layers,
+    }
+
+
 def traced_entry(seed, results):
     """What one ``--trace 1`` pair shows: exact counts side by side, and
     every op stage's share and milliseconds per op."""
@@ -143,6 +179,9 @@ def main(argv=None):
     parser.add_argument("--also", default="",
                         help="comma-separated workloads that must not move")
     parser.add_argument("--also-pairs", type=int, default=3)
+    parser.add_argument("--traced-pairs", type=int, default=5,
+                        help="--trace 1 pairs on the claimed workload "
+                             "(at least 5)")
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair; pair i uses seed+i")
     parser.add_argument("--issue", default="", help="label for the record")
@@ -160,6 +199,8 @@ def main(argv=None):
             parser.error(f"unknown workload {name!r}; have {sorted(known)}")
     if args.metric not in end_to_end:
         parser.error(f"unknown end-to-end metric {args.metric!r}")
+    if args.traced_pairs < 5:
+        parser.error("--traced-pairs must be at least 5")
     parent_sha = subprocess.run(
         ["git", "rev-parse", "--verify", args.parent + "^{commit}"],
         cwd=ROOT, capture_output=True, text=True, check=True,
@@ -167,7 +208,7 @@ def main(argv=None):
     out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
 
     record = {
-        "schema": "perfbench-ab/1",
+        "schema": "perfbench-ab/2",
         "issue": args.issue,
         "parent_commit": parent_sha,
         "command": " ".join(spec["command"]) + " --workload W --seed N "
@@ -177,7 +218,10 @@ def main(argv=None):
             "of parent_commit) and the change (the working tree) with the same "
             "seed back to back, alternating which side goes first; pair i of "
             f"a workload uses seed {args.seed}+i. Every run made is listed. "
-            "traced: one --trace 1 pair on the claimed workload."),
+            f"traced: {args.traced_pairs} --trace 1 pairs on the claimed "
+            "workload, seeds and order as above; its summary gives per "
+            "layer and side the median and quartiles over the pairs, and "
+            "the exact counts are checked on every pair."),
         "claim": None, "untraced": {}, "traced": {},
     }
 
@@ -224,10 +268,15 @@ def main(argv=None):
                         {"workload": workload, "metric": args.metric},
                         **section["summary"][args.metric])
                 write()
-        _, results = run_pair(checkouts, spec, args.workload, args.seed, 0,
-                              trace=1)
-        record["traced"][args.workload] = [traced_entry(args.seed, results)]
-        write()
+        traced = record["traced"][args.workload] = {"summary": {},
+                                                     "pairs": []}
+        for number in range(args.traced_pairs):
+            seed = args.seed + number
+            _, results = run_pair(checkouts, spec, args.workload, seed,
+                                  number, trace=1)
+            traced["pairs"].append(traced_entry(seed, results))
+            traced["summary"] = traced_summary(traced["pairs"])
+            write()
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
 
@@ -236,6 +285,10 @@ def main(argv=None):
           f"{claim['parent']['median']} -> {claim['change']['median']} "
           f"(x{claim['change_over_parent_median']}), change won "
           f"{claim['change_wins']} of {claim['pairs']} pairs")
+    if not traced["summary"]["exact_identical_every_pair"]:
+        print(f"{out}: a traced pair's exact counts differ between the "
+              "sides", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -48,7 +48,6 @@ from repro.exec.registry import (
     matches,
 )
 from repro.exec.runtime import Intermediate
-from repro.lru import LruCache
 from repro.observe.trace import wall_now
 from repro.plan import logical as L
 from repro.plan.predicates import is_column_comparison
@@ -1031,16 +1030,6 @@ def _select_range(plan, lo, hi):
     return [_merge(parts) for parts in outputs], scans
 
 
-def _union_memo(rt):
-    """This runtime's template-union plans (an LRU in ``rt.resolved``, so
-    a catalog change drops it with everything else read from the
-    catalog)."""
-    memo = rt.resolved.get("unions")
-    if memo is None:
-        memo = rt.resolved["unions"] = LruCache(UNION_MEMO_SIZE)
-    return memo
-
-
 def _resolve_union(rt, node, needed):
     """``(keep, out_keys, plan)`` of union *node* under *needed*: the kept
     output positions and names, and for a canonical template union its
@@ -1062,7 +1051,7 @@ def _resolve_union(rt, node, needed):
         node.bindings, scan_node.alias, tuple(scan_node.base_columns),
         *shape[1:],
     )
-    memo = _union_memo(rt)
+    memo = rt.resolved_lru("unions", UNION_MEMO_SIZE)
     plan = memo.get(key)
     if plan is None:
         plan = _template_plan(rt, shape, node.bindings)

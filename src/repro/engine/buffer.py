@@ -44,7 +44,7 @@ from repro.observe.trace import NULL_TRACER
 SCATTERED_BANDWIDTH_PENALTY = 4.0
 
 #: The kinds of a charge-list entry (:meth:`BufferPool.read_spans`).
-SPAN, PAGES, CPU, NOTE = range(4)
+SPAN, PAGES, CPU, NOTE, LOG = range(5)
 
 #: Process-wide always-on accounting, aggregated across every pool this
 #: process creates (the ``buffer_pool`` group of
@@ -353,6 +353,8 @@ class BufferPool:
         * ``(PAGES, segment, runs, scattered)`` — a :meth:`read_pages` of
           the global page *runs* (:func:`page_runs`);
         * ``(CPU, seconds)`` — one charge on the clock's pending log;
+        * ``(LOG, charges)`` — every charge of the ``array('d')``
+          *charges* on the clock's pending log, in order;
         * ``(NOTE, function, *args)`` — ``function(context, *args)``.
 
         A read that only re-queues resident extents — every read of a
@@ -364,13 +366,16 @@ class BufferPool:
         entry."""
         lru = self._lru
         starts, extents, head = lru.starts, lru.extents, lru.head
-        cpu_log = self.clock.cpu_log()
+        log = self.clock.cpu_log_array()
         tracer = self.tracer
         hits = quiet = 0
         for entry in charges:
             kind = entry[0]
             if kind is CPU:
-                cpu_log(entry[1])
+                log.append(entry[1])
+                continue
+            if kind is LOG:
+                log += entry[1]
                 continue
             if kind is NOTE:
                 entry[1](context, *entry[2:])

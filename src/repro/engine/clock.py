@@ -28,13 +28,14 @@ For observability every charge is attributed twice more:
   deltas.
 
 Per-tuple operators do not pay a method call per charge: they append to
-the clock's ordered pending-charge log (:meth:`QueryClock.cpu_log`), and
-the clock folds the log onto its accumulators — exactly, in arrival
-order — before anything can observe them.
+the clock's ordered pending-charge log (:meth:`QueryClock.cpu_log`), a
+flat array of doubles that bulk producers extend with whole repeated
+patterns, and the clock folds the log onto its accumulators — exactly, in
+arrival order — before anything can observe them.
 """
 
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -89,11 +90,23 @@ class QueryClock:
     """Accumulates CPU and I/O charges for the query currently running.
 
     CPU charges arrive two ways.  :meth:`charge_cpu` is the scalar API:
-    validate, scale, add.  :meth:`cpu_log` hands a per-tuple operator the
-    bound ``append`` of one ordered pending list of ``"execute"`` charges
-    (:meth:`cpu_log_extend` and :meth:`charge_cpu_many` extend the same
-    list), and :meth:`_flush` folds that list onto the accumulators.  The
-    two are interchangeable bit for bit, for three reasons:
+    validate, scale, add.  Everything else goes to one ordered pending log
+    of ``"execute"`` charges, a flat ``array('d')``, which :meth:`_flush`
+    folds onto the accumulators with no Python float per entry.  An
+    ``array('d')`` converts each Python float it is handed one at a time
+    (a format-string parse per float), so charges go in as arrays:
+
+    * bulk producers — an access drain, a materialised stream's suffix, a
+      union's branches, :meth:`charge_cpu_many` — extend the log
+      (:meth:`cpu_log_array`) with ``pattern * n``: a prebuilt
+      ``array('d')`` pattern repeated, one C-level copy however many rows
+      it covers;
+    * per-row loops — a pull, a filter or hash-join drain — extend it in
+      place with a prebuilt one-row pattern (``log += pattern``);
+    * :meth:`cpu_log` (the log's ``append``) takes one float, for sites
+      that charge once per page or per node, not per row.
+
+    The two ways are interchangeable bit for bit, for three reasons:
 
     * **strict left fold** — each entry is scaled by ``cpu_scale`` and
       added to the running accumulator in arrival order, by a Python loop
@@ -110,18 +123,18 @@ class QueryClock:
       different operators; a log per operator would regroup the float
       additions, one log keeps the global order.
 
-    :meth:`reset` clears the log in place, so a bound ``append`` or
-    ``extend`` obtained once per operator never goes stale.
+    :meth:`reset` clears the log in place, so the array, its bound
+    ``append`` or ``extend`` obtained once per operator never go stale.
     """
 
     def __init__(self, machine):
         self.machine = machine
-        self._pending = []
+        self._pending = array("d")
         self.reset()
 
     def reset(self):
         """Start timing a new query."""
-        self._pending.clear()
+        del self._pending[:]
         self._cpu_seconds = 0.0
         self._io_seconds = 0.0
         self._seek_seconds = 0.0
@@ -147,25 +160,29 @@ class QueryClock:
 
     def cpu_log(self):
         """``charge(seconds)``: append one ``"execute"`` CPU charge to the
-        pending log — :meth:`charge_cpu` without the call overhead, for
-        per-tuple loops.  Entries are validated when the log is folded."""
+        pending log — :meth:`charge_cpu` without the call overhead, for a
+        charge per page or per node.  Entries are validated when the log
+        is folded."""
         return self._pending.append
 
-    def cpu_log_extend(self):
-        """``charges(iterable)``: append every charge of *iterable* to the
-        pending log, in order — :meth:`cpu_log` for a batch of tuples."""
-        return self._pending.extend
+    def cpu_log_array(self):
+        """The pending log itself: ``log += pattern`` with an ``array('d')``
+        *pattern* appends its charges in order, one C-level copy — the
+        cheapest way to log one row's charges or a run of rows'."""
+        return self._pending
 
     def charge_cpu_many(self, seconds, n):
         """Log *n* consecutive ``"execute"`` charges of *seconds* each."""
-        self._pending.extend(repeat(seconds, n))
+        self._pending.extend(array("d", (seconds,)) * n)
 
     def _flush(self):
         """Fold the non-empty pending log onto the CPU and ``"execute"``
         accumulators in arrival order (callers test ``self._pending``
-        first: the scalar path pays one truth test, not a call).  A
-        negative or non-finite entry raises ``ValueError``; the log is
-        left empty and none of it is applied."""
+        first: the scalar path pays one truth test, not a call).  A long
+        log is copied out of the array's buffer whole, never read as
+        Python floats.  A negative or non-finite entry raises
+        ``ValueError``; the log is left empty and none of it is
+        applied."""
         pending = self._pending
         scale = self.machine.cpu_scale
         cpu = self._cpu_seconds
@@ -179,7 +196,7 @@ class QueryClock:
                     cpu += scaled
                     execute += scaled
             else:
-                scaled = np.fromiter(pending, float, len(pending))
+                scaled = np.array(pending, float)
                 # min/max propagate NaN, so one comparison each covers it.
                 if not (scaled.min() >= 0 and scaled.max() < _INF):
                     raise ValueError(_BAD_CPU_CHARGE)
@@ -193,7 +210,7 @@ class QueryClock:
                 scaled[0] = execute + first
                 execute = float(np.add.accumulate(scaled)[-1])
         finally:
-            pending.clear()
+            del pending[:]
         self._cpu_seconds = cpu
         self._categories["execute"] = execute
 

@@ -25,6 +25,8 @@ physical children, which keeps recursion — and therefore tracing — in one
 place.
 """
 
+from array import array
+
 from repro.errors import EngineError
 from repro.exec.registry import engine_ops, lower_plan
 from repro.lru import LruCache
@@ -60,9 +62,10 @@ class Stream:
     A pipelined parent iterates the stream, one tuple per ``next()``; a
     materialising parent calls :meth:`drain`.  An operator that can make
     its rows and charges in bulk passes its own *drain* (``suffix ->
-    list``); any other stream drains by pulling, and logs a suffix through
-    *log*, the clock's :meth:`~repro.engine.clock.QueryClock.cpu_log_extend`,
-    which :meth:`Runtime.build_child` sets on every stream it returns.
+    list``); any other stream drains by pulling, and logs a suffix into
+    *log*, the clock's pending log
+    (:meth:`~repro.engine.clock.QueryClock.cpu_log_array`), which
+    :meth:`Runtime.build_child` sets on every stream it returns.
     A *materialised* stream builds all its rows before the first and logs
     no charge for any row it hands over.
     """
@@ -89,10 +92,10 @@ class Stream:
         if not suffix:
             return list(self._iterator)
         rows = []
-        keep, log = rows.append, self.log
+        keep, log, suffix = rows.append, self.log, array("d", suffix)
         for row in self._iterator:
             keep(row)
-            log(suffix)
+            log += suffix
         return rows
 
     def position(self, column):
@@ -138,7 +141,8 @@ class Runtime:
         #: plan to share: the column store's whole-column scan charge per
         #: ``(table, column)``, its first-probe charge per ``(table,
         #: column, "probe")``, and its template-union plans under
-        #: ``"unions"`` (an LRU).
+        #: ``"unions"`` (an LRU); the row store's union branches, rows
+        #: and charges, under ``"branches"`` (an LRU).
         self.resolved = {}
 
     # ------------------------------------------------------------------
@@ -163,6 +167,15 @@ class Runtime:
         engine's catalog changed, and both hold what was read from it."""
         self._lowered.clear()
         self.resolved.clear()
+
+    def resolved_lru(self, name, capacity):
+        """The LRU of *capacity* entries under ``resolved[name]``, made on
+        first use: what an operator resolved per catalog, keyed its own
+        way, dropped with the rest of :attr:`resolved`."""
+        memo = self.resolved.get(name)
+        if memo is None:
+            memo = self.resolved[name] = LruCache(capacity)
+        return memo
 
     def lowering_cache_stats(self):
         """This runtime's lowering-cache counters (a fresh dict)."""
@@ -250,7 +263,7 @@ class Runtime:
         tracer = self.engine.tracer
         if tracer.enabled:
             stream = self._traced_stream(pnode.logical, stream, tracer)
-        stream.log = self.clock.cpu_log_extend()
+        stream.log = self.clock.cpu_log_array()
         return stream
 
     @staticmethod

@@ -24,25 +24,29 @@ the bound logical node's trace span (or polls the cancel token), and a
 wrapped stream drains by pulling.
 
 Per-tuple work stays out of the interpreter where it can: CPU charges
-are appended to the clock's ordered pending log
-(:meth:`~repro.engine.clock.QueryClock.cpu_log` — same charges, same
-order, folded exactly), in a drain as one repeated pattern per run of
-rows that log alike, predicates are tested by one C-level call
-(``Comparison.test``), and tuples are reshaped by one C-level callable
-built once per stream (:func:`_row_shaper`).  A base-table access is
-worked out once per lowered node (:func:`_resolve_access`), an
-index-nested-loop probe once per outer row (:func:`_index_access`): a
-run charges its descent and heap read in one buffer-pool pass and then
-loops over the rows.  A union's Project/Extend branches over an access,
-and a join's index-nested-loop candidate, are resolved once per lowered
-node as well (:func:`_resolve_branch`, :func:`_resolve_index_join`).
+are appended to the clock's ordered pending log, an ``array('d')``
+(:meth:`~repro.engine.clock.QueryClock.cpu_log_array` — same charges,
+same order, folded exactly), one prebuilt pattern per row in a pull and
+one repeated pattern per run of rows that log alike in a drain;
+predicates are tested by one C-level call (``Comparison.test``), and
+tuples are reshaped by one C-level callable built once per stream
+(:func:`_row_shaper`).  A base-table access is worked out once per
+lowered node (:func:`_resolve_access`), an index-nested-loop probe once
+per outer row (:func:`_index_access`): a run charges its descent and heap
+read in one buffer-pool pass and then loops over the rows.  A join's
+index-nested-loop candidate is resolved once per lowered node as well
+(:func:`_resolve_index_join`), and a union's Project/Extend branches over
+an access once per catalog (:func:`_resolve_branch`): a drained union
+concatenates their memoised rows and charges them all in one pass.
 """
 
+from array import array
 from collections import Counter, namedtuple
+from functools import lru_cache
 from itertools import compress, groupby, islice, repeat
 from operator import add, itemgetter
 
-from repro.engine.buffer import CPU, NOTE, PAGES, SPAN, _page_runs
+from repro.engine.buffer import CPU, LOG, NOTE, PAGES, SPAN, _page_runs
 from repro.exec.common import (
     MISSING_VALUE,
     extend_fill_value,
@@ -62,6 +66,11 @@ from repro.plan.predicates import is_column_comparison
 
 #: Upper bound on outer cardinality for index nested loops.
 INL_MAX_OUTER = 20_000
+
+#: Union branches whose rows the per-catalog memo keeps (an LRU in
+#: ``Runtime.resolved["branches"]``): the 12 named queries read 888
+#: distinct branches of a 222-property vertical store.
+BRANCH_MEMO_SIZE = 2048
 
 ROW_OPS = EngineOperatorSet("row-store", paradigm="pull")
 
@@ -242,25 +251,39 @@ def _run_access(rt, access):
     access that :func:`_drain_access` can run drains in bulk; any other
     drains by pulling, one row at a time."""
     columns, rows, charges, preds, cross, shape = access
-    charge = rt.clock.cpu_log()
-    scan_tuple, select_tuple = rt.costs.scan_tuple, rt.costs.select_tuple
+    costs = rt.costs
 
     def generate():
         if charges:
             rt.pool.read_spans(charges, rt)
+        log = rt.clock.cpu_log_array()
+        # A row is logged once, when its tests are done (nothing can fold
+        # the log between its charges).
+        patterns = _scan_patterns(
+            costs.scan_tuple, costs.select_tuple, len(preds) + len(cross),
+        )
+        if not (preds or cross):
+            scan = patterns[0]
+            for row in rows:
+                log += scan
+                yield shape(row)
+            return
         for row in rows:
-            charge(scan_tuple)
+            tested = 1
             for pos, test in preds:
-                charge(select_tuple)
                 if not test(row[pos]):
                     break
+                tested += 1
             else:
                 for left, right, test in cross:
-                    charge(select_tuple)
                     if not test(row[left], row[right]):
                         break
+                    tested += 1
                 else:
+                    log += patterns[tested - 1]
                     yield shape(row)
+                    continue
+            log += patterns[tested]
 
     drain = None
     if _drains_in_bulk(access):
@@ -268,6 +291,16 @@ def _run_access(rt, access):
             return list(map(shape, _drain_access(rt, access, suffix)))
 
     return Stream(columns, generate(), drain)
+
+
+@lru_cache(maxsize=None)
+def _scan_patterns(scan_tuple, select_tuple, tests):
+    """``patterns[k]``: a scanned row's ``scan_tuple`` and *k*
+    ``select_tuple``s, one per predicate tested, for k up to *tests*."""
+    return tuple(
+        array("d", (scan_tuple,) + (select_tuple,) * k)
+        for k in range(tests + 1)
+    )
 
 
 def _drains_in_bulk(access):
@@ -285,21 +318,35 @@ def _drain_access(rt, access, suffix):
     rows, charges, preds = access.rows, access.charges, access.preds
     if charges:
         rt.pool.read_spans(charges, rt)
-    costs = rt.costs
-    log = rt.clock.cpu_log_extend()
+    log = rt.clock.cpu_log_array()
     if not preds:
-        log(((costs.scan_tuple,) + suffix) * len(rows))
+        log += array("d", (rt.costs.scan_tuple, *suffix)) * len(rows)
         return rows
     (pos, test), = preds
     mask = [test(row[pos]) for row in rows]
-    fail = (costs.scan_tuple, costs.select_tuple)
-    if not suffix:
-        log(fail * len(rows))
+    if suffix:
+        log += _kept_log(rt.costs, _runs(mask), suffix)
     else:
-        patterns = (fail, fail + suffix)
-        for kept, run in groupby(mask):
-            log(patterns[kept] * len(list(run)))
+        log += (array("d", (rt.costs.scan_tuple, rt.costs.select_tuple))
+                * len(rows))
     return compress(rows, mask)
+
+
+def _runs(mask):
+    """``(kept, length)`` per run of equal outcomes in *mask*."""
+    return [(kept, len(list(run))) for kept, run in groupby(mask)]
+
+
+def _kept_log(costs, runs, suffix):
+    """The log of an access with one residual predicate, from its rows'
+    outcome *runs*: per row ``scan_tuple`` and ``select_tuple``, and the
+    non-empty *suffix* after a kept row's."""
+    fail = array("d", (costs.scan_tuple, costs.select_tuple))
+    patterns = (fail, fail + array("d", suffix))
+    log = array("d")
+    for kept, length in runs:
+        log += patterns[kept] * length
+    return log
 
 
 @matches(L.Select, L.Scan)
@@ -348,42 +395,56 @@ def _filter(rt, stream, predicates):
         else:
             compiled.append((stream.position(p.column), None, p.test))
 
-    charge = rt.clock.cpu_log()
-    select_tuple = rt.costs.select_tuple
+    # tested[k]: the ``select_tuple``s of k predicates tested; a row is
+    # logged once, when its tests are done.
+    tested = [
+        array("d", (rt.costs.select_tuple,) * k)
+        for k in range(len(compiled) + 1)
+    ]
+    passed = tested[-1]
 
     def generate():
+        log = rt.clock.cpu_log_array()
         for row in stream:
+            n = 1
             for left, right, test in compiled:
-                charge(select_tuple)
                 if right is None:
                     if not test(row[left]):
                         break
                 elif not test(row[left], row[right]):
                     break
+                n += 1
             else:
+                log += passed
                 yield row
+                continue
+            log += tested[n]
 
     if not stream.materialised:
         return Stream(stream.columns, generate())
-    log = rt.clock.cpu_log_extend()
 
     def drain(suffix):
         # A HAVING over a group: drained by a plain loop, it makes no
         # call per group.  The input's rows log nothing of their own, so
         # the filter's charges and *suffix* are all a row adds to the log.
+        log = rt.clock.cpu_log_array()
+        kept_log = passed + array("d", suffix)
         kept = []
         keep = kept.append
         for row in stream.drain():
+            n = 1
             for left, right, test in compiled:
-                charge(select_tuple)
                 if right is None:
                     if not test(row[left]):
                         break
                 elif not test(row[left], row[right]):
                     break
+                n += 1
             else:
                 keep(row)
-                log(suffix)
+                log += kept_log
+                continue
+            log += tested[n]
         return kept
 
     return Stream(stream.columns, generate(), drain)
@@ -459,17 +520,17 @@ def _index_nested_loop(rt, outer, outer_col, scan, inner_preds,
         (position(scan.base_column(p.column)), p.test) for p in inner_preds
     )
     shape = _row_shaper([position(c) for c in scan.base_columns])
-    charge = rt.clock.cpu_log()
-    union_tuple = rt.costs.union_tuple
+    union = array("d", (rt.costs.union_tuple,))
 
     def generate():
+        log = rt.clock.cpu_log_array()
         for outer_row in outer:
             probe = _index_access(
                 rt, table, index, (outer_row[outer_pos],), inner_columns,
                 preds, (), shape,
             )
             for inner_row in _run_access(rt, probe):
-                charge(union_tuple)
+                log += union
                 if swap:
                     yield inner_row + outer_row
                 else:
@@ -486,8 +547,8 @@ def _hash_join_streams(rt, left, right, on):
     lkey = itemgetter(*(left.position(l) for l, _ in on))
     rkey = itemgetter(*(right.position(r) for _, r in on))
     costs, clock = rt.costs, rt.clock
-    hash_probe, union_tuple = costs.hash_probe, costs.union_tuple
-    charge = clock.cpu_log()
+    probe = array("d", (costs.hash_probe,))
+    union = array("d", (costs.union_tuple,))
 
     if len(left_rows) <= len(right_rows):
         build_rows, build_key = left_rows, lkey
@@ -509,11 +570,12 @@ def _hash_join_streams(rt, left, right, on):
 
     def generate():
         table = build()
+        log = clock.cpu_log_array()
         for row in probe_rows:
-            charge(hash_probe)
+            log += probe
             matches = table.get(probe_key(row), ())
             for match in matches:
-                charge(union_tuple)
+                log += union
                 if build_is_left:
                     yield match + row
                 else:
@@ -523,16 +585,16 @@ def _hash_join_streams(rt, left, right, on):
         # The pull loop without its yields: *suffix* follows each
         # match's ``union_tuple``.
         get = build().get
-        per_match = (union_tuple,) + suffix
-        charges = clock.cpu_log_extend()
+        per_match = union + array("d", suffix)
+        log = clock.cpu_log_array()
         rows = []
         emit = rows.append
         for row in probe_rows:
-            charge(hash_probe)
+            log += probe
             matches = get(probe_key(row))
             if matches:
                 for match in matches:
-                    charges(per_match)
+                    log += per_match
                     emit(match + row if build_is_left else row + match)
         return rows
 
@@ -624,14 +686,14 @@ def _materialised(rt, columns, build):
     """A stream over the list *build* returns, built on the first pull or
     by a drain.  Its rows log nothing of their own, so a drain's suffix is
     one run of *suffix* per row."""
-    log = rt.clock.cpu_log_extend()
+    log = rt.clock.cpu_log_array()
 
     def generate():
         yield from build()
 
     def drain(suffix):
         rows = build()
-        log(suffix * len(rows))
+        log.extend(array("d", suffix) * len(rows))
         return rows
 
     return Stream(columns, generate(), drain, materialised=True)
@@ -681,32 +743,40 @@ def hash_group(rt, pnode):
     return _materialised(rt, node.output_columns(), groups)
 
 
-#: A union branch the drain runs from its resolved access: every output
-#: row is ``shape(heap_row + tail)``, the branch's Project and Extend
-#: steps composed into one constant *tail* and one shaper.
-_Branch = namedtuple("_Branch", "access tail shape")
+#: A union branch the drain replays (:func:`_resolve_branch`): its
+#: access's *charges* (descent and heap read), its shaped output *rows*,
+#: and for an access with a residual predicate the *runs* ``(kept,
+#: length)`` of its heap rows' outcomes and the *logs* built from them,
+#: one ``array('d')`` per consumer suffix; both ``None`` for an access with
+#: no residual, whose log is one repeated pattern built per run.
+_BranchRows = namedtuple("_BranchRows", "charges rows runs logs")
 
 
 def _resolve_branch(rt, pnode):
-    """The :class:`_Branch` of a union branch that is Project / Extend
+    """The :class:`_BranchRows` of a union branch that is Project / Extend
     steps over a base-table access :func:`_drain_access` can run, else
-    ``None``."""
+    ``None``.  Its rows and charges depend only on the catalog, so one
+    memo per catalog (``rt.resolved["branches"]``, dropped with
+    everything else :meth:`~repro.exec.runtime.Runtime.forget_lowered`
+    drops) serves every plan that reads the same branch."""
     steps = []
     while pnode.op.fn is project or pnode.op.fn is extend:
         steps.append(pnode.logical)
         pnode = pnode.children[0]
     if pnode.op.fn is not access_path:
         return None
-    access = _access_of(rt, pnode)
-    if not _drains_in_bulk(access):
-        return None
     node = pnode.logical
-    scan = node.child if isinstance(node, L.Select) else node
+    scan, predicates = (
+        (node.child, node.predicates) if isinstance(node, L.Select)
+        else (node, ())
+    )
+    if any(is_column_comparison(p) for p in predicates):
+        return None
     table = rt.engine.table(scan.table)
     width = len(table.columns)
     # Where each column of the rows so far comes from in ``heap_row +
     # tail``.
-    columns = list(access.columns)
+    columns = scan.output_columns()
     sources = [table.column_position(c) for c in scan.base_columns]
     tail = ()
     for step in reversed(steps):
@@ -717,7 +787,29 @@ def _resolve_branch(rt, pnode):
         else:
             sources = [sources[columns.index(i)] for _, i in step.mapping]
             columns = [o for o, _ in step.mapping]
-    return _Branch(access, tail, _row_shaper(sources))
+    key = (
+        scan.table,
+        tuple((scan.base_column(p.column), p.op, p.value) for p in predicates),
+        tuple(sources), tail,
+    )
+    memo = rt.resolved_lru("branches", BRANCH_MEMO_SIZE)
+    branch = memo.get(key)
+    if branch is None:
+        access = _access_of(rt, pnode)
+        if not _drains_in_bulk(access):
+            return None
+        rows, runs, logs = access.rows, None, None
+        if access.preds:
+            (pos, test), = access.preds
+            mask = [test(row[pos]) for row in rows]
+            rows, runs, logs = compress(rows, mask), _runs(mask), {}
+        if tail:
+            rows = map(add, rows, repeat(tail))
+        branch = _BranchRows(
+            access.charges, list(map(_row_shaper(sources), rows)), runs, logs,
+        )
+        memo.put(key, branch)
+    return branch
 
 
 @ROW_OPS.operator(
@@ -727,15 +819,16 @@ def _resolve_branch(rt, pnode):
 def pull_union(rt, pnode):
     node = pnode.logical
     out_columns = node.output_columns()
-    charge = rt.clock.cpu_log()
-    union_tuple = rt.costs.union_tuple
+    costs = rt.costs
+    union = array("d", (costs.union_tuple,))
 
     def generate():
+        log = rt.clock.cpu_log_array()
         seen = set() if node.distinct else None
         for child_pnode in pnode.children:
             stream = rt.build_child(child_pnode)
             for row in stream:
-                charge(union_tuple)
+                log += union
                 if seen is None:
                     yield row
                 elif row not in seen:
@@ -743,21 +836,40 @@ def pull_union(rt, pnode):
                     yield row
 
     def drain(suffix):
+        # Resolved branches replay from the memo: their rows are
+        # concatenated, and their charges go through one ``read_spans``
+        # list — each branch's descent and heap entries, then a ``LOG``
+        # entry with its rows' charges — so I/O and CPU interleave as
+        # branch-by-branch access drains would.  Any other branch drains
+        # its own stream at its place in the order.
         branches = pnode.resolved
         if branches is None:
             branches = pnode.resolved = tuple(
                 _resolve_branch(rt, child) for child in pnode.children
             )
-        per_row = (union_tuple,) + suffix
-        rows = []
+        per_row = (costs.union_tuple,) + suffix
+        scan_log = array("d", (costs.scan_tuple, *per_row))
+        rows, charges = [], []
         for child_pnode, branch in zip(pnode.children, branches):
             if branch is None:
+                if charges:
+                    rt.pool.read_spans(charges, rt)
+                    charges = []
                 rows += rt.build_child(child_pnode).drain(per_row)
                 continue
-            kept = _drain_access(rt, branch.access, per_row)
-            if branch.tail:
-                kept = map(add, kept, repeat(branch.tail))
-            rows += map(branch.shape, kept)
+            if branch.runs is None:
+                log = scan_log * len(branch.rows)
+            else:
+                log = branch.logs.get(per_row)
+                if log is None:
+                    log = branch.logs[per_row] = _kept_log(
+                        costs, branch.runs, per_row,
+                    )
+            charges += branch.charges
+            charges.append((LOG, log))
+            rows += branch.rows
+        if charges:
+            rt.pool.read_spans(charges, rt)
         return rows
 
     return Stream(out_columns, generate(), None if node.distinct else drain)
@@ -813,13 +925,13 @@ def limit(rt, pnode):
 )
 def tuple_distinct(rt, pnode):
     stream = rt.build_child(pnode.children[0])
-    charge = rt.clock.cpu_log()
-    group_tuple = rt.costs.group_tuple
+    group = array("d", (rt.costs.group_tuple,))
 
     def generate():
+        log = rt.clock.cpu_log_array()
         seen = set()
         for row in stream:
-            charge(group_tuple)
+            log += group
             if row not in seen:
                 seen.add(row)
                 yield row

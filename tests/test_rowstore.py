@@ -474,18 +474,23 @@ class TestResolvedAccessWork:
     one ``read_spans`` pass per access, then the rows.  Counted with
     ``sys.setprofile`` over ``src/repro``; the counts repeat exactly."""
 
-    #: ``src/repro`` calls of one hot vertical q8 on the row engine
-    #: (2 667 when recorded, since its hash joins drain both unions from
-    #: their resolved branches; 25 473 while every branch was a pulled
-    #: stream tree, and 56 221 before that, when every run chose an index
-    #: for each of its 444 accesses again, descended 222 B+trees and
+    #: ``src/repro`` calls of one hot vertical q8 on the row engine (675
+    #: when recorded, since both unions replay their branches from the
+    #: per-catalog memo in one ``read_spans`` pass each; 2 667 while each
+    #: branch drained its own access, 25 473 while every branch was a
+    #: pulled stream tree, and 56 221 before that, when every run chose an
+    #: index for each of its 444 accesses again, descended 222 B+trees and
     #: called ``Comparison.evaluate`` 8 054 times).
-    Q8_HOT_CALLS_CEILING = 2_800
+    Q8_HOT_CALLS_CEILING = 750
 
     #: ``src/repro`` calls of one hot triple q8 on the row engine (738
     #: when recorded; 784 at the commit before, when its two
     #: index-nested-loop probes were charged live through ``on_access``).
     TRIPLE_Q8_HOT_CALLS_CEILING = 800
+
+    #: ``src/repro`` calls of one warm run of vertical q2*'s 222-branch
+    #: union alone (49 when recorded: none of them per branch).
+    UNION_HOT_CALLS_CEILING = 60
 
     def test_a_hot_q8_resolves_no_access(self, repro_calls, barton_8k):
         import repro.api as api
@@ -500,8 +505,9 @@ class TestResolvedAccessWork:
         assert names["_choose_index"] == 0
         assert names["prefix_pages"] == 0
         assert names["evaluate"] == 0
-        # One charge-list pass per access: its descent and heap read.
-        assert names["read_spans"] == 2 * 222
+        # One charge-list pass per union: every branch's descent and heap
+        # read, each followed by its rows' charges.
+        assert names["read_spans"] == 2
         assert names["read_pages"] == 0
         assert sum(names.values()) <= self.Q8_HOT_CALLS_CEILING
 
@@ -533,6 +539,26 @@ class TestResolvedAccessWork:
         for name in engine.table_names():
             for index in engine.table(name).all_indexes():
                 assert index.tree.on_access is None
+
+
+    def test_a_warm_222_branch_union_is_one_charge_pass(
+        self, repro_calls, barton_8k,
+    ):
+        """A drained union replays every branch from the per-catalog memo:
+        one ``read_spans`` list holds all 222 branches' descents, heap
+        reads and row charges, and no branch builds a stream."""
+        store = RDFStore.from_triples(
+            barton_8k.triples, engine="row", scheme="vertical",
+            interesting_properties=barton_8k.interesting_properties,
+        )
+        union = store.connection()._plan_for("q2*").plan.child.child.right
+        assert isinstance(union, L.Union) and len(union.bindings) == 222
+        store.engine.run(union)  # lower, resolve, fill the memo
+        names = repro_calls(lambda: store.engine.run(union))
+        assert names["read_spans"] == 1
+        assert names["build_child"] == 1  # the union itself
+        assert names["_resolve_branch"] == names["_drain_access"] == 0
+        assert sum(names.values()) <= self.UNION_HOT_CALLS_CEILING
 
 
 class TestForcedIndexNestedLoopCosts:
@@ -667,6 +693,51 @@ class TestAnInsertDropsTheResolvedAccesses:
         assert after.cost.to_dict() == fresh.cost.to_dict()
 
 
+    def test_a_cached_union_after_an_insert_equals_a_fresh_store(self):
+        """A union's branches replay their rows and charges from a memo
+        shared by every plan of the catalog; an insert into a ``vp_*``
+        table must drop it, or the cached vertical q2* would answer from
+        the old rows."""
+        import repro.api as api
+        from repro.model.triple import Triple
+        from repro.storage import insert_triples
+
+        dataset = generate_barton(n_triples=4_000, n_properties=40, seed=11)
+        batch = [
+            triple
+            for i in range(3)
+            for triple in (
+                Triple(f"<inserted/{i}>", "<type>", "<Text>"),
+                Triple(f"<inserted/{i}>", "<prop/1>", f"<value/{i}>"),
+            )
+        ]
+
+        def connect(triples):
+            return api.connect(
+                triples=triples, engine="row", scheme="vertical",
+                interesting_properties=dataset.interesting_properties,
+            )
+
+        live = connect(dataset.triples)
+        session = live.session()
+        plan = live._plan_for("q2*").plan
+        before = session.query("q2*", mode="cold")
+        session.query("q2*")  # warm: every branch in the memo
+        store = live.store
+        store.catalog, report = insert_triples(
+            store.engine, store.catalog, batch,
+        )
+        assert report.tables_rebuilt and not report.schema_changed
+        after = session.query("q2*", mode="cold")
+        assert live._plan_for("q2*").plan is plan  # the cached plan
+        assert dict(after)["<prop/1>"] == dict(before)["<prop/1>"] + 3
+        fresh = connect(dataset.triples + batch).session().query(
+            "q2*", mode="cold"
+        )
+        assert sorted(after) == sorted(fresh)
+        assert after.cost.to_dict() == fresh.cost.to_dict()
+
+
 def _branch(alias, *predicates, extend=None):
     """A union branch over ``t`` with columns ``s, o, p``: Project over an
     optional Extend over an access."""
@@ -717,6 +788,93 @@ def _mixed_union(distinct=False):
     ], distinct=distinct)
 
 
+def _ad_hoc_plan(shape):
+    """The ad-hoc plan *shape* over ``make_engine``'s table ``t``."""
+    two = Select(scan(), [Comparison("obj", ">", 3),
+                          Comparison("subj", "<", 200)])
+    cross = Select(scan(), [L.ColumnComparison("subj", "<", "obj")])
+    plans = {
+        "group_over_union": lambda: GroupBy(
+            _mixed_union(), keys=["p"], count_column="n"),
+        "global_group_over_union": lambda: GroupBy(
+            _mixed_union(), keys=[], count_column="n",
+            aggregates=[("max", "o", "top")]),
+        "group_min_max_join": lambda: GroupBy(
+            Join(Select(scan("A"), [Comparison("A.prop", "=", 1)]),
+                 Select(scan("B"), [Comparison("B.prop", "=", 2)]),
+                 on=[("A.subj", "B.subj")]),
+            keys=["A.obj"], count_column="n",
+            aggregates=[("min", "B.obj", "lo"), ("max", "B.obj", "hi")]),
+        "distinct_union": lambda: _mixed_union(distinct=True),
+        "filter_over_union": lambda: Select(
+            _mixed_union(), [Comparison("o", ">", 10)]),
+        "limit_over_union": lambda: L.Limit(_mixed_union(), 150),
+        "sort_over_union": lambda: L.Sort(
+            _mixed_union(), [("o", "desc"), ("s", "asc")]),
+        "join_over_union": lambda: Join(
+            _mixed_union(),
+            Select(scan("K"), [Comparison("K.prop", "=", 7)]),
+            on=[("s", "K.subj")]),
+        "having_over_group": lambda: Having(
+            GroupBy(_mixed_union(), keys=["o"], count_column="n"),
+            Comparison("n", ">", 2)),
+        "two_predicates": lambda: two,
+        "cross_predicate": lambda: cross,
+        "group_over_two_predicates": lambda: GroupBy(
+            two, keys=["prop"], count_column="n"),
+        "group_over_cross_predicate": lambda: GroupBy(
+            cross, keys=["prop"], count_column="n"),
+    }
+    return plans[shape]()
+
+
+AD_HOC_SHAPES = [
+    "group_over_union", "global_group_over_union", "group_min_max_join",
+    "distinct_union", "filter_over_union", "limit_over_union",
+    "sort_over_union", "join_over_union", "having_over_group",
+    "two_predicates", "cross_predicate", "group_over_two_predicates",
+    "group_over_cross_predicate",
+]
+
+
+@pytest.fixture(scope="module")
+def drain_dataset():
+    return generate_barton(
+        n_triples=3_000, n_properties=60, n_interesting=28, seed=7
+    )
+
+
+@pytest.fixture
+def twins():
+    rng = np.random.default_rng(5)
+    n = 2000
+    data = {
+        "subj": rng.integers(0, 300, n),
+        "prop": rng.integers(0, 10, n),
+        "obj": rng.integers(0, 100, n),
+    }
+    return make_engine(data=data), make_engine(data=data)
+
+
+def _store_twins(dataset, scheme):
+    return tuple(
+        RDFStore.from_triples(
+            dataset.triples, engine="row", scheme=scheme,
+            interesting_properties=dataset.interesting_properties,
+        )
+        for _ in range(2)
+    )
+
+
+def _run(engine, plan, mode, traced):
+    if traced:
+        engine.install_tracer(Tracer(clock=engine.clock))
+    try:
+        return engine.run(plan, mode=mode)
+    finally:
+        engine.install_tracer(None)
+
+
 class TestDrainEqualsPull:
     """A materialising consumer drains its input (``Stream.drain``): the
     producers hand over all their rows at once and log their per-row
@@ -729,12 +887,7 @@ class TestDrainEqualsPull:
 
     @staticmethod
     def outcome(engine, plan, mode, traced):
-        if traced:
-            engine.install_tracer(Tracer(clock=engine.clock))
-        try:
-            relation, timing = engine.run(plan, mode=mode)
-        finally:
-            engine.install_tracer(None)
+        relation, timing = _run(engine, plan, mode, traced)
         return (
             relation.to_tuples(), timing.to_dict(), engine.pool.stats(),
             engine.clock.io_history(),
@@ -747,98 +900,138 @@ class TestDrainEqualsPull:
             assert outcome == self.outcome(pulled, plan, mode, True), mode
         return outcome[0]
 
-    @pytest.fixture(scope="class")
-    def dataset(self):
-        return generate_barton(
-            n_triples=3_000, n_properties=60, n_interesting=28, seed=7
-        )
-
     @pytest.mark.parametrize("scheme", ["vertical", "triple"])
-    def test_named_queries(self, dataset, scheme):
+    def test_named_queries(self, drain_dataset, scheme):
         from repro.queries import ALL_QUERY_NAMES
 
-        drained, pulled = (
-            RDFStore.from_triples(
-                dataset.triples, engine="row", scheme=scheme,
-                interesting_properties=dataset.interesting_properties,
-            )
-            for _ in range(2)
-        )
+        drained, pulled = _store_twins(drain_dataset, scheme)
         for query in ALL_QUERY_NAMES:
             plan = drained.connection()._plan_for(query).plan
             self.assert_drain_equals_pull(drained.engine, pulled.engine, plan)
 
-    @pytest.fixture
-    def twins(self):
-        rng = np.random.default_rng(5)
-        n = 2000
-        data = {
-            "subj": rng.integers(0, 300, n),
-            "prop": rng.integers(0, 10, n),
-            "obj": rng.integers(0, 100, n),
-        }
-        return make_engine(data=data), make_engine(data=data)
-
-    @pytest.mark.parametrize("shape", [
-        "group_over_union", "global_group_over_union", "group_min_max_join",
-        "distinct_union", "filter_over_union", "limit_over_union",
-        "sort_over_union", "join_over_union", "having_over_group",
-        "two_predicates", "cross_predicate", "group_over_two_predicates",
-        "group_over_cross_predicate",
-    ])
+    @pytest.mark.parametrize("shape", AD_HOC_SHAPES)
     def test_ad_hoc_shapes(self, twins, shape):
-        two = Select(scan(), [Comparison("obj", ">", 3),
-                              Comparison("subj", "<", 200)])
-        cross = Select(scan(), [L.ColumnComparison("subj", "<", "obj")])
-        plans = {
-            "group_over_union": lambda: GroupBy(
-                _mixed_union(), keys=["p"], count_column="n"),
-            "global_group_over_union": lambda: GroupBy(
-                _mixed_union(), keys=[], count_column="n",
-                aggregates=[("max", "o", "top")]),
-            "group_min_max_join": lambda: GroupBy(
-                Join(Select(scan("A"), [Comparison("A.prop", "=", 1)]),
-                     Select(scan("B"), [Comparison("B.prop", "=", 2)]),
-                     on=[("A.subj", "B.subj")]),
-                keys=["A.obj"], count_column="n",
-                aggregates=[("min", "B.obj", "lo"), ("max", "B.obj", "hi")]),
-            "distinct_union": lambda: _mixed_union(distinct=True),
-            "filter_over_union": lambda: Select(
-                _mixed_union(), [Comparison("o", ">", 10)]),
-            "limit_over_union": lambda: L.Limit(_mixed_union(), 150),
-            "sort_over_union": lambda: L.Sort(
-                _mixed_union(), [("o", "desc"), ("s", "asc")]),
-            "join_over_union": lambda: Join(
-                _mixed_union(),
-                Select(scan("K"), [Comparison("K.prop", "=", 7)]),
-                on=[("s", "K.subj")]),
-            "having_over_group": lambda: Having(
-                GroupBy(_mixed_union(), keys=["o"], count_column="n"),
-                Comparison("n", ">", 2)),
-            "two_predicates": lambda: two,
-            "cross_predicate": lambda: cross,
-            "group_over_two_predicates": lambda: GroupBy(
-                two, keys=["prop"], count_column="n"),
-            "group_over_cross_predicate": lambda: GroupBy(
-                cross, keys=["prop"], count_column="n"),
-        }
         drained, pulled = twins
-        assert self.assert_drain_equals_pull(drained, pulled, plans[shape]())
+        assert self.assert_drain_equals_pull(
+            drained, pulled, _ad_hoc_plan(shape)
+        )
 
     def test_an_untraced_union_drains_its_resolved_branches(
-        self, dataset, repro_calls,
+        self, drain_dataset, repro_calls,
     ):
-        """A warm drained 60-branch union builds no stream per branch and
-        reads each branch's access in one pass."""
+        """A warm drained 60-branch union builds no stream per branch,
+        resolves nothing again and charges all its branches in one
+        pass."""
         store = RDFStore.from_triples(
-            dataset.triples, engine="row", scheme="vertical",
-            interesting_properties=dataset.interesting_properties,
+            drain_dataset.triples, engine="row", scheme="vertical",
+            interesting_properties=drain_dataset.interesting_properties,
         )
         plan = store.connection()._plan_for("q2*").plan
+        union = plan.child.child.right
+        assert isinstance(union, L.Union) and len(union.bindings) >= 60
         store.engine.run(plan)  # lower and resolve
         names = repro_calls(lambda: store.engine.run(plan))
-        branches = names["_drain_access"]
-        assert branches >= 60
-        assert names["read_spans"] == branches
+        # The join's other input is one access, drained on its own.
+        assert names["_drain_access"] == 1
+        assert names["read_spans"] == 2
         assert names["build_child"] < 10
         assert names["_resolve_branch"] == names["_resolve_access"] == 0
+
+
+class _LogRecorder:
+    """What a clock folds, in order: every entry of the pending log,
+    copied at each ``_flush``, and a marker at the place of each scalar
+    CPU charge and each I/O charge.  A fold is a strict left fold, so
+    where the log is cut into flushes does not matter; this sequence is
+    everything the simulated clock's floats depend on."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.entries = []
+
+    def __enter__(self):
+        clock, entries = self.clock, self.entries
+        fold, charge_cpu, charge_io = (
+            clock._flush, clock.charge_cpu, clock.charge_io
+        )
+
+        def flush():
+            entries.extend(clock._pending)
+            fold()
+
+        def cpu(seconds, category="execute"):
+            charge_cpu(seconds, category)
+            entries.append(("cpu", seconds, category))
+
+        def io(*args, **kwargs):
+            charged = charge_io(*args, **kwargs)
+            entries.append(("io", args, sorted(kwargs.items())))
+            return charged
+
+        clock._flush, clock.charge_cpu, clock.charge_io = flush, cpu, io
+        return entries
+
+    def __exit__(self, *exc):
+        del self.clock._flush, self.clock.charge_cpu, self.clock.charge_io
+
+
+class TestDrainLogsInPullOrder:
+    """``TestDrainEqualsPull`` compares what the clock ends with, and two
+    charges of one row logged in swapped order usually fold to the same
+    double.  This compares what the clock folds: the drained run's log
+    must equal the traced, pulled run's entry by entry, for every shape,
+    cold and hot."""
+
+    @staticmethod
+    def assert_same_log(drained, pulled, plan):
+        for mode in ("cold", "hot"):
+            logs = []
+            for engine, traced in ((drained, False), (pulled, True)):
+                with _LogRecorder(engine.clock) as entries:
+                    _run(engine, plan, mode, traced)
+                logs.append(entries)
+            drained_log, pulled_log = logs
+            first = next(
+                (i for i, (a, b) in enumerate(zip(drained_log, pulled_log))
+                 if a != b),
+                min(len(drained_log), len(pulled_log)),
+            )
+            assert drained_log == pulled_log, (
+                mode, len(drained_log), len(pulled_log), first,
+                drained_log[first:first + 6], pulled_log[first:first + 6],
+            )
+
+    @pytest.mark.parametrize("scheme", ["vertical", "triple"])
+    def test_named_queries(self, drain_dataset, scheme):
+        from repro.queries import ALL_QUERY_NAMES
+
+        drained, pulled = _store_twins(drain_dataset, scheme)
+        for query in ALL_QUERY_NAMES:
+            plan = drained.connection()._plan_for(query).plan
+            self.assert_same_log(drained.engine, pulled.engine, plan)
+
+    @pytest.mark.parametrize("shape", AD_HOC_SHAPES)
+    def test_ad_hoc_shapes(self, twins, shape):
+        drained, pulled = twins
+        self.assert_same_log(drained, pulled, _ad_hoc_plan(shape))
+
+
+class TestUnionBranchMemo:
+    """A drained union hands its consumer a list of its own: the branches'
+    memoised row lists are shared by every plan of the catalog, and a
+    consumer that sorts its input in place must not reorder them."""
+
+    @pytest.mark.parametrize("branches", [1, 8])
+    def test_a_sort_over_a_union_returns_the_same_rows_twice(
+        self, twins, branches,
+    ):
+        engine, _ = twins
+        union = _mixed_union()
+        if branches == 1:
+            union = Union([_branch("B")], distinct=False)
+        plan = L.Sort(union, [("o", "desc"), ("s", "asc")])
+        unsorted = engine.execute(union).to_tuples()
+        first = engine.execute(plan).to_tuples()
+        assert first == sorted(unsorted, key=lambda r: (-r[1], r[0]))
+        assert engine.execute(plan).to_tuples() == first
+        assert engine.execute(union).to_tuples() == unsorted
