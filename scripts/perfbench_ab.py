@@ -11,11 +11,11 @@ this script only invokes) once in the parent's tree and once in this
 checkout, same seed, back to back, and the side that goes first alternates
 from pair to pair.  Every run made is listed; per workload and end-to-end
 metric the record gives each side's median and quartiles and how many
-pairs the change won (ties count for neither).  ``--traced-pairs`` extra
-``--trace 1`` pairs (at least five) on the claimed workload record the
-per-layer split — each layer's median and quartiles per side, since one
-traced pair cannot show where a saving sits — and check on every pair
-that the counts that must repeat exactly do.
+pairs the change won (ties count for neither).  ``TRACED_PAIRS`` extra
+``--trace 1`` pairs on the claimed workload record the per-layer split —
+each layer's median and quartiles per side, since one traced pair cannot
+show where a saving sits — and check on every pair that the counts that
+must repeat exactly do.
 
 The record (schema ``perfbench-ab/2``: ``perfbench-ab/1``, the shape of
 ``BENCH_adhoc_frontend.json``, with ``traced[workload]`` a ``{"summary",
@@ -35,6 +35,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+
+#: ``--trace 1`` pairs run on the claimed workload: one traced pair cannot
+#: show where a saving sits, so the per-layer split is a median of five.
+TRACED_PAIRS = 5
 
 #: Traced metrics that repeat bit for bit on one commit, so any difference
 #: between the sides is the change's.
@@ -179,9 +183,6 @@ def main(argv=None):
     parser.add_argument("--also", default="",
                         help="comma-separated workloads that must not move")
     parser.add_argument("--also-pairs", type=int, default=3)
-    parser.add_argument("--traced-pairs", type=int, default=5,
-                        help="--trace 1 pairs on the claimed workload "
-                             "(at least 5)")
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair; pair i uses seed+i")
     parser.add_argument("--issue", default="", help="label for the record")
@@ -199,8 +200,6 @@ def main(argv=None):
             parser.error(f"unknown workload {name!r}; have {sorted(known)}")
     if args.metric not in end_to_end:
         parser.error(f"unknown end-to-end metric {args.metric!r}")
-    if args.traced_pairs < 5:
-        parser.error("--traced-pairs must be at least 5")
     parent_sha = subprocess.run(
         ["git", "rev-parse", "--verify", args.parent + "^{commit}"],
         cwd=ROOT, capture_output=True, text=True, check=True,
@@ -218,7 +217,7 @@ def main(argv=None):
             "of parent_commit) and the change (the working tree) with the same "
             "seed back to back, alternating which side goes first; pair i of "
             f"a workload uses seed {args.seed}+i. Every run made is listed. "
-            f"traced: {args.traced_pairs} --trace 1 pairs on the claimed "
+            f"traced: {TRACED_PAIRS} --trace 1 pairs on the claimed "
             "workload, seeds and order as above; its summary gives per "
             "layer and side the median and quartiles over the pairs, and "
             "the exact counts are checked on every pair."),
@@ -270,7 +269,7 @@ def main(argv=None):
                 write()
         traced = record["traced"][args.workload] = {"summary": {},
                                                      "pairs": []}
-        for number in range(args.traced_pairs):
+        for number in range(TRACED_PAIRS):
             seed = args.seed + number
             _, results = run_pair(checkouts, spec, args.workload, seed,
                                   number, trace=1)

@@ -142,7 +142,8 @@ class Runtime:
         #: ``(table, column)``, its first-probe charge per ``(table,
         #: column, "probe")``, and its template-union plans under
         #: ``"unions"`` (an LRU); the row store's union branches, rows
-        #: and charges, under ``"branches"`` (an LRU).
+        #: and charges, under ``"branches"`` (an LRU bounded by the rows
+        #: it holds).
         self.resolved = {}
 
     # ------------------------------------------------------------------
@@ -168,13 +169,14 @@ class Runtime:
         self._lowered.clear()
         self.resolved.clear()
 
-    def resolved_lru(self, name, capacity):
-        """The LRU of *capacity* entries under ``resolved[name]``, made on
+    def resolved_lru(self, name, capacity, weigh=None):
+        """The LRU under ``resolved[name]`` that holds entries of total
+        weight at most *capacity* (:class:`~repro.lru.LruCache`), made on
         first use: what an operator resolved per catalog, keyed its own
         way, dropped with the rest of :attr:`resolved`."""
         memo = self.resolved.get(name)
         if memo is None:
-            memo = self.resolved[name] = LruCache(capacity)
+            memo = self.resolved[name] = LruCache(capacity, weigh)
         return memo
 
     def lowering_cache_stats(self):

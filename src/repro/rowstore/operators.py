@@ -67,10 +67,12 @@ from repro.plan.predicates import is_column_comparison
 #: Upper bound on outer cardinality for index nested loops.
 INL_MAX_OUTER = 20_000
 
-#: Union branches whose rows the per-catalog memo keeps (an LRU in
-#: ``Runtime.resolved["branches"]``): the 12 named queries read 888
-#: distinct branches of a 222-property vertical store.
-BRANCH_MEMO_SIZE = 2048
+#: Rows the per-catalog union-branch memo holds at most (an LRU in
+#: ``Runtime.resolved["branches"]`` weighed by :func:`_branch_weight`; a
+#: branch over the whole budget is not kept), about 5 MB of 3-column
+#: rows.  The 12 named queries read 888 branches that weigh 19 121 on a
+#: 5 000-triple vertical store, and 182 177 on a 60 000-triple one.
+BRANCH_MEMO_ROWS = 1 << 16
 
 ROW_OPS = EngineOperatorSet("row-store", paradigm="pull")
 
@@ -325,7 +327,9 @@ def _drain_access(rt, access, suffix):
     (pos, test), = preds
     mask = [test(row[pos]) for row in rows]
     if suffix:
-        log += _kept_log(rt.costs, _runs(mask), suffix)
+        patterns = _kept_patterns(rt.costs, suffix)
+        for kept, length in _runs(mask):
+            log += patterns[kept] * length
     else:
         log += (array("d", (rt.costs.scan_tuple, rt.costs.select_tuple))
                 * len(rows))
@@ -337,16 +341,12 @@ def _runs(mask):
     return [(kept, len(list(run))) for kept, run in groupby(mask)]
 
 
-def _kept_log(costs, runs, suffix):
-    """The log of an access with one residual predicate, from its rows'
-    outcome *runs*: per row ``scan_tuple`` and ``select_tuple``, and the
+def _kept_patterns(costs, suffix):
+    """``(failed, kept)``: what a row of an access with one residual
+    predicate logs — ``scan_tuple`` and ``select_tuple``, and the
     non-empty *suffix* after a kept row's."""
     fail = array("d", (costs.scan_tuple, costs.select_tuple))
-    patterns = (fail, fail + array("d", suffix))
-    log = array("d")
-    for kept, length in runs:
-        log += patterns[kept] * length
-    return log
+    return fail, fail + array("d", suffix)
 
 
 @matches(L.Select, L.Scan)
@@ -743,22 +743,30 @@ def hash_group(rt, pnode):
     return _materialised(rt, node.output_columns(), groups)
 
 
-#: A union branch the drain replays (:func:`_resolve_branch`): its
-#: access's *charges* (descent and heap read), its shaped output *rows*,
-#: and for an access with a residual predicate the *runs* ``(kept,
-#: length)`` of its heap rows' outcomes and the *logs* built from them,
-#: one ``array('d')`` per consumer suffix; both ``None`` for an access with
-#: no residual, whose log is one repeated pattern built per run.
-_BranchRows = namedtuple("_BranchRows", "charges rows runs logs")
+#: A union branch the drain may replay, resolved once per lowered node
+#: (:func:`_resolve_branch`): its memo *key* (table, base-column
+#: predicates, output sources, Extend constants), its ``access-path``
+#: node *access*, the *shape* of an output row from ``heap_row + tail``,
+#: and the Extend constants *tail*.
+_BranchSpec = namedtuple("_BranchSpec", "key access shape tail")
+
+#: What the per-catalog memo keeps of a branch (:func:`_branch_rows`):
+#: its access's *charges* (descent and heap read), its shaped output
+#: *rows*, and for an access with a residual predicate the *runs*
+#: ``(kept, length)`` of its heap rows' outcomes (``None`` without one).
+#: A drain builds the rows' charges from these on every run.
+_BranchRows = namedtuple("_BranchRows", "charges rows runs")
 
 
 def _resolve_branch(rt, pnode):
-    """The :class:`_BranchRows` of a union branch that is Project / Extend
-    steps over a base-table access :func:`_drain_access` can run, else
-    ``None``.  Its rows and charges depend only on the catalog, so one
-    memo per catalog (``rt.resolved["branches"]``, dropped with
-    everything else :meth:`~repro.exec.runtime.Runtime.forget_lowered`
-    drops) serves every plan that reads the same branch."""
+    """The :class:`_BranchSpec` of a union branch that is Project / Extend
+    steps over a base-table access with no cross predicate, else
+    ``None``.  Its rows and charges depend only on the catalog and the
+    spec's key, so one memo per catalog (``rt.resolved["branches"]``,
+    dropped with everything else
+    :meth:`~repro.exec.runtime.Runtime.forget_lowered` drops) serves
+    every plan that reads the same branch, and a plan whose branches are
+    all in it resolves none of their accesses."""
     steps = []
     while pnode.op.fn is project or pnode.op.fn is extend:
         steps.append(pnode.logical)
@@ -792,24 +800,35 @@ def _resolve_branch(rt, pnode):
         tuple((scan.base_column(p.column), p.op, p.value) for p in predicates),
         tuple(sources), tail,
     )
-    memo = rt.resolved_lru("branches", BRANCH_MEMO_SIZE)
-    branch = memo.get(key)
-    if branch is None:
-        access = _access_of(rt, pnode)
-        if not _drains_in_bulk(access):
-            return None
-        rows, runs, logs = access.rows, None, None
-        if access.preds:
-            (pos, test), = access.preds
-            mask = [test(row[pos]) for row in rows]
-            rows, runs, logs = compress(rows, mask), _runs(mask), {}
-        if tail:
-            rows = map(add, rows, repeat(tail))
-        branch = _BranchRows(
-            access.charges, list(map(_row_shaper(sources), rows)), runs, logs,
-        )
-        memo.put(key, branch)
-    return branch
+    return _BranchSpec(key, pnode, _row_shaper(sources), tail)
+
+
+def _branch_rows(rt, memo, spec):
+    """The :class:`_BranchRows` of a resolved branch on a *memo* miss,
+    built and put back: its access's rows that pass the residual
+    predicate, shaped.  ``None`` if :func:`_drain_access` cannot run the
+    access (more than one residual predicate)."""
+    access = _access_of(rt, spec.access)
+    if not _drains_in_bulk(access):
+        return None
+    rows, runs = access.rows, None
+    if access.preds:
+        (pos, test), = access.preds
+        mask = [test(row[pos]) for row in rows]
+        rows, runs = compress(rows, mask), _runs(mask)
+    if spec.tail:
+        rows = map(add, rows, repeat(spec.tail))
+    return memo.put(spec.key, _BranchRows(
+        access.charges, list(map(spec.shape, rows)), runs,
+    ))
+
+
+def _branch_weight(branch):
+    """What *branch* counts against :data:`BRANCH_MEMO_ROWS`: its rows and
+    runs, and four rows for the entry itself (its key, record and list
+    take about 300 bytes, as four 3-column rows do), so a stream of
+    empty branches is bounded too."""
+    return 4 + len(branch.rows) + len(branch.runs or ())
 
 
 @ROW_OPS.operator(
@@ -836,37 +855,42 @@ def pull_union(rt, pnode):
                     yield row
 
     def drain(suffix):
-        # Resolved branches replay from the memo: their rows are
+        # Resolved branches replay from the memo (a miss builds the
+        # branch and puts it back, see _branch_rows): their rows are
         # concatenated, and their charges go through one ``read_spans``
-        # list — each branch's descent and heap entries, then a ``LOG``
-        # entry with its rows' charges — so I/O and CPU interleave as
+        # list — each branch's descent and heap entries, then ``LOG``
+        # entries with its rows' charges — so I/O and CPU interleave as
         # branch-by-branch access drains would.  Any other branch drains
-        # its own stream at its place in the order.
-        branches = pnode.resolved
-        if branches is None:
-            branches = pnode.resolved = tuple(
-                _resolve_branch(rt, child) for child in pnode.children
+        # its own stream at its place in the order.  The node keeps the
+        # specs and keys, not the rows, so the memo's budget bounds what
+        # every plan holds.
+        resolved = pnode.resolved
+        if resolved is None:
+            specs = tuple(_resolve_branch(rt, c) for c in pnode.children)
+            resolved = pnode.resolved = (
+                specs, [spec.key for spec in specs if spec is not None],
             )
+        specs, keys = resolved
+        memo = rt.resolved_lru("branches", BRANCH_MEMO_ROWS, _branch_weight)
+        found = iter(memo.get_many(keys))
         per_row = (costs.union_tuple,) + suffix
         scan_log = array("d", (costs.scan_tuple, *per_row))
+        patterns = _kept_patterns(costs, per_row)
         rows, charges = [], []
-        for child_pnode, branch in zip(pnode.children, branches):
+        for child_pnode, spec in zip(pnode.children, specs):
+            branch = spec and (next(found) or _branch_rows(rt, memo, spec))
             if branch is None:
                 if charges:
                     rt.pool.read_spans(charges, rt)
                     charges = []
                 rows += rt.build_child(child_pnode).drain(per_row)
                 continue
-            if branch.runs is None:
-                log = scan_log * len(branch.rows)
-            else:
-                log = branch.logs.get(per_row)
-                if log is None:
-                    log = branch.logs[per_row] = _kept_log(
-                        costs, branch.runs, per_row,
-                    )
             charges += branch.charges
-            charges.append((LOG, log))
+            if branch.runs is None:
+                charges.append((LOG, scan_log * len(branch.rows)))
+            else:
+                for kept, length in branch.runs:
+                    charges.append((LOG, patterns[kept] * length))
             rows += branch.rows
         if charges:
             rt.pool.read_spans(charges, rt)

@@ -234,6 +234,34 @@ class TestPlanCache:
         assert cache.stats()["evictions"] == 1
         assert len(cache) == 3
 
+    def test_weighed_entries_bound_the_total_weight(self):
+        """With *weigh*, the capacity bounds the entries' total weight:
+        a put evicts least recently used entries until the new one fits,
+        and an entry heavier than the whole capacity is not kept."""
+        cache = LruCache(10, weigh=len)
+        cache.put("a", "a" * 4)
+        cache.put("b", "b" * 4)
+        assert cache.weight == 8
+        assert cache.get("a") == "aaaa"  # refresh "a"
+        cache.put("c", "c" * 5)          # evicts "b", the LRU entry
+        assert cache.get("b") is None
+        assert cache.weight == 9 and len(cache) == 2
+        heavy = "x" * 11
+        assert cache.put("x", heavy) is heavy
+        assert cache.get("x") is None
+        assert cache.weight == 9 and len(cache) == 2
+        cache.clear()
+        assert cache.weight == 0
+
+    def test_get_many_refreshes_what_it_finds(self):
+        cache = LruCache(3)
+        for key in ("a", "b", "c"):
+            cache.put(key, key.upper())
+        assert cache.get_many(["a", "z", "c"]) == ["A", None, "C"]
+        assert (cache.hits, cache.misses) == (2, 1)
+        cache.put("d", "D")              # "b" is now the LRU entry
+        assert cache.get_many(["b", "a", "c", "d"]) == [None, "A", "C", "D"]
+
     def test_put_is_insert_if_absent(self):
         cache = LruCache(2)
         first = object()

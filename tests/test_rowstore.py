@@ -474,7 +474,7 @@ class TestResolvedAccessWork:
     one ``read_spans`` pass per access, then the rows.  Counted with
     ``sys.setprofile`` over ``src/repro``; the counts repeat exactly."""
 
-    #: ``src/repro`` calls of one hot vertical q8 on the row engine (675
+    #: ``src/repro`` calls of one hot vertical q8 on the row engine (679
     #: when recorded, since both unions replay their branches from the
     #: per-catalog memo in one ``read_spans`` pass each; 2 667 while each
     #: branch drained its own access, 25 473 while every branch was a
@@ -489,7 +489,7 @@ class TestResolvedAccessWork:
     TRIPLE_Q8_HOT_CALLS_CEILING = 800
 
     #: ``src/repro`` calls of one warm run of vertical q2*'s 222-branch
-    #: union alone (49 when recorded: none of them per branch).
+    #: union alone (51 when recorded: none of them per branch).
     UNION_HOT_CALLS_CEILING = 60
 
     def test_a_hot_q8_resolves_no_access(self, repro_calls, barton_8k):
@@ -1035,3 +1035,89 @@ class TestUnionBranchMemo:
         assert first == sorted(unsorted, key=lambda r: (-r[1], r[0]))
         assert engine.execute(plan).to_tuples() == first
         assert engine.execute(union).to_tuples() == unsorted
+
+    #: The memo's weight (:func:`_branch_weight`) after the 12 named
+    #: queries, cold and hot, on the 8 000-triple 222-property vertical
+    #: store: 888 branches of 24 162 rows when recorded.
+    NAMED_QUERIES_WEIGHT = 27_938
+
+    def test_the_named_queries_fill_a_pinned_share_of_the_budget(
+        self, barton_8k,
+    ):
+        from repro.queries import ALL_QUERY_NAMES
+        from repro.rowstore.operators import BRANCH_MEMO_ROWS
+
+        session, memo = self.named_session(barton_8k)
+        for query in ALL_QUERY_NAMES:
+            session.query(query, mode="cold")
+            session.query(query)
+        assert memo().weight == self.NAMED_QUERIES_WEIGHT
+        assert memo().evictions == 0
+        assert self.NAMED_QUERIES_WEIGHT < BRANCH_MEMO_ROWS
+
+    def test_the_memo_holds_at_most_its_budget(
+        self, drain_dataset, monkeypatch,
+    ):
+        """The memo is bounded by the rows it holds, not by its entry
+        count, and a plan keeps none of them: under a budget of a quarter
+        of the named queries' working set it evicts, weighs at most the
+        budget after every query, and every answer and cost equals the
+        one a memo that never evicts gives."""
+        from repro.queries import ALL_QUERY_NAMES
+        from repro.rowstore import operators
+
+        def outcomes(session):
+            return [
+                (list(result), result.cost.to_dict())
+                for query in ALL_QUERY_NAMES
+                for result in (session.query(query, mode="cold"),
+                               session.query(query))
+            ]
+
+        session, memo = self.named_session(drain_dataset)
+        expected = outcomes(session)
+        assert memo().evictions == 0
+        budget = memo().weight // 4
+        monkeypatch.setattr(operators, "BRANCH_MEMO_ROWS", budget)
+        session, memo = self.named_session(drain_dataset)
+        weights = []
+        got = []
+        for query in ALL_QUERY_NAMES:
+            for mode in ("cold", None):
+                result = session.query(query, mode=mode)
+                got.append((list(result), result.cost.to_dict()))
+                if memo() is not None:
+                    weights.append(memo().weight)
+                    assert memo().weight == sum(
+                        map(operators._branch_weight, memo()._entries.values())
+                    )
+        assert got == expected
+        assert memo().capacity == budget and memo().evictions > 0
+        assert 0 < max(weights) <= budget
+        # A cached plan's unions keep their branches' specs, no rows.
+        runtime = session.connection.store.engine.executor()
+        pending = [physical for _, physical in runtime._lowered._entries.values()]
+        unions = 0
+        while pending:
+            pnode = pending.pop()
+            if pnode.op.fn is operators.pull_union and pnode.resolved:
+                unions += 1
+                specs, keys = pnode.resolved
+                assert {type(spec) for spec in specs} <= {
+                    operators._BranchSpec, type(None)
+                }
+            pending.extend(pnode.children)
+        assert unions
+
+    @staticmethod
+    def named_session(dataset):
+        """A session on a new vertical row store, and its memo (``None``
+        until a union drains)."""
+        import repro.api as api
+
+        connection = api.connect(
+            triples=dataset.triples, engine="row", scheme="vertical",
+            interesting_properties=dataset.interesting_properties,
+        )
+        runtime = connection.store.engine.executor()
+        return connection.session(), lambda: runtime.resolved.get("branches")
