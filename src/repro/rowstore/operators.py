@@ -778,8 +778,11 @@ def _resolve_branch(rt, pnode):
         (node.child, node.predicates) if isinstance(node, L.Select)
         else (node, ())
     )
-    if any(is_column_comparison(p) for p in predicates):
-        return None
+    base_preds = ()
+    for p in predicates:
+        if is_column_comparison(p):
+            return None
+        base_preds += ((scan.base_column(p.column), p.op, p.value),)
     table = rt.engine.table(scan.table)
     width = len(table.columns)
     # Where each column of the rows so far comes from in ``heap_row +
@@ -795,11 +798,7 @@ def _resolve_branch(rt, pnode):
         else:
             sources = [sources[columns.index(i)] for _, i in step.mapping]
             columns = [o for o, _ in step.mapping]
-    key = (
-        scan.table,
-        tuple((scan.base_column(p.column), p.op, p.value) for p in predicates),
-        tuple(sources), tail,
-    )
+    key = (scan.table, base_preds, tuple(sources), tail)
     return _BranchSpec(key, pnode, _row_shaper(sources), tail)
 
 
