@@ -705,3 +705,166 @@ class TestOnePreparation:
                 )
 
         check()
+
+
+# -- store-build digests ---------------------------------------------------
+
+
+def _digest(document):
+    import hashlib
+
+    return hashlib.sha256(repr(document).encode()).hexdigest()[:16]
+
+
+def _tree_document(tree):
+    """Root, order, size and every node page of a B+tree: leaf keys,
+    values and links, internal separators and children."""
+    nodes = [
+        (node.page, node.keys, node.values, node.next_leaf) if node.is_leaf
+        else (node.page, node.keys, node.children)
+        for node in tree._nodes
+    ]
+    return (tree._root_page, tree.order, len(tree), nodes)
+
+
+def _encoding_document(encoding):
+    if encoding is None:
+        return None
+    fields = []
+    for slot in type(encoding).__slots__:
+        value = getattr(encoding, slot)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.tobytes())
+        fields.append((slot, value))
+    return (type(encoding).__name__, fields)
+
+
+def _table_document(table):
+    if hasattr(table, "rows"):
+        return ("row", table.columns, table.clustering, table.rows, [
+            (index.name, index.key_columns, index.clustered,
+             index.segment.name, _tree_document(index.tree))
+            for index in table.all_indexes()
+        ])
+    return ("column", table.column_names(), table.sort_order, [
+        (column, table.array(column).dtype.str,
+         table.array(column).tobytes(),
+         _encoding_document(table.encodings.get(column)))
+        for column in table.column_names()
+    ])
+
+
+def _kv_document(catalog):
+    return [
+        (name, kv.name, kv.segment.name, _tree_document(kv._tree))
+        for name, kv in ((n, catalog.get(n)) for n in catalog.names())
+    ]
+
+
+def _store_document(engine, catalog):
+    """The dictionary strings, the disk segments in creation order, and
+    every table (or C-Store KV database) of one deployed store."""
+    segments = [(s.name, s.base, s.nbytes) for s in engine.disk.segments()]
+    if catalog is None:  # the C-Store replica
+        return (list(engine.dictionary), segments, engine.properties,
+                _kv_document(engine.catalog),
+                _kv_document(engine.subject_projections))
+    return (list(catalog.dictionary), segments, [
+        (name, _table_document(engine.table(name)))
+        for name in engine.table_names()
+    ])
+
+
+def _digest_dataset():
+    import dataclasses
+
+    from repro.data.barton import WELL_KNOWN_PROPERTIES
+    from repro.data.splitting import split_properties
+
+    dataset = generate_barton(n_triples=3_000, seed=47)
+    triples, properties = split_properties(
+        dataset.triples, 300, seed=47, protected=WELL_KNOWN_PROPERTIES,
+        max_subproperties=50,
+    )
+    return dataset, dataclasses.replace(
+        dataset, triples=triples, properties=properties
+    )
+
+
+def _digest_batch(dataset):
+    """New subjects over stored properties, a stored triple, a repeated
+    triple and a property the store has never seen."""
+    batch = [
+        Triple(f"<digest/{i}>", dataset.properties[1 + i % 19],
+               dataset.entity_name(i * 37 % dataset.n_entities))
+        for i in range(30)
+    ]
+    return batch + [dataset.triples[5], batch[3],
+                    Triple("<digest/new>", "<digest/property>", "<Text>")]
+
+
+#: (system, scheme, clustering, compression, split): every ``deploy_write``
+#: configuration of the wall-clock benchmark.
+_DIGEST_CONFIGS = {
+    "dbx_triple_spo": ("DBX", "triple", "SPO", None, False),
+    "dbx_triple_pso": ("DBX", "triple", "PSO", None, False),
+    "dbx_vert_so": ("DBX", "vert", "SO", None, False),
+    "monetdb_triple_spo": ("MonetDB", "triple", "SPO", None, False),
+    "monetdb_triple_pso": ("MonetDB", "triple", "PSO", None, False),
+    "monetdb_vert_so": ("MonetDB", "vert", "SO", None, False),
+    "cstore_vert_so": ("C-Store", "vert", "SO", None, False),
+    "monetdb_vert_physical": ("MonetDB", "vert", "SO", "physical", False),
+    "monetdb_triple_physical": ("MonetDB", "triple", "PSO", "physical",
+                                False),
+    "monetdb_vert_split": ("MonetDB", "vert", "SO", None, True),
+    "dbx_vert_split": ("DBX", "vert", "SO", None, True),
+}
+
+#: Captured before the store build moved to C-level passes: config ->
+#: (digest of the deployed store, digest after one insert batch).
+_BUILD_DIGESTS = {
+    'cstore_vert_so': ('ad6885e20234b4fe', None),
+    'dbx_triple_pso': ('9d3498543059327a', '2f50d0d394b3982b'),
+    'dbx_triple_spo': ('2c50196febb38c42', 'bccb586050f98de9'),
+    'dbx_vert_so': ('7cdbd4bd0e9b4f14', '2493c69bfdb16ffd'),
+    'dbx_vert_split': ('ffb7ab6c8b6c8204', 'b33067cc7bab9d83'),
+    'monetdb_triple_physical': ('07ec91c1f338e01e', '9993901b5c257bed'),
+    'monetdb_triple_pso': ('1a564ea18a07fa6a', 'b964ae7db4858f48'),
+    'monetdb_triple_spo': ('a1af605eae75b78d', '164559bd34f5e0dc'),
+    'monetdb_vert_physical': ('ac2011a374909e58', 'e835418842c2865c'),
+    'monetdb_vert_so': ('f066c1d5726022e7', 'a3c9164c6c834800'),
+    'monetdb_vert_split': ('9e60c613e6e97aba', 'b1c2879a6c73b306'),
+}
+
+
+class TestStoreBuildDigest:
+    """Every benchmark deployment, built from a fixed small dataset, and
+    the SQL ones after one insert batch, digest to what the per-row build
+    produced: dictionary strings, disk segments in creation order, column
+    arrays and codecs, row heaps, every B+tree node, every C-Store KV
+    tree."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        return _digest_dataset()
+
+    @pytest.mark.parametrize("config", sorted(_DIGEST_CONFIGS))
+    def test_build_and_insert_digests(self, datasets, config, monkeypatch):
+        from repro.bench.systems import deploy
+        from repro.storage.maintenance import insert_triples
+
+        monkeypatch.delenv("REPRO_COMPRESS", raising=False)
+        system, scheme, clustering, compression, split = (
+            _DIGEST_CONFIGS[config]
+        )
+        dataset = datasets[1] if split else datasets[0]
+        deployment = deploy(dataset, system, scheme, clustering,
+                            cache=False, compression=compression)
+        engine, catalog = deployment.engine, deployment.catalog
+        digests = [_digest(_store_document(engine, catalog)), None]
+        if catalog is not None:
+            catalog, _ = insert_triples(
+                engine, catalog, _digest_batch(datasets[0])
+            )
+            digests[1] = _digest(_store_document(engine, catalog))
+        assert tuple(digests) == _BUILD_DIGESTS[config]
