@@ -12,6 +12,8 @@ artifact the paper studied:
 """
 
 from collections import Counter
+from itertools import chain, compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from repro.dictionary import Dictionary
 from repro.exec.host import EngineHost
 from repro.queries.definitions import CONSTANTS
 from repro.relation import Relation
+from repro.storage.encoding import row_order
 from repro.cstore.kvstore import KVCatalog, OrderedKV
 
 #: The only queries the artifact implements.
@@ -59,55 +62,49 @@ class CStoreEngine(EngineHost):
     # ------------------------------------------------------------------
 
     def load_vertical(self, triples, interesting_properties, dictionary=None):
-        """Load the 28-property vertically-partitioned data."""
+        """Load the 28-property vertically-partitioned data.
+
+        The dictionary interns the loaded terms in first-seen ``(s, o, p)``
+        order, then the interesting properties without loaded triples; a
+        non-string term raises :class:`~repro.errors.DictionaryError`.
+        The encoded rows are sorted once on the folded ``(p, s, o)`` key,
+        so each property's databases are built from a sorted slice.
+        """
         if self._loaded:
             raise StorageError("C-Store replica is already loaded")
         if dictionary is None:
             dictionary = Dictionary()
         interesting = list(interesting_properties)
-        wanted = set(interesting)
-        loaded = [t for t in triples if t.p in wanted]
-        # Bulk-encode with one encode_many call; the flattened (s, o, p)
-        # order preserves the oid assignment of the per-triple loop this
-        # replaces, so the stored keys are byte-identical.
-        flat = []
-        push = flat.append
-        for t in loaded:
-            push(t.s)
-            push(t.o)
-            push(t.p)
-        oids = dictionary.encode_many(flat)
-        groups = {p: [] for p in interesting}
-        for i, t in enumerate(loaded):
-            groups[t.p].append(((oids[3 * i], oids[3 * i + 1]), 0))
+        triples = list(triples)
+        loaded = list(compress(triples, map(
+            set(interesting).__contains__, map(attrgetter("p"), triples)
+        )))
+        flat = list(chain.from_iterable(
+            map(attrgetter("s", "o", "p"), loaded)
+        ))
+        dictionary.extend(dict.fromkeys(flat))
+        dictionary.extend(dict.fromkeys(interesting))
+        subj, obj, prop = dictionary.lookup_array(flat, len(flat)).reshape(
+            -1, 3
+        ).T
+        order = row_order([prop, subj, obj])
+        subj, obj, prop = subj[order], obj[order], prop[order]
         for p in interesting:
-            oid = dictionary.encode(p)
-            self.catalog.add(
-                p,
-                OrderedKV(
-                    f"vp_{oid}",
-                    groups[p],
-                    self.disk,
-                    self.pool,
-                    self.clock,
-                    self.costs.btree_node,
-                ),
-            )
+            oid = dictionary.lookup(p)
+            lo, hi = np.searchsorted(prop, [oid, oid + 1]).tolist()
+            subjects = subj[lo:hi].tolist()
+            self.catalog.add(p, OrderedKV(
+                f"vp_{oid}", list(zip(subjects, obj[lo:hi].tolist())),
+                self.disk, self.pool, self.clock, self.costs.btree_node,
+            ))
             # C-Store keeps single-column projections too: a subject-only
             # projection serves the count-style scans of q2/q6 with roughly
             # half the bytes of the (subject, object) projection.
-            self.subject_projections.add(
-                p,
-                OrderedKV(
-                    f"vp_{oid}_s",
-                    [((s,), 0) for (s, _o), _ in groups[p]],
-                    self.disk,
-                    self.pool,
-                    self.clock,
-                    self.costs.btree_node,
-                    order=2 * OrderedKV.DEFAULT_ORDER,
-                ),
-            )
+            self.subject_projections.add(p, OrderedKV(
+                f"vp_{oid}_s", list(zip(subjects)),
+                self.disk, self.pool, self.clock, self.costs.btree_node,
+                order=2 * OrderedKV.DEFAULT_ORDER,
+            ))
         self.dictionary = dictionary.freeze()
         self.properties = interesting
         self._loaded = True

@@ -23,12 +23,13 @@ class OrderedKV:
     #: 270 MB on disk" for the 28-property load.
     DEFAULT_ORDER = 1500
 
-    def __init__(self, name, pairs, disk, pool, clock, node_cpu_cost,
+    def __init__(self, name, keys, disk, pool, clock, node_cpu_cost,
                  order=DEFAULT_ORDER):
-        """Bulk-load from *pairs* (``(key_tuple, value)``, key-sorted)."""
+        """Bulk-load from *keys*, a list of key tuples in ascending order
+        (not re-verified).  A database is keys only: every value is 0."""
         self.name = name
-        self._tree = BPlusTree.bulk_load(
-            sorted(pairs), order=order, fill_factor=0.95
+        self._tree = BPlusTree.from_sorted(
+            keys, [0] * len(keys), order=order, fill_factor=0.95
         )
         self.segment = disk.create_segment(
             f"kv.{name}", max(1, self._tree.n_nodes()) * disk.page_size

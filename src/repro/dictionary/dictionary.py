@@ -13,9 +13,21 @@ Two flavours are provided:
   unknown strings are reported instead of silently interned).
 """
 
+from itertools import filterfalse, repeat
+
 import numpy as np
 
 from repro.errors import DictionaryError
+
+
+def require_strings(values):
+    """Raise :class:`DictionaryError` naming the type of the first value
+    of *values* that is not a string; one C-level pass when all are."""
+    if not all(map(isinstance, values, repeat(str))):
+        bad = next(v for v in values if not isinstance(v, str))
+        raise DictionaryError(
+            f"dictionary keys must be str, got {type(bad).__name__}"
+        )
 
 
 def decode_many(by_oid, oids):
@@ -140,6 +152,38 @@ class Dictionary:
                 append(s)
             out(oid)
         return oids
+
+    def extend(self, strings):
+        """Intern, in iteration order, every string of *strings* not yet
+        present; *strings* must not repeat a new string.
+
+        C-level passes over the new strings — a ``filterfalse`` against
+        the string map, one type check, one ``update`` — and no
+        per-string :meth:`encode`.  A non-string raises
+        :class:`DictionaryError` before anything is interned.
+        """
+        by_string = self._by_string
+        new = list(filterfalse(by_string.__contains__, strings))
+        require_strings(new)
+        start = len(self._by_oid)
+        by_string.update(zip(new, range(start, start + len(new))))
+        self._by_oid += new
+
+    def lookup_array(self, strings, count=-1):
+        """The oids of the known *strings* as an int64 array: one C-level
+        ``map`` of the string map's lookup into ``np.fromiter``.
+
+        Raises :class:`DictionaryError` on an unknown string.
+        """
+        try:
+            return np.fromiter(
+                map(self._by_string.__getitem__, strings), dtype=np.int64,
+                count=count,
+            )
+        except KeyError as missing:
+            raise DictionaryError(
+                f"string not in dictionary: {missing.args[0]!r}"
+            ) from None
 
     def lookup_many(self, strings):
         """Look up an iterable of strings without interning.

@@ -29,6 +29,7 @@ from repro.exec.runtime import Runtime
 from repro.observe import NULL_TRACER
 from repro.plan.logical import count_operators
 from repro.storage.compress import CompressionCounts
+from repro.storage.encoding import row_keys
 
 
 class EngineHost:
@@ -211,13 +212,16 @@ class PlanHost(EngineHost):
         re-created table, or ``None`` when no delta row was new.
 
         The table's sort key must name every column, so a row is its key.
-        The few delta rows are stable-sorted, rows already stored or
-        repeated are dropped, ``np.searchsorted`` over the stored sorted
-        columns finds where the rest go (after equal keys, as a stable
-        sort would put them), and ``np.insert`` builds the merged columns.
-        The table is then dropped and re-created through ``create_table``
-        with ``presorted=True``: the merged columns are exactly what the
-        load sort of stored plus new rows produces, so segment names, the
+        Stored and delta rows are keyed in one pass
+        (:func:`~repro.storage.encoding.row_keys`: a folded int64 per row
+        while the composite fits, a structured record otherwise), the few
+        delta rows are stable-sorted, rows already stored or repeated are
+        dropped, ``np.searchsorted`` over the stored sorted keys finds
+        where the rest go (after equal keys, as a stable sort would put
+        them), and ``np.insert`` builds the merged columns.  The table is
+        then dropped and re-created through ``create_table`` with
+        ``presorted=True``: the merged columns are exactly what the load
+        sort of stored plus new rows produces, so segment names, the
         append-at-end disk layout, table order, codecs and every simulated
         number equal a drop-and-resort.  Interpreter work is O(delta);
         only numpy's memory moves are O(rows).
@@ -231,14 +235,21 @@ class PlanHost(EngineHost):
                 f"column {names} and delta columns {sorted(delta_columns)} "
                 "naming each of them"
             )
-        # One row per key column: delta is k x m, stored k x n.
+        # One row per key column: delta is k x m, stored k x n.  Both are
+        # keyed in one pass, so the folded keys share one base and width.
         delta = np.array([delta_columns[c] for c in sort_by], dtype=np.int64)
-        delta = delta[:, np.lexsort(delta[::-1])]
         stored = np.array([table.array(c) for c in sort_by], dtype=np.int64)
-        stored_rows, delta_rows = _records(stored), _records(delta)
-        at = np.searchsorted(stored_rows, delta_rows, side="right")
-        fresh = np.searchsorted(stored_rows, delta_rows, side="left") == at
-        fresh[1:] &= (delta[:, 1:] != delta[:, :-1]).any(axis=0)
+        both = np.concatenate([stored, delta], axis=1)
+        keys = row_keys(both)
+        if keys is None:
+            keys = _records(both)
+        n = stored.shape[1]
+        stored_keys, delta_keys = keys[:n], keys[n:]
+        order = np.argsort(delta_keys, kind="stable")
+        delta, delta_keys = delta[:, order], delta_keys[order]
+        at = np.searchsorted(stored_keys, delta_keys, side="right")
+        fresh = np.searchsorted(stored_keys, delta_keys, side="left") == at
+        fresh[1:] &= delta_keys[1:] != delta_keys[:-1]
         if not fresh.any():
             return None
         merged = dict(zip(

@@ -2,8 +2,8 @@
 
 Keys are tuples of ints (composite index keys); values are integer row ids.
 Duplicate keys are allowed.  The tree supports bulk loading from sorted
-pairs, point/prefix/range scans, and single-pair insertion (used by tests
-and by incremental loads).
+parallel key and value sequences, point/prefix/range scans, and
+single-pair insertion (used by tests and by incremental loads).
 
 Each node corresponds to one simulated disk page.  The tree itself is a
 pure data structure and charges nothing.  The row store resolves a
@@ -71,20 +71,6 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     @classmethod
-    def bulk_load(cls, pairs, order=64, fill_factor=0.7):
-        """Build a tree from ``(key, value)`` pairs sorted by key."""
-        pairs = list(pairs)
-        keys = [tuple(k) for k, _ in pairs]
-        if any(b < a for a, b in zip(keys, keys[1:])):
-            raise StorageError("bulk_load requires key-sorted input")
-        return cls.from_sorted(
-            keys,
-            [v for _, v in pairs],
-            order=order,
-            fill_factor=fill_factor,
-        )
-
-    @classmethod
     def from_sorted(cls, keys, values, order=64, fill_factor=0.7):
         """Bottom-up constructor from pre-sorted parallel sequences.
 
@@ -106,12 +92,13 @@ class BPlusTree:
 
         tree._nodes = []
         per_node = max(2, int(order * fill_factor))
-        leaves = []
-        for start in range(0, n, per_node):
-            leaf = tree._new_leaf()
-            leaf.keys = list(keys[start : start + per_node])
-            leaf.values = list(values[start : start + per_node])
-            leaves.append(leaf)
+        # As lists, the per-leaf slices are the leaves' own lists.
+        keys, values = list(keys), list(values)
+        starts = range(0, n, per_node)
+        leaves = [tree._new_leaf() for _ in starts]
+        for leaf, start in zip(leaves, starts):
+            leaf.keys = keys[start : start + per_node]
+            leaf.values = values[start : start + per_node]
         for a, b in zip(leaves, leaves[1:]):
             a.next_leaf = b.page
 

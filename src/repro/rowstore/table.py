@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.rowstore.btree import BPlusTree
+from repro.storage.encoding import row_order
 
 ROW_HEADER_BYTES = 8  # per-row tuple header in the heap
 
@@ -61,11 +62,7 @@ class RowTable:
 
         position = {c: i for i, c in enumerate(names)}
         if clustering and arrays[0].size and not presorted:
-            # np.lexsort sorts by the last key first; it is stable, so ties
-            # keep input order exactly like the sort it replaces.
-            order = np.lexsort(
-                tuple(arrays[position[c]] for c in reversed(clustering))
-            )
+            order = row_order([arrays[position[c]] for c in clustering])
             arrays = [a[order] for a in arrays]
         rows = list(zip(*(a.tolist() for a in arrays))) if arrays[0].size else []
 
@@ -93,7 +90,12 @@ class RowTable:
             )
 
     def _build_index(self, index_name, key_columns, disk, clustered, order,
-                     arrays=None):
+                     arrays):
+        """Build one B+tree over the heap *arrays* (the columns in heap
+        order).  The heap is in clustering order, so the clustered index
+        takes it as it stands, while a secondary sorts its folded key once
+        (equal keys keep ascending row-id order).  A key that is the whole
+        heap tuple in column order reuses the heap's tuples."""
         for col in key_columns:
             if col not in self._position:
                 raise StorageError(
@@ -101,24 +103,19 @@ class RowTable:
                 )
         if index_name in self.indexes:
             raise StorageError(f"duplicate index name {index_name!r}")
-        key_pos = [self._position[c] for c in key_columns]
-        if arrays is None:
-            arrays = [
-                np.fromiter(
-                    (row[i] for row in self.rows), dtype=np.int64,
-                    count=self.n_rows,
-                )
-                for i in range(len(self.columns))
-            ]
-        if self.n_rows:
-            key_arrays = [arrays[i] for i in key_pos]
-            # Stable lexsort == the stable tuple sort it replaces: equal
-            # keys keep ascending row-id order.
-            row_ids = np.lexsort(tuple(reversed(key_arrays)))
-            keys = list(zip(*(a[row_ids].tolist() for a in key_arrays)))
-            values = row_ids.tolist()
+        key_arrays = [arrays[self._position[c]] for c in key_columns]
+        whole_row = list(key_columns) == self.columns
+        if clustered:
+            values = range(self.n_rows)
+            keys = self.rows if whole_row else list(
+                zip(*(a.tolist() for a in key_arrays))
+            )
         else:
-            keys, values = [], []
+            row_ids = row_order(key_arrays)
+            values = row_ids.tolist()
+            keys = list(map(self.rows.__getitem__, values)) if whole_row else (
+                list(zip(*(a[row_ids].tolist() for a in key_arrays)))
+            )
         tree = BPlusTree.from_sorted(keys, values, order=order)
         # One page per node; size the segment accordingly.
         segment = disk.create_segment(

@@ -14,15 +14,13 @@ Every scheme starts from the one preparation, :func:`prepare_triples`, and
 only cuts its sorted columns into tables.
 """
 
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.dictionary import Dictionary
-from repro.model.triple import Triple
 from repro.storage.catalog import StoreCatalog
-from repro.storage.encoding import order_preserving_dictionary
+from repro.storage.encoding import encode_triples, row_order
 
 #: Interesting properties when none are named: the 28 most frequent.
 DEFAULT_INTERESTING = 28
@@ -55,19 +53,12 @@ def prepare_triples(triples, interesting_properties, sort_by,
     """
     triples = list(triples)
     named = list(interesting_properties or ())
-    dictionary = order_preserving_dictionary(
-        triples + [Triple(p, p, p) for p in named], dictionary
-    )
-    columns = {
-        name: np.fromiter(
-            dictionary.encode_many(map(attrgetter(term), triples)),
-            dtype=np.int64, count=len(triples),
-        )
-        for name, term in (("subj", "s"), ("prop", "p"), ("obj", "o"))
-    }
+    dictionary, columns = encode_triples(triples, named, dictionary)
     oids, first = np.unique(columns["prop"], return_index=True)
-    order = _load_order([columns[c] for c in sort_by], len(dictionary))
-    columns = {c: a[order] for c, a in columns.items()}
+    order = row_order([columns[c] for c in sort_by])
+    # Column by column, so each unsorted column is freed in turn.
+    for c, a in columns.items():
+        columns[c] = a[order]
     # Sorted, a repeated triple is a row equal to its predecessor.
     fresh = np.ones(len(order), dtype=bool)
     fresh[1:] = np.any([a[1:] != a[:-1] for a in columns.values()], axis=0)
@@ -80,23 +71,8 @@ def prepare_triples(triples, interesting_properties, sort_by,
     return Prepared(
         dictionary, columns, all_properties, oids[np.argsort(first)],
         [p for p in named if p in present],
-        np.sort(np.asarray(dictionary.lookup_many(named), dtype=np.int64)),
+        np.sort(dictionary.lookup_array(named, len(named))),
     )
-
-
-def _load_order(keys, width):
-    """The permutation sorting rows by *keys*, most significant first.
-
-    Every oid is below *width*, so while ``width ** len(keys)`` fits an
-    int64 the keys fold into one integer and a single argsort orders them;
-    a wider vocabulary takes the engines' ``np.lexsort``.
-    """
-    if width ** len(keys) <= 2 ** 63:
-        folded = keys[0]
-        for key in keys[1:]:
-            folded = folded * width + key
-        return np.argsort(folded)
-    return np.lexsort(keys[::-1])
 
 
 def properties_by_frequency(dictionary, prop_column):

@@ -8,12 +8,15 @@ from repro.rowstore.btree import BPlusTree, _upper_bound
 
 
 def load(pairs, order=4):
-    return BPlusTree.bulk_load(sorted(pairs), order=order)
+    pairs = sorted(pairs)
+    return BPlusTree.from_sorted(
+        [k for k, _ in pairs], [v for _, v in pairs], order=order
+    )
 
 
 class TestBulkLoad:
     def test_empty_tree(self):
-        tree = BPlusTree.bulk_load([])
+        tree = BPlusTree.from_sorted([], [])
         assert len(tree) == 0
         assert list(tree.items()) == []
         assert tree.search((1,)) == []
@@ -28,9 +31,9 @@ class TestBulkLoad:
         assert tree.height() >= 3
         assert len(tree) == 10_000
 
-    def test_unsorted_input_rejected(self):
+    def test_ragged_input_rejected(self):
         with pytest.raises(StorageError):
-            BPlusTree.bulk_load([((2,), 0), ((1,), 0)])
+            BPlusTree.from_sorted([(1,), (2,)], [0])
 
     def test_tiny_order_rejected(self):
         with pytest.raises(StorageError):
@@ -171,7 +174,7 @@ def assert_prefix_pages_match_scan(tree, prefix):
 def test_property_matches_sorted_list(pairs, order):
     """Bulk-loaded tree scans agree with a plain sorted list."""
     reference = sorted(pairs)
-    tree = BPlusTree.bulk_load(reference, order=order)
+    tree = load(reference, order=order)
     assert [kv for kv in tree.items()] == reference
     for prefix in [(0,), (10,), (5, 5)]:
         expected = [

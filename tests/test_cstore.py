@@ -24,32 +24,35 @@ def engine(dataset):
 
 
 class TestOrderedKV:
-    def make_kv(self, pairs):
+    def make_kv(self, keys):
         disk = SimulatedDisk()
         clock = QueryClock(MACHINE_A)
         pool = BufferPool(disk, clock, 64 * 1024 * 1024)
-        return OrderedKV("t", pairs, disk, pool, clock, 1e-7), clock
+        return OrderedKV("t", keys, disk, pool, clock, 1e-7), clock
 
     def test_get_and_prefix(self):
-        kv, _ = self.make_kv([((1, 10), 0), ((1, 11), 0), ((2, 10), 0)])
+        kv, _ = self.make_kv([(1, 10), (1, 11), (2, 10)])
         assert kv.get((1, 10)) == [0]
         assert kv.get((9, 9)) == []
         assert [k for k, _ in kv.prefix((1,))] == [(1, 10), (1, 11)]
 
     def test_cursor_sorted(self):
-        kv, _ = self.make_kv([((2, 1), 0), ((1, 5), 0), ((1, 2), 0)])
-        keys = [k for k, _ in kv.cursor()]
-        assert keys == sorted(keys)
+        """The cursor yields the sorted keys it was built from, repeats
+        included, each with the value 0."""
+        keys = [(1, 2), (1, 5), (1, 5), (2, 1)]
+        kv, _ = self.make_kv(keys)
+        assert list(kv.cursor()) == [(k, 0) for k in keys]
+        assert len(kv) == 4
 
     def test_access_charges_io(self):
-        kv, clock = self.make_kv([((i, i), 0) for i in range(5000)])
+        kv, clock = self.make_kv([(i, i) for i in range(5000)])
         clock.reset()
         list(kv.cursor())
         assert clock.bytes_read() > 0
 
     def test_catalog(self):
         catalog = KVCatalog()
-        kv, _ = self.make_kv([((1, 1), 0)])
+        kv, _ = self.make_kv([(1, 1)])
         catalog.add("a", kv)
         assert "a" in catalog
         assert catalog.get("a") is kv

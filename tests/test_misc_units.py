@@ -186,7 +186,7 @@ class TestKVReadahead:
                 max_run_bytes=256 * 1024, sequential_coalescing=False,
             )
             kv = OrderedKV(
-                "t", [((i, i), 0) for i in range(200_000)],
+                "t", [(i, i) for i in range(200_000)],
                 disk, pool, clock, 1e-7, order=1500,
             )
             return kv, clock, pool

@@ -296,26 +296,28 @@ class TestOrderPreservingEncoding:
         assert not catalog.dictionary.needs_reorganization
 
     def test_extending_nonempty_dictionary_warns(self, dataset):
-        """order_preserving_dictionary() on a pre-populated dictionary
-        breaks the order guarantee silently no more: it warns and flags
-        the dictionary for reorganization."""
-        import warnings
-
+        """encode_triples() on a pre-populated dictionary breaks the order
+        guarantee silently no more: it warns and flags the dictionary for
+        reorganization."""
         from repro.model.triple import Triple
         from repro.storage.encoding import (
             OrderPreservationWarning,
-            order_preserving_dictionary,
+            encode_triples,
         )
 
-        d = order_preserving_dictionary(
-            [Triple("<m>", "<n>", "<o>")]
-        )
+        d, _ = encode_triples([Triple("<m>", "<n>", "<o>")])
         assert not d.needs_reorganization
         with pytest.warns(OrderPreservationWarning):
-            order_preserving_dictionary(
-                [Triple("<a>", "<b>", "<c>")], dictionary=d
+            _, columns = encode_triples(
+                [Triple("<a>", "<b>", "<c>"), Triple("<m>", "<b>", "<o>")],
+                dictionary=d,
             )
         assert d.needs_reorganization
+        # The new strings are appended in sorted order after the old ones.
+        assert list(d) == ["<m>", "<n>", "<o>", "<a>", "<b>", "<c>"]
+        assert {c: a.tolist() for c, a in columns.items()} == {
+            "subj": [3, 0], "prop": [4, 4], "obj": [5, 2],
+        }
 
     def test_extending_with_larger_strings_does_not_warn(self):
         """Appending strings that sort after everything present keeps the
@@ -323,14 +325,12 @@ class TestOrderPreservingEncoding:
         import warnings
 
         from repro.model.triple import Triple
-        from repro.storage.encoding import order_preserving_dictionary
+        from repro.storage.encoding import encode_triples
 
-        d = order_preserving_dictionary([Triple("<a>", "<b>", "<c>")])
+        d, _ = encode_triples([Triple("<a>", "<b>", "<c>")])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            order_preserving_dictionary(
-                [Triple("<x>", "<y>", "<z>")], dictionary=d
-            )
+            encode_triples([Triple("<x>", "<y>", "<z>")], dictionary=d)
         assert not d.needs_reorganization
 
 
@@ -338,10 +338,7 @@ def test_property_order_preserving_dictionary():
     """Hypothesis: any vocabulary gets order-isomorphic oids."""
     from hypothesis import given, strategies as st
     from repro.model.triple import Triple
-    from repro.storage.encoding import (
-        is_order_preserving,
-        order_preserving_dictionary,
-    )
+    from repro.storage.encoding import encode_triples, is_order_preserving
 
     @given(
         st.lists(
@@ -352,10 +349,12 @@ def test_property_order_preserving_dictionary():
     )
     def check(raw):
         triples = [Triple(*t) for t in raw]
-        d = order_preserving_dictionary(triples)
+        d, columns = encode_triples(triples)
         assert is_order_preserving(d)
         strings = sorted({x for t in triples for x in t})
         assert [d.lookup(s) for s in strings] == list(range(len(strings)))
+        assert [d.decode_many(columns[c]) for c in ("subj", "prop", "obj")
+                ] == [[t[i] for t in triples] for i in range(3)]
 
     check()
 
@@ -433,6 +432,67 @@ class TestNamedPropertiesAbsentFromData:
             )
 
 
+class TestNonStringTerms:
+    """A term that is not a string is a ``DictionaryError`` from every
+    scheme's preparation and from the C-Store load, never the
+    ``TypeError`` of sorting it against a string."""
+
+    @staticmethod
+    def _triples(term, position):
+        triples = [Triple("<a>", "<type>", "<Text>"),
+                   Triple("<b>", "<title>", "<x>")]
+        bad = ["<c>", "<title>", "<y>"]
+        bad[position] = term
+        return triples + [Triple(*bad)]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("term", [5, None])
+    def test_every_scheme_preparation(self, term, position):
+        from repro.errors import DictionaryError
+        from repro.storage.property_table import (
+            prepare_property_table_payload,
+        )
+        from repro.storage.triple_store import prepare_triple_payload
+        from repro.storage.vertical_store import prepare_vertical_payload
+
+        triples = self._triples(term, position)
+        for prepare in (prepare_triple_payload, prepare_vertical_payload,
+                        prepare_property_table_payload):
+            with pytest.raises(DictionaryError, match="must be str"):
+                prepare(triples, ["<type>"])
+
+    def test_only_non_strings(self):
+        from repro.errors import DictionaryError
+        from repro.storage.triple_store import prepare_triple_payload
+
+        with pytest.raises(DictionaryError, match="got int"):
+            prepare_triple_payload([Triple(1, 2, 3)], None)
+        with pytest.raises(DictionaryError, match="got int"):
+            prepare_triple_payload([Triple("<a>", "<b>", "<c>")], [7])
+
+    @pytest.mark.parametrize("scheme", ["vertical", "triple"])
+    @pytest.mark.parametrize("engine", ["column", "row"])
+    def test_connect(self, engine, scheme):
+        from repro.errors import DictionaryError
+
+        with pytest.raises(DictionaryError):
+            api.connect(triples=self._triples(5, 2), engine=engine,
+                        scheme=scheme)
+
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("term", [5, None])
+    def test_cstore_load(self, term, position):
+        from repro.cstore import CStoreEngine
+        from repro.errors import DictionaryError
+
+        with pytest.raises(DictionaryError, match="must be str"):
+            CStoreEngine().load_vertical(
+                self._triples(term, position), ["<type>", "<title>"]
+            )
+        with pytest.raises(DictionaryError, match="must be str"):
+            CStoreEngine().load_vertical(self._triples("<z>", 0), [None])
+
+
 class TestStoresAreSets:
     """A triple repeated in the input is stored once, by every builder."""
 
@@ -491,9 +551,9 @@ def _reference_sort(columns, sort_by):
 def _reference_encode(triples):
     from collections import Counter
 
-    from repro.storage.encoding import order_preserving_dictionary
+    from repro.dictionary import Dictionary
 
-    dictionary = order_preserving_dictionary(triples)
+    dictionary = Dictionary(sorted({x for t in triples for x in t}))
     n = len(triples)
     arrays = {
         col: np.fromiter(
@@ -644,16 +704,23 @@ class TestOnePreparation:
     one the per-scheme encode-and-sort code it replaced produced."""
 
     def test_wide_vocabulary_sorts_like_the_folded_key(self):
-        from repro.storage.payload import _load_order
+        """A composite that fits an int64 is folded, a wider one is not;
+        either way, and with ties, rows sort stably like ``np.lexsort``."""
+        from repro.storage.encoding import FOLD_MIN_ROWS, row_keys, row_order
 
         rng = np.random.default_rng(0)
-        keys = [rng.integers(0, 40, 400) for _ in range(3)]
-        folded = _load_order(keys, 40)
-        lexsorted = _load_order(keys, 2 ** 22)  # 2**66 overflows an int64
-        assert np.array_equal(
-            np.array([k[folded] for k in keys]),
-            np.array([k[lexsorted] for k in keys]),
-        )
+        n = 2 * FOLD_MIN_ROWS
+        keys = [rng.integers(-1, 40, n) for _ in range(3)]
+        wide = [k * 2 ** 21 for k in keys]  # (40 * 2**21 + 1) ** 3 > 2**63
+        folded = row_keys(keys)
+        assert folded.dtype == np.int64 and row_keys(wide) is None
+        assert np.array_equal(np.argsort(folded, kind="stable"),
+                              np.lexsort(keys[::-1]))
+        for columns in (keys, wide, [k[:50] for k in keys]):
+            assert np.array_equal(row_order(columns),
+                                  np.lexsort(columns[::-1]))
+        distinct = [rng.permutation(n), rng.integers(0, 9, n)]
+        assert np.array_equal(row_order(distinct), np.argsort(distinct[0]))
 
     def test_payloads_equal_the_reference(self):
         from hypothesis import given, settings, strategies as st
