@@ -82,11 +82,8 @@ class CStoreEngine(EngineHost):
         flat = list(chain.from_iterable(
             map(attrgetter("s", "o", "p"), loaded)
         ))
-        dictionary.extend(dict.fromkeys(flat))
+        subj, obj, prop = dictionary.encode_many(flat).reshape(-1, 3).T
         dictionary.extend(dict.fromkeys(interesting))
-        subj, obj, prop = dictionary.lookup_array(flat, len(flat)).reshape(
-            -1, 3
-        ).T
         order = row_order([prop, subj, obj])
         subj, obj, prop = subj[order], obj[order], prop[order]
         for p in interesting:

@@ -115,10 +115,7 @@ class Dictionary:
 
     def encode(self, string):
         """Return the oid for *string*, interning it if new."""
-        if not isinstance(string, str):
-            raise DictionaryError(
-                f"dictionary keys must be str, got {type(string).__name__}"
-            )
+        require_strings((string,))
         oid = self._by_string.get(string)
         if oid is None:
             oid = len(self._by_oid)
@@ -127,31 +124,11 @@ class Dictionary:
         return oid
 
     def encode_many(self, strings):
-        """Encode an iterable of strings, returning a list of oids.
-
-        Fast path for bulk loading: the hot loop touches only local
-        variables (no attribute lookups, no per-element method dispatch),
-        which makes encoding a whole dataset several times faster than
-        calling :meth:`encode` per element.
-        """
-        by_string = self._by_string
-        by_oid = self._by_oid
-        get = by_string.get
-        append = by_oid.append
-        oids = []
-        out = oids.append
-        for s in strings:
-            oid = get(s)
-            if oid is None:
-                if not isinstance(s, str):
-                    raise DictionaryError(
-                        f"dictionary keys must be str, got {type(s).__name__}"
-                    )
-                oid = len(by_oid)
-                by_string[s] = oid
-                append(s)
-            out(oid)
-        return oids
+        """The oids of the sequence *strings* as an int64 array, interning
+        the new ones in first-seen order: :meth:`extend` with the strings
+        deduplicated, then :meth:`lookup_array`."""
+        self.extend(dict.fromkeys(strings))
+        return self.lookup_array(strings, len(strings))
 
     def extend(self, strings):
         """Intern, in iteration order, every string of *strings* not yet
@@ -184,21 +161,6 @@ class Dictionary:
             raise DictionaryError(
                 f"string not in dictionary: {missing.args[0]!r}"
             ) from None
-
-    def lookup_many(self, strings):
-        """Look up an iterable of strings without interning.
-
-        Raises :class:`DictionaryError` on the first unknown string.
-        """
-        get = self._by_string.get
-        oids = []
-        out = oids.append
-        for s in strings:
-            oid = get(s)
-            if oid is None:
-                raise DictionaryError(f"string not in dictionary: {s!r}")
-            out(oid)
-        return oids
 
     def lookup(self, string):
         """Return the oid for *string* without interning.
@@ -285,17 +247,6 @@ class FrozenDictionary:
 
     def lookup_or_none(self, string):
         return self._by_string.get(string)
-
-    def lookup_many(self, strings):
-        get = self._by_string.get
-        oids = []
-        out = oids.append
-        for s in strings:
-            oid = get(s)
-            if oid is None:
-                raise DictionaryError(f"string not in dictionary: {s!r}")
-            out(oid)
-        return oids
 
     def decode(self, oid):
         try:

@@ -131,15 +131,10 @@ def row_order(columns):
     as ``np.lexsort``.
 
     From :data:`FOLD_MIN_ROWS` rows on, the folded key (:func:`row_keys`)
-    is argsorted once; without ties every sort is stable, so the faster
-    unstable sort is kept unless the sorted keys repeat one.  Fewer rows,
-    or a composite wider than an int64, take ``np.lexsort``.
+    takes one stable argsort.  Fewer rows, or a composite wider than an
+    int64, take ``np.lexsort``.
     """
     keys = row_keys(columns) if len(columns[0]) >= FOLD_MIN_ROWS else None
     if keys is None:
         return np.lexsort(columns[::-1])
-    order = np.argsort(keys)
-    ranked = keys[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        return np.argsort(keys, kind="stable")
-    return order
+    return np.argsort(keys, kind="stable")

@@ -108,15 +108,6 @@ def insert_triples(engine, catalog, triples):
     return new_catalog, report
 
 
-def _encode(dictionary, strings, width):
-    """*strings* encoded in order (new ones get the next oids), as rows of
-    *width* oids; raises ``DictionaryError`` on a non-string."""
-    oids = dictionary.encode_many(strings)
-    return np.fromiter(oids, dtype=np.int64, count=len(oids)).reshape(
-        -1, width
-    )
-
-
 def _merge(engine, name, columns, report):
     table = engine.merge_rows(name, columns)
     if table is not None:
@@ -126,9 +117,9 @@ def _merge(engine, name, columns, report):
 
 def _insert_triple_store(engine, catalog, triples, dictionary, report):
     # Encode: subject, property, object of each triple in batch order.
-    rows = _encode(
-        dictionary, [x for t in triples for x in (t.s, t.p, t.o)], 3
-    )
+    rows = dictionary.encode_many(
+        [x for t in triples for x in (t.s, t.p, t.o)]
+    ).reshape(-1, 3)
     report.new_properties = list(
         {t.p for t in triples}.difference(catalog.all_properties)
     )
@@ -146,13 +137,15 @@ def _insert_triple_store(engine, catalog, triples, dictionary, report):
 def _insert_vertical(engine, catalog, triples, dictionary, report):
     # Encode: subject and object of each triple in batch order, then the
     # name of each new property in first-seen order.
-    pairs = _encode(dictionary, [x for t in triples for x in (t.s, t.o)], 2)
+    pairs = dictionary.encode_many(
+        [x for t in triples for x in (t.s, t.o)]
+    ).reshape(-1, 2)
     rows_of = {}
     for i, t in enumerate(triples):
         rows_of.setdefault(t.p, []).append(i)
     property_tables = dict(catalog.property_tables)
     new = [p for p in rows_of if p not in property_tables]
-    for p, oid in zip(new, dictionary.encode_many(new)):
+    for p, oid in zip(new, dictionary.encode_many(new).tolist()):
         property_tables[p] = f"vp_{oid}"
     report.new_properties = new
 

@@ -77,7 +77,7 @@ def prepare_property_table_payload(triples, interesting_properties,
         raise StorageError(
             f"clustered property {min(missing)!r} has no triples in the data"
         )
-    oids = prepared.dictionary.lookup_many(clustered_properties)
+    oids = prepared.dictionary.lookup_array(clustered_properties)
 
     columns = prepared.columns
     subj, prop, obj = columns["subj"], columns["prop"], columns["obj"]

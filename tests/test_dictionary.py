@@ -33,7 +33,7 @@ class TestDictionary:
     def test_encode_many_and_decode_many(self):
         d = Dictionary()
         oids = d.encode_many(["a", "b", "a", "c"])
-        assert oids == [0, 1, 0, 2]
+        assert oids.tolist() == [0, 1, 0, 2]
         assert d.decode_many(oids) == ["a", "b", "a", "c"]
 
     def test_lookup_unknown_raises(self):
