@@ -131,10 +131,17 @@ def row_order(columns):
     as ``np.lexsort``.
 
     From :data:`FOLD_MIN_ROWS` rows on, the folded key (:func:`row_keys`)
-    takes one stable argsort.  Fewer rows, or a composite wider than an
-    int64, take ``np.lexsort``.
+    is argsorted once.  A key without repeats sorts the same under every
+    sort, so numpy's default sort (3-4 times faster than the stable one
+    on these keys) is kept unless the sorted keys repeat one; then the
+    key is sorted again with ``kind="stable"``.  Fewer rows, or a
+    composite wider than an int64, take ``np.lexsort``.
     """
     keys = row_keys(columns) if len(columns[0]) >= FOLD_MIN_ROWS else None
     if keys is None:
         return np.lexsort(columns[::-1])
-    return np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return np.argsort(keys, kind="stable")
+    return order

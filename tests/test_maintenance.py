@@ -304,41 +304,37 @@ class TestMergeRows:
         with pytest.raises(StorageError):
             engine.merge_rows("t", {"x": [5]})
 
-    @pytest.mark.parametrize("engine_cls", ENGINES)
-    def test_merge_equals_load_sort(self, engine_cls):
-        _check_merge_equals_load_sort(engine_cls, scale=1)
-
-    @pytest.mark.parametrize("engine_cls", ENGINES)
-    def test_wide_keys_merge_equals_load_sort(self, engine_cls):
-        # Scaled by 2**40 the two-column key no longer folds into an int64,
-        # so the merge searches structured records instead of folded keys.
-        _check_merge_equals_load_sort(engine_cls, scale=2 ** 40)
-
-
-def _check_merge_equals_load_sort(engine_cls, scale):
-    rng = np.random.default_rng(4)
-    stored = rng.integers(-3, 6, size=(2, 40)) * scale
-    delta = rng.integers(-3, 6, size=(2, 25)) * scale
-    both = np.concatenate([stored, delta], axis=1)
-    assert (row_keys(both) is None) == (scale > 1)
-    merged, rebuilt = engine_cls(), engine_cls()
-    for engine in (merged, rebuilt):
-        engine.create_table("t", {"a": stored[0], "b": stored[1]},
-                            sort_by=["b", "a"])
-    merged.merge_rows("t", {"a": delta[0], "b": delta[1]})
-    rows = {tuple(r) for r in stored.T.tolist()}
-    fresh = [r for r in dict.fromkeys(map(tuple, delta.T.tolist()))
-             if r not in rows]
-    everything = np.concatenate([stored, np.array(fresh).T], axis=1)
-    rebuilt.drop_table("t")
-    rebuilt.create_table("t", {"a": everything[0], "b": everything[1]},
-                         sort_by=["b", "a"])
-    for column in ("a", "b"):
-        assert (merged.table("t").array(column).tolist()
-                == rebuilt.table("t").array(column).tolist())
-    assert ([(s.name, s.base, s.nbytes) for s in merged.disk.segments()]
-            == [(s.name, s.base, s.nbytes)
-                for s in rebuilt.disk.segments()])
+    # Scaled by 2**40 the two-column key no longer folds into an int64,
+    # so the merge searches structured records instead of folded keys.
+    @pytest.mark.parametrize("engine_cls, scale", [
+        *(pytest.param(cls, 1, id=cls.__name__) for cls in ENGINES),
+        *(pytest.param(cls, 2 ** 40, id=f"{cls.__name__}-wide")
+          for cls in ENGINES),
+    ])
+    def test_merge_equals_load_sort(self, engine_cls, scale):
+        rng = np.random.default_rng(4)
+        stored = rng.integers(-3, 6, size=(2, 40)) * scale
+        delta = rng.integers(-3, 6, size=(2, 25)) * scale
+        both = np.concatenate([stored, delta], axis=1)
+        assert (row_keys(both) is None) == (scale > 1)
+        merged, rebuilt = engine_cls(), engine_cls()
+        for engine in (merged, rebuilt):
+            engine.create_table("t", {"a": stored[0], "b": stored[1]},
+                                sort_by=["b", "a"])
+        merged.merge_rows("t", {"a": delta[0], "b": delta[1]})
+        rows = {tuple(r) for r in stored.T.tolist()}
+        fresh = [r for r in dict.fromkeys(map(tuple, delta.T.tolist()))
+                 if r not in rows]
+        everything = np.concatenate([stored, np.array(fresh).T], axis=1)
+        rebuilt.drop_table("t")
+        rebuilt.create_table("t", {"a": everything[0], "b": everything[1]},
+                             sort_by=["b", "a"])
+        for column in ("a", "b"):
+            assert (merged.table("t").array(column).tolist()
+                    == rebuilt.table("t").array(column).tolist())
+        assert ([(s.name, s.base, s.nbytes) for s in merged.disk.segments()]
+                == [(s.name, s.base, s.nbytes)
+                    for s in rebuilt.disk.segments()])
 
 
 # ---------------------------------------------------------------------------
