@@ -132,7 +132,7 @@ def row_order(columns):
 
     From :data:`FOLD_MIN_ROWS` rows on, the folded key (:func:`row_keys`)
     is argsorted once.  A key without repeats sorts the same under every
-    sort, so numpy's default sort (3-4 times faster than the stable one
+    sort, so numpy's default sort (2-4 times faster than the stable one
     on these keys) is kept unless the sorted keys repeat one; then the
     key is sorted again with ``kind="stable"``.  Fewer rows, or a
     composite wider than an int64, take ``np.lexsort``.
